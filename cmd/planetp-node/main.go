@@ -39,9 +39,10 @@
 //	                  shedding with 429 (default 256)
 //	-drain-timeout D  how long SIGTERM waits for in-flight API requests
 //	                  (default 10s)
-//	-filter-cache N   byte budget for resident peer Bloom filters in the
-//	                  query engine's two-tier probe cache (0 = 64 MiB
-//	                  default, negative = minimal working set)
+//	-filter-cache N   byte budget for decoded peer Bloom filters in the
+//	                  query engine's probe cache, each held in the
+//	                  smaller of its two forms (0 = 64 MiB default,
+//	                  negative = minimal working set)
 //	-replicas K       replicate hot documents to K peers total (owner +
 //	                  K-1 ring successors); 0 or 1 disables replication
 //	-hoard-budget N   byte budget for hoarded replicas (0 = 64 MiB
@@ -106,7 +107,7 @@ func main() {
 	headless := flag.Bool("headless", false, "no interactive shell; serve until SIGINT/SIGTERM")
 	maxInflight := flag.Int("max-inflight", 256, "concurrent API requests admitted before shedding with 429")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "SIGTERM wait for in-flight API requests")
-	filterCache := flag.Int64("filter-cache", 0, "byte budget for resident peer Bloom filters in the query engine (0 = 64 MiB default, negative = minimal working set)")
+	filterCache := flag.Int64("filter-cache", 0, "byte budget for decoded peer Bloom filters in the query engine's probe cache, least recently probed evicted first (0 = 64 MiB default, negative = minimal working set)")
 	replicas := flag.Int("replicas", 0, "replicate hot documents to this many peers total (0 or 1 = off)")
 	hoardBudget := flag.Int64("hoard-budget", 0, "byte budget for hoarded replicas (0 = 64 MiB default)")
 	poolConns := flag.Int("pool-conns", 0, "idle transport connections kept per peer (0 = default 4, negative = dial per RPC)")

@@ -80,6 +80,14 @@ func (f *Filter) Keys() int { return int(f.nkeys) }
 // SetBits returns the number of one bits.
 func (f *Filter) SetBits() int { return int(f.setcnt) }
 
+// SizeBytes returns the resident footprint of the bitset plus the struct
+// header — what a byte-budgeted cache should charge for keeping this
+// Filter in memory (the counterpart of Compact.SizeBytes).
+func (f *Filter) SizeBytes() int {
+	const structOverhead = 64
+	return 8*len(f.bits) + structOverhead
+}
+
 // FNV-1a 64-bit parameters (FNV offset basis and prime).
 const (
 	fnvOffset64 = 14695981039346656037
@@ -443,6 +451,16 @@ func decodeWireHeader(buf []byte) (wireHeader, []byte, error) {
 		return hdr, nil, ErrCorrupt
 	}
 	return hdr, rest, nil
+}
+
+// CompactSmaller reports whether a Compress encoding's Compact form (4 B
+// per set bit) would be resident no larger than its Filter (nbits/8 B),
+// read off the header alone: no positions are decoded, so a caller can
+// pick the smaller form before paying for either decode. A header that
+// does not parse reports false; both decoders reject it.
+func CompactSmaller(buf []byte) bool {
+	hdr, _, err := decodeWireHeader(buf)
+	return err == nil && 4*hdr.nset <= hdr.nbits/8
 }
 
 // Decompress reconstructs a filter from its Compress encoding.

@@ -14,8 +14,9 @@ import (
 // For the sparse filters PlanetP gossips (a few thousand terms against the
 // paper's 50 KB geometry) the position list is roughly an order of
 // magnitude smaller resident than the decompressed bitset, which is what
-// lets a directory replica keep every peer probeable while holding only
-// hot peers' filters fully decompressed (see internal/filtercache).
+// lets a directory replica keep every peer probeable (see
+// internal/filtercache, which holds a filter in this form whenever it is
+// the smaller of the two).
 //
 // Probing is bit-identical to Filter probing: both derive the same
 // Kirsch–Mitzenmacher index sequence from a Digest, and a position is
@@ -130,15 +131,4 @@ func (c *Compact) ContainsAllDigests(ds []Digest) bool {
 // Contains reports whether key may be in the filter.
 func (c *Compact) Contains(key string) bool {
 	return c.ContainsDigest(MakeDigest(key))
-}
-
-// Filter materializes the full bitset — the hot-tier promotion path: a
-// peer probed often enough earns its decompressed filter back.
-func (c *Compact) Filter() *Filter {
-	f := New(int(c.nbits), int(c.nhash))
-	f.nkeys = c.nkeys
-	for _, p := range c.positions {
-		f.setBit(uint64(p))
-	}
-	return f
 }

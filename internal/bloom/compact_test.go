@@ -174,28 +174,6 @@ func TestCompactEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestCompactFilterRoundTrip materializes a Filter back from a Compact and
-// requires exact bitset equality with the original.
-func TestCompactFilterRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := New(8192, 3)
-	for i := 0; i < 300; i++ {
-		f.Insert(randKey(rng))
-	}
-	got := CompactOf(f).Filter()
-	if !f.Equal(got) {
-		t.Fatal("Compact.Filter() does not round-trip the bitset")
-	}
-	if got.Keys() != f.Keys() || got.SetBits() != f.SetBits() {
-		t.Fatalf("metadata mismatch: keys %d/%d setbits %d/%d",
-			got.Keys(), f.Keys(), got.SetBits(), f.SetBits())
-	}
-	g2 := mustDecodeCompact(t, f.Compress()).Filter()
-	if !f.Equal(g2) {
-		t.Fatal("wire-decoded Compact.Filter() does not round-trip the bitset")
-	}
-}
-
 // TestCompactRejectsCorrupt requires DecodeCompact to reject exactly what
 // Decompress rejects.
 func TestCompactRejectsCorrupt(t *testing.T) {
@@ -220,7 +198,7 @@ func TestCompactRejectsCorrupt(t *testing.T) {
 }
 
 // TestCompactSizeBytes sanity-checks the residency claim driving the
-// two-tier cache: for a paper-geometry filter with a few thousand terms
+// filter cache: for a paper-geometry filter with a few thousand terms
 // the position list is at least 5x smaller than the decompressed bitset.
 func TestCompactSizeBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

@@ -86,7 +86,7 @@ func TestViewCacheReleasesDroppedPeerBytes(t *testing.T) {
 }
 
 // TestViewCacheConcurrentChurn races the query fast path (IPF ranking +
-// digest probes through the two-tier cache) against directory churn:
+// digest probes through the filter cache) against directory churn:
 // version bumps, off-line flips, and T_Dead drops. Run with -race; the
 // assertions only check crash-freedom and that probes never observe a
 // peer the directory dropped.

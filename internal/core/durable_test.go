@@ -64,6 +64,11 @@ func TestDurablePeerRestartsFromDisk(t *testing.T) {
 	if !oldVer.Less(newVer) {
 		t.Fatalf("restarted version %v does not supersede %v", newVer, oldVer)
 	}
+	// The snapshot's documents come back as one batch: the self record
+	// advances by one version, not one per document.
+	if want := (directory.Version{Epoch: rec.RecoveredEpoch + 1, Seq: 1}); newVer != want {
+		t.Fatalf("restored self record at %v, want %v (one version for the whole snapshot)", newVer, want)
+	}
 	docs, _ := q.Search("durable walrus", 4)
 	if len(docs) != 2 {
 		t.Fatalf("restored docs not searchable: %d hits", len(docs))

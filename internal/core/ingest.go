@@ -192,6 +192,7 @@ func (p *Peer) PublishBatch(xmls []string) ([]*doc.Document, error) {
 	ids := p.index.AddTermFreqsBatch(batchFreqs)
 	for i, ad := range fresh {
 		p.docOf[ad.doc.ID] = ids[i]
+		p.keyOf[ids[i]] = ad.doc.ID
 		for t := range ad.freqs {
 			p.summary.Insert(t)
 			p.counting.Add(t)

@@ -98,11 +98,11 @@ type Config struct {
 	// the transport reaps it. 0 takes the transport default (60 s).
 	PoolIdle time.Duration
 	// FilterCacheBudget bounds the resident bytes of decoded peer Bloom
-	// filters held by the query engine's two-tier cache (compact
-	// set-bit-position arrays for every probed peer, fully decompressed
-	// filters for the hottest). 0 takes the 64 MiB default; negative
-	// keeps only a minimal single-probe working set (for memory-starved
-	// deployments). See metrics core_filter_cache_*.
+	// filters held by the query engine's probe cache (per recently probed
+	// peer, the smaller of a set-bit-position array and the plain bitset;
+	// least recently probed evicted first). 0 takes the 64 MiB default;
+	// negative keeps only a minimal single-probe working set (for
+	// memory-starved deployments). See metrics core_filter_cache_*.
 	FilterCacheBudget int64
 	// Replicas is the replication factor k for hot documents: the
 	// community-wide copy target, origin included (the hottest document
@@ -133,6 +133,7 @@ type Peer struct {
 	store       *doc.Store
 	index       *index.Index
 	docOf       map[string]index.DocID // doc key -> local index id
+	keyOf       map[index.DocID]string // inverse of docOf, kept at its four mutation sites
 	filter      *bloom.Filter
 	counting    *bloom.Counting // deletion-aware twin of filter
 	summary     *bloom.Summary  // incremental gossip summarization of filter
@@ -192,6 +193,7 @@ func NewPeer(cfg Config) (*Peer, error) {
 		store:     doc.NewStore(),
 		index:     index.New(),
 		docOf:     make(map[string]index.DocID),
+		keyOf:     make(map[index.DocID]string),
 		filter:    bloom.Default(),
 		counting:  bloom.DefaultCounting(),
 		reg:       cfg.Metrics,
@@ -536,6 +538,7 @@ func (p *Peer) Remove(docID string) bool {
 		}
 		p.index.RemoveDocument(id)
 		delete(p.docOf, docID)
+		delete(p.keyOf, id)
 		p.counting.Remove(docMarker(docID))
 	}
 	p.mu.Unlock()
@@ -734,11 +737,6 @@ func (p *Peer) localQuery(terms []string, all bool) []search.DocResult {
 	} else {
 		ids = p.index.SearchAny(terms)
 	}
-	// Reverse-map index ids to doc keys.
-	keyOf := make(map[index.DocID]string, len(p.docOf))
-	for key, id := range p.docOf {
-		keyOf[id] = key
-	}
 	out := make([]search.DocResult, 0, len(ids))
 	for _, id := range ids {
 		freqs := make(map[string]int, len(terms))
@@ -748,7 +746,7 @@ func (p *Peer) localQuery(terms []string, all bool) []search.DocResult {
 			}
 		}
 		out = append(out, search.DocResult{
-			Peer: p.id, Key: keyOf[id], TermFreqs: freqs, DocLen: p.index.DocLen(id),
+			Peer: p.id, Key: p.keyOf[id], TermFreqs: freqs, DocLen: p.index.DocLen(id),
 		})
 	}
 	return out

@@ -145,6 +145,7 @@ func (p *Peer) ingestReplicaLocked(e replica.Entry) {
 	ad := p.analyzeOne(e.XML, &a)
 	id := p.index.AddTermFreqs(ad.freqs)
 	p.docOf[e.Key] = id
+	p.keyOf[id] = e.Key
 	for t := range ad.freqs {
 		p.summary.Insert(t)
 		p.counting.Add(t)
@@ -167,6 +168,7 @@ func (p *Peer) unIngestReplicaLocked(key string) {
 	}
 	p.index.RemoveDocument(id)
 	delete(p.docOf, key)
+	delete(p.keyOf, id)
 	p.counting.Remove(docMarker(key))
 }
 

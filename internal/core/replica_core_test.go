@@ -368,3 +368,71 @@ func TestDurableReplicaRestartServesAgain(t *testing.T) {
 		t.Fatalf("restored replicas not searchable: %d hits", len(docs))
 	}
 }
+
+// TestDocKeyMapsStayInverse: docOf (key -> index id) and keyOf (index id
+// -> key) are maintained by hand at four sites — publish, Remove,
+// replica adopt, replica purge — and localQuery names a hit by keyOf
+// alone, so after each of them the two must be exact inverses and every
+// hit must carry its own key.
+func TestDocKeyMapsStayInverse(t *testing.T) {
+	p := durableReplicaPeer(t, store.NewMemFS())
+	defer p.Stop()
+	check := func(step string, wantKeys ...string) {
+		t.Helper()
+		p.mu.Lock()
+		if len(p.docOf) != len(wantKeys) || len(p.keyOf) != len(wantKeys) {
+			t.Errorf("%s: docOf has %d entries, keyOf %d, want %d each", step, len(p.docOf), len(p.keyOf), len(wantKeys))
+		}
+		for key, id := range p.docOf {
+			if p.keyOf[id] != key {
+				t.Errorf("%s: docOf[%q] = %d but keyOf[%d] = %q", step, key, id, id, p.keyOf[id])
+			}
+		}
+		p.mu.Unlock()
+		var got []string
+		for _, d := range p.localQuery([]string{"falcon"}, false) {
+			got = append(got, d.Key)
+		}
+		sort.Strings(got)
+		sort.Strings(wantKeys)
+		if fmt.Sprint(got) != fmt.Sprint(wantKeys) {
+			t.Errorf("%s: query names %v, want %v", step, got, wantKeys)
+		}
+	}
+
+	docs, err := p.PublishBatch([]string{`<a>own falcon one</a>`, `<b>own falcon two</b>`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own1, own2 := docs[0].ID, docs[1].ID
+	check("publish", own1, own2)
+
+	if !p.Remove(own1) {
+		t.Fatal("remove failed")
+	}
+	check("remove", own2)
+
+	// The freed index id may be reused by the next ingest: the stale
+	// reverse entry must be gone, not overwritten by luck.
+	reps := testReplicaEntries()
+	p.adoptReplica(reps[0], 5)
+	p.adoptReplica(reps[1], 5)
+	check("replica adopt", own2, reps[0].Key, reps[1].Key)
+
+	p.purgeReplica(reps[0].Key, 2, true)
+	check("replica purge", own2, reps[1].Key)
+
+	// Publishing a held replica converts it to an owned copy (un-ingest
+	// then ingest under one lock), under the same key.
+	xml := `<c>borrowed falcon three</c>`
+	held := replica.Entry{Key: doc.Parse(xml).ID, Origin: 7, Epoch: 1, XML: xml}
+	p.adoptReplica(held, 5)
+	check("adopt by document id", own2, reps[1].Key, held.Key)
+	if _, err := p.Publish(xml); err != nil {
+		t.Fatal(err)
+	}
+	if p.rep.Has(held.Key) {
+		t.Fatal("published document still held as a replica")
+	}
+	check("replica converted to owned", own2, reps[1].Key, held.Key)
+}

@@ -73,16 +73,16 @@ func DecodeSnapshotLimit(data []byte, limit int64) (Snapshot, error) {
 }
 
 // restore republishes a snapshot's documents into a freshly constructed
-// peer (called before Start, so nothing goes on the wire; the final
-// filter gossips as one announcement once gossiping begins).
+// peer as one batch — one index pass, one summary flush, one gossip
+// version, however many documents (called before Start, so nothing goes
+// on the wire; the final filter gossips as one announcement once
+// gossiping begins).
 func (p *Peer) restore(snap Snapshot) error {
 	if int32(p.id) != snap.ID {
 		return fmt.Errorf("core: snapshot belongs to peer %d, not %d", snap.ID, p.id)
 	}
-	for _, raw := range snap.Docs {
-		if _, err := p.Publish(raw); err != nil {
-			return fmt.Errorf("core: restoring document: %w", err)
-		}
+	if _, err := p.PublishBatch(snap.Docs); err != nil {
+		return fmt.Errorf("core: restoring documents: %w", err)
 	}
 	return nil
 }

@@ -15,9 +15,9 @@ import (
 
 // dirView adapts the peer's directory replica to search.FilterView:
 // candidate peers are the on-line members, and Contains probes the
-// gossiped (compressed) Bloom filters through a byte-budgeted two-tier
-// cache — every peer probeable via its compact decoded form, hot peers
-// promoted to fully decompressed filters. The directory's eviction hook
+// gossiped (compressed) Bloom filters through a byte-budgeted cache of
+// their decoded forms (per peer, whichever of position list and bitset
+// is smaller). The directory's eviction hook
 // (supersede / DropDead) invalidates entries so churned-out peers
 // release their resident bytes instead of leaking until process exit.
 type dirView struct {

@@ -1,5 +1,5 @@
 // Package filtercache keeps a peer's view of remote Bloom filters
-// compressed-resident under a byte budget.
+// probeable under a byte budget.
 //
 // The directory replica stores one Golomb-compressed Bloom filter per
 // remote peer. The query engine wants to probe those filters on every
@@ -7,29 +7,25 @@
 // behaviour) costs O(N × filter bytes) resident memory — ~50 KB per peer
 // at the paper's geometry, which is what caps a node's community size.
 //
-// This cache holds two tiers under one budget:
+// This cache holds each recently probed peer's filter decoded into the
+// smaller of two forms: a bloom.Compact (sorted set-bit positions, 4 B
+// each, probed by binary search) while the filter is sparse, the plain
+// bloom.Filter bitset (nbits/8 bytes, O(1) probes) once more than
+// nbits/32 bits are set. The wire header's set-bit count decides, before
+// anything is decoded.
 //
-//   - Compact tier: every recently probed peer's filter as a
-//     bloom.Compact (sorted set-bit positions, ~10× smaller than the
-//     bitset for paper-scale term counts), probed by binary search.
-//   - Hot tier: a small LRU of fully decompressed filters for peers
-//     probed at least PromoteAfter times at their current version, so
-//     frequently searched peers keep the O(1) bit-probe fast path.
-//
-// Entries are (re)built from the Source on demand, invalidated when the
-// peer's record version changes, and evicted least-recently-probed first
-// when the budget is exceeded. Eviction is cheap to undo — the compressed
-// payload still lives in the directory — so the budget can be small
-// without correctness risk: a probe of an evicted peer is a miss, never a
-// wrong answer.
+// Entries are (re)built from the Source on demand, stamped with the
+// peer's record version (a probe at any other version is a miss), and
+// evicted least-recently-probed first when the budget is exceeded.
+// Eviction is cheap to undo — the compressed payload still lives in the
+// directory — so the budget can be small without correctness risk: a
+// probe of an evicted peer is a miss, never a wrong answer.
 package filtercache
 
 import (
-	"container/list"
-	"sync"
-
 	"planetp/internal/bloom"
 	"planetp/internal/directory"
+	"planetp/internal/lru"
 	"planetp/internal/metrics"
 )
 
@@ -40,82 +36,56 @@ type Source interface {
 	Payload(id directory.PeerID) (payload []byte, ver directory.Version, ok bool)
 }
 
-// Defaults.
-const (
-	// DefaultBudget bounds total resident bytes across both tiers.
-	// 64 MiB holds the compact form of ~8k paper-geometry peers with
-	// 1000 terms each, or ~600 fully hot filters.
-	DefaultBudget = 64 << 20
-	// DefaultHotFraction is the share of the budget the hot tier may use.
-	DefaultHotFraction = 0.5
-	// DefaultPromoteAfter is how many probes of one (peer, version) it
-	// takes to earn a decompressed filter.
-	DefaultPromoteAfter = 4
-)
+// DefaultBudget bounds total resident bytes. 64 MiB holds the compact
+// form of ~8k paper-geometry peers with 1000 terms each, or ~1300 dense
+// filters as bitsets.
+const DefaultBudget = 64 << 20
 
 // Config parameterizes a Cache. Zero values select the defaults.
 type Config struct {
-	// Budget is the maximum resident bytes across both tiers (compact
-	// position lists plus hot bitsets). <0 disables the hot tier and
-	// keeps only a minimal compact working set (one entry).
+	// Budget is the maximum resident bytes of decoded filters. <0 keeps
+	// only a minimal working set (one entry).
 	Budget int64
-	// HotFraction is the maximum share of Budget spent on decompressed
-	// hot filters.
-	HotFraction float64
-	// PromoteAfter is the probe count at one version that promotes a
-	// peer to the hot tier.
-	PromoteAfter int
 	// Metrics receives core_filter_cache_{hits,misses,evictions,
-	// resident_bytes}. nil disables instrumentation.
+	// resident_bytes}. nil keeps the counts private to Stats.
 	Metrics *metrics.Registry
 }
 
 // Stats is a point-in-time summary of cache state.
 type Stats struct {
-	Hits           int64
-	Misses         int64
-	Evictions      int64
-	ResidentBytes  int64
-	CompactEntries int
-	HotEntries     int
+	Hits          int64
+	Misses        int64
+	Evictions     int64
+	ResidentBytes int64
+	Entries       int
 }
 
-type entry struct {
-	id      directory.PeerID
-	ver     directory.Version
-	compact *bloom.Compact
-	hot     *bloom.Filter
-	probes  int
-	cbytes  int64 // compact-tier charge
-	hbytes  int64 // hot-tier charge (0 when not hot)
-	elem    *list.Element
-	hotElem *list.Element
+// probe is a decoded filter in either form; both are immutable once
+// cached, so probing runs outside every lock.
+type probe interface {
+	ContainsDigest(d bloom.Digest) bool
+	ContainsAllDigests(ds []bloom.Digest) bool
+	SizeBytes() int
 }
 
-// Cache is the two-tier filter cache. All methods are safe for concurrent
-// use. Probe results come from immutable snapshots (Compact and promoted
-// Filter values are never mutated after construction), so probing itself
-// runs outside the cache lock.
+// decode builds the smaller form of a wire payload. Validation is
+// DecodeCompact's and Decompress's own (they accept the same inputs).
+func decode(payload []byte) (probe, error) {
+	if bloom.CompactSmaller(payload) {
+		return bloom.DecodeCompact(payload)
+	}
+	return bloom.Decompress(payload)
+}
+
+// Cache is the filter cache. All methods are safe for concurrent use.
 type Cache struct {
-	src          Source
-	budget       int64
-	hotBudget    int64
-	promoteAfter int
-
-	mu           sync.Mutex
-	entries      map[directory.PeerID]*entry
-	lru          *list.List // all entries, front = most recently probed
-	hotLRU       *list.List // hot entries only
-	compactBytes int64
-	hotBytes     int64
+	src Source
+	lru *lru.Cache[directory.PeerID, directory.Version, probe]
 
 	hits      *metrics.Counter
 	misses    *metrics.Counter
-	evictions *metrics.Counter
+	evictions *metrics.Counter // version churn, invalidation and budget pressure
 	resident  *metrics.Gauge
-	statHits  int64
-	statMiss  int64
-	statEvict int64
 }
 
 // New returns a cache over src.
@@ -123,189 +93,57 @@ func New(src Source, cfg Config) *Cache {
 	if cfg.Budget == 0 {
 		cfg.Budget = DefaultBudget
 	}
-	if cfg.HotFraction <= 0 || cfg.HotFraction > 1 {
-		cfg.HotFraction = DefaultHotFraction
-	}
-	if cfg.PromoteAfter <= 0 {
-		cfg.PromoteAfter = DefaultPromoteAfter
-	}
-	hot := int64(float64(cfg.Budget) * cfg.HotFraction)
-	if cfg.Budget < 0 {
-		cfg.Budget = 0
-		hot = 0
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
 	}
 	return &Cache{
-		src:          src,
-		budget:       cfg.Budget,
-		hotBudget:    hot,
-		promoteAfter: cfg.PromoteAfter,
-		entries:      make(map[directory.PeerID]*entry),
-		lru:          list.New(),
-		hotLRU:       list.New(),
-		hits:         cfg.Metrics.Counter("core_filter_cache_hits"),
-		misses:       cfg.Metrics.Counter("core_filter_cache_misses"),
-		evictions:    cfg.Metrics.Counter("core_filter_cache_evictions"),
-		resident:     cfg.Metrics.Gauge("core_filter_cache_resident_bytes"),
+		src:       src,
+		lru:       lru.New[directory.PeerID, directory.Version, probe](max(cfg.Budget, 0)),
+		hits:      cfg.Metrics.Counter("core_filter_cache_hits"),
+		misses:    cfg.Metrics.Counter("core_filter_cache_misses"),
+		evictions: cfg.Metrics.Counter("core_filter_cache_evictions"),
+		resident:  cfg.Metrics.Gauge("core_filter_cache_resident_bytes"),
 	}
 }
 
-// hotFilterBytes is the resident charge for a decompressed filter.
-func hotFilterBytes(c *bloom.Compact) int64 {
-	const structOverhead = 64
-	return int64(c.NumBits())/8 + structOverhead
-}
-
-// view returns an immutable probe snapshot for id: the compact form and,
-// if promoted, the decompressed filter. ok is false when the peer is
-// unknown, filterless, or its payload fails to decode.
-func (c *Cache) view(id directory.PeerID) (*bloom.Compact, *bloom.Filter, bool) {
+// view returns id's decoded filter at its current record version; ok is
+// false when the peer is unknown, filterless, or its payload is corrupt.
+func (c *Cache) view(id directory.PeerID) (probe, bool) {
 	payload, ver, ok := c.src.Payload(id)
 	if !ok || payload == nil {
 		c.Invalidate(id)
-		return nil, nil, false
+		return nil, false
 	}
-
-	c.mu.Lock()
-	e := c.entries[id]
-	if e != nil && e.ver == ver {
-		// Hit: the cached decode is current.
-		c.statHits++
+	p, ok, superseded := c.lru.Get(id, ver)
+	if ok {
 		c.hits.Inc()
-		c.lru.MoveToFront(e.elem)
-		e.probes++
-		if e.hot != nil {
-			c.hotLRU.MoveToFront(e.hotElem)
-			cp, hf := e.compact, e.hot
-			c.mu.Unlock()
-			return cp, hf, true
-		}
-		if e.probes >= c.promoteAfter {
-			c.promoteLocked(e)
-		}
-		cp, hf := e.compact, e.hot
-		c.mu.Unlock()
-		return cp, hf, true
+		return p, true
 	}
-
-	// Miss (unknown, or version changed under us).
-	c.statMiss++
 	c.misses.Inc()
-	if e != nil {
-		// Superseded version: release the stale decode.
-		c.removeLocked(e, true)
-	}
-	compact, err := bloom.DecodeCompact(payload)
-	if err != nil {
-		c.publishResidentLocked()
-		c.mu.Unlock()
-		return nil, nil, false
-	}
-	e = &entry{
-		id: id, ver: ver, compact: compact, probes: 1,
-		cbytes: int64(compact.SizeBytes()),
-	}
-	e.elem = c.lru.PushFront(e)
-	c.entries[id] = e
-	c.compactBytes += e.cbytes
-	c.enforceBudgetLocked(e)
-	c.publishResidentLocked()
-	cp := e.compact
-	c.mu.Unlock()
-	return cp, nil, true
-}
-
-// promoteLocked materializes the full bitset for a hot entry and rebalances
-// the hot tier.
-func (c *Cache) promoteLocked(e *entry) {
-	hb := hotFilterBytes(e.compact)
-	if hb > c.hotBudget {
-		return // filter alone exceeds the hot tier; stay compact
-	}
-	e.hot = e.compact.Filter()
-	e.hbytes = hb
-	e.hotElem = c.hotLRU.PushFront(e)
-	c.hotBytes += hb
-	// Demote least-recently-probed hot filters (keep their compact form).
-	for c.hotBytes > c.hotBudget {
-		tail := c.hotLRU.Back()
-		if tail == nil || tail == e.hotElem {
-			break
-		}
-		c.demoteLocked(tail.Value.(*entry))
-	}
-	c.enforceBudgetLocked(e)
-	c.publishResidentLocked()
-}
-
-// demoteLocked drops an entry's decompressed filter, keeping it probeable
-// via its compact form.
-func (c *Cache) demoteLocked(e *entry) {
-	if e.hot == nil {
-		return
-	}
-	c.hotLRU.Remove(e.hotElem)
-	c.hotBytes -= e.hbytes
-	e.hot = nil
-	e.hotElem = nil
-	e.hbytes = 0
-	e.probes = 0 // must re-earn promotion
-}
-
-// removeLocked discards an entry entirely, optionally counting it as an
-// eviction (version churn and budget pressure count; misses that never
-// decoded do not).
-func (c *Cache) removeLocked(e *entry, countEviction bool) {
-	c.demoteLocked(e)
-	c.lru.Remove(e.elem)
-	c.compactBytes -= e.cbytes
-	delete(c.entries, e.id)
-	if countEviction {
-		c.statEvict++
+	if superseded {
 		c.evictions.Inc()
 	}
-}
-
-// enforceBudgetLocked evicts least-recently-probed entries until the
-// combined tiers fit the budget. keep (the entry just touched) is never
-// evicted, so a single oversized filter still works with a tiny budget.
-func (c *Cache) enforceBudgetLocked(keep *entry) {
-	for c.compactBytes+c.hotBytes > c.budget {
-		tail := c.lru.Back()
-		if tail == nil || tail.Value.(*entry) == keep {
-			break
-		}
-		c.removeLocked(tail.Value.(*entry), true)
+	// Decode under no lock: concurrent sweeps decode in parallel (two
+	// racing on one peer both decode; the second Put replaces the first).
+	p, err := decode(payload)
+	if err == nil {
+		c.evictions.Add(int64(c.lru.Put(id, ver, p, int64(p.SizeBytes()))))
 	}
-}
-
-// publishResidentLocked pushes the byte gauge.
-func (c *Cache) publishResidentLocked() {
-	c.resident.Set(c.compactBytes + c.hotBytes)
+	c.resident.Set(c.lru.Cost())
+	return p, err == nil
 }
 
 // ContainsDigest probes id's filter with a precomputed digest. Unknown or
 // filterless peers report false.
 func (c *Cache) ContainsDigest(id directory.PeerID, d bloom.Digest) bool {
-	compact, hot, ok := c.view(id)
-	if !ok {
-		return false
-	}
-	if hot != nil {
-		return hot.ContainsDigest(d)
-	}
-	return compact.ContainsDigest(d)
+	p, ok := c.view(id)
+	return ok && p.ContainsDigest(d)
 }
 
 // ContainsAllDigests probes id's filter with every digest (conjunctive).
 func (c *Cache) ContainsAllDigests(id directory.PeerID, ds []bloom.Digest) bool {
-	compact, hot, ok := c.view(id)
-	if !ok {
-		return false
-	}
-	if hot != nil {
-		return hot.ContainsAllDigests(ds)
-	}
-	return compact.ContainsAllDigests(ds)
+	p, ok := c.view(id)
+	return ok && p.ContainsAllDigests(ds)
 }
 
 // Contains probes id's filter with a term.
@@ -317,31 +155,22 @@ func (c *Cache) Contains(id directory.PeerID, term string) bool {
 // is superseded or dropped — the pre-cache implementation skipped this and
 // leaked every churned-out peer's decompressed filter.
 func (c *Cache) Invalidate(id directory.PeerID) {
-	c.mu.Lock()
-	if e := c.entries[id]; e != nil {
-		c.removeLocked(e, true)
-		c.publishResidentLocked()
+	if c.lru.Delete(id) {
+		c.evictions.Inc()
+		c.resident.Set(c.lru.Cost())
 	}
-	c.mu.Unlock()
 }
 
-// ResidentBytes returns the current charge across both tiers.
-func (c *Cache) ResidentBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.compactBytes + c.hotBytes
-}
+// ResidentBytes returns the current charge for decoded filters.
+func (c *Cache) ResidentBytes() int64 { return c.lru.Cost() }
 
-// Stats returns a consistent snapshot.
+// Stats returns a snapshot (each field is read on its own).
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return Stats{
-		Hits:           c.statHits,
-		Misses:         c.statMiss,
-		Evictions:      c.statEvict,
-		ResidentBytes:  c.compactBytes + c.hotBytes,
-		CompactEntries: len(c.entries),
-		HotEntries:     c.hotLRU.Len(),
+		Hits:          c.hits.Value(),
+		Misses:        c.misses.Value(),
+		Evictions:     c.evictions.Value(),
+		ResidentBytes: c.lru.Cost(),
+		Entries:       c.lru.Len(),
 	}
 }

@@ -146,7 +146,7 @@ func TestCacheInvalidateReleasesBytes(t *testing.T) {
 		t.Fatalf("resident bytes after full invalidate = %d, want 0", got)
 	}
 	st := c.Stats()
-	if st.CompactEntries != 0 || st.HotEntries != 0 {
+	if st.Entries != 0 {
 		t.Fatalf("entries remain after invalidate: %+v", st)
 	}
 }
@@ -179,7 +179,7 @@ func TestCacheBudgetEnforced(t *testing.T) {
 	}
 	// Budget that holds only a handful of compact entries.
 	const budget = 2048
-	c := New(src, Config{Budget: budget, PromoteAfter: 1 << 30})
+	c := New(src, Config{Budget: budget})
 	for id := directory.PeerID(0); id < n; id++ {
 		if !c.Contains(id, fmt.Sprintf("term-%d", id)) {
 			t.Fatalf("peer %d term missing", id)
@@ -192,7 +192,7 @@ func TestCacheBudgetEnforced(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("no evictions despite budget pressure")
 	}
-	if st.CompactEntries >= n {
+	if st.Entries >= n {
 		t.Fatalf("all %d entries resident under a %d-byte budget", n, budget)
 	}
 	// Evicted peers still answer correctly (re-decoded on demand).
@@ -201,48 +201,99 @@ func TestCacheBudgetEnforced(t *testing.T) {
 	}
 }
 
-func TestCacheHotPromotion(t *testing.T) {
+// TestCacheHoldsSmallerForm: the resident form is chosen by density, from
+// the payload alone — a sparse filter stays a position list, a dense one
+// is held as its bitset, and a version bump that crosses the line
+// switches form.
+func TestCacheHoldsSmallerForm(t *testing.T) {
 	src := newFakeSource()
-	src.set(1, filterWith("hot-term"), directory.Version{Epoch: 1, Seq: 1})
-	src.set(2, filterWith("cold-term"), directory.Version{Epoch: 1, Seq: 1})
-	c := New(src, Config{PromoteAfter: 3})
+	sparse, dense := filterWith("only-term"), bloom.New(4096, 2)
+	for i := 0; i < 400; i++ {
+		dense.Insert(fmt.Sprintf("dense-%d", i))
+	}
+	src.set(1, sparse, directory.Version{Epoch: 1, Seq: 1})
+	src.set(2, dense, directory.Version{Epoch: 1, Seq: 1})
+	c := New(src, Config{})
 
-	c.Contains(2, "cold-term")
-	for i := 0; i < 10; i++ {
-		c.Contains(1, "hot-term")
+	c.Contains(1, "only-term")
+	if got, want := c.ResidentBytes(), int64(bloom.CompactOf(sparse).SizeBytes()); got != want {
+		t.Fatalf("sparse filter resident %d B, want its compact form's %d", got, want)
 	}
-	st := c.Stats()
-	if st.HotEntries != 1 {
-		t.Fatalf("hot entries = %d, want 1 (only the frequently probed peer)", st.HotEntries)
+	c.Contains(2, "dense-0")
+	if got, want := c.ResidentBytes(), int64(bloom.CompactOf(sparse).SizeBytes()+dense.SizeBytes()); got != want {
+		t.Fatalf("resident %d B after dense filter, want compact+bitset %d", got, want)
 	}
-	// The hot filter must keep answering identically.
-	if !c.Contains(1, "hot-term") || c.Contains(1, "absent") {
-		t.Fatal("hot-tier probe disagrees with filter contents")
+	// Peer 1 republishes the dense filter: its entry becomes a bitset.
+	src.set(1, dense, directory.Version{Epoch: 1, Seq: 2})
+	if !c.Contains(1, "dense-7") || c.Contains(1, "only-term") != dense.Contains("only-term") {
+		t.Fatal("probe after the form switch disagrees with the new filter")
 	}
-	// A version bump demotes and re-earns.
-	src.set(1, filterWith("hot-term"), directory.Version{Epoch: 1, Seq: 2})
-	c.Contains(1, "hot-term")
-	if st := c.Stats(); st.HotEntries != 0 {
-		t.Fatalf("hot entries after version bump = %d, want 0", st.HotEntries)
+	if got, want := c.ResidentBytes(), int64(2*dense.SizeBytes()); got != want {
+		t.Fatalf("resident %d B after form switch, want two bitsets %d", got, want)
 	}
 }
 
-func TestCacheHotTierBounded(t *testing.T) {
-	src := newFakeSource()
-	const n = 16
-	for id := directory.PeerID(0); id < n; id++ {
-		src.set(id, filterWith(fmt.Sprintf("term-%d", id)), directory.Version{Epoch: 1, Seq: 1})
-	}
-	// Hot budget fits roughly two 4096-bit filters (512 B + overhead each).
-	c := New(src, Config{Budget: 1 << 20, HotFraction: 0.0015, PromoteAfter: 1})
-	for round := 0; round < 3; round++ {
-		for id := directory.PeerID(0); id < n; id++ {
-			c.Contains(id, fmt.Sprintf("term-%d", id))
+// TestCacheMatchesDecompress is the differential check on the size rule:
+// for random payloads on both sides of the density crossover and exactly
+// at it (4 B × set bits = nbits/8), every probe answers as the fully
+// decompressed filter does, and the entry is charged no more than the
+// smaller of the two forms plus a struct header.
+func TestCacheMatchesDecompress(t *testing.T) {
+	const nbits = 8192
+	const crossover = nbits / 32 // set bits at which both forms cost nbits/8
+	rng := rand.New(rand.NewSource(13))
+	for _, nset := range []int{0, 1, 17, crossover - 1, crossover, crossover + 1, 2 * crossover, nbits / 2} {
+		f := bloom.New(nbits, 3)
+		for f.SetBits() < nset {
+			if _, err := f.ApplyDiff([]uint64{uint64(rng.Intn(nbits))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		payload := f.Compress()
+		want, err := bloom.Decompress(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := newFakeSource()
+		src.set(1, f, directory.Version{Epoch: 1, Seq: 1})
+		c := New(src, Config{})
+		for i := 0; i < 2000; i++ {
+			d := bloom.Digest{H1: rng.Uint64(), H2: rng.Uint64()}
+			if got := c.ContainsDigest(1, d); got != want.ContainsDigest(d) {
+				t.Fatalf("nset=%d: probe %v = %v, Decompress says %v", nset, d, got, !got)
+			}
+			ds := []bloom.Digest{d, {H1: rng.Uint64(), H2: rng.Uint64()}}
+			if got := c.ContainsAllDigests(1, ds); got != want.ContainsAllDigests(ds) {
+				t.Fatalf("nset=%d: conjunctive probe = %v, Decompress says %v", nset, got, !got)
+			}
+		}
+		const overhead = 64
+		if got := c.ResidentBytes(); got > int64(min(4*nset, nbits/8)+overhead) {
+			t.Fatalf("nset=%d: resident %d B > min(compact %d, bitset %d) + %d",
+				nset, got, 4*nset, nbits/8, overhead)
 		}
 	}
-	st := c.Stats()
-	if st.HotEntries == 0 || st.HotEntries >= n {
-		t.Fatalf("hot entries = %d, want bounded in (0, %d)", st.HotEntries, n)
+}
+
+// TestCacheCorruptPayload: a payload whose header parses but whose
+// positions do not is refused (never cached, never probed) in both forms.
+func TestCacheCorruptPayload(t *testing.T) {
+	dense := bloom.New(64, 2) // decodes as a bitset
+	for i := 0; i < 40; i++ {
+		dense.Insert(fmt.Sprintf("k%d", i))
+	}
+	for _, f := range []*bloom.Filter{filterWith("a", "b", "c"), dense} {
+		src := newFakeSource()
+		src.set(1, f, directory.Version{Epoch: 1, Seq: 1})
+		good := src.payloads[1]
+		src.payloads[1] = good[:len(good)-1]
+		if _, err := bloom.Decompress(src.payloads[1]); err == nil {
+			t.Fatal("truncated payload decodes; the test needs a corrupt one")
+		}
+		c := New(src, Config{})
+		if c.Contains(1, "a") || c.ResidentBytes() != 0 || c.Stats().Entries != 0 {
+			t.Fatal("corrupt payload was cached or answered a probe")
+		}
 	}
 }
 
@@ -254,7 +305,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	for id := directory.PeerID(0); id < n; id++ {
 		src.set(id, filterWith(fmt.Sprintf("term-%d", id)), directory.Version{Epoch: 1, Seq: 1})
 	}
-	c := New(src, Config{Budget: 16 << 10, PromoteAfter: 2, Metrics: metrics.NewRegistry()})
+	c := New(src, Config{Budget: 16 << 10, Metrics: metrics.NewRegistry()})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

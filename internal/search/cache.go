@@ -2,8 +2,9 @@ package search
 
 import (
 	"strings"
-	"sync"
+	"sync/atomic"
 
+	"planetp/internal/lru"
 	"planetp/internal/metrics"
 )
 
@@ -14,21 +15,26 @@ import (
 // proxy-search fan-in, benchmark sweeps — can skip the peers × terms
 // filter sweep entirely until some filter changes.
 //
-// Entries are keyed by the literal term sequence and stamped with the
-// view's version (VersionedView). When the view's version advances every
-// entry is dropped on the next lookup; views that cannot version
-// themselves must call Invalidate explicitly when filters change (the
-// persistent-query Registry does this on every filter notification).
+// Entries are keyed by the literal term sequence and stamped (lru.Cache)
+// with the view's version (VersionedView) and the cache's invalidation
+// epoch: once either moves, no older entry is returned again. Views that
+// cannot version themselves must call Invalidate explicitly when filters
+// change (the persistent-query Registry does this on every filter
+// notification).
 //
 // An IPFCache is safe for concurrent use. Cached IPF maps and rankings
 // are shared and must be treated as immutable by callers.
 type IPFCache struct {
-	mu      sync.Mutex
-	epoch   uint64 // bumped on every flush (Invalidate or version advance)
-	stamped bool   // version is meaningful
-	version uint64 // view version the entries were computed at
-	entries map[string]rankEntry
+	lru   *lru.Cache[string, ipfStamp, rankEntry]
+	epoch atomic.Uint64 // bumped by Invalidate
 }
+
+// ipfCacheEntries bounds the cache (LRU): distinct queries on a quiet
+// directory, with no version move to retire them, otherwise pile up.
+const ipfCacheEntries = 1024
+
+// ipfStamp is the filter state an entry was computed against.
+type ipfStamp struct{ version, epoch uint64 }
 
 // rankEntry is one memoized query: its IPF map and peer ranking.
 type rankEntry struct {
@@ -38,31 +44,19 @@ type rankEntry struct {
 
 // NewIPFCache returns an empty cache.
 func NewIPFCache() *IPFCache {
-	return &IPFCache{entries: make(map[string]rankEntry)}
+	return &IPFCache{lru: lru.New[string, ipfStamp, rankEntry](ipfCacheEntries)}
 }
 
-// Invalidate drops every entry. Nil-safe, so optional wiring can call it
-// unconditionally.
+// Invalidate retires every entry: none is returned again. Nil-safe, so
+// optional wiring can call it unconditionally.
 func (c *IPFCache) Invalidate() {
-	if c == nil {
-		return
+	if c != nil {
+		c.epoch.Add(1)
 	}
-	c.mu.Lock()
-	c.entries = make(map[string]rankEntry)
-	c.stamped = false
-	c.epoch++
-	c.mu.Unlock()
 }
 
-// Len returns the number of live entries.
-func (c *IPFCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+// Len returns the number of resident entries, retired ones included.
+func (c *IPFCache) Len() int { return c.lru.Len() }
 
 // cacheKey identifies a query by its literal term sequence. Order is
 // preserved: equation 3 folds IPF weights in term order, and reusing a
@@ -83,40 +77,21 @@ func (c *IPFCache) IPFRanked(view FilterView, terms []string, reg *metrics.Regis
 // rankFor is IPFRanked over an already-built query prober.
 func (c *IPFCache) rankFor(q *query, reg *metrics.Registry) (map[string]float64, []PeerRank) {
 	key := cacheKey(q.terms)
-	var ver uint64
-	var versioned bool
+	// Stamped before the sweep: a result computed while a filter changed
+	// is stored under the state it started from, which no later lookup names.
+	stamp := ipfStamp{epoch: c.epoch.Load()}
 	if vv, ok := q.view.(VersionedView); ok {
-		ver, versioned = vv.ViewVersion()
+		stamp.version, _ = vv.ViewVersion()
 	}
-	c.mu.Lock()
-	if versioned && (!c.stamped || c.version != ver) {
-		// The view moved on: every entry is stale.
-		c.entries = make(map[string]rankEntry, len(c.entries))
-		c.version = ver
-		c.stamped = true
-		c.epoch++
-	}
-	if e, ok := c.entries[key]; ok {
-		c.mu.Unlock()
+	if e, ok, _ := c.lru.Get(key, stamp); ok {
 		reg.Counter("search_ipf_cache_hits_total").Inc()
 		return e.ipf, e.ranks
 	}
-	epoch := c.epoch
-	c.mu.Unlock()
 	reg.Counter("search_ipf_cache_misses_total").Inc()
 
-	// Compute outside the lock: sweeps can be long and concurrent
+	// Compute outside any lock: sweeps can be long and concurrent
 	// searches for different terms should overlap.
-	peers := q.view.Peers()
-	ipf := q.ipf(peers)
-	ranks := q.rank(peers, ipf)
-
-	c.mu.Lock()
-	// Store only if no flush (invalidation or version advance) happened
-	// while we swept; a stale store would outlive its truth.
-	if c.epoch == epoch {
-		c.entries[key] = rankEntry{ipf: ipf, ranks: ranks}
-	}
-	c.mu.Unlock()
+	ipf, ranks := q.ipfRanked()
+	c.lru.Put(key, stamp, rankEntry{ipf: ipf, ranks: ranks}, 1)
 	return ipf, ranks
 }

@@ -223,9 +223,6 @@ func TestIPFCacheHitMiss(t *testing.T) {
 	}
 
 	c.Invalidate()
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after Invalidate", c.Len())
-	}
 	c.IPFRanked(f, terms, reg)
 	if got := reg.Snapshot().Get("search_ipf_cache_misses_total"); got != 3 {
 		t.Fatalf("misses = %d after invalidate, want 3", got)
@@ -287,12 +284,41 @@ func (v *invalidatingView) Peers() []directory.PeerID {
 func TestIPFCacheRacingInvalidate(t *testing.T) {
 	c := NewIPFCache()
 	v := &invalidatingView{fakeCommunity: buildRankedCommunity(), cache: c}
-	ipf, ranks := c.IPFRanked(v, []string{"gossip"}, nil)
+	reg := metrics.NewRegistry()
+	ipf, ranks := c.IPFRanked(v, []string{"gossip"}, reg)
 	if len(ipf) == 0 || len(ranks) == 0 {
 		t.Fatal("racing invalidate corrupted the returned results")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("stale entry stored past invalidation: Len = %d", c.Len())
+	// The late store carries the pre-invalidation stamp: the next lookup
+	// must recompute, not be served it.
+	c.IPFRanked(v, []string{"gossip"}, reg)
+	if s := reg.Snapshot(); s.Get("search_ipf_cache_hits_total") != 0 || s.Get("search_ipf_cache_misses_total") != 2 {
+		t.Fatalf("entry computed across an Invalidate was served: hits=%d misses=%d",
+			s.Get("search_ipf_cache_hits_total"), s.Get("search_ipf_cache_misses_total"))
+	}
+	// The recompute's own entry is good.
+	c.IPFRanked(v, []string{"gossip"}, reg)
+	if got := reg.Snapshot().Get("search_ipf_cache_hits_total"); got != 1 {
+		t.Fatalf("hits = %d after a clean recompute, want 1", got)
+	}
+}
+
+// TestIPFCacheBounded: distinct queries on a view that never changes (no
+// version move to retire them) stop accumulating at the bound.
+func TestIPFCacheBounded(t *testing.T) {
+	v := &versionedFake{fakeCommunity: buildRankedCommunity(), ver: 1}
+	c := NewIPFCache()
+	for i := 0; i < 10000; i++ {
+		c.IPFRanked(v, []string{"gossip", fmt.Sprintf("q%d", i)}, nil)
+	}
+	if c.Len() != ipfCacheEntries {
+		t.Fatalf("Len = %d after 10000 distinct queries, want the bound %d", c.Len(), ipfCacheEntries)
+	}
+	// The most recent query is still a hit.
+	reg := metrics.NewRegistry()
+	c.IPFRanked(v, []string{"gossip", "q9999"}, reg)
+	if got := reg.Snapshot().Get("search_ipf_cache_hits_total"); got != 1 {
+		t.Fatalf("most recent query evicted: hits = %d", got)
 	}
 }
 
@@ -311,7 +337,9 @@ func TestRegistryCacheInvalidation(t *testing.T) {
 		t.Fatalf("Len = %d after warm-up", c.Len())
 	}
 	reg.NotifyFilter(0)
-	if c.Len() != 0 {
+	m := metrics.NewRegistry()
+	c.IPFRanked(f, []string{"news"}, m)
+	if m.Snapshot().Get("search_ipf_cache_hits_total") != 0 {
 		t.Fatal("NotifyFilter did not invalidate the IPF cache")
 	}
 }

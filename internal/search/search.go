@@ -437,6 +437,12 @@ func rankedFor(q *query, opt Options) (map[string]float64, []PeerRank) {
 	if opt.Cache != nil {
 		return opt.Cache.rankFor(q, opt.Metrics)
 	}
+	return q.ipfRanked()
+}
+
+// ipfRanked sweeps the view: equation 1 over the candidate peers, then
+// equation 3's ranking of them.
+func (q *query) ipfRanked() (map[string]float64, []PeerRank) {
 	peers := q.view.Peers()
 	ipf := q.ipf(peers)
 	return ipf, q.rank(peers, ipf)

@@ -1,51 +1,37 @@
 package serve
 
 import (
-	"container/list"
 	"strconv"
 	"strings"
-	"sync"
+
+	"planetp/internal/lru"
 )
 
 // resultCache memoizes fully rendered search responses keyed by
 // (query terms, search options), stamped with the directory mutation
-// generation — the serving-tier sibling of search.IPFCache. A search
-// result is a pure function of the community's filter state plus the
-// contacted peers' indexes; the directory generation advances on every
-// accepted record, on/off-line flip, and local publish (publishes upsert
-// the self record), so any event that could change an answer also moves
-// the generation and flushes the cache on the next lookup.
+// generation — the serving-tier sibling of search.IPFCache, on the same
+// lru.Cache. A search result is a pure function of the community's filter
+// state plus the contacted peers' indexes; the directory generation
+// advances on every accepted record, on/off-line flip, and local publish
+// (publishes upsert the self record), so any event that could change an
+// answer also moves the generation, and no older entry is returned again.
 //
 // Unlike the IPF cache this one stores the marshaled JSON body, not live
 // structures: a hit is one map lookup plus one Write, with no risk of a
 // handler mutating a shared result slice.
 //
-// Entries are LRU-evicted beyond cap. All methods are safe for
-// concurrent use.
+// Entries are LRU-evicted beyond cap. A nil *resultCache is a disabled
+// cache: get always misses, put drops.
 type resultCache struct {
-	mu      sync.Mutex
-	cap     int
-	stamped bool       // gen is meaningful
-	gen     uint64     // generation the entries were computed at
-	ll      *list.List // front = most recent
-	entries map[string]*list.Element
+	lru *lru.Cache[string, uint64, []byte]
 }
 
-// cacheEntry is one memoized response: the key (for eviction) and the
-// rendered JSON body.
-type cacheEntry struct {
-	key  string
-	body []byte
-}
-
-// newResultCache returns an empty cache holding at most cap responses
-// (cap <= 0 disables caching: get always misses, put drops).
+// newResultCache returns a cache of at most cap responses (nil if cap <= 0).
 func newResultCache(cap int) *resultCache {
-	return &resultCache{
-		cap:     cap,
-		ll:      list.New(),
-		entries: make(map[string]*list.Element),
+	if cap <= 0 {
+		return nil
 	}
+	return &resultCache{lru: lru.New[string, uint64, []byte](int64(cap))}
 }
 
 // searchCacheKey canonicalizes one search request: the term sequence
@@ -67,63 +53,20 @@ func searchCacheKey(terms []string, k, groupSize int) string {
 	return b.String()
 }
 
-// flushIfStaleLocked drops every entry when the generation moved.
-func (c *resultCache) flushIfStaleLocked(gen uint64) {
-	if c.stamped && c.gen == gen {
-		return
-	}
-	c.ll.Init()
-	c.entries = make(map[string]*list.Element)
-	c.gen = gen
-	c.stamped = true
-}
-
 // get returns the cached body for key at generation gen, if fresh.
 func (c *resultCache) get(gen uint64, key string) ([]byte, bool) {
-	if c == nil || c.cap <= 0 {
+	if c == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.flushIfStaleLocked(gen)
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	body, ok, _ := c.lru.Get(key, gen)
+	return body, ok
 }
 
-// put stores body under key, but only if the cache is still at
-// generation gen — a publish that landed while the search ran has
-// already (or will have) moved the directory generation, and storing the
-// possibly-stale response would let it outlive its truth.
+// put stores body under key, stamped with the generation read before the
+// search ran: if a publish landed meanwhile, every later get carries a
+// newer generation and cannot return this possibly-stale response.
 func (c *resultCache) put(gen uint64, key string, body []byte) {
-	if c == nil || c.cap <= 0 {
-		return
+	if c != nil {
+		c.lru.Put(key, gen, body, 1)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stamped && c.gen != gen {
-		return
-	}
-	c.flushIfStaleLocked(gen)
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).body = body
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).key)
-	}
-}
-
-// Len returns the number of live entries.
-func (c *resultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // TestResultCacheLRUAndGeneration: unit behaviour — LRU eviction at cap,
-// flush on generation advance, stale put dropped.
+// miss on generation advance, stale put never returned.
 func TestResultCacheLRUAndGeneration(t *testing.T) {
 	c := newResultCache(2)
 	c.put(1, "a", []byte("A"))
@@ -23,12 +23,15 @@ func TestResultCacheLRUAndGeneration(t *testing.T) {
 		t.Fatal("a evicted although most recently used")
 	}
 
-	// Generation advance flushes everything.
-	if _, ok := c.get(2, "a"); ok {
-		t.Fatal("hit across a generation advance")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("len after flush = %d", c.Len())
+	// After a generation advance no older entry is ever returned — not at
+	// the new generation, and (once seen stale) not at the old one either.
+	for _, key := range []string{"a", "c"} {
+		if _, ok := c.get(2, key); ok {
+			t.Fatalf("%s: hit across a generation advance", key)
+		}
+		if _, ok := c.get(1, key); ok {
+			t.Fatalf("%s: stale entry survived the lookup that found it stale", key)
+		}
 	}
 
 	// A put stamped with a superseded generation must be dropped: the

@@ -22,9 +22,9 @@
 //   - Result caching. Search responses are memoized keyed on (query
 //     terms, options) and stamped with directory.Generation(), exactly
 //     like the query engine's IPF cache: any publish, membership change,
-//     or on/off-line flip moves the generation and flushes the cache on
-//     the next lookup, so a hit can never serve results staler than the
-//     node's own view.
+//     or on/off-line flip moves the generation, and a lookup at the new
+//     generation misses every older entry, so a hit can never serve
+//     results staler than the node's own view.
 //
 //   - Graceful drain. Shutdown stops accepting new requests (everything
 //     new gets 503, /healthz flips to draining), waits for in-flight

@@ -71,10 +71,10 @@ func TestSanitizePeerSample(t *testing.T) {
 	withPayload := exRec(4, "127.0.0.1:9004")
 	withPayload.Payload = []byte{1, 2, 3}
 	bad := []directory.Record{
-		{ID: -1, Ver: directory.Version{Epoch: 1}, Addr: "x:1"},  // negative id
-		{ID: 5, Addr: "x:1"},                                     // zero version
-		{ID: 6, Ver: directory.Version{Epoch: 1}},                // no address
-		exRec(7, strings.Repeat("a", maxExchangeAddr+1)),         // oversized address
+		{ID: -1, Ver: directory.Version{Epoch: 1}, Addr: "x:1"}, // negative id
+		{ID: 5, Addr: "x:1"},                             // zero version
+		{ID: 6, Ver: directory.Version{Epoch: 1}},        // no address
+		exRec(7, strings.Repeat("a", maxExchangeAddr+1)), // oversized address
 		{ID: 8, Ver: directory.Version{Epoch: 1}, Addr: "x:1", PayloadSize: -1},
 		{ID: 9, Ver: directory.Version{Epoch: 1}, Addr: "x:1", DiffSize: -9},
 	}

@@ -265,6 +265,12 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# The benchmark is a module of its own (planetp/bench) that imports
+# internal/*; the root ./... does not descend into it, so an internal API
+# change that breaks it must fail here, not at the next benchmark run.
+echo "== benchmark module (cd bench && go vet ./... && go test ./...)"
+(cd bench && go vet ./... && go test ./...)
+
 # Crash-recovery smoke: enumerate every disk crash point in the durable
 # store's append/fsync/rename pipeline plus the full peer crash/restart
 # cycle (already part of the suite above; rerun by name so a regression
