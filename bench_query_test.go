@@ -76,6 +76,17 @@ func (v *digestView) ContainsDigest(id directory.PeerID, d bloom.Digest) bool {
 	return v.filters[id].ContainsDigest(d)
 }
 
+// ProbeDigests is the batched probe (search.RowView) the live node's
+// directory view offers: all of a query's digests against one filter.
+func (v *digestView) ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit []bool) {
+	f := v.filters[id]
+	for i, d := range ds {
+		if f.ContainsDigest(d) {
+			hit[i] = true
+		}
+	}
+}
+
 // seedHashPair is the pre-digest bloom.hashPair: two fnv.New64a hasher
 // allocations and two full passes over the key, per (peer, term) probe.
 func seedHashPair(key string) (uint64, uint64) {
@@ -206,6 +217,23 @@ func BenchmarkRankPeersUncached1000(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		search.RankPeers(view, queryBenchTerms, ipf)
+	}
+}
+
+// BenchmarkSweepUncached1000 is what an uncached Ranked runs before its
+// first contact: equations 1 and 3 over 1000 peers x 4 terms from one
+// peer-major sweep of the filters (the cache is invalidated before every
+// query, so each iteration is a miss). The two Uncached benchmarks above
+// each time one of the two term-major passes this replaced on the
+// deployed path.
+func BenchmarkSweepUncached1000(b *testing.B) {
+	view := &digestView{filters: getQueryBenchFilters()}
+	cache := search.NewIPFCache()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cache.Invalidate()
+		cache.IPFRanked(view, queryBenchTerms, nil)
 	}
 }
 

@@ -85,11 +85,60 @@ func TestViewCacheReleasesDroppedPeerBytes(t *testing.T) {
 	}
 }
 
+// TestSearchProbesEachPeerOnce counts the filter-cache lookups of a
+// search: one uncached T-term query resolves each of the N remote peers'
+// filters once (2*T*N lookups when IPF and rank each probed per term),
+// and its repeat is answered by the IPF cache with none.
+func TestSearchProbesEachPeerOnce(t *testing.T) {
+	const n = 20
+	const query = "alpha bravo charlie"
+	p, err := NewPeer(Config{ID: 0, Capacity: 64, Gossip: fastGossip()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	// The remote peers' address: an un-started peer whose transport
+	// answers queries (with no documents), so no contact fails and flips
+	// a peer off-line under the second search.
+	stub, err := NewPeer(Config{ID: 1, Capacity: 64, Gossip: fastGossip()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stub.Stop()
+	pay := cachePayload(Terms(query)...) // every term hits every peer
+	for id := directory.PeerID(1); id <= n; id++ {
+		p.dir.Upsert(directory.Record{
+			ID: id, Ver: directory.Version{Epoch: 1, Seq: 1}, Addr: stub.Addr(),
+			Payload: pay, PayloadSize: int32(len(pay)),
+		})
+	}
+	lookups := func() int64 {
+		s := p.reg.Snapshot()
+		return s.Get("core_filter_cache_hits") + s.Get("core_filter_cache_misses")
+	}
+
+	before := lookups()
+	_, st := p.Search(query, 5)
+	if st.PeersRanked != n || st.PeersContacted == 0 {
+		t.Fatalf("search ranked %d peers and contacted %d, want %d ranked and some contacted", st.PeersRanked, st.PeersContacted, n)
+	}
+	if got := lookups() - before; got != n {
+		t.Fatalf("uncached %d-term search made %d filter-cache lookups, want %d (one per remote peer)", len(Terms(query)), got, n)
+	}
+	before = lookups()
+	if _, again := p.Search(query, 5); again != st {
+		t.Fatalf("repeat search stats %+v differ from the first %+v", again, st)
+	}
+	if got := lookups() - before; got != 0 {
+		t.Fatalf("cached repeat made %d filter-cache lookups, want 0", got)
+	}
+}
+
 // TestViewCacheConcurrentChurn races the query fast path (IPF ranking +
-// digest probes through the filter cache) against directory churn:
-// version bumps, off-line flips, and T_Dead drops. Run with -race; the
-// assertions only check crash-freedom and that probes never observe a
-// peer the directory dropped.
+// single and batched digest probes through the filter cache) against
+// directory churn: version bumps, off-line flips, and T_Dead drops. Run
+// with -race; the assertions only check crash-freedom and that probes
+// never observe a peer the directory dropped.
 func TestViewCacheConcurrentChurn(t *testing.T) {
 	p, err := NewPeer(Config{
 		ID: 0, Capacity: 64, Gossip: fastGossip(),
@@ -130,6 +179,7 @@ func TestViewCacheConcurrentChurn(t *testing.T) {
 				}
 				id := directory.PeerID(1 + (i+g)%32)
 				p.view.ContainsDigest(id, digests[i%len(digests)])
+				p.view.ProbeDigests(id, digests, make([]bool, len(digests)))
 				if i%7 == 0 {
 					p.searchCache.IPFRanked(p.view, terms, p.reg)
 				}

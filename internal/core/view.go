@@ -40,12 +40,7 @@ func (v *dirView) Peers() []directory.PeerID {
 
 // Contains implements search.FilterView.
 func (v *dirView) Contains(id directory.PeerID, term string) bool {
-	if id == v.p.id {
-		v.p.mu.Lock()
-		defer v.p.mu.Unlock()
-		return v.p.filter.Contains(term)
-	}
-	return v.cache.Contains(id, term)
+	return v.ContainsDigest(id, bloom.MakeDigest(term))
 }
 
 // ContainsDigest implements search.DigestView: the query engine hashes
@@ -58,6 +53,23 @@ func (v *dirView) ContainsDigest(id directory.PeerID, d bloom.Digest) bool {
 		return v.p.filter.ContainsDigest(d)
 	}
 	return v.cache.ContainsDigest(id, d)
+}
+
+// ProbeDigests implements search.RowView: all of a query's digests
+// against one peer under one p.mu hold (the self filter) or one cache
+// lookup (a remote peer).
+func (v *dirView) ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit []bool) {
+	if id != v.p.id {
+		v.cache.ProbeDigests(id, ds, hit)
+		return
+	}
+	v.p.mu.Lock()
+	defer v.p.mu.Unlock()
+	for i, d := range ds {
+		if v.p.filter.ContainsDigest(d) {
+			hit[i] = true
+		}
+	}
 }
 
 // ViewVersion implements search.VersionedView with the directory's

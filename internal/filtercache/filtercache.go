@@ -126,11 +126,29 @@ func (c *Cache) view(id directory.PeerID) (probe, bool) {
 	// Decode under no lock: concurrent sweeps decode in parallel (two
 	// racing on one peer both decode; the second Put replaces the first).
 	p, err := decode(payload)
-	if err == nil {
-		c.evictions.Add(int64(c.lru.Put(id, ver, p, int64(p.SizeBytes()))))
+	if err != nil {
+		c.resident.Set(c.lru.Cost()) // the Get may have dropped a superseded entry
+		return nil, false
 	}
-	c.resident.Set(c.lru.Cost())
-	return p, err == nil
+	evicted, resident := c.lru.Put(id, ver, p, int64(p.SizeBytes()))
+	c.evictions.Add(int64(evicted))
+	c.resident.Set(resident)
+	return p, true
+}
+
+// ProbeDigests probes id's filter with every digest under one lookup,
+// setting hit[i] where it may contain ds[i]; other cells (all of them for
+// an unknown or filterless peer) are left alone.
+func (c *Cache) ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit []bool) {
+	p, ok := c.view(id)
+	if !ok {
+		return
+	}
+	for i, d := range ds {
+		if p.ContainsDigest(d) {
+			hit[i] = true
+		}
+	}
 }
 
 // ContainsDigest probes id's filter with a precomputed digest. Unknown or
@@ -155,9 +173,9 @@ func (c *Cache) Contains(id directory.PeerID, term string) bool {
 // is superseded or dropped — the pre-cache implementation skipped this and
 // leaked every churned-out peer's decompressed filter.
 func (c *Cache) Invalidate(id directory.PeerID) {
-	if c.lru.Delete(id) {
+	if ok, resident := c.lru.Delete(id); ok {
 		c.evictions.Inc()
-		c.resident.Set(c.lru.Cost())
+		c.resident.Set(resident)
 	}
 }
 

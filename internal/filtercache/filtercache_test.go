@@ -3,6 +3,7 @@ package filtercache
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -76,6 +77,19 @@ func TestCacheProbesMatchFilter(t *testing.T) {
 	if c.Contains(99, "apple") {
 		t.Error("unknown peer reported membership")
 	}
+	// The batched probe sets exactly the present terms' cells and only
+	// sets: a cell already true stays true, an unknown peer sets none.
+	ds = bloom.MakeDigests([]string{"apple", "absent-term", "cherry", "absent-term"})
+	hit := []bool{false, false, false, true}
+	c.ProbeDigests(1, ds, hit)
+	if want := []bool{true, false, true, true}; !reflect.DeepEqual(hit, want) {
+		t.Errorf("ProbeDigests row = %v, want %v", hit, want)
+	}
+	hit = make([]bool, len(ds))
+	c.ProbeDigests(99, ds, hit)
+	if want := make([]bool, len(ds)); !reflect.DeepEqual(hit, want) {
+		t.Errorf("ProbeDigests of an unknown peer set cells: %v", hit)
+	}
 }
 
 func TestCacheHitMissAccounting(t *testing.T) {
@@ -86,7 +100,8 @@ func TestCacheHitMissAccounting(t *testing.T) {
 
 	c.Contains(1, "x") // miss + decode
 	c.Contains(1, "x") // hit
-	c.Contains(1, "x") // hit
+	// One hit however many digests the batched probe carries.
+	c.ProbeDigests(1, bloom.MakeDigests([]string{"x", "y", "z"}), make([]bool, 3))
 	st := c.Stats()
 	if st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("stats = %+v, want 1 miss 2 hits", st)
@@ -131,9 +146,14 @@ func TestCacheInvalidateReleasesBytes(t *testing.T) {
 	for id := directory.PeerID(0); id < 8; id++ {
 		src.set(id, filterWith(fmt.Sprintf("term-%d", id)), directory.Version{Epoch: 1, Seq: 1})
 	}
-	c := New(src, Config{})
+	reg := metrics.NewRegistry()
+	c := New(src, Config{Metrics: reg})
+	gauge := func() int64 { return reg.Snapshot().Gauges["core_filter_cache_resident_bytes"] }
 	for id := directory.PeerID(0); id < 8; id++ {
 		c.Contains(id, "anything")
+		if gauge() != c.ResidentBytes() {
+			t.Fatalf("resident gauge %d != %d after decoding peer %d", gauge(), c.ResidentBytes(), id)
+		}
 	}
 	before := c.ResidentBytes()
 	if before <= 0 {
@@ -141,6 +161,9 @@ func TestCacheInvalidateReleasesBytes(t *testing.T) {
 	}
 	for id := directory.PeerID(0); id < 8; id++ {
 		c.Invalidate(id)
+		if gauge() != c.ResidentBytes() {
+			t.Fatalf("resident gauge %d != %d after invalidating peer %d", gauge(), c.ResidentBytes(), id)
+		}
 	}
 	if got := c.ResidentBytes(); got != 0 {
 		t.Fatalf("resident bytes after full invalidate = %d, want 0", got)
@@ -266,6 +289,11 @@ func TestCacheMatchesDecompress(t *testing.T) {
 			if got := c.ContainsAllDigests(1, ds); got != want.ContainsAllDigests(ds) {
 				t.Fatalf("nset=%d: conjunctive probe = %v, Decompress says %v", nset, got, !got)
 			}
+			var hit [2]bool
+			c.ProbeDigests(1, ds, hit[:])
+			if hit[0] != want.ContainsDigest(ds[0]) || hit[1] != want.ContainsDigest(ds[1]) {
+				t.Fatalf("nset=%d: batched probe = %v, Decompress disagrees", nset, hit)
+			}
 		}
 		const overhead = 64
 		if got := c.ResidentBytes(); got > int64(min(4*nset, nbits/8)+overhead) {
@@ -321,7 +349,9 @@ func TestCacheConcurrentChurn(t *testing.T) {
 				default:
 				}
 				id := directory.PeerID(rng.Intn(n))
-				c.ContainsAllDigests(id, bloom.MakeDigests([]string{fmt.Sprintf("term-%d", id)}))
+				ds := bloom.MakeDigests([]string{fmt.Sprintf("term-%d", id)})
+				c.ContainsAllDigests(id, ds)
+				c.ProbeDigests(id, ds, make([]bool, len(ds)))
 			}
 		}(int64(g))
 	}

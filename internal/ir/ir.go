@@ -156,6 +156,17 @@ func (c *Community) ContainsDigest(id directory.PeerID, d bloom.Digest) bool {
 	return c.Filters[id].ContainsDigest(d)
 }
 
+// ProbeDigests implements search.RowView: all of a query's digests
+// against the peer's filter in one call.
+func (c *Community) ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit []bool) {
+	f := c.Filters[id]
+	for i, d := range ds {
+		if f.ContainsDigest(d) {
+			hit[i] = true
+		}
+	}
+}
+
 // ViewVersion implements search.VersionedView: a distributed community is
 // immutable once built, so one constant version keeps IPF caches warm for
 // the whole experiment.

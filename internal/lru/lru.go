@@ -55,8 +55,9 @@ func (c *Cache[K, S, V]) Get(key K, stamp S) (value V, ok, dropped bool) {
 // Put stores value under key at stamp, replacing any entry for key, then
 // evicts least-recently-used entries until the total cost fits the budget
 // — but never the entry just put, so one value larger than the whole
-// budget is still cached. It returns how many entries it removed.
-func (c *Cache[K, S, V]) Put(key K, stamp S, value V, cost int64) (evicted int) {
+// budget is still cached. It returns how many entries it removed and the
+// total cost it leaves.
+func (c *Cache[K, S, V]) Put(key K, stamp S, value V, cost int64) (evicted int, total int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el := c.items[key]; el != nil {
@@ -70,18 +71,19 @@ func (c *Cache[K, S, V]) Put(key K, stamp S, value V, cost int64) (evicted int) 
 		c.remove(back)
 		evicted++
 	}
-	return evicted
+	return evicted, c.cost
 }
 
-// Delete drops key's entry, reporting whether there was one.
-func (c *Cache[K, S, V]) Delete(key K) bool {
+// Delete drops key's entry, reporting whether there was one and the
+// total cost it leaves.
+func (c *Cache[K, S, V]) Delete(key K) (ok bool, total int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if ok {
 		c.remove(el)
 	}
-	return ok
+	return ok, c.cost
 }
 
 // Len returns the number of entries.

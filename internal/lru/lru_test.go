@@ -35,8 +35,8 @@ func TestCostBudgetEvictsLeastRecentlyUsed(t *testing.T) {
 	c.Put("a", 0, 1, 4)
 	c.Put("b", 0, 2, 4)
 	c.Get("a", 0) // b is now least recently used
-	if n := c.Put("c", 0, 3, 4); n != 1 {
-		t.Fatalf("Put evicted %d entries, want 1", n)
+	if n, total := c.Put("c", 0, 3, 4); n != 1 || total != 8 {
+		t.Fatalf("Put evicted %d entries and left cost %d, want 1 and 8", n, total)
 	}
 	if _, ok, _ := c.Get("b", 0); ok {
 		t.Fatal("least-recently-used entry survived the budget")
@@ -48,12 +48,12 @@ func TestCostBudgetEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Fatalf("cost %d len %d, want 8 and 2", c.Cost(), c.Len())
 	}
 	// One put may push out several.
-	if n := c.Put("d", 0, 4, 9); n != 2 {
-		t.Fatalf("Put evicted %d entries, want 2", n)
+	if n, total := c.Put("d", 0, 4, 9); n != 2 || total != 9 {
+		t.Fatalf("Put evicted %d entries and left cost %d, want 2 and 9", n, total)
 	}
 	// Replacing a key releases the old cost and counts as a removal.
-	if n := c.Put("d", 1, 5, 2); n != 1 || c.Cost() != 2 || c.Len() != 1 {
-		t.Fatalf("replace: evicted %d cost %d len %d, want 1, 2, 1", n, c.Cost(), c.Len())
+	if n, total := c.Put("d", 1, 5, 2); n != 1 || total != 2 || c.Cost() != 2 || c.Len() != 1 {
+		t.Fatalf("replace: evicted %d left %d, cost %d len %d, want 1, 2, 2, 1", n, total, c.Cost(), c.Len())
 	}
 }
 
@@ -79,11 +79,11 @@ func TestDeleteReleasesCost(t *testing.T) {
 	c := New[string, int, int](100)
 	c.Put("a", 0, 1, 30)
 	c.Put("b", 0, 2, 20)
-	if !c.Delete("a") || c.Cost() != 20 || c.Len() != 1 {
-		t.Fatalf("after Delete: cost %d len %d", c.Cost(), c.Len())
+	if ok, total := c.Delete("a"); !ok || total != 20 || c.Cost() != 20 || c.Len() != 1 {
+		t.Fatalf("after Delete: ok %v left %d, cost %d len %d", ok, total, c.Cost(), c.Len())
 	}
-	if c.Delete("a") {
-		t.Fatal("Delete of an absent key reported an entry")
+	if ok, total := c.Delete("a"); ok || total != 20 {
+		t.Fatalf("Delete of an absent key: ok %v left %d, want false and 20", ok, total)
 	}
 	if _, ok, _ := c.Get("a", 0); ok {
 		t.Fatal("deleted entry returned")

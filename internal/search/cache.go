@@ -36,10 +36,13 @@ const ipfCacheEntries = 1024
 // ipfStamp is the filter state an entry was computed against.
 type ipfStamp struct{ version, epoch uint64 }
 
-// rankEntry is one memoized query: its IPF map and peer ranking.
+// rankEntry is what one sweep yields for a query and what the cache
+// memoizes: its IPF map, its peer ranking, and the candidate-peer count
+// they were computed over (equation 4's N).
 type rankEntry struct {
 	ipf   map[string]float64
 	ranks []PeerRank
+	peers int
 }
 
 // NewIPFCache returns an empty cache.
@@ -71,11 +74,14 @@ func cacheKey(terms []string) string {
 // be nil) receives search_ipf_cache_hits_total / _misses_total.
 func (c *IPFCache) IPFRanked(view FilterView, terms []string, reg *metrics.Registry) (map[string]float64, []PeerRank) {
 	q := newQuery(view, terms)
-	return c.rankFor(&q, reg)
+	e := c.rankFor(&q, reg)
+	return e.ipf, e.ranks
 }
 
-// rankFor is IPFRanked over an already-built query prober.
-func (c *IPFCache) rankFor(q *query, reg *metrics.Registry) (map[string]float64, []PeerRank) {
+// rankFor is IPFRanked over an already-built query prober, returning the
+// whole entry: with the peer count in it, a hit never asks the view for
+// its peers.
+func (c *IPFCache) rankFor(q *query, reg *metrics.Registry) rankEntry {
 	key := cacheKey(q.terms)
 	// Stamped before the sweep: a result computed while a filter changed
 	// is stored under the state it started from, which no later lookup names.
@@ -85,13 +91,13 @@ func (c *IPFCache) rankFor(q *query, reg *metrics.Registry) (map[string]float64,
 	}
 	if e, ok, _ := c.lru.Get(key, stamp); ok {
 		reg.Counter("search_ipf_cache_hits_total").Inc()
-		return e.ipf, e.ranks
+		return e
 	}
 	reg.Counter("search_ipf_cache_misses_total").Inc()
 
 	// Compute outside any lock: sweeps can be long and concurrent
 	// searches for different terms should overlap.
-	ipf, ranks := q.ipfRanked()
-	c.lru.Put(key, stamp, rankEntry{ipf: ipf, ranks: ranks}, 1)
-	return ipf, ranks
+	e := q.ipfRanked()
+	c.lru.Put(key, stamp, e, 1)
+	return e
 }

@@ -364,19 +364,19 @@ func TestRankedWithCacheMatchesUncached(t *testing.T) {
 
 // TestMergedViewDeclinesDigests: a wrapper over a base without digest
 // support must not be treated as digest-capable even though it
-// structurally satisfies DigestView.
+// structurally satisfies RowView.
 func TestMergedViewDeclinesDigests(t *testing.T) {
 	f := buildRankedCommunity() // fakeCommunity: Contains only
 	mv := NewMergedView(f, 2)
 	q := newQuery(mv, []string{"gossip"})
-	if q.dv != nil {
+	if q.rv != nil {
 		t.Fatal("newQuery accepted digest probing from a non-digest base")
 	}
 	if _, ok := mv.ViewVersion(); ok {
 		t.Fatal("MergedView invented a version for an unversioned base")
 	}
 	// The fallback path still answers correctly through group semantics.
-	if !q.containsAll(0) {
-		t.Fatal("fallback containsAll failed")
+	if c := q.candidates([]directory.PeerID{0}); len(c) != 1 {
+		t.Fatal("fallback candidate test failed")
 	}
 }

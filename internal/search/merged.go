@@ -20,9 +20,9 @@ import (
 // underlying bitmaps.
 type MergedView struct {
 	base FilterView
-	// basedv is base's digest-probing capability (nil when absent), so
+	// baserv is base's digest-probing capability (nil when absent), so
 	// the query fast path flows through group semantics unchanged.
-	basedv DigestView
+	baserv RowView
 	// group maps a peer to its group's representative member list.
 	group map[directory.PeerID][]directory.PeerID
 	peers []directory.PeerID
@@ -40,7 +40,7 @@ func NewMergedView(base FilterView, groupSize int) *MergedView {
 		group: make(map[directory.PeerID][]directory.PeerID, len(peers)),
 		peers: peers,
 	}
-	mv.basedv, _ = base.(DigestView)
+	mv.baserv = rowView(base)
 	for i := 0; i < len(peers); i += groupSize {
 		end := i + groupSize
 		if end > len(peers) {
@@ -69,21 +69,19 @@ func (mv *MergedView) Contains(id directory.PeerID, term string) bool {
 	return false
 }
 
-// ContainsDigest implements DigestView with the same group semantics as
-// Contains, probing the base's filters with the precomputed digest.
-func (mv *MergedView) ContainsDigest(id directory.PeerID, d bloom.Digest) bool {
+// ProbeDigests implements RowView with the same group semantics as
+// Contains: the group's row is the OR of its members' rows, probed in the
+// base's filters with the precomputed digests.
+func (mv *MergedView) ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit []bool) {
 	for _, member := range mv.group[id] {
-		if mv.basedv.ContainsDigest(member, d) {
-			return true
-		}
+		mv.baserv.ProbeDigests(member, ds, hit)
 	}
-	return false
 }
 
 // DigestProbes reports whether the wrapped base can probe digests; when
 // it cannot, the query engine falls back to Contains even though
-// MergedView structurally satisfies DigestView.
-func (mv *MergedView) DigestProbes() bool { return mv.basedv != nil }
+// MergedView structurally satisfies RowView.
+func (mv *MergedView) DigestProbes() bool { return mv.baserv != nil }
 
 // ViewVersion implements VersionedView by forwarding the base's version.
 // The peer partition is fixed at construction, so group semantics add no

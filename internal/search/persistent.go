@@ -136,14 +136,11 @@ func (q *PersistentQuery) fire(d DocResult) {
 // evaluate runs q's exhaustive search; if only is non-nil, just that peer
 // is considered (a targeted re-check after its filter changed).
 func (r *Registry) evaluate(q *PersistentQuery, only *directory.PeerID) {
-	candidates := r.view.Peers()
+	peers := r.view.Peers()
 	if only != nil {
-		candidates = []directory.PeerID{*only}
+		peers = []directory.PeerID{*only}
 	}
-	for _, id := range candidates {
-		if !q.q.containsAll(id) {
-			continue
-		}
+	for _, id := range q.q.candidates(peers) {
 		docs, err := r.fetch.QueryPeerAll(id, q.Terms)
 		if err != nil {
 			continue

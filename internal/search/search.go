@@ -5,16 +5,17 @@
 // 4), and persistent queries.
 //
 // The query fast path hashes each query term exactly once (bloom.Digest),
-// sweeps every peer's filter with the precomputed digests, memoizes the
-// per-query IPF map and peer ranking in an IPFCache keyed by directory
-// version, and overlaps the per-group peer contacts of Section 5.2's
-// "groups of m" rule with bounded concurrency while keeping results
-// byte-identical to a sequential sweep.
+// sweeps the peers' filters once per query, probing each with all of the
+// precomputed digests, memoizes the per-query IPF map and peer ranking in
+// an IPFCache keyed by directory version, and overlaps the per-group peer
+// contacts of Section 5.2's "groups of m" rule with bounded concurrency
+// while keeping results byte-identical to a sequential sweep.
 package search
 
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -38,12 +39,49 @@ type FilterView interface {
 // DigestView is an optional FilterView extension: views backed by real
 // Bloom filters answer membership for a precomputed digest, so a query
 // hashes each term once instead of once per (peer, term). The query
-// engine probes through this interface whenever the view provides it.
+// engine probes through this interface when the view provides it and not
+// RowView.
 type DigestView interface {
 	FilterView
 	// ContainsDigest reports whether peer id's filter may contain the
 	// key summarized by d.
 	ContainsDigest(id directory.PeerID, d bloom.Digest) bool
+}
+
+// RowView is an optional FilterView extension: the view resolves a peer's
+// filter once and probes it with all of a query's digests. The query
+// engine prefers it to DigestView.
+type RowView interface {
+	FilterView
+	// ProbeDigests sets hit[i] where peer id's filter may contain ds[i]
+	// and leaves the other cells alone, so rows can be OR-ed (MergedView).
+	ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit []bool)
+}
+
+// digestRows adapts a DigestView to RowView, one probe per digest.
+type digestRows struct{ DigestView }
+
+func (v digestRows) ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit []bool) {
+	for i, d := range ds {
+		if v.ContainsDigest(id, d) {
+			hit[i] = true
+		}
+	}
+}
+
+// rowView returns view's digest prober: its own batched probe, its
+// per-digest probe adapted, or nil when it can only probe terms.
+func rowView(view FilterView) RowView {
+	if dc, ok := view.(digestCapable); ok && !dc.DigestProbes() {
+		return nil
+	}
+	if rv, ok := view.(RowView); ok {
+		return rv
+	}
+	if dv, ok := view.(DigestView); ok {
+		return digestRows{dv}
+	}
+	return nil
 }
 
 // VersionedView is an optional FilterView extension: the view reports a
@@ -56,96 +94,87 @@ type VersionedView interface {
 }
 
 // digestCapable lets wrapper views (MergedView) report whether their base
-// actually supports digest probing; absent, implementing DigestView is
-// taken as support.
+// actually supports digest probing; absent, implementing RowView or
+// DigestView is taken as support.
 type digestCapable interface {
 	DigestProbes() bool
 }
 
 // query binds one query's terms to a view, hashing each term exactly
-// once. When the view implements DigestView every probe is digest-based;
-// otherwise probes fall back to Contains (the view re-hashes internally,
-// as before the fast path).
+// once. When the view can probe digests every probe is digest-based, a
+// peer's row at a time; otherwise probes fall back to Contains (the view
+// re-hashes internally, as before the fast path).
 type query struct {
 	view    FilterView
-	dv      DigestView
+	rv      RowView // nil: the view cannot probe digests
 	terms   []string
 	digests []bloom.Digest
 }
 
 // newQuery prepares the hash-once prober for terms against view.
 func newQuery(view FilterView, terms []string) query {
-	q := query{view: view, terms: terms}
-	if dv, ok := view.(DigestView); ok {
-		if dc, ok2 := view.(digestCapable); !ok2 || dc.DigestProbes() {
-			q.dv = dv
-			q.digests = bloom.MakeDigests(terms)
-		}
+	q := query{view: view, rv: rowView(view), terms: terms}
+	if q.rv != nil {
+		q.digests = bloom.MakeDigests(terms)
 	}
 	return q
 }
 
-// contains probes term i of the query against peer id.
-func (q *query) contains(id directory.PeerID, i int) bool {
-	if q.dv != nil {
-		return q.dv.ContainsDigest(id, q.digests[i])
-	}
-	return q.view.Contains(id, q.terms[i])
-}
-
-// containsAll reports whether peer id's filter may contain every term,
-// stopping at the first miss.
-func (q *query) containsAll(id directory.PeerID) bool {
-	for i := range q.terms {
-		if !q.contains(id, i) {
-			return false
+// sweep is the query's one pass over the view: each peer's filter is
+// probed once with every term, filling row p of a len(peers) x len(terms)
+// hit matrix. Equations 1 and 3 and the conjunctive candidate test are
+// all read off the matrix.
+func (q *query) sweep(peers []directory.PeerID) []bool {
+	nt := len(q.terms)
+	hits := make([]bool, len(peers)*nt)
+	for p, id := range peers {
+		row := hits[p*nt : (p+1)*nt]
+		if q.rv != nil {
+			q.rv.ProbeDigests(id, q.digests, row)
+			continue
+		}
+		for i, t := range q.terms {
+			row[i] = q.view.Contains(id, t)
 		}
 	}
-	return true
+	return hits
 }
 
-// ipf computes equation 1 over the given peers with one filter sweep per
-// term (see IPF).
-func (q *query) ipf(peers []directory.PeerID) map[string]float64 {
-	n := float64(len(peers))
-	out := make(map[string]float64, len(q.terms))
+// ipf computes equation 1 (see IPF) from the hit matrix of n peers: N_t
+// is the count of column t.
+func (q *query) ipf(hits []bool, n int) map[string]float64 {
+	nt := len(q.terms)
+	out := make(map[string]float64, nt)
 	for i, t := range q.terms {
-		nt := 0
-		for _, id := range peers {
-			if q.contains(id, i) {
-				nt++
+		count := 0
+		for c := i; c < len(hits); c += nt {
+			if hits[c] {
+				count++
 			}
 		}
-		if nt == 0 {
+		if count == 0 {
 			out[t] = 0
 			continue
 		}
-		out[t] = math.Log(1 + n/float64(nt))
+		out[t] = math.Log(1 + float64(n)/float64(count))
 	}
 	return out
 }
 
-// rank computes equation 3 over the given peers (see RankPeers). Summation
-// follows query-term order so scores are bit-identical to the pre-digest
-// implementation.
-func (q *query) rank(peers []directory.PeerID, ipf map[string]float64) []PeerRank {
-	type termWeight struct {
-		idx int
-		w   float64
-	}
-	// Zero-IPF terms cannot contribute; drop them before the peer sweep.
-	tw := make([]termWeight, 0, len(q.terms))
+// rank computes equation 3 (see RankPeers) from the hit matrix of peers.
+// Summation follows query-term order so scores are bit-identical to the
+// pre-digest implementation.
+func (q *query) rank(peers []directory.PeerID, hits []bool, ipf map[string]float64) []PeerRank {
+	w := make([]float64, len(q.terms))
 	for i, t := range q.terms {
-		if w := ipf[t]; w > 0 {
-			tw = append(tw, termWeight{idx: i, w: w})
-		}
+		w[i] = ipf[t]
 	}
 	out := make([]PeerRank, 0, len(peers))
-	for _, id := range peers {
+	for p, id := range peers {
 		score := 0.0
-		for _, t := range tw {
-			if q.contains(id, t.idx) {
-				score += t.w
+		for i, hit := range hits[p*len(w) : (p+1)*len(w)] {
+			if hit && w[i] > 0 { // zero-IPF terms cannot contribute
+				score += w[i]
 			}
 		}
 		if score > 0 {
@@ -158,6 +187,20 @@ func (q *query) rank(peers []directory.PeerID, ipf map[string]float64) []PeerRan
 		}
 		return out[i].Peer < out[j].Peer
 	})
+	return out
+}
+
+// candidates sweeps peers and keeps those whose filter may contain every
+// term (Section 5.1's conjunctive candidate test).
+func (q *query) candidates(peers []directory.PeerID) []directory.PeerID {
+	nt := len(q.terms)
+	hits := q.sweep(peers)
+	out := make([]directory.PeerID, 0, len(peers))
+	for p, id := range peers {
+		if !slices.Contains(hits[p*nt:(p+1)*nt], false) {
+			out = append(out, id)
+		}
+	}
 	return out
 }
 
@@ -202,7 +245,8 @@ type ContextFetcher interface {
 // IPF 0 (they cannot contribute to any peer's rank anyway).
 func IPF(view FilterView, terms []string) map[string]float64 {
 	q := newQuery(view, terms)
-	return q.ipf(view.Peers())
+	peers := view.Peers()
+	return q.ipf(q.sweep(peers), len(peers))
 }
 
 // PeerRank is one peer's relevance to a query (equation 3).
@@ -216,7 +260,8 @@ type PeerRank struct {
 // Peers with score 0 (no query term hits) are omitted.
 func RankPeers(view FilterView, terms []string, ipf map[string]float64) []PeerRank {
 	q := newQuery(view, terms)
-	return q.rank(view.Peers(), ipf)
+	peers := view.Peers()
+	return q.rank(peers, q.sweep(peers), ipf)
 }
 
 // ScoreDoc computes equation 2 with IPF substituted for IDF:
@@ -433,19 +478,20 @@ func (c *contactor) group(ids []directory.PeerID, scratch []fetchResult) []fetch
 
 // rankedFor computes — or fetches from opt.Cache — the query's IPF map
 // and peer ranking.
-func rankedFor(q *query, opt Options) (map[string]float64, []PeerRank) {
+func rankedFor(q *query, opt Options) rankEntry {
 	if opt.Cache != nil {
 		return opt.Cache.rankFor(q, opt.Metrics)
 	}
 	return q.ipfRanked()
 }
 
-// ipfRanked sweeps the view: equation 1 over the candidate peers, then
-// equation 3's ranking of them.
-func (q *query) ipfRanked() (map[string]float64, []PeerRank) {
+// ipfRanked sweeps the view once and reads equation 1 over the candidate
+// peers, then equation 3's ranking of them, off the hit matrix.
+func (q *query) ipfRanked() rankEntry {
 	peers := q.view.Peers()
-	ipf := q.ipf(peers)
-	return ipf, q.rank(peers, ipf)
+	hits := q.sweep(peers)
+	ipf := q.ipf(hits, len(peers))
+	return rankEntry{ipf: ipf, ranks: q.rank(peers, hits, ipf), peers: len(peers)}
 }
 
 // Ranked runs the full TFxIPF selective search (Section 5.2): rank peers
@@ -460,12 +506,13 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 		return nil, st
 	}
 	q := newQuery(view, terms)
-	ipf, ranked := rankedFor(&q, opt)
+	r := rankedFor(&q, opt)
+	ipf, ranked := r.ipf, r.ranks
 	st.PeersRanked = len(ranked)
 
 	p := opt.StopWindow
 	if p <= 0 {
-		p = StopP(len(view.Peers()), opt.K)
+		p = StopP(r.peers, opt.K)
 	}
 	group := opt.GroupSize
 	if group <= 0 {
@@ -567,13 +614,7 @@ func Exhaustive(view FilterView, fetch Fetcher, terms []string, opt Options) ([]
 		return nil, st
 	}
 	q := newQuery(view, terms)
-	peers := view.Peers()
-	candidates := make([]directory.PeerID, 0, len(peers))
-	for _, id := range peers {
-		if q.containsAll(id) {
-			candidates = append(candidates, id)
-		}
-	}
+	candidates := q.candidates(view.Peers())
 	st.PeersRanked = len(candidates)
 
 	contact := newContactor(fetch, terms, true, opt)

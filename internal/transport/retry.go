@@ -214,7 +214,7 @@ func (t *Transport) withRetry(to directory.PeerID, op func() error) error {
 	if err := t.admit(to); err != nil {
 		return err
 	}
-	bo := NewBackoff(t.RetryBase, t.RetryMax, t.retrySeed())
+	var bo *Backoff // built on the first retry: seeding its rng is ~5 KB of work
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = op()
@@ -226,6 +226,9 @@ func (t *Transport) withRetry(to directory.PeerID, op func() error) error {
 			break
 		}
 		t.m.retries.Inc()
+		if bo == nil {
+			bo = NewBackoff(t.RetryBase, t.RetryMax, t.retrySeed())
+		}
 		t.sleep(bo.Next())
 	}
 	t.noteResult(to, err)

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -147,6 +148,39 @@ func TestTransientDialFailureRetriedWithinOneSend(t *testing.T) {
 	}
 	if tr.PeerSuppressed(1) {
 		t.Fatal("peer suppressed after successful retry")
+	}
+}
+
+// TestRetryRngDrawnOnlyOnRetry: a send that succeeds first time builds no
+// Backoff and so draws nothing from retryRng; a retry draws exactly one
+// seed, so its jitter is a function of the transport seed alone.
+func TestRetryRngDrawnOnlyOnRetry(t *testing.T) {
+	// pair's first transport and fakeClockTransport both use seed 1.
+	fresh := func() *rand.Rand { return rand.New(rand.NewSource(1 ^ 0x7265747279)) }
+	msg := &gossip.Message{Type: gossip.MsgAERequest, From: 0, Digest: 9}
+
+	ta, _, tb, _ := pair(t)
+	if _, err := ta.Query(1, []string{"gossip"}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := ta.Send(1, msg); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ta.retrySeed(), fresh().Int63(); got != want {
+		t.Fatal("a successful Query and Send drew from retryRng")
+	}
+
+	hook, _ := failNTimes(1, tb.Addr())
+	tr, now := fakeClockTransport(t, hook, nil)
+	if err := tr.Send(1, msg); err != nil {
+		t.Fatalf("send with one transient failure: %v", err)
+	}
+	rng := fresh()
+	if want := NewBackoff(tr.RetryBase, tr.RetryMax, rng.Int63()).Next(); *now != want {
+		t.Fatalf("retry slept %v, want %v from the transport seed's first draw", *now, want)
+	}
+	if got, want := tr.retrySeed(), rng.Int63(); got != want {
+		t.Fatal("one retried send drew more than one seed from retryRng")
 	}
 }
 

@@ -225,7 +225,7 @@ replication_smoke() {
 if [ "${1:-}" = "bench" ]; then
 	BENCHTIME="${BENCHTIME:-0.5s}"
 	echo "== query benchmarks (benchtime ${BENCHTIME}) -> BENCH_query.json"
-	go test -run='^$' -bench='Table1|RankPeers|IPF|RankedAllocs|RankedGroup' \
+	go test -run='^$' -bench='Table1|RankPeers|IPF|Sweep|RankedAllocs|RankedGroup' \
 		-benchtime="$BENCHTIME" -benchmem -json . | tee BENCH_query.json |
 		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//;s/\\t/\t/g;s/\\n$//' || true
 	echo "== ingest benchmarks (benchtime ${BENCHTIME}) -> BENCH_ingest.json"
