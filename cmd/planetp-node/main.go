@@ -24,7 +24,6 @@
 //	-seeds ADDRS      comma-separated gossip addresses of existing members;
 //	                  tried in rotation with capped exponential backoff
 //	                  until one answers (fatal only when all are exhausted)
-//	-join ADDR        single-seed alias for -seeds (kept for compatibility)
 //	-min-peers N      keep pulling peer-exchange samples from contacts
 //	                  until the directory sees at least N members on-line
 //	                  (0 = no discovery; rely on gossip alone)
@@ -32,8 +31,8 @@
 //	-interval D       base gossip interval T_g (default 30s)
 //	-slow             mark this peer modem-class
 //	-structured       index terms scoped by XML element (tag:word queries)
-//	-restore PATH     restore a previous incarnation from a snapshot file
-//	-data DIR         durable data directory (WAL + snapshots)
+//	-data DIR         durable data directory (one WAL + snapshots for own
+//	                  documents and hoarded replicas; recovers on restart)
 //	-headless         no interactive shell; run until SIGINT/SIGTERM
 //	-max-inflight N   admission limit: concurrent API requests before
 //	                  shedding with 429 (default 256)
@@ -59,7 +58,6 @@
 //	ls <query>            list a semantic directory
 //	get <peer> <key>      fetch a document body
 //	proxy <k> <query>     delegate a ranked search to a fast peer
-//	save <path>           snapshot documents + version counters to a file
 //	peers                 show the directory
 //	stats                 gossip statistics
 //	metrics               dump the metrics registry as JSON
@@ -96,13 +94,11 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "HTTP API address serving /v1/* and /debug/metrics (\"\" = no API)")
 	gossipAddr := flag.String("gossip", "127.0.0.1:0", "gossip transport listen address")
 	seeds := flag.String("seeds", "", "comma-separated gossip addresses of existing members to bootstrap from")
-	join := flag.String("join", "", "single-seed alias for -seeds (kept for compatibility)")
 	minPeers := flag.Int("min-peers", 0, "pull peer-exchange samples until the directory sees this many members on-line (0 = gossip only)")
 	name := flag.String("name", "", "peer name")
 	interval := flag.Duration("interval", 30*time.Second, "base gossip interval (T_g)")
 	slow := flag.Bool("slow", false, "mark this peer modem-class for bandwidth-aware gossip")
 	structured := flag.Bool("structured", false, "index terms scoped by XML element (tag:word queries)")
-	restore := flag.String("restore", "", "restore a previous incarnation from a snapshot file")
 	data := flag.String("data", "", "durable data directory (WAL + snapshots; recovers on restart)")
 	headless := flag.Bool("headless", false, "no interactive shell; serve until SIGINT/SIGTERM")
 	maxInflight := flag.Int("max-inflight", 256, "concurrent API requests admitted before shedding with 429")
@@ -113,16 +109,6 @@ func main() {
 	poolConns := flag.Int("pool-conns", 0, "idle transport connections kept per peer (0 = default 4, negative = dial per RPC)")
 	poolIdle := flag.Duration("pool-idle", 0, "idle lifetime of pooled transport connections (0 = default 60s)")
 	flag.Parse()
-
-	var snapshot []byte
-	if *restore != "" {
-		data, err := os.ReadFile(*restore)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		snapshot = data
-	}
 
 	class := planetp.Fast
 	if *slow {
@@ -150,7 +136,6 @@ func main() {
 		BrokerDiscard:     10 * time.Minute,
 		StructuredIndex:   *structured,
 		Epoch:             epoch,
-		Restore:           snapshot,
 		DataDir:           *data,
 		FilterCacheBudget: *filterCache,
 		Replicas:          *replicas,
@@ -181,9 +166,6 @@ func main() {
 		if s = strings.TrimSpace(s); s != "" {
 			seedList = append(seedList, s)
 		}
-	}
-	if *join != "" {
-		seedList = append(seedList, *join)
 	}
 	if len(seedList) > 0 {
 		if err := peer.JoinSeeds(planetp.BootstrapConfig{Seeds: seedList}); err != nil {
@@ -323,17 +305,6 @@ func main() {
 			for _, d := range docs {
 				fmt.Printf("  %.4f  peer %d  %s\n", d.Score, d.Peer, d.Key)
 			}
-		case "save":
-			data, err := peer.Snapshot()
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			if err := os.WriteFile(rest, data, 0o600); err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			fmt.Printf("snapshot (%d bytes) written to %s\n", len(data), rest)
 		case "get":
 			pStr, key, _ := strings.Cut(rest, " ")
 			pid, err := strconv.Atoi(pStr)
@@ -366,7 +337,7 @@ func main() {
 			}
 			fmt.Println()
 		default:
-			fmt.Println("commands: publish file search all proxy watch mkdir ls get save peers stats metrics quit")
+			fmt.Println("commands: publish file search all proxy watch mkdir ls get peers stats metrics quit")
 		}
 	}
 }

@@ -171,3 +171,37 @@ func (r *Ring[V]) IDs() []uint32 {
 	defer r.mu.RUnlock()
 	return append([]uint32(nil), r.ids...)
 }
+
+// PeerRing builds the ring every layer places keys on — the brokerage,
+// replica placement, the simulators — from a membership list: each peer
+// joins at IDForPeer, walking forward past an id already taken. Peers that
+// agree on the membership compute the identical ring.
+func PeerRing[P ~int32](peers []P) *Ring[P] {
+	ring := NewRing[P]()
+	for _, p := range peers {
+		id := IDForPeer(int32(p))
+		for !ring.Join(id, p) {
+			id = (id + 1) % MaxID
+		}
+	}
+	return ring
+}
+
+// ReplicaHolders is the replica placement of key: the first n distinct
+// ring successors of Hash(key), excluding the origin.
+func ReplicaHolders[P comparable](ring *Ring[P], key string, origin P, n int) []P {
+	if n <= 0 {
+		return nil
+	}
+	out := make([]P, 0, n)
+	for _, p := range ring.Successors(Hash(key), n+1) {
+		if p == origin {
+			continue
+		}
+		out = append(out, p)
+		if len(out) == n {
+			break
+		}
+	}
+	return out
+}

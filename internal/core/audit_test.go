@@ -9,7 +9,7 @@ import (
 // TestServingReadPathsConcurrentWithMutators is the serving-tier
 // concurrency audit: every read path the HTTP handlers use — ranked
 // search, exhaustive search (broker ring + local query), document
-// lookup, directory snapshot walks, snapshot encoding, health
+// lookup, directory snapshot walks, the local index query, health
 // counters — hammered against concurrent publishes, batched publishes,
 // removals, and filter compactions. Run under -race; the assertions are
 // secondary to the detector.
@@ -101,10 +101,7 @@ func TestServingReadPathsConcurrentWithMutators(t *testing.T) {
 			p.LocalDocs()
 			p.StaleFraction()
 			p.PickProxy()
-			if _, err := p.Snapshot(); err != nil {
-				t.Errorf("snapshot: %v", err)
-				return
-			}
+			p.localQuery([]string{"lexicon"}, true)
 		}
 	}()
 	wg.Wait()

@@ -1,28 +1,33 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 
 	"planetp/internal/directory"
 	"planetp/internal/store"
 )
 
-// Durable peer state. When Config.DataDir is set, every Publish/Remove
-// is appended to a write-ahead log before the call returns, the log is
-// periodically folded into checksummed snapshots (temp + fsync + rename),
-// and NewPeer replays snapshot + WAL on startup. The recovered version
-// counters floor the restarted incarnation's epoch bump, so the
-// community discards everything the dead incarnation gossiped — the
-// paper's epoch-supersession requirement, now with something durable to
-// stand on.
+// Durable peer state. When Config.DataDir is set, the peer has one
+// store.Store there and every change to what it holds — Publish/Remove of
+// its own documents, adoption/eviction/purge of replicas — is a record
+// appended to that store's write-ahead log before the call returns. The
+// log is periodically folded into checksummed snapshots (temp + fsync +
+// rename), and NewPeer replays snapshot + WAL on startup, in the order
+// the operations happened. The recovered version counters floor the
+// restarted incarnation's epoch bump, so the community discards
+// everything the dead incarnation gossiped — the paper's
+// epoch-supersession requirement, now with something durable to stand on.
 
 // RecoverySummary reports what a durable peer restored at startup
 // (planetp-node logs it; tests assert on it).
 type RecoverySummary struct {
 	// Enabled reports whether the peer runs with a durable store.
 	Enabled bool
-	// DocsRestored is how many documents recovery republished.
-	DocsRestored int
+	// DocsRestored is how many documents recovery republished;
+	// ReplicasRestored how many hoarded replicas it holds again.
+	DocsRestored, ReplicasRestored int
 	// OpsReplayed is how many WAL operations were replayed on top of the
 	// snapshot.
 	OpsReplayed int
@@ -42,8 +47,8 @@ func (r RecoverySummary) String() string {
 	if !r.Enabled {
 		return "durable store disabled"
 	}
-	s := fmt.Sprintf("recovered %d docs (%d WAL ops replayed), epoch %d -> %d",
-		r.DocsRestored, r.OpsReplayed, r.RecoveredEpoch, r.NewEpoch)
+	s := fmt.Sprintf("recovered %d docs and %d replicas (%d WAL ops replayed), epoch %d -> %d",
+		r.DocsRestored, r.ReplicasRestored, r.OpsReplayed, r.RecoveredEpoch, r.NewEpoch)
 	if r.TruncatedRecords > 0 {
 		s += fmt.Sprintf(", truncated %d torn record(s) / %d bytes", r.TruncatedRecords, r.TruncatedBytes)
 	}
@@ -71,16 +76,21 @@ func openStore(cfg *Config) (*store.Store, store.Recovery, error) {
 	return st, rec, nil
 }
 
-// replayRecovery rebuilds the peer's documents from the recovered
-// snapshot and WAL suffix. It runs inside NewPeer, after the gossip node
-// exists but before Start, with p.replaying set so Publish/Remove do not
-// re-log the operations they replay.
+// replayRecovery rebuilds the peer's documents and hoard from the
+// recovered snapshot and WAL suffix. It runs inside NewPeer, after the
+// gossip node exists but before Start, with p.replaying set so nothing
+// replayed is logged again. Each maximal run of consecutive publish
+// records goes to one PublishBatch (one index pass, one summary flush, one
+// gossip version per run, not per document); everything else is applied
+// record by record, so a remove or a replica release between two
+// publishes of the same key still lands between them.
 func (p *Peer) replayRecovery(rec store.Recovery) error {
 	p.replaying = true
 	defer func() { p.replaying = false }()
 
 	summary := RecoverySummary{
 		Enabled:          true,
+		OpsReplayed:      len(rec.Ops),
 		TruncatedRecords: rec.TruncatedRecords,
 		TruncatedBytes:   rec.TruncatedBytes,
 		Quarantined:      rec.Quarantined,
@@ -106,70 +116,91 @@ func (p *Peer) replayRecovery(rec store.Recovery) error {
 			return err
 		}
 	}
+	var run []string // the publish records since the last record of another kind
+	shrunk := false  // a replayed remove or release left stale filter bits
 	for _, op := range rec.Ops {
-		switch op.Kind {
-		case store.OpPublish:
-			if _, err := p.Publish(op.Data); err != nil {
-				return fmt.Errorf("core: replaying %v: %w", op, err)
-			}
-		case store.OpRemove:
+		if op.Kind == store.OpPublish {
+			run = append(run, op.Data)
+			continue
+		}
+		shrunk = shrunk || op.Kind != store.OpReplicaPut
+		if _, err := p.PublishBatch(run); err != nil {
+			return fmt.Errorf("core: replaying the publishes before %v: %w", op, err)
+		}
+		run = run[:0]
+		if op.Kind == store.OpRemove {
 			// Removing a document the truncated tail published is a
 			// no-op, not an error — Remove is naturally idempotent.
 			p.Remove(op.Data)
+			continue
 		}
-		summary.OpsReplayed++
+		p.mu.Lock()
+		err := p.applyReplicaLocked(op)
+		p.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("core: replaying %v: %w", op, err)
+		}
 	}
-	summary.DocsRestored = p.LocalDocs()
+	if _, err := p.PublishBatch(run); err != nil {
+		return fmt.Errorf("core: replaying the last %d publishes: %w", len(run), err)
+	}
+	// Replica records flush nothing themselves: one announcement covers
+	// whatever they left pending. A live peer gossips the bits a remove or
+	// a release strands until the next Compact; a restart announces a whole
+	// filter anyway, so it announces an exact one — no marker for a document
+	// it does not hold.
+	if shrunk {
+		p.Compact()
+	} else if err := p.gossipPending(); err != nil {
+		return err
+	}
+	summary.DocsRestored, summary.ReplicasRestored = p.LocalDocs(), p.ReplicaDocs()
 	p.recovery = summary
 	p.reg.Gauge("store_recovered_docs").Set(int64(summary.DocsRestored))
 	return nil
 }
 
-// snapshotSource feeds the store's compaction: a fresh full-state
-// snapshot, the gossip version it captures, and the WAL position it
-// folds through. Payload and fold LSN are captured under p.mu — the
-// same lock every WAL append holds — so an op is in the payload if and
-// only if its LSN is at or below FoldLSN; a Publish racing with
-// compaction can never be stamped as folded in without being in the
-// snapshot.
+// snapshotSource feeds the store's compaction: the peer's full state —
+// own documents, replicas, tombstones — the gossip version it captures,
+// and the WAL position it folds through. Every append, of either kind of
+// record, is made under p.mu, and p.mu is held from the capture to the
+// LSN read, so an op is in the payload if and only if its LSN is at or
+// below FoldLSN; a Publish or an adoption racing with compaction can
+// never be stamped as folded in without being in the snapshot.
 func (p *Peer) snapshotSource() (store.SnapshotData, error) {
 	ver := p.node.SelfRecord().Ver
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	payload, err := p.encodeSnapshot(ver)
-	if err != nil {
-		return store.SnapshotData{}, err
+	snap := Snapshot{ID: int32(p.id), Epoch: ver.Epoch, Seq: ver.Seq}
+	for _, d := range p.store.All() {
+		snap.Docs = append(snap.Docs, d.Raw)
+	}
+	snap.Replicas, snap.Tombs = p.rep.State()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		return store.SnapshotData{}, fmt.Errorf("core: snapshot: %w", err)
 	}
 	return store.SnapshotData{
-		Payload: payload,
+		Payload: buf.Bytes(),
 		Epoch:   ver.Epoch,
 		Seq:     ver.Seq,
 		FoldLSN: p.st.LastLSN(),
 	}, nil
 }
 
-// logOp appends one operation to the WAL (no-op while replaying or when
-// the peer is not durable). The caller holds p.mu and appends BEFORE
-// applying the operation in memory — write-ahead — so WAL order always
-// matches in-memory apply order (a concurrent Remove/Publish of the
-// same document can never replay in the opposite order), and a failed
-// append leaves the peer unchanged.
-func (p *Peer) logOp(kind store.OpKind, data string, ver directory.Version) error {
-	if p.st == nil || p.replaying {
-		return nil
-	}
-	_, err := p.st.Append(store.Op{Kind: kind, Data: data, Epoch: ver.Epoch, Seq: ver.Seq})
-	return err
-}
-
-// logBatch appends a batch of operations to the WAL as one group-
-// committed append (no-op while replaying or when the peer is not
-// durable). Like logOp, the caller holds p.mu and appends BEFORE
-// applying — a failed batch leaves the peer unchanged, and a successful
-// one is durable as a unit.
-func (p *Peer) logBatch(ops []store.Op) error {
+// logBatch appends operations to the WAL as one group-committed batch,
+// stamped with the peer's own gossip version (no-op while replaying or
+// when the peer is not durable). The caller holds p.mu and appends BEFORE
+// applying the operations in memory — write-ahead — so WAL order always
+// matches in-memory apply order (a concurrent Remove/Publish of the same
+// document can never replay in the opposite order), a failed batch
+// leaves the peer unchanged, and a successful one is durable as a unit.
+func (p *Peer) logBatch(ops []store.Op, ver directory.Version) error {
 	if p.st == nil || p.replaying || len(ops) == 0 {
 		return nil
+	}
+	for i := range ops {
+		ops[i].Epoch, ops[i].Seq = ver.Epoch, ver.Seq
 	}
 	_, err := p.st.AppendBatch(ops)
 	return err
@@ -194,12 +225,6 @@ func (p *Peer) maybeCompact() {
 // the next start replays no WAL (best-effort: a failure here still
 // leaves the synced WAL to recover from).
 func (p *Peer) finalSnapshot() {
-	if p.repStore != nil {
-		if data, err := p.replicaSnapshotSource(); err == nil {
-			p.repStore.SaveSnapshot(data)
-		}
-		p.repStore.Close()
-	}
 	if p.st == nil {
 		return
 	}

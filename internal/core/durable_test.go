@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"planetp/internal/directory"
+	"planetp/internal/replica"
 	"planetp/internal/store"
 )
 
@@ -155,11 +156,12 @@ func TestDurablePeerCompaction(t *testing.T) {
 	}
 }
 
-// Regression for the compaction/append race: a publish acknowledged
-// while a compaction is capturing its snapshot payload must never be
-// rotated away. Hammer the store from many goroutines with an aggressive
-// compaction threshold, then restart ungracefully (no final snapshot)
-// and require every acknowledged document back.
+// Regression for the compaction/append race: a publish — or a replica
+// adoption, a record of the same log — acknowledged while a compaction is
+// capturing its snapshot payload must never be rotated away. Hammer the
+// store from many goroutines with an aggressive compaction threshold,
+// then restart ungracefully (no final snapshot) and require every
+// acknowledged document and replica back.
 func TestDurableConcurrentPublishSurvivesCompaction(t *testing.T) {
 	mem := store.NewMemFS()
 	p := durablePeer(t, mem, store.Options{CompactBytes: 512})
@@ -172,8 +174,18 @@ func TestDurableConcurrentPublishSurvivesCompaction(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < docs; i++ {
-				d, err := p.Publish(fmt.Sprintf(`<d>concurrent compaction %d %d %s</d>`,
-					g, i, strings.Repeat("pad ", 8)))
+				body := fmt.Sprintf(`<d>concurrent compaction %d %d %s</d>`, g, i, strings.Repeat("pad ", 8))
+				if g%4 == 3 {
+					e := replica.Entry{Key: fmt.Sprintf("rep-%d-%d", g, i), Origin: 2, Epoch: 1, XML: body}
+					p.adoptReplica(e, 5)
+					if !p.rep.Has(e.Key) {
+						t.Errorf("adoption of %s refused", e.Key)
+						return
+					}
+					acked[g] = append(acked[g], e.Key)
+					continue
+				}
+				d, err := p.Publish(body)
 				if err != nil {
 					t.Error(err)
 					return
@@ -192,8 +204,8 @@ func TestDurableConcurrentPublishSurvivesCompaction(t *testing.T) {
 	defer q.Stop()
 	for g, ids := range acked {
 		for i, id := range ids {
-			if _, err := q.store.Get(id); err != nil {
-				t.Fatalf("goroutine %d doc %d (%s) acknowledged before the crash but lost: %v", g, i, id, err)
+			if _, err := q.store.Get(id); err != nil && !q.rep.Has(id) {
+				t.Fatalf("goroutine %d op %d (%s) acknowledged before the crash but lost: %v", g, i, id, err)
 			}
 		}
 	}
@@ -228,6 +240,20 @@ func TestDurablePublishRemoveOrderSurvivesRestart(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// Recovery replays each run of consecutive publish records as one
+	// batch; pin the run boundaries with the same key on both sides of a
+	// remove, and a second remove that only a later run's publish undoes.
+	// Batching across a remove would lose "flicker" or resurrect "gone".
+	for _, step := range []string{"+flicker", "+gone", "-flicker", "+flicker", "-gone", "+tail"} {
+		xml := fmt.Sprintf(`<d>order hammer run boundary %s</d>`, step[1:])
+		d, err := p.Publish(xml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if step[0] == '-' && !p.Remove(d.ID) {
+			t.Fatalf("remove of %s failed", step[1:])
+		}
+	}
 	wantIDs := p.store.IDs()
 	p.tp.Close() // ungraceful: recovery replays the WAL verbatim
 
@@ -247,13 +273,6 @@ func TestOversizedSnapshotRejected(t *testing.T) {
 		// nil decodes as garbage — must error, not panic.
 		t.Fatal("empty snapshot accepted")
 	}
-	// The default bound also applies through Config.Restore.
-	if _, err := NewPeer(Config{
-		ID: 0, Capacity: 2, Gossip: fastGossip(),
-		Restore: big, Store: store.Options{MaxSnapshotBytes: 1024},
-	}); err == nil || !strings.Contains(err.Error(), "limit") {
-		t.Fatalf("oversized restore accepted: %v", err)
-	}
 }
 
 // A snapshot whose gob payload claims different version counters than
@@ -264,11 +283,11 @@ func TestSnapshotHeaderMismatchRejected(t *testing.T) {
 	mem := store.NewMemFS()
 	p := durablePeer(t, mem, store.Options{})
 	p.Publish(`<a>header check body</a>`)
-	data, err := p.Snapshot()
+	src, err := p.snapshotSource()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ver := p.node.SelfRecord().Ver
+	data, ver := src.Payload, p.node.SelfRecord().Ver
 	p.Stop()
 
 	// Rewrite the snapshot with a header claiming a LOWER version than

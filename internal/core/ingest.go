@@ -10,6 +10,7 @@ import (
 
 	"planetp/internal/broker"
 	"planetp/internal/doc"
+	"planetp/internal/replica"
 	"planetp/internal/store"
 	"planetp/internal/text"
 )
@@ -46,8 +47,10 @@ func releaseFreqs(m map[string]int) {
 }
 
 // analyzed pairs a parsed document with its term-frequency map (pooled;
-// released once indexed and brokered).
+// released once indexed and brokered) and the key it is indexed under:
+// the document id, or for a replica the key its origin gave it.
 type analyzed struct {
+	key   string
 	doc   *doc.Document
 	freqs map[string]int
 }
@@ -62,7 +65,7 @@ func (p *Peer) analyzeOne(xml string, a *text.Analyzer) analyzed {
 	} else {
 		freqs = d.TermFreqsWith(p.cfg.Resolver, a, freqs)
 	}
-	return analyzed{doc: d, freqs: freqs}
+	return analyzed{key: d.ID, doc: d, freqs: freqs}
 }
 
 // analyzeBatch fans the CPU-bound analysis over up to GOMAXPROCS
@@ -113,6 +116,66 @@ func (p *Peer) analyzeBatch(xmls []string) ([]analyzed, error) {
 	return out, nil
 }
 
+// indexLocked adds analyzed documents — own or replica — to the inverted
+// index under their keys and announces their terms, plus a per-document
+// marker, through the Bloom summary and its counting twin. The marker lets
+// any peer resolve a bare document id to its live holders by probing
+// gossiped filters (replica failover). The summary is not flushed. Caller
+// holds p.mu.
+func (p *Peer) indexLocked(batch []analyzed) {
+	freqs := make([]map[string]int, len(batch))
+	for i, ad := range batch {
+		freqs[i] = ad.freqs
+	}
+	ids := p.index.AddTermFreqsBatch(freqs)
+	for i, ad := range batch {
+		p.docOf[ad.key] = ids[i]
+		p.keyOf[ids[i]] = ad.key
+		for t := range ad.freqs {
+			p.summary.Insert(t)
+			p.counting.Add(t)
+		}
+		p.summary.Insert(docMarker(ad.key))
+		p.counting.Add(docMarker(ad.key))
+	}
+}
+
+// unindexLocked is indexLocked's inverse for one key (a no-op for a key
+// not indexed). The gossiped plain filter cannot delete: it keeps stale
+// bits, counted by the counting twin, until the next Compact. Caller holds
+// p.mu.
+func (p *Peer) unindexLocked(key string) {
+	id, ok := p.docOf[key]
+	if !ok {
+		return
+	}
+	for _, t := range p.index.DocTerms(id) {
+		p.counting.Remove(t)
+	}
+	p.index.RemoveDocument(id)
+	delete(p.docOf, key)
+	delete(p.keyOf, id)
+	p.counting.Remove(docMarker(key))
+}
+
+// gossipPending folds the filter inserts made since the last flush into
+// one gossiped version; with none pending (an epoch refresh, a recovery
+// that replayed no replica) it announces nothing.
+func (p *Peer) gossipPending() error {
+	p.mu.Lock()
+	if p.summary.Pending() == 0 {
+		p.mu.Unlock()
+		return nil
+	}
+	diff, payload, err := p.summary.Flush()
+	p.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	p.node.Publish(len(diff), len(payload), payload)
+	return nil
+}
+
 // PublishBatch publishes many XML documents as one atomic ingest step:
 // all are analyzed in parallel, committed to the WAL as a single batch
 // (write-ahead — a failed commit leaves the peer completely unchanged),
@@ -153,16 +216,6 @@ func (p *Peer) PublishBatch(xmls []string) ([]*doc.Document, error) {
 			releaseFreqs(ad.freqs) // idempotent republish
 			continue
 		}
-		// Publishing a document this peer holds as a replica converts it
-		// to an owned copy: the replica is released (no tombstone — the
-		// content lives on) so the two never double-index.
-		if p.rep != nil && p.rep.Has(ad.doc.ID) {
-			if _, _, err := p.rep.Purge(ad.doc.ID, 0, false); err != nil {
-				releaseFreqs(ad.freqs)
-				continue
-			}
-			p.unIngestReplicaLocked(ad.doc.ID)
-		}
 		fresh = append(fresh, ad)
 	}
 	if len(fresh) == 0 {
@@ -171,37 +224,34 @@ func (p *Peer) PublishBatch(xmls []string) ([]*doc.Document, error) {
 	}
 	// Write-ahead, as in Publish, but one WAL append covers the batch:
 	// record order matches apply order, and the batch is acknowledged
-	// durable as a unit. On failure nothing was stored, indexed, or
-	// gossiped.
+	// durable as a unit. On failure nothing was stored, indexed, released
+	// or gossiped.
 	ops := make([]store.Op, len(fresh))
 	for i, ad := range fresh {
-		ops[i] = store.Op{Kind: store.OpPublish, Data: ad.doc.Raw, Epoch: ver.Epoch, Seq: ver.Seq}
+		ops[i] = store.Op{Kind: store.OpPublish, Data: ad.doc.Raw}
 	}
-	if err := p.logBatch(ops); err != nil {
+	if err := p.logBatch(ops, ver); err != nil {
 		p.mu.Unlock()
 		for _, ad := range fresh {
 			releaseFreqs(ad.freqs)
 		}
 		return nil, fmt.Errorf("core: batch publish not committed to WAL: %w", err)
 	}
-	batchFreqs := make([]map[string]int, len(fresh))
-	for i, ad := range fresh {
-		p.store.Put(ad.doc)
-		batchFreqs[i] = ad.freqs
-	}
-	ids := p.index.AddTermFreqsBatch(batchFreqs)
-	for i, ad := range fresh {
-		p.docOf[ad.doc.ID] = ids[i]
-		p.keyOf[ids[i]] = ad.doc.ID
-		for t := range ad.freqs {
-			p.summary.Insert(t)
-			p.counting.Add(t)
+	for _, ad := range fresh {
+		// Publishing a document this peer holds as a replica converts it
+		// to an owned copy: the replica is released (no tombstone — the
+		// content lives on) so the two never double-index. The publish
+		// record is the whole conversion — replaying it comes through here
+		// and releases the replica again — so no crash point has the
+		// document under neither name, as a release record kept by a torn
+		// batch that lost the publish would.
+		if p.rep.Has(ad.key) {
+			_ = p.applyReplicaLocked(replica.DropOp(ad.key, 0, false)) // a record just built always decodes
+			p.reg.Counter("replica_purges_total").Inc()
 		}
-		// The doc marker lets any peer resolve a bare document id to its
-		// live holders by probing gossiped filters (replica failover).
-		p.summary.Insert(docMarker(ad.doc.ID))
-		p.counting.Add(docMarker(ad.doc.ID))
+		p.store.Put(ad.doc)
 	}
+	p.indexLocked(fresh)
 	diff, payload, err := p.summary.Flush()
 	p.mu.Unlock()
 	if err != nil {

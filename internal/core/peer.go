@@ -66,23 +66,20 @@ type Config struct {
 	// restarts without its previous in-memory state MUST supply a
 	// larger epoch than any it gossiped before — a persisted boot
 	// counter or a timestamp — or the community will reject its
-	// announcements as stale gossip. When Restore is set, the epoch is
-	// taken from the snapshot instead (and bumped automatically).
+	// announcements as stale gossip. With DataDir set, the epoch is
+	// floored by what the directory recorded (and bumped automatically).
 	Epoch uint32
-	// Restore rebuilds the peer from a Snapshot (see Peer.Snapshot):
-	// the stored documents are republished and the announced epoch
-	// supersedes the previous incarnation's.
-	Restore []byte
-	// DataDir, when non-empty, makes the peer crash-safe durable: every
-	// Publish/Remove is appended to a checksummed write-ahead log under
-	// this directory, periodically folded into atomic snapshots, and
-	// replayed on the next start. A restarted peer recovers its
-	// documents and automatically announces an epoch superseding
-	// everything its previous incarnation gossiped — no operator-managed
-	// snapshot files or epoch counters needed. See Peer.Recovery for the
+	// DataDir, when non-empty, makes the peer crash-safe durable: it
+	// opens one store there, and every Publish/Remove and every replica
+	// adoption, eviction and purge is appended to that store's
+	// checksummed write-ahead log, periodically folded into atomic
+	// snapshots, and replayed on the next start. A restarted peer
+	// recovers its documents and its hoard and automatically announces an
+	// epoch superseding everything its previous incarnation gossiped — no
+	// operator-managed epoch counters needed. See Peer.Recovery for the
 	// startup summary.
 	DataDir string
-	// Store fine-tunes the durable store (filesystem seam for fault
+	// Store fine-tunes that one durable store (filesystem seam for fault
 	// injection, compaction threshold, fsync batching). Dir and Metrics
 	// are taken from DataDir and Metrics; only meaningful with DataDir.
 	Store store.Options
@@ -133,7 +130,7 @@ type Peer struct {
 	store       *doc.Store
 	index       *index.Index
 	docOf       map[string]index.DocID // doc key -> local index id
-	keyOf       map[index.DocID]string // inverse of docOf, kept at its four mutation sites
+	keyOf       map[index.DocID]string // inverse of docOf; indexLocked and unindexLocked write both
 	filter      *bloom.Filter
 	counting    *bloom.Counting // deletion-aware twin of filter
 	summary     *bloom.Summary  // incremental gossip summarization of filter
@@ -157,11 +154,9 @@ type Peer struct {
 	replaying bool
 
 	// Replication state: the replica manager is always constructed (it
-	// also carries the popularity signal); repStore is its durable store
-	// (nil without DataDir); hoardDone closes when the hoarding loop
-	// exits.
+	// also carries the popularity signal); hoardDone closes when the
+	// hoarding loop exits.
 	rep       *replica.Manager
-	repStore  *store.Store
 	hoardDone chan struct{}
 	hoarding  bool
 }
@@ -260,20 +255,6 @@ func NewPeer(cfg Config) (*Peer, error) {
 		}
 	}
 	epoch := max32(1, cfg.Epoch)
-	var snap Snapshot
-	haveSnap := false
-	if cfg.Restore != nil {
-		var err error
-		snap, err = DecodeSnapshotLimit(cfg.Restore, cfg.Store.MaxSnapshotBytes)
-		if err != nil {
-			tp.Close()
-			return nil, err
-		}
-		// The restored incarnation supersedes the one that wrote the
-		// snapshot.
-		epoch = max32(epoch, snap.Epoch+1)
-		haveSnap = true
-	}
 	var durableRec store.Recovery
 	if cfg.DataDir != "" {
 		st, rec, err := openStore(&cfg)
@@ -295,40 +276,20 @@ func NewPeer(cfg Config) (*Peer, error) {
 	}
 	self.PayloadSize = int32(len(self.Payload))
 	p.node = gossip.NewNode(self, p.dir, gcfg, tp)
-	if haveSnap {
-		if err := p.restore(snap); err != nil {
-			p.closeOnInitErr(tp)
-			return nil, err
-		}
-	}
+	// The replica manager exists before recovery (which replays replica
+	// records into it) and before the transport serves (an inbound
+	// ReplicaPut must find it).
+	p.rep = p.newReplicaManager()
 	if p.st != nil {
 		if err := p.replayRecovery(durableRec); err != nil {
-			p.closeOnInitErr(tp)
+			tp.Close()
+			p.st.Close()
 			return nil, err
 		}
 		p.st.SetSnapshotSource(p.snapshotSource)
 	}
-	// Replication mounts after the main store's recovery (restored own
-	// documents must win any own-doc-vs-replica conflict) and before the
-	// transport serves (an inbound ReplicaPut must find the manager).
-	if err := p.setupReplica(); err != nil {
-		p.closeOnInitErr(tp)
-		return nil, err
-	}
 	tp.StartAccepting()
 	return p, nil
-}
-
-// closeOnInitErr releases partially constructed resources when NewPeer
-// fails after acquiring them.
-func (p *Peer) closeOnInitErr(tp *transport.Transport) {
-	tp.Close()
-	if p.st != nil {
-		p.st.Close()
-	}
-	if p.repStore != nil {
-		p.repStore.Close()
-	}
 }
 
 // ID returns the peer's community id.
@@ -358,7 +319,7 @@ func (p *Peer) Start() {
 		return
 	}
 	p.started = true
-	hoard := p.rep != nil && p.rep.Factor() > 1
+	hoard := p.rep.Factor() > 1
 	p.hoarding = hoard
 	p.mu.Unlock()
 	go p.gossipLoop()
@@ -526,21 +487,13 @@ func (p *Peer) Remove(docID string) bool {
 	// disk, and gossip remain consistent (no removal that silently
 	// resurrects after a crash). The failure is counted so operators can
 	// spot a sick disk.
-	if err := p.logOp(store.OpRemove, docID, ver); err != nil {
+	if err := p.logBatch([]store.Op{{Kind: store.OpRemove, Data: docID}}, ver); err != nil {
 		p.mu.Unlock()
 		p.reg.Counter("store_wal_append_errors_total").Inc()
 		return false
 	}
 	p.store.Delete(docID)
-	if id, ok := p.docOf[docID]; ok {
-		for _, t := range p.index.DocTerms(id) {
-			p.counting.Remove(t)
-		}
-		p.index.RemoveDocument(id)
-		delete(p.docOf, docID)
-		delete(p.keyOf, id)
-		p.counting.Remove(docMarker(docID))
-	}
+	p.unindexLocked(docID)
 	p.mu.Unlock()
 	p.maybeCompact()
 	// Push death certificates to the replica placement so live holders
@@ -713,14 +666,12 @@ func (p *Peer) PostPersistentQuery(query string, fn func(search.DocResult)) func
 func (p *Peer) FetchDocument(owner directory.PeerID, key string) (string, error) {
 	if owner == p.id {
 		if d, err := p.store.Get(key); err == nil {
-			p.recordHit(key)
+			p.rep.Hit(key)
 			return d.Raw, nil
 		}
-		if p.rep != nil {
-			if e, ok := p.rep.Get(key); ok {
-				p.recordHit(key)
-				return e.XML, nil
-			}
+		if e, ok := p.rep.Get(key); ok {
+			p.rep.Hit(key)
+			return e.XML, nil
 		}
 		return "", fmt.Errorf("%w: %s", doc.ErrNotFound, key)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"planetp/internal/chash"
@@ -17,7 +16,8 @@ import (
 
 // Content replication + hoarding wiring (Section 4 of the replication
 // design, DESIGN §4j). The replica.Manager owns policy (popularity,
-// budget, tombstones, durability); this file owns placement and serving:
+// budget, tombstones) and the replica records; this file logs those
+// records in the peer's one WAL and owns placement and serving:
 //
 //   - Placement rides the brokerage ring: the replica holders of a
 //     document are the first target ring successors of Hash(key),
@@ -44,80 +44,24 @@ func docMarker(key string) string { return docMarkerPrefix + key }
 // hoardPullMax bounds one hoard pull's advertisement size.
 const hoardPullMax = 32
 
-// setupReplica builds the replica manager and, for durable peers, mounts
-// and replays the replica store. Runs inside NewPeer after the main
-// store's recovery: restored replicas are re-ingested and re-announced
-// exactly as recovered — the fsynced set, never a torn suffix.
-func (p *Peer) setupReplica() error {
-	p.rep = replica.NewManager(replica.Config{
+// newReplicaManager builds the peer's replica manager. It is constructed
+// for every peer (it also carries the popularity signal) and before
+// recovery, which replays replica records into it.
+func (p *Peer) newReplicaManager() *replica.Manager {
+	return replica.NewManager(replica.Config{
 		Factor:   p.cfg.Replicas,
 		Budget:   p.cfg.HoardBudget,
 		HalfLife: p.cfg.HoardHalfLife,
 		Now:      p.tp.Now,
 		Metrics:  p.reg,
 	})
-	if p.cfg.DataDir == "" {
-		return nil
-	}
-	so := p.cfg.Store
-	so.Dir = filepath.Join(p.cfg.DataDir, "replicas")
-	// The replica store shares no gauges with the document store; a
-	// second registry client would clobber the main store's instruments.
-	so.Metrics = nil
-	st, rec, err := store.Open(so)
-	if err != nil {
-		return fmt.Errorf("core: opening replica store: %w", err)
-	}
-	restored, err := p.rep.Replay(rec)
-	if err != nil {
-		st.Close()
-		return fmt.Errorf("core: replaying replica store: %w", err)
-	}
-	p.repStore = st
-	p.rep.AttachStore(st)
-	if len(restored) > 0 {
-		p.mu.Lock()
-		for _, e := range restored {
-			p.ingestReplicaLocked(e)
-		}
-		diff, payload, err := p.summary.Flush()
-		p.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		p.node.Publish(len(diff), len(payload), payload)
-	}
-	st.SetSnapshotSource(p.replicaSnapshotSource)
-	return nil
-}
-
-// replicaSnapshotSource feeds the replica store's compaction. The
-// manager captures payload and fold LSN under its own lock, so an
-// adoption racing compaction is either in the payload or above FoldLSN.
-func (p *Peer) replicaSnapshotSource() (store.SnapshotData, error) {
-	ver := p.node.SelfRecord().Ver
-	payload, lsn, err := p.rep.SnapshotPayloadLSN()
-	if err != nil {
-		return store.SnapshotData{}, err
-	}
-	return store.SnapshotData{
-		Payload: payload, Epoch: ver.Epoch, Seq: ver.Seq, FoldLSN: lsn,
-	}, nil
 }
 
 // ReplicaDocs returns the number of locally held replicas.
-func (p *Peer) ReplicaDocs() int {
-	if p.rep == nil {
-		return 0
-	}
-	return p.rep.Len()
-}
+func (p *Peer) ReplicaDocs() int { return p.rep.Len() }
 
 // ReplicaKeys returns the held replica keys, sorted.
 func (p *Peer) ReplicaKeys() []string {
-	if p.rep == nil {
-		return nil
-	}
 	entries := p.rep.Entries()
 	keys := make([]string, len(entries))
 	for i, e := range entries {
@@ -126,127 +70,106 @@ func (p *Peer) ReplicaKeys() []string {
 	return keys
 }
 
-// recordHit feeds one served fetch into the popularity tracker.
-func (p *Peer) recordHit(key string) {
-	if p.rep != nil {
-		p.rep.Hit(key)
-	}
-}
-
-// ingestReplicaLocked indexes a replica's terms for search and announces
-// them — plus the doc marker — through the Bloom summary. The summary is
-// NOT flushed; callers flush once per batch and gossip the diff. Caller
-// holds p.mu.
-func (p *Peer) ingestReplicaLocked(e replica.Entry) {
+// indexReplicaLocked indexes a held replica's terms for search and
+// announces them — plus the doc marker — through the Bloom summary (a
+// no-op when the key is already indexed: an epoch refresh). Caller holds
+// p.mu.
+func (p *Peer) indexReplicaLocked(e replica.Entry) {
 	if _, ok := p.docOf[e.Key]; ok {
-		return // already indexed (epoch refresh)
+		return
 	}
 	var a text.Analyzer
 	ad := p.analyzeOne(e.XML, &a)
-	id := p.index.AddTermFreqs(ad.freqs)
-	p.docOf[e.Key] = id
-	p.keyOf[id] = e.Key
-	for t := range ad.freqs {
-		p.summary.Insert(t)
-		p.counting.Add(t)
-	}
-	p.summary.Insert(docMarker(e.Key))
-	p.counting.Add(docMarker(e.Key))
+	ad.key = e.Key
+	p.indexLocked([]analyzed{ad})
 	releaseFreqs(ad.freqs)
 }
 
-// unIngestReplicaLocked removes a replica's terms from the index and the
-// counting filter (the gossiped plain filter keeps stale bits until the
-// next Compact, exactly like Remove). Caller holds p.mu.
-func (p *Peer) unIngestReplicaLocked(key string) {
-	id, ok := p.docOf[key]
-	if !ok {
-		return
+// applyReplicaLocked makes the change one replica record describes, in
+// the manager and in the index: a record just logged, or one replayed at
+// recovery. The summary is NOT flushed; callers flush once per batch and
+// gossip the diff. Caller holds p.mu.
+func (p *Peer) applyReplicaLocked(op store.Op) error {
+	e, changed, err := p.rep.Apply(op)
+	if err != nil || !changed {
+		return err
 	}
-	for _, t := range p.index.DocTerms(id) {
-		p.counting.Remove(t)
+	if op.Kind == store.OpReplicaDrop {
+		p.unindexLocked(e.Key)
+	} else {
+		p.indexReplicaLocked(e)
 	}
-	p.index.RemoveDocument(id)
-	delete(p.docOf, key)
-	delete(p.keyOf, id)
-	p.counting.Remove(docMarker(key))
+	return nil
 }
 
-// adoptReplica durably stores an offered replica and ingests it for
+// commitReplicaLocked write-ahead logs a batch of replica records, then
+// applies them in order; on a failed append nothing changes. Caller holds
+// p.mu — like every append — so a plan made under it is still valid here.
+func (p *Peer) commitReplicaLocked(ops []store.Op, ver directory.Version) error {
+	err := p.logBatch(ops, ver)
+	for i := 0; err == nil && i < len(ops); i++ {
+		err = p.applyReplicaLocked(ops[i])
+	}
+	return err
+}
+
+// adoptReplica durably stores an offered replica and indexes it for
 // serving; seed seeds the local popularity counter so a fresh adoption
-// is not immediately GC-eligible. Own documents are never shadowed by a
-// replica of themselves.
+// is not immediately GC-eligible.
 func (p *Peer) adoptReplica(e replica.Entry, seed float64) {
-	if p.rep == nil {
-		return
+	ver := p.selfVer()
+	p.mu.Lock()
+	ops, err := p.adoptReplicaLocked(e, seed, ver)
+	p.mu.Unlock()
+	if err == nil && len(ops) > 0 {
+		p.reg.Counter("replica_adopts_total").Inc()
+		p.reg.Counter("replica_evictions_total").Add(int64(len(ops) - 1))
+		err = p.gossipPending()
 	}
-	if _, err := p.store.Get(e.Key); err == nil {
-		return
-	}
-	if !p.rep.Accepts(e.Key, e.Epoch) {
-		return
-	}
-	evicted, err := p.rep.Put(e, seed)
 	if err != nil {
 		p.reg.Counter("replica_adopt_errors_total").Inc()
-		return
 	}
-	if !p.rep.Has(e.Key) {
-		return // refused (raced tombstone)
+	p.maybeCompact()
+}
+
+// adoptReplicaLocked plans, logs and applies one adoption, returning the
+// committed records: the budget's evictions, then the put. It returns none
+// for an offer that is refused — tombstoned, not newer than the held
+// copy, or a document this peer owns (an own document is never shadowed by
+// a replica of itself).
+func (p *Peer) adoptReplicaLocked(e replica.Entry, seed float64, ver directory.Version) ([]store.Op, error) {
+	if _, err := p.store.Get(e.Key); err == nil {
+		return nil, nil
 	}
-	p.mu.Lock()
-	for _, ev := range evicted {
-		p.unIngestReplicaLocked(ev.Key)
+	ops, err := p.rep.PlanPut(e)
+	if len(ops) == 0 {
+		return nil, err
 	}
-	p.ingestReplicaLocked(e)
-	pending := p.summary.Pending()
-	var diff, payload []byte
-	if pending > 0 {
-		diff, payload, err = p.summary.Flush()
-	}
-	p.mu.Unlock()
-	if pending > 0 && err == nil {
-		p.node.Publish(len(diff), len(payload), payload)
-	}
+	// A popularity score holds nothing, so it can be seeded ahead of the
+	// commit: the GC never sees the new replica cold.
+	p.rep.Seed(e.Key, seed)
+	return ops, p.commitReplicaLocked(ops, ver)
 }
 
 // purgeReplica drops a held replica (and, with tomb, records the death
 // certificate even if the replica is not held — a purge can arrive
 // before the adoption it forbids).
 func (p *Peer) purgeReplica(key string, epoch uint32, tomb bool) {
-	if p.rep == nil {
-		return
-	}
+	ver := p.selfVer()
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, held, err := p.rep.Purge(key, epoch, tomb)
-	if err != nil {
+	held := p.rep.Has(key)
+	ops, err := p.rep.PlanDrop(key, epoch, tomb)
+	if err == nil {
+		err = p.commitReplicaLocked(ops, ver)
+	}
+	p.mu.Unlock()
+	switch {
+	case err != nil:
 		p.reg.Counter("replica_purge_errors_total").Inc()
-		return
+	case held:
+		p.reg.Counter("replica_purges_total").Inc()
 	}
-	if held {
-		p.unIngestReplicaLocked(key)
-	}
-}
-
-// replicaHolders computes the replica placement for key: the first n
-// distinct ring successors of Hash(key), excluding the origin. Every
-// converged peer computes the identical set.
-func replicaHolders(ring *chash.Ring[directory.PeerID], key string, origin directory.PeerID, n int) []directory.PeerID {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]directory.PeerID, 0, n)
-	for _, id := range ring.Successors(chash.Hash(key), n+1) {
-		if id == origin {
-			continue
-		}
-		out = append(out, id)
-		if len(out) == n {
-			break
-		}
-	}
-	return out
+	p.maybeCompact()
 }
 
 // ResolveDocument fetches a document body from any live holder: the own
@@ -259,14 +182,12 @@ func replicaHolders(ring *chash.Ring[directory.PeerID], key string, origin direc
 // doc.ErrNotFound only when no candidate holds the document.
 func (p *Peer) ResolveDocument(key string) (string, directory.PeerID, error) {
 	if d, err := p.store.Get(key); err == nil {
-		p.recordHit(key)
+		p.rep.Hit(key)
 		return d.Raw, p.id, nil
 	}
-	if p.rep != nil {
-		if e, ok := p.rep.Get(key); ok {
-			p.recordHit(key)
-			return e.XML, p.id, nil
-		}
+	if e, ok := p.rep.Get(key); ok {
+		p.rep.Hit(key)
+		return e.XML, p.id, nil
 	}
 	marker := docMarker(key)
 	online := p.dir.OnlineIDs()
@@ -308,7 +229,7 @@ func (p *Peer) ResolveDocument(key string) (string, directory.PeerID, error) {
 // hotDocs serves a hoard pull: the hottest locally held documents (own
 // or replica) with their origin coordinates and scores.
 func (p *Peer) hotDocs(max int) []replica.HotDoc {
-	if p.rep == nil || max <= 0 {
+	if max <= 0 {
 		return nil
 	}
 	keys, scores := p.rep.HotKeys()
@@ -331,12 +252,12 @@ func (p *Peer) hotDocs(max int) []replica.HotDoc {
 // replica placement (best effort; the hoard GC's epoch-supersession
 // check catches holders the push misses).
 func (p *Peer) broadcastPurge(key string) {
-	if p.rep == nil || p.rep.Factor() <= 1 || p.replaying {
+	if p.rep.Factor() <= 1 || p.replaying {
 		return
 	}
 	epoch := p.node.SelfRecord().Ver.Epoch
 	ring := p.brokerRing()
-	for _, succ := range replicaHolders(ring, key, p.id, p.rep.Factor()-1) {
+	for _, succ := range chash.ReplicaHolders(ring, key, p.id, p.rep.Factor()-1) {
 		if succ == p.id {
 			continue
 		}
@@ -395,7 +316,7 @@ func (p *Peer) pushHotDocs() {
 			continue
 		}
 		marker := docMarker(key)
-		for _, succ := range replicaHolders(ring, key, p.id, target) {
+		for _, succ := range chash.ReplicaHolders(ring, key, p.id, target) {
 			if succ == p.id || p.view.Contains(succ, marker) {
 				continue
 			}
@@ -441,7 +362,7 @@ func (p *Peer) pullHotDocs() {
 			continue
 		}
 		responsible := false
-		for _, id := range replicaHolders(ring, h.Key, origin, target) {
+		for _, id := range chash.ReplicaHolders(ring, h.Key, origin, target) {
 			if id == p.id {
 				responsible = true
 				break

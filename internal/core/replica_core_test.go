@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -61,7 +62,7 @@ func replicaHolderCount(peers []*Peer, origin directory.PeerID, key string) int 
 		if p.ID() == origin {
 			continue
 		}
-		if p.rep != nil && p.rep.Has(key) {
+		if p.rep.Has(key) {
 			n++
 		}
 	}
@@ -198,11 +199,12 @@ func TestTombstonePurgeNeverResurrects(t *testing.T) {
 
 // durableReplicaPeer builds a durable peer with replication enabled on
 // the given filesystem.
-func durableReplicaPeer(t *testing.T, fs store.FS) *Peer {
+func durableReplicaPeer(t *testing.T, fs store.FS, opts store.Options) *Peer {
 	t.Helper()
+	opts.FS = fs
 	p, err := NewPeer(Config{
 		ID: 0, Capacity: 8, Gossip: fastGossip(),
-		DataDir: "data", Store: store.Options{FS: fs},
+		DataDir: "data", Store: opts,
 		Replicas:      3,
 		HoardHalfLife: 10 * time.Minute,
 	})
@@ -227,67 +229,89 @@ func testReplicaEntries() []replica.Entry {
 	return out
 }
 
-// TestReplicaStoreCrashSuite is the satellite-3 suite: for every disk
-// operation index during a deterministic adopt/purge workload, crash the
-// replica store there, restart, and assert the peer re-announces exactly
-// a consistent fsynced replica set — every acknowledged op is applied,
-// at most the one in-flight op may additionally have reached disk, and
-// the Bloom filter's doc markers match the held set exactly (zero
-// torn-state announcements). The workload stops at the first failure,
-// mirroring a crashing process.
+// mergedLogStep is one operation of the crash suite's workload and the
+// state — own documents and replica set — the peer holds once it is
+// acknowledged.
+type mergedLogStep struct {
+	run       func(p *Peer) bool // reports whether the op was acknowledged
+	own, reps []string           // sorted keys after the step
+}
+
+// mergedLogWorkload interleaves own Publish/Remove with replica adopt,
+// purge and replica→owned conversion, so every record kind of the one WAL
+// sits next to every other.
+func mergedLogWorkload() []mergedLogStep {
+	reps := testReplicaEntries()
+	const d0, d1 = `<paper>own osprey zero</paper>`, `<paper>own osprey one</paper>`
+	// conv is adopted under its document id, then published: the
+	// conversion.
+	conv := replica.Entry{Origin: 6, Epoch: 1, XML: `<paper>borrowed osprey falcon</paper>`}
+	conv.Key = doc.Parse(conv.XML).ID
+	id0, id1 := doc.Parse(d0).ID, doc.Parse(d1).ID
+
+	adopt := func(e replica.Entry) func(*Peer) bool {
+		return func(p *Peer) bool { p.adoptReplica(e, 5); return p.rep.Has(e.Key) }
+	}
+	publish := func(xml string) func(*Peer) bool {
+		return func(p *Peer) bool { _, err := p.Publish(xml); return err == nil }
+	}
+	keys := func(ks ...string) []string { sort.Strings(ks); return ks }
+	return []mergedLogStep{
+		{adopt(reps[0]), nil, keys(reps[0].Key)},
+		{publish(d0), keys(id0), keys(reps[0].Key)},
+		{adopt(reps[1]), keys(id0), keys(reps[0].Key, reps[1].Key)},
+		{adopt(conv), keys(id0), keys(reps[0].Key, reps[1].Key, conv.Key)},
+		{publish(d1), keys(id0, id1), keys(reps[0].Key, reps[1].Key, conv.Key)},
+		{func(p *Peer) bool { p.purgeReplica(reps[0].Key, 2, true); return !p.rep.Has(reps[0].Key) },
+			keys(id0, id1), keys(reps[1].Key, conv.Key)},
+		{publish(conv.XML), keys(id0, id1, conv.Key), keys(reps[1].Key)},
+		{func(p *Peer) bool { return p.Remove(id0) }, keys(id1, conv.Key), keys(reps[1].Key)},
+		{adopt(reps[2]), keys(id1, conv.Key), keys(reps[1].Key, reps[2].Key)},
+	}
+}
+
+// TestReplicaStoreCrashSuite: for every disk operation index of the
+// merged-log workload, crash the store there, restart, and assert the
+// peer comes back in a state the one log passed through — own documents
+// AND replica set together equal to the state after the acknowledged ops,
+// or after those plus the single in-flight op, which may or may not have
+// reached disk intact — and that the Bloom filter's doc markers match
+// what is held exactly (zero torn-state announcements). The workload
+// stops at the first failure, mirroring a crashing process.
 func TestReplicaStoreCrashSuite(t *testing.T) {
-	entries := testReplicaEntries()
-
-	// The logical op sequence and the replica set after each prefix.
-	// states[i] is the set after the first i ops; the last op is the
-	// tombstoned purge of entries[0].
-	numOps := len(entries) + 1
-	states := make([]map[string]bool, numOps+1)
-	states[0] = map[string]bool{}
-	for i, e := range entries {
-		states[i+1] = map[string]bool{}
-		for k := range states[i] {
-			states[i+1][k] = true
-		}
-		states[i+1][e.Key] = true
-	}
-	states[numOps] = map[string]bool{}
-	for k := range states[numOps-1] {
-		if k != entries[0].Key {
-			states[numOps][k] = true
-		}
-	}
-	keysOf := func(s map[string]bool) []string {
-		out := make([]string, 0, len(s))
-		for k := range s {
-			out = append(out, k)
-		}
-		sort.Strings(out)
-		return out
-	}
-
+	steps := mergedLogWorkload()
 	// workload applies ops until the first failure (the crash), returning
 	// how many were acknowledged.
 	workload := func(p *Peer) int {
-		for i, e := range entries {
-			p.adoptReplica(e, 5)
-			if !p.rep.Has(e.Key) {
+		for i, st := range steps {
+			if !st.run(p) {
 				return i
 			}
 		}
-		p.purgeReplica(entries[0].Key, 2, true)
-		if p.rep.Has(entries[0].Key) {
-			return numOps - 1
+		return len(steps)
+	}
+	stateAfter := func(acked int) string {
+		if acked == 0 {
+			return fmt.Sprint([]string(nil), []string(nil))
 		}
-		return numOps
+		return fmt.Sprint(steps[acked-1].own, steps[acked-1].reps)
+	}
+	everHeld := map[string]bool{}
+	for _, st := range steps {
+		for _, k := range append(append([]string(nil), st.own...), st.reps...) {
+			everHeld[k] = true
+		}
 	}
 
 	// Dry run: learn the workload's disk-op budget.
 	dry := store.NewFaultFS(store.NewMemFS(), 1)
-	p := durableReplicaPeer(t, dry)
+	p := durableReplicaPeer(t, dry, store.Options{})
 	start := dry.Ops()
-	if got := workload(p); got != numOps {
-		t.Fatalf("dry run acked %d of %d ops", got, numOps)
+	if got := workload(p); got != len(steps) {
+		t.Fatalf("dry run acked %d of %d ops", got, len(steps))
+	}
+	if got := fmt.Sprint(p.store.IDs(), p.ReplicaKeys()); got != stateAfter(len(steps)) {
+		t.Fatalf("dry run ended in %s, want %s", got, stateAfter(len(steps)))
 	}
 	budget := dry.Ops() - start
 	p.tp.Close()
@@ -298,45 +322,182 @@ func TestReplicaStoreCrashSuite(t *testing.T) {
 	for mode, name := range map[store.CrashMode]string{
 		store.CrashStop: "stop", store.CrashTorn: "torn",
 	} {
-		for i := int64(1); i <= budget; i++ {
+		for i := int64(0); i < budget; i++ {
 			t.Run(fmt.Sprintf("%s-op%d", name, i), func(t *testing.T) {
 				mem := store.NewMemFS()
 				ffs := store.NewFaultFS(mem, 4242+i)
-				p := durableReplicaPeer(t, ffs)
+				p := durableReplicaPeer(t, ffs, store.Options{})
 				ffs.CrashAt(ffs.Ops()+i, mode)
 				acked := workload(p)
 				p.tp.Close() // process dies; no graceful snapshot
 				mem.Crash(i)
+				if acked == len(steps) {
+					t.Fatalf("crash at op %d of %d never fired", i, budget)
+				}
 
-				q := durableReplicaPeer(t, mem)
+				q := durableReplicaPeer(t, mem, store.Options{})
 				defer q.Stop()
-				got := fmt.Sprint(q.ReplicaKeys())
-				// Every acked op is applied; the single in-flight op may
-				// or may not have reached disk intact. Anything else is
-				// torn state.
-				valid := got == fmt.Sprint(keysOf(states[acked]))
-				if !valid && acked < numOps {
-					valid = got == fmt.Sprint(keysOf(states[acked+1]))
+				got := fmt.Sprint(q.store.IDs(), q.ReplicaKeys())
+				if got != stateAfter(acked) && got != stateAfter(acked+1) {
+					t.Fatalf("restored own docs and replicas %s after %d acked ops; want %s or %s",
+						got, acked, stateAfter(acked), stateAfter(acked+1))
 				}
-				if !valid {
-					t.Fatalf("restored replica set %s after %d acked ops; want %v or the next prefix",
-						got, acked, keysOf(states[acked]))
-				}
-				// Announcements must match the held set exactly: every
-				// restored key's marker is in the filter, every
-				// non-restored key's is absent.
+				// Announcements must match what is held exactly: every
+				// held key's marker is in the filter, every other key's
+				// is absent.
 				held := make(map[string]bool)
-				for _, k := range q.ReplicaKeys() {
+				for _, k := range append(q.store.IDs(), q.ReplicaKeys()...) {
 					held[k] = true
 				}
 				q.mu.Lock()
 				defer q.mu.Unlock()
-				for _, e := range entries {
-					if q.filter.Contains(docMarker(e.Key)) != held[e.Key] {
-						t.Fatalf("marker announcement for %s disagrees with held set %s", e.Key, got)
+				for k := range everHeld {
+					if q.filter.Contains(docMarker(k)) != held[k] {
+						t.Fatalf("marker announcement for %s disagrees with held set %s", k, got)
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestReplicaOpsTriggerCompaction: replica records fold into snapshots
+// like any others. A durable peer adopting and purging replicas past the
+// compaction threshold compacts, keeps its WAL bounded, and an
+// ungraceful restart — snapshot plus WAL suffix — restores the exact
+// replica set and tombstones. (With the hoard in a store of its own that
+// nothing ever compacted, this log grew until a graceful Stop.)
+func TestReplicaOpsTriggerCompaction(t *testing.T) {
+	const compactBytes = 2048
+	mem := store.NewMemFS()
+	p := durableReplicaPeer(t, mem, store.Options{CompactBytes: compactBytes})
+	for i := 0; i < 60; i++ {
+		e := replica.Entry{
+			Key: fmt.Sprintf("churn-%02d", i), Origin: 3, Epoch: 1,
+			XML: fmt.Sprintf(`<paper>hoard churn %d %s</paper>`, i, strings.Repeat("pad ", 20)),
+		}
+		p.adoptReplica(e, 5)
+		if !p.rep.Has(e.Key) {
+			t.Fatalf("adoption %d refused", i)
+		}
+		if i%3 != 0 {
+			p.purgeReplica(e.Key, uint32(i), i%3 == 1)
+		}
+	}
+	if p.Metrics().Counter("store_compactions_total").Value() == 0 {
+		t.Fatal("no compaction under sustained replica churn")
+	}
+	// One op past the threshold triggers the fold, so the log never holds
+	// more than the threshold plus the batch that crossed it.
+	if got := p.st.WALSize(); got > 2*compactBytes {
+		t.Fatalf("WAL grew to %d bytes under a %d-byte compaction threshold", got, compactBytes)
+	}
+	wantReps, wantTombs := p.rep.State()
+	p.tp.Close() // process death: no graceful Stop, no final snapshot
+
+	q := durableReplicaPeer(t, mem, store.Options{})
+	defer q.Stop()
+	gotReps, gotTombs := q.rep.State()
+	if !reflect.DeepEqual(gotReps, wantReps) || !reflect.DeepEqual(gotTombs, wantTombs) {
+		t.Fatalf("restart restored %d replicas / %d tombstones, want %d / %d:\n got %v %v\nwant %v %v",
+			len(gotReps), len(gotTombs), len(wantReps), len(wantTombs), gotReps, gotTombs, wantReps, wantTombs)
+	}
+}
+
+// TestHostileReplicaKeyNeverReachesTheLog: a replica key comes straight
+// off the wire, and one the record header cannot carry back would, once
+// logged, fail every later recovery — of the peer's own documents too, now
+// that they share the log. Such offers and purges are refused unlogged.
+func TestHostileReplicaKeyNeverReachesTheLog(t *testing.T) {
+	mem := store.NewMemFS()
+	p := durableReplicaPeer(t, mem, store.Options{})
+	if _, err := p.Publish(`<paper>own gannet survives</paper>`); err != nil {
+		t.Fatal(err)
+	}
+	h := (*handler)(p)
+	h.HandleReplicaPut("two words", `<paper>hostile gannet</paper>`, 3, 1)
+	h.HandleReplicaPut("line\nbreak", `<paper>hostile gannet</paper>`, 3, 1)
+	h.HandleReplicaPurge("tab\tbed", 3, 1)
+	h.HandleReplicaPurge("", 3, 1)
+	if p.ReplicaDocs() != 0 {
+		t.Fatalf("hostile keys adopted: %q", p.ReplicaKeys())
+	}
+	p.tp.Close() // ungraceful: recovery replays the WAL verbatim
+
+	q := durableReplicaPeer(t, mem, store.Options{})
+	defer q.Stop()
+	if rec := q.Recovery(); q.LocalDocs() != 1 || rec.OpsReplayed != 1 {
+		t.Fatalf("recovered %d docs from %d records, want the one publish", q.LocalDocs(), rec.OpsReplayed)
+	}
+}
+
+// TestReplicaConversionIsAtomic: publishing a document held as a replica
+// either commits — the peer owns it and holds no replica of it — or fails
+// the publish with the replica still held, indexed and served. No crash
+// point leaves the document under neither name, and no failure is
+// reported as a success.
+func TestReplicaConversionIsAtomic(t *testing.T) {
+	const xml = `<paper>borrowed petrel falcon</paper>`
+	held := replica.Entry{Key: doc.Parse(xml).ID, Origin: 7, Epoch: 1, XML: xml}
+	holder := func(fs store.FS) *Peer {
+		p := durableReplicaPeer(t, fs, store.Options{})
+		p.adoptReplica(held, 5)
+		if !p.rep.Has(held.Key) {
+			t.Fatal("adoption refused")
+		}
+		return p
+	}
+
+	// The append fails: an error, and nothing moved.
+	ffs := store.NewFaultFS(store.NewMemFS(), 7)
+	p := holder(ffs)
+	ffs.CrashAt(ffs.Ops(), store.CrashStop)
+	if _, err := p.Publish(xml); err == nil {
+		t.Fatal("publish whose WAL append failed reported success")
+	}
+	if got := p.ReplicaKeys(); len(got) != 1 || got[0] != held.Key {
+		t.Fatalf("failed conversion changed the replica set to %v", got)
+	}
+	if p.LocalDocs() != 0 {
+		t.Fatal("failed conversion stored the document")
+	}
+	if docs := p.localQuery([]string{"petrel"}, false); len(docs) != 1 || docs[0].Key != held.Key {
+		t.Fatalf("failed conversion left the replica unindexed: %+v", docs)
+	}
+	p.tp.Close()
+
+	// The process dies at each disk operation of the conversion, and
+	// right after it: the restarted peer holds the document exactly once,
+	// and as its own whenever the publish was acknowledged.
+	dry := store.NewFaultFS(store.NewMemFS(), 1)
+	p = holder(dry)
+	start := dry.Ops()
+	if _, err := p.Publish(xml); err != nil {
+		t.Fatal(err)
+	}
+	budget := dry.Ops() - start
+	p.tp.Close()
+	for i := int64(0); i <= budget; i++ {
+		for _, mode := range []store.CrashMode{store.CrashStop, store.CrashTorn} {
+			mem := store.NewMemFS()
+			ffs := store.NewFaultFS(mem, 99+i)
+			p := holder(ffs)
+			ffs.CrashAt(ffs.Ops()+i, mode) // i == budget: after the conversion
+			_, err := p.Publish(xml)
+			p.tp.Close()
+			mem.Crash(i)
+
+			q := durableReplicaPeer(t, mem, store.Options{})
+			_, getErr := q.store.Get(held.Key)
+			owned, hoarded := getErr == nil, q.rep.Has(held.Key)
+			if owned == hoarded || (err == nil && !owned) {
+				t.Fatalf("%v crash at op %d/%d (publish err %v): restarted peer owns=%v holds replica=%v",
+					mode, i, budget, err, owned, hoarded)
+			}
+			if docs := q.localQuery([]string{"petrel"}, false); len(docs) != 1 || docs[0].Key != held.Key {
+				t.Fatalf("%v crash at op %d/%d: document indexed %d times", mode, i, budget, len(docs))
+			}
+			q.Stop()
 		}
 	}
 }
@@ -345,7 +506,7 @@ func TestReplicaStoreCrashSuite(t *testing.T) {
 // and re-serves the replica set from the final snapshot.
 func TestDurableReplicaRestartServesAgain(t *testing.T) {
 	mem := store.NewMemFS()
-	p := durableReplicaPeer(t, mem)
+	p := durableReplicaPeer(t, mem, store.Options{})
 	for _, e := range testReplicaEntries() {
 		p.adoptReplica(e, 5)
 	}
@@ -354,7 +515,7 @@ func TestDurableReplicaRestartServesAgain(t *testing.T) {
 	}
 	p.Stop()
 
-	q := durableReplicaPeer(t, mem)
+	q := durableReplicaPeer(t, mem, store.Options{})
 	defer q.Stop()
 	if q.ReplicaDocs() != 4 {
 		t.Fatalf("restored %d replicas, want 4", q.ReplicaDocs())
@@ -370,12 +531,12 @@ func TestDurableReplicaRestartServesAgain(t *testing.T) {
 }
 
 // TestDocKeyMapsStayInverse: docOf (key -> index id) and keyOf (index id
-// -> key) are maintained by hand at four sites — publish, Remove,
-// replica adopt, replica purge — and localQuery names a hit by keyOf
-// alone, so after each of them the two must be exact inverses and every
-// hit must carry its own key.
+// -> key) change on four paths — publish, Remove, replica adopt, replica
+// purge — and localQuery names a hit by keyOf alone, so after each of
+// them the two must be exact inverses and every hit must carry its own
+// key.
 func TestDocKeyMapsStayInverse(t *testing.T) {
-	p := durableReplicaPeer(t, store.NewMemFS())
+	p := durableReplicaPeer(t, store.NewMemFS(), store.Options{})
 	defer p.Stop()
 	check := func(step string, wantKeys ...string) {
 		t.Helper()

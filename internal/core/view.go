@@ -116,25 +116,7 @@ func (f fetcher) QueryPeerAll(id directory.PeerID, terms []string) ([]search.Doc
 
 // brokerRing builds the current ring view.
 func (p *Peer) brokerRing() *chash.Ring[directory.PeerID] {
-	ring := chash.NewRing[directory.PeerID]()
-	for _, id := range p.dir.OnlineIDs() {
-		bid := brokerID(id)
-		for !ring.Join(bid, id) {
-			bid = (bid + 1) % chash.MaxID
-		}
-	}
-	return ring
-}
-
-// brokerID derives a ring id from a peer id via the canonical decimal
-// derivation, now owned by chash.IDForPeer so the replica placement and
-// the simulators compute the identical ring. (The previous
-// string(rune(id)) conversion collapsed every id ≥ 0xD800 to U+FFFD —
-// all such peers landed on ONE ring point — and aliased distinct ids
-// mapping to the same code point; the chash package carries the
-// regression test.)
-func brokerID(id directory.PeerID) uint32 {
-	return chash.IDForPeer(int32(id))
+	return chash.PeerRing(p.dir.OnlineIDs())
 }
 
 // brokerPublish routes a snippet's keys to their owning brokers.
@@ -298,14 +280,12 @@ func (h *handler) HandleProxySearch(terms []string, k int) []search.ScoredDoc {
 func (h *handler) HandleGetDoc(key string) (string, bool) {
 	p := (*Peer)(h)
 	if d, err := p.store.Get(key); err == nil {
-		p.recordHit(key)
+		p.rep.Hit(key)
 		return d.Raw, true
 	}
-	if p.rep != nil {
-		if e, ok := p.rep.Get(key); ok {
-			p.recordHit(key)
-			return e.XML, true
-		}
+	if e, ok := p.rep.Get(key); ok {
+		p.rep.Hit(key)
+		return e.XML, true
 	}
 	return "", false
 }
@@ -316,9 +296,6 @@ func (h *handler) HandleGetDoc(key string) (string, bool) {
 // serves its first fetch.
 func (h *handler) HandleReplicaPut(key, xml string, origin directory.PeerID, epoch uint32) {
 	p := (*Peer)(h)
-	if p.rep == nil {
-		return
-	}
 	p.adoptReplica(replica.Entry{Key: key, Origin: int32(origin), Epoch: epoch, XML: xml}, p.rep.HotScore())
 }
 

@@ -23,9 +23,10 @@ import (
 //     the "hot decile" is the top M/10 ranks — for M = 10N every peer
 //     owns exactly one hot-decile document, so a departure storm's
 //     effect on the hot set is exact, not sampled.
-//   - Placement mirrors core.replicaHolders: a document's replica set is
-//     its owner plus the first extra(r) successors of chash.Hash(key) on
-//     the brokerage ring (ids from chash.IDForPeer), skipping the owner.
+//   - Placement is core's (chash.PeerRing, chash.ReplicaHolders): a
+//     document's replica set is its owner plus the first extra(r)
+//     successors of chash.Hash(key) on the brokerage ring, skipping the
+//     owner.
 //     extra(r) scales with popularity — the full k-1 through the hot
 //     ranks, decaying toward zero with the Zipf tail — exactly the
 //     TargetReplicas = score/HotScore shape of internal/replica.
@@ -125,7 +126,7 @@ func newReplicaModel(n, docs, k int) *replicaModel {
 	for i := range all {
 		all[i] = directory.PeerID(i)
 	}
-	ring := replicaRing(all)
+	ring := chash.PeerRing(all)
 	// extra(r) follows internal/replica's TargetReplicas shape: the
 	// decile-boundary rank still earns the full k-1 extras, and the Zipf
 	// tail decays below it (score ∝ weight, HotScore = the boundary
@@ -145,44 +146,11 @@ func newReplicaModel(n, docs, k int) *replicaModel {
 			m.extra[i] = e
 		}
 		m.holders[i] = map[directory.PeerID]bool{m.owners[i]: true}
-		for _, h := range ringReplicas(ring, m.keys[i], m.owners[i], m.extra[i]) {
+		for _, h := range chash.ReplicaHolders(ring, m.keys[i], m.owners[i], m.extra[i]) {
 			m.holders[i][h] = true
 		}
 	}
 	return m
-}
-
-// replicaRing builds the brokerage ring over a membership list with the
-// same id derivation and collision walk as core.brokerRing.
-func replicaRing(ids []directory.PeerID) *chash.Ring[directory.PeerID] {
-	ring := chash.NewRing[directory.PeerID]()
-	for _, id := range ids {
-		bid := chash.IDForPeer(int32(id))
-		for !ring.Join(bid, id) {
-			bid = (bid + 1) % chash.MaxID
-		}
-	}
-	return ring
-}
-
-// ringReplicas mirrors core.replicaHolders: the first n ring successors
-// of the key's hash, skipping the origin.
-func ringReplicas(ring *chash.Ring[directory.PeerID], key string, origin directory.PeerID, n int) []directory.PeerID {
-	if n <= 0 || ring.Len() == 0 {
-		return nil
-	}
-	cands := ring.Successors(chash.Hash(key), n+1)
-	out := make([]directory.PeerID, 0, n)
-	for _, c := range cands {
-		if c == origin {
-			continue
-		}
-		out = append(out, c)
-		if len(out) == n {
-			break
-		}
-	}
-	return out
 }
 
 // sortedHolders returns a document's holder set in id order so repair
@@ -214,8 +182,8 @@ func (m *replicaModel) repair(s *simnet.Sim, reachable func(a, b directory.PeerI
 			// aimed at peers it has not yet detected as departed simply
 			// fail, so repair converges at directory speed.
 			view := peers[h].Node.Directory().OnlineIDs()
-			ring := replicaRing(view)
-			for _, d := range ringReplicas(ring, m.keys[i], m.owners[i], m.extra[i]) {
+			ring := chash.PeerRing(view)
+			for _, d := range chash.ReplicaHolders(ring, m.keys[i], m.owners[i], m.extra[i]) {
 				if m.holders[i][d] || int(d) >= len(peers) {
 					continue
 				}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"planetp/internal/chash"
 	"planetp/internal/directory"
 )
 
@@ -99,18 +100,18 @@ func TestReplicationDeterministic(t *testing.T) {
 	}
 }
 
-// The repair ring derivation matches the core's: owner excluded,
-// distinct successors, bounded count.
+// The placement core and the repair model share: owner excluded, distinct
+// successors, bounded count.
 func TestRingReplicasExcludesOrigin(t *testing.T) {
 	ids := make([]directory.PeerID, 8)
 	for i := range ids {
 		ids[i] = directory.PeerID(i)
 	}
-	ring := replicaRing(ids)
+	ring := chash.PeerRing(ids)
 	for i := 0; i < 32; i++ {
 		key := "doc-key-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
 		for origin := directory.PeerID(0); origin < 8; origin++ {
-			got := ringReplicas(ring, key, origin, 3)
+			got := chash.ReplicaHolders(ring, key, origin, 3)
 			if len(got) != 3 {
 				t.Fatalf("key %q origin %d: %d replicas, want 3", key, origin, len(got))
 			}

@@ -20,10 +20,10 @@
 //     replicas first (and refuses the adoption if it alone exceeds the
 //     budget).
 //
-//   - Durability. Replicas ride the same WAL + snapshot machinery as the
-//     peer's own documents (a second internal/store instance): an
-//     adopted replica survives crash/restart, and a purged one can never
-//     resurrect from a torn log.
+//   - Durability. Every change to the replica set is a record (PutOp,
+//     DropOp) that the peer appends to its one write-ahead log before
+//     Apply makes it: an adopted replica survives crash/restart, and a
+//     purged one can never resurrect from a torn log.
 //
 //   - Tombstones. Purging a replica because its origin removed the
 //     document (or a higher origin incarnation superseded it) records
@@ -35,8 +35,6 @@
 package replica
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -44,6 +42,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"planetp/internal/metrics"
 	"planetp/internal/store"
@@ -108,7 +107,22 @@ func (c Config) withDefaults() Config {
 // ErrOverBudget rejects an adoption whose body alone exceeds the budget.
 var ErrOverBudget = errors.New("replica: document exceeds hoard budget")
 
-// Manager is one peer's replica set + popularity state. Thread-safe.
+// ErrBadKey rejects a key — keys arrive off the wire — that a record's
+// space-separated header line could not carry back: logged, it would
+// fail every later recovery.
+var ErrBadKey = errors.New("replica: key is empty or contains whitespace")
+
+func checkKey(key string) error {
+	if key == "" || strings.ContainsFunc(key, unicode.IsSpace) {
+		return ErrBadKey
+	}
+	return nil
+}
+
+// Manager is one peer's replica set + popularity state. Reads are
+// thread-safe on their own; the plan-log-Apply sequence that changes the
+// set is serialized by the caller (core holds the peer mutex across it),
+// so a plan is still valid when its records are applied.
 type Manager struct {
 	cfg Config
 
@@ -120,14 +134,12 @@ type Manager struct {
 	// under; adoption at or below that epoch is refused forever (the
 	// death certificate of the replica layer).
 	tombs map[string]uint32
-	st    *store.Store // nil = memory-only
 
-	mDocs, mBytes             *metrics.Gauge
-	mAdopts, mEvicts, mPurges *metrics.Counter
-	mHits                     *metrics.Counter
+	mDocs, mBytes *metrics.Gauge
+	mHits         *metrics.Counter
 }
 
-// NewManager builds a Manager (memory-only until AttachStore).
+// NewManager builds an empty Manager.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
@@ -139,9 +151,6 @@ func NewManager(cfg Config) *Manager {
 	if r := cfg.Metrics; r != nil {
 		m.mDocs = r.Gauge("replica_docs")
 		m.mBytes = r.Gauge("replica_resident_bytes")
-		m.mAdopts = r.Counter("replica_adopts_total")
-		m.mEvicts = r.Counter("replica_evictions_total")
-		m.mPurges = r.Counter("replica_purges_total")
 		m.mHits = r.Counter("replica_hits_total")
 	}
 	return m
@@ -153,15 +162,6 @@ func (m *Manager) Factor() int { return m.cfg.Factor }
 // HotScore returns the replication popularity threshold.
 func (m *Manager) HotScore() float64 { return m.cfg.HotScore }
 
-// AttachStore mounts the durable store the manager write-aheads replica
-// mutations to. Call before any Put/Purge (core attaches during peer
-// construction, before the transport serves).
-func (m *Manager) AttachStore(st *store.Store) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.st = st
-}
-
 // --- popularity ---
 
 // Hit records one served fetch of key (own document or replica).
@@ -172,6 +172,14 @@ func (m *Manager) Hit(key string) {
 	if m.mHits != nil {
 		m.mHits.Inc()
 	}
+}
+
+// Seed raises key's popularity to at least score, so a fresh adoption is
+// not immediately GC-eligible.
+func (m *Manager) Seed(key string, score float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.pop.Seed(key, score, m.cfg.Now())
 }
 
 // Score returns key's decayed popularity.
@@ -228,9 +236,7 @@ func (m *Manager) Get(key string) (Entry, bool) {
 
 // Has reports whether key is held.
 func (m *Manager) Has(key string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.entries[key]
+	_, ok := m.Get(key)
 	return ok
 }
 
@@ -270,50 +276,42 @@ func (m *Manager) entriesLocked() []Entry {
 func (m *Manager) Accepts(key string, epoch uint32) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.acceptsLocked(key, epoch)
+}
+
+func (m *Manager) acceptsLocked(key string, epoch uint32) bool {
 	if te, dead := m.tombs[key]; dead && epoch <= te {
 		return false
 	}
-	if held, ok := m.entries[key]; ok && epoch <= held.Epoch {
-		return false
-	}
-	return true
+	held, ok := m.entries[key]
+	return !ok || epoch > held.Epoch
 }
 
-// Put adopts a replica: the mutation (including any budget evictions) is
-// write-ahead logged as one durable batch, then applied. seedScore seeds
-// the local popularity counter so a fresh adoption is not immediately
-// GC-eligible. It returns the entries evicted to make room. Adoption is
-// refused (ErrOverBudget) when the body alone exceeds the budget, and is
-// a no-op when Accepts would be false.
-func (m *Manager) Put(e Entry, seedScore float64) (evicted []Entry, err error) {
+// PlanPut returns the records that adopt e, for the caller to log as one
+// write-ahead batch and then Apply in order: a drop per replica the
+// budget evicts (least popular first, ties by key, never e itself), then
+// the put. It returns no records when Accepts would be false, and
+// ErrOverBudget when e cannot fit whatever is evicted.
+func (m *Manager) PlanPut(e Entry) ([]store.Op, error) {
+	if err := checkKey(e.Key); err != nil {
+		return nil, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if te, dead := m.tombs[e.Key]; dead && e.Epoch <= te {
-		return nil, nil
-	}
-	if held, ok := m.entries[e.Key]; ok && e.Epoch <= held.Epoch {
+	if !m.acceptsLocked(e.Key, e.Epoch) {
 		return nil, nil
 	}
 	size := int64(len(e.XML))
 	if size > m.cfg.Budget {
 		return nil, ErrOverBudget
 	}
-	// Choose evictions: least popular first (ties by key), never the
-	// incoming document, until the body fits.
-	prior := int64(0)
-	if held, ok := m.entries[e.Key]; ok {
-		prior = int64(len(held.XML))
-	}
-	need := m.bytes - prior + size - m.cfg.Budget
+	var ops []store.Op
+	need := m.bytes - int64(len(m.entries[e.Key].XML)) + size - m.cfg.Budget
 	if need > 0 {
 		now := m.cfg.Now()
-		cands := m.entriesLocked()
+		cands := m.entriesLocked() // key-sorted, and the sort is stable: ties fall by key
 		sort.SliceStable(cands, func(i, j int) bool {
-			si, sj := m.pop.Score(cands[i].Key, now), m.pop.Score(cands[j].Key, now)
-			if si != sj {
-				return si < sj
-			}
-			return cands[i].Key < cands[j].Key
+			return m.pop.Score(cands[i].Key, now) < m.pop.Score(cands[j].Key, now)
 		})
 		for _, c := range cands {
 			if need <= 0 {
@@ -322,65 +320,72 @@ func (m *Manager) Put(e Entry, seedScore float64) (evicted []Entry, err error) {
 			if c.Key == e.Key {
 				continue
 			}
-			evicted = append(evicted, c)
+			ops = append(ops, DropOp(c.Key, c.Epoch, false))
 			need -= int64(len(c.XML))
 		}
 		if need > 0 {
 			return nil, ErrOverBudget
 		}
 	}
-	// Write-ahead: evictions then the adoption, one group-committed
-	// batch. A failed append leaves the replica set unchanged.
-	ops := make([]store.Op, 0, len(evicted)+1)
-	for _, ev := range evicted {
-		ops = append(ops, encodeRemoveOp(ev.Key, ev.Epoch, false))
-	}
-	ops = append(ops, encodePutOp(e))
-	if err := m.logBatch(ops); err != nil {
-		return nil, err
-	}
-	for _, ev := range evicted {
-		m.dropLocked(ev.Key)
-		if m.mEvicts != nil {
-			m.mEvicts.Inc()
-		}
-	}
-	m.insertLocked(e)
-	m.pop.Seed(e.Key, seedScore, m.cfg.Now())
-	if m.mAdopts != nil {
-		m.mAdopts.Inc()
-	}
-	return evicted, nil
+	return append(ops, PutOp(e)), nil
 }
 
-// Purge drops a held replica. With tomb set, the origin epoch is
-// recorded as a death certificate: the purge was caused by removal at
-// the origin (or supersession by a higher incarnation), and the content
-// must never be re-adopted at that epoch or below — not by a hoard pull,
-// not by a replayed announcement. The certificate is WAL-logged with the
-// purge, so a restart cannot resurrect the content either.
-func (m *Manager) Purge(key string, epoch uint32, tomb bool) (Entry, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, held := m.entries[key]
-	if !held && !tomb {
-		return Entry{}, false, nil
+// PlanDrop returns the record that releases key and, with tomb, certifies
+// it dead at the origin's epoch even if it is not held (a purge can arrive
+// before the adoption it forbids). It returns no record when there is
+// nothing to log: the key is not held and no tombstone is asked for.
+func (m *Manager) PlanDrop(key string, epoch uint32, tomb bool) ([]store.Op, error) {
+	if err := checkKey(key); err != nil {
+		return nil, err
 	}
-	if err := m.logBatch([]store.Op{encodeRemoveOp(key, epoch, tomb)}); err != nil {
-		return Entry{}, false, err
+	if !tomb && !m.Has(key) {
+		return nil, nil
 	}
-	if held {
-		m.dropLocked(key)
-		if m.mPurges != nil {
-			m.mPurges.Inc()
+	return []store.Op{DropOp(key, epoch, tomb)}, nil
+}
+
+// Apply makes the change one replica record describes — a record just
+// logged, or one replayed at recovery — and returns the entry it names
+// and whether the held set changed: a put inserted it (a put that Accepts
+// would refuse is skipped), a drop removed it. A drop with the tombstone
+// flag also records the origin epoch as a death certificate: the content
+// must never be re-adopted at that epoch or below, not by a hoard pull,
+// not by a replayed announcement, and — the certificate being part of the
+// logged record — not after a restart.
+func (m *Manager) Apply(op store.Op) (Entry, bool, error) {
+	switch op.Kind {
+	case store.OpReplicaPut:
+		e, err := decodePutOp(op.Data)
+		if err != nil {
+			return Entry{}, false, err
 		}
-	}
-	if tomb {
-		if te, ok := m.tombs[key]; !ok || epoch > te {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if !m.acceptsLocked(e.Key, e.Epoch) {
+			return e, false, nil
+		}
+		m.insertLocked(e)
+		return e, true, nil
+	case store.OpReplicaDrop:
+		key, epoch, tomb, err := decodeDropOp(op.Data)
+		if err != nil {
+			return Entry{}, false, err
+		}
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		e, held := m.entries[key]
+		if held {
+			m.bytes -= int64(len(e.XML))
+			delete(m.entries, key)
+			m.gauge()
+		}
+		if te, ok := m.tombs[key]; tomb && (!ok || epoch > te) {
 			m.tombs[key] = epoch
 		}
+		e.Key = key
+		return e, held, nil
 	}
-	return e, held, nil
+	return Entry{}, false, fmt.Errorf("replica: %v is not a replica record", op)
 }
 
 // ReleaseCandidates returns held replicas whose popularity has decayed
@@ -407,21 +412,10 @@ func (m *Manager) Tombstoned(key string, epoch uint32) bool {
 	return ok && epoch <= te
 }
 
-// insertLocked/dropLocked maintain the map and byte accounting.
+// insertLocked maintains the map and byte accounting.
 func (m *Manager) insertLocked(e Entry) {
-	if held, ok := m.entries[e.Key]; ok {
-		m.bytes -= int64(len(held.XML))
-	}
+	m.bytes += int64(len(e.XML)) - int64(len(m.entries[e.Key].XML))
 	m.entries[e.Key] = e
-	m.bytes += int64(len(e.XML))
-	m.gauge()
-}
-
-func (m *Manager) dropLocked(key string) {
-	if held, ok := m.entries[key]; ok {
-		m.bytes -= int64(len(held.XML))
-		delete(m.entries, key)
-	}
 	m.gauge()
 }
 
@@ -432,163 +426,85 @@ func (m *Manager) gauge() {
 	}
 }
 
-func (m *Manager) logBatch(ops []store.Op) error {
-	if m.st == nil {
-		return nil
+// State returns the held replicas (sorted by key) and the tombstones, as
+// one consistent copy, for the peer's snapshot.
+func (m *Manager) State() ([]Entry, map[string]uint32) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tombs := make(map[string]uint32, len(m.tombs))
+	for k, v := range m.tombs {
+		tombs[k] = v
 	}
-	_, err := m.st.AppendBatch(ops)
-	return err
+	return m.entriesLocked(), tombs
 }
 
-// --- WAL op encoding ---
-//
-// The replica store reuses the document store's two op kinds (the WAL
-// record format admits no others) with a versioned header line inside
-// Data:
-//
-//	OpPublish: "r1 <origin> <epoch> <key>\n<xml>"
-//	OpRemove:  "r1 <epoch> <tomb> <key>"
+// Restore loads a State into an empty manager.
+func (m *Manager) Restore(entries []Entry, tombs map[string]uint32) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k, v := range tombs {
+		m.tombs[k] = v
+	}
+	for _, e := range entries {
+		m.insertLocked(e)
+	}
+}
 
-func encodePutOp(e Entry) store.Op {
+// --- WAL record encoding ---
+//
+//	OpReplicaPut:  "<origin> <epoch> <key>\n<xml>"
+//	OpReplicaDrop: "<epoch> <tomb> <key>"
+
+// PutOp is the record of adopting e.
+func PutOp(e Entry) store.Op {
 	return store.Op{
-		Kind: store.OpPublish,
-		Data: "r1 " + strconv.FormatInt(int64(e.Origin), 10) + " " +
+		Kind: store.OpReplicaPut,
+		Data: strconv.FormatInt(int64(e.Origin), 10) + " " +
 			strconv.FormatUint(uint64(e.Epoch), 10) + " " + e.Key + "\n" + e.XML,
 	}
 }
 
-func encodeRemoveOp(key string, epoch uint32, tomb bool) store.Op {
+// DropOp is the record of releasing key; with tomb it also certifies the
+// content dead at the origin's epoch.
+func DropOp(key string, epoch uint32, tomb bool) store.Op {
 	t := "0"
 	if tomb {
 		t = "1"
 	}
 	return store.Op{
-		Kind: store.OpRemove,
-		Data: "r1 " + strconv.FormatUint(uint64(epoch), 10) + " " + t + " " + key,
+		Kind: store.OpReplicaDrop,
+		Data: strconv.FormatUint(uint64(epoch), 10) + " " + t + " " + key,
 	}
 }
 
 func decodePutOp(data string) (Entry, error) {
 	head, xml, ok := strings.Cut(data, "\n")
 	if !ok {
-		return Entry{}, errors.New("replica: publish op missing body")
+		return Entry{}, errors.New("replica: put record missing body")
 	}
 	f := strings.Fields(head)
-	if len(f) != 4 || f[0] != "r1" {
-		return Entry{}, fmt.Errorf("replica: bad publish op header %q", head)
+	if len(f) != 3 {
+		return Entry{}, fmt.Errorf("replica: bad put record header %q", head)
 	}
-	origin, err := strconv.ParseInt(f[1], 10, 32)
+	origin, err := strconv.ParseInt(f[0], 10, 32)
 	if err != nil {
 		return Entry{}, fmt.Errorf("replica: bad origin: %w", err)
 	}
-	epoch, err := strconv.ParseUint(f[2], 10, 32)
+	epoch, err := strconv.ParseUint(f[1], 10, 32)
 	if err != nil {
 		return Entry{}, fmt.Errorf("replica: bad epoch: %w", err)
 	}
-	return Entry{Key: f[3], Origin: int32(origin), Epoch: uint32(epoch), XML: xml}, nil
+	return Entry{Key: f[2], Origin: int32(origin), Epoch: uint32(epoch), XML: xml}, nil
 }
 
-func decodeRemoveOp(data string) (key string, epoch uint32, tomb bool, err error) {
+func decodeDropOp(data string) (key string, epoch uint32, tomb bool, err error) {
 	f := strings.Fields(data)
-	if len(f) != 4 || f[0] != "r1" {
-		return "", 0, false, fmt.Errorf("replica: bad remove op %q", data)
+	if len(f) != 3 {
+		return "", 0, false, fmt.Errorf("replica: bad drop record %q", data)
 	}
-	e, err := strconv.ParseUint(f[1], 10, 32)
+	e, err := strconv.ParseUint(f[0], 10, 32)
 	if err != nil {
 		return "", 0, false, fmt.Errorf("replica: bad epoch: %w", err)
 	}
-	return f[3], uint32(e), f[2] == "1", nil
-}
-
-// --- snapshot + recovery ---
-
-// snapshotState is the gob-encoded snapshot payload.
-type snapshotState struct {
-	Entries []Entry
-	Tombs   map[string]uint32
-}
-
-// SnapshotPayload serializes the replica set + tombstones for the
-// store's snapshot/compaction protocol.
-func (m *Manager) SnapshotPayload() ([]byte, error) {
-	m.mu.Lock()
-	st := snapshotState{Entries: m.entriesLocked(), Tombs: make(map[string]uint32, len(m.tombs))}
-	for k, v := range m.tombs {
-		st.Tombs[k] = v
-	}
-	m.mu.Unlock()
-	return encodeSnapshotState(st)
-}
-
-// SnapshotPayloadLSN captures the snapshot payload and the store's fold
-// LSN atomically under the manager lock — the same lock every WAL append
-// holds — so an adoption racing compaction is either in the payload or
-// above the fold position, never stamped folded without being included.
-func (m *Manager) SnapshotPayloadLSN() ([]byte, uint64, error) {
-	m.mu.Lock()
-	st := snapshotState{Entries: m.entriesLocked(), Tombs: make(map[string]uint32, len(m.tombs))}
-	for k, v := range m.tombs {
-		st.Tombs[k] = v
-	}
-	var lsn uint64
-	if m.st != nil {
-		lsn = m.st.LastLSN()
-	}
-	m.mu.Unlock()
-	payload, err := encodeSnapshotState(st)
-	return payload, lsn, err
-}
-
-func encodeSnapshotState(st snapshotState) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Replay rebuilds the replica set from a store recovery (snapshot +
-// WAL suffix, in order). It returns the restored entries so the caller
-// can re-announce exactly what is durable — the fsynced prefix, never a
-// torn suffix (the store already truncated that).
-func (m *Manager) Replay(rec store.Recovery) ([]Entry, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if rec.Snapshot != nil {
-		var st snapshotState
-		if err := gob.NewDecoder(bytes.NewReader(rec.Snapshot)).Decode(&st); err != nil {
-			return nil, fmt.Errorf("replica: snapshot: %w", err)
-		}
-		for _, e := range st.Entries {
-			m.insertLocked(e)
-		}
-		for k, v := range st.Tombs {
-			m.tombs[k] = v
-		}
-	}
-	for _, op := range rec.Ops {
-		switch op.Kind {
-		case store.OpPublish:
-			e, err := decodePutOp(op.Data)
-			if err != nil {
-				return nil, fmt.Errorf("replica: replaying op: %w", err)
-			}
-			if te, dead := m.tombs[e.Key]; dead && e.Epoch <= te {
-				continue
-			}
-			m.insertLocked(e)
-		case store.OpRemove:
-			key, epoch, tomb, err := decodeRemoveOp(op.Data)
-			if err != nil {
-				return nil, fmt.Errorf("replica: replaying op: %w", err)
-			}
-			m.dropLocked(key)
-			if tomb {
-				if te, ok := m.tombs[key]; !ok || epoch > te {
-					m.tombs[key] = epoch
-				}
-			}
-		}
-	}
-	return m.entriesLocked(), nil
+	return f[2], uint32(e), f[1] == "1", nil
 }

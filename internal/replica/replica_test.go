@@ -21,6 +21,39 @@ func newTestManager(t *testing.T, clk *fakeClock, mutate func(*Config)) *Manager
 	return NewManager(cfg)
 }
 
+// put adopts e the way core does — plan, (log), apply in order, seed —
+// and returns the keys the budget evicted.
+func put(t *testing.T, m *Manager, e Entry, seed float64) (evicted []string, err error) {
+	t.Helper()
+	ops, err := m.PlanPut(e)
+	if err != nil {
+		return nil, err
+	}
+	for _, op := range ops {
+		dropped, _, err := m.Apply(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.Kind == store.OpReplicaDrop {
+			evicted = append(evicted, dropped.Key)
+		}
+	}
+	if len(ops) > 0 {
+		m.Seed(e.Key, seed)
+	}
+	return evicted, nil
+}
+
+// purge applies one drop record and reports whether the key was held.
+func purge(t *testing.T, m *Manager, key string, epoch uint32, tomb bool) bool {
+	t.Helper()
+	_, held, err := m.Apply(DropOp(key, epoch, tomb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return held
+}
+
 func TestPopularityDecayDeterministic(t *testing.T) {
 	clk := &fakeClock{}
 	p := NewPopularity(time.Minute)
@@ -67,7 +100,7 @@ func TestPutGetPurgeTombstone(t *testing.T) {
 	clk := &fakeClock{}
 	m := newTestManager(t, clk, nil)
 	e := Entry{Key: "k1", Origin: 3, Epoch: 1, XML: "<doc>hello</doc>"}
-	if _, err := m.Put(e, 2); err != nil {
+	if _, err := put(t, m, e, 2); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := m.Get("k1")
@@ -79,8 +112,8 @@ func TestPutGetPurgeTombstone(t *testing.T) {
 	}
 	// Purge with a death certificate at epoch 2: re-adoption at <= 2 is
 	// refused, at 3 accepted.
-	if _, held, err := m.Purge("k1", 2, true); err != nil || !held {
-		t.Fatalf("Purge = %v, %v", held, err)
+	if !purge(t, m, "k1", 2, true) {
+		t.Fatal("purge of a held replica reported it not held")
 	}
 	if m.Has("k1") {
 		t.Fatal("purged replica still held")
@@ -88,7 +121,7 @@ func TestPutGetPurgeTombstone(t *testing.T) {
 	if m.Accepts("k1", 2) {
 		t.Fatal("tombstoned epoch re-accepted")
 	}
-	if _, err := m.Put(Entry{Key: "k1", Origin: 3, Epoch: 2, XML: "x"}, 2); err != nil {
+	if _, err := put(t, m, Entry{Key: "k1", Origin: 3, Epoch: 2, XML: "x"}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if m.Has("k1") {
@@ -97,7 +130,7 @@ func TestPutGetPurgeTombstone(t *testing.T) {
 	if !m.Accepts("k1", 3) {
 		t.Fatal("higher-epoch offer refused")
 	}
-	if _, err := m.Put(Entry{Key: "k1", Origin: 3, Epoch: 3, XML: "x"}, 2); err != nil {
+	if _, err := put(t, m, Entry{Key: "k1", Origin: 3, Epoch: 3, XML: "x"}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Has("k1") {
@@ -112,10 +145,10 @@ func TestBudgetEvictsLeastPopular(t *testing.T) {
 	for i := range body {
 		body[i] = 'x'
 	}
-	if _, err := m.Put(Entry{Key: "cold", Origin: 1, Epoch: 1, XML: string(body)}, 2); err != nil {
+	if _, err := put(t, m, Entry{Key: "cold", Origin: 1, Epoch: 1, XML: string(body)}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Put(Entry{Key: "hot", Origin: 1, Epoch: 1, XML: string(body)}, 2); err != nil {
+	if _, err := put(t, m, Entry{Key: "hot", Origin: 1, Epoch: 1, XML: string(body)}, 2); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -123,11 +156,11 @@ func TestBudgetEvictsLeastPopular(t *testing.T) {
 	}
 	// A third 40-byte body exceeds the 100-byte budget; the least
 	// popular replica (cold) must be evicted, not hot.
-	evicted, err := m.Put(Entry{Key: "new", Origin: 2, Epoch: 1, XML: string(body)}, 2)
+	evicted, err := put(t, m, Entry{Key: "new", Origin: 2, Epoch: 1, XML: string(body)}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evicted) != 1 || evicted[0].Key != "cold" {
+	if len(evicted) != 1 || evicted[0] != "cold" {
 		t.Fatalf("evicted = %+v", evicted)
 	}
 	if !m.Has("hot") || !m.Has("new") || m.Has("cold") {
@@ -137,7 +170,7 @@ func TestBudgetEvictsLeastPopular(t *testing.T) {
 		t.Fatalf("over budget: %d", m.Bytes())
 	}
 	// A single body larger than the whole budget is refused outright.
-	if _, err := m.Put(Entry{Key: "huge", Origin: 2, Epoch: 1, XML: string(make([]byte, 101))}, 2); err != ErrOverBudget {
+	if _, err := put(t, m, Entry{Key: "huge", Origin: 2, Epoch: 1, XML: string(make([]byte, 101))}, 2); err != ErrOverBudget {
 		t.Fatalf("oversized Put err = %v", err)
 	}
 }
@@ -145,7 +178,7 @@ func TestBudgetEvictsLeastPopular(t *testing.T) {
 func TestReleaseCandidatesByDecay(t *testing.T) {
 	clk := &fakeClock{}
 	m := newTestManager(t, clk, func(c *Config) { c.HalfLife = time.Minute })
-	if _, err := m.Put(Entry{Key: "a", Origin: 1, Epoch: 1, XML: "x"}, 2); err != nil {
+	if _, err := put(t, m, Entry{Key: "a", Origin: 1, Epoch: 1, XML: "x"}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.ReleaseCandidates()) != 0 {
@@ -168,87 +201,100 @@ func TestReleaseCandidatesByDecay(t *testing.T) {
 
 func TestOpEncodingRoundTrip(t *testing.T) {
 	e := Entry{Key: "abc123", Origin: -7, Epoch: 42, XML: "<doc>\nmulti line\n</doc>"}
-	got, err := decodePutOp(encodePutOp(e).Data)
+	got, err := decodePutOp(PutOp(e).Data)
 	if err != nil || got != e {
 		t.Fatalf("put round trip = %+v, %v", got, err)
 	}
-	key, epoch, tomb, err := decodeRemoveOp(encodeRemoveOp("k", 9, true).Data)
+	key, epoch, tomb, err := decodeDropOp(DropOp("k", 9, true).Data)
 	if err != nil || key != "k" || epoch != 9 || !tomb {
-		t.Fatalf("remove round trip = %q %d %v %v", key, epoch, tomb, err)
+		t.Fatalf("drop round trip = %q %d %v %v", key, epoch, tomb, err)
 	}
-	if _, _, tomb, _ := decodeRemoveOp(encodeRemoveOp("k", 9, false).Data); tomb {
+	if _, _, tomb, _ := decodeDropOp(DropOp("k", 9, false).Data); tomb {
 		t.Fatal("tomb flag not preserved")
 	}
-	if _, err := decodePutOp("garbage"); err == nil {
-		t.Fatal("garbage publish op decoded")
-	}
-	if _, _, _, err := decodeRemoveOp("r1 x"); err == nil {
-		t.Fatal("garbage remove op decoded")
+	m := newTestManager(t, &fakeClock{}, nil)
+	for _, op := range []store.Op{
+		{Kind: store.OpReplicaPut, Data: "garbage"},
+		{Kind: store.OpReplicaDrop, Data: "1 x"},
+		{Kind: store.OpPublish, Data: PutOp(e).Data},
+	} {
+		if _, _, err := m.Apply(op); err == nil {
+			t.Fatalf("Apply accepted %v", op)
+		}
 	}
 }
 
-// TestDurableReplayRestoresFsyncedSet drives a manager over a real
-// (in-memory) store through adoptions, a purge-with-tombstone, and a
-// snapshot, then reopens and asserts the replica set and tombstones
-// survive exactly.
-func TestDurableReplayRestoresFsyncedSet(t *testing.T) {
+// Keys arrive off the wire; one the record header cannot carry back must
+// be refused at planning, before anything is logged.
+func TestPlanRefusesUnloggableKeys(t *testing.T) {
+	m := newTestManager(t, &fakeClock{}, nil)
+	for _, key := range []string{"", "two words", "line\nbreak", "tab\tbed"} {
+		if ops, err := m.PlanPut(Entry{Key: key, Origin: 1, Epoch: 1, XML: "<a/>"}); err != ErrBadKey || ops != nil {
+			t.Errorf("PlanPut(%q) = %v, %v", key, ops, err)
+		}
+		if ops, err := m.PlanDrop(key, 1, true); err != ErrBadKey || ops != nil {
+			t.Errorf("PlanDrop(%q) = %v, %v", key, ops, err)
+		}
+	}
+	if ops, err := m.PlanDrop("unheld", 1, false); err != nil || ops != nil {
+		t.Errorf("PlanDrop of an unheld key without a tombstone = %v, %v, want nothing to log", ops, err)
+	}
+	if ops, err := m.PlanDrop("unheld", 1, true); err != nil || len(ops) != 1 {
+		t.Errorf("PlanDrop with a tombstone = %v, %v, want one record", ops, err)
+	}
+}
+
+// TestReplayRestoresLoggedSet logs a manager's records to a real
+// (in-memory) store through adoptions and a purge-with-tombstone, reopens,
+// and asserts that replaying the log — and then a State/Restore round
+// trip, the snapshot path — rebuilds the replica set and tombstones
+// exactly.
+func TestReplayRestoresLoggedSet(t *testing.T) {
 	clk := &fakeClock{}
 	fs := store.NewMemFS()
-	open := func() (*Manager, *store.Store, []Entry) {
-		st, rec, err := store.Open(store.Options{Dir: "rep", FS: fs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := newTestManager(t, clk, nil)
-		restored, err := m.Replay(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.AttachStore(st)
-		return m, st, restored
-	}
-
-	m, st, restored := open()
-	if len(restored) != 0 {
-		t.Fatalf("fresh store restored %d entries", len(restored))
-	}
-	if _, err := m.Put(Entry{Key: "a", Origin: 1, Epoch: 1, XML: "<a/>"}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Put(Entry{Key: "b", Origin: 2, Epoch: 5, XML: "<b/>"}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.Purge("a", 3, true); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-
-	m2, st2, restored := open()
-	if len(restored) != 1 || restored[0].Key != "b" || restored[0].Epoch != 5 {
-		t.Fatalf("restored = %+v", restored)
-	}
-	if !m2.Tombstoned("a", 3) || m2.Tombstoned("a", 4) {
-		t.Fatal("tombstone not restored")
-	}
-	// Snapshot + reopen preserves the same state through the compaction
-	// path.
-	payload, err := m2.SnapshotPayload()
+	st, _, err := store.Open(store.Options{Dir: "data", FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st2.SaveSnapshot(store.SnapshotData{
-		Payload: payload, Epoch: 1, Seq: 1, FoldLSN: st2.LastLSN(),
-	}); err != nil {
+	m := newTestManager(t, clk, nil)
+	logged := func(ops []store.Op, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.AppendBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			if _, _, err := m.Apply(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	logged(m.PlanPut(Entry{Key: "a", Origin: 1, Epoch: 1, XML: "<a/>"}))
+	logged(m.PlanPut(Entry{Key: "b", Origin: 2, Epoch: 5, XML: "<b/>"}))
+	logged([]store.Op{DropOp("a", 3, true)}, nil)
+	st.Close()
+
+	st, rec, err := store.Open(store.Options{Dir: "data", FS: fs})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st2.Close()
-
-	m3, st3, restored := open()
-	if len(restored) != 1 || restored[0].Key != "b" {
-		t.Fatalf("post-snapshot restored = %+v", restored)
+	defer st.Close()
+	m2 := newTestManager(t, clk, nil)
+	for _, op := range rec.Ops {
+		if _, _, err := m2.Apply(op); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !m3.Tombstoned("a", 3) {
-		t.Fatal("tombstone lost through snapshot")
+	m3 := newTestManager(t, clk, nil)
+	m3.Restore(m2.State())
+	for name, r := range map[string]*Manager{"replayed": m2, "restored": m3} {
+		if got := r.Entries(); len(got) != 1 || got[0].Key != "b" || got[0].Epoch != 5 || r.Bytes() != 4 {
+			t.Fatalf("%s set = %+v (%d bytes)", name, got, r.Bytes())
+		}
+		if !r.Tombstoned("a", 3) || r.Tombstoned("a", 4) {
+			t.Fatalf("%s manager lost the tombstone", name)
+		}
 	}
-	st3.Close()
 }

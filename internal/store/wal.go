@@ -12,11 +12,11 @@ import (
 //	length  uint32 LE  — payload length in bytes
 //	crc     uint32 LE  — CRC32C (Castagnoli) of the payload
 //	payload:
-//	  kind  byte       — OpPublish or OpRemove
+//	  kind  byte       — one of the four OpKinds
 //	  lsn   uint64 LE  — globally monotonic log sequence number
 //	  epoch uint32 LE  — gossip version after the operation
 //	  seq   uint32 LE
-//	  data  bytes      — document XML (publish) or document key (remove)
+//	  data  bytes      — per kind, see OpKind
 //
 // A record is valid only if its length is in bounds, its CRC matches,
 // its kind is known, and its LSN strictly exceeds the previous record's.
@@ -42,12 +42,22 @@ const (
 	OpPublish OpKind = 1
 	// OpRemove records an unpublished document (Data = document key).
 	OpRemove OpKind = 2
+	// OpReplicaPut records an adopted replica and OpReplicaDrop a released
+	// one (evicted, purged or tombstoned); internal/replica owns both Data
+	// encodings.
+	OpReplicaPut  OpKind = 3
+	OpReplicaDrop OpKind = 4
 )
 
+var opKindNames = map[OpKind]string{
+	OpPublish: "publish", OpRemove: "remove",
+	OpReplicaPut: "replica-put", OpReplicaDrop: "replica-drop",
+}
+
 // Op is one logged operation. LSN is assigned by Append and populated on
-// recovery; Epoch/Seq are the peer's gossip version after the operation,
-// so recovery knows the highest version the dead incarnation could have
-// announced.
+// recovery; Epoch/Seq are the logging peer's own gossip version at the
+// operation (for a replica record too — never the origin's), so recovery
+// knows the highest version the dead incarnation could have announced.
 type Op struct {
 	Kind       OpKind
 	Data       string
@@ -104,7 +114,7 @@ func decodeRecord(buf []byte, maxRecord int) (Op, int, error) {
 		Seq:   binary.LittleEndian.Uint32(payload[13:17]),
 		Data:  string(payload[17:]),
 	}
-	if op.Kind != OpPublish && op.Kind != OpRemove {
+	if op.Kind < OpPublish || op.Kind > OpReplicaDrop {
 		return Op{}, 0, errBadRecord
 	}
 	return op, 8 + payloadLen, nil
@@ -130,9 +140,5 @@ func scanWAL(data []byte, maxRecord int, lastLSN uint64) (ops []Op, validEnd int
 
 // String renders an op for logs.
 func (op Op) String() string {
-	kind := "publish"
-	if op.Kind == OpRemove {
-		kind = "remove"
-	}
-	return fmt.Sprintf("%s lsn=%d v%d.%d (%d bytes)", kind, op.LSN, op.Epoch, op.Seq, len(op.Data))
+	return fmt.Sprintf("%s lsn=%d v%d.%d (%d bytes)", opKindNames[op.Kind], op.LSN, op.Epoch, op.Seq, len(op.Data))
 }

@@ -100,7 +100,8 @@ type DirEntry = pfs.Entry
 // SemanticDir is a query-defined directory.
 type SemanticDir = pfs.Dir
 
-// Snapshot is a peer's durable state for restarts.
+// Snapshot is the payload of the snapshot file a durable peer
+// (Config.DataDir) folds its write-ahead log into.
 type Snapshot = core.Snapshot
 
 // RecoverySummary reports what a durable peer (Config.DataDir) restored
@@ -122,7 +123,8 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 // NewPeer constructs (but does not start) a peer.
 func NewPeer(cfg Config) (*Peer, error) { return core.NewPeer(cfg) }
 
-// DecodeSnapshot parses bytes produced by Peer.Snapshot.
+// DecodeSnapshot parses a snapshot payload read back from a data
+// directory (internal/store's Recovery.Snapshot).
 func DecodeSnapshot(data []byte) (Snapshot, error) { return core.DecodeSnapshot(data) }
 
 // NewFS mounts a PFS semantic file system over a peer.

@@ -18,6 +18,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+tmp="${TMPDIR:-/tmp}"
 
 # serve_cluster_run DIR NODES RATE DURATION EXTRA...: build the node and
 # load-generator binaries, boot NODES gossiping API nodes under DIR, and
@@ -128,29 +129,32 @@ assembly_smoke() {
 	echo "   pool reuse guard: reuse=$reuse misses=$miss"
 }
 
-# replication_smoke DIR: boot 4 nodes with -replicas 3, publish two
-# documents at node 1, heat them with fetches until the hoard loop pushes
-# replicas onto other nodes, kill node 1 outright (SIGKILL — no graceful
-# handoff), and verify GET /v1/doc/{id} on node 0 still answers 200 from
-# a replica.
+# replication_smoke DIR: boot 4 durable nodes (-data) with -replicas 3,
+# publish two documents at node 1, heat them with fetches until the hoard
+# loop pushes replicas onto other nodes, then SIGKILL a *holder*, restart
+# it on the same directory and require GET /v1/doc/{id}?peer=<holder> to
+# answer 200 from the replica it recovered (no adoption counted in the new
+# incarnation); finally kill node 1, the origin, outright (SIGKILL — no
+# graceful handoff) and verify GET /v1/doc/{id} on node 0 still answers
+# 200 from a replica.
 replication_smoke() {
 	dir="$1"
 	rm -rf "$dir" && mkdir -p "$dir"
 	go build -o "$dir/planetp-node" ./cmd/planetp-node
-	join="" origin_pid="" i=0
-	while [ "$i" -lt 4 ]; do
-		gport=$((17600 + i)) hport=$((17700 + i))
-		# shellcheck disable=SC2086
-		"$dir/planetp-node" -id "$i" -capacity 16 \
-			-gossip "127.0.0.1:$gport" -listen "127.0.0.1:$hport" \
-			-interval 250ms -replicas 3 -headless $join \
-			>"$dir/n$i.log" 2>&1 &
-		echo $! >>"$dir/pids"
-		if [ "$i" -eq 1 ]; then origin_pid=$!; fi
-		if [ -z "$join" ]; then join="-seeds 127.0.0.1:$gport"; fi
-		i=$((i + 1))
-	done
-	trap 'kill $(cat "'"$dir"'/pids") 2>/dev/null || true' EXIT
+	# start_node I SEEDS...: node I on its fixed ports and its own data
+	# directory; its pid lands in $dir/pid$I.
+	start_node() {
+		n="$1"
+		shift
+		"$dir/planetp-node" -id "$n" -capacity 16 \
+			-gossip "127.0.0.1:$((17600 + n))" -listen "127.0.0.1:$((17700 + n))" \
+			-interval 250ms -replicas 3 -headless -data "$dir/d$n" "$@" \
+			>>"$dir/n$n.log" 2>&1 &
+		echo $! >"$dir/pid$n"
+	}
+	start_node 0
+	for i in 1 2 3; do start_node "$i" -seeds 127.0.0.1:17600; done
+	trap 'kill $(cat "'"$dir"'"/pid?) 2>/dev/null || true' EXIT
 	rsfail() {
 		echo "replication smoke FAILED: $1" >&2
 		tail -n 5 "$dir"/n*.log >&2 || true
@@ -185,14 +189,15 @@ replication_smoke() {
 		done
 	done
 	# Wait until some node other than the origin answers a pinned fetch —
-	# i.e. actually holds a replica.
+	# i.e. actually holds a replica. Remember the last document's holder.
+	holder="" held=""
 	for id in $ids; do
 		deadline=$(($(date +%s) + 30))
 		replicated=""
 		while [ -z "$replicated" ]; do
 			for p in 0 2 3; do
 				if curl -sf "http://127.0.0.1:17700/v1/doc/$id?peer=$p" >/dev/null; then
-					replicated=1
+					replicated=1 holder="$p" held="$id"
 					break
 				fi
 			done
@@ -202,7 +207,23 @@ replication_smoke() {
 			fi
 		done
 	done
-	kill -9 "$origin_pid" 2>/dev/null || true
+	# The holder dies without warning and restarts on its directory: it
+	# must serve the replica again from what it recovered. A peer that had
+	# lost it could re-adopt it from the origin's next push, so also
+	# require that the new incarnation has counted no adoption.
+	kill -9 "$(cat "$dir/pid$holder")" 2>/dev/null || true
+	sleep 0.2
+	start_node "$holder" -seeds 127.0.0.1:17601
+	hurl="http://127.0.0.1:$((17700 + holder))"
+	deadline=$(($(date +%s) + 15))
+	until curl -sf "$hurl/v1/doc/$held?peer=$holder" >/dev/null; do
+		[ "$(date +%s)" -lt "$deadline" ] || rsfail "holder $holder did not serve replica $held after its restart"
+		sleep 0.1
+	done
+	adopts="$(curl -sf "$hurl/debug/metrics" | sed -n 's/.*"replica_adopts_total": *\([0-9][0-9]*\).*/\1/p' | head -n 1)"
+	[ "${adopts:-0}" -eq 0 ] || rsfail "holder $holder re-adopted ($adopts) instead of recovering replica $held"
+	echo "   holder $holder recovered replica $held from its data directory"
+	kill -9 "$(cat "$dir/pid1")" 2>/dev/null || true
 	# The origin is gone without warning; the hot documents must still
 	# resolve through a surviving replica.
 	for id in $ids; do
@@ -217,7 +238,7 @@ replication_smoke() {
 			sleep 0.5
 		done
 	done
-	kill $(cat "$dir/pids") 2>/dev/null || true
+	kill $(cat "$dir"/pid?) 2>/dev/null || true
 	wait 2>/dev/null || true
 	trap - EXIT
 }
@@ -237,7 +258,7 @@ if [ "${1:-}" = "bench" ]; then
 		-benchtime="$BENCHTIME" -benchmem -json . | tee BENCH_transport.json |
 		grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//;s/\\t/\t/g;s/\\n$//' || true
 	echo "== serving-tier load test (live 2-node cluster) -> BENCH_serve.json"
-	serve_cluster_run /tmp/planetp-serve-bench 2 \
+	serve_cluster_run "$tmp"/planetp-serve-bench 2 \
 		"${SERVE_RATE:-300}" "${SERVE_DURATION:-10s}" \
 		-publish-frac 0.05 -out "$(pwd)/BENCH_serve.json"
 	echo "== churn-storm simulation -> BENCH_churn.json"
@@ -276,8 +297,8 @@ echo "== benchmark module (cd bench && go vet ./... && go test ./...)"
 # cycle (already part of the suite above; rerun by name so a regression
 # here is called out explicitly).
 echo "== crash-recovery smoke"
-go test -race -run 'CrashPoint|Durable|RestartUnderFaults|ReplicaStoreCrash' \
-	./internal/store/ ./internal/core/ ./internal/gossipsim/
+go test -race -run 'CrashPoint|Durable|Snapshot|RestartUnderFaults|ReplicaStoreCrash|ReplicaOps|ReplicaConversion|ReplayRestores' \
+	./internal/store/ ./internal/core/ ./internal/replica/ ./internal/gossipsim/
 
 # Churn-storm acceptance suite: flash crowd, mass departure under loss,
 # partition-heal rejoin, T_Dead regressions, discovery and peer-exchange
@@ -292,7 +313,7 @@ go test -race -run 'Storm|TDead|Tombstone|Discover|PeerExchange|Sanitize|RotateS
 # proves the node binary, the HTTP API, and the load generator still work
 # end to end (loadgen exits non-zero if no request succeeds).
 echo "== serving-tier smoke (2 nodes, 2s load)"
-serve_cluster_run /tmp/planetp-serve-smoke 2 100 2s -publish-frac 0.05 \
+serve_cluster_run "$tmp"/planetp-serve-smoke 2 100 2s -publish-frac 0.05 \
 	-preload 64 >/dev/null
 echo "   serve smoke OK"
 
@@ -300,14 +321,15 @@ echo "   serve smoke OK"
 # (peer-exchange discovery fills in the rest) and converges to a uniform
 # view with zero stale incarnation records.
 echo "== self-assembly smoke (4 nodes, one seed address)"
-assembly_smoke /tmp/planetp-assembly-smoke 4
+assembly_smoke "$tmp"/planetp-assembly-smoke 4
 echo "   assembly smoke OK"
 
-# Replication smoke: a 4-node cluster with -replicas 3 hoards two hot
-# documents, their origin dies without warning (SIGKILL), and both still
-# answer 200 through surviving replicas.
-echo "== replication smoke (4 nodes -replicas 3, kill the origin)"
-replication_smoke /tmp/planetp-replication-smoke
+# Replication smoke: a durable 4-node cluster with -replicas 3 hoards two
+# hot documents; a holder is SIGKILLed and serves its replica again from
+# its data directory; then the origin dies without warning (SIGKILL) and
+# both documents still answer 200 through surviving replicas.
+echo "== replication smoke (4 nodes -replicas 3 -data, kill a holder, kill the origin)"
+replication_smoke "$tmp"/planetp-replication-smoke
 echo "   replication smoke OK"
 
 # Directory memory budget guard: one 10k-peer compressed-resident replica
