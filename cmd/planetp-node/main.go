@@ -106,8 +106,6 @@ func main() {
 	filterCache := flag.Int64("filter-cache", 0, "byte budget for decoded peer Bloom filters in the query engine's probe cache, least recently probed evicted first (0 = 64 MiB default, negative = minimal working set)")
 	replicas := flag.Int("replicas", 0, "replicate hot documents to this many peers total (0 or 1 = off)")
 	hoardBudget := flag.Int64("hoard-budget", 0, "byte budget for hoarded replicas (0 = 64 MiB default)")
-	poolConns := flag.Int("pool-conns", 0, "idle transport connections kept per peer (0 = default 4, negative = dial per RPC)")
-	poolIdle := flag.Duration("pool-idle", 0, "idle lifetime of pooled transport connections (0 = default 60s)")
 	flag.Parse()
 
 	class := planetp.Fast
@@ -140,8 +138,6 @@ func main() {
 		FilterCacheBudget: *filterCache,
 		Replicas:          *replicas,
 		HoardBudget:       *hoardBudget,
-		PoolConns:         *poolConns,
-		PoolIdle:          *poolIdle,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -87,13 +87,6 @@ type Config struct {
 	// transport, broker, search). Nil gets a fresh registry, so
 	// Peer.Metrics() is always usable.
 	Metrics *metrics.Registry
-	// PoolConns caps the transport's idle pooled connections per peer
-	// address. 0 takes the transport default (4); negative disables
-	// pooling entirely (dial-per-RPC, same framed wire protocol).
-	PoolConns int
-	// PoolIdle is how long an unused pooled connection survives before
-	// the transport reaps it. 0 takes the transport default (60 s).
-	PoolIdle time.Duration
 	// FilterCacheBudget bounds the resident bytes of decoded peer Bloom
 	// filters held by the query engine's probe cache (per recently probed
 	// peer, the smaller of a set-bit-position array and the plain bitset;
@@ -231,15 +224,6 @@ func NewPeer(cfg Config) (*Peer, error) {
 	tp, err := transport.NewDeferred(cfg.ID, cfg.ListenAddr, (*handler)(p), p.resolveAddr, cfg.Seed, cfg.Metrics)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.PoolConns != 0 {
-		tp.PoolConns = cfg.PoolConns
-		if tp.PoolConns < 0 {
-			tp.PoolConns = 0
-		}
-	}
-	if cfg.PoolIdle > 0 {
-		tp.PoolIdle = cfg.PoolIdle
 	}
 	p.tp = tp
 	p.broker = broker.NewBroker(tp.Now)

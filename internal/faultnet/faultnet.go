@@ -122,8 +122,8 @@ type Fate struct {
 	// DupDelay is the duplicate's extra offset (meaningful when Dup).
 	DupDelay time.Duration
 	// ConnKill: the connection carrying this message dies under it. A
-	// pooled transport sees the stream tear mid-exchange; a dial-per-RPC
-	// transport sees the fresh conn die, failing the send outright.
+	// reused pooled conn sees the stream tear mid-exchange; a fresh one
+	// dies outright, failing the send.
 	ConnKill bool
 }
 

@@ -83,66 +83,42 @@ type ChurnResult struct {
 // occasionally a rejoiner carries new keys. Convergence times of rejoin
 // events inside the measurement window form the CDF.
 func Churn(sc Scenario, cfg ChurnConfig, seed int64) ChurnResult {
-	s := sc.newSim(cfg.N, cfg.N, seed)
-	s.Run(2 * time.Second)
-	tr := newTracker(s)
-	er := newExpRand(seed + 101)
+	r := newRun(sc, cfg.N, cfg.N, seed)
+	er := r.rand(101)
 
-	inSet := func(p *simnet.Peer) bool { return true }
+	var inSet func(p *simnet.Peer) bool
 	if cfg.FastOnly {
 		inSet = func(p *simnet.Peer) bool { return simnet.Class(p.Speed) == directory.Fast }
 	}
-
-	measureStart := s.Now() + cfg.Warmup
+	measureStart := r.start + cfg.Warmup
 	measureEnd := measureStart + cfg.Measure
 
-	nStable := int(cfg.StableFrac * float64(cfg.N))
-	// The churning subset: peers [nStable, N). Schedule each peer's
-	// on/off life cycle recursively.
-	var schedule func(p *simnet.Peer, online bool)
-	schedule = func(p *simnet.Peer, online bool) {
-		if online {
-			// Currently online: go offline after Exp(MeanOnline).
-			s.After(er.exp(cfg.MeanOnline), func() {
-				p.GoOffline()
-				schedule(p, false)
-			})
-		} else {
-			s.After(er.exp(cfg.MeanOffline), func() {
-				diff := 0
-				label := "rejoin"
-				if er.rng.Float64() < cfg.NewKeysProb {
-					diff = Diff1000Keys
-					label = "join" // paper's "Join": back online with 1000 new keys
-				}
-				p.GoOnline(diff)
-				if s.Now() >= measureStart && s.Now() < measureEnd {
-					tr.Watch(p.ID, p.Node.SelfRecord().Ver, label, simnet.Class(p.Speed), inSet)
-				}
-				schedule(p, true)
-			})
+	r.cycle(er, cfg.StableFrac, cfg.MeanOnline, cfg.MeanOffline, func(p *simnet.Peer) {
+		diff, label := 0, "rejoin"
+		if er.rng.Float64() < cfg.NewKeysProb {
+			diff, label = Diff1000Keys, "join" // paper's "Join": back online with 1000 new keys
 		}
-	}
-	for _, p := range s.Peers()[nStable:] {
-		schedule(p, true)
-	}
+		p.GoOnline(diff)
+		if now := r.s.Now(); now >= measureStart && now < measureEnd {
+			r.watch(p, label, inSet)
+		}
+	})
 
-	// Run warmup + measurement + drain tail for convergence of the last
-	// events.
-	s.Run(measureEnd + time.Hour)
-	tr.AbandonOutstanding()
+	// Warmup + measurement + a drain tail for the last events to converge.
+	r.s.Run(measureEnd + time.Hour)
+	r.tr.AbandonOutstanding()
 
-	res := ChurnResult{
+	results := r.tr.Results
+	return ChurnResult{
 		Scenario:     sc.Name,
-		All:          cdfOf(tr.Results, nil),
-		Fast:         cdfOf(tr.Results, func(r EventResult) bool { return r.SourceClass == directory.Fast }),
-		Slow:         cdfOf(tr.Results, func(r EventResult) bool { return r.SourceClass == directory.Slow }),
-		Timeline:     s.BandwidthTimeline(),
+		All:          cdfOf(results, nil),
+		Fast:         cdfOf(results, func(e EventResult) bool { return e.SourceClass == directory.Fast }),
+		Slow:         cdfOf(results, func(e EventResult) bool { return e.SourceClass == directory.Slow }),
+		Timeline:     r.s.BandwidthTimeline(),
 		MeasureStart: int(measureStart / time.Second),
 		MeasureEnd:   int(measureEnd / time.Second),
+		Events:       len(results),
 	}
-	res.Events = len(tr.Results)
-	return res
 }
 
 // AggregateBandwidth averages the timeline (bytes/second) over the

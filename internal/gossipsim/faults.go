@@ -4,26 +4,7 @@ import (
 	"time"
 
 	"planetp/internal/faultnet"
-	"planetp/internal/simnet"
 )
-
-// FaultSpec parameterizes a convergence-under-faults run: which faults
-// the injected update must propagate through.
-type FaultSpec struct {
-	// Drop, Dup, Delay are per-message fault probabilities (see
-	// faultnet.Config).
-	Drop, Dup, Delay float64
-	// DelayMin and DelayMax bound injected extra latency (defaults
-	// 100 ms .. 2 s).
-	DelayMin, DelayMax time.Duration
-	// Partition, when set, splits the community into two halves from
-	// PartitionAt to HealAt (both relative to the update's publish
-	// time). HealAt <= PartitionAt never heals within the run.
-	Partition           bool
-	PartitionAt, HealAt time.Duration
-	// Seed determines the fault schedule (independent of the sim seed).
-	Seed int64
-}
 
 // FaultResult is the outcome of one convergence-under-faults run.
 type FaultResult struct {
@@ -49,48 +30,22 @@ type FaultResult struct {
 // fully determine the run, so equal (sc, n, spec, seed) inputs reproduce
 // byte-identical fault schedules and convergence times.
 func ConvergenceUnderFaults(sc Scenario, n int, spec FaultSpec, seed int64) FaultResult {
-	s := sc.newSim(n, n, seed)
-	// Let timers take their random phases before injecting anything.
-	s.Run(2 * time.Second)
-
-	var parts []faultnet.Partition
-	if spec.Partition {
-		parts = append(parts, faultnet.Partition{
-			Name: "halves",
-			At:   s.Now() + spec.PartitionAt,
-			Heal: s.Now() + spec.HealAt,
-			Side: faultnet.SplitHalves(n),
-		})
-	}
-	plan := faultnet.New(faultnet.Config{
-		Seed: spec.Seed, Drop: spec.Drop, Dup: spec.Dup, Delay: spec.Delay,
-		DelayMin: spec.DelayMin, DelayMax: spec.DelayMax,
-		Partitions: parts,
-	}, sc.Metrics)
-	s.SetFaults(plan)
-
-	tr := newTracker(s)
-	src := s.Peers()[0]
-	src.Node.Publish(Diff1000Keys, Full20000Keys+Diff1000Keys, nil)
-	start := s.Now()
-	tr.Watch(src.ID, src.Node.SelfRecord().Ver, "update", simnet.Class(src.Speed), nil)
-
-	horizon := start + 6*time.Hour
-	converged := s.RunUntil(horizon, func() bool { return tr.Outstanding() == 0 })
-	tr.AbandonOutstanding()
+	r := newRun(sc, n, n, seed)
+	r.inject(spec)
+	r.publish(r.s.Peers()[0], Diff1000Keys, "update")
 
 	res := FaultResult{
-		Converged:    converged,
+		Converged:    r.converge(patience, nil),
 		Time:         -1,
-		ScheduleHash: plan.ScheduleHash(),
-		Faults:       plan.Counts(),
+		ScheduleHash: r.plan.ScheduleHash(),
+		Faults:       r.plan.Counts(),
 		DigestsEqual: true,
 	}
-	if converged {
-		res.Time = s.Now() - start
+	if res.Converged {
+		res.Time = r.s.Now() - r.start
 	}
 	res.Digests = make([]uint64, n)
-	for i, p := range s.Peers() {
+	for i, p := range r.s.Peers() {
 		res.Digests[i] = p.Node.Directory().Digest()
 		if res.Digests[i] != res.Digests[0] {
 			res.DigestsEqual = false

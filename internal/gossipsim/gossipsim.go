@@ -1,8 +1,9 @@
-// Package gossipsim builds and runs the paper's gossiping experiments
-// (Section 7.2, Figures 2-5) on top of internal/simnet. Each experiment
-// constructs a community, injects events (a Bloom-filter update, a mass
-// join, Poisson arrivals, churn), and measures propagation/convergence
-// times and bandwidth with a per-event tracker.
+// Package gossipsim runs the paper's gossiping experiments (Section 7.2,
+// Figures 2-5) and their fault, churn-storm and replication extensions on
+// top of internal/simnet. Each experiment is a script on the one runner
+// (run.go) — inject a Bloom-filter update, a mass join, Poisson arrivals,
+// churn — plus a reducer from the run's per-event tracker and byte counts
+// to its result type.
 package gossipsim
 
 import (
@@ -91,14 +92,6 @@ func (sc Scenario) config() gossip.Config {
 		DiscoverMin:    sc.DiscoverMin,
 		Metrics:        sc.Metrics,
 	}
-}
-
-// newSim builds a converged community of n peers for a scenario. Every
-// peer starts with a 20000-key filter (the paper's standing state).
-func (sc Scenario) newSim(capacity, n int, seed int64) *simnet.Sim {
-	s := simnet.New(capacity, sc.config(), simnet.DefaultParams(), seed)
-	simnet.BuildCommunity(s, n, sc.Profile, Diff1000Keys, Full20000Keys)
-	return s
 }
 
 // tracker measures per-event convergence: when has every on-line peer in
@@ -268,32 +261,18 @@ type PropagationPoint struct {
 // size: a converged community, one peer publishes 1000 new keys, measure
 // time/volume/bandwidth until everyone knows.
 func Propagation(sc Scenario, n int, seed int64) PropagationPoint {
-	s := sc.newSim(n, n, seed)
-	// Let timers take their random phases, then settle accounting.
-	s.Run(2 * time.Second)
-	startBytes := s.TotalBytes
-	tr := newTracker(s)
-
-	src := s.Peers()[0]
-	src.Node.Publish(Diff1000Keys, Full20000Keys+Diff1000Keys, nil)
-	ver := src.Node.SelfRecord().Ver
-	start := s.Now()
-	tr.Watch(src.ID, ver, "update", simnet.Class(src.Speed), nil)
-
-	horizon := start + 6*time.Hour
-	s.RunUntil(horizon, func() bool { return tr.Outstanding() == 0 })
-	tr.AbandonOutstanding()
-	res := tr.Results[len(tr.Results)-1]
-	elapsed := res.Elapsed
+	r := newRun(sc, n, n, seed)
+	r.publish(r.s.Peers()[0], Diff1000Keys, "update")
+	r.converge(patience, nil)
+	elapsed := r.tr.Results[len(r.tr.Results)-1].Elapsed
 	if elapsed < 0 {
-		elapsed = horizon - start
+		elapsed = patience
 	}
-	bytes := s.TotalBytes - startBytes
 	perPeer := 0.0
 	if elapsed > 0 {
-		perPeer = float64(bytes) / float64(n) / elapsed.Seconds()
+		perPeer = float64(r.bytes()) / float64(n) / elapsed.Seconds()
 	}
-	return PropagationPoint{Scenario: sc.Name, N: n, Time: elapsed, Bytes: bytes, PerPeerBW: perPeer}
+	return PropagationPoint{Scenario: sc.Name, N: n, Time: elapsed, Bytes: r.bytes(), PerPeerBW: perPeer}
 }
 
 // PropagationSweep runs Propagation over several community sizes.
@@ -325,40 +304,19 @@ type JoinResult struct {
 // Join runs the Figure 3 experiment.
 func Join(sc Scenario, nBase, joiners int, seed int64) JoinResult {
 	total := nBase + joiners
-	s := sc.newSim(total, nBase, seed)
-	s.Run(2 * time.Second)
-	startBytes := s.TotalBytes
-	tr := newTracker(s)
-	start := s.Now()
-
-	rng := s.Peers()[0] // deterministic seeds come from the sim's own rng via AddPeer order
-	_ = rng
-	joined := make([]*simnet.Peer, 0, joiners)
-	for i := 0; i < joiners; i++ {
-		// Each joiner bootstraps from one existing member, round-robin
-		// for determinism.
-		seedPeer := directory.PeerID(i % nBase)
-		// A joiner's entire 20000-key filter is new to the community.
-		p := s.AddPeer(speedFor(sc, i), Full20000Keys, Full20000Keys, seedPeer)
-		joined = append(joined, p)
-		tr.Watch(p.ID, p.Node.SelfRecord().Ver, "join", simnet.Class(p.Speed), nil)
-	}
-
-	fullView := func() bool {
+	r := newRun(sc, total, nBase, seed)
+	joined := r.flashJoin(joiners, "join")
+	done := r.converge(patience, func() bool {
 		for _, p := range joined {
 			if p.Node.Directory().NumKnown() != total {
 				return false
 			}
 		}
 		return true
-	}
-	horizon := start + 6*time.Hour
-	done := s.RunUntil(horizon, func() bool {
-		return tr.Outstanding() == 0 && fullView()
 	})
 	return JoinResult{
 		Scenario: sc.Name, NBase: nBase, Joiners: joiners,
-		Time: s.Now() - start, Bytes: s.TotalBytes - startBytes, Converged: done,
+		Time: r.s.Now() - r.start, Bytes: r.bytes(), Converged: done,
 	}
 }
 
@@ -441,30 +399,20 @@ func cdfOf(results []EventResult, keep func(EventResult) bool) CDF {
 // given mean inter-arrival time; returns the convergence-time CDF of the
 // join events.
 func ArrivalCDF(sc Scenario, nBase, arrivals int, interarrival time.Duration, seed int64) CDF {
-	total := nBase + arrivals
-	s := sc.newSim(total, nBase, seed)
-	s.Run(2 * time.Second)
-	tr := newTracker(s)
-
-	// Poisson arrivals: exponential gaps, generated from the sim seed.
-	rng := newExpRand(seed + 17)
-	at := s.Now()
+	r := newRun(sc, nBase+arrivals, nBase, seed)
+	// Poisson arrivals: exponential gaps from stream 17.
+	rng := r.rand(17)
+	var at time.Duration
 	for i := 0; i < arrivals; i++ {
 		at += rng.exp(interarrival)
-		i := i
-		s.At(at, func() {
-			seedPeer := directory.PeerID(int(seed+int64(i)) % nBase)
-			if seedPeer < 0 {
-				seedPeer = -seedPeer
+		r.at(at, func() {
+			contact := directory.PeerID(int(seed+int64(i)) % nBase)
+			if contact < 0 {
+				contact = -contact
 			}
-			p := s.AddPeer(speedFor(sc, i), Diff1000Keys, Full20000Keys, seedPeer)
-			tr.Watch(p.ID, p.Node.SelfRecord().Ver, "join", simnet.Class(p.Speed), nil)
+			r.join(i, Diff1000Keys, contact, "join")
 		})
 	}
-	horizon := at + 2*time.Hour
-	s.RunUntil(horizon, func() bool {
-		return s.Now() > at && tr.Outstanding() == 0
-	})
-	tr.AbandonOutstanding()
-	return cdfOf(tr.Results, nil)
+	r.converge(2*time.Hour, nil)
+	return cdfOf(r.tr.Results, nil)
 }

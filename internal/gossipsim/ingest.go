@@ -1,10 +1,6 @@
 package gossipsim
 
-import (
-	"time"
-
-	"planetp/internal/simnet"
-)
+import "time"
 
 // The ingest experiment: how a sustained stream of local publishes loads
 // the gossip layer. Documents arrive at one source at a fixed rate;
@@ -54,51 +50,30 @@ func Ingest(sc Scenario, n, docs, batch int, interarrival time.Duration, seed in
 	if interarrival <= 0 {
 		interarrival = sc.Interval
 	}
-	s := sc.newSim(n, n, seed)
-	s.Run(2 * time.Second)
-	startBytes := s.TotalBytes
-	tr := newTracker(s)
-
-	src := s.Peers()[0]
-	start := s.Now()
-	publishes := 0
-	pending := 0
+	r := newRun(sc, n, n, seed)
+	src := r.s.Peers()[0]
+	publishes, pending := 0, 0
 	for i := 0; i < docs; i++ {
-		i := i
-		s.At(start+time.Duration(i)*interarrival, func() {
+		r.at(time.Duration(i)*interarrival, func() {
 			pending++
 			if pending < batch && i != docs-1 {
 				return
 			}
-			diff := diffBytesPerKey * TermsPerDoc * pending
-			src.Node.Publish(diff, Full20000Keys+diff, nil)
+			// Only the final version needs tracking: earlier bumps are
+			// superseded the moment a peer learns a later one.
+			label := ""
+			if i == docs-1 {
+				label = "ingest"
+			}
+			r.publish(src, diffBytesPerKey*TermsPerDoc*pending, label)
 			publishes++
 			pending = 0
-			if i == docs-1 {
-				// Only the final version needs tracking: earlier bumps
-				// are superseded the moment a peer learns a later one.
-				tr.Watch(src.ID, src.Node.SelfRecord().Ver, "ingest", simnet.Class(src.Speed), nil)
-			}
 		})
 	}
-	lastAt := start + time.Duration(docs-1)*interarrival
-	horizon := lastAt + 6*time.Hour
-	conv := s.RunUntil(horizon, func() bool {
-		return s.Now() > lastAt && tr.Outstanding() == 0
-	})
-	tr.AbandonOutstanding()
+	conv := r.converge(patience, nil)
 	return IngestResult{
 		Scenario: sc.Name, N: n, Docs: docs, Batch: batch,
-		Publishes: publishes, Time: s.Now() - start,
-		Bytes: s.TotalBytes - startBytes, Converged: conv,
+		Publishes: publishes, Time: r.s.Now() - r.start,
+		Bytes: r.bytes(), Converged: conv,
 	}
-}
-
-// IngestSweep runs Ingest across batch sizes for a fixed stream.
-func IngestSweep(sc Scenario, n, docs int, batches []int, seed int64) []IngestResult {
-	out := make([]IngestResult, 0, len(batches))
-	for _, b := range batches {
-		out = append(out, Ingest(sc, n, docs, b, 0, seed))
-	}
-	return out
 }

@@ -7,7 +7,6 @@ import (
 
 	"planetp/internal/chash"
 	"planetp/internal/directory"
-	"planetp/internal/faultnet"
 	"planetp/internal/simnet"
 )
 
@@ -201,12 +200,7 @@ func (m *replicaModel) repair(s *simnet.Sim, reachable func(a, b directory.PeerI
 // measure computes one availability sample from the observer.
 func (m *replicaModel) measure(s *simnet.Sim, observer directory.PeerID, reachable func(a, b directory.PeerID) bool) ReplicationSample {
 	peers := s.Peers()
-	var sm ReplicationSample
-	for _, p := range peers {
-		if p.Online() {
-			sm.Online++
-		}
-	}
+	sm := ReplicationSample{Online: s.NumOnline()}
 	availSum, hitSum, hot := 0, 0.0, 0
 	for i := range m.keys {
 		avail := false
@@ -239,96 +233,28 @@ func Replication(sc Scenario, spec StormSpec, docs, k int, seed int64) Replicati
 	if spec.SampleEvery <= 0 {
 		spec.SampleEvery = sc.Interval
 	}
-	sc.TDead = spec.TDead
-	sc.DiscoverMin = spec.DiscoverMin
-	capacity := spec.N
-
 	res := ReplicationResult{
 		Name: spec.Name, N: spec.N, K: k, Docs: docs, HotDocs: docs / 10, Seed: seed,
 	}
-	s := simnet.New(capacity, sc.config(), simnet.DefaultParams(), seed)
-	simnet.BuildCommunity(s, spec.N, sc.Profile, Diff1000Keys, Full20000Keys)
-	s.Run(2 * time.Second) // settle the random tick phases
-	start := s.Now()
-
-	side := faultnet.SplitHalves(capacity)
-	if spec.Drop > 0 || spec.Partition {
-		var parts []faultnet.Partition
-		if spec.Partition {
-			parts = append(parts, faultnet.Partition{
-				Name: "storm",
-				At:   start + spec.PartitionAt,
-				Heal: start + spec.HealAt,
-				Side: side,
-			})
-		}
-		s.SetFaults(faultnet.New(faultnet.Config{
-			Seed: spec.FaultSeed, Drop: spec.Drop, Partitions: parts,
-		}, sc.Metrics))
-	}
+	r, end := stormRun(sc, spec, seed)
 	// reachable models the partition for the content RPCs (fetch and
 	// repair pushes): while the split is in force only same-side pairs
 	// connect. Probabilistic drops are left to the gossip layer — a
 	// fetch retries within the user's patience, a push within the next
 	// hoard tick.
 	reachable := func(a, b directory.PeerID) bool {
-		if !spec.Partition {
-			return true
-		}
-		now := s.Now()
-		if now < start+spec.PartitionAt || now >= start+spec.HealAt {
-			return true
-		}
-		return side(a) == side(b)
+		_, cut := r.plan.Partitioned(r.s.Now(), a, b)
+		return !cut
 	}
-
 	m := newReplicaModel(spec.N, docs, k)
-
-	er := newExpRand(seed + 211)
-	lastEvent := time.Duration(0)
-	if spec.DepartFrac > 0 {
-		s.At(start+spec.DepartAt, func() {
-			n := int(spec.DepartFrac * float64(spec.N))
-			// Never peer 0: the observer anchor stays up (same rule and
-			// permutation stream as the churn storms).
-			perm := er.rng.Perm(spec.N - 1)
-			for _, v := range perm[:n] {
-				p := s.Peers()[v+1]
-				if p.Online() {
-					p.GoOffline()
-				}
-			}
-		})
-		if spec.DepartAt > lastEvent {
-			lastEvent = spec.DepartAt
-		}
-	}
-	if spec.Partition {
-		s.At(start+spec.HealAt+time.Millisecond, func() {
-			for _, p := range s.Peers() {
-				if p.Online() && side(p.ID) == 1 {
-					p.Node.Rejoin(0, int(p.Node.SelfRecord().PayloadSize), nil)
-				}
-			}
-		})
-		if spec.HealAt > lastEvent {
-			lastEvent = spec.HealAt
-		}
-	}
-
-	end := start + lastEvent + spec.Horizon
 	repairs := 0
-	for t := start + spec.SampleEvery; t <= end; t += spec.SampleEvery {
-		t := t
-		s.At(t, func() {
-			repairs += m.repair(s, reachable)
-			sm := m.measure(s, 0, reachable)
-			sm.T = (t - start).Seconds()
-			sm.Repairs = repairs
-			res.Samples = append(res.Samples, sm)
-		})
-	}
-	s.Run(end)
+	r.sampleEvery(spec.SampleEvery, end, func(t time.Duration) {
+		repairs += m.repair(r.s, reachable)
+		sm := m.measure(r.s, 0, reachable)
+		sm.T = (t - r.start).Seconds()
+		sm.Repairs = repairs
+		res.Samples = append(res.Samples, sm)
+	})
 
 	res.Repairs = repairs
 	res.MinHotAvailability = 1
@@ -346,7 +272,7 @@ func Replication(sc Scenario, spec StormSpec, docs, k int, seed int64) Replicati
 		res.FinalAvailability = last.Availability
 		res.MeanHitAvailability = hitSum / float64(n)
 	}
-	peers := s.Peers()
+	peers := r.s.Peers()
 	for i := range m.keys {
 		lost := true
 		for h := range m.holders[i] {
@@ -378,12 +304,12 @@ func ReplicationScenarios(n int) []StormSpec {
 		{
 			Name: "mass-departure", N: n, TDead: tDead,
 			DepartFrac: 0.25, DepartAt: 0,
-			Drop: 0.25, FaultSeed: 42,
+			Faults:  FaultSpec{Drop: 0.25, Seed: 42},
 			Horizon: 60 * iv,
 		},
 		{
 			Name: "partition-heal", N: n, TDead: tDead,
-			Partition: true, PartitionAt: 0, HealAt: 20 * iv,
+			Faults:  FaultSpec{Partition: true, HealAt: 20 * iv},
 			Horizon: 60 * iv,
 		},
 	}

@@ -6,7 +6,6 @@ import (
 
 	"planetp/internal/directory"
 	"planetp/internal/faultnet"
-	"planetp/internal/simnet"
 	"planetp/internal/store"
 )
 
@@ -54,24 +53,8 @@ const restartUpdates = 5
 // Both seeds fully determine the run (network schedule, disk tear
 // lengths, page-cache loss), so equal inputs reproduce it exactly.
 func RestartUnderFaults(sc Scenario, n int, spec FaultSpec, seed int64) RestartResult {
-	s := sc.newSim(n, n, seed)
-	s.Run(2 * time.Second)
-
-	var parts []faultnet.Partition
-	if spec.Partition {
-		parts = append(parts, faultnet.Partition{
-			Name: "halves",
-			At:   s.Now() + spec.PartitionAt,
-			Heal: s.Now() + spec.HealAt,
-			Side: faultnet.SplitHalves(n),
-		})
-	}
-	plan := faultnet.New(faultnet.Config{
-		Seed: spec.Seed, Drop: spec.Drop, Dup: spec.Dup, Delay: spec.Delay,
-		DelayMin: spec.DelayMin, DelayMax: spec.DelayMax,
-		Partitions: parts,
-	}, sc.Metrics)
-	s.SetFaults(plan)
+	r := newRun(sc, n, n, seed)
+	r.inject(spec)
 
 	// The victim's durable store: a WAL on a fault-injected in-memory
 	// disk, fsync-on-commit.
@@ -82,9 +65,9 @@ func RestartUnderFaults(sc Scenario, n int, spec FaultSpec, seed int64) RestartR
 		panic(fmt.Sprintf("gossipsim: opening victim store: %v", err))
 	}
 
-	victim := s.Peers()[1]
+	victim := r.s.Peers()[1]
 	logUpdate := func(i int) error {
-		victim.Node.Publish(Diff1000Keys, Full20000Keys+Diff1000Keys, nil)
+		r.publish(victim, Diff1000Keys, "")
 		ver := victim.Node.SelfRecord().Ver
 		_, err := st.Append(store.Op{
 			Kind: store.OpPublish, Data: fmt.Sprintf("doc-%d", i),
@@ -93,8 +76,7 @@ func RestartUnderFaults(sc Scenario, n int, spec FaultSpec, seed int64) RestartR
 		return err
 	}
 	for i := 0; i < restartUpdates; i++ {
-		i := i
-		s.At(s.Now()+time.Duration(i+1)*sc.Interval, func() {
+		r.at(time.Duration(i+1)*sc.Interval, func() {
 			if err := logUpdate(i); err != nil {
 				panic(fmt.Sprintf("gossipsim: pre-crash append: %v", err))
 			}
@@ -105,8 +87,8 @@ func RestartUnderFaults(sc Scenario, n int, spec FaultSpec, seed int64) RestartR
 	// through the record and the process dies. Unsynced page-cache bytes
 	// are (partially, seeded) lost.
 	var oldVer directory.Version
-	crashAt := s.Now() + time.Duration(restartUpdates+1)*sc.Interval + sc.Interval/2
-	s.At(crashAt, func() {
+	crashAt := time.Duration(restartUpdates+1)*sc.Interval + sc.Interval/2
+	r.at(crashAt, func() {
 		ffs.CrashAt(ffs.Ops(), store.CrashTorn)
 		if err := logUpdate(restartUpdates); err == nil {
 			panic("gossipsim: torn append reported success")
@@ -118,7 +100,7 @@ func RestartUnderFaults(sc Scenario, n int, spec FaultSpec, seed int64) RestartR
 
 	// Let the community gossip around the corpse for a while (failed
 	// contacts mark the victim off-line; suspicion does its work).
-	s.Run(crashAt + 10*sc.Interval)
+	r.s.Run(r.start + crashAt + 10*sc.Interval)
 
 	// Recovery: reopen the surviving bytes on the bare disk, exactly as a
 	// restarted process would.
@@ -133,14 +115,10 @@ func RestartUnderFaults(sc Scenario, n int, spec FaultSpec, seed int64) RestartR
 	// incarnation, one bootstrap contact. The whole recovered filter is
 	// news to the community.
 	victim.Restart(newEpoch, Full20000Keys, Full20000Keys, 0)
-	tr := newTracker(s)
-	start := s.Now()
+	restarted := r.s.Now()
 	newVer := victim.Node.SelfRecord().Ver
-	tr.Watch(victim.ID, newVer, "restart", simnet.Class(victim.Speed), nil)
-
-	horizon := start + 6*time.Hour
-	converged := s.RunUntil(horizon, func() bool { return tr.Outstanding() == 0 })
-	tr.AbandonOutstanding()
+	r.watch(victim, "restart", nil)
+	converged := r.converge(patience, nil)
 
 	res := RestartResult{
 		Converged:        converged,
@@ -149,13 +127,13 @@ func RestartUnderFaults(sc Scenario, n int, spec FaultSpec, seed int64) RestartR
 		NewVer:           newVer,
 		RecoveredOps:     len(rec.Ops),
 		TruncatedRecords: rec.TruncatedRecords,
-		ScheduleHash:     plan.ScheduleHash(),
-		Faults:           plan.Counts(),
+		ScheduleHash:     r.plan.ScheduleHash(),
+		Faults:           r.plan.Counts(),
 	}
 	if converged {
-		res.Time = s.Now() - start
+		res.Time = r.s.Now() - restarted
 	}
-	for _, p := range s.Peers() {
+	for _, p := range r.s.Peers() {
 		if p.ID == victim.ID || !p.Online() {
 			continue
 		}

@@ -212,14 +212,3 @@ func DirectoryScale(sc Scenario, spec ScaleSpec) ScalePoint {
 	}
 	return pt
 }
-
-// DirectoryScaleSweep runs DirectoryScale over several community sizes.
-func DirectoryScaleSweep(sc Scenario, sizes []int, spec ScaleSpec) []ScalePoint {
-	out := make([]ScalePoint, 0, len(sizes))
-	for _, n := range sizes {
-		sp := spec
-		sp.N = n
-		out = append(out, DirectoryScale(sc, sp))
-	}
-	return out
-}

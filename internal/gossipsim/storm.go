@@ -4,15 +4,15 @@ import (
 	"time"
 
 	"planetp/internal/directory"
-	"planetp/internal/faultnet"
 	"planetp/internal/simnet"
 )
 
 // StormSpec scripts one churn-storm scenario on top of a converged
 // community: a flash crowd (FlashJoin peers joining within one gossip
 // round), a mass departure (DepartFrac of the membership leaving forever
-// at once), and/or a partition whose heal triggers a mass rejoin with
-// fresh incarnations. Event offsets are relative to the storm's start.
+// at once), and/or a partition (Faults) whose heal triggers a mass rejoin
+// with fresh incarnations. Event offsets are relative to the storm's
+// start.
 type StormSpec struct {
 	Name string
 	// N is the initial (converged) community size.
@@ -23,10 +23,12 @@ type StormSpec struct {
 	// DiscoverMin enables bootstrap discovery on every node (joiners are
 	// the ones below the threshold, so established members pay nothing).
 	DiscoverMin int
-	// Drop is a per-message drop probability (0 = clean network);
-	// FaultSeed fixes the fault schedule.
-	Drop      float64
-	FaultSeed int64
+	// Faults is the network the storm blows through. Its partition, if
+	// any, heals into a mass rejoin: every upper-half member comes back
+	// with a fresh incarnation. Keep HealAt-PartitionAt well under TDead
+	// or cross-partition suspicion legitimately garbage-collects live
+	// peers.
+	Faults FaultSpec
 
 	// FlashJoin peers join at FlashAt, all within one gossip round, each
 	// bootstrapping from a single existing member.
@@ -36,12 +38,6 @@ type StormSpec struct {
 	// at DepartAt.
 	DepartFrac float64
 	DepartAt   time.Duration
-	// Partition splits the community in half from PartitionAt to HealAt;
-	// at heal every second-half member rejoins with a fresh incarnation.
-	// Keep HealAt-PartitionAt well under TDead or cross-partition
-	// suspicion legitimately garbage-collects live peers.
-	Partition           bool
-	PartitionAt, HealAt time.Duration
 
 	// Horizon is how long to run after the last scripted event;
 	// SampleEvery is the measurement cadence (default one interval).
@@ -110,6 +106,30 @@ type StormResult struct {
 	Samples   []StormSample `json:"samples"`
 }
 
+// stormRun settles the spec's community (with room for its flash crowd)
+// under the spec's faults and scripts its events; end is Horizon past the
+// last of them.
+func stormRun(sc Scenario, spec StormSpec, seed int64) (r *run, end time.Duration) {
+	sc.TDead = spec.TDead
+	sc.DiscoverMin = spec.DiscoverMin
+	r = newRun(sc, spec.N+spec.FlashJoin, spec.N, seed)
+	r.inject(spec.Faults)
+	var last time.Duration
+	if spec.FlashJoin > 0 {
+		r.at(spec.FlashAt, func() { r.flashJoin(spec.FlashJoin, "") })
+		last = max(last, spec.FlashAt)
+	}
+	if spec.DepartFrac > 0 {
+		r.massDepart(spec.DepartAt, spec.DepartFrac)
+		last = max(last, spec.DepartAt)
+	}
+	if spec.Faults.Partition {
+		r.healRejoin(spec.Faults.HealAt)
+		last = max(last, spec.Faults.HealAt)
+	}
+	return r, r.start + last + spec.Horizon
+}
+
 // Storm runs one scripted churn storm. Both seeds (sim and fault) fully
 // determine the run: equal (sc, spec, seed) inputs reproduce identical
 // sample curves and summary counters.
@@ -120,136 +140,53 @@ func Storm(sc Scenario, spec StormSpec, seed int64) StormResult {
 	if spec.GCSlack <= 0 {
 		spec.GCSlack = time.Duration(16*spec.N+32) * sc.Interval
 	}
-	sc.TDead = spec.TDead
-	sc.DiscoverMin = spec.DiscoverMin
-	capacity := spec.N + spec.FlashJoin
-
+	r, end := stormRun(sc, spec, seed)
 	res := StormResult{Name: spec.Name, N: spec.N, Seed: seed}
-	departedAt := make(map[directory.PeerID]time.Duration)
 
 	// Live-drop audit: a collected record is a violation when its member
 	// is on-line and has been for long enough that news of it must have
 	// propagated (a freshly rejoined member may legitimately be collected
 	// by an observer its announcement has not reached yet).
-	var s *simnet.Sim
 	grace := 10 * sc.Interval
-	cfg := sc.config()
-	cfg.OnDrop = func(dropped []directory.PeerID, now time.Duration) {
+	r.onDrop = func(dropped []directory.PeerID, now time.Duration) {
 		for _, id := range dropped {
-			if int(id) >= len(s.Peers()) {
+			if int(id) >= len(r.s.Peers()) {
 				continue
 			}
-			if _, gone := departedAt[id]; gone {
+			if _, gone := r.departed[id]; gone {
 				continue
 			}
-			q := s.Peers()[id]
-			if q.Online() && now-q.OnlineSince >= grace {
+			if q := r.s.Peers()[id]; q.Online() && now-q.OnlineSince >= grace {
 				res.LiveDrops++
 			}
 		}
 	}
-	s = simnet.New(capacity, cfg, simnet.DefaultParams(), seed)
-	simnet.BuildCommunity(s, spec.N, sc.Profile, Diff1000Keys, Full20000Keys)
-	s.Run(2 * time.Second) // settle the random tick phases
-	start := s.Now()
 
-	side := faultnet.SplitHalves(capacity)
-	if spec.Drop > 0 || spec.Partition {
-		var parts []faultnet.Partition
-		if spec.Partition {
-			parts = append(parts, faultnet.Partition{
-				Name: "storm",
-				At:   start + spec.PartitionAt,
-				Heal: start + spec.HealAt,
-				Side: side,
-			})
-		}
-		s.SetFaults(faultnet.New(faultnet.Config{
-			Seed: spec.FaultSeed, Drop: spec.Drop, Partitions: parts,
-		}, sc.Metrics))
-	}
-
-	er := newExpRand(seed + 211)
-	lastEvent := time.Duration(0)
-
-	if spec.FlashJoin > 0 {
-		s.At(start+spec.FlashAt, func() {
-			for i := 0; i < spec.FlashJoin; i++ {
-				// Every joiner knows exactly one existing member; the
-				// rest of its view must come from discovery + gossip.
-				s.AddPeer(speedFor(sc, i), Full20000Keys, Full20000Keys,
-					directory.PeerID(i%spec.N))
+	var prevBytes int64
+	r.sampleEvery(spec.SampleEvery, end, func(t time.Duration) {
+		sm, _ := stormMeasure(r)
+		sm.T = (t - r.start).Seconds()
+		sm.BytesPerSec = float64(r.bytes()-prevBytes) / spec.SampleEvery.Seconds()
+		prevBytes = r.bytes()
+		// Second T_Dead invariant: a departed record must be gone within
+		// departure + TDead + slack. Counted per held pair so a single
+		// laggard observer is visible in the total.
+		for _, p := range r.s.Peers() {
+			if !p.Online() {
+				continue
 			}
-		})
-		if spec.FlashAt > lastEvent {
-			lastEvent = spec.FlashAt
-		}
-	}
-	if spec.DepartFrac > 0 {
-		s.At(start+spec.DepartAt, func() {
-			n := int(spec.DepartFrac * float64(spec.N))
-			// Never peer 0: the flash-crowd bootstrap target and the
-			// conventional anchor stays up.
-			perm := er.rng.Perm(spec.N - 1)
-			for _, v := range perm[:n] {
-				p := s.Peers()[v+1]
-				if !p.Online() {
-					continue
-				}
-				p.GoOffline()
-				departedAt[p.ID] = s.Now()
-			}
-		})
-		if spec.DepartAt > lastEvent {
-			lastEvent = spec.DepartAt
-		}
-	}
-	if spec.Partition {
-		// Fractionally after the heal instant, so the partition is down
-		// when the rejoin announcements start flowing.
-		s.At(start+spec.HealAt+time.Millisecond, func() {
-			for _, p := range s.Peers() {
-				if p.Online() && side(p.ID) == 1 {
-					p.Node.Rejoin(0, int(p.Node.SelfRecord().PayloadSize), nil)
+			for id, at := range r.departed {
+				if t > at+spec.TDead+spec.GCSlack &&
+					!p.Node.Directory().VersionOf(id).IsZero() {
+					res.DeadViolations++
 				}
 			}
-		})
-		if spec.HealAt > lastEvent {
-			lastEvent = spec.HealAt
 		}
-	}
+		res.Samples = append(res.Samples, sm)
+	})
 
-	end := start + lastEvent + spec.Horizon
-	prevBytes := s.TotalBytes
-	startBytes := s.TotalBytes
-	for t := start + spec.SampleEvery; t <= end; t += spec.SampleEvery {
-		t := t
-		s.At(t, func() {
-			sm := stormMeasure(s, departedAt)
-			sm.T = (t - start).Seconds()
-			sm.BytesPerSec = float64(s.TotalBytes-prevBytes) / spec.SampleEvery.Seconds()
-			prevBytes = s.TotalBytes
-			// Second T_Dead invariant: a departed record must be gone
-			// within departure + TDead + slack. Counted per held pair so
-			// a single laggard observer is visible in the total.
-			for _, p := range s.Peers() {
-				if !p.Online() {
-					continue
-				}
-				for id, at := range departedAt {
-					if t > at+spec.TDead+spec.GCSlack &&
-						!p.Node.Directory().VersionOf(id).IsZero() {
-						res.DeadViolations++
-					}
-				}
-			}
-			res.Samples = append(res.Samples, sm)
-		})
-	}
-	s.Run(end)
-
-	res.TotalBytes = s.TotalBytes - startBytes
-	if rounds := float64(end-start) / float64(sc.Interval); rounds > 0 {
+	res.TotalBytes = r.bytes()
+	if rounds := float64(end-r.start) / float64(sc.Interval); rounds > 0 {
 		res.BytesPerRound = float64(res.TotalBytes) / rounds
 	}
 	res.DeadClearedS = -1
@@ -259,40 +196,32 @@ func Storm(sc Scenario, spec StormSpec, seed int64) StormResult {
 			lastDead = i
 		}
 	}
-	if len(departedAt) > 0 && lastDead+1 < len(res.Samples) {
+	if len(r.departed) > 0 && lastDead+1 < len(res.Samples) {
 		res.DeadClearedS = res.Samples[lastDead+1].T
 	}
+	var last StormSample
 	if n := len(res.Samples); n > 0 {
-		res.FinalStaleness = res.Samples[n-1].Staleness
-		res.FinalCoverage = res.Samples[n-1].Coverage
+		last = res.Samples[n-1]
 	}
-	res.StaleIncarnations = staleIncarnations(s, departedAt)
-	res.Converged = res.FinalStaleness == 0 && res.FinalCoverage == 1 &&
-		res.StaleIncarnations == 0 &&
-		(len(res.Samples) == 0 || res.Samples[len(res.Samples)-1].DeadRecords == 0)
+	res.FinalStaleness, res.FinalCoverage = last.Staleness, last.Coverage
+	_, res.StaleIncarnations = stormMeasure(r)
+	res.Converged = last.Staleness == 0 && last.Coverage == 1 &&
+		last.DeadRecords == 0 && res.StaleIncarnations == 0
 	return res
 }
 
-// stormMeasure computes one sample against ground truth. Iteration is
-// over the peers slice (never a map) so identical runs produce identical
-// floating-point sums.
-func stormMeasure(s *simnet.Sim, departedAt map[directory.PeerID]time.Duration) StormSample {
-	peers := s.Peers()
-	live := 0
-	for _, p := range peers {
-		if p.Online() {
-			live++
-		}
-	}
-	var sm StormSample
-	sm.Online = live
+// stormMeasure computes one sample against ground truth, and how many
+// records of live members are held at an epoch older than the member's
+// current incarnation. Iteration is over the peers slice (never a map) so
+// identical runs produce identical floating-point sums.
+func stormMeasure(r *run) (sm StormSample, staleIncarnations int) {
+	peers := r.s.Peers()
+	sm.Online = r.s.NumOnline()
 	var stSum, covSum float64
-	observers := 0
 	for _, p := range peers {
 		if !p.Online() {
 			continue
 		}
-		observers++
 		dir := p.Node.Directory()
 		wrong, knownLive, total := 0, 0, 0
 		for _, id := range dir.KnownIDs() {
@@ -300,53 +229,30 @@ func stormMeasure(s *simnet.Sim, departedAt map[directory.PeerID]time.Duration) 
 				continue
 			}
 			total++
-			if _, gone := departedAt[id]; gone {
+			if _, gone := r.departed[id]; gone {
 				sm.DeadRecords++
 				wrong++
 				continue
 			}
 			knownLive++
-			if dir.VersionOf(id).Less(peers[id].Node.SelfRecord().Ver) {
+			held, current := dir.VersionOf(id), peers[id].Node.SelfRecord().Ver
+			if held.Less(current) {
 				wrong++
+			}
+			if held.Epoch < current.Epoch {
+				staleIncarnations++
 			}
 		}
 		if total > 0 {
 			stSum += float64(wrong) / float64(total)
 		}
-		if live > 0 {
-			covSum += float64(knownLive+1) / float64(live)
-		}
+		covSum += float64(knownLive+1) / float64(sm.Online)
 	}
-	if observers > 0 {
-		sm.Staleness = stSum / float64(observers)
-		sm.Coverage = covSum / float64(observers)
+	if sm.Online > 0 {
+		sm.Staleness = stSum / float64(sm.Online)
+		sm.Coverage = covSum / float64(sm.Online)
 	}
-	return sm
-}
-
-// staleIncarnations counts end-of-run records of live members held at an
-// epoch older than the member's current incarnation.
-func staleIncarnations(s *simnet.Sim, departedAt map[directory.PeerID]time.Duration) int {
-	peers := s.Peers()
-	stale := 0
-	for _, p := range peers {
-		if !p.Online() {
-			continue
-		}
-		dir := p.Node.Directory()
-		for _, id := range dir.KnownIDs() {
-			if id == p.ID {
-				continue
-			}
-			if _, gone := departedAt[id]; gone {
-				continue
-			}
-			if dir.VersionOf(id).Epoch < peers[id].Node.SelfRecord().Ver.Epoch {
-				stale++
-			}
-		}
-	}
-	return stale
+	return sm, staleIncarnations
 }
 
 // StormScenarios returns the acceptance trio for an initial community of
@@ -367,7 +273,7 @@ func StormScenarios(n int) []StormSpec {
 		{
 			Name: "mass-departure", N: n, TDead: tDead,
 			DepartFrac: 0.25, DepartAt: 0,
-			Drop: 0.25, FaultSeed: 42,
+			Faults: FaultSpec{Drop: 0.25, Seed: 42},
 			// The horizon must reach past departure + TDead + the default
 			// GCSlack, otherwise the dead-record deadline is never put to
 			// the test; the extra margin keeps a few samples after it.
@@ -375,7 +281,7 @@ func StormScenarios(n int) []StormSpec {
 		},
 		{
 			Name: "heal-rejoin", N: n, TDead: tDead,
-			Partition: true, PartitionAt: 0, HealAt: 20 * iv,
+			Faults:  FaultSpec{Partition: true, HealAt: 20 * iv},
 			Horizon: 80 * iv,
 		},
 	}
@@ -403,60 +309,36 @@ type RatePoint struct {
 // with Poisson dwell times divided by each rate. Deterministic for equal
 // (sc, n, rates, seed).
 func ChurnRateSweep(sc Scenario, n int, rates []float64, seed int64) []RatePoint {
+	const warmup, window = 5 * time.Minute, 30 * time.Minute
+	sc.TDead = 0 // isolate churn bandwidth from GC effects
 	out := make([]RatePoint, 0, len(rates))
 	for ri, rate := range rates {
-		sc := sc
-		sc.TDead = 0 // isolate churn bandwidth from GC effects
-		s := sc.newSim(n, n, seed+int64(ri))
-		s.Run(2 * time.Second)
-		er := newExpRand(seed + 307 + int64(ri))
-		meanOn := time.Duration(float64(20*time.Minute) / rate)
-		meanOff := time.Duration(float64(10*time.Minute) / rate)
-
+		r := newRun(sc, n, n, seed+int64(ri))
 		pt := RatePoint{Rate: rate}
-		var schedule func(p *simnet.Peer, online bool)
-		schedule = func(p *simnet.Peer, online bool) {
-			if online {
-				s.After(er.exp(meanOn), func() {
-					p.GoOffline()
-					schedule(p, false)
-				})
-			} else {
-				s.After(er.exp(meanOff), func() {
-					p.GoOnline(0)
-					pt.Events++
-					schedule(p, true)
-				})
-			}
-		}
-		nStable := int(0.4 * float64(n))
-		for _, p := range s.Peers()[nStable:] {
-			schedule(p, true)
-		}
+		r.cycle(r.rand(307), 0.4,
+			time.Duration(float64(20*time.Minute)/rate),
+			time.Duration(float64(10*time.Minute)/rate),
+			func(p *simnet.Peer) {
+				p.GoOnline(0)
+				pt.Events++
+			})
 
-		warmup := 5 * time.Minute
-		window := 30 * time.Minute
-		s.Run(s.Now() + warmup)
-		startBytes := s.TotalBytes
-		startEvents := pt.Events
+		r.s.Run(r.s.Now() + warmup)
+		startBytes, startEvents := r.bytes(), pt.Events
 		var stSum, onSum float64
 		samples := 0
-		none := map[directory.PeerID]time.Duration{}
-		for t := s.Now() + sc.Interval; t <= s.Now()+window; t += sc.Interval {
-			s.At(t, func() {
-				sm := stormMeasure(s, none)
-				stSum += sm.Staleness
-				onSum += float64(sm.Online)
-				samples++
-			})
-		}
-		s.Run(s.Now() + window)
+		r.sampleEvery(sc.Interval, r.s.Now()+window, func(time.Duration) {
+			sm, _ := stormMeasure(r)
+			stSum += sm.Staleness
+			onSum += float64(sm.Online)
+			samples++
+		})
 		pt.Events -= startEvents
 		if samples > 0 {
 			pt.MeanStaleness = stSum / float64(samples)
 			pt.MeanOnline = onSum / float64(samples)
 		}
-		pt.BytesPerSec = float64(s.TotalBytes-startBytes) / window.Seconds()
+		pt.BytesPerSec = float64(r.bytes()-startBytes) / window.Seconds()
 		pt.BytesPerRound = pt.BytesPerSec * sc.Interval.Seconds()
 		out = append(out, pt)
 	}

@@ -124,7 +124,7 @@ func TestTDeadDepartedCleared(t *testing.T) {
 	slack := time.Duration(16*8+32) * iv // the default GCSlack at N=8
 	spec := StormSpec{
 		Name: "departed-clearance", N: 8, TDead: 40 * iv,
-		DepartFrac: 0.125, Drop: 0.25, FaultSeed: 42,
+		DepartFrac: 0.125, Faults: FaultSpec{Drop: 0.25, Seed: 42},
 		Horizon: 40*iv + slack + 60*iv,
 	}
 	res := Storm(STORM, spec, 17)

@@ -11,9 +11,8 @@ import (
 // trackerFixture builds a quiet 8-peer LAN community with a tracker.
 func trackerFixture(t *testing.T) (*simnet.Sim, *tracker) {
 	t.Helper()
-	s := LAN.newSim(8, 8, 5)
-	s.Run(time.Second)
-	return s, newTracker(s)
+	r := newRun(LAN, 8, 8, 5)
+	return r.s, r.tr
 }
 
 func TestTrackerConvergesOnPropagation(t *testing.T) {
@@ -95,9 +94,8 @@ func TestTrackerAbandonOutstanding(t *testing.T) {
 }
 
 func TestTrackerInSetFilter(t *testing.T) {
-	s := MIX.newSim(40, 40, 9)
-	s.Run(time.Second)
-	tr := newTracker(s)
+	r := newRun(MIX, 40, 40, 9)
+	s, tr := r.s, r.tr
 	fastOnly := func(p *simnet.Peer) bool {
 		return simnet.Class(p.Speed) == directory.Fast
 	}

@@ -192,10 +192,6 @@ func (p *connPool) get(addr string) *pconn {
 // global caps (oldest idle evicted first) and arming the idle reaper.
 func (p *connPool) put(pc *pconn) {
 	per := p.t.PoolConns
-	if per <= 0 {
-		pc.conn.Close()
-		return
-	}
 	maxIdle := p.t.PoolMaxIdle
 	if maxIdle <= 0 {
 		maxIdle = defaultPoolMaxIdle

@@ -491,26 +491,6 @@ func TestPoolCapsEvictOldest(t *testing.T) {
 	}
 }
 
-func TestPoolDisabledDialsPerRPC(t *testing.T) {
-	ta, reg, _, _ := pairReg(t)
-	ta.PoolConns = 0
-	for i := 0; i < 3; i++ {
-		if _, err := ta.Query(1, []string{"x"}, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := reg.Snapshot()
-	if got := snap.Get("transport_dials_total"); got != 3 {
-		t.Fatalf("dials = %d, want 3 (pool disabled)", got)
-	}
-	if got := snap.Get("transport_pool_reuse_total"); got != 0 {
-		t.Fatalf("reuse = %d, want 0", got)
-	}
-	if got := snap.Gauges["transport_pool_idle_conns"]; got != 0 {
-		t.Fatalf("idle = %d, want 0", got)
-	}
-}
-
 // FateHook verdicts: err fails the attempt like a refused dial, drop
 // loses the message after an apparently clean send, kill tears the
 // pooled conn under the RPC (recovered by one transparent re-dial).

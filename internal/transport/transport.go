@@ -263,9 +263,7 @@ type Transport struct {
 	// Default 2 min.
 	ServeIdleTimeout time.Duration
 	// PoolConns caps the idle connections retained per peer address;
-	// checkout prefers the most recently used. 0 retains none —
-	// dial-per-RPC, the pre-pool behavior, with the same framed wire
-	// protocol. Default 4.
+	// checkout prefers the most recently used. Default 4.
 	PoolConns int
 	// PoolMaxIdle caps idle connections across all addresses; beyond it
 	// the longest-idle conn is evicted, whoever owns it. Default 128.
