@@ -91,9 +91,9 @@ func (s *Summary) Payload() []byte {
 }
 
 // Reset replaces the underlying filter wholesale — the compaction path,
-// where the filter is rebuilt from the counting filter and the full
-// payload gossips as a replacement rather than a diff. The pending set
-// and payload cache start fresh.
+// where the owner rebuilds the filter from what it still holds and the
+// full payload gossips as a replacement rather than a diff. The pending
+// set and payload cache start fresh.
 func (s *Summary) Reset(f *Filter) {
 	s.f = f
 	s.pending = s.pending[:0]

@@ -21,7 +21,7 @@ func TestServingReadPathsConcurrentWithMutators(t *testing.T) {
 	var wg sync.WaitGroup
 
 	// Mutators: solo publishes, batches, remove+republish churn, and
-	// periodic filter compaction (the rebuild that swaps p.filter).
+	// periodic filter compaction (the rebuild that swaps the summary's filter).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

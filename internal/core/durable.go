@@ -12,11 +12,11 @@ import (
 // Durable peer state. When Config.DataDir is set, the peer has one
 // store.Store there and every change to what it holds — Publish/Remove of
 // its own documents, adoption/eviction/purge of replicas — is a record
-// appended to that store's write-ahead log before the call returns. The
-// log is periodically folded into checksummed snapshots (temp + fsync +
-// rename), and NewPeer replays snapshot + WAL on startup, in the order
-// the operations happened. The recovered version counters floor the
-// restarted incarnation's epoch bump, so the community discards
+// appended to that store's write-ahead log before it is applied (the
+// write path of ingest.go). The log is periodically folded into
+// checksummed snapshots (temp + fsync + rename), and NewPeer applies
+// snapshot + WAL on startup, in log order. The recovered version counters
+// floor the restarted incarnation's epoch bump, so the community discards
 // everything the dead incarnation gossiped — the paper's
 // epoch-supersession requirement, now with something durable to stand on.
 
@@ -25,7 +25,7 @@ import (
 type RecoverySummary struct {
 	// Enabled reports whether the peer runs with a durable store.
 	Enabled bool
-	// DocsRestored is how many documents recovery republished;
+	// DocsRestored is how many own documents recovery restored;
 	// ReplicasRestored how many hoarded replicas it holds again.
 	DocsRestored, ReplicasRestored int
 	// OpsReplayed is how many WAL operations were replayed on top of the
@@ -76,18 +76,16 @@ func openStore(cfg *Config) (*store.Store, store.Recovery, error) {
 	return st, rec, nil
 }
 
-// replayRecovery rebuilds the peer's documents and hoard from the
-// recovered snapshot and WAL suffix. It runs inside NewPeer, after the
-// gossip node exists but before Start, with p.replaying set so nothing
-// replayed is logged again. Each maximal run of consecutive publish
-// records goes to one PublishBatch (one index pass, one summary flush, one
-// gossip version per run, not per document); everything else is applied
-// record by record, so a remove or a replica release between two
-// publishes of the same key still lands between them.
-func (p *Peer) replayRecovery(rec store.Recovery) error {
-	p.replaying = true
-	defer func() { p.replaying = false }()
-
+// recoverFrom rebuilds the peer's documents and hoard from the recovered
+// snapshot and WAL suffix with the write path's apply step alone: nothing
+// is logged again, nothing is sent or counted as ingest, and one
+// announcement at the end covers everything. It runs inside NewPeer, after
+// the gossip node exists but before Start. Each maximal run of consecutive
+// publish records is applied as one batch (one analysis fan-out, one index
+// pass); everything else is applied record by record, so a remove or a
+// replica release between two publishes of the same key still lands
+// between them.
+func (p *Peer) recoverFrom(rec store.Recovery) error {
 	summary := RecoverySummary{
 		Enabled:          true,
 		OpsReplayed:      len(rec.Ops),
@@ -98,9 +96,9 @@ func (p *Peer) replayRecovery(rec store.Recovery) error {
 		RecoveredSeq:     rec.Seq,
 		NewEpoch:         p.node.SelfRecord().Ver.Epoch,
 	}
+	var run []string // the publish records since the last record of another kind
 	if rec.Snapshot != nil {
-		limit := p.cfg.Store.MaxSnapshotBytes
-		snap, err := DecodeSnapshotLimit(rec.Snapshot, limit)
+		snap, err := DecodeSnapshotLimit(rec.Snapshot, p.cfg.Store.MaxSnapshotBytes)
 		if err != nil {
 			return fmt.Errorf("core: recovered snapshot: %w", err)
 		}
@@ -112,43 +110,35 @@ func (p *Peer) replayRecovery(rec store.Recovery) error {
 			return fmt.Errorf("core: snapshot payload version %d.%d disagrees with store header %d.%d",
 				snap.Epoch, snap.Seq, rec.SnapshotHeader.Epoch, rec.SnapshotHeader.Seq)
 		}
-		if err := p.restore(snap); err != nil {
+		if err := p.restoreHoard(snap); err != nil {
 			return err
 		}
+		run = snap.Docs // the folded log's publishes open the first run
 	}
-	var run []string // the publish records since the last record of another kind
-	shrunk := false  // a replayed remove or release left stale filter bits
+	shrunk := false // a recovered remove or release left stale filter bits
 	for _, op := range rec.Ops {
 		if op.Kind == store.OpPublish {
 			run = append(run, op.Data)
 			continue
 		}
 		shrunk = shrunk || op.Kind != store.OpReplicaPut
-		if _, err := p.PublishBatch(run); err != nil {
-			return fmt.Errorf("core: replaying the publishes before %v: %w", op, err)
+		if err := p.recoverPublishes(run); err != nil {
+			return fmt.Errorf("core: recovering the publishes before %v: %w", op, err)
 		}
 		run = run[:0]
-		if op.Kind == store.OpRemove {
-			// Removing a document the truncated tail published is a
-			// no-op, not an error — Remove is naturally idempotent.
-			p.Remove(op.Data)
-			continue
-		}
 		p.mu.Lock()
-		err := p.applyReplicaLocked(op)
+		err := p.applyLocked(op)
 		p.mu.Unlock()
 		if err != nil {
-			return fmt.Errorf("core: replaying %v: %w", op, err)
+			return fmt.Errorf("core: recovering %v: %w", op, err)
 		}
 	}
-	if _, err := p.PublishBatch(run); err != nil {
-		return fmt.Errorf("core: replaying the last %d publishes: %w", len(run), err)
+	if err := p.recoverPublishes(run); err != nil {
+		return fmt.Errorf("core: recovering the last %d publishes: %w", len(run), err)
 	}
-	// Replica records flush nothing themselves: one announcement covers
-	// whatever they left pending. A live peer gossips the bits a remove or
-	// a release strands until the next Compact; a restart announces a whole
-	// filter anyway, so it announces an exact one — no marker for a document
-	// it does not hold.
+	// A live peer gossips the bits a remove or a release strands until the
+	// next Compact; a restart announces a whole filter anyway, so it
+	// announces an exact one — no marker for a document it does not hold.
 	if shrunk {
 		p.Compact()
 	} else if err := p.gossipPending(); err != nil {
@@ -157,6 +147,25 @@ func (p *Peer) replayRecovery(rec store.Recovery) error {
 	summary.DocsRestored, summary.ReplicasRestored = p.LocalDocs(), p.ReplicaDocs()
 	p.recovery = summary
 	p.reg.Gauge("store_recovered_docs").Set(int64(summary.DocsRestored))
+	return nil
+}
+
+// recoverPublishes applies a run of recovered publish records (raw XML).
+func (p *Peer) recoverPublishes(xmls []string) error {
+	if len(xmls) == 0 {
+		return nil
+	}
+	ana, err := p.analyzeBatch(xmls)
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	fresh := p.planPublishLocked(ana)
+	p.applyPublishLocked(fresh)
+	p.mu.Unlock()
+	for _, ad := range fresh {
+		releaseFreqs(ad.freqs)
+	}
 	return nil
 }
 
@@ -188,15 +197,13 @@ func (p *Peer) snapshotSource() (store.SnapshotData, error) {
 	}, nil
 }
 
-// logBatch appends operations to the WAL as one group-committed batch,
-// stamped with the peer's own gossip version (no-op while replaying or
-// when the peer is not durable). The caller holds p.mu and appends BEFORE
-// applying the operations in memory — write-ahead — so WAL order always
-// matches in-memory apply order (a concurrent Remove/Publish of the same
-// document can never replay in the opposite order), a failed batch
-// leaves the peer unchanged, and a successful one is durable as a unit.
+// logBatch is the write path's log step: it appends records to the WAL as
+// one group-committed batch, stamped with the peer's own gossip version (a
+// no-op when the peer is not durable). The caller holds p.mu from the
+// append to the apply, so WAL order is apply order — a concurrent
+// Remove/Publish of one document can never replay the other way round.
 func (p *Peer) logBatch(ops []store.Op, ver directory.Version) error {
-	if p.st == nil || p.replaying || len(ops) == 0 {
+	if p.st == nil || len(ops) == 0 {
 		return nil
 	}
 	for i := range ops {
@@ -213,7 +220,7 @@ func (p *Peer) logBatch(ops []store.Op, ver directory.Version) error {
 // keeps growing until a later compaction succeeds — so it is only
 // counted.
 func (p *Peer) maybeCompact() {
-	if p.st == nil || p.replaying {
+	if p.st == nil {
 		return
 	}
 	if err := p.st.MaybeCompact(); err != nil {

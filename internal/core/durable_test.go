@@ -61,6 +61,13 @@ func TestDurablePeerRestartsFromDisk(t *testing.T) {
 	if rec.OpsReplayed != 0 {
 		t.Fatalf("replayed %d WAL ops after graceful shutdown, want 0", rec.OpsReplayed)
 	}
+	// Recovery restores state; it ingests nothing.
+	if got := q.Metrics().Gauge("store_recovered_docs").Value(); got != 2 {
+		t.Fatalf("store_recovered_docs = %d, want 2", got)
+	}
+	if got := q.Metrics().Counter("ingest_docs_total").Value(); got != 0 {
+		t.Fatalf("restart counted %d recovered documents as ingest", got)
+	}
 	newVer := q.node.SelfRecord().Ver
 	if !oldVer.Less(newVer) {
 		t.Fatalf("restarted version %v does not supersede %v", newVer, oldVer)
@@ -114,6 +121,9 @@ func TestDurablePeerCrashRecovery(t *testing.T) {
 	}
 	if rec.OpsReplayed != 3 {
 		t.Fatalf("replayed %d ops, want 3", rec.OpsReplayed)
+	}
+	if got := q.Metrics().Counter("ingest_docs_total").Value(); got != 0 || rec.DocsRestored != 3 {
+		t.Fatalf("WAL replay counted %d documents as ingest and restored %d, want 0 and 3", got, rec.DocsRestored)
 	}
 	if rec.TruncatedRecords == 0 {
 		t.Fatal("torn tail not truncated")

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"planetp/internal/broker"
+	"planetp/internal/directory"
 	"planetp/internal/doc"
 	"planetp/internal/replica"
 	"planetp/internal/store"
@@ -116,12 +117,107 @@ func (p *Peer) analyzeBatch(xmls []string) ([]analyzed, error) {
 	return out, nil
 }
 
+// The write path. What a peer holds changes by four kinds of record —
+// store.OpPublish, OpRemove, OpReplicaPut, OpReplicaDrop — and each change
+// is made in the same four steps:
+//
+//	plan     — under p.mu, decide which records the call amounts to
+//	log      — append them to the WAL (logBatch; write-ahead)
+//	apply    — make them in memory: the apply*Locked functions below
+//	announce — flush the summary and gossip it, then the side effects of a
+//	           live write (broker puts, purge broadcast, metrics, WAL fold)
+//
+// Recovery runs apply alone, on the records the log already holds, and
+// announces once at its end. The apply functions are therefore the only
+// writers of the document store, index, key maps, Bloom summary and
+// replica manager, and they have no other effect: they log nothing, send
+// nothing and count nothing. Callers hold p.mu.
+
+// planPublishLocked drops the documents of an analyzed batch that are
+// already stored or repeat within it (their maps go back to the pool);
+// the rest are what the batch publishes.
+func (p *Peer) planPublishLocked(ana []analyzed) []analyzed {
+	fresh := make([]analyzed, 0, len(ana))
+	inBatch := make(map[string]bool, len(ana))
+	for _, ad := range ana {
+		if _, err := p.store.Get(ad.key); err == nil || inBatch[ad.key] {
+			releaseFreqs(ad.freqs) // idempotent republish
+			continue
+		}
+		inBatch[ad.key] = true
+		fresh = append(fresh, ad)
+	}
+	return fresh
+}
+
+// applyPublishLocked applies a run of publish records: the documents are
+// stored and indexed in one pass. Publishing a document this peer holds
+// as a replica converts it to an owned copy — the replica is released
+// (no tombstone: the content lives on) so the two never double-index —
+// and the publish record is the whole conversion, so no crash point has
+// the document under neither name. It returns how many it converted.
+func (p *Peer) applyPublishLocked(fresh []analyzed) (converted int) {
+	for _, ad := range fresh {
+		if p.rep.Has(ad.key) {
+			_ = p.applyLocked(replica.DropOp(ad.key, 0, false)) // a record just built always decodes
+			converted++
+		}
+		p.store.Put(ad.doc)
+	}
+	p.indexLocked(fresh)
+	return converted
+}
+
+// applyLocked applies one record of the other three kinds: a remove (a
+// no-op for a document not held — a torn log tail may have lost its
+// publish), or a replica put or drop, made in the manager and in the index.
+func (p *Peer) applyLocked(op store.Op) error {
+	if op.Kind == store.OpRemove {
+		p.store.Delete(op.Data)
+		p.unindexLocked(op.Data)
+		return nil
+	}
+	e, changed, err := p.rep.Apply(op)
+	if err != nil || !changed {
+		return err
+	}
+	if op.Kind == store.OpReplicaDrop {
+		p.unindexLocked(e.Key)
+	} else {
+		p.indexReplicaLocked(e)
+	}
+	return nil
+}
+
+// commitLocked is the live path's log-then-apply for records applyLocked
+// takes: on a failed append nothing changes. Caller holds p.mu — like
+// every append — so a plan made under it is still valid here.
+func (p *Peer) commitLocked(ops []store.Op, ver directory.Version) error {
+	err := p.logBatch(ops, ver)
+	for i := 0; err == nil && i < len(ops); i++ {
+		err = p.applyLocked(ops[i])
+	}
+	return err
+}
+
+// indexReplicaLocked indexes a held replica under the key its origin gave
+// it (a no-op when the key is already indexed: an epoch refresh).
+func (p *Peer) indexReplicaLocked(e replica.Entry) {
+	if _, ok := p.docOf[e.Key]; ok {
+		return
+	}
+	var a text.Analyzer
+	ad := p.analyzeOne(e.XML, &a)
+	ad.key = e.Key
+	p.indexLocked([]analyzed{ad})
+	releaseFreqs(ad.freqs)
+}
+
 // indexLocked adds analyzed documents — own or replica — to the inverted
-// index under their keys and announces their terms, plus a per-document
-// marker, through the Bloom summary and its counting twin. The marker lets
-// any peer resolve a bare document id to its live holders by probing
-// gossiped filters (replica failover). The summary is not flushed. Caller
-// holds p.mu.
+// index under their keys and inserts their terms, plus a per-document
+// marker, into the Bloom summary. The marker lets any peer resolve a bare
+// document id to its live holders by probing gossiped filters (replica
+// failover).
 func (p *Peer) indexLocked(batch []analyzed) {
 	freqs := make([]map[string]int, len(batch))
 	for i, ad := range batch {
@@ -133,34 +229,27 @@ func (p *Peer) indexLocked(batch []analyzed) {
 		p.keyOf[ids[i]] = ad.key
 		for t := range ad.freqs {
 			p.summary.Insert(t)
-			p.counting.Add(t)
 		}
 		p.summary.Insert(docMarker(ad.key))
-		p.counting.Add(docMarker(ad.key))
 	}
 }
 
 // unindexLocked is indexLocked's inverse for one key (a no-op for a key
-// not indexed). The gossiped plain filter cannot delete: it keeps stale
-// bits, counted by the counting twin, until the next Compact. Caller holds
-// p.mu.
+// not indexed). The gossiped filter cannot delete: it keeps the key's bits,
+// stale, until the next Compact.
 func (p *Peer) unindexLocked(key string) {
 	id, ok := p.docOf[key]
 	if !ok {
 		return
 	}
-	for _, t := range p.index.DocTerms(id) {
-		p.counting.Remove(t)
-	}
 	p.index.RemoveDocument(id)
 	delete(p.docOf, key)
 	delete(p.keyOf, id)
-	p.counting.Remove(docMarker(key))
 }
 
 // gossipPending folds the filter inserts made since the last flush into
 // one gossiped version; with none pending (an epoch refresh, a recovery
-// that replayed no replica) it announces nothing.
+// that restored nothing) it announces nothing.
 func (p *Peer) gossipPending() error {
 	p.mu.Lock()
 	if p.summary.Pending() == 0 {
@@ -202,56 +291,27 @@ func (p *Peer) PublishBatch(xmls []string) ([]*doc.Document, error) {
 	ver := p.selfVer()
 
 	p.mu.Lock()
-	// Drop documents already stored and intra-batch repeats; only fresh
-	// ones are logged, indexed, and summarized.
-	fresh := make([]analyzed, 0, len(ana))
-	inBatch := make(map[string]bool, len(ana))
-	for _, ad := range ana {
-		if inBatch[ad.doc.ID] {
-			releaseFreqs(ad.freqs)
-			continue
-		}
-		inBatch[ad.doc.ID] = true
-		if _, err := p.store.Get(ad.doc.ID); err == nil {
-			releaseFreqs(ad.freqs) // idempotent republish
-			continue
-		}
-		fresh = append(fresh, ad)
-	}
+	fresh := p.planPublishLocked(ana)
 	if len(fresh) == 0 {
 		p.mu.Unlock()
 		return docs, nil
 	}
-	// Write-ahead, as in Publish, but one WAL append covers the batch:
-	// record order matches apply order, and the batch is acknowledged
-	// durable as a unit. On failure nothing was stored, indexed, released
-	// or gossiped.
+	defer func() {
+		for _, ad := range fresh {
+			releaseFreqs(ad.freqs)
+		}
+	}()
+	// One WAL append covers the batch, in apply order, acknowledged durable
+	// as a unit.
 	ops := make([]store.Op, len(fresh))
 	for i, ad := range fresh {
 		ops[i] = store.Op{Kind: store.OpPublish, Data: ad.doc.Raw}
 	}
 	if err := p.logBatch(ops, ver); err != nil {
 		p.mu.Unlock()
-		for _, ad := range fresh {
-			releaseFreqs(ad.freqs)
-		}
 		return nil, fmt.Errorf("core: batch publish not committed to WAL: %w", err)
 	}
-	for _, ad := range fresh {
-		// Publishing a document this peer holds as a replica converts it
-		// to an owned copy: the replica is released (no tombstone — the
-		// content lives on) so the two never double-index. The publish
-		// record is the whole conversion — replaying it comes through here
-		// and releases the replica again — so no crash point has the
-		// document under neither name, as a release record kept by a torn
-		// batch that lost the publish would.
-		if p.rep.Has(ad.key) {
-			_ = p.applyReplicaLocked(replica.DropOp(ad.key, 0, false)) // a record just built always decodes
-			p.reg.Counter("replica_purges_total").Inc()
-		}
-		p.store.Put(ad.doc)
-	}
-	p.indexLocked(fresh)
+	converted := p.applyPublishLocked(fresh)
 	diff, payload, err := p.summary.Flush()
 	p.mu.Unlock()
 	if err != nil {
@@ -260,6 +320,9 @@ func (p *Peer) PublishBatch(xmls []string) ([]*doc.Document, error) {
 
 	p.node.Publish(len(diff), len(payload), payload)
 	p.maybeCompact()
+	if converted > 0 {
+		p.reg.Counter("replica_purges_total").Add(int64(converted))
+	}
 
 	if p.cfg.BrokerTopFrac > 0 {
 		discard := p.cfg.BrokerDiscard
@@ -270,9 +333,6 @@ func (p *Peer) PublishBatch(xmls []string) ([]*doc.Document, error) {
 			keys := topTerms(ad.freqs, p.cfg.BrokerTopFrac)
 			p.brokerPublish(broker.Snippet{ID: ad.doc.ID, Owner: int32(p.id), XML: ad.doc.Raw, Keys: keys}, discard)
 		}
-	}
-	for _, ad := range fresh {
-		releaseFreqs(ad.freqs)
 	}
 
 	p.reg.Counter("ingest_docs_total").Add(int64(len(fresh)))

@@ -66,7 +66,7 @@ func TestPublishBatchMatchesSequential(t *testing.T) {
 	if a, b := seq.index.Stats(), bat.index.Stats(); a != b {
 		t.Fatalf("index stats diverge: %v vs %v", a, b)
 	}
-	if !seq.filter.Equal(bat.filter) {
+	if !seq.summary.Filter().Equal(bat.summary.Filter()) {
 		t.Fatal("Bloom filters diverge between sequential and batched publish")
 	}
 	for _, q := range []string{"shared lexicon", "token7", "corpus"} {
@@ -109,11 +109,11 @@ func TestPublishBatchIdempotent(t *testing.T) {
 	}
 
 	// A fully duplicate batch changes nothing — filter included.
-	before := p.filter.Clone()
+	before := p.summary.Filter().Clone()
 	if _, err := p.PublishBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if !p.filter.Equal(before) {
+	if !p.summary.Filter().Equal(before) {
 		t.Fatal("all-duplicate batch mutated the filter")
 	}
 }

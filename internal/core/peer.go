@@ -124,9 +124,7 @@ type Peer struct {
 	index       *index.Index
 	docOf       map[string]index.DocID // doc key -> local index id
 	keyOf       map[index.DocID]string // inverse of docOf; indexLocked and unindexLocked write both
-	filter      *bloom.Filter
-	counting    *bloom.Counting // deletion-aware twin of filter
-	summary     *bloom.Summary  // incremental gossip summarization of filter
+	summary     *bloom.Summary         // the gossiped Bloom filter and its pending diff
 	broker      *broker.Broker
 	watchers    []remoteWatch
 	registry    *search.Registry
@@ -139,12 +137,9 @@ type Peer struct {
 	started     bool
 	closed      bool
 
-	// Durable state (nil/zero unless Config.DataDir is set). replaying
-	// is only true inside NewPeer while recovery republishes logged
-	// operations; it suppresses re-logging them.
-	st        *store.Store
-	recovery  RecoverySummary
-	replaying bool
+	// Durable state (nil/zero unless Config.DataDir is set).
+	st       *store.Store
+	recovery RecoverySummary
 
 	// Replication state: the replica manager is always constructed (it
 	// also carries the popularity signal); hoardDone closes when the
@@ -182,14 +177,12 @@ func NewPeer(cfg Config) (*Peer, error) {
 		index:     index.New(),
 		docOf:     make(map[string]index.DocID),
 		keyOf:     make(map[index.DocID]string),
-		filter:    bloom.Default(),
-		counting:  bloom.DefaultCounting(),
+		summary:   bloom.NewSummary(bloom.Default()),
 		reg:       cfg.Metrics,
 		stopCh:    make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		hoardDone: make(chan struct{}),
 	}
-	p.summary = bloom.NewSummary(p.filter)
 	p.view = &dirView{p: p, cache: filtercache.New(dirSource{p.dir}, filtercache.Config{
 		Budget:  cfg.FilterCacheBudget,
 		Metrics: cfg.Metrics,
@@ -238,7 +231,7 @@ func NewPeer(cfg Config) (*Peer, error) {
 			userOnNews(rec)
 		}
 	}
-	epoch := max32(1, cfg.Epoch)
+	epoch := max(1, cfg.Epoch)
 	var durableRec store.Recovery
 	if cfg.DataDir != "" {
 		st, rec, err := openStore(&cfg)
@@ -251,7 +244,7 @@ func NewPeer(cfg Config) (*Peer, error) {
 		// The restarted incarnation must supersede everything the dead
 		// one could have gossiped: its durable version counters floor
 		// the epoch bump.
-		epoch = max32(epoch, rec.Epoch+1)
+		epoch = max(epoch, rec.Epoch+1)
 	}
 	self := directory.Record{
 		ID: cfg.ID, Class: cfg.Class, Addr: tp.Addr(),
@@ -260,12 +253,15 @@ func NewPeer(cfg Config) (*Peer, error) {
 	}
 	self.PayloadSize = int32(len(self.Payload))
 	p.node = gossip.NewNode(self, p.dir, gcfg, tp)
-	// The replica manager exists before recovery (which replays replica
-	// records into it) and before the transport serves (an inbound
-	// ReplicaPut must find it).
-	p.rep = p.newReplicaManager()
+	// Every peer has a replica manager (it also carries the popularity
+	// signal), built before recovery applies replica records to it and
+	// before the transport serves an inbound ReplicaPut.
+	p.rep = replica.NewManager(replica.Config{
+		Factor: cfg.Replicas, Budget: cfg.HoardBudget, HalfLife: cfg.HoardHalfLife,
+		Now: tp.Now, Metrics: cfg.Metrics,
+	})
 	if p.st != nil {
-		if err := p.replayRecovery(durableRec); err != nil {
+		if err := p.recoverFrom(durableRec); err != nil {
 			tp.Close()
 			p.st.Close()
 			return nil, err
@@ -415,7 +411,7 @@ func (p *Peer) Publish(xml string) (*doc.Document, error) {
 // harmless — record versions only floor the restart epoch bump, and the
 // bump raises the epoch past any seq within it.
 func (p *Peer) selfVer() directory.Version {
-	if p.st == nil || p.replaying {
+	if p.st == nil {
 		return directory.Version{}
 	}
 	return p.node.SelfRecord().Ver
@@ -457,8 +453,7 @@ func topTerms(freqs map[string]int, frac float64) []string {
 // Remove unpublishes a document: the local store and index forget it.
 // The gossiped Bloom filter is not shrunk immediately (plain filters
 // cannot delete); stale bits persist — costing only false positives —
-// until Compact rebuilds the filter. A counting twin tracks exactly how
-// stale the gossiped filter has become (see StaleFraction).
+// until Compact rebuilds the filter (StaleFraction says how many).
 func (p *Peer) Remove(docID string) bool {
 	ver := p.selfVer()
 	p.mu.Lock()
@@ -466,19 +461,15 @@ func (p *Peer) Remove(docID string) bool {
 		p.mu.Unlock()
 		return false
 	}
-	// Write-ahead, like Publish: a WAL failure means the removal is NOT
-	// applied — the document stays, the caller sees false, and memory,
-	// disk, and gossip remain consistent (no removal that silently
-	// resurrects after a crash). The failure is counted so operators can
-	// spot a sick disk.
-	if err := p.logBatch([]store.Op{{Kind: store.OpRemove, Data: docID}}, ver); err != nil {
-		p.mu.Unlock()
+	// A failed append applies nothing: the document stays and the caller
+	// sees false (no removal that silently resurrects after a crash). The
+	// failure is counted so operators can spot a sick disk.
+	err := p.commitLocked([]store.Op{{Kind: store.OpRemove, Data: docID}}, ver)
+	p.mu.Unlock()
+	if err != nil {
 		p.reg.Counter("store_wal_append_errors_total").Inc()
 		return false
 	}
-	p.store.Delete(docID)
-	p.unindexLocked(docID)
-	p.mu.Unlock()
 	p.maybeCompact()
 	// Push death certificates to the replica placement so live holders
 	// purge (and tombstone) the content instead of serving it forever.
@@ -494,15 +485,24 @@ func (p *Peer) Remove(docID string) bool {
 func (p *Peer) StaleFraction() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	set := p.filter.SetBits()
+	set := p.summary.Filter().SetBits()
 	if set == 0 {
 		return 0
 	}
-	stale, err := p.counting.StaleBits(p.filter)
-	if err != nil {
-		return 0
+	return float64(set-p.rebuildFilterLocked().SetBits()) / float64(set)
+}
+
+// rebuildFilterLocked builds the filter of exactly what the peer holds
+// now: every indexed term and one marker per indexed key. Every one of
+// them was inserted into the gossiped filter, so the rebuilt filter's bits
+// are a subset of its bits. Caller holds p.mu.
+func (p *Peer) rebuildFilterLocked() *bloom.Filter {
+	f := bloom.Default()
+	f.InsertAll(p.index.Terms())
+	for key := range p.docOf {
+		f.Insert(docMarker(key))
 	}
-	return float64(stale) / float64(set)
+	return f
 }
 
 // Compact rebuilds the peer's Bloom filter from its live index contents,
@@ -511,9 +511,8 @@ func (p *Peer) StaleFraction() float64 {
 // bits were cleaned.
 func (p *Peer) Compact() int {
 	p.mu.Lock()
-	fresh := p.counting.ToFilter()
-	cleaned := p.filter.SetBits() - fresh.SetBits()
-	p.filter = fresh
+	fresh := p.rebuildFilterLocked()
+	cleaned := p.summary.Filter().SetBits() - fresh.SetBits()
 	p.summary.Reset(fresh)
 	payload := p.summary.Payload()
 	p.mu.Unlock()
@@ -531,13 +530,6 @@ func (p *Peer) LocalDocs() int { return p.store.Len() }
 // Terms runs the query pipeline over a raw query string, supporting both
 // plain words and the structured "tag:word" syntax.
 func Terms(query string) []string { return text.ParseQuery(query) }
-
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // Search runs the ranked TFxIPF search (Section 5.2) for a raw query.
 func (p *Peer) Search(query string, k int) ([]search.ScoredDoc, search.Stats) {
@@ -648,18 +640,26 @@ func (p *Peer) PostPersistentQuery(query string, fn func(search.DocResult)) func
 // replica set — a replica-held hit carries Peer == this peer's id. For
 // holder-agnostic fetches with failover, use ResolveDocument.
 func (p *Peer) FetchDocument(owner directory.PeerID, key string) (string, error) {
-	if owner == p.id {
-		if d, err := p.store.Get(key); err == nil {
-			p.rep.Hit(key)
-			return d.Raw, nil
-		}
-		if e, ok := p.rep.Get(key); ok {
-			p.rep.Hit(key)
-			return e.XML, nil
-		}
+	if owner != p.id {
+		return p.tp.GetDoc(owner, key)
+	}
+	e, _, ok := p.holding(key)
+	if !ok {
 		return "", fmt.Errorf("%w: %s", doc.ErrNotFound, key)
 	}
-	return p.tp.GetDoc(owner, key)
+	p.rep.Hit(key)
+	return e.XML, nil
+}
+
+// holding looks key up in what this peer holds: its own document — returned
+// as an Entry with this peer as origin and no epoch — else a hoarded
+// replica.
+func (p *Peer) holding(key string) (e replica.Entry, own, ok bool) {
+	if d, err := p.store.Get(key); err == nil {
+		return replica.Entry{Key: key, Origin: int32(p.id), XML: d.Raw}, true, true
+	}
+	e, ok = p.rep.Get(key)
+	return e, false, ok
 }
 
 // localQuery evaluates a query against the local index (both semantics).

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"planetp/internal/chash"
@@ -10,7 +11,6 @@ import (
 	"planetp/internal/doc"
 	"planetp/internal/replica"
 	"planetp/internal/store"
-	"planetp/internal/text"
 	"planetp/internal/transport"
 )
 
@@ -44,19 +44,6 @@ func docMarker(key string) string { return docMarkerPrefix + key }
 // hoardPullMax bounds one hoard pull's advertisement size.
 const hoardPullMax = 32
 
-// newReplicaManager builds the peer's replica manager. It is constructed
-// for every peer (it also carries the popularity signal) and before
-// recovery, which replays replica records into it.
-func (p *Peer) newReplicaManager() *replica.Manager {
-	return replica.NewManager(replica.Config{
-		Factor:   p.cfg.Replicas,
-		Budget:   p.cfg.HoardBudget,
-		HalfLife: p.cfg.HoardHalfLife,
-		Now:      p.tp.Now,
-		Metrics:  p.reg,
-	})
-}
-
 // ReplicaDocs returns the number of locally held replicas.
 func (p *Peer) ReplicaDocs() int { return p.rep.Len() }
 
@@ -70,56 +57,25 @@ func (p *Peer) ReplicaKeys() []string {
 	return keys
 }
 
-// indexReplicaLocked indexes a held replica's terms for search and
-// announces them — plus the doc marker — through the Bloom summary (a
-// no-op when the key is already indexed: an epoch refresh). Caller holds
-// p.mu.
-func (p *Peer) indexReplicaLocked(e replica.Entry) {
-	if _, ok := p.docOf[e.Key]; ok {
-		return
-	}
-	var a text.Analyzer
-	ad := p.analyzeOne(e.XML, &a)
-	ad.key = e.Key
-	p.indexLocked([]analyzed{ad})
-	releaseFreqs(ad.freqs)
-}
-
-// applyReplicaLocked makes the change one replica record describes, in
-// the manager and in the index: a record just logged, or one replayed at
-// recovery. The summary is NOT flushed; callers flush once per batch and
-// gossip the diff. Caller holds p.mu.
-func (p *Peer) applyReplicaLocked(op store.Op) error {
-	e, changed, err := p.rep.Apply(op)
-	if err != nil || !changed {
-		return err
-	}
-	if op.Kind == store.OpReplicaDrop {
-		p.unindexLocked(e.Key)
-	} else {
-		p.indexReplicaLocked(e)
-	}
-	return nil
-}
-
-// commitReplicaLocked write-ahead logs a batch of replica records, then
-// applies them in order; on a failed append nothing changes. Caller holds
-// p.mu — like every append — so a plan made under it is still valid here.
-func (p *Peer) commitReplicaLocked(ops []store.Op, ver directory.Version) error {
-	err := p.logBatch(ops, ver)
-	for i := 0; err == nil && i < len(ops); i++ {
-		err = p.applyReplicaLocked(ops[i])
-	}
-	return err
-}
-
 // adoptReplica durably stores an offered replica and indexes it for
 // serving; seed seeds the local popularity counter so a fresh adoption
 // is not immediately GC-eligible.
 func (p *Peer) adoptReplica(e replica.Entry, seed float64) {
 	ver := p.selfVer()
+	var ops []store.Op
+	var err error
 	p.mu.Lock()
-	ops, err := p.adoptReplicaLocked(e, seed, ver)
+	// An offer is refused (no records) when it is tombstoned, not newer
+	// than the held copy, or a document this peer owns: an own document is
+	// never shadowed by a replica of itself.
+	if _, own, _ := p.holding(e.Key); !own {
+		if ops, err = p.rep.PlanPut(e); len(ops) > 0 {
+			// A popularity score holds nothing, so it can be seeded ahead
+			// of the commit: the GC never sees the new replica cold.
+			p.rep.Seed(e.Key, seed)
+			err = p.commitLocked(ops, ver)
+		}
+	}
 	p.mu.Unlock()
 	if err == nil && len(ops) > 0 {
 		p.reg.Counter("replica_adopts_total").Inc()
@@ -132,25 +88,6 @@ func (p *Peer) adoptReplica(e replica.Entry, seed float64) {
 	p.maybeCompact()
 }
 
-// adoptReplicaLocked plans, logs and applies one adoption, returning the
-// committed records: the budget's evictions, then the put. It returns none
-// for an offer that is refused — tombstoned, not newer than the held
-// copy, or a document this peer owns (an own document is never shadowed by
-// a replica of itself).
-func (p *Peer) adoptReplicaLocked(e replica.Entry, seed float64, ver directory.Version) ([]store.Op, error) {
-	if _, err := p.store.Get(e.Key); err == nil {
-		return nil, nil
-	}
-	ops, err := p.rep.PlanPut(e)
-	if len(ops) == 0 {
-		return nil, err
-	}
-	// A popularity score holds nothing, so it can be seeded ahead of the
-	// commit: the GC never sees the new replica cold.
-	p.rep.Seed(e.Key, seed)
-	return ops, p.commitReplicaLocked(ops, ver)
-}
-
 // purgeReplica drops a held replica (and, with tomb, records the death
 // certificate even if the replica is not held — a purge can arrive
 // before the adoption it forbids).
@@ -160,7 +97,7 @@ func (p *Peer) purgeReplica(key string, epoch uint32, tomb bool) {
 	held := p.rep.Has(key)
 	ops, err := p.rep.PlanDrop(key, epoch, tomb)
 	if err == nil {
-		err = p.commitReplicaLocked(ops, ver)
+		err = p.commitLocked(ops, ver)
 	}
 	p.mu.Unlock()
 	switch {
@@ -181,13 +118,8 @@ func (p *Peer) purgeReplica(key string, epoch uint32, tomb bool) {
 // failure marks the holder off-line and fails over. It returns
 // doc.ErrNotFound only when no candidate holds the document.
 func (p *Peer) ResolveDocument(key string) (string, directory.PeerID, error) {
-	if d, err := p.store.Get(key); err == nil {
-		p.rep.Hit(key)
-		return d.Raw, p.id, nil
-	}
-	if e, ok := p.rep.Get(key); ok {
-		p.rep.Hit(key)
-		return e.XML, p.id, nil
+	if xml, err := p.FetchDocument(p.id, key); err == nil {
+		return xml, p.id, nil
 	}
 	marker := docMarker(key)
 	online := p.dir.OnlineIDs()
@@ -239,11 +171,14 @@ func (p *Peer) hotDocs(max int) []replica.HotDoc {
 		if len(out) == max {
 			break
 		}
-		if _, err := p.store.Get(k); err == nil {
-			out = append(out, replica.HotDoc{Key: k, Origin: int32(p.id), Epoch: selfEpoch, Score: scores[i]})
-		} else if e, ok := p.rep.Get(k); ok {
-			out = append(out, replica.HotDoc{Key: e.Key, Origin: e.Origin, Epoch: e.Epoch, Score: scores[i]})
+		e, own, ok := p.holding(k)
+		if !ok {
+			continue
 		}
+		if own {
+			e.Epoch = selfEpoch
+		}
+		out = append(out, replica.HotDoc{Key: k, Origin: e.Origin, Epoch: e.Epoch, Score: scores[i]})
 	}
 	return out
 }
@@ -252,7 +187,7 @@ func (p *Peer) hotDocs(max int) []replica.HotDoc {
 // replica placement (best effort; the hoard GC's epoch-supersession
 // check catches holders the push misses).
 func (p *Peer) broadcastPurge(key string) {
-	if p.rep.Factor() <= 1 || p.replaying {
+	if p.rep.Factor() <= 1 {
 		return
 	}
 	epoch := p.node.SelfRecord().Ver.Epoch
@@ -307,8 +242,8 @@ func (p *Peer) pushHotDocs() {
 	ring := p.brokerRing()
 	selfEpoch := p.node.SelfRecord().Ver.Epoch
 	for i, key := range keys {
-		d, err := p.store.Get(key)
-		if err != nil {
+		d, own, _ := p.holding(key)
+		if !own {
 			continue // only the origin pushes
 		}
 		target := p.rep.TargetReplicas(scores[i])
@@ -320,7 +255,7 @@ func (p *Peer) pushHotDocs() {
 			if succ == p.id || p.view.Contains(succ, marker) {
 				continue
 			}
-			if err := p.tp.ReplicaPut(succ, key, d.Raw, p.id, selfEpoch); err != nil {
+			if err := p.tp.ReplicaPut(succ, key, d.XML, p.id, selfEpoch); err != nil {
 				p.dir.MarkOffline(succ, p.tp.Now())
 			}
 		}
@@ -351,25 +286,11 @@ func (p *Peer) pullHotDocs() {
 	ring := p.brokerRing()
 	for _, h := range hot {
 		origin := directory.PeerID(h.Origin)
-		if origin == p.id {
-			continue
-		}
-		if _, err := p.store.Get(h.Key); err == nil {
-			continue
-		}
+		_, own, _ := p.holding(h.Key)
 		target := p.rep.TargetReplicas(h.Score)
-		if target == 0 || !p.rep.Accepts(h.Key, h.Epoch) {
-			continue
-		}
-		responsible := false
-		for _, id := range chash.ReplicaHolders(ring, h.Key, origin, target) {
-			if id == p.id {
-				responsible = true
-				break
-			}
-		}
-		if !responsible {
-			continue
+		if origin == p.id || own || target == 0 || !p.rep.Accepts(h.Key, h.Epoch) ||
+			!slices.Contains(chash.ReplicaHolders(ring, h.Key, origin, target), p.id) {
+			continue // not wanted here, or not this peer's to hold
 		}
 		xml, err := p.tp.GetDoc(q, h.Key)
 		if err != nil {

@@ -352,7 +352,7 @@ func TestReplicaStoreCrashSuite(t *testing.T) {
 				q.mu.Lock()
 				defer q.mu.Unlock()
 				for k := range everHeld {
-					if q.filter.Contains(docMarker(k)) != held[k] {
+					if q.summary.Filter().Contains(docMarker(k)) != held[k] {
 						t.Fatalf("marker announcement for %s disagrees with held set %s", k, got)
 					}
 				}

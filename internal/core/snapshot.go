@@ -53,12 +53,10 @@ func DecodeSnapshotLimit(data []byte, limit int64) (Snapshot, error) {
 	return snap, nil
 }
 
-// restore loads a snapshot into a freshly constructed peer: the hoard is
-// restored and indexed, then the documents are republished as one batch —
-// one index pass, one summary flush, one gossip version, however many
-// documents (called before Start, so nothing goes on the wire; the final
-// filter gossips as one announcement once gossiping begins).
-func (p *Peer) restore(snap Snapshot) error {
+// restoreHoard loads a snapshot's replicas and tombstones into a freshly
+// constructed peer and indexes the replicas; its documents are recovered
+// as a run of publish records.
+func (p *Peer) restoreHoard(snap Snapshot) error {
 	if int32(p.id) != snap.ID {
 		return fmt.Errorf("core: snapshot belongs to peer %d, not %d", snap.ID, p.id)
 	}
@@ -68,8 +66,5 @@ func (p *Peer) restore(snap Snapshot) error {
 		p.indexReplicaLocked(e)
 	}
 	p.mu.Unlock()
-	if _, err := p.PublishBatch(snap.Docs); err != nil {
-		return fmt.Errorf("core: restoring documents: %w", err)
-	}
 	return nil
 }

@@ -50,7 +50,7 @@ func (v *dirView) ContainsDigest(id directory.PeerID, d bloom.Digest) bool {
 	if id == v.p.id {
 		v.p.mu.Lock()
 		defer v.p.mu.Unlock()
-		return v.p.filter.ContainsDigest(d)
+		return v.p.summary.Filter().ContainsDigest(d)
 	}
 	return v.cache.ContainsDigest(id, d)
 }
@@ -65,8 +65,9 @@ func (v *dirView) ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit []boo
 	}
 	v.p.mu.Lock()
 	defer v.p.mu.Unlock()
+	f := v.p.summary.Filter()
 	for i, d := range ds {
-		if v.p.filter.ContainsDigest(d) {
+		if f.ContainsDigest(d) {
 			hit[i] = true
 		}
 	}
@@ -279,15 +280,8 @@ func (h *handler) HandleProxySearch(terms []string, k int) []search.ScoredDoc {
 // replica serving fetches is exactly as hot as the original).
 func (h *handler) HandleGetDoc(key string) (string, bool) {
 	p := (*Peer)(h)
-	if d, err := p.store.Get(key); err == nil {
-		p.rep.Hit(key)
-		return d.Raw, true
-	}
-	if e, ok := p.rep.Get(key); ok {
-		p.rep.Hit(key)
-		return e.XML, true
-	}
-	return "", false
+	xml, err := p.FetchDocument(p.id, key)
+	return xml, err == nil
 }
 
 // HandleReplicaPut implements transport.Handler: the origin (or a
