@@ -30,8 +30,9 @@ func (f *Filter) InsertTrack(key string, track []uint64) []uint64 {
 //
 //   - the bit positions newly set since the last Flush — exactly the
 //     diff PlanetP gossips — accumulate as inserts happen;
-//   - the compressed payload is cached and invalidated only when a bit
-//     flips, so republishing an unchanged filter costs nothing.
+//   - the compressed payload is built only when asked for (Snapshot,
+//     SetPayload) and cached until the next bit flips, so a run of
+//     publishes between two gossip sends costs one compression.
 //
 // A Summary owns its filter's mutations: insert through it (or Reset it
 // after rebuilding the filter wholesale) or the tracked diff diverges
@@ -41,6 +42,7 @@ type Summary struct {
 	f       *Filter
 	pending []uint64 // positions set since the last Flush (unsorted, unique)
 	payload []byte   // cached f.Compress(); nil when stale
+	gen     uint64   // advances whenever payload goes stale
 }
 
 // NewSummary wraps f, which must not be mutated except through the
@@ -57,7 +59,7 @@ func (s *Summary) Insert(key string) bool {
 	n := len(s.pending)
 	s.pending = s.f.InsertTrack(key, s.pending)
 	if len(s.pending) > n {
-		s.payload = nil
+		s.payload, s.gen = nil, s.gen+1
 		return true
 	}
 	return false
@@ -67,9 +69,9 @@ func (s *Summary) Insert(key string) bool {
 func (s *Summary) Pending() int { return len(s.pending) }
 
 // Flush encodes the diff of everything inserted since the last Flush and
-// returns it with the full compressed payload, clearing the pending set.
-// The diff is identical to Filter.Diff against a clone taken at the last
-// Flush; the payload is shared with the cache and must not be modified.
+// clears the pending set. The diff is identical to Filter.Diff against a
+// clone taken at the last Flush. It compresses nothing: payload is the
+// cached compressed filter while that is current (shared, read-only), else nil.
 func (s *Summary) Flush() (diff, payload []byte, err error) {
 	slices.Sort(s.pending)
 	diff, err = EncodeDiff(s.pending, s.f.NumBits())
@@ -77,17 +79,27 @@ func (s *Summary) Flush() (diff, payload []byte, err error) {
 		return nil, nil, err
 	}
 	s.pending = s.pending[:0]
-	return diff, s.Payload(), nil
+	return diff, s.payload, nil
 }
 
-// Payload returns the compressed filter, recomputing it only if the
-// filter changed since the last call. The returned slice is shared with
-// the cache and must not be modified.
-func (s *Summary) Payload() []byte {
-	if s.payload == nil {
-		s.payload = s.f.Compress()
+// Snapshot starts a payload build outside the lock guarding the summary:
+// it returns the cached payload if no bit has flipped since it was built,
+// else nil and a copy of the filter for the caller to Compress once the
+// lock is released, and offer back through SetPayload with gen.
+func (s *Summary) Snapshot() (payload []byte, f *Filter, gen uint64) {
+	if s.payload != nil {
+		return s.payload, nil, s.gen
 	}
-	return s.payload
+	return nil, s.f.Clone(), s.gen
+}
+
+// SetPayload caches payload, the compression of the Snapshot copy taken at
+// gen, unless the filter has changed since. The slice is shared with the
+// cache from here on and must not be modified.
+func (s *Summary) SetPayload(payload []byte, gen uint64) {
+	if gen == s.gen {
+		s.payload = payload
+	}
 }
 
 // Reset replaces the underlying filter wholesale — the compaction path,
@@ -97,5 +109,5 @@ func (s *Summary) Payload() []byte {
 func (s *Summary) Reset(f *Filter) {
 	s.f = f
 	s.pending = s.pending[:0]
-	s.payload = nil
+	s.payload, s.gen = nil, s.gen+1
 }

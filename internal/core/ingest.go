@@ -20,8 +20,9 @@ import (
 // Publish across a whole batch: text analysis runs on a bounded worker
 // pool outside the peer mutex, the WAL commits all records with one
 // append (and, with fsync batching, one flush), the index is locked once,
-// and a single filter diff + compressed payload is gossiped for the
-// batch instead of one per document.
+// a single filter diff and version are announced for the batch, and each
+// remote broker gets one frame. The compressed filter is not built here:
+// the gossip node asks for it (Peer.selfPayload) when the record leaves.
 
 // ErrNoTerms is the single-document Publish failure — the input yields
 // no indexable terms after parsing and stemming; batches wrap it with
@@ -124,8 +125,10 @@ func (p *Peer) analyzeBatch(xmls []string) ([]analyzed, error) {
 //	plan     — under p.mu, decide which records the call amounts to
 //	log      — append them to the WAL (logBatch; write-ahead)
 //	apply    — make them in memory: the apply*Locked functions below
-//	announce — flush the summary and gossip it, then the side effects of a
-//	           live write (broker puts, purge broadcast, metrics, WAL fold)
+//	announce — flush the summary's diff (under p.mu) and hand the node the
+//	           new version (after releasing it: p.mu is never held while
+//	           taking the node's mutex), then the side effects of a live
+//	           write (broker puts, purge broadcast, metrics, WAL fold)
 //
 // Recovery runs apply alone, on the records the log already holds, and
 // announces once at its end. The apply functions are therefore the only
@@ -256,20 +259,20 @@ func (p *Peer) gossipPending() error {
 		p.mu.Unlock()
 		return nil
 	}
-	diff, payload, err := p.summary.Flush()
+	diff, _, err := p.summary.Flush()
 	p.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	p.node.Publish(len(diff), len(payload), payload)
+	p.node.Publish(len(diff), 0)
 	return nil
 }
 
 // PublishBatch publishes many XML documents as one atomic ingest step:
 // all are analyzed in parallel, committed to the WAL as a single batch
 // (write-ahead — a failed commit leaves the peer completely unchanged),
-// indexed under one lock acquisition, and summarized into ONE gossiped
-// filter diff and compressed payload. Documents already published (or
+// indexed under one lock acquisition, and announced as ONE filter diff
+// and version. Documents already published (or
 // repeated within the batch) are skipped idempotently, exactly like
 // Publish. The returned documents are index-aligned with xmls.
 //
@@ -312,13 +315,13 @@ func (p *Peer) PublishBatch(xmls []string) ([]*doc.Document, error) {
 		return nil, fmt.Errorf("core: batch publish not committed to WAL: %w", err)
 	}
 	converted := p.applyPublishLocked(fresh)
-	diff, payload, err := p.summary.Flush()
+	diff, _, err := p.summary.Flush()
 	p.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 
-	p.node.Publish(len(diff), len(payload), payload)
+	p.node.Publish(len(diff), 0)
 	p.maybeCompact()
 	if converted > 0 {
 		p.reg.Counter("replica_purges_total").Add(int64(converted))
@@ -329,10 +332,12 @@ func (p *Peer) PublishBatch(xmls []string) ([]*doc.Document, error) {
 		if discard <= 0 {
 			discard = 10 * time.Minute
 		}
-		for _, ad := range fresh {
+		sns := make([]broker.Snippet, len(fresh))
+		for i, ad := range fresh {
 			keys := topTerms(ad.freqs, p.cfg.BrokerTopFrac)
-			p.brokerPublish(broker.Snippet{ID: ad.doc.ID, Owner: int32(p.id), XML: ad.doc.Raw, Keys: keys}, discard)
+			sns[i] = broker.Snippet{ID: ad.doc.ID, Owner: int32(p.id), XML: ad.doc.Raw, Keys: keys}
 		}
+		p.brokerPublish(sns, discard)
 	}
 
 	p.reg.Counter("ingest_docs_total").Add(int64(len(fresh)))

@@ -248,11 +248,10 @@ func NewPeer(cfg Config) (*Peer, error) {
 	}
 	self := directory.Record{
 		ID: cfg.ID, Class: cfg.Class, Addr: tp.Addr(),
-		Ver:     directory.Version{Epoch: epoch},
-		Payload: p.summary.Payload(),
+		Ver: directory.Version{Epoch: epoch},
 	}
-	self.PayloadSize = int32(len(self.Payload))
 	p.node = gossip.NewNode(self, p.dir, gcfg, tp)
+	p.node.SetSelfPayload(p.selfPayload)
 	// Every peer has a replica manager (it also carries the popularity
 	// signal), built before recovery applies replica records to it and
 	// before the transport serves an inbound ReplicaPut.
@@ -514,12 +513,31 @@ func (p *Peer) Compact() int {
 	fresh := p.rebuildFilterLocked()
 	cleaned := p.summary.Filter().SetBits() - fresh.SetBits()
 	p.summary.Reset(fresh)
-	payload := p.summary.Payload()
 	p.mu.Unlock()
 	// A compacted filter cannot be expressed as an additive diff — the
-	// rumor carries the full replacement.
-	p.node.Publish(len(payload), len(payload), payload)
+	// rumor carries the full replacement, so that is the diff's size.
+	p.node.Publish(len(p.selfPayload()), 0)
 	return cleaned
+}
+
+// selfPayload is the gossip node's payload source (Node.SetSelfPayload):
+// the filter as it is now, compressed, cached in the summary until the next
+// bit flips. Only the copy of the filter's words is made under p.mu; the
+// Golomb coding runs outside it, and the node calls this holding no lock of
+// its own — p.mu is never held while taking the node's mutex, nor the reverse.
+func (p *Peer) selfPayload() []byte {
+	p.mu.Lock()
+	payload, snap, gen := p.summary.Snapshot()
+	p.mu.Unlock()
+	if payload != nil {
+		return payload
+	}
+	payload = snap.Compress()
+	p.reg.Counter("gossip_self_payload_builds_total").Inc()
+	p.mu.Lock()
+	p.summary.SetPayload(payload, gen)
+	p.mu.Unlock()
+	return payload
 }
 
 // LocalDocs returns the number of locally published documents.

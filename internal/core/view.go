@@ -10,6 +10,7 @@ import (
 	"planetp/internal/replica"
 	"planetp/internal/search"
 	"planetp/internal/transport"
+	"sync"
 	"time"
 )
 
@@ -120,20 +121,49 @@ func (p *Peer) brokerRing() *chash.Ring[directory.PeerID] {
 	return chash.PeerRing(p.dir.OnlineIDs())
 }
 
-// brokerPublish routes a snippet's keys to their owning brokers.
-func (p *Peer) brokerPublish(sn broker.Snippet, discard time.Duration) {
+// brokerFanout bounds the concurrent per-broker sends of one brokerPublish.
+const brokerFanout = 8
+
+// brokerPublish routes the keys of a batch's snippets to their owning
+// brokers: the keys this peer owns are put locally, and every other broker
+// gets one frame carrying each snippet it owns a key of, once, with those
+// keys. The frames go out concurrently; a failed one marks its broker
+// off-line.
+func (p *Peer) brokerPublish(sns []broker.Snippet, discard time.Duration) {
 	ring := p.brokerRing()
-	for _, key := range sn.Keys {
-		_, ownerPeer, ok := ring.Successor(chash.Hash(key))
-		if !ok {
-			continue
-		}
-		if ownerPeer == p.id {
-			p.putLocalSnippet(sn, key, discard)
-		} else if err := p.tp.BrokerPut(ownerPeer, key, sn, discard); err != nil {
-			p.dir.MarkOffline(ownerPeer, p.tp.Now())
+	remote := make(map[directory.PeerID][]transport.KeyedSnippet)
+	for _, sn := range sns {
+		for _, key := range sn.Keys {
+			_, owner, ok := ring.Successor(chash.Hash(key))
+			if !ok {
+				continue
+			}
+			if owner == p.id {
+				p.putLocalSnippet(sn, key, discard)
+				continue
+			}
+			puts := remote[owner]
+			if n := len(puts); n == 0 || puts[n-1].Snippet.ID != sn.ID {
+				puts = append(puts, transport.KeyedSnippet{Snippet: sn})
+			}
+			puts[len(puts)-1].Keys = append(puts[len(puts)-1].Keys, key)
+			remote[owner] = puts
 		}
 	}
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, brokerFanout)
+	for owner, puts := range remote {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			if err := p.tp.BrokerPutBatch(owner, puts, discard); err != nil {
+				p.dir.MarkOffline(owner, p.tp.Now())
+			}
+			<-sem
+		}()
+	}
+	wg.Wait()
 }
 
 // putLocalSnippet stores one key of a snippet in the local broker and
@@ -317,7 +347,8 @@ func (h *handler) HandlePeerExchange(max int) []directory.Record {
 	return p.dir.SampleOnline(p.userRandLocked(), max)
 }
 
-// SelfRecord implements transport.Handler.
+// SelfRecord implements transport.Handler: the bootstrap reply, which
+// carries the payload.
 func (h *handler) SelfRecord() directory.Record {
-	return (*Peer)(h).node.SelfRecord()
+	return (*Peer)(h).node.OutgoingSelf()
 }

@@ -85,7 +85,9 @@ type Record struct {
 	// DiffSize is the wire size of the most recent Bloom-filter diff
 	// (the rumor payload); the simulator charges this for rumor pushes.
 	DiffSize int32
-	// Payload is the full compressed Bloom filter (live mode only).
+	// Payload is the full compressed Bloom filter (live mode only). A
+	// peer's own row in its own directory carries none: the gossip node
+	// stamps it on each copy that leaves (gossip.Node.SetSelfPayload).
 	Payload []byte
 }
 

@@ -11,6 +11,7 @@
 package golomb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -21,11 +22,13 @@ import (
 // encounters an impossible encoding.
 var ErrCorrupt = errors.New("golomb: corrupt input")
 
-// BitWriter accumulates individual bits into a byte slice, most significant
-// bit first within each byte.
+// BitWriter accumulates bits into a byte slice, most significant bit first
+// within each byte. Whole bytes are appended as they fill; fewer than eight
+// bits wait in acc between calls.
 type BitWriter struct {
 	buf  []byte
-	nbit uint8 // bits used in the last byte (0 means last byte is full)
+	acc  uint64 // pending bits, right-aligned
+	nacc uint   // number of pending bits, < 8 between calls
 }
 
 // NewBitWriter returns an empty BitWriter.
@@ -33,40 +36,48 @@ func NewBitWriter() *BitWriter { return &BitWriter{} }
 
 // WriteBit appends a single bit (any non-zero b writes 1).
 func (w *BitWriter) WriteBit(b uint) {
-	if w.nbit == 0 {
-		w.buf = append(w.buf, 0)
-		w.nbit = 8
-	}
 	if b != 0 {
-		w.buf[len(w.buf)-1] |= 1 << (w.nbit - 1)
+		b = 1
 	}
-	w.nbit--
+	w.WriteBits(uint64(b), 1)
 }
 
 // WriteBits appends the low n bits of v, most significant first. n must be
 // at most 64.
 func (w *BitWriter) WriteBits(v uint64, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		w.WriteBit(uint(v>>uint(i)) & 1)
+	if n > 32 { // keep pending + n within the 64-bit accumulator
+		w.WriteBits(v>>32, n-32)
+		n = 32
+	}
+	w.acc = w.acc<<n | v&(1<<n-1)
+	w.nacc += n
+	for w.nacc >= 8 {
+		w.nacc -= 8
+		w.buf = append(w.buf, byte(w.acc>>w.nacc))
 	}
 }
 
 // WriteUnary appends q one-bits followed by a terminating zero-bit.
 func (w *BitWriter) WriteUnary(q uint64) {
-	for i := uint64(0); i < q; i++ {
-		w.WriteBit(1)
+	for ; q >= 32; q -= 32 {
+		w.WriteBits(1<<32-1, 32)
 	}
-	w.WriteBit(0)
+	w.WriteBits((1<<q-1)<<1, uint(q)+1)
 }
 
 // Len returns the number of whole bytes needed to hold the written bits.
-func (w *BitWriter) Len() int { return len(w.buf) }
+func (w *BitWriter) Len() int { return len(w.buf) + int(w.nacc+7)/8 }
 
 // Bits returns the total number of bits written.
-func (w *BitWriter) Bits() int { return len(w.buf)*8 - int(w.nbit) }
+func (w *BitWriter) Bits() int { return len(w.buf)*8 + int(w.nacc) }
 
 // Bytes returns the accumulated bytes. Unused trailing bits are zero.
-func (w *BitWriter) Bytes() []byte { return w.buf }
+func (w *BitWriter) Bytes() []byte {
+	if w.nacc == 0 {
+		return w.buf
+	}
+	return append(w.buf, byte(w.acc<<(8-w.nacc)))
+}
 
 // BitReader consumes bits from a byte slice in the order BitWriter wrote
 // them.
@@ -89,16 +100,34 @@ func (r *BitReader) ReadBit() (uint, error) {
 	return bit, nil
 }
 
+// peek returns the bits from the current position on, left-aligned in a
+// word and zero-padded past the end of input. At least 57 of them are
+// real unless the input ends sooner.
+func (r *BitReader) peek() uint64 {
+	i := r.pos >> 3
+	var w uint64
+	if i+8 <= len(r.buf) {
+		w = binary.BigEndian.Uint64(r.buf[i:])
+	} else {
+		for k := i; k < len(r.buf); k++ {
+			w |= uint64(r.buf[k]) << (56 - 8*uint(k-i))
+		}
+	}
+	return w << uint(r.pos&7)
+}
+
 // ReadBits reads n bits (n <= 64) into the low bits of the result.
 func (r *BitReader) ReadBits(n uint) (uint64, error) {
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
+	if int(n) > len(r.buf)*8-r.pos {
+		return 0, ErrCorrupt
 	}
+	if n > 57 { // more than one peek is sure to hold
+		hi, _ := r.ReadBits(n - 32)
+		lo, _ := r.ReadBits(32)
+		return hi<<32 | lo, nil
+	}
+	v := r.peek() >> (64 - n)
+	r.pos += int(n)
 	return v, nil
 }
 
@@ -107,14 +136,21 @@ func (r *BitReader) ReadBits(n uint) (uint64, error) {
 func (r *BitReader) ReadUnary(limit uint64) (uint64, error) {
 	var q uint64
 	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+		avail := min(64-r.pos&7, len(r.buf)*8-r.pos)
+		if avail <= 0 {
+			return 0, ErrCorrupt
 		}
-		if b == 0 {
+		ones := bits.LeadingZeros64(^r.peek())
+		if ones < avail {
+			q += uint64(ones)
+			r.pos += ones + 1
+			if q > limit {
+				return 0, ErrCorrupt
+			}
 			return q, nil
 		}
-		q++
+		q += uint64(avail)
+		r.pos += avail
 		if q > limit {
 			return 0, ErrCorrupt
 		}

@@ -79,6 +79,82 @@ func TestUnaryLimit(t *testing.T) {
 	}
 }
 
+// TestWordKernelMatchesBitAtATime pins the word-at-a-time WriteBits,
+// WriteUnary, ReadBits and ReadUnary to the bit-at-a-time definition:
+// the same fields written through WriteBit alone give the same bytes,
+// and read back through ReadBit alone give the same values, at every
+// alignment and at widths and run lengths that cross the 32- and 64-bit
+// boundaries.
+func TestWordKernelMatchesBitAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	type field struct {
+		unary bool
+		v     uint64
+		n     uint
+	}
+	var fields []field
+	for i := 0; i < 4000; i++ {
+		if rng.Intn(2) == 0 {
+			q := uint64(rng.Intn(8))
+			if rng.Intn(16) == 0 {
+				q = uint64(rng.Intn(200))
+			}
+			fields = append(fields, field{unary: true, v: q})
+		} else {
+			n := uint(rng.Intn(65))
+			fields = append(fields, field{v: rng.Uint64(), n: n})
+		}
+	}
+	fast, slow := NewBitWriter(), NewBitWriter()
+	for _, f := range fields {
+		if f.unary {
+			fast.WriteUnary(f.v)
+			for i := uint64(0); i < f.v; i++ {
+				slow.WriteBit(1)
+			}
+			slow.WriteBit(0)
+			continue
+		}
+		fast.WriteBits(f.v, f.n)
+		for i := int(f.n) - 1; i >= 0; i-- {
+			slow.WriteBit(uint(f.v>>uint(i)) & 1)
+		}
+	}
+	if fast.Bits() != slow.Bits() || fast.Len() != slow.Len() {
+		t.Fatalf("Bits/Len = %d/%d, bit-at-a-time %d/%d", fast.Bits(), fast.Len(), slow.Bits(), slow.Len())
+	}
+	if !reflect.DeepEqual(fast.Bytes(), slow.Bytes()) {
+		t.Fatal("word-at-a-time writer produced different bytes")
+	}
+	r, ref := NewBitReader(fast.Bytes()), NewBitReader(fast.Bytes())
+	for i, f := range fields {
+		var got, want uint64
+		var err error
+		if f.unary {
+			got, err = r.ReadUnary(1 << 20)
+			for b, _ := ref.ReadBit(); b == 1; b, _ = ref.ReadBit() {
+				want++
+			}
+		} else {
+			got, err = r.ReadBits(f.n)
+			for k := uint(0); k < f.n; k++ {
+				b, _ := ref.ReadBit()
+				want = want<<1 | uint64(b)
+			}
+		}
+		if err != nil || got != want || r.Pos() != ref.Pos() {
+			t.Fatalf("field %d (%+v): got %d at bit %d (%v), want %d at bit %d", i, f, got, r.Pos(), err, want, ref.Pos())
+		}
+	}
+	// A run of ones that reaches the end of input has no terminator.
+	if _, err := NewBitReader([]byte{0xFF, 0xFF, 0xFF}).ReadUnary(1 << 20); err != ErrCorrupt {
+		t.Fatalf("unterminated run = %v, want ErrCorrupt", err)
+	}
+	if _, err := NewBitReader(make([]byte, 7)).ReadBits(57); err != ErrCorrupt {
+		t.Fatalf("ReadBits past end = %v, want ErrCorrupt", err)
+	}
+}
+
 func TestBitsFor(t *testing.T) {
 	cases := map[uint64]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10}
 	for m, want := range cases {

@@ -75,12 +75,14 @@ type Message struct {
 	Type MsgType
 	From directory.PeerID
 
-	// Updates carries records for MsgRumor and MsgRecords.
+	// Updates carries records for MsgRumor and MsgRecords. A live node's
+	// own record among them has its Payload and PayloadSize stamped from
+	// the node's payload source as the message leaves (Node.stampSelf).
 	Updates []directory.Record
 	// AsDiff marks, per update in MsgRecords, whether the responder
 	// could satisfy the pull with a Bloom-filter diff (affects only
 	// wire-size accounting in simulation; live mode always sends full
-	// payloads).
+	// payloads — stampSelf is the one place to change that).
 	AsDiff []bool
 
 	// Acked and Known echo the rumor ids received and whether each was

@@ -152,6 +152,10 @@ type Node struct {
 	// single transient dial failure no longer exiles a live peer.
 	sendFails map[directory.PeerID]int
 
+	// selfPayload, when set, is where the own record's Payload comes from
+	// (see SetSelfPayload); n.self and the own directory row carry none.
+	selfPayload func() []byte
+
 	stats Stats
 	m     nodeMetrics
 }
@@ -214,6 +218,34 @@ func (n *Node) SelfRecord() directory.Record {
 	return n.self
 }
 
+// SetSelfPayload makes src the source of the own record's compressed Bloom
+// filter: every copy of the own record about to cross the wire — in a
+// rumor, in the answer to a pull, in OutgoingSelf — is stamped with src()
+// and its length at that moment, so the filter is compressed per send that
+// needs it, not per Publish, and the payload always covers the version it
+// travels with. src is called with the node's mutex not held. Set it before
+// the node is driven; the simulator sets none and charges Publish's sizes.
+func (n *Node) SetSelfPayload(src func() []byte) { n.selfPayload = src }
+
+// stampSelf fills the own record among recs from the payload source.
+func (n *Node) stampSelf(recs []directory.Record) {
+	for i := range recs {
+		if n.selfPayload == nil || recs[i].ID != n.id {
+			continue
+		}
+		recs[i].Payload = n.selfPayload()
+		recs[i].PayloadSize = int32(len(recs[i].Payload))
+	}
+}
+
+// OutgoingSelf returns the own record as it leaves the node: SelfRecord
+// plus the payload (the bootstrap reply).
+func (n *Node) OutgoingSelf() directory.Record {
+	recs := []directory.Record{n.SelfRecord()}
+	n.stampSelf(recs)
+	return recs[0]
+}
+
 // ActiveRumors returns the number of rumors being spread.
 func (n *Node) ActiveRumors() int {
 	n.mu.Lock()
@@ -224,17 +256,14 @@ func (n *Node) ActiveRumors() int {
 // Publish announces a change to the node's own Bloom filter: Seq is
 // bumped, sizes updated, and the new record becomes an active rumor.
 // diffSize is the wire size of the filter diff (the rumor payload);
-// payloadSize the full compressed filter; payload the actual bytes (live
-// mode, may be nil in simulation).
-func (n *Node) Publish(diffSize, payloadSize int, payload []byte) directory.Record {
+// payloadSize the full compressed filter — what the simulator charges;
+// a live node passes 0 and lets stampSelf size the record as it leaves.
+func (n *Node) Publish(diffSize, payloadSize int) directory.Record {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.self.Ver.Seq++
 	n.self.DiffSize = int32(diffSize)
 	n.self.PayloadSize = int32(payloadSize)
-	if payload != nil {
-		n.self.Payload = payload
-	}
 	n.dir.Upsert(n.self)
 	n.activateLocked(RumorID{Peer: n.id, Ver: n.self.Ver})
 	n.localFresh = true
@@ -246,7 +275,7 @@ func (n *Node) Publish(diffSize, payloadSize int, payload []byte) directory.Reco
 // bumped (a new incarnation) so the announcement supersedes any version
 // gossiped before. If the node also has new content, pass the new sizes;
 // otherwise pass the previous ones with diffSize 0.
-func (n *Node) Rejoin(diffSize, payloadSize int, payload []byte) directory.Record {
+func (n *Node) Rejoin(diffSize, payloadSize int) directory.Record {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.self.Ver.Epoch++
@@ -254,9 +283,6 @@ func (n *Node) Rejoin(diffSize, payloadSize int, payload []byte) directory.Recor
 	n.self.DiffSize = int32(diffSize)
 	if payloadSize > 0 {
 		n.self.PayloadSize = int32(payloadSize)
-	}
-	if payload != nil {
-		n.self.Payload = payload
 	}
 	n.dir.Upsert(n.self)
 	n.activateLocked(RumorID{Peer: n.id, Ver: n.self.Ver})
@@ -456,6 +482,7 @@ func (n *Node) Tick() {
 	probe := n.cfg.ProbeEvery > 0 && n.rounds%n.cfg.ProbeEvery == 0
 	n.mu.Unlock()
 	n.notifyDrops(dropped)
+	n.stampSelf(msg.Updates)
 
 	if n.sendOrSuspect(target, msg) && clearFresh {
 		n.mu.Lock()
@@ -709,6 +736,7 @@ func (n *Node) receivePull(from directory.PeerID, m *Message) {
 	n.stats.RecordsSent += len(ups)
 	n.mu.Unlock()
 	n.m.recordsSent.Add(int64(len(ups)))
+	n.stampSelf(ups)
 	n.sendOrSuspect(from, &Message{Type: MsgRecords, From: n.id, Updates: ups, AsDiff: asDiff})
 }
 

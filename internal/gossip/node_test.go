@@ -106,7 +106,7 @@ func TestRumorPropagatesAndAcks(t *testing.T) {
 	b := f.addNode(1, 4, Config{})
 	f.connect()
 
-	a.Publish(300, 3000, nil)
+	a.Publish(300, 3000)
 	if a.ActiveRumors() != 1 {
 		t.Fatalf("publish did not activate rumor")
 	}
@@ -146,8 +146,8 @@ func TestSupersededRumorReplaced(t *testing.T) {
 	a := f.addNode(0, 4, Config{})
 	f.addNode(1, 4, Config{})
 	f.connect()
-	a.Publish(10, 100, nil)
-	a.Publish(20, 200, nil)
+	a.Publish(10, 100)
+	a.Publish(20, 200)
 	if a.ActiveRumors() != 1 {
 		t.Fatalf("superseding publish should keep one active rumor, got %d", a.ActiveRumors())
 	}
@@ -161,7 +161,7 @@ func TestAntiEntropyCuresResidual(t *testing.T) {
 	f.connect()
 
 	// a learns something new but never rumors to c.
-	a.Publish(50, 500, nil)
+	a.Publish(50, 500)
 	// Deliver the rumor to b only, manually.
 	b.Receive(0, &Message{Type: MsgRumor, From: 0, Updates: []directory.Record{mustGet(t, a, 0)}})
 	if c.Directory().VersionOf(0).Seq != 0 {
@@ -196,7 +196,7 @@ func TestPartialAntiEntropyPull(t *testing.T) {
 	b.mu.Unlock()
 
 	// a sends b a rumor; b's ack piggybacks the retired id; a pulls.
-	a.Publish(10, 100, nil)
+	a.Publish(10, 100)
 	a.Tick()
 	if got := a.Directory().VersionOf(2); got != rec.Ver {
 		t.Fatalf("partial anti-entropy failed: a's view of 2 = %v, want %v", got, rec.Ver)
@@ -220,7 +220,7 @@ func TestPiggybackDisabled(t *testing.T) {
 	if len(b.retired) != 0 {
 		t.Fatal("retired ring should stay empty when piggyback disabled")
 	}
-	a.Publish(10, 100, nil)
+	a.Publish(10, 100)
 	a.Tick()
 	if a.Directory().VersionOf(2) == rec.Ver {
 		t.Fatal("update leaked without partial anti-entropy")
@@ -252,7 +252,7 @@ func TestAdaptiveIntervalSlowsAndResets(t *testing.T) {
 		t.Fatalf("interval cap = %v, want 60s", got)
 	}
 	// News resets to base.
-	b.Publish(10, 100, nil)
+	b.Publish(10, 100)
 	b.Tick()
 	if got := a.Interval(); got != base {
 		t.Fatalf("interval after news = %v, want %v", got, base)
@@ -265,7 +265,7 @@ func TestOfflineDetectionOnSendFailure(t *testing.T) {
 	f.addNode(1, 4, Config{})
 	f.connect()
 	f.offline[1] = true
-	a.Publish(10, 100, nil)
+	a.Publish(10, 100)
 	// With the default suspicion threshold (2), the first failure only
 	// opens a streak; the peer stays on-line.
 	a.Tick()
@@ -300,7 +300,7 @@ func TestOneStrikeModeRestoresOldBehavior(t *testing.T) {
 	f.addNode(1, 4, Config{SuspicionThreshold: -1})
 	f.connect()
 	f.offline[1] = true
-	a.Publish(10, 100, nil)
+	a.Publish(10, 100)
 	a.Tick()
 	if e, _ := a.Directory().Entry(1); e.Online {
 		t.Fatalf("SuspicionThreshold -1 should mark offline on first failure: %+v", e)
@@ -317,7 +317,7 @@ func TestTransientFailureSurvivedAndRumorRetried(t *testing.T) {
 	b := f.addNode(1, 4, Config{})
 	f.connect()
 
-	rec := a.Publish(10, 100, nil)
+	rec := a.Publish(10, 100)
 	f.failNext[1] = 1 // exactly one transient failure
 	a.Tick()
 	if e, _ := a.Directory().Entry(1); !e.Online {
@@ -344,7 +344,7 @@ func TestSuccessResetsSuspicionStreak(t *testing.T) {
 	a := f.addNode(0, 4, Config{})
 	f.addNode(1, 4, Config{})
 	f.connect()
-	a.Publish(10, 100, nil)
+	a.Publish(10, 100)
 	// fail, succeed, fail: never two consecutive failures.
 	f.failNext[1] = 1
 	a.Tick()
@@ -370,7 +370,7 @@ func TestFailedPullReleasesInFlightGate(t *testing.T) {
 	f.connect()
 
 	// b learns a new version of c that a lacks.
-	rec := c.Publish(10, 100, nil)
+	rec := c.Publish(10, 100)
 	b.Directory().Upsert(rec)
 
 	// a hears b's summary, tries to pull, but the send fails.
@@ -401,7 +401,7 @@ func TestProbeRecoversOfflinePeer(t *testing.T) {
 	f.addNode(1, 4, Config{ProbeEvery: 4})
 	f.connect()
 
-	a.Publish(10, 100, nil)
+	a.Publish(10, 100)
 	f.offline[1] = true
 	a.Tick()
 	a.Tick()
@@ -426,8 +426,8 @@ func TestRejoinSupersedes(t *testing.T) {
 	a := f.addNode(0, 4, Config{})
 	b := f.addNode(1, 4, Config{})
 	f.connect()
-	a.Publish(10, 100, nil) // ver 1.1
-	rec := a.Rejoin(0, 0, nil)
+	a.Publish(10, 100) // ver 1.1
+	rec := a.Rejoin(0, 0)
 	if rec.Ver != (directory.Version{Epoch: 2, Seq: 0}) {
 		t.Fatalf("rejoin version = %v", rec.Ver)
 	}
@@ -444,7 +444,7 @@ func TestAEOnlyModeNeverRumors(t *testing.T) {
 	a := f.addNode(0, 4, cfg)
 	b := f.addNode(1, 4, cfg)
 	f.connect()
-	a.Publish(10, 100, nil)
+	a.Publish(10, 100)
 	for i := 0; i < 5; i++ {
 		a.Tick()
 	}
@@ -481,7 +481,7 @@ func TestTDeadDropsLongOfflinePeers(t *testing.T) {
 	f.connect()
 	// Peer 1 goes silent; a discovers it via a failed send.
 	f.offline[1] = true
-	a.Publish(10, 100, nil)
+	a.Publish(10, 100)
 	a.Tick()
 	if e, _ := a.Directory().Entry(1); e.Online {
 		t.Fatal("not marked offline")
@@ -574,4 +574,91 @@ func mustGet(t *testing.T, n *Node, id directory.PeerID) directory.Record {
 		t.Fatalf("record %d missing", id)
 	}
 	return rec
+}
+
+// TestSelfPayloadStampedWhenItLeaves: with a payload source set, the own
+// record carries no payload inside the node — SelfRecord and the own
+// directory row stay bare, and reading them never calls the source — and
+// every copy that crosses the wire (a rumor that includes self, the answer
+// to a pull for self, OutgoingSelf) carries the source's bytes as of that
+// moment with PayloadSize equal to their length. Other peers' records pass
+// through untouched, and the source runs with the node's mutex free.
+func TestSelfPayloadStampedWhenItLeaves(t *testing.T) {
+	f := newFakeNet(18)
+	a := f.addNode(0, 4, Config{AEEvery: 1000})
+	b := f.addNode(1, 4, Config{AEEvery: 1000})
+	f.connect()
+
+	filter, calls := []byte("v1"), 0
+	a.SetSelfPayload(func() []byte {
+		calls++
+		a.Stats() // takes the node's mutex: deadlocks if the caller holds it
+		return filter
+	})
+	// A third peer's record travels in a's rumors too, with a payload of
+	// its own (off-line here, so a's rumor goes to b).
+	other := directory.Record{ID: 2, Ver: directory.Version{Epoch: 1}, Payload: []byte("other"), PayloadSize: 5}
+	a.Receive(1, &Message{Type: MsgRumor, From: 1, Updates: []directory.Record{other}})
+	a.Directory().MarkOffline(2, 0)
+
+	a.Publish(10, 0)
+	if rec := a.SelfRecord(); rec.Payload != nil || calls != 0 {
+		t.Fatalf("SelfRecord built a payload (%q, %d source calls)", rec.Payload, calls)
+	}
+	if p, _, ok := a.Directory().Payload(0); ok || p != nil {
+		t.Fatalf("own directory row carries a payload: %q", p)
+	}
+
+	checkLeaving := func(what string, recs []directory.Record, want string) {
+		t.Helper()
+		seen := false
+		for _, r := range recs {
+			if int(r.PayloadSize) != len(r.Payload) {
+				t.Errorf("%s: record %d left with PayloadSize %d and %d payload bytes", what, r.ID, r.PayloadSize, len(r.Payload))
+			}
+			if r.ID == 0 {
+				seen = true
+				if string(r.Payload) != want {
+					t.Errorf("%s: own payload %q, want %q", what, r.Payload, want)
+				}
+			} else if string(r.Payload) != "other" {
+				t.Errorf("%s: peer %d's payload rewritten to %q", what, r.ID, r.Payload)
+			}
+		}
+		if !seen {
+			t.Errorf("%s: own record did not leave", what)
+		}
+	}
+
+	f.sent = nil
+	a.Tick()
+	if len(f.sent) == 0 || f.sent[0].msg.Type != MsgRumor {
+		t.Fatalf("tick sent %v, want a rumor", f.sent)
+	}
+	checkLeaving("rumor", f.sent[0].msg.Updates, "v1")
+	if got, _, ok := b.Directory().Payload(0); !ok || string(got) != "v1" {
+		t.Fatalf("receiver stored %q for the rumored record", got)
+	}
+
+	// The payload is the source's at send time, not at Publish time.
+	a.Publish(10, 0)
+	filter = []byte("v2-longer")
+	f.sent = nil
+	a.Receive(1, &Message{Type: MsgPull, From: 1, Need: []directory.NeedEntry{{ID: 0}, {ID: 2}}})
+	if len(f.sent) != 1 || f.sent[0].msg.Type != MsgRecords {
+		t.Fatalf("pull answered with %v", f.sent)
+	}
+	checkLeaving("pull reply", f.sent[0].msg.Updates, "v2-longer")
+
+	before := calls
+	checkLeaving("bootstrap reply", []directory.Record{a.OutgoingSelf()}, "v2-longer")
+	if calls != before+1 {
+		t.Fatalf("OutgoingSelf called the source %d times", calls-before)
+	}
+
+	// No source (the simulator): records leave exactly as Publish sized them.
+	b.Publish(7, 700)
+	if rec := b.OutgoingSelf(); rec.Payload != nil || rec.PayloadSize != 700 {
+		t.Fatalf("sourceless node stamped its record: %+v", rec)
+	}
 }

@@ -123,7 +123,7 @@ func (r *run) healRejoin(healAt time.Duration) {
 	r.at(healAt+time.Millisecond, func() {
 		for _, p := range r.s.Peers() {
 			if p.Online() && r.side(p.ID) == 1 {
-				p.Node.Rejoin(0, int(p.Node.SelfRecord().PayloadSize), nil)
+				p.Node.Rejoin(0, int(p.Node.SelfRecord().PayloadSize))
 			}
 		}
 	})
@@ -175,7 +175,7 @@ func (r *run) watch(p *simnet.Peer, label string, inSet func(*simnet.Peer) bool)
 // publish has p announce diff bytes of new keys on top of the standing
 // filter; a label tracks the new version to convergence.
 func (r *run) publish(p *simnet.Peer, diff int, label string) {
-	p.Node.Publish(diff, Full20000Keys+diff, nil)
+	p.Node.Publish(diff, Full20000Keys+diff)
 	if label != "" {
 		r.watch(p, label, nil)
 	}

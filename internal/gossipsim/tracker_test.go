@@ -18,7 +18,7 @@ func trackerFixture(t *testing.T) (*simnet.Sim, *tracker) {
 func TestTrackerConvergesOnPropagation(t *testing.T) {
 	s, tr := trackerFixture(t)
 	src := s.Peers()[0]
-	src.Node.Publish(100, 1000, nil)
+	src.Node.Publish(100, 1000)
 	tr.Watch(src.ID, src.Node.SelfRecord().Ver, "update", directory.Fast, nil)
 	if tr.Outstanding() != 1 {
 		t.Fatalf("Outstanding = %d", tr.Outstanding())
@@ -52,7 +52,7 @@ func TestTrackerFixedSetExcludesOfflinePeers(t *testing.T) {
 	// Peer 7 is off-line at event time: not part of the set.
 	s.Peers()[7].GoOffline()
 	src := s.Peers()[0]
-	src.Node.Publish(100, 1000, nil)
+	src.Node.Publish(100, 1000)
 	tr.Watch(src.ID, src.Node.SelfRecord().Ver, "update", directory.Fast, nil)
 	if !s.RunUntil(time.Hour, func() bool { return tr.Outstanding() == 0 }) {
 		t.Fatal("event should converge without the offline peer")
@@ -66,7 +66,7 @@ func TestTrackerFixedSetExcludesOfflinePeers(t *testing.T) {
 func TestTrackerDepartureCompletesEvent(t *testing.T) {
 	s, tr := trackerFixture(t)
 	src := s.Peers()[0]
-	src.Node.Publish(100, 1000, nil)
+	src.Node.Publish(100, 1000)
 	tr.Watch(src.ID, src.Node.SelfRecord().Ver, "update", directory.Fast, nil)
 	// Everyone except the source immediately leaves: the set shrinks to
 	// peers that already know, so the event completes.
@@ -81,7 +81,7 @@ func TestTrackerDepartureCompletesEvent(t *testing.T) {
 func TestTrackerAbandonOutstanding(t *testing.T) {
 	s, tr := trackerFixture(t)
 	src := s.Peers()[0]
-	src.Node.Publish(100, 1000, nil)
+	src.Node.Publish(100, 1000)
 	tr.Watch(src.ID, src.Node.SelfRecord().Ver, "update", directory.Fast, nil)
 	tr.AbandonOutstanding()
 	if tr.Outstanding() != 0 {
@@ -100,7 +100,7 @@ func TestTrackerInSetFilter(t *testing.T) {
 		return simnet.Class(p.Speed) == directory.Fast
 	}
 	src := s.Peers()[0]
-	src.Node.Publish(100, 1000, nil)
+	src.Node.Publish(100, 1000)
 	tr.Watch(src.ID, src.Node.SelfRecord().Ver, "update", simnet.Class(src.Speed), fastOnly)
 	if !s.RunUntil(2*time.Hour, func() bool { return tr.Outstanding() == 0 }) {
 		t.Fatal("fast-only event never converged")

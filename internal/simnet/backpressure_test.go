@@ -96,7 +96,7 @@ func TestBackpressureBoundsQueues(t *testing.T) {
 	s.Run(time.Second)
 	// Everyone publishes (a storm of 16KB rumors).
 	for _, p := range s.Peers() {
-		p.Node.Publish(16000, 16000, nil)
+		p.Node.Publish(16000, 16000)
 	}
 	s.Run(s.Now() + 10*time.Minute)
 	for _, p := range s.Peers() {

@@ -58,7 +58,7 @@ func TestTimelineSumsToTotal(t *testing.T) {
 	s := New(n, gossip.Config{}, DefaultParams(), 8)
 	BuildCommunity(s, n, UniformProfile(DSL), 1000, 1000)
 	s.Run(time.Second)
-	s.Peers()[0].Node.Publish(1000, 2000, nil)
+	s.Peers()[0].Node.Publish(1000, 2000)
 	s.Run(10 * time.Minute)
 	var sum int64
 	for _, b := range s.BandwidthTimeline() {

@@ -407,7 +407,7 @@ func (p *Peer) GoOnline(diffSize int) {
 	p.online = true
 	p.OnlineSince = p.sim.now
 	p.sim.onlineCount++
-	p.Node.Rejoin(diffSize, int(p.Node.SelfRecord().PayloadSize), nil)
+	p.Node.Rejoin(diffSize, int(p.Node.SelfRecord().PayloadSize))
 	if p.sim.OnOnlineChange != nil {
 		p.sim.OnOnlineChange(p, true)
 	}

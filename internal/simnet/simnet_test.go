@@ -81,7 +81,7 @@ func TestPropagationReachesEveryone(t *testing.T) {
 	s.Run(time.Second) // settle timers
 
 	src := s.Peers()[0]
-	src.Node.Publish(3000, 6000, nil)
+	src.Node.Publish(3000, 6000)
 	wantVer := src.Node.SelfRecord().Ver
 
 	knows := func() bool {
@@ -114,7 +114,7 @@ func TestPropagationWithoutPartialAE(t *testing.T) {
 	BuildCommunity(s, n, UniformProfile(LAN), 3000, 3000)
 	s.Run(time.Second)
 	src := s.Peers()[0]
-	src.Node.Publish(3000, 6000, nil)
+	src.Node.Publish(3000, 6000)
 	wantVer := src.Node.SelfRecord().Ver
 	knows := func() bool {
 		for _, p := range s.Peers() {
@@ -136,7 +136,7 @@ func TestPropagationAEOnly(t *testing.T) {
 	BuildCommunity(s, n, UniformProfile(LAN), 3000, 3000)
 	s.Run(time.Second)
 	src := s.Peers()[0]
-	src.Node.Publish(3000, 6000, nil)
+	src.Node.Publish(3000, 6000)
 	wantVer := src.Node.SelfRecord().Ver
 	knows := func() bool {
 		for _, p := range s.Peers() {
@@ -158,7 +158,7 @@ func TestDeterminism(t *testing.T) {
 		BuildCommunity(s, n, UniformProfile(DSL), 3000, 3000)
 		s.Run(time.Second)
 		src := s.Peers()[0]
-		src.Node.Publish(3000, 6000, nil)
+		src.Node.Publish(3000, 6000)
 		wantVer := src.Node.SelfRecord().Ver
 		s.RunUntil(time.Hour, func() bool {
 			for _, p := range s.Peers() {
@@ -191,7 +191,7 @@ func TestOfflinePeerLosesAndRejoins(t *testing.T) {
 
 	// Publish elsewhere; victim must not learn it while offline.
 	src := s.Peers()[0]
-	src.Node.Publish(1000, 2000, nil)
+	src.Node.Publish(1000, 2000)
 	wantVer := src.Node.SelfRecord().Ver
 	s.Run(s.Now() + 10*time.Minute)
 	if !victim.Node.Directory().VersionOf(src.ID).Less(wantVer) {

@@ -44,7 +44,8 @@ const (
 	// KindQuery asks the target to run a local query; KindQueryResp
 	// answers.
 	KindQuery
-	// KindBrokerPut stores a snippet at the target's broker.
+	// KindBrokerPut stores snippets at the target's broker: Puts, each
+	// snippet once with the keys to file it under.
 	KindBrokerPut
 	// KindBrokerGet fetches snippets for a key; answered by
 	// KindSnippets.
@@ -176,6 +177,15 @@ type Envelope struct {
 	Origin directory.PeerID
 	Epoch  uint32
 	Hot    []replica.HotDoc
+	// Puts is a KindBrokerPut's content (Discard applies to all of it).
+	Puts []KeyedSnippet
+}
+
+// KeyedSnippet is one snippet of a KindBrokerPut frame with the keys the
+// receiving broker files it under — those of the snippet's keys it owns.
+type KeyedSnippet struct {
+	Snippet broker.Snippet
+	Keys    []string
 }
 
 // Handler is the application side of the transport (implemented by
@@ -777,9 +787,16 @@ func (t *Transport) Query(to directory.PeerID, terms []string, all bool) ([]sear
 	return resp.Docs, nil
 }
 
-// BrokerPut stores a snippet under key at the owning peer's broker.
+// BrokerPut stores a snippet under key at the owning peer's broker: a
+// BrokerPutBatch of one.
 func (t *Transport) BrokerPut(to directory.PeerID, key string, sn broker.Snippet, discard time.Duration) error {
-	return t.oneway(to, &Envelope{Kind: KindBrokerPut, From: t.id, Key: key, Snippet: &sn, Discard: discard})
+	return t.BrokerPutBatch(to, []KeyedSnippet{{Snippet: sn, Keys: []string{key}}}, discard)
+}
+
+// BrokerPutBatch stores every snippet of puts, under each of its keys, at
+// one peer's broker in a single frame.
+func (t *Transport) BrokerPutBatch(to directory.PeerID, puts []KeyedSnippet, discard time.Duration) error {
+	return t.oneway(to, &Envelope{Kind: KindBrokerPut, From: t.id, Puts: puts, Discard: discard})
 }
 
 // BrokerGet fetches live snippets for key from a broker.
@@ -948,8 +965,10 @@ func (t *Transport) dispatch(enc *gob.Encoder, env *Envelope) error {
 		docs := t.handler.HandleQuery(env.Terms, env.All)
 		return enc.Encode(&Envelope{Kind: KindQueryResp, From: t.id, Docs: docs})
 	case KindBrokerPut:
-		if env.Snippet != nil {
-			t.handler.HandleBrokerPut(env.Key, *env.Snippet, env.Discard)
+		for _, put := range env.Puts {
+			for _, key := range put.Keys {
+				t.handler.HandleBrokerPut(key, put.Snippet, env.Discard)
+			}
 		}
 		return t.ack(enc)
 	case KindBrokerGet:

@@ -231,6 +231,20 @@ func TestBrokerRPCs(t *testing.T) {
 		defer hb.mu.Unlock()
 		return len(hb.puts) == 1 && hb.puts[0] == "key1:s1"
 	})
+	// A batch is one frame, fanned into one HandleBrokerPut per key before
+	// the ack that ends the call.
+	if err := ta.BrokerPutBatch(1, []KeyedSnippet{
+		{Snippet: broker.Snippet{ID: "s2"}, Keys: []string{"k1", "k2"}},
+		{Snippet: broker.Snippet{ID: "s3"}, Keys: []string{"k2"}},
+	}, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	hb.mu.Lock()
+	got := fmt.Sprint(hb.puts[1:])
+	hb.mu.Unlock()
+	if got != "[k1:s2 k2:s2 k2:s3]" {
+		t.Fatalf("batch fanned into %s", got)
+	}
 	snips, err := ta.BrokerGet(1, "zzz")
 	if err != nil || len(snips) != 1 || snips[0].ID != "sn-zzz" {
 		t.Fatalf("BrokerGet: %v %v", snips, err)

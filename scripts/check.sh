@@ -253,6 +253,13 @@ echo "== crash-recovery smoke"
 go test -race -run 'CrashPoint|Durable|Snapshot|RestartUnderFaults|ReplicaStoreCrash|ReplicaOps|ReplicaConversion|ReplayRestores|RecoveredEqualsLive' \
 	./internal/store/ ./internal/core/ ./internal/replica/ ./internal/gossipsim/
 
+# Publish/announce concurrency: writers racing on one peer while sends
+# build the own payload beside them; the payload that leaves must cover
+# the version it leaves with (already part of the suite above; rerun by
+# name, repeated, because one pass of a race is one interleaving).
+echo "== publish/announce concurrency (payload covers version)"
+go test -race -count=10 -run 'TestConcurrentPublishPayloadCoversVersion' ./internal/core/
+
 # Churn-storm acceptance suite: flash crowd, mass departure under loss,
 # partition-heal rejoin, T_Dead regressions, discovery and peer-exchange
 # units (already part of the suite above; rerun by name so a regression
