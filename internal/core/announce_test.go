@@ -302,15 +302,16 @@ func TestBrokerSnippetCrossesWireOncePerBroker(t *testing.T) {
 }
 
 // TestBrokerFailedBatchMarksBrokerOfflineOnce: an unreachable broker costs
-// a publish batch one send attempt and one off-line verdict — not one per
-// key it owns — and the other brokers still get everything routed to them.
+// a publish batch one send attempt and one strike — not one per key it
+// owns, which would exile it inside one batch — and the other brokers still
+// get everything routed to them. A second failed batch is the off-line
+// verdict.
 func TestBrokerFailedBatchMarksBrokerOfflineOnce(t *testing.T) {
 	peers := quietCommunity(t, 4, 0.3)
 	p, victim := peers[1], peers[3].id
 	xmls := brokerCorpus(24)
 	var mu sync.Mutex
 	attempts := make(map[directory.PeerID]int)
-	p.tp.Retries = -1
 	p.tp.FateHook = func(to directory.PeerID) (error, bool, time.Duration, bool) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -330,15 +331,21 @@ func TestBrokerFailedBatchMarksBrokerOfflineOnce(t *testing.T) {
 			t.Errorf("broker %d was sent %d frames for one batch, want 1", q.id, attempts[q.id])
 		}
 	}
-	if e, _ := p.dir.Entry(victim); e.Online {
-		t.Error("failed broker still believed on-line")
-	}
-	// One publish (a self upsert) and one off-line flip moved the directory.
-	if got := p.dir.Generation() - gen; got != 2 {
-		t.Errorf("directory generation moved %d times, want 2", got)
+	if e, _ := p.dir.Entry(victim); !e.Online {
+		t.Error("one failed batch marked its broker off-line")
 	}
 	if got := brokerContents(peers); !reflect.DeepEqual(got, want) {
 		t.Fatalf("surviving brokers' contents differ from per-key routing:\n got %v\nwant %v", got, want)
+	}
+	if _, err := p.PublishBatch(brokerCorpus(48)[24:]); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := p.dir.Entry(victim); e.Online {
+		t.Error("broker still believed on-line after two failed batches in a row")
+	}
+	// Two publishes (self upserts) and one off-line flip moved the directory.
+	if got := p.dir.Generation() - gen; got != 3 {
+		t.Errorf("directory generation moved %d times, want 3", got)
 	}
 }
 

@@ -136,6 +136,7 @@ type Peer struct {
 	loopDone    chan struct{}
 	started     bool
 	closed      bool
+	brokerSwept time.Duration // transport clock at sweepBroker's last sweep; only the gossip loop touches it
 
 	// Durable state (nil/zero unless Config.DataDir is set).
 	st       *store.Store
@@ -356,10 +357,27 @@ func (p *Peer) gossipLoop() {
 			}
 		case <-timer.C:
 			p.node.Tick()
+			p.sweepBroker(p.tp.Now())
 			interval = p.node.Interval()
 			timer.Reset(interval)
 		}
 	}
+}
+
+// brokerSweepEvery paces sweepBroker: snippets outlive their discard time by
+// at most this much.
+const brokerSweepEvery = time.Minute
+
+// sweepBroker discards the local broker's expired snippets, at most once per
+// brokerSweepEvery of transport clock. Get drops what it finds expired under
+// the key it reads; a snippet filed under a key nobody asks for is released
+// only here.
+func (p *Peer) sweepBroker(now time.Duration) {
+	if now-p.brokerSwept < brokerSweepEvery {
+		return
+	}
+	p.brokerSwept = now
+	p.broker.Sweep()
 }
 
 // Join bootstraps into an existing community via any member's address.
@@ -555,11 +573,10 @@ func (p *Peer) Search(query string, k int) ([]search.ScoredDoc, search.Stats) {
 }
 
 // SearchWith runs a ranked search with caller-tuned options (contact
-// group size, fan-out concurrency, per-peer timeout, stop-rule
-// overrides). The peer's metrics registry and shared IPF/rank cache are
-// filled in; the peer's fetcher is safe for concurrent use, so
-// Concurrency > 1 overlaps the per-peer network latency within each
-// contact group.
+// group size, fan-out concurrency, stop-rule overrides). The peer's
+// metrics registry and shared IPF/rank cache are filled in; the peer's
+// fetcher is safe for concurrent use, so Concurrency > 1 overlaps the
+// per-peer network latency within each contact group.
 func (p *Peer) SearchWith(query string, opt search.Options) ([]search.ScoredDoc, search.Stats) {
 	opt.Metrics = p.reg
 	opt.Cache = p.searchCache
@@ -577,11 +594,7 @@ func (p *Peer) SearchVia(proxy directory.PeerID, query string, k int) ([]search.
 		return docs, nil
 	}
 	docs, err := p.tp.ProxySearch(proxy, Terms(query), k)
-	if err != nil {
-		p.dir.MarkOffline(proxy, p.tp.Now())
-		return nil, err
-	}
-	return docs, nil
+	return docs, p.contacted(proxy, err)
 }
 
 // userRandLocked returns the peer's user-facing random stream, separate
@@ -659,7 +672,8 @@ func (p *Peer) PostPersistentQuery(query string, fn func(search.DocResult)) func
 // holder-agnostic fetches with failover, use ResolveDocument.
 func (p *Peer) FetchDocument(owner directory.PeerID, key string) (string, error) {
 	if owner != p.id {
-		return p.tp.GetDoc(owner, key)
+		xml, err := p.tp.GetDoc(owner, key)
+		return xml, p.contacted(owner, err)
 	}
 	e, _, ok := p.holding(key)
 	if !ok {

@@ -95,10 +95,13 @@ func TestSearchViaSelfFallsBackToLocal(t *testing.T) {
 func TestSearchViaDeadProxyErrors(t *testing.T) {
 	peers := mixedCommunity(t, 3)
 	peers[2].Stop()
-	if _, err := peers[0].SearchVia(2, "anything", 3); err == nil {
-		t.Fatal("dead proxy should error")
+	// Each failure is a strike; SuspicionThreshold (2) of them in a row mark
+	// the proxy off-line.
+	for i := 0; i < 2; i++ {
+		if _, err := peers[0].SearchVia(2, "anything", 3); err == nil {
+			t.Fatal("dead proxy should error")
+		}
 	}
-	// And the failure marks the proxy off-line.
 	e, ok := peers[0].Directory().Entry(2)
 	if !ok || e.Online {
 		t.Fatal("dead proxy not marked offline")

@@ -115,7 +115,7 @@ func (p *Peer) purgeReplica(key string, epoch uint32, tomb bool) {
 // doc marker first, known-off-line holders as a last resort (the
 // directory's view may be stale; a "dead" replica that answers is a
 // hit). A definitive miss moves to the next candidate; a transport
-// failure marks the holder off-line and fails over. It returns
+// failure is a strike against the holder and fails over. It returns
 // doc.ErrNotFound only when no candidate holds the document.
 func (p *Peer) ResolveDocument(key string) (string, directory.PeerID, error) {
 	if xml, err := p.FetchDocument(p.id, key); err == nil {
@@ -140,7 +140,7 @@ func (p *Peer) ResolveDocument(key string) (string, directory.PeerID, error) {
 	}
 	var lastErr error
 	for _, id := range candidates {
-		xml, err := p.tp.GetDoc(id, key)
+		xml, err := p.FetchDocument(id, key)
 		switch {
 		case err == nil:
 			return xml, id, nil
@@ -148,7 +148,6 @@ func (p *Peer) ResolveDocument(key string) (string, directory.PeerID, error) {
 			// Stale filter bit or an already-purged replica: definitive
 			// miss on this holder, try the next.
 		default:
-			p.dir.MarkOffline(id, p.tp.Now())
 			lastErr = err
 		}
 	}
@@ -196,7 +195,7 @@ func (p *Peer) broadcastPurge(key string) {
 		if succ == p.id {
 			continue
 		}
-		_ = p.tp.ReplicaPurge(succ, key, p.id, epoch)
+		_ = p.contacted(succ, p.tp.ReplicaPurge(succ, key, p.id, epoch))
 	}
 }
 
@@ -255,9 +254,8 @@ func (p *Peer) pushHotDocs() {
 			if succ == p.id || p.view.Contains(succ, marker) {
 				continue
 			}
-			if err := p.tp.ReplicaPut(succ, key, d.XML, p.id, selfEpoch); err != nil {
-				p.dir.MarkOffline(succ, p.tp.Now())
-			}
+			// Best effort: the next cycle repairs what a lost push misses.
+			_ = p.contacted(succ, p.tp.ReplicaPut(succ, key, d.XML, p.id, selfEpoch))
 		}
 	}
 }
@@ -276,11 +274,7 @@ func (p *Peer) pullHotDocs() {
 		return
 	}
 	hot, err := p.tp.HotDocs(q, hoardPullMax)
-	if err != nil {
-		p.dir.MarkOffline(q, p.tp.Now())
-		return
-	}
-	if len(hot) == 0 {
+	if p.contacted(q, err) != nil || len(hot) == 0 {
 		return
 	}
 	ring := p.brokerRing()
@@ -292,7 +286,7 @@ func (p *Peer) pullHotDocs() {
 			!slices.Contains(chash.ReplicaHolders(ring, h.Key, origin, target), p.id) {
 			continue // not wanted here, or not this peer's to hold
 		}
-		xml, err := p.tp.GetDoc(q, h.Key)
+		xml, err := p.FetchDocument(q, h.Key)
 		if err != nil {
 			continue // the advertiser lost it or churned; next cycle
 		}
@@ -313,7 +307,7 @@ func (p *Peer) gcReplicas() {
 		if cur.Epoch <= e.Epoch {
 			continue
 		}
-		xml, err := p.tp.GetDoc(origin, e.Key)
+		xml, err := p.FetchDocument(origin, e.Key)
 		switch {
 		case err == nil && xml == e.XML:
 			// Still current under the new incarnation: refresh the

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"errors"
+	"sync"
+	"time"
+
 	"planetp/internal/bloom"
 	"planetp/internal/broker"
 	"planetp/internal/chash"
@@ -10,8 +14,6 @@ import (
 	"planetp/internal/replica"
 	"planetp/internal/search"
 	"planetp/internal/transport"
-	"sync"
-	"time"
 )
 
 // dirView adapts the peer's directory replica to search.FilterView:
@@ -87,26 +89,36 @@ type fetcher struct{ p *Peer }
 
 // QueryPeer implements search.Fetcher.
 func (f fetcher) QueryPeer(id directory.PeerID, terms []string) ([]search.DocResult, error) {
-	if id == f.p.id {
-		return f.p.localQuery(terms, false), nil
-	}
-	docs, err := f.p.tp.Query(id, terms, false)
-	if err != nil {
-		f.p.dir.MarkOffline(id, f.p.tp.Now())
-	}
-	return docs, err
+	return f.query(id, terms, false)
 }
 
 // QueryPeerAll implements search.Fetcher.
 func (f fetcher) QueryPeerAll(id directory.PeerID, terms []string) ([]search.DocResult, error) {
+	return f.query(id, terms, true)
+}
+
+func (f fetcher) query(id directory.PeerID, terms []string, all bool) ([]search.DocResult, error) {
 	if id == f.p.id {
-		return f.p.localQuery(terms, true), nil
+		return f.p.localQuery(terms, all), nil
 	}
-	docs, err := f.p.tp.Query(id, terms, true)
-	if err != nil {
-		f.p.dir.MarkOffline(id, f.p.tp.Now())
+	docs, err := f.p.tp.Query(id, terms, all)
+	return docs, f.p.contacted(id, err)
+}
+
+// contacted reports the outcome of one RPC addressed to peer id to the
+// gossip node, which alone decides whether the peer is off-line (DESIGN
+// §4d), and returns err. A reply — an application-level refusal or a
+// definitive miss included — is a contact and clears the peer's failure
+// streak; anything else is one strike. Every peer-addressed RPC this package
+// makes goes through it.
+func (p *Peer) contacted(id directory.PeerID, err error) error {
+	var remote *transport.RemoteError
+	if err == nil || errors.As(err, &remote) || errors.Is(err, transport.ErrDocNotFound) {
+		p.node.NoteContact(id)
+	} else {
+		p.node.NoteFailure(id)
 	}
-	return docs, err
+	return err
 }
 
 // --- brokerage routing ---
@@ -127,8 +139,7 @@ const brokerFanout = 8
 // brokerPublish routes the keys of a batch's snippets to their owning
 // brokers: the keys this peer owns are put locally, and every other broker
 // gets one frame carrying each snippet it owns a key of, once, with those
-// keys. The frames go out concurrently; a failed one marks its broker
-// off-line.
+// keys. The frames go out concurrently.
 func (p *Peer) brokerPublish(sns []broker.Snippet, discard time.Duration) {
 	ring := p.brokerRing()
 	remote := make(map[directory.PeerID][]transport.KeyedSnippet)
@@ -157,9 +168,7 @@ func (p *Peer) brokerPublish(sns []broker.Snippet, discard time.Duration) {
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			if err := p.tp.BrokerPutBatch(owner, puts, discard); err != nil {
-				p.dir.MarkOffline(owner, p.tp.Now())
-			}
+			_ = p.contacted(owner, p.tp.BrokerPutBatch(owner, puts, discard)) // best effort (Section 4)
 			<-sem
 		}()
 	}
@@ -181,8 +190,8 @@ func (p *Peer) putLocalSnippet(sn broker.Snippet, key string, discard time.Durat
 	for _, w := range fire {
 		if w.watcher == p.id {
 			p.registry.NotifyDoc(snippetResult(sn, w.keys))
-		} else if err := p.tp.Notify(w.watcher, sn); err != nil {
-			p.dir.MarkOffline(w.watcher, p.tp.Now())
+		} else {
+			_ = p.contacted(w.watcher, p.tp.Notify(w.watcher, sn)) // best effort
 		}
 	}
 }
@@ -202,8 +211,7 @@ func (p *Peer) brokerSearch(terms []string) []broker.Snippet {
 		} else {
 			var err error
 			snips, err = p.tp.BrokerGet(ownerPeer, key)
-			if err != nil {
-				p.dir.MarkOffline(ownerPeer, p.tp.Now())
+			if p.contacted(ownerPeer, err) != nil {
 				continue
 			}
 		}
@@ -235,9 +243,7 @@ func (p *Peer) brokerWatch(terms []string) {
 		p.addWatcher(terms, p.id)
 		return
 	}
-	if err := p.tp.BrokerWatch(ownerPeer, terms); err != nil {
-		p.dir.MarkOffline(ownerPeer, p.tp.Now())
-	}
+	_ = p.contacted(ownerPeer, p.tp.BrokerWatch(ownerPeer, terms)) // best effort
 }
 
 // addWatcher records a watch registration.

@@ -235,9 +235,10 @@ type Config struct {
 	PiggybackCount int
 	// TDead drops peers continuously off-line this long (0 = never).
 	TDead time.Duration
-	// SuspicionThreshold is how many consecutive failed sends to a peer
-	// are needed before it is marked off-line (default 2, so one
-	// transient dial failure is forgiven). -1 restores the original
+	// SuspicionThreshold is how many consecutive failed contacts with a
+	// peer — this node's sends and the RPCs other layers report through
+	// Node.NoteFailure — are needed before it is marked off-line (default
+	// 2, so one transient failure is forgiven). -1 restores the original
 	// one-strike behavior. Any success, or hearing from the peer, resets
 	// its streak.
 	SuspicionThreshold int

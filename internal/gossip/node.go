@@ -38,6 +38,15 @@ type PeerExchanger interface {
 	ExchangePeers(to directory.PeerID, max int) ([]directory.Record, error)
 }
 
+// failStreak is one peer's consecutive failed contacts and the address they
+// were made against: failures describe a dead endpoint, so a peer whose
+// record has since moved (a restarted incarnation on a new port) starts
+// clean. Simulated peers have no address and never move.
+type failStreak struct {
+	fails int
+	addr  string
+}
+
 // rumorState tracks one actively spread rumor.
 type rumorState struct {
 	ver directory.Version
@@ -62,7 +71,7 @@ type Stats struct {
 	RecordsSent  int
 	NewsLearned  int // records accepted as fresh
 	Retired      int
-	FailedSends  int
+	FailedSends  int // failed contacts: this node's sends and the RPCs other layers report (NoteFailure)
 	ProbesSent   int // recovery probes to suspected-off-line peers
 	Suspected    int // peers marked off-line after reaching the threshold
 	Gossipless   int // identical-directory contacts observed
@@ -146,11 +155,12 @@ type Node struct {
 	// slow peer sources its first push to a fast peer (Section 7.2).
 	localFresh bool
 
-	// sendFails counts consecutive failed sends per peer; reaching
-	// Config.SuspicionThreshold marks the peer off-line. Any successful
-	// send to — or message from — the peer clears its streak, so a
-	// single transient dial failure no longer exiles a live peer.
-	sendFails map[directory.PeerID]int
+	// sendFails holds each peer's streak of consecutive failed contacts,
+	// from this node's sends and from any other layer's RPCs (NoteFailure);
+	// reaching Config.SuspicionThreshold marks the peer off-line. Any
+	// successful contact with — or message from — the peer clears its
+	// streak, so a single transient failure does not exile a live peer.
+	sendFails map[directory.PeerID]failStreak
 
 	// selfPayload, when set, is where the own record's Payload comes from
 	// (see SetSelfPayload); n.self and the own directory row carry none.
@@ -175,7 +185,7 @@ func NewNode(self directory.Record, dir *directory.Directory, cfg Config, env En
 		env:       env,
 		self:      self,
 		active:    make(map[directory.PeerID]*rumorState),
-		sendFails: make(map[directory.PeerID]int),
+		sendFails: make(map[directory.PeerID]failStreak),
 		interval:  cfg.BaseInterval,
 		// A joining member's first round is anti-entropy: it downloads
 		// the directory from its bootstrap contact before spreading its
@@ -529,10 +539,10 @@ func (n *Node) discover() {
 	n.m.exchanges.Inc()
 	recs, err := ex.ExchangePeers(target, n.cfg.ExchangeMax)
 	if err != nil {
-		n.noteSendFailure(target)
+		n.NoteFailure(target)
 		return
 	}
-	n.noteSendSuccess(target)
+	n.NoteContact(target)
 	n.dir.MarkOnline(target)
 	accepted := 0
 	for i := range recs {
@@ -620,7 +630,7 @@ func (n *Node) Receive(from directory.PeerID, m *Message) {
 	// Hearing from a peer directly proves it is on-line — and absolves
 	// any failure streak it had accumulated.
 	n.dir.MarkOnline(from)
-	n.noteSendSuccess(from)
+	n.NoteContact(from)
 	switch m.Type {
 	case MsgRumor:
 		n.receiveRumor(from, m)
@@ -830,33 +840,41 @@ func (n *Node) receiveAESummary(from directory.PeerID, m *Message) {
 	}
 }
 
-// sendOrSuspect sends m, reporting success. A failure increments the
-// target's consecutive-failure streak; only at SuspicionThreshold is the
-// peer marked off-line (replacing the original one-strike behavior, which
-// exiled live peers on a single transient dial failure).
+// sendOrSuspect sends m, reporting success; the outcome feeds the target's
+// failure streak.
 func (n *Node) sendOrSuspect(to directory.PeerID, m *Message) bool {
 	if err := n.env.Send(to, m); err != nil {
-		n.noteSendFailure(to)
+		n.NoteFailure(to)
 		return false
 	}
-	n.noteSendSuccess(to)
+	n.NoteContact(to)
 	return true
 }
 
-// noteSendFailure advances to's failure streak and applies the suspicion
-// verdict when the threshold is reached.
-func (n *Node) noteSendFailure(to directory.PeerID) {
+// NoteFailure records one failed contact with peer to — a send of this
+// node's, or an RPC some other layer addressed to it — and is the only place
+// a peer is marked off-line: at SuspicionThreshold consecutive failures, with
+// no contact in between. The off-line mark is a local opinion (Section 3);
+// probeOffline and any message from the peer revise it.
+func (n *Node) NoteFailure(to directory.PeerID) {
 	thr := n.cfg.SuspicionThreshold
 	if thr < 1 {
 		thr = 1
 	}
+	rec, _ := n.dir.Get(to)
 	n.mu.Lock()
 	n.stats.FailedSends++
-	n.sendFails[to]++
-	mark := n.sendFails[to] >= thr
+	st := n.sendFails[to]
+	if st.addr != rec.Addr {
+		st = failStreak{addr: rec.Addr}
+	}
+	st.fails++
+	mark := st.fails >= thr
 	if mark {
 		delete(n.sendFails, to)
 		n.stats.Suspected++
+	} else {
+		n.sendFails[to] = st
 	}
 	n.mu.Unlock()
 	n.m.failedSends.Inc()
@@ -866,8 +884,10 @@ func (n *Node) noteSendFailure(to directory.PeerID) {
 	}
 }
 
-// noteSendSuccess clears to's failure streak.
-func (n *Node) noteSendSuccess(to directory.PeerID) {
+// NoteContact records that peer to answered — a send it acknowledged, an RPC
+// it replied to (an application-level refusal included), a message from it —
+// and clears its failure streak.
+func (n *Node) NoteContact(to directory.PeerID) {
 	n.mu.Lock()
 	if len(n.sendFails) > 0 {
 		delete(n.sendFails, to)

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -14,9 +13,8 @@ import (
 )
 
 // syncFake wraps a fakeCommunity so the concurrent fan-out can use it: the
-// mutable bookkeeping is mutex-guarded, per-peer artificial delays simulate
-// slow links, and the ContextFetcher methods honor cancellation so
-// Options.PeerTimeout can be exercised.
+// mutable bookkeeping is mutex-guarded and per-peer artificial delays simulate
+// slow links.
 type syncFake struct {
 	*fakeCommunity
 	mu    sync.Mutex
@@ -39,39 +37,6 @@ func (s *syncFake) QueryPeer(id directory.PeerID, terms []string) ([]DocResult, 
 func (s *syncFake) QueryPeerAll(id directory.PeerID, terms []string) ([]DocResult, error) {
 	if d := s.delay[id]; d > 0 {
 		time.Sleep(d)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fakeCommunity.QueryPeerAll(id, terms)
-}
-
-func (s *syncFake) wait(ctx context.Context, id directory.PeerID) error {
-	d := s.delay[id]
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (s *syncFake) QueryPeerContext(ctx context.Context, id directory.PeerID, terms []string) ([]DocResult, error) {
-	if err := s.wait(ctx, id); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fakeCommunity.QueryPeer(id, terms)
-}
-
-func (s *syncFake) QueryPeerAllContext(ctx context.Context, id directory.PeerID, terms []string) ([]DocResult, error) {
-	if err := s.wait(ctx, id); err != nil {
-		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -158,35 +123,6 @@ func TestConcurrentRankedSlowFlakyPeers(t *testing.T) {
 	got, gotSt := Ranked(f, f, terms, Options{K: 10, GroupSize: 8, Concurrency: 8})
 	if !reflect.DeepEqual(got, want) || gotSt != wantSt {
 		t.Fatalf("slow/flaky concurrent run diverges: %+v vs %+v", gotSt, wantSt)
-	}
-}
-
-// TestPeerTimeout: with a PeerTimeout in force and a context-aware
-// fetcher, a slow peer counts as unreachable instead of stalling the
-// search; without the timeout its documents arrive.
-func TestPeerTimeout(t *testing.T) {
-	f := newFake()
-	f.addDoc(0, "slow-doc", map[string]int{"x": 3})
-	f.addDoc(1, "fast-doc", map[string]int{"x": 2})
-	s := newSyncFake(f)
-	s.delay[0] = 200 * time.Millisecond
-
-	docs, _ := Ranked(s, s, []string{"x"}, Options{K: 4, GroupSize: 2, Concurrency: 2,
-		PeerTimeout: 5 * time.Millisecond})
-	for _, d := range docs {
-		if d.Key == "slow-doc" {
-			t.Fatal("timed-out peer's document returned")
-		}
-	}
-	if len(docs) != 1 || docs[0].Key != "fast-doc" {
-		t.Fatalf("docs = %v", docs)
-	}
-
-	s.delay[0] = time.Millisecond
-	docs, _ = Ranked(s, s, []string{"x"}, Options{K: 4, GroupSize: 2, Concurrency: 2,
-		PeerTimeout: time.Second})
-	if len(docs) != 2 {
-		t.Fatalf("within-deadline peer dropped: %v", docs)
 	}
 }
 

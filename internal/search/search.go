@@ -13,7 +13,6 @@
 package search
 
 import (
-	"context"
 	"math"
 	"slices"
 	"sort"
@@ -230,15 +229,6 @@ type Fetcher interface {
 	QueryPeerAll(id directory.PeerID, terms []string) ([]DocResult, error)
 }
 
-// ContextFetcher is an optional Fetcher extension: fetchers that honor
-// cancellation let the searcher bound each peer contact with
-// Options.PeerTimeout (a slow peer then counts as unreachable instead of
-// stalling the whole group).
-type ContextFetcher interface {
-	QueryPeerContext(ctx context.Context, id directory.PeerID, terms []string) ([]DocResult, error)
-	QueryPeerAllContext(ctx context.Context, id directory.PeerID, terms []string) ([]DocResult, error)
-}
-
 // IPF computes the inverse peer frequency for each term (Section 5.2):
 // IPF_t = log(1 + N/N_t), where N is the community size and N_t the number
 // of peers whose Bloom filter contains t. Terms hit by no peer are given
@@ -362,9 +352,6 @@ type Options struct {
 	// order, so results are byte-identical regardless of the setting.
 	// Values > 1 require a Fetcher safe for concurrent use.
 	Concurrency int
-	// PeerTimeout bounds each peer contact when the Fetcher also
-	// implements ContextFetcher; 0 means no per-peer deadline.
-	PeerTimeout time.Duration
 	// Cache, if non-nil, memoizes the query's IPF map and peer ranking
 	// keyed by (view version, term sequence); see IPFCache.
 	Cache *IPFCache
@@ -379,16 +366,14 @@ var fetchLatencyBounds = []int64{
 	50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 500000,
 }
 
-// contactor runs one search's per-peer fetches: bounded fan-out, optional
-// per-peer deadline, latency instrumentation resolved once per search.
+// contactor runs one search's per-peer fetches: bounded fan-out and latency
+// instrumentation resolved once per search.
 type contactor struct {
-	fetch   Fetcher
-	cf      ContextFetcher // non-nil only when a timeout is in force
-	terms   []string
-	all     bool
-	timeout time.Duration
-	limit   int
-	hist    *metrics.Histogram
+	fetch Fetcher
+	terms []string
+	all   bool
+	limit int
+	hist  *metrics.Histogram
 }
 
 // newContactor resolves opt's fetch policy once.
@@ -396,12 +381,6 @@ func newContactor(fetch Fetcher, terms []string, all bool, opt Options) contacto
 	c := contactor{fetch: fetch, terms: terms, all: all, limit: opt.Concurrency}
 	if c.limit < 1 {
 		c.limit = 1
-	}
-	if opt.PeerTimeout > 0 {
-		if cf, ok := fetch.(ContextFetcher); ok {
-			c.cf = cf
-			c.timeout = opt.PeerTimeout
-		}
 	}
 	if opt.Metrics != nil {
 		c.hist = opt.Metrics.Histogram("search_fetch_latency_us", fetchLatencyBounds)
@@ -417,18 +396,9 @@ func (c *contactor) one(id directory.PeerID) ([]DocResult, error) {
 	}
 	var docs []DocResult
 	var err error
-	switch {
-	case c.cf != nil:
-		ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-		if c.all {
-			docs, err = c.cf.QueryPeerAllContext(ctx, id, c.terms)
-		} else {
-			docs, err = c.cf.QueryPeerContext(ctx, id, c.terms)
-		}
-		cancel()
-	case c.all:
+	if c.all {
 		docs, err = c.fetch.QueryPeerAll(id, c.terms)
-	default:
+	} else {
 		docs, err = c.fetch.QueryPeer(id, c.terms)
 	}
 	if c.hist != nil {

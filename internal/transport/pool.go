@@ -6,10 +6,8 @@
 // The pool holds only idle connections: a checkout transfers ownership to
 // the caller, who either returns the conn with put (stream still in a
 // clean frame boundary) or closes it. Retention is bounded three ways —
-// per-address (PoolConns), across all addresses (PoolMaxIdle, oldest-idle
-// evicted first), and by idle age (PoolIdle, swept by a real-time reaper;
-// the retry layer's fake clock must not stall reaping, so the reaper
-// deliberately bypasses the nowFn/sleep seams).
+// per-address (poolConns), across all addresses (poolMaxIdle, oldest-idle
+// evicted first), and by idle age (poolIdle, swept by a timer-driven reaper).
 //
 // A checkout re-validates the conn with a zero-cost staleness probe: a
 // read with an already-expired deadline. A healthy idle conn has nothing
@@ -191,11 +189,7 @@ func (p *connPool) get(addr string) *pconn {
 // put returns a healthy conn to the pool, enforcing the per-address and
 // global caps (oldest idle evicted first) and arming the idle reaper.
 func (p *connPool) put(pc *pconn) {
-	per := p.t.PoolConns
-	maxIdle := p.t.PoolMaxIdle
-	if maxIdle <= 0 {
-		maxIdle = defaultPoolMaxIdle
-	}
+	per, maxIdle := p.t.poolConns, p.t.poolMaxIdle
 	pc.idleSince = time.Now()
 	var evicted []*pconn
 	p.mu.Lock()
@@ -249,14 +243,13 @@ func (p *connPool) evictOldestLocked() *pconn {
 	return old
 }
 
-// armReaperLocked schedules the next idle sweep. Real time on purpose:
-// tests that fake the transport clock still want idle conns reaped.
+// armReaperLocked schedules the next idle sweep.
 func (p *connPool) armReaperLocked() {
 	if p.reapOn || p.closed || p.total == 0 {
 		return
 	}
 	p.reapOn = true
-	d := p.t.poolIdle()/2 + time.Millisecond
+	d := p.t.poolIdle/2 + time.Millisecond
 	if p.reaper == nil {
 		p.reaper = time.AfterFunc(d, p.reap)
 	} else {
@@ -264,9 +257,9 @@ func (p *connPool) armReaperLocked() {
 	}
 }
 
-// reap closes conns idle past PoolIdle and re-arms while any remain.
+// reap closes conns idle past poolIdle and re-arms while any remain.
 func (p *connPool) reap() {
-	cutoff := time.Now().Add(-p.t.poolIdle())
+	cutoff := time.Now().Add(-p.t.poolIdle)
 	var dead []*pconn
 	p.mu.Lock()
 	p.reapOn = false

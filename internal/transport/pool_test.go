@@ -129,13 +129,12 @@ func (c *slowFirstWriteConn) Write(p []byte) (int, error) {
 }
 
 // Regression for the deadline bug where oneway sends armed SetDeadline
-// with DialTimeout: a send slower than the dial budget but well inside
+// with dialTimeout: a send slower than the dial budget but well inside
 // the RPC budget must succeed.
 func TestOnewaySlowerThanDialBudgetSucceeds(t *testing.T) {
 	ta, _, _, hb := pairReg(t)
-	ta.DialTimeout = 50 * time.Millisecond
-	ta.RPCTimeout = 5 * time.Second
-	ta.Retries = 0
+	ta.dialTimeout = 50 * time.Millisecond
+	ta.rpcTimeout = 5 * time.Second
 	ta.DialHook = func(_ directory.PeerID, addr string, timeout time.Duration) (net.Conn, error) {
 		c, err := net.DialTimeout("tcp", addr, timeout)
 		if err != nil {
@@ -157,8 +156,7 @@ func TestOnewaySlowerThanDialBudgetSucceeds(t *testing.T) {
 // slower than the RPC budget fails.
 func TestOnewayBoundByRPCTimeout(t *testing.T) {
 	ta, _, _, _ := pairReg(t)
-	ta.RPCTimeout = 60 * time.Millisecond
-	ta.Retries = 0
+	ta.rpcTimeout = 60 * time.Millisecond
 	ta.DialHook = func(_ directory.PeerID, addr string, timeout time.Duration) (net.Conn, error) {
 		c, err := net.DialTimeout("tcp", addr, timeout)
 		if err != nil {
@@ -276,13 +274,12 @@ func killableHook(conns *[]*faultnet.KillableConn, mu *sync.Mutex) DialHook {
 
 // A pooled conn torn mid-request-write: the envelope provably never
 // decoded at the server, so exactly one transparent re-dial delivers it —
-// no outer retry, no suppression signal, no double delivery.
+// no error to the caller, no double delivery.
 func TestTornWriteOnewayTransparentRedial(t *testing.T) {
 	ta, reg, _, hb := pairReg(t)
 	var mu sync.Mutex
 	var conns []*faultnet.KillableConn
 	ta.DialHook = killableHook(&conns, &mu)
-	ta.Retries = 0 // any outer retry would fail the test via the error
 
 	if err := ta.BrokerPut(1, "k1", broker.Snippet{ID: "s1"}, time.Minute); err != nil {
 		t.Fatal(err)
@@ -308,12 +305,6 @@ func TestTornWriteOnewayTransparentRedial(t *testing.T) {
 	if got := snap.Get("transport_pool_redials_total"); got != 1 {
 		t.Fatalf("redials = %d, want exactly 1", got)
 	}
-	if got := snap.Get("transport_send_retries_total"); got != 0 {
-		t.Fatalf("outer retries = %d, want 0 (redial must be invisible)", got)
-	}
-	if ta.PeerSuppressed(1) {
-		t.Fatal("transparent redial must not feed suppression")
-	}
 }
 
 // A pooled conn whose response read fails under a call: calls are
@@ -323,7 +314,6 @@ func TestTornReadCallTransparentRedial(t *testing.T) {
 	var mu sync.Mutex
 	var conns []*faultnet.KillableConn
 	ta.DialHook = killableHook(&conns, &mu)
-	ta.Retries = 0
 
 	if _, err := ta.Query(1, []string{"x"}, false); err != nil {
 		t.Fatal(err)
@@ -339,21 +329,17 @@ func TestTornReadCallTransparentRedial(t *testing.T) {
 	if got := snap.Get("transport_pool_redials_total"); got != 1 {
 		t.Fatalf("redials = %d, want exactly 1", got)
 	}
-	if got := snap.Get("transport_send_retries_total"); got != 0 {
-		t.Fatalf("outer retries = %d, want 0", got)
-	}
 }
 
 // A oneway whose request went out but whose ack never came back must NOT
 // be transparently retried — the envelope may have been delivered, and a
-// blind resend would double-deliver. The failure surfaces to the normal
-// retry machinery instead.
+// blind resend would double-deliver. The failure surfaces to the caller
+// instead.
 func TestTornReadOnewayNotRedialed(t *testing.T) {
 	ta, reg, _, hb := pairReg(t)
 	var mu sync.Mutex
 	var conns []*faultnet.KillableConn
 	ta.DialHook = killableHook(&conns, &mu)
-	ta.Retries = 0
 
 	if err := ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest, Digest: 1}); err != nil {
 		t.Fatal(err)
@@ -362,7 +348,7 @@ func TestTornReadOnewayNotRedialed(t *testing.T) {
 	conns[0].Kill(faultnet.KillRead, 0)
 	mu.Unlock()
 	if err := ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest, Digest: 2}); err == nil {
-		t.Fatal("ack-less oneway should surface an error with retries off")
+		t.Fatal("ack-less oneway should surface an error")
 	}
 	// The envelope itself did reach the server — exactly once.
 	waitFor(t, "both gossips delivered", func() bool {
@@ -377,7 +363,7 @@ func TestTornReadOnewayNotRedialed(t *testing.T) {
 
 // A server restart FINs every pooled conn; the checkout-time staleness
 // probe discards them before they can eat an RPC, so the next call just
-// dials fresh — no redial, no outer retry.
+// dials fresh — no redial.
 func TestServerRestartCaughtByStalenessProbe(t *testing.T) {
 	ha, hb, hb2 := newHandler(0), newHandler(1), newHandler(1)
 	reg := metrics.NewRegistry()
@@ -395,7 +381,6 @@ func TestServerRestartCaughtByStalenessProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ta.Close)
-	ta.Retries = 0
 	tb, err = New(1, "", hb, resolve, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -424,14 +409,11 @@ func TestServerRestartCaughtByStalenessProbe(t *testing.T) {
 	if got := snap.Get("transport_pool_redials_total"); got != 0 {
 		t.Fatalf("redials = %d, want 0 (probe should fire before the RPC)", got)
 	}
-	if got := snap.Get("transport_send_retries_total"); got != 0 {
-		t.Fatalf("outer retries = %d, want 0", got)
-	}
 }
 
 func TestPoolIdleReap(t *testing.T) {
 	ta, reg, _, _ := pairReg(t)
-	ta.PoolIdle = 30 * time.Millisecond
+	ta.poolIdle = 30 * time.Millisecond
 	if _, err := ta.Query(1, []string{"x"}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +439,7 @@ func TestPoolCapsEvictOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(tt.Close)
-	tt.PoolConns = 1
+	tt.poolConns = 1
 
 	mk := func(addr string) *pconn {
 		a, b := net.Pipe()
@@ -476,8 +458,8 @@ func TestPoolCapsEvictOldest(t *testing.T) {
 		t.Fatalf("idle = %d, want 1", got)
 	}
 
-	tt.PoolConns = 1
-	tt.PoolMaxIdle = 2
+	tt.poolConns = 1
+	tt.poolMaxIdle = 2
 	time.Sleep(2 * time.Millisecond)
 	tt.pool.put(mk("b"))
 	time.Sleep(2 * time.Millisecond)
@@ -496,7 +478,6 @@ func TestPoolCapsEvictOldest(t *testing.T) {
 // pooled conn under the RPC (recovered by one transparent re-dial).
 func TestFateHookVerdicts(t *testing.T) {
 	ta, reg, _, hb := pairReg(t)
-	ta.Retries = 0
 
 	// Warm the pool.
 	if err := ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest, Digest: 1}); err != nil {
@@ -555,7 +536,6 @@ func TestFateHookVerdicts(t *testing.T) {
 // one transparent re-dial per kill.
 func TestFaultnetConnKillOnPooledStream(t *testing.T) {
 	ta, reg, _, hb := pairReg(t)
-	ta.Retries = 0
 	if err := ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest, Digest: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,11 @@
 // address (see pool.go), so sustained gossip and query fan-out amortize
 // both the dial round-trip and gob's type descriptors across thousands of
 // exchanges; a reused conn that proves dead under an RPC is transparently
-// re-dialed once, but only when delivery provably did not happen, before
-// the failure reaches the retry/suppression machinery.
+// re-dialed once, but only when delivery provably did not happen.
+//
+// The transport holds no opinion on whether a peer is reachable: one send
+// is one attempt, and its error goes to the caller. gossip.Node turns
+// those outcomes into the off-line verdict (DESIGN §4d).
 package transport
 
 import (
@@ -238,10 +241,6 @@ type Transport struct {
 	// rng is handed out via Rand() for the gossip node's exclusive,
 	// externally synchronized use; transport internals must not touch it.
 	rng *rand.Rand
-	// retryRng seeds the retry layer's per-peer Backoffs; guarded by
-	// rngMu because sends retry from many goroutines.
-	retryRng *rand.Rand
-	rngMu    sync.Mutex
 
 	// intervalCh wakes the gossip loop when the node's interval
 	// changes.
@@ -255,48 +254,27 @@ type Transport struct {
 
 	pool *connPool
 
-	// DialTimeout bounds connection attempts (drives off-line
-	// detection). Default 2 s.
-	DialTimeout time.Duration
-	// RPCTimeout bounds a whole request/response exchange (encode,
-	// server work, decode) once the connection is up. Zero means
-	// 5 × DialTimeout, preserving the historical behavior of scaling
-	// with the dial budget.
-	RPCTimeout time.Duration
-	// ServeTimeout bounds one inbound request on the server side, so a
+	// Deadlines and pool bounds, set once in NewDeferred; fields only so
+	// in-package tests can shorten them.
+	//
+	// dialTimeout bounds connection attempts; rpcTimeout a whole
+	// request/response exchange (encode, server work, decode) once the
+	// connection is up.
+	dialTimeout, rpcTimeout time.Duration
+	// serveTimeout bounds one inbound request on the server side, so a
 	// client that connects and stalls cannot pin a handler goroutine
-	// forever. Default 30 s.
-	ServeTimeout time.Duration
-	// ServeIdleTimeout bounds how long an inbound session may sit
+	// forever; serveIdleTimeout how long an inbound session may sit
 	// between requests before the server hangs up (the client pool's
 	// staleness probe absorbs the hangup without losing an RPC).
-	// Default 2 min.
-	ServeIdleTimeout time.Duration
-	// PoolConns caps the idle connections retained per peer address;
-	// checkout prefers the most recently used. Default 4.
-	PoolConns int
-	// PoolMaxIdle caps idle connections across all addresses; beyond it
-	// the longest-idle conn is evicted, whoever owns it. Default 128.
-	PoolMaxIdle int
-	// PoolIdle is how long an unused pooled conn survives before the
-	// reaper closes it. Default 60 s.
-	PoolIdle time.Duration
-	// Retries is how many extra attempts one peer-addressed send makes
-	// after the first fails, with capped jittered backoff between
-	// attempts (default 1). Protocol operations tolerate the resulting
-	// duplicates: gossip messages are idempotent and broker puts
-	// overwrite. Negative disables retrying.
-	Retries int
-	// RetryBase and RetryMax bound the backoff between retry attempts
-	// and between recovery probes to a suppressed peer (defaults 100 ms
-	// and 5 s).
-	RetryBase, RetryMax time.Duration
-	// FailThreshold is how many consecutive failed sends to one peer
-	// suppress further attempts: once reached, sends to that peer fail
-	// fast (ErrSuppressed) until a backoff window expires, at which
-	// point exactly one attempt is admitted as a recovery probe.
-	// Default 3; 0 disables suppression.
-	FailThreshold int
+	serveTimeout, serveIdleTimeout time.Duration
+	// poolConns caps the idle connections retained per peer address
+	// (checkout prefers the most recently used); poolMaxIdle caps them
+	// across all addresses (beyond it the longest-idle conn is evicted,
+	// whoever owns it); poolIdle is how long an unused pooled conn survives
+	// before the reaper closes it.
+	poolConns, poolMaxIdle int
+	poolIdle               time.Duration
+
 	// DialHook, when non-nil, replaces TCP dialing for peer-addressed
 	// sends (fault injection; see internal/faultnet). Set before use;
 	// not synchronized.
@@ -310,14 +288,6 @@ type Transport struct {
 	// counted at the net.Conn boundary). Read with atomic.LoadInt64.
 	BytesSent, BytesRecv int64
 
-	// nowFn and sleep are the retry layer's clock, swappable so backoff
-	// and suppression tests run on a fake clock without sleeping.
-	nowFn func() time.Duration
-	sleep func(time.Duration)
-
-	healthMu sync.Mutex
-	health   map[directory.PeerID]*peerHealth
-
 	m tpMetrics
 }
 
@@ -328,9 +298,6 @@ type tpMetrics struct {
 	dialFailures *metrics.Counter
 	timeouts     *metrics.Counter
 	rpcLatencyUS *metrics.Histogram
-	retries      *metrics.Counter
-	suppressed   *metrics.Counter
-	probes       *metrics.Counter
 
 	// Pool instrumentation: reuse/misses give the connection-reuse
 	// ratio; stale counts conns discarded at checkout or invalidation;
@@ -355,9 +322,6 @@ func newTpMetrics(r *metrics.Registry) tpMetrics {
 		timeouts:     r.Counter("transport_timeouts_total"),
 		rpcLatencyUS: r.Histogram("transport_rpc_latency_us",
 			[]int64{100, 500, 1000, 5000, 10000, 50000, 100000, 500000, 1000000}),
-		retries:    r.Counter("transport_send_retries_total"),
-		suppressed: r.Counter("transport_suppressed_sends_total"),
-		probes:     r.Counter("transport_recovery_probes_total"),
 
 		poolReuse:     r.Counter("transport_pool_reuse_total"),
 		poolMisses:    r.Counter("transport_pool_misses_total"),
@@ -456,51 +420,22 @@ func NewDeferred(id directory.PeerID, listenAddr string, handler Handler, resolv
 		id: id, ln: ln, handler: handler, resolve: resolve,
 		start:            time.Now(),
 		rng:              rand.New(rand.NewSource(seed)),
-		retryRng:         rand.New(rand.NewSource(seed ^ 0x7265747279)), // "retry"
 		intervalCh:       make(chan time.Duration, 4),
 		sessions:         make(map[net.Conn]struct{}),
-		DialTimeout:      2 * time.Second,
-		ServeTimeout:     30 * time.Second,
-		ServeIdleTimeout: 2 * time.Minute,
-		PoolConns:        defaultPoolConns,
-		PoolMaxIdle:      defaultPoolMaxIdle,
-		PoolIdle:         time.Minute,
-		Retries:          1,
-		RetryBase:        100 * time.Millisecond,
-		RetryMax:         5 * time.Second,
-		FailThreshold:    3,
-		health:           make(map[directory.PeerID]*peerHealth),
-		m:                newTpMetrics(reg),
+		dialTimeout:      2 * time.Second,
+		rpcTimeout:       10 * time.Second,
+		serveTimeout:     30 * time.Second,
+		serveIdleTimeout: 2 * time.Minute,
+		// A peer's working set of correspondents per gossip round is
+		// small, so a handful of conns per address and a bounded global
+		// budget cover the hot paths.
+		poolConns:   4,
+		poolMaxIdle: 128,
+		poolIdle:    time.Minute,
+		m:           newTpMetrics(reg),
 	}
 	t.pool = newConnPool(t)
-	t.nowFn = t.Now
-	t.sleep = time.Sleep
 	return t, nil
-}
-
-// Pool sizing defaults: a peer's working set of correspondents per gossip
-// round is small, so a handful of conns per address and a bounded global
-// budget cover the hot paths.
-const (
-	defaultPoolConns   = 4
-	defaultPoolMaxIdle = 128
-)
-
-// poolIdle resolves the effective idle lifetime for pooled conns.
-func (t *Transport) poolIdle() time.Duration {
-	if t.PoolIdle > 0 {
-		return t.PoolIdle
-	}
-	return time.Minute
-}
-
-// serveIdle resolves the effective between-requests deadline for inbound
-// sessions.
-func (t *Transport) serveIdle() time.Duration {
-	if t.ServeIdleTimeout > 0 {
-		return t.ServeIdleTimeout
-	}
-	return 2 * time.Minute
 }
 
 // StartAccepting begins serving inbound connections. Idempotent, and a
@@ -516,14 +451,6 @@ func (t *Transport) StartAccepting() {
 	t.wg.Add(1)
 	t.mu.Unlock()
 	go t.acceptLoop()
-}
-
-// rpcTimeout resolves the effective request/response deadline.
-func (t *Transport) rpcTimeout() time.Duration {
-	if t.RPCTimeout > 0 {
-		return t.RPCTimeout
-	}
-	return 5 * t.DialTimeout
 }
 
 // Addr returns the bound listen address.
@@ -578,11 +505,24 @@ func (t *Transport) Send(to directory.PeerID, m *gossip.Message) error {
 
 // --- client operations ---
 
+// RemoteError is an application-level error returned by a live peer
+// (e.g. "unknown kind"): the peer answered, it just said no. The stream
+// it arrived on is intact and goes back to the pool.
+type RemoteError struct{ Msg string }
+
+func (e *RemoteError) Error() string { return e.Msg }
+
+// DialHook overrides connection establishment for peer-addressed sends —
+// the seam internal/faultnet mounts to inject dial failures, partitions,
+// black holes, and delays under the real gob-over-TCP stack. addr is the
+// resolved address; a nil hook dials TCP directly.
+type DialHook func(to directory.PeerID, addr string, timeout time.Duration) (net.Conn, error)
+
 // FateHook decides one send attempt's injected fate (see
-// faultnet.Plan.SendFate): err fails the attempt outright (counted and
-// suppressed like a refused dial); drop loses the message after an
-// apparently clean send; delay stalls before transmission; kill tears the
-// connection carrying the exchange.
+// faultnet.Plan.SendFate): err fails the attempt outright (counted like a
+// refused dial); drop loses the message after an apparently clean send;
+// delay stalls before transmission; kill tears the connection carrying the
+// exchange.
 type FateHook func(to directory.PeerID) (err error, drop bool, delay time.Duration, kill bool)
 
 // dialPeer connects to a resolved peer address, through DialHook when one
@@ -590,7 +530,7 @@ type FateHook func(to directory.PeerID) (err error, drop bool, delay time.Durati
 func (t *Transport) dialPeer(to directory.PeerID, addr string) (net.Conn, error) {
 	if t.DialHook != nil {
 		t.m.dials.Inc()
-		conn, err := t.DialHook(to, addr, t.DialTimeout)
+		conn, err := t.DialHook(to, addr, t.dialTimeout)
 		if err != nil {
 			t.m.dialFailures.Inc()
 			t.countTimeout(err)
@@ -605,7 +545,7 @@ func (t *Transport) dialPeer(to directory.PeerID, addr string) (net.Conn, error)
 // outcome.
 func (t *Transport) dialAddr(addr string) (net.Conn, error) {
 	t.m.dials.Inc()
-	conn, err := net.DialTimeout("tcp", addr, t.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, t.dialTimeout)
 	if err != nil {
 		t.m.dialFailures.Inc()
 		t.countTimeout(err)
@@ -614,31 +554,15 @@ func (t *Transport) dialAddr(addr string) (net.Conn, error) {
 	return conn, nil
 }
 
-// oneway sends an envelope and waits for the server's ack, retrying per
-// the transport's retry policy.
+// oneway sends an envelope and waits for the server's ack.
 func (t *Transport) oneway(to directory.PeerID, env *Envelope) error {
-	return t.withRetry(to, func() error {
-		_, err := t.roundTrip(to, env, true)
-		return err
-	})
+	_, err := t.roundTrip(to, env, true)
+	return err
 }
 
-// call sends an envelope and reads one reply, retrying per the
-// transport's retry policy.
+// call sends an envelope and reads one reply.
 func (t *Transport) call(to directory.PeerID, env *Envelope) (*Envelope, error) {
-	var resp *Envelope
-	err := t.withRetry(to, func() error {
-		r, err := t.roundTrip(to, env, false)
-		if err != nil {
-			return err
-		}
-		resp = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return t.roundTrip(to, env, false)
 }
 
 // callAddr is like call but dials a raw address (bootstrap, before the
@@ -661,14 +585,14 @@ func (t *Transport) roundTrip(to directory.PeerID, env *Envelope, oneway bool) (
 		ferr, drop, delay, k := t.FateHook(to)
 		if ferr != nil {
 			// Injected dial failure / partition: account it exactly
-			// like a refused dial so suppression sees the same signal.
+			// like a refused dial.
 			t.m.dials.Inc()
 			t.m.dialFailures.Inc()
 			t.countTimeout(ferr)
 			return nil, ferr
 		}
 		if delay > 0 {
-			t.sleep(delay)
+			time.Sleep(delay)
 		}
 		if drop {
 			// The message is lost after a clean send: oneways succeed
@@ -688,7 +612,7 @@ func (t *Transport) roundTrip(to directory.PeerID, env *Envelope, oneway bool) (
 // dialing on a pool miss. A reused conn that fails under the RPC is
 // closed and — only when delivery provably did not happen (see
 // pconn.undelivered) — transparently re-dialed once; all other failures
-// surface to the caller's retry/suppression machinery. kill injects a
+// surface to the caller. kill injects a
 // conn death just before the exchange (faultnet's ConnKill fate).
 func (t *Transport) exchangePooled(addr string, dial func() (net.Conn, error), env *Envelope, oneway, kill bool) (*Envelope, error) {
 	pc, reused := t.pool.get(addr), true
@@ -719,7 +643,7 @@ func (t *Transport) exchangePooled(addr string, dial func() (net.Conn, error), e
 	}
 	// The conn was healthy when pooled but dead under this RPC, and the
 	// request cannot have taken effect: re-dial once, invisibly to the
-	// retry layer.
+	// caller.
 	t.m.poolRedials.Inc()
 	conn, derr := dial()
 	if derr != nil {
@@ -757,7 +681,7 @@ func (t *Transport) exchangeOn(pc *pconn, env *Envelope, oneway bool) (*Envelope
 		t.account(env.Kind, sent, recv)
 		t.m.rpcLatencyUS.Observe(time.Since(start).Microseconds())
 	}()
-	_ = pc.conn.SetDeadline(time.Now().Add(t.rpcTimeout()))
+	_ = pc.conn.SetDeadline(time.Now().Add(t.rpcTimeout))
 	if err := pc.enc.Encode(env); err != nil {
 		t.countTimeout(err)
 		return nil, err
@@ -822,8 +746,8 @@ func (t *Transport) Notify(to directory.PeerID, sn broker.Snippet) error {
 // does not hold the document — a definitive miss (stale filter bit,
 // purged replica), distinct from a transport failure where the peer may
 // well still hold it. Callers resolving replicas failover differently on
-// the two: a miss moves on to the next candidate, an unreachable peer is
-// marked off-line.
+// the two: a miss is a contact and moves on to the next candidate, an
+// unreachable peer takes a strike.
 var ErrDocNotFound = errors.New("document not found")
 
 // GetDoc fetches a document body from a peer.
@@ -912,7 +836,7 @@ func (t *Transport) acceptLoop() {
 // serve handles one inbound session: a loop of request/response frames on
 // a persistent stream (the codec pair lives as long as the conn, so gob
 // type descriptors cross once). Between requests the conn may idle up to
-// ServeIdleTimeout; each accepted request gets ServeTimeout to finish.
+// serveIdleTimeout; each accepted request gets serveTimeout to finish.
 // The session ends when the client hangs up (or its pool reaps the conn),
 // the idle deadline fires, a frame fails to decode, or a response fails
 // to write.
@@ -927,7 +851,7 @@ func (t *Transport) serve(conn net.Conn) {
 	dec := gob.NewDecoder(cc)
 	enc := gob.NewEncoder(cc)
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(t.serveIdle()))
+		_ = conn.SetReadDeadline(time.Now().Add(t.serveIdleTimeout))
 		var env Envelope
 		if err := dec.Decode(&env); err != nil {
 			// End of session — client gone, idle expiry, or garbage.
@@ -938,7 +862,7 @@ func (t *Transport) serve(conn net.Conn) {
 			atomic.AddInt64(&t.BytesRecv, recv)
 			return
 		}
-		_ = conn.SetDeadline(time.Now().Add(t.ServeTimeout))
+		_ = conn.SetDeadline(time.Now().Add(t.serveTimeout))
 		err := t.dispatch(enc, &env)
 		sent, recv := cc.take()
 		t.account(env.Kind, sent, recv)

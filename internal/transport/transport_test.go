@@ -381,7 +381,7 @@ func TestRefusedConnectionCountsDialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ta.Close)
-	ta.DialTimeout = 2 * time.Second
+	ta.dialTimeout = 2 * time.Second
 
 	done := make(chan error, 1)
 	go func() { done <- ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest}) }()

@@ -245,6 +245,22 @@ go test -race ./...
 echo "== benchmark module (cd bench && go vet ./... && go test ./...)"
 (cd bench && go vet ./... && go test ./...)
 
+# One decider on reachability (DESIGN §4d): only gossip.Node turns contact
+# outcomes into an off-line mark. A second MarkOffline call site is a second
+# policy; the two tests are the invariant from core's side and the proof that
+# simnet and loopback TCP reach the same verdict (already part of the suite
+# above; rerun by name).
+echo "== one reachability verdict (MarkOffline call sites, core and sim-vs-loopback tests)"
+sites=$(grep -rn "MarkOffline(" --include='*.go' internal cmd | grep -v _test.go |
+	grep -v '^internal/directory/directory.go:.*func (d \*Directory) MarkOffline(' || true)
+if [ "$(echo "$sites" | grep -c .)" -ne 1 ] || ! echo "$sites" | grep -q '^internal/gossip/node.go:'; then
+	echo "MarkOffline( must be called from internal/gossip/node.go alone; found:" >&2
+	echo "$sites" >&2
+	exit 1
+fi
+go test -race -run 'TestOneVerdictOnReachability' ./internal/core/
+go test -race -run 'TestVerdictSameOnSimAndLoopback' ./internal/transport/
+
 # Crash-recovery smoke: enumerate every disk crash point in the durable
 # store's append/fsync/rename pipeline plus the full peer crash/restart
 # cycle (already part of the suite above; rerun by name so a regression
@@ -334,5 +350,7 @@ go test -run='^$' -fuzz=FuzzWALRecord -fuzztime="$FUZZTIME" ./internal/store/
 # The baseline the next simplicity PR starts from: non-test lines of the
 # two packages that hold a peer's write path and its filter.
 echo "== non-test lines, internal/core + internal/bloom: $(find internal/core internal/bloom -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+
+echo "== non-test lines, internal/transport: $(find internal/transport -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 echo "== OK"
