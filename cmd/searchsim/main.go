@@ -139,6 +139,9 @@ func summarize(reg *metrics.Registry) {
 	if queries > 0 {
 		avg = float64(contacted) / float64(queries)
 	}
+	// docs_retrieved here counts every match: the simulator's in-process
+	// fetchers return full lists (they are not search.TopKFetchers), unlike
+	// a live node, whose peers answer with at most k documents each.
 	fmt.Printf("# run summary: ranked_queries=%d peers_contacted=%d (%.1f/query) docs_retrieved=%d stop_iterations=%d stopped_early=%d\n",
 		queries, contacted, avg, s.Get("search_docs_retrieved_total"),
 		s.Get("search_stop_iterations_total"), s.Get("search_stopped_early_total"))

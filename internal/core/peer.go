@@ -694,27 +694,46 @@ func (p *Peer) holding(key string) (e replica.Entry, own, ok bool) {
 	return e, false, ok
 }
 
-// localQuery evaluates a query against the local index (both semantics).
+// localQuery evaluates a query against the local index (both semantics):
+// every match, with its frequencies and length read off the one walk.
 func (p *Peer) localQuery(terms []string, all bool) []search.DocResult {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var ids []index.DocID
-	if all {
-		ids = p.index.SearchAll(terms)
-	} else {
-		ids = p.index.SearchAny(terms)
-	}
-	out := make([]search.DocResult, 0, len(ids))
-	for _, id := range ids {
-		freqs := make(map[string]int, len(terms))
-		for _, t := range terms {
-			if f := p.index.Freq(id, t); f > 0 {
-				freqs[t] = f
+	var out []search.DocResult
+	p.index.Merge(terms, all, func(id index.DocID, freqs []int, docLen int) {
+		tf := make(map[string]int, len(terms))
+		for i, t := range terms {
+			if freqs[i] > 0 {
+				tf[t] = freqs[i]
 			}
 		}
-		out = append(out, search.DocResult{
-			Peer: p.id, Key: p.keyOf[id], TermFreqs: freqs, DocLen: p.index.DocLen(id),
-		})
+		out = append(out, search.DocResult{Peer: p.id, Key: p.keyOf[id], TermFreqs: tf, DocLen: docLen})
+	})
+	return out
+}
+
+// localTopK answers a ranked query (DESIGN §4c): equation 2 is scored
+// inside the index walk, a list bounded by rq.K keeps the best under
+// search.InsertTopK's order, and only the survivors become DocResults.
+func (p *Peer) localTopK(terms []string, rq search.RankQuery) []search.DocResult {
+	sorted, score := rq.Scorer(terms)
+	var top []search.ScoredDoc
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.index.Merge(sorted, false, func(id index.DocID, freqs []int, docLen int) {
+		d := search.DocResult{Peer: p.id, Key: p.keyOf[id], DocLen: docLen}
+		search.InsertTopK(&top, search.ScoredDoc{DocResult: d, Score: score(freqs, docLen)}, rq.K)
+	})
+	out := make([]search.DocResult, len(top))
+	for i, sd := range top {
+		id := p.docOf[sd.Key]
+		sd.TermFreqs = make(map[string]int, len(sorted))
+		for _, t := range sorted {
+			if f := p.index.Freq(id, t); f > 0 {
+				sd.TermFreqs[t] = f
+			}
+		}
+		out[i] = sd.DocResult
 	}
 	return out
 }

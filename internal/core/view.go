@@ -97,6 +97,16 @@ func (f fetcher) QueryPeerAll(id directory.PeerID, terms []string) ([]search.Doc
 	return f.query(id, terms, true)
 }
 
+// QueryPeerTopK implements search.TopKFetcher: the peer that holds the
+// documents — this one included — scores them and answers with its best.
+func (f fetcher) QueryPeerTopK(id directory.PeerID, terms []string, rq search.RankQuery) ([]search.DocResult, error) {
+	if id == f.p.id {
+		return f.p.localTopK(terms, rq), nil
+	}
+	docs, err := f.p.tp.QueryRanked(id, terms, rq)
+	return docs, f.p.contacted(id, err)
+}
+
 func (f fetcher) query(id directory.PeerID, terms []string, all bool) ([]search.DocResult, error) {
 	if id == f.p.id {
 		return f.p.localQuery(terms, all), nil
@@ -259,7 +269,10 @@ func (p *Peer) addWatcher(keys []string, watcher directory.PeerID) {
 // Peer's public surface.
 type handler Peer
 
-var _ transport.Handler = (*handler)(nil)
+var (
+	_ transport.Handler        = (*handler)(nil)
+	_ transport.RankingHandler = (*handler)(nil)
+)
 
 // HandleGossip implements transport.Handler.
 func (h *handler) HandleGossip(from directory.PeerID, m *gossip.Message) {
@@ -269,6 +282,11 @@ func (h *handler) HandleGossip(from directory.PeerID, m *gossip.Message) {
 // HandleQuery implements transport.Handler.
 func (h *handler) HandleQuery(terms []string, all bool) []search.DocResult {
 	return (*Peer)(h).localQuery(terms, all)
+}
+
+// HandleRankedQuery implements transport.RankingHandler.
+func (h *handler) HandleRankedQuery(terms []string, rq search.RankQuery) []search.DocResult {
+	return (*Peer)(h).localTopK(terms, rq)
 }
 
 // HandleBrokerPut implements transport.Handler.

@@ -216,55 +216,71 @@ func (ix *Index) Docs() []DocID {
 	return out
 }
 
-// SearchAll returns the ids of documents containing every query term
-// (conjunctive/exhaustive semantics, Section 5.1), in ascending order.
-func (ix *Index) SearchAll(terms []string) []DocID {
-	if len(terms) == 0 {
-		return nil
-	}
+// Merge walks the posting lists of terms once, document at a time in
+// ascending id order, under one read lock: visit sees each document that
+// contains at least one term — every term when all is set — with
+// freqs[i] = f_{D,terms[i]} (0 where absent) and |D|. freqs is reused
+// between calls, and visit must not call back into the index.
+func (ix *Index) Merge(terms []string, all bool, visit func(id DocID, freqs []int, docLen int)) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	// Start from the rarest term to keep the intersection small.
 	lists := make([][]Posting, len(terms))
 	for i, t := range terms {
 		lists[i] = ix.postings[t]
-		if len(lists[i]) == 0 {
-			return nil
-		}
 	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	var out []DocID
-	for _, p := range lists[0] {
-		ok := true
-		for _, list := range lists[1:] {
-			i := sort.Search(len(list), func(i int) bool { return list[i].Doc >= p.Doc })
-			if i >= len(list) || list[i].Doc != p.Doc {
-				ok = false
-				break
+	freqs := make([]int, len(terms))
+	for {
+		// The next candidate is the smallest head; when every term must
+		// match, the largest — no smaller document is in that list.
+		var next DocID
+		found := false
+		for _, l := range lists {
+			if len(l) == 0 {
+				if all {
+					return
+				}
+				continue
+			}
+			if d := l[0].Doc; !found || (all && d > next) || (!all && d < next) {
+				next, found = d, true
 			}
 		}
-		if ok {
-			out = append(out, p.Doc)
+		if !found {
+			return
+		}
+		matched := 0
+		for i, l := range lists {
+			if all && l[0].Doc < next {
+				l = l[sort.Search(len(l), func(j int) bool { return l[j].Doc >= next }):]
+			}
+			freqs[i] = 0
+			if len(l) > 0 && l[0].Doc == next {
+				freqs[i], l = l[0].Freq, l[1:]
+				matched++
+			}
+			lists[i] = l
+		}
+		if matched == len(lists) || !all {
+			visit(next, freqs, ix.docLen[next])
 		}
 	}
-	return out
 }
 
-// SearchAny returns ids of documents containing at least one query term.
+// SearchAll returns the ids of documents containing every query term
+// (conjunctive/exhaustive semantics, Section 5.1), in ascending order.
+func (ix *Index) SearchAll(terms []string) []DocID {
+	return ix.search(terms, true)
+}
+
+// SearchAny returns ids of documents containing at least one query term,
+// in ascending order.
 func (ix *Index) SearchAny(terms []string) []DocID {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	seen := make(map[DocID]bool)
-	for _, t := range terms {
-		for _, p := range ix.postings[t] {
-			seen[p.Doc] = true
-		}
-	}
-	out := make([]DocID, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return ix.search(terms, false)
+}
+
+func (ix *Index) search(terms []string, all bool) []DocID {
+	var out []DocID
+	ix.Merge(terms, all, func(id DocID, _ []int, _ int) { out = append(out, id) })
 	return out
 }
 

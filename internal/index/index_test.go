@@ -216,6 +216,58 @@ func TestQuickSearchAllSound(t *testing.T) {
 	}
 }
 
+// Merge visits exactly the documents a scan of every document finds, in
+// ascending id order, with the frequencies Freq reports and the length
+// DocLen reports — for either mode, with missing and repeated terms and
+// documents removed.
+func TestMergeMatchesDocumentScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ix := New()
+	for d := 0; d < 300; d++ {
+		freqs := map[string]int{"head": 1 + rng.Intn(3)}
+		for j := 0; j < rng.Intn(6); j++ {
+			freqs[fmt.Sprintf("w%d", rng.Intn(12))]++
+		}
+		ix.AddTermFreqs(freqs)
+	}
+	for d := DocID(0); d < 300; d += 7 {
+		ix.RemoveDocument(d)
+	}
+	type row struct {
+		id     DocID
+		freqs  []int
+		docLen int
+	}
+	for trial := 0; trial < 200; trial++ {
+		terms := make([]string, 1+rng.Intn(4))
+		for i := range terms {
+			terms[i] = []string{"head", "absent", fmt.Sprintf("w%d", rng.Intn(12))}[rng.Intn(3)]
+		}
+		for _, all := range []bool{false, true} {
+			var want []row
+			for _, id := range ix.Docs() {
+				r, n := row{id, make([]int, len(terms)), ix.DocLen(id)}, 0
+				for i, term := range terms {
+					if r.freqs[i] = ix.Freq(id, term); r.freqs[i] > 0 {
+						n++
+					}
+				}
+				if n == len(terms) || !all && n > 0 {
+					want = append(want, r)
+				}
+			}
+			var got []row
+			ix.Merge(terms, all, func(id DocID, freqs []int, docLen int) {
+				got = append(got, row{id, append([]int(nil), freqs...), docLen})
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("terms %v all=%v: Merge visited\n%v\nwant\n%v", terms, all, got, want)
+			}
+		}
+	}
+	ix.Merge(nil, true, func(DocID, []int, int) { t.Fatal("a query without terms matched") })
+}
+
 func BenchmarkAddTermFreqs1000Keys(b *testing.B) {
 	freqs := map[string]int{}
 	for i := 0; i < 1000; i++ {

@@ -37,10 +37,12 @@ const ipfCacheEntries = 1024
 type ipfStamp struct{ version, epoch uint64 }
 
 // rankEntry is what one sweep yields for a query and what the cache
-// memoizes: its IPF map, its peer ranking, and the candidate-peer count
-// they were computed over (equation 4's N).
+// memoizes: its IPF map with the per-term N_t behind it, its peer ranking,
+// and the candidate-peer count they were computed over (equation 1's and
+// equation 4's N).
 type rankEntry struct {
 	ipf   map[string]float64
+	nt    []int
 	ranks []PeerRank
 	peers int
 }

@@ -139,25 +139,37 @@ func (q *query) sweep(peers []directory.PeerID) []bool {
 	return hits
 }
 
-// ipf computes equation 1 (see IPF) from the hit matrix of n peers: N_t
-// is the count of column t.
-func (q *query) ipf(hits []bool, n int) map[string]float64 {
-	nt := len(q.terms)
-	out := make(map[string]float64, nt)
-	for i, t := range q.terms {
-		count := 0
-		for c := i; c < len(hits); c += nt {
-			if hits[c] {
-				count++
+// counts returns equation 1's N_t per query term from the hit matrix:
+// the count of column t.
+func (q *query) counts(hits []bool) []int {
+	nt := make([]int, len(q.terms))
+	for row := 0; row < len(hits); row += len(nt) {
+		for i, hit := range hits[row : row+len(nt)] {
+			if hit {
+				nt[i]++
 			}
 		}
-		if count == 0 {
-			out[t] = 0
-			continue
-		}
-		out[t] = math.Log(1 + float64(n)/float64(count))
+	}
+	return nt
+}
+
+// ipf computes equation 1 (see IPF) for n peers from the terms' N_t.
+func (q *query) ipf(nt []int, n int) map[string]float64 {
+	out := make(map[string]float64, len(nt))
+	for i, t := range q.terms {
+		out[t] = ipfWeight(n, nt[i])
 	}
 	return out
+}
+
+// ipfWeight is equation 1, IPF_t = log(1 + N/N_t), and 0 for a term no
+// peer has. The searcher and the peer answering its ranked query both
+// compute their weights here, from the same two integers.
+func ipfWeight(n, nt int) float64 {
+	if n <= 0 || nt <= 0 {
+		return 0
+	}
+	return math.Log(1 + float64(n)/float64(nt))
 }
 
 // rank computes equation 3 (see RankPeers) from the hit matrix of peers.
@@ -229,6 +241,69 @@ type Fetcher interface {
 	QueryPeerAll(id directory.PeerID, terms []string) ([]DocResult, error)
 }
 
+// RankQuery is what a ranked query carries to the peer answering it
+// (Section 5.2): how many documents the search wants and equation 1's
+// inputs as the searcher counted them, so both ends weigh a term alike.
+type RankQuery struct {
+	K  int   // documents wanted
+	N  int   // peers in the searcher's view
+	Nt []int // Nt[i]: peers whose filter has terms[i]
+}
+
+// TopKFetcher is an optional Fetcher extension: the peer scores its own
+// documents by equation 2 and returns only its rq.K best under the total
+// order (score descending, key ascending). The global top k is a subset of
+// the union of the peers' top k's and the stop rule reads only scores, so
+// Ranked returns what it would from full lists.
+type TopKFetcher interface {
+	QueryPeerTopK(id directory.PeerID, terms []string, rq RankQuery) ([]DocResult, error)
+}
+
+// Scorer returns the query's distinct terms in sorted order — equation
+// 2's summation order — and a function scoring a document from its
+// frequencies of those terms (an index.Merge row), bit for bit as
+// ScoreDoc scores its DocResult.
+func (rq RankQuery) Scorer(terms []string) (sorted []string, score func(freqs []int, docLen int) float64) {
+	w := make(map[string]float64, len(terms))
+	for i, t := range terms {
+		if _, dup := w[t]; !dup && i < len(rq.Nt) {
+			sorted = append(sorted, t)
+			w[t] = ipfWeight(rq.N, rq.Nt[i])
+		}
+	}
+	sort.Strings(sorted)
+	weights := make([]float64, len(sorted))
+	for i, t := range sorted {
+		weights[i] = w[t]
+	}
+	return sorted, func(freqs []int, docLen int) float64 {
+		sum := 0.0
+		for i, f := range freqs {
+			sum = addTerm(sum, f, weights[i])
+		}
+		return normalize(sum, docLen)
+	}
+}
+
+// TopDocs cuts a peer's full answer to the rq.K best: what a peer that
+// ranks computes inside its index walk, for one that does not.
+func TopDocs(docs []DocResult, terms []string, rq RankQuery) []DocResult {
+	sorted, score := rq.Scorer(terms)
+	freqs := make([]int, len(sorted))
+	var top []ScoredDoc
+	for _, d := range docs {
+		for i, t := range sorted {
+			freqs[i] = d.TermFreqs[t]
+		}
+		InsertTopK(&top, ScoredDoc{DocResult: d, Score: score(freqs, d.DocLen)}, rq.K)
+	}
+	out := make([]DocResult, len(top))
+	for i, sd := range top {
+		out[i] = sd.DocResult
+	}
+	return out
+}
+
 // IPF computes the inverse peer frequency for each term (Section 5.2):
 // IPF_t = log(1 + N/N_t), where N is the community size and N_t the number
 // of peers whose Bloom filter contains t. Terms hit by no peer are given
@@ -236,7 +311,7 @@ type Fetcher interface {
 func IPF(view FilterView, terms []string) map[string]float64 {
 	q := newQuery(view, terms)
 	peers := view.Peers()
-	return q.ipf(q.sweep(peers), len(peers))
+	return q.ipf(q.counts(q.sweep(peers)), len(peers))
 }
 
 // PeerRank is one peer's relevance to a query (equation 3).
@@ -262,9 +337,6 @@ func RankPeers(view FilterView, terms []string, ipf map[string]float64) []PeerRa
 // and ranging the map directly would make the last ulp of a score — and
 // thus occasionally the top-k cut — vary run to run.
 func ScoreDoc(d DocResult, ipf map[string]float64) float64 {
-	if d.DocLen <= 0 {
-		return 0
-	}
 	terms := make([]string, 0, len(d.TermFreqs))
 	for t := range d.TermFreqs {
 		terms = append(terms, t)
@@ -272,14 +344,27 @@ func ScoreDoc(d DocResult, ipf map[string]float64) float64 {
 	sort.Strings(terms)
 	sum := 0.0
 	for _, t := range terms {
-		f := d.TermFreqs[t]
-		if f <= 0 {
-			continue
-		}
-		w := 1 + math.Log(float64(f))
-		sum += w * ipf[t]
+		sum = addTerm(sum, d.TermFreqs[t], ipf[t])
 	}
-	return sum / math.Sqrt(float64(d.DocLen))
+	return normalize(sum, d.DocLen)
+}
+
+// addTerm adds one term's w_{D,t} × IPF_t to equation 2's sum. It is the
+// only place the product is formed, and the conversion keeps a compiler
+// from fusing it into the addition, so every caller gets the same bits.
+func addTerm(sum float64, f int, ipf float64) float64 {
+	if f <= 0 {
+		return sum
+	}
+	return sum + float64((1+math.Log(float64(f)))*ipf)
+}
+
+// normalize divides equation 2's sum by sqrt(|D|).
+func normalize(sum float64, docLen int) float64 {
+	if docLen <= 0 {
+		return 0
+	}
+	return sum / math.Sqrt(float64(docLen))
 }
 
 // ScoredDoc is a ranked search hit.
@@ -301,7 +386,9 @@ type Stats struct {
 	PeersRanked int
 	// PeersContacted is how many peers were actually queried.
 	PeersContacted int
-	// DocsRetrieved counts documents fetched (before top-k truncation).
+	// DocsRetrieved counts documents received from the contacted peers:
+	// at most K from each peer that cuts its answer (TopKFetcher), every
+	// match from one that does not.
 	DocsRetrieved int
 	// StopIterations counts the contact-group iterations the stopping
 	// loop ran (each evaluates the adaptive rule once).
@@ -372,6 +459,8 @@ type contactor struct {
 	fetch Fetcher
 	terms []string
 	all   bool
+	topk  TopKFetcher // non-nil: a ranked search whose peers cut to rq.K
+	rq    RankQuery
 	limit int
 	hist  *metrics.Histogram
 }
@@ -396,9 +485,12 @@ func (c *contactor) one(id directory.PeerID) ([]DocResult, error) {
 	}
 	var docs []DocResult
 	var err error
-	if c.all {
+	switch {
+	case c.all:
 		docs, err = c.fetch.QueryPeerAll(id, c.terms)
-	} else {
+	case c.topk != nil:
+		docs, err = c.topk.QueryPeerTopK(id, c.terms, c.rq)
+	default:
 		docs, err = c.fetch.QueryPeer(id, c.terms)
 	}
 	if c.hist != nil {
@@ -460,8 +552,9 @@ func rankedFor(q *query, opt Options) rankEntry {
 func (q *query) ipfRanked() rankEntry {
 	peers := q.view.Peers()
 	hits := q.sweep(peers)
-	ipf := q.ipf(hits, len(peers))
-	return rankEntry{ipf: ipf, ranks: q.rank(peers, hits, ipf), peers: len(peers)}
+	nt := q.counts(hits)
+	ipf := q.ipf(nt, len(peers))
+	return rankEntry{ipf: ipf, nt: nt, ranks: q.rank(peers, hits, ipf), peers: len(peers)}
 }
 
 // Ranked runs the full TFxIPF selective search (Section 5.2): rank peers
@@ -490,7 +583,9 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 	}
 
 	contact := newContactor(fetch, terms, false, opt)
-	var top []ScoredDoc // sorted descending, truncated to K
+	contact.topk, _ = fetch.(TopKFetcher)
+	contact.rq = RankQuery{K: opt.K, N: r.peers, Nt: r.nt}
+	var top []ScoredDoc // the K best so far, under InsertTopK's order
 	seen := make(map[string]bool, 4*opt.K)
 	noContrib := 0
 	// Scratch buffers reused across groups: peer ids and their responses.
@@ -521,7 +616,7 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 				}
 				seen[d.Key] = true
 				sd := ScoredDoc{DocResult: d, Score: ScoreDoc(d, ipf)}
-				if insertTopK(&top, sd, opt.K) {
+				if InsertTopK(&top, sd, opt.K) {
 					contributed = true
 				}
 			}
@@ -550,27 +645,30 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 	return top, st
 }
 
-// insertTopK inserts sd into the descending top list, keeping at most k
-// entries. It reports whether sd made the cut.
-func insertTopK(top *[]ScoredDoc, sd ScoredDoc, k int) bool {
+// InsertTopK inserts sd into top, which is kept sorted under the total
+// order (score descending, then key ascending) and cut to k entries: the
+// list is the k best of everything offered, whatever the arrival order.
+// It reports whether sd contributed in the stop rule's sense — the list
+// was not full, or sd scores strictly above the k-th entry it displaced.
+func InsertTopK(top *[]ScoredDoc, sd ScoredDoc, k int) bool {
 	t := *top
-	if len(t) >= k && sd.Score <= t[len(t)-1].Score {
-		return false
-	}
 	i := sort.Search(len(t), func(i int) bool {
 		if t[i].Score != sd.Score {
 			return t[i].Score < sd.Score
 		}
-		return t[i].Key > sd.Key // deterministic tiebreak
+		return t[i].Key > sd.Key
 	})
-	t = append(t, ScoredDoc{})
+	if i >= k {
+		return false
+	}
+	contributed := len(t) < k || sd.Score > t[len(t)-1].Score
+	if len(t) < k {
+		t = append(t, ScoredDoc{})
+	}
 	copy(t[i+1:], t[i:])
 	t[i] = sd
-	if len(t) > k {
-		t = t[:k]
-	}
 	*top = t
-	return i < k
+	return contributed
 }
 
 // Exhaustive runs the conjunctive search of Section 5.1: Bloom filters

@@ -322,13 +322,13 @@ func TestInsertTopK(t *testing.T) {
 	mk := func(key string, s float64) ScoredDoc {
 		return ScoredDoc{DocResult: DocResult{Key: key}, Score: s}
 	}
-	if !insertTopK(&top, mk("a", 1), 2) || !insertTopK(&top, mk("b", 3), 2) {
+	if !InsertTopK(&top, mk("a", 1), 2) || !InsertTopK(&top, mk("b", 3), 2) {
 		t.Fatal("initial inserts must contribute")
 	}
-	if !insertTopK(&top, mk("c", 2), 2) {
+	if !InsertTopK(&top, mk("c", 2), 2) {
 		t.Fatal("displacing insert must contribute")
 	}
-	if insertTopK(&top, mk("d", 0.5), 2) {
+	if InsertTopK(&top, mk("d", 0.5), 2) {
 		t.Fatal("below-threshold insert contributed")
 	}
 	if len(top) != 2 || top[0].Key != "b" || top[1].Key != "c" {

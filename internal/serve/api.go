@@ -35,7 +35,9 @@ type SearchHit struct {
 	Score float64 `json:"score"`
 }
 
-// SearchStats reports what the search cost.
+// SearchStats reports what the search cost. DocsRetrieved counts the
+// documents received from the contacted peers — at most k from each — not
+// the documents matching the query.
 type SearchStats struct {
 	PeersRanked    int  `json:"peers_ranked"`
 	PeersContacted int  `json:"peers_contacted"`

@@ -7,6 +7,7 @@ import (
 
 	"planetp/internal/directory"
 	"planetp/internal/gossip"
+	"planetp/internal/search"
 )
 
 // FuzzEnvelopeDecode feeds arbitrary bytes to the gob envelope decoder —
@@ -27,6 +28,9 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	}}))
 	f.Add(seed(&Envelope{Kind: KindQuery, From: 0, Terms: []string{"a", "b"}, All: true}))
 	f.Add(seed(&Envelope{Kind: KindRecord, From: 3}))
+	for _, rq := range hostileRankQueries {
+		f.Add(seed(&Envelope{Kind: KindQuery, From: 2, Terms: []string{"a", "b"}, K: rq.K, N: rq.N, Nt: rq.Nt}))
+	}
 	f.Add([]byte{})
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00})
@@ -39,6 +43,12 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		// all gob-encodable values, whatever the input was).
 		if err := gob.NewEncoder(&bytes.Buffer{}).Encode(&env); err != nil {
 			t.Fatalf("re-encode of decoded envelope: %v", err)
+		}
+		// Whatever rank header it carries, cutting an answer by it neither
+		// panics nor grows the answer.
+		docs := []search.DocResult{{Key: "a", TermFreqs: map[string]int{"a": 2}, DocLen: 3}, {Key: "b", DocLen: 1}}
+		if got := search.TopDocs(docs, env.Terms, search.RankQuery{K: env.K, N: env.N, Nt: env.Nt}); len(got) > len(docs) {
+			t.Fatalf("rank header %d/%d/%v grew the answer to %d", env.K, env.N, env.Nt, len(got))
 		}
 	})
 }

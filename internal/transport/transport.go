@@ -182,6 +182,11 @@ type Envelope struct {
 	Hot    []replica.HotDoc
 	// Puts is a KindBrokerPut's content (Discard applies to all of it).
 	Puts []KeyedSnippet
+	// N and Nt, with K, are a ranked KindQuery's rank header
+	// (search.RankQuery); K == 0 — a frame without one — asks for every
+	// match.
+	N  int
+	Nt []int
 }
 
 // KeyedSnippet is one snippet of a KindBrokerPut frame with the keys the
@@ -227,6 +232,12 @@ type Handler interface {
 	SelfRecord() directory.Record
 }
 
+// RankingHandler is the optional Handler extension that answers a ranked
+// query with the peer's rq.K best documents, scored where they are held.
+type RankingHandler interface {
+	HandleRankedQuery(terms []string, rq search.RankQuery) []search.DocResult
+}
+
 // Resolver maps peer ids to dialable addresses (the directory's Addr
 // field).
 type Resolver func(id directory.PeerID) (string, bool)
@@ -236,6 +247,7 @@ type Transport struct {
 	id      directory.PeerID
 	ln      net.Listener
 	handler Handler
+	ranker  RankingHandler // handler, when it ranks; else nil
 	resolve Resolver
 	start   time.Time
 	// rng is handed out via Rand() for the gossip node's exclusive,
@@ -434,6 +446,7 @@ func NewDeferred(id directory.PeerID, listenAddr string, handler Handler, resolv
 		poolIdle:    time.Minute,
 		m:           newTpMetrics(reg),
 	}
+	t.ranker, _ = handler.(RankingHandler)
 	t.pool = newConnPool(t)
 	return t, nil
 }
@@ -702,9 +715,20 @@ func (t *Transport) exchangeOn(pc *pconn, env *Envelope, oneway bool) (*Envelope
 	return &resp, nil
 }
 
-// Query runs a search RPC against a peer.
+// Query runs a search RPC against a peer: every document matching any of
+// terms, or all of them.
 func (t *Transport) Query(to directory.PeerID, terms []string, all bool) ([]search.DocResult, error) {
-	resp, err := t.call(to, &Envelope{Kind: KindQuery, From: t.id, Terms: terms, All: all})
+	return t.query(to, &Envelope{Kind: KindQuery, From: t.id, Terms: terms, All: all})
+}
+
+// QueryRanked asks a peer for its rq.K best documents for terms under
+// equation 2; the frame carries rq as its rank header.
+func (t *Transport) QueryRanked(to directory.PeerID, terms []string, rq search.RankQuery) ([]search.DocResult, error) {
+	return t.query(to, &Envelope{Kind: KindQuery, From: t.id, Terms: terms, K: rq.K, N: rq.N, Nt: rq.Nt})
+}
+
+func (t *Transport) query(to directory.PeerID, env *Envelope) ([]search.DocResult, error) {
+	resp, err := t.call(to, env)
 	if err != nil {
 		return nil, err
 	}
@@ -886,8 +910,7 @@ func (t *Transport) dispatch(enc *gob.Encoder, env *Envelope) error {
 		}
 		return t.ack(enc)
 	case KindQuery:
-		docs := t.handler.HandleQuery(env.Terms, env.All)
-		return enc.Encode(&Envelope{Kind: KindQueryResp, From: t.id, Docs: docs})
+		return enc.Encode(&Envelope{Kind: KindQueryResp, From: t.id, Docs: t.answerQuery(env)})
 	case KindBrokerPut:
 		for _, put := range env.Puts {
 			for _, key := range put.Keys {
@@ -930,6 +953,25 @@ func (t *Transport) dispatch(enc *gob.Encoder, env *Envelope) error {
 	default:
 		return enc.Encode(&Envelope{Kind: env.Kind, From: t.id, Err: "unknown kind"})
 	}
+}
+
+// answerQuery runs a KindQuery: the full list for a frame without a rank
+// header (conjunctive queries, older searchers), else the handler's K best.
+func (t *Transport) answerQuery(env *Envelope) []search.DocResult {
+	if env.All || env.K <= 0 {
+		return t.handler.HandleQuery(env.Terms, env.All)
+	}
+	rq := search.RankQuery{K: env.K, N: env.N, Nt: env.Nt}
+	if t.ranker != nil {
+		return t.ranker.HandleRankedQuery(env.Terms, rq)
+	}
+	// Fall-back for a Handler that does not rank (the bench's stubs):
+	// delete with the bench's pin on Handler, ROADMAP 1(a).
+	docs := t.handler.HandleQuery(env.Terms, false)
+	if len(docs) > rq.K {
+		docs = search.TopDocs(docs, env.Terms, rq)
+	}
+	return docs
 }
 
 // ack writes the oneway receipt frame.

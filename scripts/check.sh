@@ -261,6 +261,16 @@ fi
 go test -race -run 'TestOneVerdictOnReachability' ./internal/core/
 go test -race -run 'TestVerdictSameOnSimAndLoopback' ./internal/transport/
 
+# Ranked queries return each peer's k best (DESIGN §4c): the per-peer cut
+# equals the full-list sweep, the top-k is a function of the document set and
+# not of arrival order, and a peer whose reply goes back to every match fails
+# the size guard (already part of the suite above; rerun by name).
+echo "== ranked-query contract (per-peer cut = full-list sweep, reply-size guard)"
+go test -race -run 'TestInsertTopK|TestRankedTopKFetcherEquivalence|TestScorerMatchesScoreDoc' ./internal/search/
+go test -race -run 'TestMergeMatchesDocumentScan' ./internal/index/
+go test -race -run 'TestLocalTopKEqualsCutOfFullList|TestClusterSearchEqualsFullListReference|TestRankedQueryReplyBounded' ./internal/core/
+go test -race -run 'TestRankHeaderOnTheWire|TestHostileRankHeader' ./internal/transport/
+
 # Crash-recovery smoke: enumerate every disk crash point in the durable
 # store's append/fsync/rename pipeline plus the full peer crash/restart
 # cycle (already part of the suite above; rerun by name so a regression
