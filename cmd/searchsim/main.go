@@ -39,8 +39,6 @@ func main() {
 	dist := flag.String("dist", "weibull", "document distribution: weibull|uniform")
 	seed := flag.Int64("seed", 1, "random seed")
 	group := flag.Int("group", 0, "contact peers in groups of m (Section 5.2; 0 = one by one)")
-	conc := flag.Int("concurrency", 0, "peers of one group contacted at once (0/1 = sequential)")
-	cache := flag.Bool("cache", false, "memoize IPF/rankings in an IPF cache across queries")
 	flag.Parse()
 
 	distribution := ir.Weibull
@@ -48,10 +46,7 @@ func main() {
 		distribution = ir.Uniform
 	}
 
-	opts := search.Options{GroupSize: *group, Concurrency: *conc}
-	if *cache {
-		opts.Cache = search.NewIPFCache()
-	}
+	opts := search.Options{GroupSize: *group}
 
 	switch *exp {
 	case "table3":
@@ -80,12 +75,10 @@ func parseInts(s string) []int {
 }
 
 func getCollection(name string, scale int, seed int64) *collection.Collection {
-	spec, ok := collection.Specs[name]
-	if !ok {
+	if _, ok := collection.Specs[name]; !ok {
 		fmt.Fprintf(os.Stderr, "unknown collection %q\n", name)
 		os.Exit(2)
 	}
-	_ = spec
 	return collection.Generate(collection.ScaledSpec(name, scale), seed)
 }
 
@@ -147,10 +140,6 @@ func summarize(reg *metrics.Registry) {
 		s.Get("search_stop_iterations_total"), s.Get("search_stopped_early_total"))
 	if h, ok := s.Histograms["search_peers_per_query"]; ok {
 		fmt.Printf("# peers/query histogram: bounds=%v counts=%v\n", h.Bounds, h.Counts)
-	}
-	if hits, misses := s.Get("search_ipf_cache_hits_total"), s.Get("search_ipf_cache_misses_total"); hits+misses > 0 {
-		fmt.Printf("# ipf cache: hits=%d misses=%d (%.1f%% hit rate)\n",
-			hits, misses, 100*float64(hits)/float64(hits+misses))
 	}
 	if h, ok := s.Histograms["search_fetch_latency_us"]; ok && h.Count > 0 {
 		fmt.Printf("# fetch latency: n=%d mean=%.1fus\n", h.Count, float64(h.Sum)/float64(h.Count))

@@ -8,6 +8,7 @@ import (
 
 	"planetp/internal/bloom"
 	"planetp/internal/directory"
+	"planetp/internal/search"
 )
 
 // cachePayload builds a small compressed Bloom filter over terms.
@@ -86,9 +87,9 @@ func TestViewCacheReleasesDroppedPeerBytes(t *testing.T) {
 }
 
 // TestSearchProbesEachPeerOnce counts the filter-cache lookups of a
-// search: one uncached T-term query resolves each of the N remote peers'
-// filters once (2*T*N lookups when IPF and rank each probed per term),
-// and its repeat is answered by the IPF cache with none.
+// search: a T-term query resolves each of the N remote peers' filters once
+// (2*T*N lookups when IPF and rank each probed per term), and its repeat
+// does the same against filters the cache already holds.
 func TestSearchProbesEachPeerOnce(t *testing.T) {
 	const n = 20
 	const query = "alpha bravo charlie"
@@ -123,14 +124,18 @@ func TestSearchProbesEachPeerOnce(t *testing.T) {
 		t.Fatalf("search ranked %d peers and contacted %d, want %d ranked and some contacted", st.PeersRanked, st.PeersContacted, n)
 	}
 	if got := lookups() - before; got != n {
-		t.Fatalf("uncached %d-term search made %d filter-cache lookups, want %d (one per remote peer)", len(Terms(query)), got, n)
+		t.Fatalf("%d-term search made %d filter-cache lookups, want %d (one per remote peer)", len(Terms(query)), got, n)
 	}
 	before = lookups()
+	misses := p.reg.Snapshot().Get("core_filter_cache_misses")
 	if _, again := p.Search(query, 5); again != st {
 		t.Fatalf("repeat search stats %+v differ from the first %+v", again, st)
 	}
-	if got := lookups() - before; got != 0 {
-		t.Fatalf("cached repeat made %d filter-cache lookups, want 0", got)
+	if got := lookups() - before; got != n {
+		t.Fatalf("repeat search made %d filter-cache lookups, want %d", got, n)
+	}
+	if got := p.reg.Snapshot().Get("core_filter_cache_misses") - misses; got != 0 {
+		t.Fatalf("repeat search decoded %d filters again, want 0", got)
 	}
 }
 
@@ -181,7 +186,7 @@ func TestViewCacheConcurrentChurn(t *testing.T) {
 				p.view.ContainsDigest(id, digests[i%len(digests)])
 				p.view.ProbeDigests(id, digests, make([]bool, len(digests)))
 				if i%7 == 0 {
-					p.searchCache.IPFRanked(p.view, terms, p.reg)
+					search.RankPeers(p.view, terms, search.IPF(p.view, terms))
 				}
 			}
 		}(g)

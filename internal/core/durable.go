@@ -198,8 +198,8 @@ func (p *Peer) snapshotSource() (store.SnapshotData, error) {
 }
 
 // logBatch is the write path's log step: it appends records to the WAL as
-// one group-committed batch, stamped with the peer's own gossip version (a
-// no-op when the peer is not durable). The caller holds p.mu from the
+// one batch (one write, one fsync), stamped with the peer's own gossip
+// version (a no-op when the peer is not durable). The caller holds p.mu from the
 // append to the apply, so WAL order is apply order — a concurrent
 // Remove/Publish of one document can never replay the other way round.
 func (p *Peer) logBatch(ops []store.Op, ver directory.Version) error {

@@ -19,9 +19,9 @@ import (
 // Batched ingest. PublishBatch amortizes every per-document cost of
 // Publish across a whole batch: text analysis runs on a bounded worker
 // pool outside the peer mutex, the WAL commits all records with one
-// append (and, with fsync batching, one flush), the index is locked once,
-// a single filter diff and version are announced for the batch, and each
-// remote broker gets one frame. The compressed filter is not built here:
+// append and one fsync, the index is locked once, a single filter diff
+// and version are announced for the batch, and each remote broker gets
+// one frame. The compressed filter is not built here:
 // the gossip node asks for it (Peer.selfPayload) when the record leaves.
 
 // ErrNoTerms is the single-document Publish failure — the input yields

@@ -80,7 +80,7 @@ type Config struct {
 	// startup summary.
 	DataDir string
 	// Store fine-tunes that one durable store (filesystem seam for fault
-	// injection, compaction threshold, fsync batching). Dir and Metrics
+	// injection, compaction threshold, size bounds). Dir and Metrics
 	// are taken from DataDir and Metrics; only meaningful with DataDir.
 	Store store.Options
 	// Metrics receives the peer's counters across every layer (gossip,
@@ -128,7 +128,6 @@ type Peer struct {
 	broker      *broker.Broker
 	watchers    []remoteWatch
 	registry    *search.Registry
-	searchCache *search.IPFCache
 	view        *dirView
 	userRng     *rand.Rand
 	reg         *metrics.Registry
@@ -204,11 +203,6 @@ func NewPeer(cfg Config) (*Peer, error) {
 		}
 	})
 	p.registry = search.NewRegistry(p.view, fetcher{p})
-	// Shared IPF/rank cache for the query fast path: keyed by the
-	// directory generation (via dirView.ViewVersion) and additionally
-	// flushed on every filter notification through the registry.
-	p.searchCache = search.NewIPFCache()
-	p.registry.SetCache(p.searchCache)
 
 	// Deferred: the transport reserves its port now (the self record
 	// needs the bound address) but serves no inbound request until the
@@ -573,13 +567,10 @@ func (p *Peer) Search(query string, k int) ([]search.ScoredDoc, search.Stats) {
 }
 
 // SearchWith runs a ranked search with caller-tuned options (contact
-// group size, fan-out concurrency, stop-rule overrides). The peer's
-// metrics registry and shared IPF/rank cache are filled in; the peer's
-// fetcher is safe for concurrent use, so Concurrency > 1 overlaps the
-// per-peer network latency within each contact group.
+// group size, the naive stop rule); the peer's metrics registry is filled
+// in.
 func (p *Peer) SearchWith(query string, opt search.Options) ([]search.ScoredDoc, search.Stats) {
 	opt.Metrics = p.reg
-	opt.Cache = p.searchCache
 	return search.Ranked(p.view, fetcher{p}, Terms(query), opt)
 }
 

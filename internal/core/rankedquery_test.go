@@ -87,7 +87,7 @@ func TestClusterSearchEqualsFullListReference(t *testing.T) {
 		return st.PeersContacted == 3
 	})
 	for _, query := range []string{"worda", "wordb wordc", "wordd worde wordf wordd", "wordz worda"} {
-		for _, opt := range []search.Options{{K: 1}, {K: 5}, {K: 10, GroupSize: 2, Concurrency: 2}, {K: 50}} {
+		for _, opt := range []search.Options{{K: 1}, {K: 5}, {K: 10, GroupSize: 2}, {K: 50}} {
 			wantDocs, wantSt := search.Ranked(p.view, fullListFetcher{p}, Terms(query), opt)
 			gotDocs, gotSt := p.SearchWith(query, opt)
 			if !reflect.DeepEqual(gotDocs, wantDocs) || len(gotDocs) != opt.K {

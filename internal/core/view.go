@@ -76,14 +76,6 @@ func (v *dirView) ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit []boo
 	}
 }
 
-// ViewVersion implements search.VersionedView with the directory's
-// mutation generation, which advances on every accepted record,
-// on/off-line flip, and drop — including the local peer's own publishes
-// (they upsert the self record).
-func (v *dirView) ViewVersion() (uint64, bool) {
-	return v.p.dir.Generation(), true
-}
-
 // fetcher adapts the transport to search.Fetcher.
 type fetcher struct{ p *Peer }
 
@@ -325,7 +317,7 @@ func (h *handler) HandleNotify(sn broker.Snippet) {
 func (h *handler) HandleProxySearch(terms []string, k int) []search.ScoredDoc {
 	p := (*Peer)(h)
 	docs, _ := search.Ranked(p.view, fetcher{p}, terms,
-		search.Options{K: k, Metrics: p.reg, Cache: p.searchCache})
+		search.Options{K: k, Metrics: p.reg})
 	return docs
 }
 

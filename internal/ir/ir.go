@@ -56,8 +56,7 @@ type Community struct {
 	// experiment runs over this community.
 	Metrics *metrics.Registry
 	// SearchOpts seeds the search options of every experiment query
-	// (group size, fan-out concurrency, IPF cache); K and Metrics are
-	// filled per run.
+	// (group size); K and Metrics are filled per run.
 	SearchOpts search.Options
 }
 
@@ -166,11 +165,6 @@ func (c *Community) ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit []b
 		}
 	}
 }
-
-// ViewVersion implements search.VersionedView: a distributed community is
-// immutable once built, so one constant version keeps IPF caches warm for
-// the whole experiment.
-func (c *Community) ViewVersion() (uint64, bool) { return 1, true }
 
 // QueryPeer implements search.Fetcher: the peer's documents containing at
 // least one query term, with the stats equation 2 needs.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"planetp/internal/collection"
-	"planetp/internal/doc"
 	"planetp/internal/search"
 )
 
@@ -271,39 +270,5 @@ func TestEndToEndSoundness(t *testing.T) {
 		if !found {
 			t.Fatalf("retrieved doc %d has no query terms", idx)
 		}
-	}
-}
-
-// DocXML must round-trip through the real document pipeline: parsing a
-// rendered snippet recovers exactly the generated term frequencies (plus
-// the element tag and id attribute, which index as ordinary terms), and
-// distinct documents render to distinct content hashes even when their
-// frequency maps collide.
-func TestDocXMLRoundTrip(t *testing.T) {
-	col := collection.Generate(collection.ScaledSpec("CACM", 64), 7)
-	n := 20
-	if n > len(col.Docs) {
-		n = len(col.Docs)
-	}
-	seen := make(map[string]bool, n)
-	for i := 0; i < n; i++ {
-		xml := DocXML(col, i)
-		d := doc.Parse(xml)
-		if seen[d.ID] {
-			t.Fatalf("doc %d: duplicate content hash", i)
-		}
-		seen[d.ID] = true
-		freqs := d.TermFreqs(nil)
-		for term, want := range col.Docs[i].Freqs {
-			if got := freqs[term]; got != want {
-				t.Fatalf("doc %d term %q: parsed freq %d, want %d", i, term, got, want)
-			}
-		}
-	}
-	if got := len(XMLDocs(col, 5)); got != 5 {
-		t.Fatalf("XMLDocs(5) returned %d", got)
-	}
-	if got := len(XMLDocs(col, 0)); got != len(col.Docs) {
-		t.Fatalf("XMLDocs(0) returned %d, want all %d", got, len(col.Docs))
 	}
 }

@@ -1,5 +1,5 @@
 // Package lru is the stamped, cost-bounded LRU under the query path's
-// three caches (filtercache, search.IPFCache, serve's result cache).
+// two caches (filtercache, serve's result cache).
 //
 // An entry carries the stamp it was computed at — a record version, a
 // directory generation — and a lookup names the stamp the caller holds

@@ -83,16 +83,6 @@ func (mv *MergedView) ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit [
 // MergedView structurally satisfies RowView.
 func (mv *MergedView) DigestProbes() bool { return mv.baserv != nil }
 
-// ViewVersion implements VersionedView by forwarding the base's version.
-// The peer partition is fixed at construction, so group semantics add no
-// versioned state of their own.
-func (mv *MergedView) ViewVersion() (uint64, bool) {
-	if vv, ok := mv.base.(VersionedView); ok {
-		return vv.ViewVersion()
-	}
-	return 0, false
-}
-
 // Groups returns the number of groups (the merged-filter storage cost in
 // units of one filter).
 func (mv *MergedView) Groups() int {

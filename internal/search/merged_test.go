@@ -104,3 +104,19 @@ func TestMergedViewExhaustive(t *testing.T) {
 		t.Fatalf("contacted %d, want 6 (the group)", st.PeersContacted)
 	}
 }
+
+// TestMergedViewDeclinesDigests: a wrapper over a base without digest
+// support must not be treated as digest-capable even though it
+// structurally satisfies RowView.
+func TestMergedViewDeclinesDigests(t *testing.T) {
+	f := buildRankedCommunity() // fakeCommunity: Contains only
+	mv := NewMergedView(f, 2)
+	q := newQuery(mv, []string{"gossip"})
+	if q.rv != nil {
+		t.Fatal("newQuery accepted digest probing from a non-digest base")
+	}
+	// The fallback path still answers correctly through group semantics.
+	if c := q.candidates([]directory.PeerID{0}); len(c) != 1 {
+		t.Fatal("fallback candidate test failed")
+	}
+}

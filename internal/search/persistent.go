@@ -33,22 +33,12 @@ type Registry struct {
 	queries []*PersistentQuery
 	view    FilterView
 	fetch   Fetcher
-	cache   *IPFCache
 }
 
 // NewRegistry returns a registry that evaluates queries against view and
 // fetch.
 func NewRegistry(view FilterView, fetch Fetcher) *Registry {
 	return &Registry{view: view, fetch: fetch}
-}
-
-// SetCache attaches the peer's shared IPF/rank cache: the registry
-// invalidates it whenever a filter notification arrives, covering views
-// that cannot version themselves. Nil detaches.
-func (r *Registry) SetCache(c *IPFCache) {
-	r.mu.Lock()
-	r.cache = c
-	r.mu.Unlock()
 }
 
 // Post registers a persistent query and immediately evaluates it against
@@ -83,14 +73,10 @@ func (r *Registry) Queries() int {
 
 // NotifyFilter re-evaluates all queries against a single peer whose Bloom
 // filter just changed (the gossip layer calls this on fresh records).
-// Any attached IPFCache is invalidated first: a changed filter moves
-// every memoized IPF and ranking.
 func (r *Registry) NotifyFilter(peer directory.PeerID) {
 	r.mu.Lock()
 	qs := append([]*PersistentQuery(nil), r.queries...)
-	cache := r.cache
 	r.mu.Unlock()
-	cache.Invalidate()
 	only := &peer
 	for _, q := range qs {
 		r.evaluate(q, only)

@@ -4,19 +4,16 @@
 // only Bloom-filter summaries, the adaptive stopping heuristic (equation
 // 4), and persistent queries.
 //
-// The query fast path hashes each query term exactly once (bloom.Digest),
-// sweeps the peers' filters once per query, probing each with all of the
-// precomputed digests, memoizes the per-query IPF map and peer ranking in
-// an IPFCache keyed by directory version, and overlaps the per-group peer
-// contacts of Section 5.2's "groups of m" rule with bounded concurrency
-// while keeping results byte-identical to a sequential sweep.
+// The query fast path hashes each query term exactly once (bloom.Digest)
+// and sweeps the peers' filters once per query, probing each with all of
+// the precomputed digests; peers are then contacted one at a time in rank
+// order (in Section 5.2's "groups of m" when asked).
 package search
 
 import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"planetp/internal/bloom"
@@ -81,15 +78,6 @@ func rowView(view FilterView) RowView {
 		return digestRows{dv}
 	}
 	return nil
-}
-
-// VersionedView is an optional FilterView extension: the view reports a
-// version of its filter state that advances on every observable change
-// (e.g. the directory replica's mutation generation). IPFCache uses it to
-// drop stale entries automatically. ok=false means the view cannot
-// version itself; caches then rely on explicit Invalidate calls.
-type VersionedView interface {
-	ViewVersion() (version uint64, ok bool)
 }
 
 // digestCapable lets wrapper views (MergedView) report whether their base
@@ -230,8 +218,7 @@ type DocResult struct {
 
 // Fetcher executes a query against one peer's local index. Live mode goes
 // over the network; simulations call in-process. An error means the peer
-// was unreachable; the searcher skips it. A Fetcher must be safe for
-// concurrent use when searches run with Options.Concurrency > 1.
+// was unreachable; the searcher skips it.
 type Fetcher interface {
 	// QueryPeer returns the peer's documents containing at least one of
 	// terms (for ranked search) along with ranking statistics.
@@ -426,22 +413,10 @@ type Options struct {
 	// GroupSize contacts peers in groups of m to trade extra contacts
 	// for lower latency (Section 5.2); 0/1 = one by one.
 	GroupSize int
-	// StopWindow overrides equation 4 when > 0 (used by ablations).
-	StopWindow int
 	// NoAdaptiveStop disables the heuristic entirely: contact peers
 	// until k documents are retrieved (the naive rule the paper says
 	// performs terribly).
 	NoAdaptiveStop bool
-	// Concurrency bounds how many peers of one contact group (or
-	// exhaustive candidates) are queried at once. 0 or 1 contacts peers
-	// sequentially; higher values overlap the per-peer latency the
-	// paper's group rule exists to hide. Responses are merged in rank
-	// order, so results are byte-identical regardless of the setting.
-	// Values > 1 require a Fetcher safe for concurrent use.
-	Concurrency int
-	// Cache, if non-nil, memoizes the query's IPF map and peer ranking
-	// keyed by (view version, term sequence); see IPFCache.
-	Cache *IPFCache
 	// Metrics, if non-nil, receives per-query counters (search_*
 	// names). Nil disables instrumentation.
 	Metrics *metrics.Registry
@@ -453,24 +428,20 @@ var fetchLatencyBounds = []int64{
 	50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 500000,
 }
 
-// contactor runs one search's per-peer fetches: bounded fan-out and latency
-// instrumentation resolved once per search.
+// contactor runs one search's per-peer fetches: which fetch a search makes
+// and its latency instrumentation, resolved once per search.
 type contactor struct {
 	fetch Fetcher
 	terms []string
 	all   bool
 	topk  TopKFetcher // non-nil: a ranked search whose peers cut to rq.K
 	rq    RankQuery
-	limit int
 	hist  *metrics.Histogram
 }
 
 // newContactor resolves opt's fetch policy once.
 func newContactor(fetch Fetcher, terms []string, all bool, opt Options) contactor {
-	c := contactor{fetch: fetch, terms: terms, all: all, limit: opt.Concurrency}
-	if c.limit < 1 {
-		c.limit = 1
-	}
+	c := contactor{fetch: fetch, terms: terms, all: all}
 	if opt.Metrics != nil {
 		c.hist = opt.Metrics.Histogram("search_fetch_latency_us", fetchLatencyBounds)
 	}
@@ -499,52 +470,14 @@ func (c *contactor) one(id directory.PeerID) ([]DocResult, error) {
 	return docs, err
 }
 
-// fetchResult is one peer's response.
-type fetchResult struct {
-	docs []DocResult
-	err  error
-}
-
-// group contacts ids (one rank-order contact group), overlapping fetches
-// up to the concurrency bound, and returns responses positionally so the
-// caller's sequential merge is identical to a serial sweep.
-func (c *contactor) group(ids []directory.PeerID, scratch []fetchResult) []fetchResult {
-	out := scratch[:0]
-	for range ids {
-		out = append(out, fetchResult{})
-	}
-	workers := c.limit
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers <= 1 {
-		for i, id := range ids {
-			out[i].docs, out[i].err = c.one(id)
-		}
-		return out
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range ids {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			out[i].docs, out[i].err = c.one(ids[i])
-			<-sem
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-
-// rankedFor computes — or fetches from opt.Cache — the query's IPF map
-// and peer ranking.
-func rankedFor(q *query, opt Options) rankEntry {
-	if opt.Cache != nil {
-		return opt.Cache.rankFor(q, opt.Metrics)
-	}
-	return q.ipfRanked()
+// rankEntry is what one sweep yields for a query: its IPF map with the
+// per-term N_t behind it, its peer ranking, and the candidate-peer count
+// they were computed over (equation 1's and equation 4's N).
+type rankEntry struct {
+	ipf   map[string]float64
+	nt    []int
+	ranks []PeerRank
+	peers int
 }
 
 // ipfRanked sweeps the view once and reads equation 1 over the candidate
@@ -558,25 +491,20 @@ func (q *query) ipfRanked() rankEntry {
 }
 
 // Ranked runs the full TFxIPF selective search (Section 5.2): rank peers
-// by equation 3, contact them in rank order, rank their documents by
-// equation 2, and stop when p consecutive peers fail to contribute to the
-// current top k. Peers within one contact group are fetched concurrently
-// when Options.Concurrency allows; the merge happens in rank order, so
-// the result set and Stats match the sequential sweep exactly.
+// by equation 3, contact them one at a time in rank order, rank their
+// documents by equation 2, and stop when p consecutive peers fail to
+// contribute to the current top k.
 func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]ScoredDoc, Stats) {
 	var st Stats
 	if opt.K <= 0 || len(terms) == 0 {
 		return nil, st
 	}
 	q := newQuery(view, terms)
-	r := rankedFor(&q, opt)
+	r := q.ipfRanked()
 	ipf, ranked := r.ipf, r.ranks
 	st.PeersRanked = len(ranked)
 
-	p := opt.StopWindow
-	if p <= 0 {
-		p = StopP(r.peers, opt.K)
-	}
+	p := StopP(r.peers, opt.K)
 	group := opt.GroupSize
 	if group <= 0 {
 		group = 1
@@ -586,31 +514,22 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 	contact.topk, _ = fetch.(TopKFetcher)
 	contact.rq = RankQuery{K: opt.K, N: r.peers, Nt: r.nt}
 	var top []ScoredDoc // the K best so far, under InsertTopK's order
-	seen := make(map[string]bool, 4*opt.K)
+	// Sized by what comes back, never by K: K arrives from outside.
+	seen := make(map[string]bool)
 	noContrib := 0
-	// Scratch buffers reused across groups: peer ids and their responses.
-	ids := make([]directory.PeerID, 0, group)
-	results := make([]fetchResult, 0, group)
 
 	for i := 0; i < len(ranked); i += group {
-		end := i + group
-		if end > len(ranked) {
-			end = len(ranked)
-		}
+		end := min(i+group, len(ranked))
 		st.StopIterations++
 		contributed := false
-		ids = ids[:0]
 		for _, pr := range ranked[i:end] {
-			ids = append(ids, pr.Peer)
-		}
-		results = contact.group(ids, results)
-		for _, res := range results {
 			st.PeersContacted++
-			if res.err != nil {
+			docs, err := contact.one(pr.Peer)
+			if err != nil {
 				continue
 			}
-			st.DocsRetrieved += len(res.docs)
-			for _, d := range res.docs {
+			st.DocsRetrieved += len(docs)
+			for _, d := range docs {
 				if seen[d.Key] {
 					continue
 				}
@@ -674,8 +593,8 @@ func InsertTopK(top *[]ScoredDoc, sd ScoredDoc, k int) bool {
 // Exhaustive runs the conjunctive search of Section 5.1: Bloom filters
 // select the candidate peers (those whose filter contains every term,
 // probed with hash-once digests); each candidate is asked for its
-// matching documents, concurrently up to Options.Concurrency. Unreachable
-// peers are skipped. Results are sorted by document key.
+// matching documents. Unreachable peers are skipped. Results are sorted by
+// document key.
 func Exhaustive(view FilterView, fetch Fetcher, terms []string, opt Options) ([]DocResult, Stats) {
 	var st Stats
 	if len(terms) == 0 {
@@ -686,16 +605,16 @@ func Exhaustive(view FilterView, fetch Fetcher, terms []string, opt Options) ([]
 	st.PeersRanked = len(candidates)
 
 	contact := newContactor(fetch, terms, true, opt)
-	results := contact.group(candidates, make([]fetchResult, 0, len(candidates)))
 	var out []DocResult
 	seen := make(map[string]bool, 2*len(candidates))
-	for _, res := range results {
+	for _, id := range candidates {
 		st.PeersContacted++
-		if res.err != nil {
+		docs, err := contact.one(id)
+		if err != nil {
 			continue
 		}
-		st.DocsRetrieved += len(res.docs)
-		for _, d := range res.docs {
+		st.DocsRetrieved += len(docs)
+		for _, d := range docs {
 			if !seen[d.Key] {
 				seen[d.Key] = true
 				out = append(out, d)

@@ -138,8 +138,6 @@ func (v *plainFilters) Contains(id directory.PeerID, term string) bool {
 	return f != nil && f.Contains(term)
 }
 
-func (v *plainFilters) ViewVersion() (uint64, bool) { return 1, true }
-
 // digestFilters adds the per-digest probe (what bench's tracedView has).
 type digestFilters struct{ *plainFilters }
 
@@ -258,11 +256,10 @@ func TestSweepMatchesTwoPassReference(t *testing.T) {
 				if got := RankPeers(view, terms, wantIPF); !reflect.DeepEqual(got, wantRanks) {
 					t.Errorf("%s: RankPeers = %v, want %v", name, got, wantRanks)
 				}
-				cIPF, cRanks := NewIPFCache().IPFRanked(view, terms, nil)
-				if !reflect.DeepEqual(cIPF, wantIPF) || !reflect.DeepEqual(cRanks, wantRanks) {
-					t.Errorf("%s: IPFRanked = %v, %v, want %v, %v", name, cIPF, cRanks, wantIPF, wantRanks)
-				}
 				q := newQuery(view, terms)
+				if e := q.ipfRanked(); !reflect.DeepEqual(e.ipf, wantIPF) || !reflect.DeepEqual(e.ranks, wantRanks) {
+					t.Errorf("%s: ipfRanked = %v, %v, want %v, %v", name, e.ipf, e.ranks, wantIPF, wantRanks)
+				}
 				if got := q.candidates(peers); !reflect.DeepEqual(got, wantCand) {
 					t.Errorf("%s: candidates = %v, want %v", name, got, wantCand)
 				}
@@ -326,10 +323,9 @@ func TestExhaustiveCandidatesMatchReference(t *testing.T) {
 	}
 }
 
-// TestRankedSweepsOncePerUncachedQuery is the count the sweep is about: an
-// uncached Ranked probes each peer's row once (a view without the batched
-// probe: each (peer, term) once), lists the peers once, and a cached
-// repeat touches the view for neither.
+// TestRankedSweepsOncePerUncachedQuery is the count the sweep is about: a
+// Ranked probes each peer's row once (a view without the batched probe:
+// each (peer, term) once) and lists the peers once.
 func TestRankedSweepsOncePerUncachedQuery(t *testing.T) {
 	terms := sweepQueries()["three terms"]
 	fetch := &recordingFetcher{}
@@ -344,25 +340,16 @@ func TestRankedSweepsOncePerUncachedQuery(t *testing.T) {
 	} {
 		base := seededFilters(6, 30, 0)
 		view := tc.view(base)
-		opt := Options{K: 5, Cache: NewIPFCache()}
-		_, st := Ranked(view, fetch, terms, opt)
+		Ranked(view, fetch, terms, Options{K: 5})
 		if base.rows != 30*tc.rows || base.probes != 30*tc.each || base.listed != 1 {
-			t.Errorf("%s: uncached Ranked made %d row probes, %d single probes, %d Peers calls; want %d, %d, 1",
+			t.Errorf("%s: Ranked made %d row probes, %d single probes, %d Peers calls; want %d, %d, 1",
 				tc.name, base.rows, base.probes, base.listed, 30*tc.rows, 30*tc.each)
-		}
-		_, again := Ranked(view, fetch, terms, opt)
-		if base.rows != 30*tc.rows || base.probes != 30*tc.each || base.listed != 1 {
-			t.Errorf("%s: cached Ranked touched the view: %d row probes, %d single probes, %d Peers calls",
-				tc.name, base.rows, base.probes, base.listed)
-		}
-		if again != st {
-			t.Errorf("%s: cached Ranked stats %+v differ from uncached %+v", tc.name, again, st)
 		}
 	}
 }
 
 // TestStopWindowUsesSweptPeerCount: equation 4's N is the candidate count
-// the ranking was computed over, cached with it.
+// the ranking was computed over.
 func TestStopWindowUsesSweptPeerCount(t *testing.T) {
 	const n = 700 // StopP(700, 1) = 4, StopP(0, 1) = 2
 	vocab := sweepVocab(60)
@@ -372,14 +359,11 @@ func TestStopWindowUsesSweptPeerCount(t *testing.T) {
 		base.filters[i].Insert(vocab[0])
 	}
 	fetch := &oneDocFetcher{}
-	opt := Options{K: 1, Cache: NewIPFCache()}
-	for pass := 0; pass < 2; pass++ { // uncached, then cached
-		_, st := Ranked(rowFilters{digestFilters{base}}, fetch, vocab[:1], opt)
-		// Peer 0 supplies the one document; then StopP(700, 1) = 4
-		// non-contributing peers end the search.
-		if !st.StoppedEarly || st.PeersContacted != 1+StopP(n, 1) {
-			t.Fatalf("pass %d: contacted %d peers (stopped early %v), want %d", pass, st.PeersContacted, st.StoppedEarly, 1+StopP(n, 1))
-		}
+	_, st := Ranked(rowFilters{digestFilters{base}}, fetch, vocab[:1], Options{K: 1})
+	// Peer 0 supplies the one document; then StopP(700, 1) = 4
+	// non-contributing peers end the search.
+	if !st.StoppedEarly || st.PeersContacted != 1+StopP(n, 1) {
+		t.Fatalf("contacted %d peers (stopped early %v), want %d", st.PeersContacted, st.StoppedEarly, 1+StopP(n, 1))
 	}
 }
 

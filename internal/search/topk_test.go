@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"planetp/internal/directory"
@@ -67,7 +68,7 @@ func TestInsertTopKPermutationInvariant(t *testing.T) {
 // topKFake answers ranked queries with each peer's rq.K best, cut from the
 // full list the embedded fetcher returns.
 type topKFake struct {
-	*syncFake
+	*fakeCommunity
 	t *testing.T
 }
 
@@ -86,7 +87,7 @@ func (f topKFake) QueryPeerTopK(id directory.PeerID, terms []string, rq RankQuer
 // randomReplicated builds a community whose documents are drawn from a
 // shared pool, so one document (same key, same content) sits on several
 // peers; with flat set every document scores the same.
-func randomReplicated(rng *rand.Rand, flat bool) *syncFake {
+func randomReplicated(rng *rand.Rand, flat bool) *fakeCommunity {
 	terms := []string{"alpha", "beta", "gamma"}
 	pool := make([]map[string]int, 60)
 	for i := range pool {
@@ -105,7 +106,7 @@ func randomReplicated(rng *rand.Rand, flat bool) *syncFake {
 		}
 		f.fail[p] = rng.Intn(10) == 0
 	}
-	return newSyncFake(f)
+	return f
 }
 
 // Ranked over peers that cut their answers to k returns what it returns
@@ -118,7 +119,7 @@ func TestRankedTopKFetcherEquivalence(t *testing.T) {
 		full := randomReplicated(rng, trial%3 == 0)
 		cut := topKFake{full, t}
 		for _, k := range []int{1, 5, 10, 50} {
-			for _, opt := range []Options{{K: k}, {K: k, GroupSize: 3, Concurrency: 4}, {K: k, GroupSize: 4}} {
+			for _, opt := range []Options{{K: k}, {K: k, GroupSize: 3}, {K: k, GroupSize: 4}} {
 				wantDocs, wantSt := Ranked(full, full, terms, opt)
 				gotDocs, gotSt := Ranked(cut, cut, terms, opt)
 				if !reflect.DeepEqual(gotDocs, wantDocs) {
@@ -175,6 +176,40 @@ func TestScorerMatchesScoreDoc(t *testing.T) {
 	for i := range got {
 		if !reflect.DeepEqual(got[i], want[i].DocResult) {
 			t.Fatalf("rank %d: TopDocs has %v, want %v", i, got[i], want[i].DocResult)
+		}
+	}
+}
+
+// TestRankedHugeKAllocatesByResults: k arrives from outside (an HTTP body,
+// a proxy-search frame), so nothing in Ranked may be sized by it: a search
+// asking for far more documents than exist returns what K = 100 returns
+// and allocates about as much.
+func TestRankedHugeKAllocatesByResults(t *testing.T) {
+	f := newFake()
+	for p := directory.PeerID(0); p < 3; p++ {
+		for d := 0; d < 8; d++ {
+			f.addDoc(p, fmt.Sprintf("p%d-d%d", p, d), map[string]int{"gossip": 1 + d, "filler": int(p)})
+		}
+	}
+	terms := []string{"gossip"}
+	run := func(k int) (docs []ScoredDoc, st Stats, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		docs, st = Ranked(f, f, terms, Options{K: k})
+		runtime.ReadMemStats(&after)
+		return docs, st, after.TotalAlloc - before.TotalAlloc
+	}
+	wantDocs, wantSt, wantBytes := run(100)
+	if len(wantDocs) != 24 {
+		t.Fatalf("K = 100 returned %d documents, want all 24", len(wantDocs))
+	}
+	for _, k := range []int{1 << 16, 1 << 40} {
+		docs, st, bytes := run(k)
+		if !reflect.DeepEqual(docs, wantDocs) || st != wantSt {
+			t.Errorf("K = %d: result differs from K = 100's", k)
+		}
+		if bytes > 2*wantBytes {
+			t.Errorf("K = %d allocated %d bytes, K = 100 allocated %d", k, bytes, wantBytes)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"planetp/internal/core"
 	"planetp/internal/directory"
 	"planetp/internal/doc"
-	"planetp/internal/search"
 )
 
 // --- wire types ---
@@ -18,12 +17,9 @@ import (
 type SearchRequest struct {
 	// Query is the raw query string (plain words or tag:word).
 	Query string `json:"query"`
-	// K is the number of documents wanted (default Config.DefaultK).
+	// K is the number of documents wanted (default Config.DefaultK, at
+	// most maxK).
 	K int `json:"k,omitempty"`
-	// GroupSize contacts peers in groups of m (0 = engine default).
-	GroupSize int `json:"group_size,omitempty"`
-	// Concurrency overlaps per-peer contacts within a group (0 = sequential).
-	Concurrency int `json:"concurrency,omitempty"`
 	// NoCache bypasses the result cache for this request.
 	NoCache bool `json:"no_cache,omitempty"`
 }
@@ -149,6 +145,10 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // --- handlers ---
 
+// maxK bounds the k a request may ask for: k comes from outside, and the
+// response and every contacted peer's reply grow with it.
+const maxK = 10000
+
 // handleSearch serves POST /v1/search through the generation-stamped
 // result cache. The generation is read BEFORE the search runs: if a
 // publish lands mid-search and moves it, put() drops the entry rather
@@ -165,11 +165,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	k := req.K
+	if k > maxK {
+		s.errors.Inc()
+		writeError(w, http.StatusBadRequest, "k exceeds "+strconv.Itoa(maxK))
+		return
+	}
 	if k <= 0 {
 		k = s.cfg.DefaultK
 	}
 	gen := s.peer.Directory().Generation()
-	key := searchCacheKey(terms, k, req.GroupSize)
+	key := searchCacheKey(terms, k)
 	if !req.NoCache {
 		if body, ok := s.cache.get(gen, key); ok {
 			s.cacheHits.Inc()
@@ -180,11 +185,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.cacheMisses.Inc()
 	}
-	docs, st := s.peer.SearchWith(req.Query, search.Options{
-		K:           k,
-		GroupSize:   req.GroupSize,
-		Concurrency: req.Concurrency,
-	})
+	docs, st := s.peer.Search(req.Query, k)
 	resp := SearchResponse{
 		Hits: make([]SearchHit, len(docs)),
 		Stats: SearchStats{

@@ -8,17 +8,16 @@ import (
 )
 
 // resultCache memoizes fully rendered search responses keyed by
-// (query terms, search options), stamped with the directory mutation
-// generation — the serving-tier sibling of search.IPFCache, on the same
-// lru.Cache. A search result is a pure function of the community's filter
-// state plus the contacted peers' indexes; the directory generation
-// advances on every accepted record, on/off-line flip, and local publish
-// (publishes upsert the self record), so any event that could change an
-// answer also moves the generation, and no older entry is returned again.
+// (query terms, k), stamped with the directory mutation generation. A
+// search result is a pure function of the community's filter state plus
+// the contacted peers' indexes; the directory generation advances on every
+// accepted record, on/off-line flip, and local publish (publishes upsert
+// the self record), so any event that could change an answer also moves
+// the generation, and no older entry is returned again.
 //
-// Unlike the IPF cache this one stores the marshaled JSON body, not live
-// structures: a hit is one map lookup plus one Write, with no risk of a
-// handler mutating a shared result slice.
+// It stores the marshaled JSON body, not live structures: a hit is one
+// map lookup plus one Write, with no risk of a handler mutating a shared
+// result slice.
 //
 // Entries are LRU-evicted beyond cap. A nil *resultCache is a disabled
 // cache: get always misses, put drops.
@@ -35,12 +34,9 @@ func newResultCache(cap int) *resultCache {
 }
 
 // searchCacheKey canonicalizes one search request: the term sequence
-// (already tokenized/stemmed, so equivalent spellings collide) plus every
-// option that changes the response bytes. K changes truncation,
-// group size changes the contact schedule (and therefore Stats), while
-// Concurrency is deliberately excluded — the fan-out merge is
-// byte-identical to sequential by construction.
-func searchCacheKey(terms []string, k, groupSize int) string {
+// (already tokenized/stemmed, so equivalent spellings collide) plus k,
+// which changes truncation.
+func searchCacheKey(terms []string, k int) string {
 	var b strings.Builder
 	for _, t := range terms {
 		b.WriteString(t)
@@ -48,8 +44,6 @@ func searchCacheKey(terms []string, k, groupSize int) string {
 	}
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(k))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(groupSize))
 	return b.String()
 }
 

@@ -2,7 +2,12 @@ package serve
 
 import (
 	"net/http"
+	"strings"
 	"testing"
+	"time"
+
+	"planetp/internal/core"
+	"planetp/internal/directory"
 )
 
 // TestResultCacheLRUAndGeneration: unit behaviour — LRU eviction at cap,
@@ -172,5 +177,76 @@ func TestBatchPublishInvalidatesSearchCache(t *testing.T) {
 	}
 	if res := decodeBody[SearchResponse](t, after); len(res.Hits) != 3 {
 		t.Fatalf("post-batch hits = %d, want 3", len(res.Hits))
+	}
+}
+
+// TestUnknownSearchFieldsIgnored: the request fields the API once had
+// ("group_size", "concurrency") are ignored like any unknown field. On a
+// four-peer community where contacting in groups of 3 would cost a fourth
+// contact, a request carrying them gets the plain request's contact
+// schedule, and shares its cache entry.
+func TestUnknownSearchFieldsIgnored(t *testing.T) {
+	// Every filter has the term, so peers rank by id: peer 0 holds the
+	// best document, peers 1 and 2 fail to improve on it and, at k = 1,
+	// equation 4 stops the search before peer 3.
+	peers := make([]*core.Peer, 4)
+	for i := range peers {
+		p, err := core.NewPeer(core.Config{
+			ID: directory.PeerID(i), Capacity: len(peers),
+			Gossip: fastGossip(), Seed: int64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Stop)
+		peers[i] = p
+		xml := `<doc>legacy filler words around it</doc>`
+		if i == 0 {
+			xml = `<doc>legacy legacy</doc>`
+		}
+		if _, err := p.Publish(xml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range peers[1:] {
+		if err := p.Join(peers[0].Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range peers {
+		p.Start()
+	}
+	_, ts := newTestServer(t, peers[0], Config{})
+	search := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/search", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("search %s: status %d", body, resp.StatusCode)
+		}
+		return resp
+	}
+	waitForCond(t, 10*time.Second, "peer 0 to hold all four filters", func() bool {
+		st := decodeBody[SearchResponse](t, search(`{"query":"legacy","k":1,"no_cache":true}`)).Stats
+		return st.PeersRanked == len(peers)
+	})
+
+	plain := search(`{"query":"legacy","k":1}`)
+	if got := plain.Header.Get("X-Planetp-Cache"); got != "miss" {
+		t.Fatalf("plain search = %q, want miss", got)
+	}
+	want := decodeBody[SearchResponse](t, plain).Stats
+	if want.PeersContacted != 3 || !want.StoppedEarly {
+		t.Fatalf("plain search stats = %+v, want 3 peers contacted and an early stop", want)
+	}
+	const legacy = `"group_size":3,"concurrency":4`
+	fresh := search(`{"query":"legacy","k":1,"no_cache":true,` + legacy + `}`)
+	if got := decodeBody[SearchResponse](t, fresh).Stats; got != want {
+		t.Fatalf("stats with the legacy fields = %+v, want the plain request's %+v", got, want)
+	}
+	if got := cacheHeader(t, search(`{"query":"legacy","k":1,`+legacy+`}`)); got != "hit" {
+		t.Fatalf("legacy-field search = %q, want hit on the plain request's entry", got)
 	}
 }

@@ -176,6 +176,33 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestSearchRejectsHugeK: k arrives from outside and every contacted
+// peer's reply grows with it, so a request above maxK is refused before
+// any search runs.
+func TestSearchRejectsHugeK(t *testing.T) {
+	p := newTestPeer(t, 0)
+	if _, err := p.Publish(`<doc>cache bound</doc>`); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, p, Config{})
+
+	r := postJSON(t, ts.URL+"/v1/search", SearchRequest{Query: "cache", K: 20000000})
+	if r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("k = 20000000 status = %d, want 400", r.StatusCode)
+	}
+	r.Body.Close()
+	if got := s.reg.Counter("search_ranked_queries_total").Value(); got != 0 {
+		t.Fatalf("refused request ran %d searches", got)
+	}
+	ok := postJSON(t, ts.URL+"/v1/search", SearchRequest{Query: "cache", K: maxK})
+	if ok.StatusCode != http.StatusOK {
+		t.Fatalf("k = maxK status = %d, want 200", ok.StatusCode)
+	}
+	if hits := decodeBody[SearchResponse](t, ok).Hits; len(hits) != 1 {
+		t.Fatalf("k = maxK hits = %+v, want the one document", hits)
+	}
+}
+
 // TestAdmissionControlShedsWith429: saturate the in-flight pool and
 // assert the contract — every extra request is shed instantly with 429 +
 // Retry-After (never dropped without a response), admitted requests

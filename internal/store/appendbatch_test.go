@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +11,7 @@ import (
 )
 
 // slowSyncFS delays every file Sync, widening the window in which
-// concurrent committers pile up behind the group-commit leader.
+// concurrent appenders and snapshots pile up behind the flush in progress.
 type slowSyncFS struct {
 	FS
 	delay time.Duration
@@ -42,63 +41,6 @@ type slowSyncFile struct {
 func (f *slowSyncFile) Sync() error {
 	time.Sleep(f.delay)
 	return f.File.Sync()
-}
-
-// Concurrent appenders at SyncEvery=1 must share fsyncs through the
-// commit barrier: every append is individually acknowledged durable, yet
-// the number of flushes stays well below the number of appends, and
-// every acknowledged record survives a crash that drops unsynced data.
-func TestGroupCommitSharesFsyncs(t *testing.T) {
-	mem := NewMemFS()
-	reg := metrics.NewRegistry()
-	st, _ := openMem(t, &slowSyncFS{FS: mem, delay: 200 * time.Microsecond}, Options{Metrics: reg})
-	const workers, each = 8, 25
-	var wg sync.WaitGroup
-	var failed atomic.Int64
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if _, err := st.Append(Op{Kind: OpPublish, Data: fmt.Sprintf("w%d-%d", w, i), Epoch: 1, Seq: 1}); err != nil {
-					failed.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if n := failed.Load(); n != 0 {
-		t.Fatalf("%d concurrent appends failed", n)
-	}
-	fsyncs := reg.Counter("store_fsyncs_total").Value()
-	if fsyncs >= workers*each {
-		t.Errorf("group commit shared nothing: %d fsyncs for %d appends", fsyncs, workers*each)
-	}
-	if reg.Counter("store_group_commit_waiters").Value() == 0 {
-		t.Error("no committer ever waited on a leader's flush")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	// Every append was acknowledged, so every record must be durable.
-	mem.Crash(1)
-	st2, rec := openMem(t, mem, Options{})
-	defer st2.Close()
-	if len(rec.Ops) != workers*each {
-		t.Fatalf("recovered %d ops, want %d (acked records lost)", len(rec.Ops), workers*each)
-	}
-	seen := map[string]bool{}
-	for i, op := range rec.Ops {
-		if op.LSN != uint64(i+1) {
-			t.Fatalf("op %d has LSN %d, want dense LSNs", i, op.LSN)
-		}
-		if seen[op.Data] {
-			t.Fatalf("duplicate record %q", op.Data)
-		}
-		seen[op.Data] = true
-	}
 }
 
 // AppendBatch writes the whole batch with one buffered write and commits
@@ -151,9 +93,9 @@ func TestAppendBatchSingleFsync(t *testing.T) {
 	}
 }
 
-// Snapshots racing concurrent appends and in-flight leader fsyncs must
-// neither deadlock nor lose an acknowledged record.
-func TestGroupCommitSnapshotRace(t *testing.T) {
+// Snapshots racing concurrent appends (each fsyncing under the store
+// mutex) must neither deadlock nor lose an acknowledged record.
+func TestSnapshotRacesAppends(t *testing.T) {
 	mem := NewMemFS()
 	st, _ := openMem(t, &slowSyncFS{FS: mem, delay: 100 * time.Microsecond}, Options{})
 	const workers, each = 4, 15
@@ -171,7 +113,7 @@ func TestGroupCommitSnapshotRace(t *testing.T) {
 			}
 		}()
 	}
-	// Snapshots fire while appends (and their leader fsyncs) are live.
+	// Snapshots fire while appends (and their fsyncs) are live.
 	// The payload is captured while appends continue, so it pairs with
 	// the fold LSN only loosely — use an empty payload folding through
 	// nothing (FoldLSN 0) plus the full replay to keep it consistent.

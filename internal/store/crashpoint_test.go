@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -230,37 +229,5 @@ func TestCrashRecoveryIdempotent(t *testing.T) {
 			t.Fatalf("crash at %d: second recovery still truncating (%d records)", at, r2.TruncatedRecords)
 		}
 		_ = r1
-	}
-}
-
-// Fsync batching widens the loss window but must never widen it into
-// inconsistency: with SyncEvery=4, recovery after a crash at any append
-// yields a prefix of the appended ops.
-func TestCrashWithBatchedFsync(t *testing.T) {
-	for at := int64(0); at < 30; at++ {
-		mem := NewMemFS()
-		ffs := NewFaultFS(mem, 7)
-		ffs.CrashAt(at, CrashStop)
-		st, _, err := Open(Options{Dir: "p", FS: ffs, SyncEvery: 4})
-		if err != nil {
-			if !errors.Is(err, ErrCrashed) {
-				t.Fatalf("open: %v", err)
-			}
-			continue
-		}
-		for i := 0; i < 12; i++ {
-			if _, err := st.Append(Op{Kind: OpPublish, Data: fmt.Sprintf("d%02d", i), Epoch: 1, Seq: uint32(i + 1)}); err != nil {
-				break
-			}
-		}
-		st.Close()
-		mem.Crash(at)
-
-		_, rec := recoveredState(t, mem)
-		for i, op := range rec.Ops {
-			if want := fmt.Sprintf("d%02d", i); op.Data != want {
-				t.Fatalf("crash at %d: op %d = %q, want %q (not a prefix)", at, i, op.Data, want)
-			}
-		}
 	}
 }

@@ -9,7 +9,8 @@
 // Durability protocol:
 //
 //   - Every publish/remove appends one length-prefixed, CRC32C-checksummed
-//     record to wal.ppl and fsyncs (batchable via Options.SyncEvery).
+//     record to wal.ppl and fsyncs it before it is acknowledged (a batch
+//     is one write and one fsync).
 //   - Snapshots are written to a temp file, fsynced, and renamed into
 //     place; the previous snapshot AND the WAL generation it pairs with
 //     are kept as a fallback (snapshot.pps.prev + wal.ppl.prev) until

@@ -31,10 +31,6 @@ type Options struct {
 	// CompactBytes is the WAL size that triggers folding the log into a
 	// fresh snapshot (default 1 MiB; requires a snapshot source).
 	CompactBytes int64
-	// SyncEvery batches fsyncs: 1 (default) syncs every append —
-	// fsync-on-commit; N > 1 syncs every Nth append, trading the tail of
-	// unsynced operations on crash for fewer disk flushes.
-	SyncEvery int
 	// MaxRecordBytes bounds a WAL record's payload (default 16 MiB);
 	// larger length prefixes are treated as corruption.
 	MaxRecordBytes int
@@ -51,9 +47,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactBytes <= 0 {
 		o.CompactBytes = 1 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 1
 	}
 	if o.MaxRecordBytes <= 0 {
 		o.MaxRecordBytes = 16 << 20
@@ -121,23 +114,10 @@ type Store struct {
 	walBytes    int64
 	nextLSN     uint64
 	snapLSN     uint64 // WAL position the current snapshot folds through
-	unsynced    int    // appends since the last fsync (== writtenLSN - syncedLSN)
 	lastVer     [2]uint32
 	closed      bool
 	compacting  bool
 	snapshotSrc func() (SnapshotData, error)
-
-	// Group commit state: records are written to the log under s.mu, but
-	// the fsync that commits them runs with s.mu RELEASED, so concurrent
-	// appenders keep writing while the disk flushes. The first committer
-	// to arrive becomes the leader (syncing = true) and fsyncs the whole
-	// written frontier; later arrivals wait on syncDone and usually find
-	// their record covered when the leader broadcasts — one flush
-	// commits many appends.
-	writtenLSN uint64     // highest LSN written to the log file
-	syncedLSN  uint64     // highest LSN known durably fsynced
-	syncing    bool       // a leader's fsync is in flight
-	syncDone   *sync.Cond // on s.mu; broadcast after each leader fsync
 
 	m storeMetrics
 }
@@ -145,7 +125,7 @@ type Store struct {
 type storeMetrics struct {
 	appends, fsyncs, snapshots, compactions *metrics.Counter
 	truncRecords, truncBytes, quarantined   *metrics.Counter
-	batchAppends, groupWaiters              *metrics.Counter
+	batchAppends                            *metrics.Counter
 }
 
 // Open mounts (or initializes) the store under opts.Dir and performs
@@ -168,10 +148,8 @@ func Open(opts Options) (*Store, Recovery, error) {
 			truncBytes:   opts.Metrics.Counter("store_recovery_truncated_bytes_total"),
 			quarantined:  opts.Metrics.Counter("store_quarantined_files_total"),
 			batchAppends: opts.Metrics.Counter("store_batch_appends_total"),
-			groupWaiters: opts.Metrics.Counter("store_group_commit_waiters"),
 		},
 	}
-	s.syncDone = sync.NewCond(&s.mu)
 	if err := s.fsys.MkdirAll(opts.Dir); err != nil {
 		return nil, Recovery{}, fmt.Errorf("store: mkdir %s: %w", opts.Dir, err)
 	}
@@ -190,10 +168,6 @@ func Open(opts Options) (*Store, Recovery, error) {
 		}
 	}
 	s.lastVer = [2]uint32{rec.Epoch, rec.Seq}
-	// Everything recovery left in the log is durable (tears were
-	// truncated): the written and synced frontiers start together.
-	s.writtenLSN = s.nextLSN - 1
-	s.syncedLSN = s.writtenLSN
 	s.m.truncRecords.Add(int64(rec.TruncatedRecords))
 	s.m.truncBytes.Add(rec.TruncatedBytes)
 	s.m.quarantined.Add(int64(len(rec.Quarantined)))
@@ -414,39 +388,25 @@ func (s *Store) SetSnapshotSource(fn func() (SnapshotData, error)) {
 	s.mu.Unlock()
 }
 
-// Append logs one operation and (per SyncEvery) commits it. It assigns
-// and returns the operation's LSN. An error means the record is not
-// durably committed; Append never has side effects beyond the log, so
-// callers can treat a failure as "operation did not happen". Concurrent
-// Appends share fsyncs through the group-commit barrier. Compaction is
-// a separate step — see MaybeCompact.
+// Append logs one operation — a batch of one — and returns its LSN.
 func (s *Store) Append(op Op) (uint64, error) {
-	s.mu.Lock()
-	lsn, err := s.writeLocked(op)
-	if err == nil && s.unsynced >= s.opts.SyncEvery {
-		err = s.commitLocked(lsn)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	s.m.appends.Inc()
-	return lsn, nil
+	return s.AppendBatch([]Op{op})
 }
 
 // AppendBatch logs ops as one contiguous record run — a single buffered
-// write and at most one fsync for the whole batch — and returns the LSN
-// of the last record. On error none of the records is durably committed
-// (the same "operation did not happen" contract as Append: a torn batch
-// tail is truncated at recovery exactly like a torn single record). An
-// empty batch is a no-op returning (0, nil).
+// write and one fsync for the whole batch, both under s.mu — and returns
+// the LSN of the last record. An error means the records are not durably
+// committed; AppendBatch never has side effects beyond the log, so callers
+// can treat a failure as "operation did not happen" (a torn batch tail is
+// truncated at recovery like any torn record). An empty batch is a no-op
+// returning (0, nil). Compaction is a separate step — see MaybeCompact.
 func (s *Store) AppendBatch(ops []Op) (uint64, error) {
 	if len(ops) == 0 {
 		return 0, nil
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return 0, ErrClosed
 	}
 	var buf []byte
@@ -461,98 +421,30 @@ func (s *Store) AppendBatch(ops []Op) (uint64, error) {
 			hi = [2]uint32{op.Epoch, op.Seq}
 		}
 	}
+	// A write error leaves the LSN counters unadvanced: whatever partial
+	// bytes reached the file are a tear for recovery to truncate.
 	if _, err := s.wal.Write(buf); err != nil {
-		s.mu.Unlock()
 		return 0, fmt.Errorf("store: wal append: %w", err)
 	}
 	s.nextLSN = lsn
-	s.writtenLSN = lsn - 1
 	s.walBytes += int64(len(buf))
-	s.unsynced += len(ops)
 	s.lastVer = hi
-	var err error
-	if s.unsynced >= s.opts.SyncEvery {
-		err = s.commitLocked(s.writtenLSN)
-	}
-	last := s.writtenLSN
-	s.mu.Unlock()
-	if err != nil {
+	if err := s.syncLocked(); err != nil {
 		return 0, err
 	}
 	s.m.appends.Add(int64(len(ops)))
 	s.m.batchAppends.Inc()
-	return last, nil
+	return lsn - 1, nil
 }
 
-// writeLocked encodes and writes one record at the next LSN, advancing
-// the written frontier. Caller holds s.mu. A write error leaves the LSN
-// counters unadvanced: whatever partial bytes reached the file are a
-// tear for recovery to truncate.
-func (s *Store) writeLocked(op Op) (uint64, error) {
-	if s.closed {
-		return 0, ErrClosed
+// syncLocked fsyncs the log. Caller holds s.mu, so the File cannot be
+// rotated or closed under the flush.
+func (s *Store) syncLocked() error {
+	if err := s.wal.Sync(); err != nil {
+		return fmt.Errorf("store: wal fsync: %w", err)
 	}
-	op.LSN = s.nextLSN
-	buf := encodeRecord(op)
-	if _, err := s.wal.Write(buf); err != nil {
-		return 0, fmt.Errorf("store: wal append: %w", err)
-	}
-	s.nextLSN++
-	s.writtenLSN = op.LSN
-	s.walBytes += int64(len(buf))
-	s.unsynced++
-	if verLess(s.lastVer[0], s.lastVer[1], op.Epoch, op.Seq) {
-		s.lastVer = [2]uint32{op.Epoch, op.Seq}
-	}
-	return op.LSN, nil
-}
-
-// commitLocked blocks until every record up to lsn is durably synced.
-// Caller holds s.mu; the lock is released while the disk flushes. The
-// first committer to find no flush in flight becomes the leader: it
-// captures the written frontier, fsyncs with s.mu released (appenders
-// keep writing meanwhile), then publishes the new synced frontier and
-// broadcasts. Followers wake either satisfied — their record rode the
-// leader's flush — or become the next leader. A failed fsync commits
-// nothing; each waiter retries as leader and reports its own error.
-func (s *Store) commitLocked(lsn uint64) error {
-	for s.syncedLSN < lsn {
-		if s.closed {
-			return ErrClosed
-		}
-		if s.syncing {
-			s.m.groupWaiters.Inc()
-			s.syncDone.Wait()
-			continue
-		}
-		s.syncing = true
-		target := s.writtenLSN
-		wal := s.wal
-		s.mu.Unlock()
-		err := wal.Sync()
-		s.mu.Lock()
-		s.syncing = false
-		if err == nil {
-			s.syncedLSN = target
-			s.unsynced = int(s.writtenLSN - target)
-			s.m.fsyncs.Inc()
-		}
-		s.syncDone.Broadcast()
-		if err != nil {
-			return fmt.Errorf("store: wal fsync: %w", err)
-		}
-	}
+	s.m.fsyncs.Inc()
 	return nil
-}
-
-// waitNoLeaderLocked blocks until no leader fsync is in flight. Callers
-// that rotate or close the WAL file must call this first (holding s.mu
-// throughout afterwards, so no new leader can start) — a leader syncs
-// the File it captured, which must still be the live log.
-func (s *Store) waitNoLeaderLocked() {
-	for s.syncing {
-		s.syncDone.Wait()
-	}
 }
 
 // MaybeCompact folds the WAL into a fresh snapshot when it has passed
@@ -587,18 +479,6 @@ func (s *Store) MaybeCompact() error {
 	return nil
 }
 
-// Sync forces any batched appends to disk (a commit barrier for callers
-// using SyncEvery > 1). It participates in group commit: a flush already
-// in flight that covers the written frontier satisfies it.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.commitLocked(s.writtenLSN)
-}
-
 // SaveSnapshot atomically replaces the on-disk snapshot with the
 // captured payload (temp file + fsync + rename, previous snapshot kept
 // as fallback) and rotates the WAL. The snapshot header is stamped with
@@ -612,10 +492,6 @@ func (s *Store) Sync() error {
 func (s *Store) SaveSnapshot(data SnapshotData) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Drain any in-flight leader fsync: from here to the end of rotation
-	// s.mu is held continuously, so no new leader can start and the File
-	// handles below cannot be yanked out from under a flush.
-	s.waitNoLeaderLocked()
 	if s.closed {
 		return ErrClosed
 	}
@@ -625,16 +501,12 @@ func (s *Store) SaveSnapshot(data SnapshotData) error {
 	if data.FoldLSN < s.snapLSN {
 		return nil
 	}
-	// Catch up any batched appends first: records at or below the fold
-	// LSN must be durable before the snapshot can supersede them, and
-	// the carried suffix is read back from the file below.
-	if s.unsynced > 0 {
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("store: wal fsync: %w", err)
-		}
-		s.syncedLSN = s.writtenLSN
-		s.unsynced = 0
-		s.m.fsyncs.Inc()
+	// An append whose fsync failed left its record written but not
+	// flushed: records at or below the fold LSN must be durable before
+	// the snapshot can supersede them, and the carried suffix is read
+	// back from the file below.
+	if err := s.syncLocked(); err != nil {
+		return err
 	}
 	hdr := Header{Epoch: data.Epoch, Seq: data.Seq, LSN: data.FoldLSN}
 	img := encodeSnapshot(hdr, data.Payload)
@@ -707,10 +579,6 @@ func (s *Store) SaveSnapshot(data SnapshotData) error {
 	s.wal.Close()
 	s.wal = nw
 	s.walBytes = int64(len(walMagic) + len(suffix))
-	// The displaced generation was fsynced above and the new one at
-	// creation: everything written is durable.
-	s.syncedLSN = s.writtenLSN
-	s.unsynced = 0
 	return nil
 }
 
@@ -762,30 +630,16 @@ func (s *Store) LastVersion() (epoch, seq uint32) {
 	return s.lastVer[0], s.lastVer[1]
 }
 
-// Close flushes batched appends and releases the log. It does not write
-// a final snapshot — callers wanting one call SaveSnapshot first (see
-// core.Peer.Stop).
+// Close fsyncs and releases the log. It does not write a final snapshot —
+// callers wanting one call SaveSnapshot first (see core.Peer.Stop).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	// Drain any in-flight leader before closing the file it captured.
-	s.waitNoLeaderLocked()
 	s.closed = true
-	var err error
-	if s.unsynced > 0 {
-		err = s.wal.Sync()
-		if err == nil {
-			s.syncedLSN = s.writtenLSN
-			s.unsynced = 0
-			s.m.fsyncs.Inc()
-		}
-	}
-	// Wake committers parked in commitLocked: their records either just
-	// became durable (syncedLSN covers them) or they observe closed.
-	s.syncDone.Broadcast()
+	err := s.syncLocked()
 	if cerr := s.wal.Close(); err == nil {
 		err = cerr
 	}

@@ -251,28 +251,6 @@ func TestOversizedRecordIsCorruption(t *testing.T) {
 	}
 }
 
-func TestSyncEveryBatchesFsyncs(t *testing.T) {
-	mem := NewMemFS()
-	reg := metrics.NewRegistry()
-	st, _ := openMem(t, mem, Options{SyncEvery: 8, Metrics: reg})
-	defer st.Close()
-	base := reg.Counter("store_fsyncs_total").Value()
-	for i := 0; i < 16; i++ {
-		st.Append(Op{Kind: OpPublish, Data: "x", Epoch: 1, Seq: uint32(i)})
-	}
-	if got := reg.Counter("store_fsyncs_total").Value() - base; got != 2 {
-		t.Fatalf("16 appends at SyncEvery=8 did %d fsyncs, want 2", got)
-	}
-	// Sync() is the commit barrier for the partial batch.
-	st.Append(Op{Kind: OpPublish, Data: "y", Epoch: 1, Seq: 17})
-	if err := st.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("store_fsyncs_total").Value() - base; got != 3 {
-		t.Fatalf("explicit Sync did not flush the batch (fsyncs = %d)", got)
-	}
-}
-
 func TestClosedStoreRejectsAppends(t *testing.T) {
 	mem := NewMemFS()
 	st, _ := openMem(t, mem, Options{})
@@ -384,28 +362,5 @@ func TestQuarantineProbeErrorIsFatal(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Open spinning on quarantine probe")
-	}
-}
-
-// A crash that loses the unsynced tail (SyncEvery batching) must recover
-// the synced prefix exactly.
-func TestUnsyncedTailLostOnCrash(t *testing.T) {
-	mem := NewMemFS()
-	st, _ := openMem(t, mem, Options{SyncEvery: 100})
-	for i := 0; i < 10; i++ {
-		st.Append(Op{Kind: OpPublish, Data: fmt.Sprintf("d%d", i), Epoch: 1, Seq: uint32(i)})
-	}
-	// No Close, no Sync: power fails. MemFS with seed 0 keeps a seeded
-	// portion of the unsynced tail; recovery must parse a valid prefix.
-	mem.Crash(12345)
-	st2, rec := openMem(t, mem, Options{})
-	defer st2.Close()
-	if len(rec.Ops) > 10 {
-		t.Fatalf("recovered %d ops from 10 appends", len(rec.Ops))
-	}
-	for i, op := range rec.Ops {
-		if op.Data != fmt.Sprintf("d%d", i) {
-			t.Fatalf("op %d = %q — not a prefix", i, op.Data)
-		}
 	}
 }

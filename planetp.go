@@ -26,7 +26,7 @@
 //
 // Bulk ingest goes through Peer.PublishBatch (and FS.PublishFiles for
 // PFS): a batch is analyzed on all cores, committed to the write-ahead
-// log as one group-committed append, and gossiped as a single filter
+// log as one append with one fsync, and gossiped as a single filter
 // update — publishing N documents costs one summarization instead of N.
 //
 // The internal packages contain the substrates (Bloom filters, Golomb
