@@ -132,9 +132,15 @@ func (p *Peer) analyzeBatch(xmls []string) ([]analyzed, error) {
 //
 // Recovery runs apply alone, on the records the log already holds, and
 // announces once at its end. The apply functions are therefore the only
-// writers of the document store, index, key maps, Bloom summary and
+// writers of the document store, index, key map, Bloom summary and
 // replica manager, and they have no other effect: they log nothing, send
 // nothing and count nothing. Callers hold p.mu.
+//
+// Queries do not: they walk the index under its own lock (localQuery,
+// localTopK), so they can run between any two steps of an apply. The
+// visibility rule keeps every key a query returns fetchable at the moment
+// the walk sees it: a body is stored (document store, replica manager)
+// before its key is indexed, and unindexed before it is deleted.
 
 // planPublishLocked drops the documents of an analyzed batch that are
 // already stored or repeat within it (their maps go back to the pool);
@@ -173,23 +179,28 @@ func (p *Peer) applyPublishLocked(fresh []analyzed) (converted int) {
 
 // applyLocked applies one record of the other three kinds: a remove (a
 // no-op for a document not held — a torn log tail may have lost its
-// publish), or a replica put or drop, made in the manager and in the index.
+// publish), or a replica put or drop, made in the manager and in the index
+// in the order the visibility rule above gives.
 func (p *Peer) applyLocked(op store.Op) error {
-	if op.Kind == store.OpRemove {
-		p.store.Delete(op.Data)
+	switch op.Kind {
+	case store.OpRemove:
 		p.unindexLocked(op.Data)
+		p.store.Delete(op.Data)
 		return nil
-	}
-	e, changed, err := p.rep.Apply(op)
-	if err != nil || !changed {
+	case store.OpReplicaDrop:
+		// Only a held replica is indexed under the key: a certificate for
+		// content this peer owns, or never had, unindexes nothing.
+		if key, err := replica.DropKey(op); err == nil && p.rep.Has(key) {
+			p.unindexLocked(key)
+		}
+		_, _, err := p.rep.Apply(op)
 		return err
 	}
-	if op.Kind == store.OpReplicaDrop {
-		p.unindexLocked(e.Key)
-	} else {
+	e, changed, err := p.rep.Apply(op)
+	if err == nil && changed {
 		p.indexReplicaLocked(e)
 	}
-	return nil
+	return err
 }
 
 // commitLocked is the live path's log-then-apply for records applyLocked
@@ -222,14 +233,13 @@ func (p *Peer) indexReplicaLocked(e replica.Entry) {
 // document id to its live holders by probing gossiped filters (replica
 // failover).
 func (p *Peer) indexLocked(batch []analyzed) {
-	freqs := make([]map[string]int, len(batch))
+	keys, freqs := make([]string, len(batch)), make([]map[string]int, len(batch))
 	for i, ad := range batch {
-		freqs[i] = ad.freqs
+		keys[i], freqs[i] = ad.key, ad.freqs
 	}
-	ids := p.index.AddTermFreqsBatch(freqs)
+	ids := p.index.AddKeyedBatch(keys, freqs)
 	for i, ad := range batch {
 		p.docOf[ad.key] = ids[i]
-		p.keyOf[ids[i]] = ad.key
 		for t := range ad.freqs {
 			p.summary.Insert(t)
 		}
@@ -247,7 +257,6 @@ func (p *Peer) unindexLocked(key string) {
 	}
 	p.index.RemoveDocument(id)
 	delete(p.docOf, key)
-	delete(p.keyOf, id)
 }
 
 // gossipPending folds the filter inserts made since the last flush into

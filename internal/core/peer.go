@@ -122,8 +122,7 @@ type Peer struct {
 	mu          sync.Mutex
 	store       *doc.Store
 	index       *index.Index
-	docOf       map[string]index.DocID // doc key -> local index id
-	keyOf       map[index.DocID]string // inverse of docOf; indexLocked and unindexLocked write both
+	docOf       map[string]index.DocID // doc key -> local index id (the index holds the inverse)
 	summary     *bloom.Summary         // the gossiped Bloom filter and its pending diff
 	broker      *broker.Broker
 	watchers    []remoteWatch
@@ -176,7 +175,6 @@ func NewPeer(cfg Config) (*Peer, error) {
 		store:     doc.NewStore(),
 		index:     index.New(),
 		docOf:     make(map[string]index.DocID),
-		keyOf:     make(map[index.DocID]string),
 		summary:   bloom.NewSummary(bloom.Default()),
 		reg:       cfg.Metrics,
 		stopCh:    make(chan struct{}),
@@ -686,45 +684,34 @@ func (p *Peer) holding(key string) (e replica.Entry, own, ok bool) {
 }
 
 // localQuery evaluates a query against the local index (both semantics):
-// every match, with its frequencies and length read off the one walk.
+// every match, with its key, frequencies and length read off the one walk.
+// Like localTopK it takes the index's read lock and never p.mu: a query
+// does not wait for a publish's fsync.
 func (p *Peer) localQuery(terms []string, all bool) []search.DocResult {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var out []search.DocResult
-	p.index.Merge(terms, all, func(id index.DocID, freqs []int, docLen int) {
+	p.index.Merge(terms, all, func(r *index.Row) {
 		tf := make(map[string]int, len(terms))
 		for i, t := range terms {
-			if freqs[i] > 0 {
-				tf[t] = freqs[i]
+			if f := r.Freqs[i]; f > 0 {
+				tf[t] = int(f)
 			}
 		}
-		out = append(out, search.DocResult{Peer: p.id, Key: p.keyOf[id], TermFreqs: tf, DocLen: docLen})
+		out = append(out, search.DocResult{Peer: p.id, Key: r.Key(), TermFreqs: tf, DocLen: r.DocLen})
 	})
 	return out
 }
 
 // localTopK answers a ranked query (DESIGN §4c): equation 2 is scored
-// inside the index walk, a list bounded by rq.K keeps the best under
-// search.InsertTopK's order, and only the survivors become DocResults.
+// inside the index walk, search.TopK keeps the rq.K best under
+// search.InsertTopK's order, and only the survivors become DocResults. A
+// document's key is read only once its score may enter the list.
 func (p *Peer) localTopK(terms []string, rq search.RankQuery) []search.DocResult {
-	sorted, score := rq.Scorer(terms)
-	var top []search.ScoredDoc
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.index.Merge(sorted, false, func(id index.DocID, freqs []int, docLen int) {
-		d := search.DocResult{Peer: p.id, Key: p.keyOf[id], DocLen: docLen}
-		search.InsertTopK(&top, search.ScoredDoc{DocResult: d, Score: score(freqs, docLen)}, rq.K)
-	})
-	out := make([]search.DocResult, len(top))
-	for i, sd := range top {
-		id := p.docOf[sd.Key]
-		sd.TermFreqs = make(map[string]int, len(sorted))
-		for _, t := range sorted {
-			if f := p.index.Freq(id, t); f > 0 {
-				sd.TermFreqs[t] = f
-			}
+	sc := rq.Scorer(terms)
+	top := sc.TopK(rq.K)
+	p.index.Merge(sc.Terms, false, func(r *index.Row) {
+		if score := sc.Score(r.Freqs, r.DocLen); top.Admits(score) {
+			top.Insert(score, r.Key(), r.Freqs, r.DocLen)
 		}
-		out[i] = sd.DocResult
-	}
-	return out
+	})
+	return top.Results(p.id)
 }

@@ -142,22 +142,27 @@ func TestRankedQueryReplyBounded(t *testing.T) {
 	}
 }
 
-// localQueryPeer is the benchmarks' peer: 500 documents, every one with
-// the head word, one in fifty with the rare one.
-func localQueryPeer(b *testing.B) *Peer {
+// benchPeer is the benchmarks' peer, holding docs.
+func benchPeer(b *testing.B, docs []string) *Peer {
 	p, err := NewPeer(Config{ID: 0, Capacity: 4, Gossip: fastGossip()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(p.Stop)
-	docs := make([]string, 500)
-	for i := range docs {
-		docs[i] = fmt.Sprintf("<doc>head filler%d %s</doc>", i, strings.Repeat("rare ", (i%50)/49))
-	}
 	if _, err := p.PublishBatch(docs); err != nil {
 		b.Fatal(err)
 	}
 	return p
+}
+
+// localQueryPeer holds 500 documents, every one with the head word, one
+// in fifty with the rare one.
+func localQueryPeer(b *testing.B) *Peer {
+	docs := make([]string, 500)
+	for i := range docs {
+		docs[i] = fmt.Sprintf("<doc>head filler%d %s</doc>", i, strings.Repeat("rare ", (i%50)/49))
+	}
+	return benchPeer(b, docs)
 }
 
 var benchDocs []search.DocResult
@@ -169,6 +174,22 @@ func BenchmarkLocalQueryRanked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchDocs = p.localTopK([]string{"head", "rare"}, rq)
+	}
+}
+
+// A mixed_rw peer at the end of the window: 4000 documents of equal length,
+// both query words in every one once, so every score ties and keys decide.
+func BenchmarkLocalQueryRankedTies(b *testing.B) {
+	docs := make([]string, 4000)
+	for i := range docs {
+		docs[i] = fmt.Sprintf("<doc>head common filler%d</doc>", i)
+	}
+	p := benchPeer(b, docs)
+	rq := search.RankQuery{K: 10, N: 4, Nt: []int{4, 4}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDocs = p.localTopK([]string{"head", "common"}, rq)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"planetp/internal/directory"
 	"planetp/internal/doc"
+	"planetp/internal/index"
 	"planetp/internal/replica"
 	"planetp/internal/store"
 )
@@ -530,25 +531,25 @@ func TestDurableReplicaRestartServesAgain(t *testing.T) {
 	}
 }
 
-// TestDocKeyMapsStayInverse: docOf (key -> index id) and keyOf (index id
-// -> key) change on four paths — publish, Remove, replica adopt, replica
-// purge — and localQuery names a hit by keyOf alone, so after each of
-// them the two must be exact inverses and every hit must carry its own
-// key.
+// TestDocKeyMapsStayInverse: docOf (key -> index id) and the index's key
+// column (index id -> key) change on four paths — publish, Remove, replica
+// adopt, replica purge — and a query names a hit by the index's key alone,
+// so after each of them the two must be exact inverses and every hit must
+// carry its own key.
 func TestDocKeyMapsStayInverse(t *testing.T) {
 	p := durableReplicaPeer(t, store.NewMemFS(), store.Options{})
 	defer p.Stop()
 	check := func(step string, wantKeys ...string) {
 		t.Helper()
 		p.mu.Lock()
-		if len(p.docOf) != len(wantKeys) || len(p.keyOf) != len(wantKeys) {
-			t.Errorf("%s: docOf has %d entries, keyOf %d, want %d each", step, len(p.docOf), len(p.keyOf), len(wantKeys))
+		if len(p.docOf) != len(wantKeys) || p.index.NumDocs() != len(wantKeys) {
+			t.Errorf("%s: docOf has %d entries, the index %d documents, want %d each", step, len(p.docOf), p.index.NumDocs(), len(wantKeys))
 		}
-		for key, id := range p.docOf {
-			if p.keyOf[id] != key {
-				t.Errorf("%s: docOf[%q] = %d but keyOf[%d] = %q", step, key, id, id, p.keyOf[id])
+		p.index.Merge([]string{"falcon"}, false, func(r *index.Row) {
+			if id, ok := p.docOf[r.Key()]; !ok || id != r.ID {
+				t.Errorf("%s: index id %d is keyed %q but docOf[%q] = %d, %v", step, r.ID, r.Key(), r.Key(), id, ok)
 			}
-		}
+		})
 		p.mu.Unlock()
 		var got []string
 		for _, d := range p.localQuery([]string{"falcon"}, false) {
@@ -573,8 +574,8 @@ func TestDocKeyMapsStayInverse(t *testing.T) {
 	}
 	check("remove", own2)
 
-	// The freed index id may be reused by the next ingest: the stale
-	// reverse entry must be gone, not overwritten by luck.
+	// Index ids are never reused: the removed document's id stays a hole
+	// and the replicas take fresh ones.
 	reps := testReplicaEntries()
 	p.adoptReplica(reps[0], 5)
 	p.adoptReplica(reps[1], 5)

@@ -217,9 +217,9 @@ func TestQuickSearchAllSound(t *testing.T) {
 }
 
 // Merge visits exactly the documents a scan of every document finds, in
-// ascending id order, with the frequencies Freq reports and the length
-// DocLen reports — for either mode, with missing and repeated terms and
-// documents removed.
+// ascending id order, with the frequencies Freq reports, the length
+// DocLen reports and the key each was added under — for either mode, with
+// missing and repeated terms and documents removed.
 func TestMergeMatchesDocumentScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ix := New()
@@ -228,7 +228,7 @@ func TestMergeMatchesDocumentScan(t *testing.T) {
 		for j := 0; j < rng.Intn(6); j++ {
 			freqs[fmt.Sprintf("w%d", rng.Intn(12))]++
 		}
-		ix.AddTermFreqs(freqs)
+		ix.AddKeyedBatch([]string{fmt.Sprint("doc-", d)}, []map[string]int{freqs})
 	}
 	for d := DocID(0); d < 300; d += 7 {
 		ix.RemoveDocument(d)
@@ -257,15 +257,22 @@ func TestMergeMatchesDocumentScan(t *testing.T) {
 				}
 			}
 			var got []row
-			ix.Merge(terms, all, func(id DocID, freqs []int, docLen int) {
-				got = append(got, row{id, append([]int(nil), freqs...), docLen})
+			ix.Merge(terms, all, func(r *Row) {
+				freqs := make([]int, len(r.Freqs))
+				for i, f := range r.Freqs {
+					freqs[i] = int(f)
+				}
+				got = append(got, row{r.ID, freqs, r.DocLen})
+				if want := fmt.Sprint("doc-", r.ID); r.Key() != want {
+					t.Fatalf("doc %d walks as %q, want %q", r.ID, r.Key(), want)
+				}
 			})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("terms %v all=%v: Merge visited\n%v\nwant\n%v", terms, all, got, want)
 			}
 		}
 	}
-	ix.Merge(nil, true, func(DocID, []int, int) { t.Fatal("a query without terms matched") })
+	ix.Merge(nil, true, func(*Row) { t.Fatal("a query without terms matched") })
 }
 
 func BenchmarkAddTermFreqs1000Keys(b *testing.B) {
@@ -277,6 +284,33 @@ func BenchmarkAddTermFreqs1000Keys(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ix := New()
 		ix.AddTermFreqs(freqs)
+	}
+}
+
+// A publish_durable batch landing on a loaded peer: 16 documents of 25
+// Zipf-drawn words into an index of 4000 (rebuilt, off the clock, before
+// it doubles).
+func BenchmarkIndexAddBatch(b *testing.B) {
+	zipf := rand.NewZipf(rand.New(rand.NewSource(9)), 1.1, 1, 19999)
+	docs := make([]map[string]int, 4000+64*16)
+	for i := range docs {
+		docs[i] = map[string]int{fmt.Sprint("id", i): 1}
+		for j := 0; j < 24; j++ {
+			docs[i][fmt.Sprint("w", zipf.Uint64())]++
+		}
+	}
+	var ix *Index
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%250 == 0 {
+			b.StopTimer()
+			ix = New()
+			ix.AddTermFreqsBatch(docs[:4000])
+			b.StartTimer()
+		}
+		batch := 4000 + i%64*16
+		ix.AddTermFreqsBatch(docs[batch : batch+16])
 	}
 }
 
@@ -332,5 +366,46 @@ func TestAddTermFreqsBatch(t *testing.T) {
 	more := got.AddTermFreqsBatch([]map[string]int{{"tail": 1}})
 	if more[0] != ids[len(ids)-1]+1 {
 		t.Fatalf("ids not consecutive across batches: %d after %d", more[0], ids[len(ids)-1])
+	}
+}
+
+// Ids are handed out in ascending order and a removed document's id is
+// never given to another: what the per-document slices and the append-only
+// insert rest on. A removed or never-seen id reads as an absent document,
+// and the counts follow the live set.
+func TestIDsNeverReusedAndRemovedReadEmpty(t *testing.T) {
+	ix := New()
+	ids := ix.AddKeyedBatch([]string{"a", "b", "c"}, []map[string]int{
+		{"shared": 2, "a": 1}, {"shared": 1}, {"shared": 3, "c": 4},
+	})
+	if !ix.RemoveDocument(ids[1]) || !ix.RemoveDocument(ids[2]) {
+		t.Fatal("remove failed")
+	}
+	if ix.RemoveDocument(ids[2]) || ix.RemoveDocument(99) {
+		t.Fatal("removed a document twice, or one never added")
+	}
+	next := ix.AddTermFreqs(map[string]int{"shared": 5})
+	if next != ids[2]+1 {
+		t.Fatalf("id after removes = %d, want %d: ids are never reused", next, ids[2]+1)
+	}
+	for _, id := range []DocID{ids[1], ids[2], 99} {
+		if ix.DocLen(id) != 0 || ix.Freq(id, "shared") != 0 || ix.DocTerms(id) != nil {
+			t.Errorf("id %d: DocLen %d Freq %d DocTerms %v, want an absent document",
+				id, ix.DocLen(id), ix.Freq(id, "shared"), ix.DocTerms(id))
+		}
+	}
+	if got, want := ix.Docs(), []DocID{ids[0], next}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Docs() = %v, want %v", got, want)
+	}
+	if got, want := ix.Stats(), (Stats{Docs: 2, Terms: 2, Postings: 3}); got != want || ix.NumDocs() != 2 {
+		t.Fatalf("Stats() = %v, NumDocs() = %d, want %v", got, ix.NumDocs(), want)
+	}
+	if got := ix.CollectionFreq("shared"); got != 7 {
+		t.Fatalf("CollectionFreq(shared) = %d after removes, want 7", got)
+	}
+	var keys []string
+	ix.Merge([]string{"shared"}, false, func(r *Row) { keys = append(keys, r.Key()) })
+	if want := []string{"a", ""}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("walk names %q, want %q", keys, want)
 	}
 }

@@ -477,6 +477,13 @@ func DropOp(key string, epoch uint32, tomb bool) store.Op {
 	}
 }
 
+// DropKey returns the key a drop record names, for a caller with work to do
+// before the record is applied.
+func DropKey(op store.Op) (string, error) {
+	key, _, _, err := decodeDropOp(op.Data)
+	return key, err
+}
+
 func decodePutOp(data string) (Entry, error) {
 	head, xml, ok := strings.Cut(data, "\n")
 	if !ok {

@@ -14,6 +14,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"planetp/internal/bloom"
@@ -246,43 +247,134 @@ type TopKFetcher interface {
 	QueryPeerTopK(id directory.PeerID, terms []string, rq RankQuery) ([]DocResult, error)
 }
 
-// Scorer returns the query's distinct terms in sorted order — equation
-// 2's summation order — and a function scoring a document from its
-// frequencies of those terms (an index.Merge row), bit for bit as
-// ScoreDoc scores its DocResult.
-func (rq RankQuery) Scorer(terms []string) (sorted []string, score func(freqs []int, docLen int) float64) {
-	w := make(map[string]float64, len(terms))
-	for i, t := range terms {
-		if _, dup := w[t]; !dup && i < len(rq.Nt) {
-			sorted = append(sorted, t)
-			w[t] = ipfWeight(rq.N, rq.Nt[i])
+// Scorer is a ranked query's scoring kernel: equation 2 with the query's
+// weights resolved once, so scoring a document is a table read, a multiply
+// and an add per term — bit for bit what ScoreDoc computes.
+type Scorer struct {
+	// Terms are the query's distinct terms in sorted order: equation 2's
+	// summation order, and the columns of the rows Score takes.
+	Terms   []string
+	weights []float64 // weights[i] = IPF of Terms[i]
+}
+
+// Scorer builds the kernel for terms from the header's (N, N_t). A term
+// the query repeats counts once, with the weight of its first occurrence.
+func (rq RankQuery) Scorer(terms []string) *Scorer {
+	type weighted struct {
+		term string
+		w    float64
+	}
+	ws := make([]weighted, min(len(terms), len(rq.Nt)))
+	for i := range ws {
+		ws[i] = weighted{terms[i], ipfWeight(rq.N, rq.Nt[i])}
+	}
+	slices.SortStableFunc(ws, func(a, b weighted) int { return strings.Compare(a.term, b.term) })
+	ws = slices.CompactFunc(ws, func(a, b weighted) bool { return a.term == b.term })
+	sc := &Scorer{Terms: make([]string, len(ws)), weights: make([]float64, len(ws))}
+	for i, tw := range ws {
+		sc.Terms[i], sc.weights[i] = tw.term, tw.w
+	}
+	return sc
+}
+
+// Score scores a document from its frequencies of Terms, column for
+// column (an index walk's row).
+func (sc *Scorer) Score(freqs []uint32, docLen int) float64 {
+	sum := 0.0
+	freqs = freqs[:len(sc.weights)]
+	for i, w := range sc.weights {
+		sum = addTerm(sum, int(freqs[i]), w)
+	}
+	return normalize(sum, docLen)
+}
+
+// ScoreDoc scores a document a peer returned. Terms outside the query
+// weigh nothing, so this is ScoreDoc under the query's IPF without the
+// per-document sort.
+func (sc *Scorer) ScoreDoc(d DocResult) float64 {
+	sum := 0.0
+	for i, t := range sc.Terms {
+		sum = addTerm(sum, d.TermFreqs[t], sc.weights[i])
+	}
+	return normalize(sum, d.DocLen)
+}
+
+// TopK keeps the k best documents of an index walk under InsertTopK's
+// order. The walk scores every match and asks Admits before it reads the
+// document's key; nothing is built for a document until it enters the
+// list, and only Results builds DocResults.
+type TopK struct {
+	sc    *Scorer
+	k     int
+	top   []walkDoc
+	freqs []uint32 // rows of len(sc.Terms); walkDoc.row indexes them
+}
+
+// walkDoc is a TopK entry: what Results needs to build the DocResult.
+type walkDoc struct {
+	score  float64
+	key    string
+	docLen int
+	row    int // its frequencies are freqs[row*len(Terms):][:len(Terms)]
+}
+
+func (d walkDoc) rank() (float64, string) { return d.score, d.key }
+
+// TopK returns an empty accumulator for sc's query. k arrives from
+// outside, so it sizes nothing beyond a first few entries.
+func (sc *Scorer) TopK(k int) *TopK {
+	room := min(max(k, 0), 16)
+	return &TopK{sc: sc, k: k, top: make([]walkDoc, 0, room), freqs: make([]uint32, 0, room*len(sc.Terms))}
+}
+
+// Admits reports whether a document scoring score may enter the list:
+// there is room, or the k-th entry does not score above it. Whatever it
+// refuses, Insert would.
+func (a *TopK) Admits(score float64) bool {
+	n := len(a.top)
+	return n < a.k || n > 0 && score >= a.top[n-1].score
+}
+
+// Insert offers one walked document: its score, its key, and the row of
+// frequencies the score came from (copied if the document is kept).
+func (a *TopK) Insert(score float64, key string, freqs []uint32, docLen int) {
+	n := len(a.top)
+	row := n // a list with room takes a fresh row
+	if n >= a.k {
+		if n == 0 || !before(score, key, a.top[n-1].score, a.top[n-1].key) {
+			return
 		}
+		row = a.top[n-1].row // the entry it displaces gives up its row
+		copy(a.freqs[row*len(freqs):], freqs)
+	} else {
+		a.freqs = append(a.freqs, freqs...)
 	}
-	sort.Strings(sorted)
-	weights := make([]float64, len(sorted))
-	for i, t := range sorted {
-		weights[i] = w[t]
-	}
-	return sorted, func(freqs []int, docLen int) float64 {
-		sum := 0.0
-		for i, f := range freqs {
-			sum = addTerm(sum, f, weights[i])
+	insertTopK(&a.top, walkDoc{score: score, key: key, docLen: docLen, row: row}, a.k)
+}
+
+// Results returns the kept documents, best first, as peer's answer.
+func (a *TopK) Results(peer directory.PeerID) []DocResult {
+	nt := len(a.sc.Terms)
+	out := make([]DocResult, len(a.top))
+	for i, d := range a.top {
+		tf := make(map[string]int, nt)
+		for j, f := range a.freqs[d.row*nt:][:nt] {
+			if f > 0 {
+				tf[a.sc.Terms[j]] = int(f)
+			}
 		}
-		return normalize(sum, docLen)
+		out[i] = DocResult{Peer: peer, Key: d.key, TermFreqs: tf, DocLen: d.docLen}
 	}
+	return out
 }
 
 // TopDocs cuts a peer's full answer to the rq.K best: what a peer that
 // ranks computes inside its index walk, for one that does not.
 func TopDocs(docs []DocResult, terms []string, rq RankQuery) []DocResult {
-	sorted, score := rq.Scorer(terms)
-	freqs := make([]int, len(sorted))
+	sc := rq.Scorer(terms)
 	var top []ScoredDoc
 	for _, d := range docs {
-		for i, t := range sorted {
-			freqs[i] = d.TermFreqs[t]
-		}
-		InsertTopK(&top, ScoredDoc{DocResult: d, Score: score(freqs, d.DocLen)}, rq.K)
+		InsertTopK(&top, ScoredDoc{DocResult: d, Score: sc.ScoreDoc(d)}, rq.K)
 	}
 	out := make([]DocResult, len(top))
 	for i, sd := range top {
@@ -336,15 +428,37 @@ func ScoreDoc(d DocResult, ipf map[string]float64) float64 {
 	return normalize(sum, d.DocLen)
 }
 
-// addTerm adds one term's w_{D,t} × IPF_t to equation 2's sum. It is the
-// only place the product is formed, and the conversion keeps a compiler
-// from fusing it into the addition, so every caller gets the same bits.
+// addTerm adds one term's w_{D,t} × IPF_t to equation 2's sum. The
+// conversions keep a compiler from fusing the product into the addition,
+// so every caller gets the same bits. For the small frequencies nearly
+// every posting has, w_{D,t} comes from a table; an absent term's entry is
+// 0, and adding +0 changes no bit of a sum that is never negative.
 func addTerm(sum float64, f int, ipf float64) float64 {
+	if uint(f) < uint(len(tfWeights)) {
+		return sum + float64(tfWeights[f]*ipf)
+	}
+	return addRareTerm(sum, f, ipf)
+}
+
+// addRareTerm is addTerm off the table: a negative count adds nothing, a
+// large one costs a logarithm.
+func addRareTerm(sum float64, f int, ipf float64) float64 {
 	if f <= 0 {
 		return sum
 	}
-	return sum + float64((1+math.Log(float64(f)))*ipf)
+	return sum + float64(tfWeight(f)*ipf)
 }
+
+// tfWeight is w_{D,t} = 1 + log f_{D,t}.
+func tfWeight(f int) float64 { return 1 + math.Log(float64(f)) }
+
+// tfWeights[f] is tfWeight(f) for 1 <= f < 64, and 0 for f = 0.
+var tfWeights = func() (t [64]float64) {
+	for f := 1; f < len(t); f++ {
+		t[f] = tfWeight(f)
+	}
+	return t
+}()
 
 // normalize divides equation 2's sum by sqrt(|D|).
 func normalize(sum float64, docLen int) float64 {
@@ -470,11 +584,10 @@ func (c *contactor) one(id directory.PeerID) ([]DocResult, error) {
 	return docs, err
 }
 
-// rankEntry is what one sweep yields for a query: its IPF map with the
-// per-term N_t behind it, its peer ranking, and the candidate-peer count
-// they were computed over (equation 1's and equation 4's N).
+// rankEntry is what one sweep yields for a query: the per-term N_t, the
+// peer ranking under the IPF they give, and the candidate-peer count both
+// were computed over (equation 1's and equation 4's N).
 type rankEntry struct {
-	ipf   map[string]float64
 	nt    []int
 	ranks []PeerRank
 	peers int
@@ -486,8 +599,7 @@ func (q *query) ipfRanked() rankEntry {
 	peers := q.view.Peers()
 	hits := q.sweep(peers)
 	nt := q.counts(hits)
-	ipf := q.ipf(nt, len(peers))
-	return rankEntry{ipf: ipf, nt: nt, ranks: q.rank(peers, hits, ipf), peers: len(peers)}
+	return rankEntry{nt: nt, ranks: q.rank(peers, hits, q.ipf(nt, len(peers))), peers: len(peers)}
 }
 
 // Ranked runs the full TFxIPF selective search (Section 5.2): rank peers
@@ -501,7 +613,7 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 	}
 	q := newQuery(view, terms)
 	r := q.ipfRanked()
-	ipf, ranked := r.ipf, r.ranks
+	ranked := r.ranks
 	st.PeersRanked = len(ranked)
 
 	p := StopP(r.peers, opt.K)
@@ -513,6 +625,8 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 	contact := newContactor(fetch, terms, false, opt)
 	contact.topk, _ = fetch.(TopKFetcher)
 	contact.rq = RankQuery{K: opt.K, N: r.peers, Nt: r.nt}
+	// Replies are scored with the weights every contacted peer scores with.
+	sc := contact.rq.Scorer(terms)
 	var top []ScoredDoc // the K best so far, under InsertTopK's order
 	// Sized by what comes back, never by K: K arrives from outside.
 	seen := make(map[string]bool)
@@ -534,7 +648,7 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 					continue
 				}
 				seen[d.Key] = true
-				sd := ScoredDoc{DocResult: d, Score: ScoreDoc(d, ipf)}
+				sd := ScoredDoc{DocResult: d, Score: sc.ScoreDoc(d)}
 				if InsertTopK(&top, sd, opt.K) {
 					contributed = true
 				}
@@ -570,22 +684,46 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 // It reports whether sd contributed in the stop rule's sense — the list
 // was not full, or sd scores strictly above the k-th entry it displaced.
 func InsertTopK(top *[]ScoredDoc, sd ScoredDoc, k int) bool {
+	return insertTopK(top, sd, k)
+}
+
+// entry is what the order reads off a top-k list's element.
+type entry interface {
+	rank() (score float64, key string)
+}
+
+func (sd ScoredDoc) rank() (float64, string) { return sd.Score, sd.Key }
+
+// before is the total order of every top-k list: whether (score a, key ak)
+// ranks ahead of (score b, key bk).
+func before(a float64, ak string, b float64, bk string) bool {
+	if a != b {
+		return a > b
+	}
+	return ak < bk
+}
+
+// insertTopK is InsertTopK for either kind of entry: a searcher's
+// ScoredDoc or an index walk's walkDoc.
+func insertTopK[T entry](top *[]T, x T, k int) bool {
 	t := *top
+	score, key := x.rank()
 	i := sort.Search(len(t), func(i int) bool {
-		if t[i].Score != sd.Score {
-			return t[i].Score < sd.Score
-		}
-		return t[i].Key > sd.Key
+		s, k := t[i].rank()
+		return before(score, key, s, k)
 	})
 	if i >= k {
 		return false
 	}
-	contributed := len(t) < k || sd.Score > t[len(t)-1].Score
-	if len(t) < k {
-		t = append(t, ScoredDoc{})
+	contributed := len(t) < k
+	if contributed {
+		t = append(t, x)
+	} else {
+		kth, _ := t[len(t)-1].rank()
+		contributed = score > kth
 	}
 	copy(t[i+1:], t[i:])
-	t[i] = sd
+	t[i] = x
 	*top = t
 	return contributed
 }

@@ -257,8 +257,10 @@ func TestSweepMatchesTwoPassReference(t *testing.T) {
 					t.Errorf("%s: RankPeers = %v, want %v", name, got, wantRanks)
 				}
 				q := newQuery(view, terms)
-				if e := q.ipfRanked(); !reflect.DeepEqual(e.ipf, wantIPF) || !reflect.DeepEqual(e.ranks, wantRanks) {
-					t.Errorf("%s: ipfRanked = %v, %v, want %v, %v", name, e.ipf, e.ranks, wantIPF, wantRanks)
+				// The sweep's (N, N_t) — what a ranked query carries — give
+				// the same IPF at whichever end computes it.
+				if e := q.ipfRanked(); !reflect.DeepEqual(q.ipf(e.nt, e.peers), wantIPF) || !reflect.DeepEqual(e.ranks, wantRanks) {
+					t.Errorf("%s: ipfRanked = %v, %v, want %v, %v", name, q.ipf(e.nt, e.peers), e.ranks, wantIPF, wantRanks)
 				}
 				if got := q.candidates(peers); !reflect.DeepEqual(got, wantCand) {
 					t.Errorf("%s: candidates = %v, want %v", name, got, wantCand)

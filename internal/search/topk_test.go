@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -138,9 +139,10 @@ func TestRankedTopKFetcherEquivalence(t *testing.T) {
 	}
 }
 
-// A walk's row scores as ScoreDoc scores the DocResult built from it, bit
-// for bit, on duplicated and unsorted query terms; TopDocs keeps the best
-// under that score.
+// A walk's row, and the reply built from it, score as ScoreDoc scores the
+// DocResult, bit for bit, on duplicated and unsorted query terms and on
+// frequencies either side of the logarithm table's end; TopDocs keeps the
+// best under that score.
 func TestScorerMatchesScoreDoc(t *testing.T) {
 	terms := []string{"gamma", "alpha", "gamma", "beta"}
 	rq := RankQuery{K: 7, N: 37, Nt: []int{3, 11, 3, 29}}
@@ -148,26 +150,42 @@ func TestScorerMatchesScoreDoc(t *testing.T) {
 	for i, term := range terms {
 		ipf[term] = ipfWeight(rq.N, rq.Nt[i])
 	}
-	sorted, score := rq.Scorer(terms)
-	if want := []string{"alpha", "beta", "gamma"}; !reflect.DeepEqual(sorted, want) {
-		t.Fatalf("walk order %v, want %v", sorted, want)
+	sc := rq.Scorer(terms)
+	if want := []string{"alpha", "beta", "gamma"}; !reflect.DeepEqual(sc.Terms, want) {
+		t.Fatalf("walk order %v, want %v", sc.Terms, want)
 	}
 	rng := rand.New(rand.NewSource(5))
 	var docs []DocResult
 	var want []ScoredDoc
 	for i := 0; i < 200; i++ {
 		d := DocResult{Key: fmt.Sprint(i), TermFreqs: map[string]int{}, DocLen: rng.Intn(90)}
-		freqs := make([]int, len(sorted))
-		for j, term := range sorted {
-			if f := rng.Intn(9); f > 0 {
-				freqs[j], d.TermFreqs[term] = f, f
+		freqs := make([]uint32, len(sc.Terms))
+		for j, term := range sc.Terms {
+			f := rng.Intn(9)
+			if i%10 == 0 {
+				f = len(tfWeights) - 2 + rng.Intn(4)
+			}
+			if f > 0 {
+				freqs[j], d.TermFreqs[term] = uint32(f), f
 			}
 		}
-		if got, want := score(freqs, d.DocLen), ScoreDoc(d, ipf); got != want {
-			t.Fatalf("doc %v: walk score %v, ScoreDoc %v", d, got, want)
+		if i%7 == 0 {
+			d.TermFreqs["delta"] = 3 // a reply may name terms the query does not
+		}
+		ref := ScoreDoc(d, ipf)
+		if got := sc.Score(freqs, d.DocLen); got != ref {
+			t.Fatalf("doc %v: walk score %v, ScoreDoc %v", d, got, ref)
+		}
+		if got := sc.ScoreDoc(d); got != ref {
+			t.Fatalf("doc %v: reply score %v, ScoreDoc %v", d, got, ref)
 		}
 		docs = append(docs, d)
-		InsertTopK(&want, ScoredDoc{DocResult: d, Score: ScoreDoc(d, ipf)}, rq.K)
+		InsertTopK(&want, ScoredDoc{DocResult: d, Score: ref}, rq.K)
+	}
+	for f := 1; f < 2*len(tfWeights); f++ {
+		if got, want := addTerm(0, f, 1), 1+math.Log(float64(f)); got != want {
+			t.Fatalf("w(f=%d) = %v, want %v", f, got, want)
+		}
 	}
 	got := TopDocs(docs, terms, rq)
 	if len(got) != rq.K {

@@ -262,14 +262,17 @@ go test -race -run 'TestOneVerdictOnReachability' ./internal/core/
 go test -race -run 'TestVerdictSameOnSimAndLoopback' ./internal/transport/
 
 # Deleted means deleted (DESIGN §4c, §4f): the IPF/rank cache, the fan-out
-# knobs and the WAL's group commit had no caller and no measured benefit;
-# one of their names reappearing in non-test Go is a second path coming
-# back. What replaced them is one fsync under the store mutex (appends
+# knobs and the WAL's group commit had no caller and no measured benefit,
+# and core's id -> key map is a column of the index now; one of their names
+# reappearing in non-test Go is a second path coming back. What replaced them is one fsync under the store mutex (appends
 # racing a snapshot lose nothing) and a search sized by its results, not by
 # the k a request names (already part of the suite above; rerun by name).
-echo "== nothing dormant (IPF cache, fan-out knobs, group commit stay deleted)"
-dormant=$(grep -rnE 'IPFCache|VersionedView|SyncEvery|syncDone|Options\.Concurrency|StopWindow' \
+echo "== nothing dormant (IPF cache, fan-out knobs, group commit, keyOf stay deleted; the index walk stays off p.mu)"
+dormant=$(grep -rnE 'IPFCache|VersionedView|SyncEvery|syncDone|Options\.Concurrency|StopWindow|keyOf' \
 	--include='*.go' internal cmd ./*.go | grep -v _test.go || true)
+# ...and the index walk stays off the peer mutex (§4f): no p.mu inside
+# localTopK or localQuery.
+dormant="$dormant$(sed -n '/^func (p \*Peer) local\(TopK\|Query\)(/,/^}/p' internal/core/peer.go | grep 'p\.mu\.' || true)"
 if [ -n "$dormant" ]; then
 	echo "deleted mechanism named in non-test Go:" >&2
 	echo "$dormant" >&2
@@ -282,12 +285,20 @@ go test -race -run 'TestSearchRejectsHugeK' ./internal/serve/
 # Ranked queries return each peer's k best (DESIGN §4c): the per-peer cut
 # equals the full-list sweep, the top-k is a function of the document set and
 # not of arrival order, and a peer whose reply goes back to every match fails
-# the size guard (already part of the suite above; rerun by name).
-echo "== ranked-query contract (per-peer cut = full-list sweep, reply-size guard)"
+# the size guard. The walk that answers them reads the index under its own
+# lock and nothing else (§4f): its kernel equals the full-list reference, it
+# does not wait for a publish's fsync, every key it names was fetchable when
+# it was seen, and it races publishes and removes cleanly (already part of
+# the suite above; rerun by name, the concurrent one repeated).
+echo "== ranked-query contract (per-peer cut = full-list sweep, reply-size guard, walk off the peer mutex)"
 go test -race -run 'TestInsertTopK|TestRankedTopKFetcherEquivalence|TestScorerMatchesScoreDoc' ./internal/search/
-go test -race -run 'TestMergeMatchesDocumentScan' ./internal/index/
-go test -race -run 'TestLocalTopKEqualsCutOfFullList|TestClusterSearchEqualsFullListReference|TestRankedQueryReplyBounded' ./internal/core/
+go test -race -run 'TestMergeMatchesDocumentScan|TestIDsNeverReusedAndRemovedReadEmpty' ./internal/index/
+go test -race -run 'TestLocalTopKEqualsCutOfFullList|TestTopKKernelMatchesReference|TestRankedQueryNotBlockedByPublish|TestQueryNamesOnlyFetchableDocuments|TestClusterSearchEqualsFullListReference|TestRankedQueryReplyBounded' ./internal/core/
+go test -race -count=10 -run 'TestConcurrentQueriesPublishesRemoves' ./internal/core/
 go test -race -run 'TestRankHeaderOnTheWire|TestHostileRankHeader' ./internal/transport/
+# The kernel's benchmarks, once each, so they keep compiling and running.
+go test -run '^$' -bench 'BenchmarkLocalQueryRanked$|BenchmarkLocalQueryRankedTies$' -benchtime 50x ./internal/core/ >/dev/null
+go test -run '^$' -bench 'BenchmarkIndexAddBatch$' -benchtime 50x ./internal/index/ >/dev/null
 
 # Crash-recovery smoke: enumerate every disk crash point in the durable
 # store's append/fsync/rename pipeline plus the full peer crash/restart
