@@ -69,8 +69,9 @@ type RumorID struct {
 	Ver  directory.Version
 }
 
-// Message is the single wire unit. Fields are populated according to Type;
-// a single struct keeps gob encoding simple for the live transport.
+// Message is the single protocol unit. Fields are populated according to
+// Type, and the live transport's frame carries exactly the fields each Type
+// uses (internal/transport, codec.gossip).
 type Message struct {
 	Type MsgType
 	From directory.PeerID

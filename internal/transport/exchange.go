@@ -69,7 +69,7 @@ func SanitizePeerSample(recs []directory.Record, max int) []directory.Record {
 // PeerExchange asks peer to for a sample of at most max known-on-line
 // records. The reply is sanitized before return.
 func (t *Transport) PeerExchange(to directory.PeerID, max int) ([]directory.Record, error) {
-	resp, err := t.call(to, &Envelope{Kind: KindPeerExchange, From: t.id, K: max})
+	resp, err := t.call(to, &Envelope{Kind: KindPeerExchange, K: max})
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func (t *Transport) PeerExchange(to directory.PeerID, max int) ([]directory.Reco
 // PeerExchangeAddr is like PeerExchange but dials a raw address
 // (bootstrap, before the seed is in the directory).
 func (t *Transport) PeerExchangeAddr(addr string, max int) ([]directory.Record, error) {
-	resp, err := t.callAddr(addr, &Envelope{Kind: KindPeerExchange, From: t.id, K: max})
+	resp, err := t.callAddr(addr, &Envelope{Kind: KindPeerExchange, K: max})
 	if err != nil {
 		return nil, err
 	}

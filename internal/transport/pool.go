@@ -1,7 +1,6 @@
-// Client-side connection pool. Pooled connections carry long-lived gob
-// encoder/decoder streams, so a reused conn pays neither a dial
-// round-trip nor re-transmitted type descriptors — the two per-RPC costs
-// that dominate small exchanges (gossip pushes, query fan-out legs).
+// Client-side connection pool. Pooled connections carry long-lived framed
+// streams, so a reused conn skips the dial round-trip — the per-RPC cost
+// that dominates small exchanges (gossip pushes, query fan-out legs).
 //
 // The pool holds only idle connections: a checkout transfers ownership to
 // the caller, who either returns the conn with put (stream still in a
@@ -17,7 +16,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"net"
 	"sync"
 	"time"
@@ -25,21 +23,19 @@ import (
 	"planetp/internal/directory"
 )
 
-// pconn is one pooled connection: the conn, its byte counter, and the
-// per-stream codec state (gob descriptors already exchanged). The mark
-// fields record how far the current exchange progressed, which decides
-// whether a failed RPC can be transparently re-dialed without risking
-// double delivery.
+// pconn is one pooled connection: the conn, its byte counter, and its
+// frame buffers. The mark fields record how far the current exchange
+// progressed, which decides whether a failed RPC can be transparently
+// re-dialed without risking double delivery.
 type pconn struct {
 	conn net.Conn
 	cc   *countingConn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	frameConn
 	addr string
 
 	idleSince time.Time
 
-	// wroteReq: the current exchange's request was fully encoded onto
+	// wroteReq: the current exchange's request was fully written to
 	// the stream. recvMark: bytes read before the current exchange, so
 	// gotRespByte can tell whether any response byte arrived.
 	wroteReq bool
@@ -48,12 +44,7 @@ type pconn struct {
 
 func newPconn(conn net.Conn, addr string) *pconn {
 	cc := &countingConn{Conn: conn}
-	return &pconn{
-		conn: conn, cc: cc,
-		enc:  gob.NewEncoder(cc),
-		dec:  gob.NewDecoder(cc),
-		addr: addr,
-	}
+	return &pconn{conn: conn, cc: cc, frameConn: newFrameConn(cc), addr: addr}
 }
 
 // beginExchange resets the delivery marks for a fresh RPC.
@@ -68,7 +59,7 @@ func (pc *pconn) gotRespByte() bool { return pc.cc.recv > pc.recvMark }
 
 // undelivered reports whether the current exchange's request provably
 // never took effect at the peer, making one transparent re-dial safe. For
-// oneways that means the request encode itself failed — a torn request
+// oneways that means the request write itself failed — a torn request
 // never decodes server-side, so it was not delivered. For calls it means
 // zero response bytes arrived; the request may have executed, but every
 // call kind is an idempotent read, so re-asking is harmless.
@@ -80,10 +71,10 @@ func (pc *pconn) undelivered(oneway bool) bool {
 }
 
 // stale probes an idle conn for death with a non-blocking socket peek
-// (see connStale in probe_unix.go). A dead conn discarded here never
-// costs an RPC; one that slips through is absorbed by the transparent
-// re-dial.
-func (pc *pconn) stale() bool { return connStale(pc.conn) }
+// (see connStale in probe_unix.go); bytes already buffered past the last
+// reply mean the stream desynced. A dead conn discarded here never costs
+// an RPC; one that slips through is absorbed by the transparent re-dial.
+func (pc *pconn) stale() bool { return pc.br.Buffered() > 0 || connStale(pc.conn) }
 
 // connPool keeps idle pconns keyed by dial address. lastAddr remembers
 // which address each peer's conns were pooled against, so a directory

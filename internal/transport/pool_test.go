@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"sync"
@@ -559,17 +558,20 @@ func TestFaultnetConnKillOnPooledStream(t *testing.T) {
 	}
 }
 
-// An old-style one-shot client (encode one envelope, close) must still be
-// served by the session loop: the handler runs, the unread ack dies with
-// the conn harmlessly.
+// A one-shot client (write one frame, close) must still be served by the
+// session loop: the handler runs, the unread ack dies with the conn
+// harmlessly.
 func TestOneShotClientInterop(t *testing.T) {
 	_, _, tb, hb := pairReg(t)
 	conn, err := net.Dial("tcp", tb.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &Envelope{Kind: KindGossip, From: 5, Gossip: &gossip.Message{Type: gossip.MsgAERequest, Digest: 9}}
-	if err := gob.NewEncoder(conn).Encode(env); err != nil {
+	frame, err := appendFrame(nil, &Envelope{Kind: KindGossip, From: 5, Gossip: &gossip.Message{Type: gossip.MsgAERequest, Digest: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()

@@ -1,18 +1,17 @@
-// Package transport is PlanetP's live network layer: gob-over-TCP
-// messaging that carries gossip (one-way), search RPCs, brokerage
-// operations, and document fetches between peers. It implements
-// gossip.Env, so the exact protocol engine that runs in the simulator
-// runs over real sockets here.
+// Package transport is PlanetP's live network layer: framed messages over
+// TCP that carry gossip (one-way), search RPCs, brokerage operations, and
+// document fetches between peers. It implements gossip.Env, so the exact
+// protocol engine that runs in the simulator runs over real sockets here.
 //
-// The wire model is a persistent framed stream: each connection carries a
-// long-lived gob encoder/decoder pair on both ends, and every RPC —
-// including the protocol's one-way sends, which receive a small KindAck
-// receipt — is one request/response frame on that stream, bounded by a
-// per-exchange deadline. The client side pools idle connections per peer
-// address (see pool.go), so sustained gossip and query fan-out amortize
-// both the dial round-trip and gob's type descriptors across thousands of
-// exchanges; a reused conn that proves dead under an RPC is transparently
-// re-dialed once, but only when delivery provably did not happen.
+// The wire model is a persistent framed stream: every RPC — including the
+// protocol's one-way sends, which receive a small KindAck receipt — is one
+// request frame and one response frame on a long-lived connection (see
+// frame.go for the codec), bounded by a per-exchange deadline. The client
+// side pools idle connections per peer address (see pool.go), so sustained
+// gossip and query fan-out amortize the dial round-trip across thousands
+// of exchanges; a reused conn that proves dead under an RPC is
+// transparently re-dialed once, but only when delivery provably did not
+// happen.
 //
 // The transport holds no opinion on whether a peer is reachable: one send
 // is one attempt, and its error goes to the caller. gossip.Node turns
@@ -20,7 +19,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -37,7 +35,7 @@ import (
 	"planetp/internal/search"
 )
 
-// Kind tags an envelope.
+// Kind tags an envelope; it is the frame's kind byte.
 type Kind uint8
 
 // Envelope kinds.
@@ -77,8 +75,8 @@ const (
 
 	// KindPeerExchange requests a bounded random sample of the target's
 	// known-on-line directory records (bootstrap discovery); answered by
-	// KindPeers. New kinds append here so earlier gob values stay stable
-	// across versions.
+	// KindPeers. New kinds append here so existing kind bytes keep their
+	// meaning.
 	KindPeerExchange
 	KindPeers
 
@@ -154,7 +152,11 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Envelope is the single gob wire unit.
+// Envelope is one frame in memory. A frame carries only the fields its
+// Kind uses (frame.go, codec.body); the rest are zero on receipt. From is
+// carried by KindGossip and KindBrokerWatch, the kinds whose receiver
+// reads it; Err, when set, makes the frame an error reply carrying nothing
+// else.
 type Envelope struct {
 	Kind Kind
 	From directory.PeerID
@@ -174,7 +176,6 @@ type Envelope struct {
 	Record  *directory.Record
 	Records []directory.Record
 	Err     string
-	// Replica fields (appended for gob stability across versions):
 	// Origin/Epoch identify the publishing incarnation of a pushed or
 	// purged replica; Hot carries a hoard exchange's advertisement.
 	Origin directory.PeerID
@@ -527,7 +528,7 @@ func (e *RemoteError) Error() string { return e.Msg }
 
 // DialHook overrides connection establishment for peer-addressed sends —
 // the seam internal/faultnet mounts to inject dial failures, partitions,
-// black holes, and delays under the real gob-over-TCP stack. addr is the
+// black holes, and delays under the real framed TCP stack. addr is the
 // resolved address; a nil hook dials TCP directly.
 type DialHook func(to directory.PeerID, addr string, timeout time.Duration) (net.Conn, error)
 
@@ -684,7 +685,7 @@ func isRemote(err error) bool {
 }
 
 // exchangeOn runs one request/response frame on a pooled conn: arm the
-// per-exchange deadline, encode the request, decode the reply (an ack,
+// per-exchange deadline, write the request, read the reply (an ack,
 // for oneways). Byte deltas and latency are recorded per exchange.
 func (t *Transport) exchangeOn(pc *pconn, env *Envelope, oneway bool) (*Envelope, error) {
 	start := time.Now()
@@ -695,13 +696,13 @@ func (t *Transport) exchangeOn(pc *pconn, env *Envelope, oneway bool) (*Envelope
 		t.m.rpcLatencyUS.Observe(time.Since(start).Microseconds())
 	}()
 	_ = pc.conn.SetDeadline(time.Now().Add(t.rpcTimeout))
-	if err := pc.enc.Encode(env); err != nil {
+	if err := pc.writeFrame(env); err != nil {
 		t.countTimeout(err)
 		return nil, err
 	}
 	pc.wroteReq = true
 	var resp Envelope
-	if err := pc.dec.Decode(&resp); err != nil {
+	if err := pc.readFrame(&resp); err != nil {
 		t.countTimeout(err)
 		return nil, err
 	}
@@ -718,13 +719,13 @@ func (t *Transport) exchangeOn(pc *pconn, env *Envelope, oneway bool) (*Envelope
 // Query runs a search RPC against a peer: every document matching any of
 // terms, or all of them.
 func (t *Transport) Query(to directory.PeerID, terms []string, all bool) ([]search.DocResult, error) {
-	return t.query(to, &Envelope{Kind: KindQuery, From: t.id, Terms: terms, All: all})
+	return t.query(to, &Envelope{Kind: KindQuery, Terms: terms, All: all})
 }
 
 // QueryRanked asks a peer for its rq.K best documents for terms under
 // equation 2; the frame carries rq as its rank header.
 func (t *Transport) QueryRanked(to directory.PeerID, terms []string, rq search.RankQuery) ([]search.DocResult, error) {
-	return t.query(to, &Envelope{Kind: KindQuery, From: t.id, Terms: terms, K: rq.K, N: rq.N, Nt: rq.Nt})
+	return t.query(to, &Envelope{Kind: KindQuery, Terms: terms, K: rq.K, N: rq.N, Nt: rq.Nt})
 }
 
 func (t *Transport) query(to directory.PeerID, env *Envelope) ([]search.DocResult, error) {
@@ -744,12 +745,12 @@ func (t *Transport) BrokerPut(to directory.PeerID, key string, sn broker.Snippet
 // BrokerPutBatch stores every snippet of puts, under each of its keys, at
 // one peer's broker in a single frame.
 func (t *Transport) BrokerPutBatch(to directory.PeerID, puts []KeyedSnippet, discard time.Duration) error {
-	return t.oneway(to, &Envelope{Kind: KindBrokerPut, From: t.id, Puts: puts, Discard: discard})
+	return t.oneway(to, &Envelope{Kind: KindBrokerPut, Puts: puts, Discard: discard})
 }
 
 // BrokerGet fetches live snippets for key from a broker.
 func (t *Transport) BrokerGet(to directory.PeerID, key string) ([]broker.Snippet, error) {
-	resp, err := t.call(to, &Envelope{Kind: KindBrokerGet, From: t.id, Key: key})
+	resp, err := t.call(to, &Envelope{Kind: KindBrokerGet, Key: key})
 	if err != nil {
 		return nil, err
 	}
@@ -763,7 +764,7 @@ func (t *Transport) BrokerWatch(to directory.PeerID, keys []string) error {
 
 // Notify delivers a matched snippet to a watcher.
 func (t *Transport) Notify(to directory.PeerID, sn broker.Snippet) error {
-	return t.oneway(to, &Envelope{Kind: KindNotify, From: t.id, Snippet: &sn})
+	return t.oneway(to, &Envelope{Kind: KindNotify, Snippet: &sn})
 }
 
 // ErrDocNotFound reports that the remote peer answered the fetch but
@@ -776,7 +777,7 @@ var ErrDocNotFound = errors.New("document not found")
 
 // GetDoc fetches a document body from a peer.
 func (t *Transport) GetDoc(to directory.PeerID, key string) (string, error) {
-	resp, err := t.call(to, &Envelope{Kind: KindGetDoc, From: t.id, Key: key})
+	resp, err := t.call(to, &Envelope{Kind: KindGetDoc, Key: key})
 	if err != nil {
 		return "", err
 	}
@@ -790,19 +791,19 @@ func (t *Transport) GetDoc(to directory.PeerID, key string) (string, error) {
 // (one-way, best effort: the holder may refuse silently if the epoch is
 // stale or its budget disagrees).
 func (t *Transport) ReplicaPut(to directory.PeerID, key, xml string, origin directory.PeerID, epoch uint32) error {
-	return t.oneway(to, &Envelope{Kind: KindReplicaPut, From: t.id, Key: key, XML: xml, Origin: origin, Epoch: epoch})
+	return t.oneway(to, &Envelope{Kind: KindReplicaPut, Key: key, XML: xml, Origin: origin, Epoch: epoch})
 }
 
 // ReplicaPurge tells a holder that the origin removed the document at
 // epoch; the holder drops its replica and records a death certificate.
 func (t *Transport) ReplicaPurge(to directory.PeerID, key string, origin directory.PeerID, epoch uint32) error {
-	return t.oneway(to, &Envelope{Kind: KindReplicaPurge, From: t.id, Key: key, Origin: origin, Epoch: epoch})
+	return t.oneway(to, &Envelope{Kind: KindReplicaPurge, Key: key, Origin: origin, Epoch: epoch})
 }
 
 // HotDocs asks a peer for its hottest documents (hoarding pull): key,
 // origin, epoch and current popularity score of up to max docs.
 func (t *Transport) HotDocs(to directory.PeerID, max int) ([]replica.HotDoc, error) {
-	resp, err := t.call(to, &Envelope{Kind: KindHotDocs, From: t.id, K: max})
+	resp, err := t.call(to, &Envelope{Kind: KindHotDocs, K: max})
 	if err != nil {
 		return nil, err
 	}
@@ -812,7 +813,7 @@ func (t *Transport) HotDocs(to directory.PeerID, max int) ([]replica.HotDoc, err
 // ProxySearch asks a better-connected peer to run the whole ranked
 // search and return the top-k results.
 func (t *Transport) ProxySearch(to directory.PeerID, terms []string, k int) ([]search.ScoredDoc, error) {
-	resp, err := t.call(to, &Envelope{Kind: KindProxySearch, From: t.id, Terms: terms, K: k})
+	resp, err := t.call(to, &Envelope{Kind: KindProxySearch, Terms: terms, K: k})
 	if err != nil {
 		return nil, err
 	}
@@ -822,7 +823,7 @@ func (t *Transport) ProxySearch(to directory.PeerID, terms []string, k int) ([]s
 // FetchRecord asks an address for its peer's current self record
 // (bootstrap).
 func (t *Transport) FetchRecord(addr string) (directory.Record, error) {
-	resp, err := t.callAddr(addr, &Envelope{Kind: KindRecord, From: t.id})
+	resp, err := t.callAddr(addr, &Envelope{Kind: KindRecord})
 	if err != nil {
 		return directory.Record{}, err
 	}
@@ -858,12 +859,11 @@ func (t *Transport) acceptLoop() {
 }
 
 // serve handles one inbound session: a loop of request/response frames on
-// a persistent stream (the codec pair lives as long as the conn, so gob
-// type descriptors cross once). Between requests the conn may idle up to
-// serveIdleTimeout; each accepted request gets serveTimeout to finish.
-// The session ends when the client hangs up (or its pool reaps the conn),
-// the idle deadline fires, a frame fails to decode, or a response fails
-// to write.
+// a persistent stream. Between requests the conn may idle up to
+// serveIdleTimeout, which also bounds reading the request; each accepted
+// request gets serveTimeout to finish. The session ends when the client
+// hangs up (or its pool reaps the conn), the idle deadline fires, a frame
+// fails to decode, or a response fails to write.
 func (t *Transport) serve(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -872,12 +872,11 @@ func (t *Transport) serve(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	cc := &countingConn{Conn: conn}
-	dec := gob.NewDecoder(cc)
-	enc := gob.NewEncoder(cc)
+	fc := newFrameConn(cc)
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(t.serveIdleTimeout))
 		var env Envelope
-		if err := dec.Decode(&env); err != nil {
+		if err := fc.readFrame(&env); err != nil {
 			// End of session — client gone, idle expiry, or garbage.
 			// Stray bytes still land in the totals (kind unknown, so
 			// no per-kind charge).
@@ -887,7 +886,8 @@ func (t *Transport) serve(conn net.Conn) {
 			return
 		}
 		_ = conn.SetDeadline(time.Now().Add(t.serveTimeout))
-		err := t.dispatch(enc, &env)
+		resp := t.dispatch(&env)
+		err := fc.writeFrame(&resp)
 		sent, recv := cc.take()
 		t.account(env.Kind, sent, recv)
 		if err != nil {
@@ -898,60 +898,56 @@ func (t *Transport) serve(conn net.Conn) {
 	}
 }
 
-// dispatch handles one decoded request and writes exactly one response
+// dispatch handles one decoded request and returns exactly one response
 // frame — oneway kinds get a KindAck receipt, so a pooled sender can tell
-// a delivered envelope from one written into a dead conn. The returned
-// error is the response write's.
-func (t *Transport) dispatch(enc *gob.Encoder, env *Envelope) error {
+// a delivered envelope from one written into a dead conn.
+func (t *Transport) dispatch(env *Envelope) Envelope {
+	ack := Envelope{Kind: KindAck}
 	switch env.Kind {
 	case KindGossip:
 		if env.Gossip != nil {
 			t.handler.HandleGossip(env.From, env.Gossip)
 		}
-		return t.ack(enc)
+		return ack
 	case KindQuery:
-		return enc.Encode(&Envelope{Kind: KindQueryResp, From: t.id, Docs: t.answerQuery(env)})
+		return Envelope{Kind: KindQueryResp, Docs: t.answerQuery(env)}
 	case KindBrokerPut:
 		for _, put := range env.Puts {
 			for _, key := range put.Keys {
 				t.handler.HandleBrokerPut(key, put.Snippet, env.Discard)
 			}
 		}
-		return t.ack(enc)
+		return ack
 	case KindBrokerGet:
-		snips := t.handler.HandleBrokerGet(env.Key)
-		return enc.Encode(&Envelope{Kind: KindSnippets, From: t.id, Snips: snips})
+		return Envelope{Kind: KindSnippets, Snips: t.handler.HandleBrokerGet(env.Key)}
 	case KindBrokerWatch:
 		t.handler.HandleBrokerWatch(env.Terms, env.From)
-		return t.ack(enc)
+		return ack
 	case KindNotify:
 		if env.Snippet != nil {
 			t.handler.HandleNotify(*env.Snippet)
 		}
-		return t.ack(enc)
+		return ack
 	case KindGetDoc:
 		xml, found := t.handler.HandleGetDoc(env.Key)
-		return enc.Encode(&Envelope{Kind: KindDoc, From: t.id, XML: xml, Found: found})
+		return Envelope{Kind: KindDoc, XML: xml, Found: found}
 	case KindRecord:
 		rec := t.handler.SelfRecord()
-		return enc.Encode(&Envelope{Kind: KindRecordResp, From: t.id, Record: &rec})
+		return Envelope{Kind: KindRecordResp, Record: &rec}
 	case KindProxySearch:
-		scored := t.handler.HandleProxySearch(env.Terms, env.K)
-		return enc.Encode(&Envelope{Kind: KindProxyResp, From: t.id, Scored: scored})
+		return Envelope{Kind: KindProxyResp, Scored: t.handler.HandleProxySearch(env.Terms, env.K)}
 	case KindPeerExchange:
-		recs := t.handler.HandlePeerExchange(clampExchange(env.K))
-		return enc.Encode(&Envelope{Kind: KindPeers, From: t.id, Records: recs})
+		return Envelope{Kind: KindPeers, Records: t.handler.HandlePeerExchange(clampExchange(env.K))}
 	case KindReplicaPut:
 		t.handler.HandleReplicaPut(env.Key, env.XML, env.Origin, env.Epoch)
-		return t.ack(enc)
+		return ack
 	case KindReplicaPurge:
 		t.handler.HandleReplicaPurge(env.Key, env.Origin, env.Epoch)
-		return t.ack(enc)
+		return ack
 	case KindHotDocs:
-		hot := t.handler.HandleHotDocs(clampExchange(env.K))
-		return enc.Encode(&Envelope{Kind: KindHotList, From: t.id, Hot: hot})
+		return Envelope{Kind: KindHotList, Hot: t.handler.HandleHotDocs(clampExchange(env.K))}
 	default:
-		return enc.Encode(&Envelope{Kind: env.Kind, From: t.id, Err: "unknown kind"})
+		return Envelope{Kind: env.Kind, Err: "unknown kind"}
 	}
 }
 
@@ -972,9 +968,4 @@ func (t *Transport) answerQuery(env *Envelope) []search.DocResult {
 		docs = search.TopDocs(docs, env.Terms, rq)
 	}
 	return docs
-}
-
-// ack writes the oneway receipt frame.
-func (t *Transport) ack(enc *gob.Encoder) error {
-	return enc.Encode(&Envelope{Kind: KindAck, From: t.id})
 }

@@ -268,9 +268,11 @@ go test -race -run 'TestVerdictSameOnSimAndLoopback' ./internal/transport/
 # their names reappearing in non-test Go is a second path coming back. What replaced them is one fsync under the store mutex (appends
 # racing a snapshot lose nothing) and a search sized by its results, not by
 # the k a request names (already part of the suite above; rerun by name).
-echo "== nothing dormant (IPF cache, fan-out knobs, group commit, keyOf, per-peer row probes stay deleted; the index walk stays off p.mu)"
+echo "== nothing dormant (IPF cache, fan-out knobs, group commit, keyOf, per-peer row probes, gob on the wire stay deleted; the index walk stays off p.mu)"
 dormant=$(grep -rnE 'IPFCache|VersionedView|SyncEvery|syncDone|Options\.Concurrency|StopWindow|keyOf|RowView|digestRows' \
 	--include='*.go' internal cmd ./*.go | grep -v _test.go || true)
+# ...and the transport speaks frames (§4k): gob is not back on the wire.
+dormant="$dormant$(grep -rn '"encoding/gob"' internal/transport || true)"
 # ...and the index walk stays off the peer mutex (§4f): no p.mu inside
 # localTopK or localQuery.
 dormant="$dormant$(sed -n '/^func (p \*Peer) local\(TopK\|Query\)(/,/^}/p' internal/core/peer.go | grep 'p\.mu\.' || true)"
@@ -315,6 +317,14 @@ go test -race -run 'TestCompactBucketsMatchFilter' ./internal/bloom/
 go test -race -run 'TestCorruptPayloadDecodedOncePerVersion|TestCacheCorruptPayload' ./internal/filtercache/
 go test -run '^$' -bench 'BenchmarkSweep1023$' -benchtime 50x ./internal/filtercache/ >/dev/null
 go test -run '^$' -bench 'BenchmarkCompactProbe$' -benchtime 50x ./internal/bloom/ >/dev/null
+
+# The wire is hand-written frames (DESIGN §4k): every kind round-trips
+# exactly, and a hostile frame costs what its peer sent, not what its header
+# or counts claim (already part of the suite above; rerun by name). The two
+# RPC benchmarks run once each, so they keep compiling and running.
+echo "== frame codec (round trip of every kind, oversized frames bounded)"
+go test -race -run 'TestFrameRoundTripEveryKind|TestOversizedFrameBounded' ./internal/transport/
+go test -run '^$' -bench 'BenchmarkQueryRPC$|BenchmarkGossipRecordsRPC$' -benchtime 50x ./internal/transport/ >/dev/null
 
 # Crash-recovery smoke: enumerate every disk crash point in the durable
 # store's append/fsync/rename pipeline plus the full peer crash/restart
