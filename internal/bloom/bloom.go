@@ -210,17 +210,6 @@ func (f *Filter) Contains(key string) bool {
 	return true
 }
 
-// ContainsAll reports whether every key may be present (used for
-// conjunctive queries against candidate peers).
-func (f *Filter) ContainsAll(keys []string) bool {
-	for _, k := range keys {
-		if !f.Contains(k) {
-			return false
-		}
-	}
-	return true
-}
-
 // ContainsDigest reports whether the key summarized by d may be in the
 // filter, without re-hashing it.
 func (f *Filter) ContainsDigest(d Digest) bool {
@@ -230,17 +219,6 @@ func (f *Filter) ContainsDigest(d Digest) bool {
 			return false
 		}
 		h += d.H2
-	}
-	return true
-}
-
-// ContainsAllDigests reports whether every digested key may be present,
-// stopping at the first miss (conjunctive probing).
-func (f *Filter) ContainsAllDigests(ds []Digest) bool {
-	for i := range ds {
-		if !f.ContainsDigest(ds[i]) {
-			return false
-		}
 	}
 	return true
 }

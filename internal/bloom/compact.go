@@ -144,19 +144,3 @@ func (c *Compact) ContainsDigest(d Digest) bool {
 	}
 	return true
 }
-
-// ContainsAllDigests reports whether every digested key may be present,
-// stopping at the first miss (conjunctive probing).
-func (c *Compact) ContainsAllDigests(ds []Digest) bool {
-	for i := range ds {
-		if !c.ContainsDigest(ds[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Contains reports whether key may be in the filter.
-func (c *Compact) Contains(key string) bool {
-	return c.ContainsDigest(MakeDigest(key))
-}

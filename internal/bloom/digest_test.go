@@ -92,22 +92,6 @@ func TestContainsDigestEquivalence(t *testing.T) {
 	}
 }
 
-func TestContainsAllDigests(t *testing.T) {
-	f := Default()
-	in := keys(100, "conj")
-	f.InsertAll(in)
-	if !f.ContainsAllDigests(MakeDigests(in)) {
-		t.Fatal("all inserted keys must probe positive")
-	}
-	mixed := append(append([]string{}, in[:3]...), "definitely-absent-key")
-	if f.ContainsAllDigests(MakeDigests(mixed)) != f.ContainsAll(mixed) {
-		t.Fatal("ContainsAllDigests disagrees with ContainsAll")
-	}
-	if f.ContainsAllDigests(nil) != true {
-		t.Fatal("empty digest set is vacuously contained")
-	}
-}
-
 func TestMakeDigestsOrder(t *testing.T) {
 	terms := []string{"alpha", "beta", "gamma"}
 	ds := MakeDigests(terms)

@@ -6,14 +6,16 @@
 // consistent hashing; snippets are discarded when their time expires. The
 // service makes no durability guarantee — if a broker leaves abruptly, its
 // snippets are lost (the paper's explicit design point).
+//
+// This package is one member's store; core routes keys to members over
+// the ring chash.PeerRing builds from the directory, and keeps the
+// persistent-query watches its peers register.
 package broker
 
 import (
-	"sort"
 	"sync"
 	"time"
 
-	"planetp/internal/chash"
 	"planetp/internal/metrics"
 )
 
@@ -57,22 +59,12 @@ type entry struct {
 	expires time.Duration
 }
 
-// Watch is a persistent-query registration at a broker: fn fires when a
-// newly published snippet contains all keys.
-type Watch struct {
-	Keys []string
-	Fn   func(Snippet)
-}
-
 // Broker is one member's brokerage store: the snippets whose keys hash
 // into the arcs this member owns. Thread-safe.
 type Broker struct {
-	mu      sync.Mutex
-	clock   func() time.Duration
-	byKey   map[string][]entry
-	watches []*Watch
-	// Stored counts live entries for diagnostics.
-	puts, expired int
+	mu    sync.Mutex
+	clock func() time.Duration
+	byKey map[string][]entry
 
 	m brokerMetrics
 }
@@ -84,7 +76,6 @@ type brokerMetrics struct {
 	gets     *metrics.Counter
 	returned *metrics.Counter
 	expired  *metrics.Counter
-	notifies *metrics.Counter
 }
 
 // NewBroker returns a broker using clock for expiry decisions (virtual
@@ -103,7 +94,6 @@ func (b *Broker) SetMetrics(reg *metrics.Registry) {
 		gets:     reg.Counter("broker_gets_total"),
 		returned: reg.Counter("broker_snippets_returned_total"),
 		expired:  reg.Counter("broker_expired_total"),
-		notifies: reg.Counter("broker_watch_notifies_total"),
 	}
 }
 
@@ -111,20 +101,9 @@ func (b *Broker) SetMetrics(reg *metrics.Registry) {
 func (b *Broker) Put(key string, sn Snippet, discard time.Duration) {
 	now := b.clock()
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.byKey[key] = append(b.byKey[key], entry{sn: sn, expires: now + discard})
-	b.puts++
 	b.m.puts.Inc()
-	var fire []*Watch
-	for _, w := range b.watches {
-		if sn.HasAllKeys(w.Keys) {
-			fire = append(fire, w)
-		}
-	}
-	b.m.notifies.Add(int64(len(fire)))
-	b.mu.Unlock()
-	for _, w := range fire {
-		w.Fn(sn)
-	}
 }
 
 // Get returns the live snippets stored under key.
@@ -141,7 +120,6 @@ func (b *Broker) Get(key string) []Snippet {
 			out = append(out, e.sn)
 			live = append(live, e)
 		} else {
-			b.expired++
 			b.m.expired.Inc()
 		}
 	}
@@ -175,21 +153,19 @@ func (b *Broker) Sweep() int {
 			b.byKey[key] = live
 		}
 	}
-	b.expired += n
 	b.m.expired.Add(int64(n))
 	return n
 }
 
-// Stored is one exported broker entry (for handoff on graceful leave).
+// Stored is one exported broker entry.
 type Stored struct {
 	Key     string
 	Sn      Snippet
 	Expires time.Duration
 }
 
-// Export drains the broker's live entries, returning them for handoff.
-// The broker is left empty. Watches are not exported (watchers re-register
-// through their own maintenance; the service is best-effort).
+// Export drains the broker's live entries, returning them with their
+// absolute expiry. The broker is left empty.
 func (b *Broker) Export() []Stored {
 	now := b.clock()
 	b.mu.Lock()
@@ -206,18 +182,6 @@ func (b *Broker) Export() []Stored {
 	return out
 }
 
-// PutUntil stores sn under key with an absolute expiry (handoff import).
-func (b *Broker) PutUntil(key string, sn Snippet, expires time.Duration) {
-	if expires <= b.clock() {
-		return
-	}
-	b.mu.Lock()
-	b.byKey[key] = append(b.byKey[key], entry{sn: sn, expires: expires})
-	b.puts++
-	b.m.puts.Inc()
-	b.mu.Unlock()
-}
-
 // Len returns the number of live (unswept) entries.
 func (b *Broker) Len() int {
 	b.mu.Lock()
@@ -227,125 +191,4 @@ func (b *Broker) Len() int {
 		n += len(entries)
 	}
 	return n
-}
-
-// AddWatch registers a persistent query at this broker.
-func (b *Broker) AddWatch(w *Watch) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.watches = append(b.watches, w)
-}
-
-// RemoveWatch unregisters w.
-func (b *Broker) RemoveWatch(w *Watch) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, x := range b.watches {
-		if x == w {
-			b.watches = append(b.watches[:i], b.watches[i+1:]...)
-			return
-		}
-	}
-}
-
-// Service is the community-wide brokerage: a consistent-hashing ring of
-// Brokers plus the client operations (publish, search, subscribe). In a
-// live deployment each Broker sits on a different peer and calls travel
-// over the transport; the Service abstraction is the same either way.
-type Service struct {
-	ring *chash.Ring[*Broker]
-}
-
-// NewService returns an empty brokerage.
-func NewService() *Service {
-	return &Service{ring: chash.NewRing[*Broker]()}
-}
-
-// Join adds a member's broker under its ring id, rehashing on collision.
-func (s *Service) Join(name string, b *Broker) uint32 {
-	id := chash.IDForMember(name)
-	for !s.ring.Join(id, b) {
-		id = (id + 1) % chash.MaxID
-	}
-	return id
-}
-
-// Leave removes a member's broker; its snippets are lost (the paper's
-// no-safety property for abrupt departures).
-func (s *Service) Leave(id uint32) bool { return s.ring.Leave(id) }
-
-// LeaveGraceful removes a member's broker after handing its live snippets
-// to their new owners — the cooperative-departure protocol of the
-// companion technical report (DCS-TR-465): a member that signs off
-// cleanly passes on its portion of the published data, so only abrupt
-// departures lose information.
-func (s *Service) LeaveGraceful(id uint32, b *Broker) bool {
-	entries := b.Export()
-	if !s.ring.Leave(id) {
-		return false
-	}
-	for _, st := range entries {
-		if _, owner, ok := s.ring.Lookup(st.Key); ok {
-			owner.PutUntil(st.Key, st.Sn, st.Expires)
-		}
-	}
-	return true
-}
-
-// Members returns the current broker count.
-func (s *Service) Members() int { return s.ring.Len() }
-
-// Publish stores sn under each of its keys at the owning brokers.
-func (s *Service) Publish(sn Snippet, discard time.Duration) int {
-	stored := 0
-	for _, key := range sn.Keys {
-		if _, b, ok := s.ring.Lookup(key); ok {
-			b.Put(key, sn, discard)
-			stored++
-		}
-	}
-	return stored
-}
-
-// Search returns the live snippets containing all keys, deduplicated by
-// snippet ID and sorted by ID for determinism.
-func (s *Service) Search(keys []string) []Snippet {
-	if len(keys) == 0 {
-		return nil
-	}
-	seen := make(map[string]Snippet)
-	for _, key := range keys {
-		_, b, ok := s.ring.Lookup(key)
-		if !ok {
-			continue
-		}
-		for _, sn := range b.Get(key) {
-			if sn.HasAllKeys(keys) {
-				seen[sn.ID] = sn
-			}
-		}
-	}
-	out := make([]Snippet, 0, len(seen))
-	for _, sn := range seen {
-		out = append(out, sn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Subscribe registers a persistent query: fn fires whenever a snippet
-// containing all keys is published. The watch lives at the broker owning
-// the first key (best-effort, like the service itself). It returns a
-// cancel function.
-func (s *Service) Subscribe(keys []string, fn func(Snippet)) (cancel func()) {
-	if len(keys) == 0 {
-		return func() {}
-	}
-	_, b, ok := s.ring.Lookup(keys[0])
-	if !ok {
-		return func() {}
-	}
-	w := &Watch{Keys: keys, Fn: fn}
-	b.AddWatch(w)
-	return func() { b.RemoveWatch(w) }
 }

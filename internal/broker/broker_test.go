@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -62,212 +61,18 @@ func TestBrokerSweep(t *testing.T) {
 	}
 }
 
-func TestBrokerWatch(t *testing.T) {
-	c := &vclock{}
-	b := NewBroker(c.fn())
-	var fired []string
-	w := &Watch{Keys: []string{"x", "y"}, Fn: func(s Snippet) { fired = append(fired, s.ID) }}
-	b.AddWatch(w)
-	b.Put("x", snip("s1", "x"), time.Minute) // missing y: no fire
-	b.Put("x", snip("s2", "x", "y"), time.Minute)
-	if len(fired) != 1 || fired[0] != "s2" {
-		t.Fatalf("fired = %v", fired)
-	}
-	b.RemoveWatch(w)
-	b.Put("x", snip("s3", "x", "y"), time.Minute)
-	if len(fired) != 1 {
-		t.Fatal("watch fired after removal")
-	}
-	b.RemoveWatch(w) // idempotent
-}
-
-func TestServicePublishSearch(t *testing.T) {
-	c := &vclock{}
-	s := NewService()
-	for i := 0; i < 8; i++ {
-		s.Join(fmt.Sprintf("peer-%d", i), NewBroker(c.fn()))
-	}
-	if s.Members() != 8 {
-		t.Fatalf("Members = %d", s.Members())
-	}
-	s.Publish(snip("doc1", "gossip", "bloom"), 10*time.Minute)
-	s.Publish(snip("doc2", "gossip"), 10*time.Minute)
-
-	got := s.Search([]string{"gossip"})
-	if len(got) != 2 {
-		t.Fatalf("Search(gossip) = %v", got)
-	}
-	if got[0].ID > got[1].ID {
-		t.Fatal("results not sorted")
-	}
-	got = s.Search([]string{"gossip", "bloom"})
-	if len(got) != 1 || got[0].ID != "doc1" {
-		t.Fatalf("conjunctive Search = %v", got)
-	}
-	if s.Search(nil) != nil {
-		t.Fatal("empty query should return nothing")
-	}
-	if got := s.Search([]string{"absent"}); len(got) != 0 {
-		t.Fatalf("Search(absent) = %v", got)
-	}
-
-	// Expiry applies through the service too.
-	c.now = 11 * time.Minute
-	if got := s.Search([]string{"gossip"}); len(got) != 0 {
-		t.Fatalf("expired snippets returned: %v", got)
-	}
-}
-
-func TestServiceSubscribe(t *testing.T) {
-	c := &vclock{}
-	s := NewService()
-	for i := 0; i < 4; i++ {
-		s.Join(fmt.Sprintf("peer-%d", i), NewBroker(c.fn()))
-	}
-	var got []string
-	cancel := s.Subscribe([]string{"news", "sports"}, func(sn Snippet) {
-		got = append(got, sn.ID)
-	})
-	s.Publish(snip("a", "news"), time.Minute) // not a full match
-	s.Publish(snip("b", "news", "sports"), time.Minute)
-	if len(got) != 1 || got[0] != "b" {
-		t.Fatalf("subscription fired = %v", got)
-	}
-	cancel()
-	s.Publish(snip("c", "news", "sports"), time.Minute)
-	if len(got) != 1 {
-		t.Fatal("fired after cancel")
-	}
-	// Degenerate subscriptions are no-ops.
-	s.Subscribe(nil, func(Snippet) { t.Fatal("must never fire") })()
-}
-
-func TestServiceLeaveLosesData(t *testing.T) {
-	c := &vclock{}
-	s := NewService()
-	ids := make([]uint32, 0, 3)
-	for i := 0; i < 3; i++ {
-		ids = append(ids, s.Join(fmt.Sprintf("peer-%d", i), NewBroker(c.fn())))
-	}
-	s.Publish(snip("d", "somekey"), time.Hour)
-	// Remove whichever broker owns "somekey": the snippet is gone — the
-	// paper's explicit no-safety semantics.
-	for _, id := range ids {
-		s.Leave(id)
-	}
-	for i := 0; i < 3; i++ {
-		s.Join(fmt.Sprintf("new-%d", i), NewBroker(c.fn()))
-	}
-	if got := s.Search([]string{"somekey"}); len(got) != 0 {
-		t.Fatalf("data survived total broker turnover: %v", got)
-	}
-}
-
-func TestExportAndPutUntil(t *testing.T) {
+func TestExport(t *testing.T) {
 	c := &vclock{}
 	b := NewBroker(c.fn())
 	b.Put("k1", snip("s1", "k1"), time.Hour)
 	b.Put("k2", snip("s2", "k2"), time.Minute)
 	c.now = 2 * time.Minute // s2 expired
 	exported := b.Export()
-	if len(exported) != 1 || exported[0].Sn.ID != "s1" {
+	// The absolute expiry travels with the entry.
+	if len(exported) != 1 || exported[0].Sn.ID != "s1" || exported[0].Key != "k1" || exported[0].Expires != time.Hour {
 		t.Fatalf("exported = %+v", exported)
 	}
 	if b.Len() != 0 {
 		t.Fatal("export did not drain")
-	}
-	// Import preserves the absolute expiry.
-	b2 := NewBroker(c.fn())
-	b2.PutUntil(exported[0].Key, exported[0].Sn, exported[0].Expires)
-	if got := b2.Get("k1"); len(got) != 1 {
-		t.Fatalf("imported = %v", got)
-	}
-	c.now = time.Hour + time.Minute
-	if got := b2.Get("k1"); len(got) != 0 {
-		t.Fatal("imported entry outlived original expiry")
-	}
-	// Importing an already-expired entry is a no-op.
-	b2.PutUntil("k2", snip("s2", "k2"), time.Minute)
-	if b2.Len() != 0 {
-		t.Fatal("expired import stored")
-	}
-}
-
-func TestLeaveGracefulHandsOff(t *testing.T) {
-	c := &vclock{}
-	s := NewService()
-	brokers := map[uint32]*Broker{}
-	for i := 0; i < 4; i++ {
-		b := NewBroker(c.fn())
-		id := s.Join(fmt.Sprintf("peer-%d", i), b)
-		brokers[id] = b
-	}
-	s.Publish(snip("doc", "handoffkey"), time.Hour)
-	// Find the owner and retire it gracefully.
-	var ownerID uint32
-	for id, b := range brokers {
-		if b.Len() > 0 {
-			ownerID = id
-		}
-	}
-	if !s.LeaveGraceful(ownerID, brokers[ownerID]) {
-		t.Fatal("graceful leave failed")
-	}
-	// The snippet survives at the new owner, unlike an abrupt Leave.
-	if got := s.Search([]string{"handoffkey"}); len(got) != 1 {
-		t.Fatalf("snippet lost despite graceful departure: %v", got)
-	}
-	// And still expires on schedule.
-	c.now = 2 * time.Hour
-	if got := s.Search([]string{"handoffkey"}); len(got) != 0 {
-		t.Fatal("handed-off snippet outlived its discard time")
-	}
-	// Graceful leave of a non-member reports false.
-	if s.LeaveGraceful(999999, NewBroker(c.fn())) {
-		t.Fatal("leave of non-member succeeded")
-	}
-}
-
-func TestJoinCollisionRehash(t *testing.T) {
-	c := &vclock{}
-	s := NewService()
-	// Same name twice forces an id collision and linear rehash.
-	id1 := s.Join("same", NewBroker(c.fn()))
-	id2 := s.Join("same", NewBroker(c.fn()))
-	if id1 == id2 {
-		t.Fatal("collision not rehashed")
-	}
-	if s.Members() != 2 {
-		t.Fatalf("Members = %d", s.Members())
-	}
-}
-
-func BenchmarkPublish(b *testing.B) {
-	c := &vclock{}
-	s := NewService()
-	for i := 0; i < 100; i++ {
-		s.Join(fmt.Sprintf("p%d", i), NewBroker(c.fn()))
-	}
-	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Publish(Snippet{ID: fmt.Sprint(i), Keys: keys}, time.Minute)
-	}
-}
-
-func BenchmarkSearch(b *testing.B) {
-	c := &vclock{}
-	s := NewService()
-	for i := 0; i < 100; i++ {
-		s.Join(fmt.Sprintf("p%d", i), NewBroker(c.fn()))
-	}
-	for i := 0; i < 1000; i++ {
-		s.Publish(Snippet{ID: fmt.Sprint(i), Keys: []string{fmt.Sprintf("k%d", i%50), "common"}}, time.Hour)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Search([]string{fmt.Sprintf("k%d", i%50), "common"})
 	}
 }

@@ -69,26 +69,6 @@ func (r *Ring[V]) Join(id uint32, v V) bool {
 	return true
 }
 
-// Leave removes a member, reporting whether it was present.
-func (r *Ring[V]) Leave(id uint32) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, exists := r.members[id]; !exists {
-		return false
-	}
-	delete(r.members, id)
-	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= id })
-	r.ids = append(r.ids[:i], r.ids[i+1:]...)
-	return true
-}
-
-// Len returns the member count.
-func (r *Ring[V]) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.ids)
-}
-
 // successorIndex returns the index of the least id >= h, wrapping.
 func (r *Ring[V]) successorIndex(h uint32) (int, bool) {
 	if len(r.ids) == 0 {
@@ -115,11 +95,6 @@ func (r *Ring[V]) Successor(h uint32) (id uint32, v V, ok bool) {
 	return id, r.members[id], true
 }
 
-// Lookup maps a key to its broker.
-func (r *Ring[V]) Lookup(key string) (id uint32, v V, ok bool) {
-	return r.Successor(Hash(key))
-}
-
 // Successors returns up to n distinct members starting at the owner of h
 // (used for replication of brokered snippets).
 func (r *Ring[V]) Successors(h uint32, n int) []V {
@@ -137,39 +112,6 @@ func (r *Ring[V]) Successors(h uint32, n int) []V {
 		out = append(out, r.members[r.ids[(i+k)%len(r.ids)]])
 	}
 	return out
-}
-
-// Range returns the half-open arc (pred, id] owned by member id, i.e. the
-// hash values it is responsible for. wrapped reports whether the arc wraps
-// through 0. ok is false if id is not a member.
-func (r *Ring[V]) Range(id uint32) (lo, hi uint32, wrapped, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if _, exists := r.members[id]; !exists {
-		return 0, 0, false, false
-	}
-	if len(r.ids) == 1 {
-		// Sole member owns everything.
-		return id + 1, id, true, true
-	}
-	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= id })
-	pred := r.ids[(i-1+len(r.ids))%len(r.ids)]
-	lo = pred + 1
-	hi = id
-	return lo, hi, pred > id, true
-}
-
-// Owns reports whether member id owns hash value h.
-func (r *Ring[V]) Owns(id uint32, h uint32) bool {
-	oid, _, ok := r.Successor(h)
-	return ok && oid == id
-}
-
-// IDs returns the sorted member ids (a copy).
-func (r *Ring[V]) IDs() []uint32 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]uint32(nil), r.ids...)
 }
 
 // PeerRing builds the ring every layer places keys on — the brokerage,

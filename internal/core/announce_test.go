@@ -385,3 +385,57 @@ func TestBrokerBatchNotifiesWatchersAsPerKey(t *testing.T) {
 		t.Fatalf("watcher notified %d times for a snippet with %d keys at the broker", notifies, want)
 	}
 }
+
+// TestBrokerWatchIgnoresEmptyAndRepeated: a broker keeps neither a watch
+// with no keys, which would match every snippet put there, nor a second
+// copy of a watch it holds, which would notify its watcher twice per put.
+func TestBrokerWatchIgnoresEmptyAndRepeated(t *testing.T) {
+	xml := `<doc>osprey falcon kestrel harrier merlin goshawk buzzard condor heron egret</doc>`
+	for _, tc := range []struct {
+		name  string
+		watch func(t *testing.T, watcher *Peer, broker directory.PeerID, key string)
+		want  func(keysAtBroker int) int
+	}{
+		{"empty", func(t *testing.T, w *Peer, b directory.PeerID, _ string) {
+			if err := w.tp.BrokerWatch(b, nil); err != nil {
+				t.Fatal(err)
+			}
+		}, func(int) int { return 0 }},
+		{"repeated", func(_ *testing.T, w *Peer, _ directory.PeerID, key string) {
+			w.brokerWatch([]string{key})
+			w.brokerWatch([]string{key})
+		}, func(n int) int { return n }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peers := quietCommunity(t, 3, 1.0)
+			pub, broker, watcher := peers[0], peers[1], peers[2]
+			keys := perKeyContents(pub, []string{xml}, directory.None)[broker.id]
+			var watched string
+			for key := range keys {
+				if watched == "" || key < watched {
+					watched = key
+				}
+			}
+			if watched == "" {
+				t.Fatal("peer 1 brokers none of the document's keys; the test needs one")
+			}
+			tc.watch(t, watcher, broker.id, watched)
+			var mu sync.Mutex
+			notifies := 0
+			broker.tp.FateHook = func(to directory.PeerID) (error, bool, time.Duration, bool) {
+				mu.Lock()
+				defer mu.Unlock()
+				if to == watcher.id {
+					notifies++
+				}
+				return nil, false, 0, false
+			}
+			mustPublish(t, pub, xml)
+			mu.Lock()
+			defer mu.Unlock()
+			if want := tc.want(len(keys)); notifies != want {
+				t.Fatalf("watcher notified %d times, want %d (one registration: one per key at the broker)", notifies, want)
+			}
+		})
+	}
+}

@@ -40,9 +40,8 @@ func TestViewCacheReleasesDroppedPeerBytes(t *testing.T) {
 			Payload: pay, PayloadSize: int32(len(pay)),
 		})
 	}
-	d := bloom.MakeDigest("gossip")
 	for id := directory.PeerID(1); id <= 3; id++ {
-		if !p.view.ContainsDigest(id, d) {
+		if !p.view.Contains(id, "gossip") {
 			t.Fatalf("peer %d filter lost inserted term", id)
 		}
 	}
@@ -65,7 +64,7 @@ func TestViewCacheReleasesDroppedPeerBytes(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("drop fired no cache eviction")
 	}
-	if p.view.ContainsDigest(2, d) {
+	if p.view.Contains(2, "gossip") {
 		t.Fatal("dropped peer still probeable")
 	}
 
@@ -79,10 +78,10 @@ func TestViewCacheReleasesDroppedPeerBytes(t *testing.T) {
 	if p.view.cache.Stats().Evictions <= evBefore {
 		t.Fatal("supersede fired no cache eviction")
 	}
-	if p.view.ContainsDigest(1, d) {
+	if p.view.Contains(1, "gossip") {
 		t.Fatal("superseded filter still answers old terms")
 	}
-	if !p.view.ContainsDigest(1, bloom.MakeDigest("fresh")) {
+	if !p.view.Contains(1, "fresh") {
 		t.Fatal("new filter version not probeable")
 	}
 }
@@ -141,7 +140,7 @@ func TestSearchProbesEachPeerOnce(t *testing.T) {
 }
 
 // TestSweepMatchesPerPeerProbes: the view's one sweep answers, row for
-// row and cell for cell, what a ContainsDigest per (peer, digest) answers
+// row and cell for cell, what a Contains per (peer, term) answers
 // — across version bumps, Invalidate, a budget so small that the sweep
 // evicts its own rows, off-line and filterless peers, the self row and a
 // corrupt payload — and it stays well-formed while Upsert and MarkOffline
@@ -196,9 +195,9 @@ func TestSweepMatchesPerPeerProbes(t *testing.T) {
 			t.Fatalf("%s: the sweep evicted nothing; the budget does not bite", when)
 		}
 		for r, id := range peers {
-			for i, d := range ds {
-				if got, want := hits[r*len(ds)+i], p.view.ContainsDigest(id, d); got != want {
-					t.Fatalf("%s: peer %d %q: sweep %v, ContainsDigest %v", when, id, vocab[i], got, want)
+			for i, term := range vocab {
+				if got, want := hits[r*len(ds)+i], p.view.Contains(id, term); got != want {
+					t.Fatalf("%s: peer %d %q: sweep %v, Contains %v", when, id, term, got, want)
 				}
 			}
 			if id == corrupt || id > filtered && id <= filterless {
@@ -314,7 +313,7 @@ func TestViewCacheConcurrentChurn(t *testing.T) {
 				default:
 				}
 				id := directory.PeerID(1 + (i+g)%32)
-				p.view.ContainsDigest(id, digests[i%len(digests)])
+				p.view.Contains(id, terms[i%len(terms)])
 				p.view.Sweep(digests)
 				if i%7 == 0 {
 					search.RankPeers(p.view, terms, search.IPF(p.view, terms))

@@ -564,9 +564,8 @@ func (p *Peer) Search(query string, k int) ([]search.ScoredDoc, search.Stats) {
 	return p.SearchWith(query, search.Options{K: k})
 }
 
-// SearchWith runs a ranked search with caller-tuned options (contact
-// group size, the naive stop rule); the peer's metrics registry is filled
-// in.
+// SearchWith runs a ranked search with caller-tuned options (k, the naive
+// stop rule); the peer's metrics registry is filled in.
 func (p *Peer) SearchWith(query string, opt search.Options) ([]search.ScoredDoc, search.Stats) {
 	opt.Metrics = p.reg
 	return search.Ranked(p.view, fetcher{p}, Terms(query), opt)

@@ -83,11 +83,11 @@ func TestClusterSearchEqualsFullListReference(t *testing.T) {
 	}
 	p := peers[0]
 	waitFor(t, 15*time.Second, "every peer's filter at peer 0", func() bool {
-		_, st := p.SearchWith("worda", search.Options{K: 1, NoAdaptiveStop: true, GroupSize: 3})
-		return st.PeersContacted == 3
+		_, st := p.SearchWith("worda", search.Options{K: 1})
+		return st.PeersRanked == 3
 	})
 	for _, query := range []string{"worda", "wordb wordc", "wordd worde wordf wordd", "wordz worda"} {
-		for _, opt := range []search.Options{{K: 1}, {K: 5}, {K: 10, GroupSize: 2}, {K: 50}} {
+		for _, opt := range []search.Options{{K: 1}, {K: 5}, {K: 10}, {K: 50}} {
 			wantDocs, wantSt := search.Ranked(p.view, fullListFetcher{p}, Terms(query), opt)
 			gotDocs, gotSt := p.SearchWith(query, opt)
 			if !reflect.DeepEqual(gotDocs, wantDocs) || len(gotDocs) != opt.K {

@@ -42,15 +42,10 @@ func (v *dirView) Peers() []directory.PeerID {
 	return v.p.dir.OnlineIDs()
 }
 
-// Contains implements search.FilterView.
+// Contains implements search.FilterView: the own filter lives in the
+// summary, every other peer's in the filter cache.
 func (v *dirView) Contains(id directory.PeerID, term string) bool {
-	return v.ContainsDigest(id, bloom.MakeDigest(term))
-}
-
-// ContainsDigest implements search.DigestView: the query engine hashes
-// each term once and probes every peer's decompressed filter with the
-// digest.
-func (v *dirView) ContainsDigest(id directory.PeerID, d bloom.Digest) bool {
+	d := bloom.MakeDigest(term)
 	if id == v.p.id {
 		v.p.mu.Lock()
 		defer v.p.mu.Unlock()
@@ -268,10 +263,20 @@ func (p *Peer) brokerWatch(terms []string) {
 	_ = p.contacted(ownerPeer, p.tp.BrokerWatch(ownerPeer, terms)) // best effort
 }
 
-// addWatcher records a watch registration.
+// addWatcher records a watch registration. An empty key list would match
+// every snippet, and an exact repeat would double every notify for the
+// broker's lifetime, so neither is kept.
 func (p *Peer) addWatcher(keys []string, watcher directory.PeerID) {
+	if len(keys) == 0 {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for _, w := range p.watchers {
+		if w.watcher == watcher && slices.Equal(w.keys, keys) {
+			return
+		}
+	}
 	p.watchers = append(p.watchers, remoteWatch{keys: keys, watcher: watcher})
 }
 

@@ -180,37 +180,19 @@ func (c *Cache) fill(id directory.PeerID, ver directory.Version, payload []byte)
 	return p, evicted
 }
 
-// ProbeDigests is a one-row Sweep with id's payload and version read from
-// the Source: it sets hit[i] where id's filter may contain ds[i]. An
-// unknown or filterless peer sets nothing and releases its entry.
-func (c *Cache) ProbeDigests(id directory.PeerID, ds []bloom.Digest, hit []bool) {
+// ContainsDigest is a one-row Sweep with id's payload and version read
+// from the Source: it reports whether id's filter may contain the key d
+// summarizes. An unknown or filterless peer reports false and releases its
+// entry.
+func (c *Cache) ContainsDigest(id directory.PeerID, d bloom.Digest) bool {
 	payload, ver, ok := c.src.Payload(id)
 	if !ok || payload == nil {
 		c.Invalidate(id)
-		return
+		return false
 	}
-	c.Sweep([]directory.PeerID{id}, []directory.Version{ver}, [][]byte{payload}, ds, hit)
-}
-
-// ContainsDigest probes id's filter with a precomputed digest. Unknown or
-// filterless peers report false.
-func (c *Cache) ContainsDigest(id directory.PeerID, d bloom.Digest) bool {
 	var hit [1]bool
-	c.ProbeDigests(id, []bloom.Digest{d}, hit[:])
+	c.Sweep([]directory.PeerID{id}, []directory.Version{ver}, [][]byte{payload}, []bloom.Digest{d}, hit[:])
 	return hit[0]
-}
-
-// ContainsAllDigests probes id's filter with every digest (conjunctive;
-// vacuously true for none).
-func (c *Cache) ContainsAllDigests(id directory.PeerID, ds []bloom.Digest) bool {
-	hit := make([]bool, len(ds))
-	c.ProbeDigests(id, ds, hit)
-	return !slices.Contains(hit, false)
-}
-
-// Contains probes id's filter with a term.
-func (c *Cache) Contains(id directory.PeerID, term string) bool {
-	return c.ContainsDigest(id, bloom.MakeDigest(term))
 }
 
 // Invalidate discards any cached state for id. Call when the peer's record

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -47,6 +48,18 @@ func (s *fakeSource) drop(id directory.PeerID) {
 	delete(s.vers, id)
 }
 
+// contains probes id's filter with a term, as a view's Contains does.
+func contains(c *Cache, id directory.PeerID, term string) bool {
+	return c.ContainsDigest(id, bloom.MakeDigest(term))
+}
+
+// row is a one-row Sweep of id at the payload and version src holds now:
+// it sets hit[i] where id's filter may contain ds[i].
+func row(c *Cache, src Source, id directory.PeerID, ds []bloom.Digest, hit []bool) {
+	payload, ver, _ := src.Payload(id)
+	c.Sweep([]directory.PeerID{id}, []directory.Version{ver}, [][]byte{payload}, ds, hit)
+}
+
 // filterWith builds a small filter containing the given terms.
 func filterWith(terms ...string) *bloom.Filter {
 	f := bloom.New(4096, 2)
@@ -63,32 +76,34 @@ func TestCacheProbesMatchFilter(t *testing.T) {
 	c := New(src, Config{})
 
 	for _, term := range []string{"apple", "banana", "cherry", "durian", "elderberry"} {
-		if got, want := c.Contains(1, term), f.Contains(term); got != want {
+		if got, want := contains(c, 1, term), f.Contains(term); got != want {
 			t.Errorf("Contains(1, %q) = %v, want %v", term, got, want)
 		}
 	}
 	ds := bloom.MakeDigests([]string{"apple", "banana"})
-	if !c.ContainsAllDigests(1, ds) {
+	hit := make([]bool, len(ds))
+	if row(c, src, 1, ds, hit); slices.Contains(hit, false) {
 		t.Error("conjunctive probe of present terms failed")
 	}
-	if c.ContainsAllDigests(1, bloom.MakeDigests([]string{"apple", "absent-term"})) {
+	hit = make([]bool, len(ds))
+	if row(c, src, 1, bloom.MakeDigests([]string{"apple", "absent-term"}), hit); !slices.Contains(hit, false) {
 		t.Error("conjunctive probe with absent term passed")
 	}
-	if c.Contains(99, "apple") {
+	if contains(c, 99, "apple") {
 		t.Error("unknown peer reported membership")
 	}
 	// The batched probe sets exactly the present terms' cells and only
 	// sets: a cell already true stays true, an unknown peer sets none.
 	ds = bloom.MakeDigests([]string{"apple", "absent-term", "cherry", "absent-term"})
-	hit := []bool{false, false, false, true}
-	c.ProbeDigests(1, ds, hit)
+	hit = []bool{false, false, false, true}
+	row(c, src, 1, ds, hit)
 	if want := []bool{true, false, true, true}; !reflect.DeepEqual(hit, want) {
-		t.Errorf("ProbeDigests row = %v, want %v", hit, want)
+		t.Errorf("batched probe row = %v, want %v", hit, want)
 	}
 	hit = make([]bool, len(ds))
-	c.ProbeDigests(99, ds, hit)
+	row(c, src, 99, ds, hit)
 	if want := make([]bool, len(ds)); !reflect.DeepEqual(hit, want) {
-		t.Errorf("ProbeDigests of an unknown peer set cells: %v", hit)
+		t.Errorf("batched probe of an unknown peer set cells: %v", hit)
 	}
 }
 
@@ -98,10 +113,10 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := New(src, Config{Metrics: reg})
 
-	c.Contains(1, "x") // miss + decode
-	c.Contains(1, "x") // hit
+	contains(c, 1, "x") // miss + decode
+	contains(c, 1, "x") // hit
 	// One hit however many digests the batched probe carries.
-	c.ProbeDigests(1, bloom.MakeDigests([]string{"x", "y", "z"}), make([]bool, 3))
+	row(c, src, 1, bloom.MakeDigests([]string{"x", "y", "z"}), make([]bool, 3))
 	st := c.Stats()
 	if st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("stats = %+v, want 1 miss 2 hits", st)
@@ -124,15 +139,15 @@ func TestCacheVersionChangeInvalidates(t *testing.T) {
 	src.set(1, filterWith("old-term"), directory.Version{Epoch: 1, Seq: 1})
 	c := New(src, Config{})
 
-	if !c.Contains(1, "old-term") {
+	if !contains(c, 1, "old-term") {
 		t.Fatal("old term missing")
 	}
 	// Version bump with a different filter: probes must see the new one.
 	src.set(1, filterWith("new-term"), directory.Version{Epoch: 1, Seq: 2})
-	if c.Contains(1, "old-term") {
+	if contains(c, 1, "old-term") {
 		t.Error("stale filter served after version bump")
 	}
-	if !c.Contains(1, "new-term") {
+	if !contains(c, 1, "new-term") {
 		t.Error("new filter not served after version bump")
 	}
 	st := c.Stats()
@@ -150,7 +165,7 @@ func TestCacheInvalidateReleasesBytes(t *testing.T) {
 	c := New(src, Config{Metrics: reg})
 	gauge := func() int64 { return reg.Snapshot().Gauges["core_filter_cache_resident_bytes"] }
 	for id := directory.PeerID(0); id < 8; id++ {
-		c.Contains(id, "anything")
+		contains(c, id, "anything")
 		if gauge() != c.ResidentBytes() {
 			t.Fatalf("resident gauge %d != %d after decoding peer %d", gauge(), c.ResidentBytes(), id)
 		}
@@ -181,12 +196,12 @@ func TestCacheDroppedPeerReleasesBytes(t *testing.T) {
 	src := newFakeSource()
 	src.set(1, filterWith("x"), directory.Version{Epoch: 1, Seq: 1})
 	c := New(src, Config{})
-	c.Contains(1, "x")
+	contains(c, 1, "x")
 	if c.ResidentBytes() == 0 {
 		t.Fatal("nothing resident")
 	}
 	src.drop(1)
-	if c.Contains(1, "x") {
+	if contains(c, 1, "x") {
 		t.Error("dropped peer reported membership")
 	}
 	if got := c.ResidentBytes(); got != 0 {
@@ -204,7 +219,7 @@ func TestCacheBudgetEnforced(t *testing.T) {
 	const budget = 2048
 	c := New(src, Config{Budget: budget})
 	for id := directory.PeerID(0); id < n; id++ {
-		if !c.Contains(id, fmt.Sprintf("term-%d", id)) {
+		if !contains(c, id, fmt.Sprintf("term-%d", id)) {
 			t.Fatalf("peer %d term missing", id)
 		}
 		if got := c.ResidentBytes(); got > budget {
@@ -219,7 +234,7 @@ func TestCacheBudgetEnforced(t *testing.T) {
 		t.Fatalf("all %d entries resident under a %d-byte budget", n, budget)
 	}
 	// Evicted peers still answer correctly (re-decoded on demand).
-	if !c.Contains(0, "term-0") {
+	if !contains(c, 0, "term-0") {
 		t.Fatal("evicted peer no longer probeable")
 	}
 }
@@ -238,17 +253,17 @@ func TestCacheHoldsSmallerForm(t *testing.T) {
 	src.set(2, dense, directory.Version{Epoch: 1, Seq: 1})
 	c := New(src, Config{})
 
-	c.Contains(1, "only-term")
+	contains(c, 1, "only-term")
 	if got, want := c.ResidentBytes(), int64(bloom.CompactOf(sparse).SizeBytes()); got != want {
 		t.Fatalf("sparse filter resident %d B, want its compact form's %d", got, want)
 	}
-	c.Contains(2, "dense-0")
+	contains(c, 2, "dense-0")
 	if got, want := c.ResidentBytes(), int64(bloom.CompactOf(sparse).SizeBytes()+dense.SizeBytes()); got != want {
 		t.Fatalf("resident %d B after dense filter, want compact+bitset %d", got, want)
 	}
 	// Peer 1 republishes the dense filter: its entry becomes a bitset.
 	src.set(1, dense, directory.Version{Epoch: 1, Seq: 2})
-	if !c.Contains(1, "dense-7") || c.Contains(1, "only-term") != dense.Contains("only-term") {
+	if !contains(c, 1, "dense-7") || contains(c, 1, "only-term") != dense.Contains("only-term") {
 		t.Fatal("probe after the form switch disagrees with the new filter")
 	}
 	if got, want := c.ResidentBytes(), int64(2*dense.SizeBytes()); got != want {
@@ -286,11 +301,8 @@ func TestCacheMatchesDecompress(t *testing.T) {
 				t.Fatalf("nset=%d: probe %v = %v, Decompress says %v", nset, d, got, !got)
 			}
 			ds := []bloom.Digest{d, {H1: rng.Uint64(), H2: rng.Uint64()}}
-			if got := c.ContainsAllDigests(1, ds); got != want.ContainsAllDigests(ds) {
-				t.Fatalf("nset=%d: conjunctive probe = %v, Decompress says %v", nset, got, !got)
-			}
 			var hit [2]bool
-			c.ProbeDigests(1, ds, hit[:])
+			row(c, src, 1, ds, hit[:])
 			if hit[0] != want.ContainsDigest(ds[0]) || hit[1] != want.ContainsDigest(ds[1]) {
 				t.Fatalf("nset=%d: batched probe = %v, Decompress disagrees", nset, hit)
 			}
@@ -319,7 +331,7 @@ func TestCacheCorruptPayload(t *testing.T) {
 			t.Fatal("truncated payload decodes; the test needs a corrupt one")
 		}
 		c := New(src, Config{})
-		if c.Contains(1, "a") || c.ResidentBytes() != 0 || c.Stats().Entries != 0 {
+		if contains(c, 1, "a") || c.ResidentBytes() != 0 || c.Stats().Entries != 0 {
 			t.Fatal("corrupt payload was cached or answered a probe")
 		}
 	}
@@ -438,8 +450,8 @@ func TestCacheConcurrentChurn(t *testing.T) {
 				}
 				id := directory.PeerID(rng.Intn(n))
 				ds := bloom.MakeDigests([]string{fmt.Sprintf("term-%d", id)})
-				c.ContainsAllDigests(id, ds)
-				c.ProbeDigests(id, ds, make([]bool, len(ds)))
+				c.ContainsDigest(id, ds[0])
+				row(c, src, id, ds, make([]bool, len(ds)))
 			}
 		}(int64(g))
 	}

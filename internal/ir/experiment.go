@@ -46,10 +46,7 @@ func Evaluate(c *Community, ks []int) []RPPoint {
 			pt.PeersIDF += float64(len(owners))
 
 			// PlanetP TFxIPF with adaptive stopping.
-			opt := c.SearchOpts
-			opt.K = k
-			opt.Metrics = c.Metrics
-			docs, st := search.Ranked(c, c, q.Terms, opt)
+			docs, st := search.Ranked(c, c, q.Terms, search.Options{K: k, Metrics: c.Metrics})
 			retrieved := make([]int, 0, len(docs))
 			for _, d := range docs {
 				if idx, ok := ParseDocKey(d.Key); ok {
@@ -105,10 +102,7 @@ func RecallVsSize(col *collection.Collection, sizes []int, k int, dist Distribut
 		pt.Peers = n
 		for qi := range col.Queries {
 			q := &col.Queries[qi]
-			opt := c.SearchOpts
-			opt.K = k
-			opt.Metrics = c.Metrics
-			docs, _ := search.Ranked(c, c, q.Terms, opt)
+			docs, _ := search.Ranked(c, c, q.Terms, search.Options{K: k, Metrics: c.Metrics})
 			retrieved := make([]int, 0, len(docs))
 			for _, d := range docs {
 				if idx, ok := ParseDocKey(d.Key); ok {

@@ -55,9 +55,6 @@ type Community struct {
 	// Metrics, if non-nil, receives per-query search counters from
 	// experiment runs over this community.
 	Metrics *metrics.Registry
-	// SearchOpts seeds the search options of every experiment query
-	// (group size); K and Metrics are filled per run.
-	SearchOpts search.Options
 }
 
 // weibullWeight draws a Weibull(shape, 1) variate.
@@ -147,12 +144,6 @@ func (c *Community) Peers() []directory.PeerID {
 // filter.
 func (c *Community) Contains(id directory.PeerID, term string) bool {
 	return c.Filters[id].Contains(term)
-}
-
-// ContainsDigest implements search.DigestView: probe the peer's filter
-// with a precomputed digest (no per-peer re-hashing).
-func (c *Community) ContainsDigest(id directory.PeerID, d bloom.Digest) bool {
-	return c.Filters[id].ContainsDigest(d)
 }
 
 // Sweep implements search.SweepView: every peer's filter probed with all

@@ -1,9 +1,6 @@
 package search
 
-import (
-	"planetp/internal/bloom"
-	"planetp/internal/directory"
-)
+import "planetp/internal/directory"
 
 // MergedView implements the storage/accuracy trade of Section 2,
 // advantage (3): a memory-constrained peer "may choose to combine the
@@ -63,31 +60,6 @@ func (mv *MergedView) Contains(id directory.PeerID, term string) bool {
 		}
 	}
 	return false
-}
-
-// Sweep implements SweepView with the same group semantics as Contains:
-// a group's row is the OR of its members' rows in the base's sweep (a
-// member the base no longer lists adds nothing). The base must probe
-// digests (probesDigests); the query engine asks nothing else of it.
-func (mv *MergedView) Sweep(ds []bloom.Digest) ([]directory.PeerID, []bool) {
-	basePeers, baseHits := sweepView(mv.base, nil, ds)
-	rowOf := make(map[directory.PeerID]int, len(basePeers))
-	for p, id := range basePeers {
-		rowOf[id] = p
-	}
-	nd := len(ds)
-	hits := make([]bool, len(mv.peers)*nd)
-	for p, id := range mv.peers {
-		row := hits[p*nd : (p+1)*nd]
-		for _, member := range mv.group[id] {
-			if r, ok := rowOf[member]; ok {
-				for i, hit := range baseHits[r*nd : (r+1)*nd] {
-					row[i] = row[i] || hit
-				}
-			}
-		}
-	}
-	return mv.peers, hits
 }
 
 // Groups returns the number of groups (the merged-filter storage cost in

@@ -105,18 +105,23 @@ func TestMergedViewExhaustive(t *testing.T) {
 	}
 }
 
-// TestMergedViewDeclinesDigests: a wrapper over a base without digest
-// support must not be treated as digest-capable even though it
-// structurally satisfies SweepView.
+// TestMergedViewDeclinesDigests: a MergedView is probed through Contains,
+// never swept with digests, even over a base that sweeps — and answers
+// through its group semantics.
 func TestMergedViewDeclinesDigests(t *testing.T) {
-	f := buildRankedCommunity() // fakeCommunity: Contains only
-	mv := NewMergedView(f, 2)
-	q := newQuery(mv, []string{"gossip"})
-	if q.digests != nil {
-		t.Fatal("newQuery accepted digest probing from a non-digest base")
+	base := sweepFilters{digestFilters{seededFilters(7, 12, 0)}}
+	mv := NewMergedView(base, 4)
+	terms := sweepQueries()["three terms"]
+	q := newQuery(mv, terms)
+	peers, hits := q.sweep()
+	if base.sweeps != 0 {
+		t.Fatal("probing a MergedView swept its base")
 	}
-	// The fallback path still answers correctly through group semantics.
-	if c := q.candidates(q.sweep()); len(c) == 0 || c[0] != 0 {
-		t.Fatal("fallback candidate test failed")
+	for p, id := range peers {
+		for i, term := range terms {
+			if hits[p*len(terms)+i] != mv.Contains(id, term) {
+				t.Fatalf("peer %d %q: hit %v, group semantics say %v", id, term, hits[p*len(terms)+i], !hits[p*len(terms)+i])
+			}
+		}
 	}
 }

@@ -17,9 +17,7 @@ type PersistentQuery struct {
 	// Fn receives each newly discovered match.
 	Fn func(DocResult)
 
-	// q is the hash-once prober for Terms, built at registration: a
-	// standing query hashes its terms exactly once for its whole life,
-	// no matter how many filter notifications re-evaluate it.
+	// q binds Terms to the registry's view, built at registration.
 	q query
 
 	mu   sync.Mutex
@@ -126,7 +124,7 @@ func (r *Registry) evaluate(q *PersistentQuery, only *directory.PeerID) {
 	var hits []bool
 	if only != nil {
 		peers = []directory.PeerID{*only}
-		hits = probeEach(r.view, peers, q.Terms, q.q.digests)
+		hits = probeEach(r.view, peers, q.Terms)
 	} else {
 		peers, hits = q.q.sweep()
 	}

@@ -7,7 +7,7 @@
 // The query fast path hashes each query term exactly once (bloom.Digest)
 // and sweeps the peers' filters once per query, probing each with all of
 // the precomputed digests; peers are then contacted one at a time in rank
-// order (in Section 5.2's "groups of m" when asked).
+// order.
 package search
 
 import (
@@ -33,21 +33,10 @@ type FilterView interface {
 	Contains(id directory.PeerID, term string) bool
 }
 
-// DigestView is an optional FilterView extension: views backed by real
-// Bloom filters answer membership for a precomputed digest, so a query
-// hashes each term once instead of once per (peer, term). The query
-// engine probes through it, one (peer, digest) at a time, when the view
-// is not a SweepView.
-type DigestView interface {
-	FilterView
-	// ContainsDigest reports whether peer id's filter may contain the
-	// key summarized by d.
-	ContainsDigest(id directory.PeerID, d bloom.Digest) bool
-}
-
 // SweepView is an optional FilterView extension: the view probes every
 // one of its peers with all of a query's digests in one pass over one
-// snapshot of its state. The query engine prefers it to DigestView.
+// snapshot of its state. A view without it is probed with Contains, one
+// (peer, term) at a time.
 type SweepView interface {
 	FilterView
 	// Sweep returns the searchable peers and a len(peers) x len(ds) hit
@@ -56,75 +45,41 @@ type SweepView interface {
 	Sweep(ds []bloom.Digest) (peers []directory.PeerID, hits []bool)
 }
 
-// probesDigests reports whether view answers for digests: a SweepView or
-// DigestView does, and a MergedView does when its base does.
-func probesDigests(view FilterView) bool {
-	switch v := view.(type) {
-	case *MergedView:
-		return probesDigests(v.base)
-	case SweepView, DigestView:
-		return true
-	}
-	return false
-}
-
-// sweepView is view's whole-view sweep for terms hashed to ds (nil when
-// the view cannot probe digests): its own Sweep, or one probe per (peer,
-// term).
-func sweepView(view FilterView, terms []string, ds []bloom.Digest) ([]directory.PeerID, []bool) {
-	if sv, ok := view.(SweepView); ok && ds != nil {
-		return sv.Sweep(ds)
-	}
-	peers := view.Peers()
-	return peers, probeEach(view, peers, terms, ds)
-}
-
-// probeEach fills the hit matrix of peers one cell at a time, through
-// ContainsDigest when there are digests and the view has it and through
-// Contains otherwise. A column per term, or per digest when there are no
-// terms (a MergedView's base).
-func probeEach(view FilterView, peers []directory.PeerID, terms []string, ds []bloom.Digest) []bool {
-	dv, digest := view.(DigestView)
-	digest = digest && ds != nil
-	nt := max(len(terms), len(ds))
+// probeEach fills the hit matrix of peers one cell at a time through
+// Contains, a column per term.
+func probeEach(view FilterView, peers []directory.PeerID, terms []string) []bool {
+	nt := len(terms)
 	hits := make([]bool, len(peers)*nt)
 	for p, id := range peers {
-		for i := 0; i < nt; i++ {
-			if digest {
-				hits[p*nt+i] = dv.ContainsDigest(id, ds[i])
-			} else {
-				hits[p*nt+i] = view.Contains(id, terms[i])
-			}
+		for i, t := range terms {
+			hits[p*nt+i] = view.Contains(id, t)
 		}
 	}
 	return hits
 }
 
-// query binds one query's terms to a view, hashing each term exactly
-// once. When the view can probe digests every probe is digest-based;
-// otherwise probes fall back to Contains (the view re-hashes internally,
-// as before the fast path).
+// query binds one query's terms to a view.
 type query struct {
-	view    FilterView
-	terms   []string
-	digests []bloom.Digest // nil: the view cannot probe digests
+	view  FilterView
+	terms []string
 }
 
-// newQuery prepares the hash-once prober for terms against view.
+// newQuery prepares the prober for terms against view.
 func newQuery(view FilterView, terms []string) query {
-	q := query{view: view, terms: terms}
-	if probesDigests(view) {
-		q.digests = bloom.MakeDigests(terms)
-	}
-	return q
+	return query{view: view, terms: terms}
 }
 
 // sweep is the query's one pass over the view: the searchable peers and
 // the len(peers) x len(terms) hit matrix of their filters, row p for
 // peers[p]. Equations 1 and 3 and the conjunctive candidate test are all
-// read off it.
+// read off it. A SweepView gets each term hashed exactly once; any other
+// view hashes inside Contains.
 func (q *query) sweep() ([]directory.PeerID, []bool) {
-	return sweepView(q.view, q.terms, q.digests)
+	if sv, ok := q.view.(SweepView); ok {
+		return sv.Sweep(bloom.MakeDigests(q.terms))
+	}
+	peers := q.view.Peers()
+	return peers, probeEach(q.view, peers, q.terms)
 }
 
 // counts returns equation 1's N_t per query term from the hit matrix:
@@ -489,9 +444,6 @@ type Stats struct {
 	// at most K from each peer that cuts its answer (TopKFetcher), every
 	// match from one that does not.
 	DocsRetrieved int
-	// StopIterations counts the contact-group iterations the stopping
-	// loop ran (each evaluates the adaptive rule once).
-	StopIterations int
 	// StoppedEarly reports whether the adaptive rule fired (vs running
 	// out of candidates).
 	StoppedEarly bool
@@ -510,7 +462,6 @@ func (st Stats) record(reg *metrics.Registry, queryKind string) {
 	reg.Counter("search_" + queryKind + "_queries_total").Inc()
 	reg.Counter("search_peers_contacted_total").Add(int64(st.PeersContacted))
 	reg.Counter("search_docs_retrieved_total").Add(int64(st.DocsRetrieved))
-	reg.Counter("search_stop_iterations_total").Add(int64(st.StopIterations))
 	if st.StoppedEarly {
 		reg.Counter("search_stopped_early_total").Inc()
 	}
@@ -522,9 +473,6 @@ func (st Stats) record(reg *metrics.Registry, queryKind string) {
 type Options struct {
 	// K is the number of documents the user wants.
 	K int
-	// GroupSize contacts peers in groups of m to trade extra contacts
-	// for lower latency (Section 5.2); 0/1 = one by one.
-	GroupSize int
 	// NoAdaptiveStop disables the heuristic entirely: contact peers
 	// until k documents are retrieved (the naive rule the paper says
 	// performs terribly).
@@ -614,10 +562,6 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 	st.PeersRanked = len(ranked)
 
 	p := StopP(r.peers, opt.K)
-	group := opt.GroupSize
-	if group <= 0 {
-		group = 1
-	}
 
 	contact := newContactor(fetch, terms, false, opt)
 	contact.topk, _ = fetch.(TopKFetcher)
@@ -629,16 +573,10 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 	seen := make(map[string]bool)
 	noContrib := 0
 
-	for i := 0; i < len(ranked); i += group {
-		end := min(i+group, len(ranked))
-		st.StopIterations++
+	for _, pr := range ranked {
+		st.PeersContacted++
 		contributed := false
-		for _, pr := range ranked[i:end] {
-			st.PeersContacted++
-			docs, err := contact.one(pr.Peer)
-			if err != nil {
-				continue
-			}
+		if docs, err := contact.one(pr.Peer); err == nil {
 			st.DocsRetrieved += len(docs)
 			for _, d := range docs {
 				if seen[d.Key] {
@@ -663,7 +601,7 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 			if contributed {
 				noContrib = 0
 			} else {
-				noContrib += end - i
+				noContrib++
 				if noContrib >= p {
 					st.StoppedEarly = true
 					break

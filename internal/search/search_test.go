@@ -235,18 +235,6 @@ func TestRankedSearchStopsEarly(t *testing.T) {
 	}
 }
 
-func TestRankedSearchGroupContacts(t *testing.T) {
-	f := buildRankedCommunity()
-	f.queried = nil
-	_, st1 := Ranked(f, f, []string{"gossip"}, Options{K: 5, GroupSize: 1})
-	f.queried = nil
-	_, st3 := Ranked(f, f, []string{"gossip"}, Options{K: 5, GroupSize: 3})
-	// Group contacting may query more peers, never fewer.
-	if st3.PeersContacted < st1.PeersContacted {
-		t.Fatalf("groups contacted fewer peers: %d vs %d", st3.PeersContacted, st1.PeersContacted)
-	}
-}
-
 func TestRankedSearchSkipsFailedPeers(t *testing.T) {
 	f := buildRankedCommunity()
 	f.fail[0] = true

@@ -19,16 +19,21 @@ import (
 // probe every (peer, term) on their own, through ContainsDigest when the
 // view has it and Contains otherwise.
 
+// digestProber is a view that also probes one (peer, digest) at a time.
+type digestProber interface {
+	ContainsDigest(id directory.PeerID, d bloom.Digest) bool
+}
+
 type refQuery struct {
 	view    FilterView
-	dv      DigestView
+	dv      digestProber
 	terms   []string
 	digests []bloom.Digest
 }
 
 func newRefQuery(view FilterView, terms []string) refQuery {
 	q := refQuery{view: view, terms: terms}
-	if dv, ok := view.(DigestView); ok {
+	if dv, ok := view.(digestProber); ok {
 		q.dv = dv
 		q.digests = bloom.MakeDigests(terms)
 	}
@@ -136,7 +141,8 @@ func (v *plainFilters) Contains(id directory.PeerID, term string) bool {
 	return f != nil && f.Contains(term)
 }
 
-// digestFilters adds the per-digest probe (what bench's tracedView has).
+// digestFilters adds a per-digest probe (what bench's tracedView has),
+// which the engine does not use: it probes such a view through Contains.
 type digestFilters struct{ *plainFilters }
 
 func (v digestFilters) ContainsDigest(id directory.PeerID, d bloom.Digest) bool {

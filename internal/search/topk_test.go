@@ -120,20 +120,19 @@ func TestRankedTopKFetcherEquivalence(t *testing.T) {
 		full := randomReplicated(rng, trial%3 == 0)
 		cut := topKFake{full, t}
 		for _, k := range []int{1, 5, 10, 50} {
-			for _, opt := range []Options{{K: k}, {K: k, GroupSize: 3}, {K: k, GroupSize: 4}} {
-				wantDocs, wantSt := Ranked(full, full, terms, opt)
-				gotDocs, gotSt := Ranked(cut, cut, terms, opt)
-				if !reflect.DeepEqual(gotDocs, wantDocs) {
-					t.Fatalf("trial %d %+v: top-k fetcher diverges\n got %v\nwant %v", trial, opt, gotDocs, wantDocs)
-				}
-				if gotSt.DocsRetrieved > wantSt.DocsRetrieved || gotSt.DocsRetrieved > k*gotSt.PeersContacted {
-					t.Fatalf("trial %d %+v: received %d documents from %d peers (full lists: %d)",
-						trial, opt, gotSt.DocsRetrieved, gotSt.PeersContacted, wantSt.DocsRetrieved)
-				}
-				gotSt.DocsRetrieved = wantSt.DocsRetrieved
-				if gotSt != wantSt {
-					t.Fatalf("trial %d %+v: stats %+v, want %+v", trial, opt, gotSt, wantSt)
-				}
+			opt := Options{K: k}
+			wantDocs, wantSt := Ranked(full, full, terms, opt)
+			gotDocs, gotSt := Ranked(cut, cut, terms, opt)
+			if !reflect.DeepEqual(gotDocs, wantDocs) {
+				t.Fatalf("trial %d %+v: top-k fetcher diverges\n got %v\nwant %v", trial, opt, gotDocs, wantDocs)
+			}
+			if gotSt.DocsRetrieved > wantSt.DocsRetrieved || gotSt.DocsRetrieved > k*gotSt.PeersContacted {
+				t.Fatalf("trial %d %+v: received %d documents from %d peers (full lists: %d)",
+					trial, opt, gotSt.DocsRetrieved, gotSt.PeersContacted, wantSt.DocsRetrieved)
+			}
+			gotSt.DocsRetrieved = wantSt.DocsRetrieved
+			if gotSt != wantSt {
+				t.Fatalf("trial %d %+v: stats %+v, want %+v", trial, opt, gotSt, wantSt)
 			}
 		}
 	}

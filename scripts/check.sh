@@ -245,44 +245,16 @@ go test -race ./...
 echo "== benchmark module (cd bench && go vet ./... && go test ./...)"
 (cd bench && go vet ./... && go test ./...)
 
-# One decider on reachability (DESIGN §4d): only gossip.Node turns contact
-# outcomes into an off-line mark. A second MarkOffline call site is a second
-# policy; the two tests are the invariant from core's side and the proof that
-# simnet and loopback TCP reach the same verdict (already part of the suite
-# above; rerun by name).
-echo "== one reachability verdict (MarkOffline call sites, core and sim-vs-loopback tests)"
-sites=$(grep -rn "MarkOffline(" --include='*.go' internal cmd | grep -v _test.go |
-	grep -v '^internal/directory/directory.go:.*func (d \*Directory) MarkOffline(' || true)
-if [ "$(echo "$sites" | grep -c .)" -ne 1 ] || ! echo "$sites" | grep -q '^internal/gossip/node.go:'; then
-	echo "MarkOffline( must be called from internal/gossip/node.go alone; found:" >&2
-	echo "$sites" >&2
-	exit 1
-fi
+# Deleted mechanisms stay deleted and single decisions stay single
+# (DESIGN §4c, §4d, §4f, §4i, §4k): TestNothingDormant in the root package,
+# part of the suite above, reads the source tree. Rerun by name: the one
+# reachability verdict from core's side and on simnet vs loopback TCP, the
+# one fsync racing a snapshot, and a search sized by its results, not by the
+# k a request names.
+echo "== one reachability verdict, nothing dormant"
+go test -race -run 'TestNothingDormant' .
 go test -race -run 'TestOneVerdictOnReachability' ./internal/core/
 go test -race -run 'TestVerdictSameOnSimAndLoopback' ./internal/transport/
-
-# Deleted means deleted (DESIGN §4c, §4f): the IPF/rank cache, the fan-out
-# knobs and the WAL's group commit had no caller and no measured benefit,
-# core's id -> key map is a column of the index now, and a query sweeps the
-# whole view at once (SweepView) instead of a row per peer (RowView); one of
-# their names reappearing in non-test Go is a second path coming back. What replaced them is one fsync under the store mutex (appends
-# racing a snapshot lose nothing) and a search sized by its results, not by
-# the k a request names (already part of the suite above; rerun by name).
-echo "== nothing dormant (IPF cache, fan-out knobs, group commit, keyOf, per-peer row probes, gob on the wire stay deleted; the index walk stays off p.mu)"
-dormant=$(grep -rnE 'IPFCache|VersionedView|SyncEvery|syncDone|Options\.Concurrency|StopWindow|keyOf|RowView|digestRows' \
-	--include='*.go' internal cmd ./*.go | grep -v _test.go || true)
-# ...and the transport speaks frames (§4k): gob is not back on the wire.
-dormant="$dormant$(grep -rn '"encoding/gob"' internal/transport || true)"
-# ...and the index walk stays off the peer mutex (§4f): no p.mu inside
-# localTopK or localQuery.
-dormant="$dormant$(sed -n '/^func (p \*Peer) local\(TopK\|Query\)(/,/^}/p' internal/core/peer.go | grep 'p\.mu\.' || true)"
-# ...and a Compact probe scans one bucket (§4i): no binary search is back.
-dormant="$dormant$(grep -n 'sort\.Search' internal/bloom/compact.go || true)"
-if [ -n "$dormant" ]; then
-	echo "deleted mechanism named in non-test Go:" >&2
-	echo "$dormant" >&2
-	exit 1
-fi
 go test -race -count=10 -run 'TestSnapshotRacesAppends' ./internal/store/
 go test -race -run 'TestRankedHugeK' ./internal/search/
 go test -race -run 'TestSearchRejectsHugeK' ./internal/serve/
@@ -413,14 +385,13 @@ go test -run='^$' -fuzz=FuzzEnvelopeDecode -fuzztime="$FUZZTIME" ./internal/tran
 go test -run='^$' -fuzz=FuzzPeerExchangeDecode -fuzztime="$FUZZTIME" ./internal/transport/
 go test -run='^$' -fuzz=FuzzWALRecord -fuzztime="$FUZZTIME" ./internal/store/
 
-# The baseline the next simplicity PR starts from: non-test lines of the
-# two packages that hold a peer's write path and its filter.
-echo "== non-test lines, internal/core + internal/bloom: $(find internal/core internal/bloom -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-
-echo "== non-test lines, internal/transport: $(find internal/transport -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-
-for pkg in internal/store internal/search; do
-	echo "== non-test lines, $pkg: $(find "$pkg" -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+# Size: the internal/ + cmd/ non-test line count ROADMAP and CHANGES.md
+# quote, then the packages the last simplification touched.
+lines() { find "$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
+echo "== non-test lines, internal/ + cmd/: $(lines internal cmd)"
+for pkg in internal/broker internal/chash internal/search internal/filtercache \
+	internal/bloom internal/ir internal/core cmd/searchsim; do
+	echo "   $pkg: $(lines "$pkg")"
 done
 
 echo "== OK"
