@@ -386,6 +386,50 @@ func TestBrokerBatchNotifiesWatchersAsPerKey(t *testing.T) {
 	}
 }
 
+// TestBrokerDropsDepartedWatcher: a broker whose directory lists a watcher
+// as off-line drops its registration at the next matching put instead of
+// sending it a Notify per key, and counts the drop.
+func TestBrokerDropsDepartedWatcher(t *testing.T) {
+	peers := quietCommunity(t, 3, 1.0)
+	pub, broker, watcher := peers[0], peers[1], peers[2]
+	xml := `<doc>osprey falcon kestrel harrier merlin goshawk buzzard condor heron egret</doc>`
+	var watched string
+	for key := range perKeyContents(pub, []string{xml}, directory.None)[broker.id] {
+		if watched == "" || key < watched {
+			watched = key
+		}
+	}
+	if watched == "" {
+		t.Fatal("peer 1 brokers none of the document's keys; the test needs one")
+	}
+	watcher.brokerWatch([]string{watched})
+	broker.dir.MarkOffline(watcher.id, time.Second)
+	var mu sync.Mutex
+	notifies := 0
+	broker.tp.FateHook = func(to directory.PeerID) (error, bool, time.Duration, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if to == watcher.id {
+			notifies++
+		}
+		return nil, false, 0, false
+	}
+	mustPublish(t, pub, xml)
+	mu.Lock()
+	defer mu.Unlock()
+	if notifies != 0 {
+		t.Fatalf("departed watcher was sent %d notifications", notifies)
+	}
+	if got := broker.reg.Snapshot().Counters["broker_watchers_dropped_total"]; got != 1 {
+		t.Fatalf("broker_watchers_dropped_total = %d, want 1", got)
+	}
+	broker.mu.Lock()
+	defer broker.mu.Unlock()
+	if len(broker.watchers) != 0 {
+		t.Fatalf("broker still holds %d registrations", len(broker.watchers))
+	}
+}
+
 // TestBrokerWatchIgnoresEmptyAndRepeated: a broker keeps neither a watch
 // with no keys, which would match every snippet put there, nor a second
 // copy of a watch it holds, which would notify its watcher twice per put.

@@ -175,25 +175,28 @@ func (p *Peer) recoverPublishes(xmls []string) error {
 // record, is made under p.mu, and p.mu is held from the capture to the
 // LSN read, so an op is in the payload if and only if its LSN is at or
 // below FoldLSN; a Publish or an adoption racing with compaction can
-// never be stamped as folded in without being in the snapshot.
+// never be stamped as folded in without being in the snapshot. The
+// capture copies only references to immutable bodies; the encoding, the
+// work that grows with the corpus, runs after p.mu is released.
 func (p *Peer) snapshotSource() (store.SnapshotData, error) {
 	ver := p.node.SelfRecord().Ver
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	snap := Snapshot{ID: int32(p.id), Epoch: ver.Epoch, Seq: ver.Seq}
-	for _, d := range p.store.All() {
-		snap.Docs = append(snap.Docs, d.Raw)
-	}
+	snap := Snapshot{ID: int32(p.id), Epoch: ver.Epoch, Seq: ver.Seq, Docs: p.store.All()}
 	snap.Replicas, snap.Tombs = p.rep.State()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+	fold := p.st.LastLSN()
+	p.mu.Unlock()
+	// The payload is at most the last one plus what the log has recorded
+	// since, so the buffer is sized once and never regrown mid-encode.
+	buf := bytes.NewBuffer(make([]byte, 0, p.snapSize.Load()+p.st.WALSize()))
+	if err := gob.NewEncoder(buf).Encode(snap); err != nil {
 		return store.SnapshotData{}, fmt.Errorf("core: snapshot: %w", err)
 	}
+	p.snapSize.Store(int64(buf.Len()))
 	return store.SnapshotData{
 		Payload: buf.Bytes(),
 		Epoch:   ver.Epoch,
 		Seq:     ver.Seq,
-		FoldLSN: p.st.LastLSN(),
+		FoldLSN: fold,
 	}, nil
 }
 

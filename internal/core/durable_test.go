@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -385,4 +387,72 @@ func TestDurableRestartRejoinsCommunity(t *testing.T) {
 		docs, _ := peers[0].Search("pelican", 2)
 		return len(docs) == 1 && docs[0].Peer == 1
 	})
+}
+
+// TestParentDataDirRecovers opens a DataDir written by an earlier build —
+// a snapshot folding two own documents, a remove, a held replica and a
+// tombstone, then a WAL suffix with a publish batch, a remove, an adopted
+// replica and a tombstone for a replica never held, left by a process
+// that died without its final snapshot — and checks that the current code
+// recovers exactly that state. The WAL and snapshot formats are the
+// on-disk contract; this is the test that a change to either breaks.
+func TestParentDataDirRecovers(t *testing.T) {
+	const src = "testdata/datadir-parent"
+	dir := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := NewPeer(Config{
+		ID: 0, Capacity: 8, Gossip: fastGossip(),
+		DataDir: dir, Replicas: 3, HoardHalfLife: 10 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	rec := p.Recovery()
+	if rec.OpsReplayed == 0 || rec.TruncatedRecords != 0 || len(rec.Quarantined) != 0 {
+		t.Fatalf("recovery = %+v, want a clean snapshot + WAL replay", rec)
+	}
+	own := map[string]string{
+		"fe1df6c4cbbf44de40491d459765b3cf": `<paper><title>snapshot heron one</title><body>folded walrus</body></paper>`,
+		"86341907d4eec3aafc59c51d11df44a1": `<paper><title>snapshot heron two</title><body>folded gannet</body></paper>`,
+		"866112f8fc58b75258c62d1a2256e6b8": `<paper><title>wal heron four</title><body>suffix walrus</body></paper>`,
+	}
+	reps := map[string]string{
+		"rep-snap-a": `<paper>replica falcon in snapshot</paper>`,
+		"rep-wal-c":  `<paper>replica kestrel in wal</paper>`,
+	}
+	if p.LocalDocs() != len(own) || p.ReplicaDocs() != len(reps) {
+		t.Fatalf("recovered %d docs and %d replicas, want %d and %d", p.LocalDocs(), p.ReplicaDocs(), len(own), len(reps))
+	}
+	for _, want := range []map[string]string{own, reps} {
+		for key, body := range want {
+			if got, err := p.FetchDocument(p.ID(), key); err != nil || got != body {
+				t.Errorf("FetchDocument(%s) = %q, %v; want %q", key, got, err, body)
+			}
+		}
+	}
+	for _, gone := range []string{"b9ca436c5ab27b6fcdee892e16a18265", "6ea4a81292b5068902768d6ca0cc7645", "rep-snap-b"} {
+		if _, err := p.FetchDocument(p.ID(), gone); err == nil {
+			t.Errorf("removed or purged %s came back", gone)
+		}
+	}
+	_, tombs := p.rep.State()
+	if want := map[string]uint32{"rep-snap-b": 1, "rep-never-held": 7}; !reflect.DeepEqual(tombs, want) {
+		t.Fatalf("tombstones = %v, want %v", tombs, want)
+	}
+	if docs, _ := p.Search("walrus", 4); len(docs) != 2 {
+		t.Fatalf("recovered documents not searchable: %d hits for walrus, want 2", len(docs))
+	}
 }

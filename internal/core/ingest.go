@@ -48,6 +48,11 @@ func releaseFreqs(m map[string]int) {
 	freqPool.Put(m)
 }
 
+// analyzerPool lends analyzers across batches, so a term's interned string
+// outlives the batch that first saw it. The GC empties the pool, which
+// bounds every intern table at what recent batches used.
+var analyzerPool = sync.Pool{New: func() any { return new(text.Analyzer) }}
+
 // analyzed pairs a parsed document with its term-frequency map (pooled;
 // released once indexed and brokered) and the key it is indexed under:
 // the document id, or for a replica the key its origin gave it.
@@ -71,7 +76,7 @@ func (p *Peer) analyzeOne(xml string, a *text.Analyzer) analyzed {
 }
 
 // analyzeBatch fans the CPU-bound analysis over up to GOMAXPROCS
-// workers, each with its own Analyzer (token buffer + intern table).
+// workers, each with its own pooled Analyzer (token buffer + intern table).
 // Results are index-aligned with xmls. It runs without p.mu — analysis
 // never touches peer state.
 func (p *Peer) analyzeBatch(xmls []string) ([]analyzed, error) {
@@ -81,24 +86,25 @@ func (p *Peer) analyzeBatch(xmls []string) ([]analyzed, error) {
 		workers = len(xmls)
 	}
 	if workers <= 1 {
-		var a text.Analyzer
+		a := analyzerPool.Get().(*text.Analyzer)
 		for i, xml := range xmls {
-			out[i] = p.analyzeOne(xml, &a)
+			out[i] = p.analyzeOne(xml, a)
 		}
+		analyzerPool.Put(a)
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
-				defer wg.Done()
-				var a text.Analyzer
+				a := analyzerPool.Get().(*text.Analyzer)
+				defer func() { analyzerPool.Put(a); wg.Done() }()
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(xmls) {
 						return
 					}
-					out[i] = p.analyzeOne(xmls[i], &a)
+					out[i] = p.analyzeOne(xmls[i], a)
 				}
 			}()
 		}
@@ -171,7 +177,7 @@ func (p *Peer) applyPublishLocked(fresh []analyzed) (converted int) {
 			_ = p.applyLocked(replica.DropOp(ad.key, 0, false)) // a record just built always decodes
 			converted++
 		}
-		p.store.Put(ad.doc)
+		p.store.Put(ad.key, ad.doc.Raw)
 	}
 	p.indexLocked(fresh)
 	return converted
@@ -220,8 +226,9 @@ func (p *Peer) indexReplicaLocked(e replica.Entry) {
 	if _, ok := p.docOf[e.Key]; ok {
 		return
 	}
-	var a text.Analyzer
-	ad := p.analyzeOne(e.XML, &a)
+	a := analyzerPool.Get().(*text.Analyzer)
+	ad := p.analyzeOne(e.XML, a)
+	analyzerPool.Put(a)
 	ad.key = e.Key
 	p.indexLocked([]analyzed{ad})
 	releaseFreqs(ad.freqs)

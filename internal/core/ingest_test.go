@@ -3,7 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -168,6 +172,30 @@ func TestTopTermsCeil(t *testing.T) {
 	top := topTerms(map[string]int{"bb": 2, "aa": 2, "zz": 5}, 0.5)
 	if !reflect.DeepEqual(top, []string{"zz", "aa"}) {
 		t.Fatalf("topTerms order = %v", top)
+	}
+	// Against a full sort, over many tie-heavy maps: the same terms in the
+	// same order (frequency descending, then term).
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		freqs := make(map[string]int)
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			freqs[fmt.Sprintf("w%02d", rng.Intn(60))] = 1 + rng.Intn(4)
+		}
+		all := make([]string, 0, len(freqs))
+		for term := range freqs {
+			all = append(all, term)
+		}
+		sort.Slice(all, func(i, j int) bool {
+			if freqs[all[i]] != freqs[all[j]] {
+				return freqs[all[i]] > freqs[all[j]]
+			}
+			return all[i] < all[j]
+		})
+		frac := rng.Float64()
+		n := min(max(int(math.Ceil(frac*float64(len(all))-1e-9)), 1), len(all))
+		if got := topTerms(freqs, frac); !slices.Equal(got, all[:n]) {
+			t.Fatalf("topTerms(%v, %v) = %v, want %v", freqs, frac, got, all[:n])
+		}
 	}
 }
 

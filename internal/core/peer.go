@@ -5,12 +5,16 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"planetp/internal/bloom"
@@ -139,6 +143,7 @@ type Peer struct {
 	// Durable state (nil/zero unless Config.DataDir is set).
 	st       *store.Store
 	recovery RecoverySummary
+	snapSize atomic.Int64 // the last snapshot payload's size, to pre-size the next
 
 	// Replication state: the replica manager is always constructed (it
 	// also carries the popularity signal); hoardDone closes when the
@@ -426,36 +431,39 @@ func (p *Peer) selfVer() directory.Version {
 	return p.node.SelfRecord().Ver
 }
 
+// termFreq is one term of a document with its frequency, for topTerms.
+type termFreq struct {
+	t string
+	f int
+}
+
+// termFreqPool lends topTerms its scratch slice of a document's terms.
+var termFreqPool = sync.Pool{New: func() any { return new([]termFreq) }}
+
 // topTerms returns the ceil(frac * |terms|) most frequent terms (at least
 // one), ties broken lexicographically for determinism.
 func topTerms(freqs map[string]int, frac float64) []string {
-	type tf struct {
-		t string
-		f int
-	}
-	all := make([]tf, 0, len(freqs))
+	buf := termFreqPool.Get().(*[]termFreq)
+	all := (*buf)[:0]
 	for t, f := range freqs {
-		all = append(all, tf{t, f})
+		all = append(all, termFreq{t, f})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].f != all[j].f {
-			return all[i].f > all[j].f
+	slices.SortFunc(all, func(a, b termFreq) int {
+		if a.f != b.f {
+			return cmp.Compare(b.f, a.f)
 		}
-		return all[i].t < all[j].t
+		return strings.Compare(a.t, b.t)
 	})
 	// Ceil of the exact fraction; the epsilon keeps float noise like
 	// 0.2*5 == 1.0000000000000002 from rounding an integral product up.
-	n := int(math.Ceil(frac*float64(len(all)) - 1e-9))
-	if n < 1 {
-		n = 1
-	}
-	if n > len(all) {
-		n = len(all)
-	}
+	n := min(max(int(math.Ceil(frac*float64(len(all))-1e-9)), 1), len(all))
 	out := make([]string, n)
-	for i := 0; i < n; i++ {
+	for i := range out {
 		out[i] = all[i].t
 	}
+	clear(all) // the pool must not pin the document's terms
+	*buf = all[:0]
+	termFreqPool.Put(buf)
 	return out
 }
 
@@ -675,8 +683,8 @@ func (p *Peer) FetchDocument(owner directory.PeerID, key string) (string, error)
 // as an Entry with this peer as origin and no epoch — else a hoarded
 // replica.
 func (p *Peer) holding(key string) (e replica.Entry, own, ok bool) {
-	if d, err := p.store.Get(key); err == nil {
-		return replica.Entry{Key: key, Origin: int32(p.id), XML: d.Raw}, true, true
+	if raw, err := p.store.Get(key); err == nil {
+		return replica.Entry{Key: key, Origin: int32(p.id), XML: raw}, true, true
 	}
 	e, ok = p.rep.Get(key)
 	return e, false, ok

@@ -193,17 +193,30 @@ func (p *Peer) brokerPublish(sns []broker.Snippet, discard time.Duration) {
 }
 
 // putLocalSnippet stores one key of a snippet in the local broker and
-// fires remote watches.
+// fires remote watches. A registration whose watcher the directory no
+// longer lists as on-line is dropped rather than notified: a departed
+// watcher would otherwise be sent, and struck for, every matching put.
 func (p *Peer) putLocalSnippet(sn broker.Snippet, key string, discard time.Duration) {
 	p.broker.Put(key, sn, discard)
 	p.mu.Lock()
 	var fire []remoteWatch
+	kept := p.watchers[:0]
 	for _, w := range p.watchers {
+		if e, known := p.dir.Entry(w.watcher); known && !e.Online {
+			continue
+		}
+		kept = append(kept, w)
 		if sn.HasAllKeys(w.keys) {
 			fire = append(fire, w)
 		}
 	}
+	dropped := len(p.watchers) - len(kept)
+	clear(p.watchers[len(kept):])
+	p.watchers = kept
 	p.mu.Unlock()
+	if dropped > 0 {
+		p.reg.Counter("broker_watchers_dropped_total").Add(int64(dropped))
+	}
 	for _, w := range fire {
 		if w.watcher == p.id {
 			p.registry.NotifyDoc(snippetResult(sn, w.keys))

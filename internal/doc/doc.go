@@ -47,10 +47,6 @@ type Document struct {
 	// Text is all character data extracted from the XML (tags currently
 	// index as plain terms, matching the paper's footnote 2 behaviour).
 	Text string
-	// Scoped maps each element name to the character data appearing
-	// directly inside it (innermost element wins) — the structured
-	// extension of footnote 2, enabling "tag:term" queries.
-	Scoped map[string]string
 	// Links are the external references found in the XML.
 	Links []Link
 }
@@ -72,8 +68,30 @@ func (f ResolverFunc) Resolve(url string) (string, error) { return f(url) }
 // gracefully: whatever character data precedes the error is kept, so peers
 // can still share imperfect snippets.
 func Parse(raw string) *Document {
-	d := &Document{Raw: raw, ID: HashID(raw), Scoped: make(map[string]string)}
-	dec := xml.NewDecoder(strings.NewReader(raw))
+	d := &Document{Raw: raw, ID: HashID(raw)}
+	d.walk(nil)
+	return d
+}
+
+// Scoped maps each element name to the character data appearing directly
+// inside it (innermost element wins) — the structured extension of
+// footnote 2, enabling "tag:term" queries. It is derived from Raw on each
+// call: only structured indexing reads it, so no document carries it.
+func (d *Document) Scoped() map[string]string {
+	scoped := make(map[string]string)
+	(&Document{Raw: d.Raw}).walk(scoped)
+	for tag, txt := range scoped {
+		if strings.TrimSpace(txt) == "" {
+			delete(scoped, tag)
+		}
+	}
+	return scoped
+}
+
+// walk decodes Raw into Text and Links, and with a non-nil scoped map
+// also collects each element's own character data into it.
+func (d *Document) walk(scoped map[string]string) {
+	dec := xml.NewDecoder(strings.NewReader(d.Raw))
 	var sb strings.Builder
 	var tags []string
 	var stack []string
@@ -92,8 +110,9 @@ func Parse(raw string) *Document {
 					d.Links = append(d.Links, Link{URL: attr.Value, Type: linkType(attr.Value)})
 				} else {
 					// Attribute values index under the element's scope.
-					cur := strings.ToLower(t.Name.Local)
-					d.Scoped[cur] += attr.Value + " "
+					if scoped != nil {
+						scoped[strings.ToLower(t.Name.Local)] += attr.Value + " "
+					}
 					sb.WriteString(attr.Value)
 					sb.WriteByte(' ')
 				}
@@ -105,15 +124,9 @@ func Parse(raw string) *Document {
 		case xml.CharData:
 			sb.Write(t)
 			sb.WriteByte(' ')
-			if len(stack) > 0 {
-				cur := stack[len(stack)-1]
-				d.Scoped[cur] += string(t) + " "
+			if scoped != nil && len(stack) > 0 {
+				scoped[stack[len(stack)-1]] += string(t) + " "
 			}
-		}
-	}
-	for tag, txt := range d.Scoped {
-		if strings.TrimSpace(txt) == "" {
-			delete(d.Scoped, tag)
 		}
 	}
 	// Footnote 2: XML tags are indexed simply as normal terms.
@@ -122,7 +135,6 @@ func Parse(raw string) *Document {
 		sb.WriteByte(' ')
 	}
 	d.Text = strings.TrimSpace(sb.String())
-	return d
 }
 
 // linkType derives the type from the URL extension.
@@ -202,7 +214,7 @@ func (d *Document) StructuredTermFreqsWith(r Resolver, a *text.Analyzer, dst map
 		a = &text.Analyzer{}
 	}
 	freqs := a.TermFreqs(d.IndexableText(r), dst)
-	for tag, txt := range d.Scoped {
+	for tag, txt := range d.Scoped() {
 		for _, term := range a.Terms(txt, nil) {
 			// Terms from the pipeline are already stemmed; scope keys
 			// are already lowercase — compose directly so the form
@@ -213,37 +225,38 @@ func (d *Document) StructuredTermFreqsWith(r Resolver, a *text.Analyzer, dst map
 	return freqs
 }
 
-// Store is a peer's local data store of published documents. It is
+// Store is a peer's local data store of published documents: each
+// document's raw XML under its id, the one resident copy of its body. It is
 // thread-safe.
 type Store struct {
 	mu   sync.RWMutex
-	docs map[string]*Document
+	docs map[string]string
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{docs: make(map[string]*Document)} }
+func NewStore() *Store { return &Store{docs: make(map[string]string)} }
 
-// Put stores d, returning false if a document with the same id was already
-// present (publishing is idempotent on content).
-func (s *Store) Put(d *Document) bool {
+// Put stores the raw XML of document id, returning false if it was
+// already present (publishing is idempotent on content).
+func (s *Store) Put(id, raw string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.docs[d.ID]; ok {
+	if _, ok := s.docs[id]; ok {
 		return false
 	}
-	s.docs[d.ID] = d
+	s.docs[id] = raw
 	return true
 }
 
-// Get retrieves a document by id.
-func (s *Store) Get(id string) (*Document, error) {
+// Get retrieves a document's raw XML by id.
+func (s *Store) Get(id string) (string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	d, ok := s.docs[id]
+	raw, ok := s.docs[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+		return "", fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return d, nil
+	return raw, nil
 }
 
 // Delete removes a document, reporting whether it was present.
@@ -276,13 +289,13 @@ func (s *Store) IDs() []string {
 	return out
 }
 
-// All returns every stored document (order unspecified).
-func (s *Store) All() []*Document {
+// All returns the raw XML of every stored document (order unspecified).
+func (s *Store) All() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]*Document, 0, len(s.docs))
-	for _, d := range s.docs {
-		out = append(out, d)
+	out := make([]string, 0, len(s.docs))
+	for _, raw := range s.docs {
+		out = append(out, raw)
 	}
 	return out
 }

@@ -142,14 +142,14 @@ func TestTermsAndTermFreqs(t *testing.T) {
 func TestStorePutGetDelete(t *testing.T) {
 	s := NewStore()
 	d := Parse("<x>hello world content</x>")
-	if !s.Put(d) {
+	if !s.Put(d.ID, d.Raw) {
 		t.Fatal("first Put failed")
 	}
-	if s.Put(d) {
+	if s.Put(d.ID, d.Raw) {
 		t.Fatal("duplicate Put should return false")
 	}
 	got, err := s.Get(d.ID)
-	if err != nil || got != d {
+	if err != nil || got != d.Raw {
 		t.Fatalf("Get: %v %v", got, err)
 	}
 	if !s.Delete(d.ID) {
@@ -167,8 +167,8 @@ func TestStoreIDsAndAll(t *testing.T) {
 	s := NewStore()
 	d1 := Parse("<a>one</a>")
 	d2 := Parse("<b>two</b>")
-	s.Put(d1)
-	s.Put(d2)
+	s.Put(d1.ID, d1.Raw)
+	s.Put(d2.ID, d2.Raw)
 	ids := s.IDs()
 	if len(ids) != 2 || ids[0] > ids[1] {
 		t.Fatalf("IDs = %v", ids)

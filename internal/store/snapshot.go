@@ -41,15 +41,15 @@ type Header struct {
 	LSN        uint64
 }
 
-// encodeSnapshot frames a payload into a snapshot file image.
-func encodeSnapshot(hdr Header, payload []byte) []byte {
-	buf := make([]byte, snapHeaderSize+len(payload))
+// snapshotHeader renders the header a snapshot file of payload starts
+// with; the file is the header followed by the payload.
+func snapshotHeader(hdr Header, payload []byte) []byte {
+	buf := make([]byte, snapHeaderSize)
 	copy(buf[0:4], snapMagic)
 	binary.LittleEndian.PutUint32(buf[4:8], hdr.Epoch)
 	binary.LittleEndian.PutUint32(buf[8:12], hdr.Seq)
 	binary.LittleEndian.PutUint64(buf[12:20], hdr.LSN)
 	binary.LittleEndian.PutUint64(buf[20:28], uint64(len(payload)))
-	copy(buf[snapHeaderSize:], payload)
 	crc := crc32.Checksum(buf[0:28], castagnoli)
 	crc = crc32.Update(crc, castagnoli, payload)
 	binary.LittleEndian.PutUint32(buf[28:32], crc)

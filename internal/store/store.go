@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"path"
 	"sync"
+	"time"
 
 	"planetp/internal/metrics"
 )
@@ -28,8 +29,9 @@ type Options struct {
 	// FS is the filesystem seam (nil = the operating system). Tests
 	// mount MemFS/FaultFS here for deterministic disk-fault injection.
 	FS FS
-	// CompactBytes is the WAL size that triggers folding the log into a
-	// fresh snapshot (default 1 MiB; requires a snapshot source).
+	// CompactBytes is the smallest WAL size that triggers folding the log
+	// into a fresh snapshot (default 1 MiB; requires a snapshot source).
+	// Past it the log folds when it outgrows the installed snapshot.
 	CompactBytes int64
 	// MaxRecordBytes bounds a WAL record's payload (default 16 MiB);
 	// larger length prefixes are treated as corruption.
@@ -114,6 +116,8 @@ type Store struct {
 	walBytes    int64
 	nextLSN     uint64
 	snapLSN     uint64 // WAL position the current snapshot folds through
+	snapBytes   int64  // size of the installed snapshot file
+	recBuf      []byte // AppendBatch's record buffer, reused under mu
 	lastVer     [2]uint32
 	closed      bool
 	compacting  bool
@@ -126,7 +130,12 @@ type storeMetrics struct {
 	appends, fsyncs, snapshots, compactions *metrics.Counter
 	truncRecords, truncBytes, quarantined   *metrics.Counter
 	batchAppends                            *metrics.Counter
+	compactionUS                            *metrics.Histogram
+	snapshotBytes                           *metrics.Gauge
 }
+
+// compactionBoundsUS buckets a compaction's wall time in microseconds.
+var compactionBoundsUS = []int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 
 // Open mounts (or initializes) the store under opts.Dir and performs
 // recovery: it reads the newest readable snapshot (falling back to the
@@ -140,14 +149,16 @@ func Open(opts Options) (*Store, Recovery, error) {
 		opts: opts,
 		fsys: opts.FS,
 		m: storeMetrics{
-			appends:      opts.Metrics.Counter("store_wal_appends_total"),
-			fsyncs:       opts.Metrics.Counter("store_fsyncs_total"),
-			snapshots:    opts.Metrics.Counter("store_snapshots_total"),
-			compactions:  opts.Metrics.Counter("store_compactions_total"),
-			truncRecords: opts.Metrics.Counter("store_recovery_truncated_records_total"),
-			truncBytes:   opts.Metrics.Counter("store_recovery_truncated_bytes_total"),
-			quarantined:  opts.Metrics.Counter("store_quarantined_files_total"),
-			batchAppends: opts.Metrics.Counter("store_batch_appends_total"),
+			appends:       opts.Metrics.Counter("store_wal_appends_total"),
+			fsyncs:        opts.Metrics.Counter("store_fsyncs_total"),
+			snapshots:     opts.Metrics.Counter("store_snapshots_total"),
+			compactions:   opts.Metrics.Counter("store_compactions_total"),
+			truncRecords:  opts.Metrics.Counter("store_recovery_truncated_records_total"),
+			truncBytes:    opts.Metrics.Counter("store_recovery_truncated_bytes_total"),
+			quarantined:   opts.Metrics.Counter("store_quarantined_files_total"),
+			batchAppends:  opts.Metrics.Counter("store_batch_appends_total"),
+			compactionUS:  opts.Metrics.Histogram("store_compaction_us", compactionBoundsUS),
+			snapshotBytes: opts.Metrics.Gauge("store_snapshot_bytes"),
 		},
 	}
 	if err := s.fsys.MkdirAll(opts.Dir); err != nil {
@@ -206,6 +217,8 @@ func (s *Store) recoverSnapshot(rec *Recovery) error {
 		rec.SnapshotHeader = hdr
 		rec.UsedFallback = i > 0 || len(rec.Quarantined) > 0
 		s.snapLSN = hdr.LSN
+		s.snapBytes = int64(len(data))
+		s.m.snapshotBytes.Set(s.snapBytes)
 		return nil
 	}
 	// Also quarantine a leftover temp snapshot? No: a stale temp file is
@@ -409,7 +422,7 @@ func (s *Store) AppendBatch(ops []Op) (uint64, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	var buf []byte
+	buf := s.recBuf[:0]
 	lsn := s.nextLSN
 	hi := s.lastVer
 	for i := range ops {
@@ -423,7 +436,11 @@ func (s *Store) AppendBatch(ops []Op) (uint64, error) {
 	}
 	// A write error leaves the LSN counters unadvanced: whatever partial
 	// bytes reached the file are a tear for recovery to truncate.
-	if _, err := s.wal.Write(buf); err != nil {
+	_, err := s.wal.Write(buf)
+	if cap(buf) <= maxKeptRecBuf {
+		s.recBuf = buf
+	}
+	if err != nil {
 		return 0, fmt.Errorf("store: wal append: %w", err)
 	}
 	s.nextLSN = lsn
@@ -437,6 +454,10 @@ func (s *Store) AppendBatch(ops []Op) (uint64, error) {
 	return lsn - 1, nil
 }
 
+// maxKeptRecBuf caps the record buffer AppendBatch keeps between calls,
+// so one huge batch does not pin its buffer for the store's lifetime.
+const maxKeptRecBuf = 1 << 20
+
 // syncLocked fsyncs the log. Caller holds s.mu, so the File cannot be
 // rotated or closed under the flush.
 func (s *Store) syncLocked() error {
@@ -449,15 +470,19 @@ func (s *Store) syncLocked() error {
 
 // MaybeCompact folds the WAL into a fresh snapshot when it has passed
 // the compaction threshold and a snapshot source is installed; otherwise
-// it is a cheap no-op. It must be called OUTSIDE any lock the snapshot
-// source takes (core calls it after releasing the peer mutex — the
-// source re-acquires it to capture payload and fold LSN atomically).
+// it is a cheap no-op. The threshold is CompactBytes or the installed
+// snapshot's size, whichever is larger: the log folds when it has doubled
+// the on-disk state, so the rewrite work over a store's life is linear in
+// what it holds and recovery never replays more log than snapshot. It
+// must be called OUTSIDE any lock the snapshot source takes (core calls
+// it after releasing the peer mutex — the source re-acquires it to
+// capture payload and fold LSN atomically).
 // A compaction failure never invalidates the appends that triggered it:
 // they are already durable, the WAL just keeps growing until a later
 // compaction succeeds.
 func (s *Store) MaybeCompact() error {
 	s.mu.Lock()
-	if s.closed || s.compacting || s.snapshotSrc == nil || s.walBytes < s.opts.CompactBytes {
+	if s.closed || s.compacting || s.snapshotSrc == nil || s.walBytes < max(s.opts.CompactBytes, s.snapBytes) {
 		s.mu.Unlock()
 		return nil
 	}
@@ -465,6 +490,7 @@ func (s *Store) MaybeCompact() error {
 	s.compacting = true
 	s.mu.Unlock()
 
+	start := time.Now()
 	data, err := src()
 	if err == nil {
 		err = s.SaveSnapshot(data)
@@ -475,6 +501,7 @@ func (s *Store) MaybeCompact() error {
 	if err != nil {
 		return fmt.Errorf("store: compaction: %w", err)
 	}
+	s.m.compactionUS.Observe(time.Since(start).Microseconds())
 	s.m.compactions.Inc()
 	return nil
 }
@@ -509,16 +536,19 @@ func (s *Store) SaveSnapshot(data SnapshotData) error {
 		return err
 	}
 	hdr := Header{Epoch: data.Epoch, Seq: data.Seq, LSN: data.FoldLSN}
-	img := encodeSnapshot(hdr, data.Payload)
 
 	dir := s.opts.Dir
 	tmp, err := s.fsys.Create(join(dir, snapTmpName))
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot temp: %w", err)
 	}
-	if _, err := tmp.Write(img); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: writing snapshot: %w", err)
+	// Header and payload go out as two writes: the payload is never copied
+	// into a whole-file image.
+	for _, b := range [][]byte{snapshotHeader(hdr, data.Payload), data.Payload} {
+		if _, err := tmp.Write(b); err != nil {
+			tmp.Close()
+			return fmt.Errorf("store: writing snapshot: %w", err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -538,6 +568,8 @@ func (s *Store) SaveSnapshot(data SnapshotData) error {
 		return fmt.Errorf("store: syncing dir: %w", err)
 	}
 	s.snapLSN = hdr.LSN
+	s.snapBytes = int64(snapHeaderSize + len(data.Payload))
+	s.m.snapshotBytes.Set(s.snapBytes)
 	s.m.snapshots.Inc()
 
 	// Rotate the WAL: build the next generation aside — magic plus the

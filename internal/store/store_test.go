@@ -127,6 +127,13 @@ func TestCompactionFoldsWAL(t *testing.T) {
 	if reg.Counter("store_compactions_total").Value() == 0 {
 		t.Fatal("store_compactions_total not incremented")
 	}
+	if h := reg.Histogram("store_compaction_us", nil); h.Count() == 0 {
+		t.Fatal("store_compaction_us observed no compaction")
+	}
+	want := int64(snapHeaderSize + len(fmt.Sprintf("SNAP-%d", snapCalls)))
+	if got := reg.Gauge("store_snapshot_bytes").Value(); got != want {
+		t.Fatalf("store_snapshot_bytes = %d, want %d", got, want)
+	}
 	st.Close()
 
 	// Recovery sees the last snapshot plus only the post-snapshot tail.
@@ -137,6 +144,41 @@ func TestCompactionFoldsWAL(t *testing.T) {
 	}
 	if len(rec.Ops) >= 50 {
 		t.Fatalf("compaction left %d ops in the WAL", len(rec.Ops))
+	}
+}
+
+// TestCompactionAmortized: a store whose snapshot grows with its log —
+// a peer that only ever publishes — folds when the log has doubled the
+// on-disk state, not every CompactBytes. Appending 64 × CompactBytes
+// compacts at most ⌈log₂ 64⌉ + 1 times, and never while the log is
+// smaller than the snapshot it would replace.
+func TestCompactionAmortized(t *testing.T) {
+	const compactBytes = 1024
+	mem := NewMemFS()
+	reg := metrics.NewRegistry()
+	st, _ := openMem(t, mem, Options{CompactBytes: compactBytes, Metrics: reg})
+	defer st.Close()
+	var logged, snapBytes int64 // bytes appended so far; installed snapshot size
+	st.SetSnapshotSource(func() (SnapshotData, error) {
+		if wal := st.WALSize(); wal < snapBytes {
+			t.Errorf("compaction at a %d-byte WAL under a %d-byte snapshot", wal, snapBytes)
+		}
+		payload := make([]byte, logged)
+		snapBytes = int64(snapHeaderSize + len(payload))
+		return SnapshotData{Payload: payload, Epoch: 1, FoldLSN: st.LastLSN()}, nil
+	})
+	for logged < 64*compactBytes {
+		before := st.WALSize()
+		if _, err := st.Append(Op{Kind: OpPublish, Data: strings.Repeat("y", 100), Epoch: 1}); err != nil {
+			t.Fatal(err)
+		}
+		logged += st.WALSize() - before
+		if err := st.MaybeCompact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Counter("store_compactions_total").Value(); got == 0 || got > 7 {
+		t.Fatalf("%d compactions over 64 × CompactBytes of log, want 1..7", got)
 	}
 }
 
