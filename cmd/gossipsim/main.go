@@ -8,7 +8,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,7 +42,7 @@ var experiments = []experiment{
 	{"restart", "[-n 50] and the faults flags", restart},
 	{"churn-storm", "[-n 32] [-rates 0.5,1,2,4] [-seed 7] [-json BENCH_churn.json]", churnStorm},
 	{"replication", "[-n 32] [-rep-docs 320] [-ks 1,3] [-seed 7] [-json BENCH_replication.json]", replication},
-	{"directory-scale", "[-sizes 10000,100000] [-terms 1000] [-cache-budget 67108864] [-converge-max 10000] [-max-bytes-per-peer 0] [-memprofile heap.pprof] [-json F]", directoryScale},
+	{"directory-scale", "[-sizes 10000,100000] [-terms 1000] [-cache-budget 67108864] [-converge-max 10000] [-memprofile heap.pprof] [-json F]", directoryScale},
 }
 
 // options is every flag, parsed.
@@ -57,7 +56,6 @@ type options struct {
 	faults                    gossipsim.FaultSpec
 	jsonPath, memProfile      string
 	scale                     gossipsim.ScaleSpec
-	maxBytesPerPeer           float64
 }
 
 // list is a comma-separated flag; parse reads one element.
@@ -157,7 +155,6 @@ func run(args []string, w io.Writer) error {
 	fs.IntVar(&o.scale.TermsPerFilter, "terms", 1000, "directory-scale: keys per peer Bloom filter")
 	fs.Int64Var(&o.scale.CacheBudget, "cache-budget", 0, "directory-scale: probe-cache byte budget (0 = 64 MiB default)")
 	fs.IntVar(&o.scale.ConvergeMax, "converge-max", 10000, "directory-scale: run the convergence probe only at sizes up to this")
-	fs.Float64Var(&o.maxBytesPerPeer, "max-bytes-per-peer", 0, "directory-scale: exit non-zero if directory bytes/peer exceeds this at any size (0 = no guard)")
 	fs.StringVar(&o.memProfile, "memprofile", "", "directory-scale: write a heap profile at steady state to this path")
 	fs.Parse(args)
 	o.faults.Partition = o.faults.HealAt > o.faults.PartitionAt
@@ -446,13 +443,12 @@ type scaleReport struct {
 // directoryScale: weigh one compressed-resident directory replica at each
 // community size against the decompressed-filter baseline, sweep a query
 // fan-out through the probe cache cold and warm, and (up to -converge-max)
-// tie the numbers to a live propagation-convergence probe. The
-// -max-bytes-per-peer guard turns the memory diet into a CI gate.
+// tie the numbers to a live propagation-convergence probe.
+// TestDirectoryScaleBudget (internal/gossipsim) gates the 10 000-peer row.
 func directoryScale(w io.Writer, o *options) (any, error) {
 	fmt.Fprintln(w, "# Directory scale: per-replica memory and probe latency of the compressed-resident directory")
 	fmt.Fprintln(w, "n,payload_bytes,dir_bytes_per_peer,baseline_bytes_per_peer,ratio,cold_probe_ns,warm_probe_ns,cache_resident_bytes,heap_alloc_bytes,converge_s,build_s")
 	report := scaleReport{TermsPerFilter: o.scale.TermsPerFilter, CacheBudget: o.scale.CacheBudget, Seed: o.seed}
-	var violated error
 	for _, n := range o.sizes.or(10000, 100000) {
 		sp := o.scale
 		sp.N = n
@@ -462,10 +458,6 @@ func directoryScale(w io.Writer, o *options) (any, error) {
 			pt.N, pt.PayloadBytes, pt.BytesPerPeer, pt.BaselineBytesPerPeer,
 			pt.Ratio, pt.ColdProbeNS, pt.WarmProbeNS, pt.CacheResidentBytes,
 			pt.HeapAllocBytes, pt.ConvergeS, pt.BuildS)
-		if o.maxBytesPerPeer > 0 && pt.BytesPerPeer > o.maxBytesPerPeer {
-			violated = errors.Join(violated, fmt.Errorf("directory-scale: n=%d bytes/peer %.1f exceeds budget %.1f",
-				n, pt.BytesPerPeer, o.maxBytesPerPeer))
-		}
 	}
 	if o.memProfile != "" {
 		f, err := os.Create(o.memProfile)
@@ -482,5 +474,5 @@ func directoryScale(w io.Writer, o *options) (any, error) {
 		}
 		fmt.Fprintf(w, "# wrote %s\n", o.memProfile)
 	}
-	return report, violated
+	return report, nil
 }

@@ -442,17 +442,46 @@ func CompactSmaller(buf []byte) bool {
 	return err == nil && compactBytes(hdr.nbits, hdr.nset) <= hdr.nbits/8
 }
 
-// Decompress reconstructs a filter from its Compress encoding.
-func Decompress(buf []byte) (*Filter, error) {
+// Header reads a Compress encoding's geometry and set-bit count off its
+// header alone; ok is false where every decoder refuses the header.
+func Header(buf []byte) (nbits, nhash, nset uint64, ok bool) {
+	hdr, _, err := decodeWireHeader(buf)
+	return hdr.nbits, hdr.nhash, hdr.nset, err == nil
+}
+
+// DecodePositions decodes a Compress encoding's set-bit positions, ascending
+// and below its nbits, into dst's storage. It accepts and rejects exactly
+// what Decompress does.
+func DecodePositions(dst []uint64, buf []byte) ([]uint64, error) {
+	_, positions, err := decodePositions(dst[:0], buf)
+	return positions, err
+}
+
+// decodePositions is the validation every decoder shares: the header, the
+// Golomb gaps, and the last position below nbits. Positions are decoded
+// before any filter is allocated, so a corrupt header cannot cost a large
+// allocation for garbage payload.
+func decodePositions(dst []uint64, buf []byte) (wireHeader, []uint64, error) {
 	hdr, rest, err := decodeWireHeader(buf)
 	if err != nil {
-		return nil, err
+		return hdr, nil, err
 	}
-	// Decode the positions before allocating the filter, so a corrupt
-	// header cannot cost a large allocation for garbage payload.
-	positions, err := golomb.DecodeGaps(rest, hdr.m, int(hdr.nset))
+	positions, err := golomb.AppendGaps(dst, rest, hdr.m, int(hdr.nset))
 	if err != nil {
-		return nil, fmt.Errorf("bloom: %w", err)
+		return hdr, nil, fmt.Errorf("bloom: %w", err)
+	}
+	// Positions ascend, so the last one bounds them all.
+	if n := len(positions); n > 0 && positions[n-1] >= hdr.nbits {
+		return hdr, nil, ErrCorrupt
+	}
+	return hdr, positions, nil
+}
+
+// Decompress reconstructs a filter from its Compress encoding.
+func Decompress(buf []byte) (*Filter, error) {
+	hdr, positions, err := decodePositions(nil, buf)
+	if err != nil {
+		return nil, err
 	}
 	f := New(int(hdr.nbits), int(hdr.nhash))
 	f.nkeys = hdr.nkeys

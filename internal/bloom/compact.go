@@ -1,11 +1,6 @@
 package bloom
 
-import (
-	"fmt"
-	"math/bits"
-
-	"planetp/internal/golomb"
-)
+import "math/bits"
 
 // Compact is a succinct, probe-only representation of a Bloom filter: its
 // set-bit positions, decoded once from the Golomb wire payload and bucketed
@@ -78,17 +73,9 @@ func newCompact(positions []uint64, nbits uint64, nhash uint32, nkeys uint64) *C
 // materializing the bitset. It validates exactly what Decompress validates
 // — the two must accept and reject the same inputs.
 func DecodeCompact(buf []byte) (*Compact, error) {
-	hdr, rest, err := decodeWireHeader(buf)
+	hdr, positions, err := decodePositions(nil, buf)
 	if err != nil {
 		return nil, err
-	}
-	positions, err := golomb.DecodeGaps(rest, hdr.m, int(hdr.nset))
-	if err != nil {
-		return nil, fmt.Errorf("bloom: %w", err)
-	}
-	// Positions ascend, so the last one bounds them all.
-	if n := len(positions); n > 0 && positions[n-1] >= hdr.nbits {
-		return nil, ErrCorrupt
 	}
 	return newCompact(positions, hdr.nbits, uint32(hdr.nhash), hdr.nkeys), nil
 }

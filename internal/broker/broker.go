@@ -13,6 +13,7 @@
 package broker
 
 import (
+	"hash/maphash"
 	"sync"
 	"time"
 
@@ -65,6 +66,9 @@ type Broker struct {
 	mu    sync.Mutex
 	clock func() time.Duration
 	byKey map[string][]entry
+	// held counts the entries by heldKey: a put looks through its key's
+	// entries for the one it repeats only where there may be one.
+	held map[uint32]uint32
 
 	m brokerMetrics
 }
@@ -81,7 +85,22 @@ type brokerMetrics struct {
 // NewBroker returns a broker using clock for expiry decisions (virtual
 // time in simulation, monotonic elapsed time live).
 func NewBroker(clock func() time.Duration) *Broker {
-	return &Broker{clock: clock, byKey: make(map[string][]entry)}
+	return &Broker{clock: clock, byKey: make(map[string][]entry), held: make(map[uint32]uint32)}
+}
+
+var heldSeed = maphash.MakeSeed()
+
+func heldKey(key, id string) uint32 {
+	return uint32(31*maphash.String(heldSeed, key) + maphash.String(heldSeed, id))
+}
+
+// drop uncounts an entry of key that leaves the store; b.mu is held.
+func (b *Broker) drop(key string, e entry) {
+	if k := heldKey(key, e.sn.ID); b.held[k] > 1 {
+		b.held[k]--
+	} else {
+		delete(b.held, k)
+	}
 }
 
 // SetMetrics points the broker's counters (broker_* names) at reg. Call
@@ -97,13 +116,27 @@ func (b *Broker) SetMetrics(reg *metrics.Registry) {
 	}
 }
 
-// Put stores sn under key until the discard time elapses.
-func (b *Broker) Put(key string, sn Snippet, discard time.Duration) {
+// Put stores sn under key until the discard time elapses and reports
+// whether the snippet is new there. A repeat of a snippet ID the key holds
+// — a retried batch, a flood — refreshes that entry's snippet and expiry
+// in place; it is new only if the entry had expired.
+func (b *Broker) Put(key string, sn Snippet, discard time.Duration) bool {
 	now := b.clock()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.byKey[key] = append(b.byKey[key], entry{sn: sn, expires: now + discard})
 	b.m.puts.Inc()
+	e, k := entry{sn: sn, expires: now + discard}, heldKey(key, sn.ID)
+	if b.held[k] > 0 {
+		for i, old := range b.byKey[key] {
+			if old.sn.ID == sn.ID {
+				b.byKey[key][i] = e
+				return old.expires <= now
+			}
+		}
+	}
+	b.held[k]++
+	b.byKey[key] = append(b.byKey[key], e)
+	return true
 }
 
 // Get returns the live snippets stored under key.
@@ -120,6 +153,7 @@ func (b *Broker) Get(key string) []Snippet {
 			out = append(out, e.sn)
 			live = append(live, e)
 		} else {
+			b.drop(key, e)
 			b.m.expired.Inc()
 		}
 	}
@@ -144,6 +178,7 @@ func (b *Broker) Sweep() int {
 			if e.expires > now {
 				live = append(live, e)
 			} else {
+				b.drop(key, e)
 				n++
 			}
 		}
@@ -179,6 +214,7 @@ func (b *Broker) Export() []Stored {
 		}
 		delete(b.byKey, key)
 	}
+	clear(b.held)
 	return out
 }
 

@@ -76,3 +76,40 @@ func TestExport(t *testing.T) {
 		t.Fatal("export did not drain")
 	}
 }
+
+// TestBrokerPutRepeatRefreshes: a put of a snippet ID its key already
+// holds — a retried batch, a flood — refreshes that one entry's snippet
+// and expiry and is not new; the same ID under another key is, and so is
+// a repeat once the entry has expired.
+func TestBrokerPutRepeatRefreshes(t *testing.T) {
+	c := &vclock{}
+	b := NewBroker(c.fn())
+	if !b.Put("k", snip("s1", "k"), time.Minute) {
+		t.Fatal("first put not new")
+	}
+	c.now = 30 * time.Second
+	again := snip("s1", "k")
+	again.XML = "<s>refreshed</s>"
+	for i := 0; i < 3; i++ {
+		if b.Put("k", again, time.Minute) {
+			t.Fatal("repeat put reported new")
+		}
+	}
+	if b.Len() != 1 {
+		t.Fatalf("Len = %d after repeats, want 1", b.Len())
+	}
+	c.now = 80 * time.Second // past the first put's expiry, not the repeat's
+	if got := b.Get("k"); len(got) != 1 || got[0].XML != again.XML {
+		t.Fatalf("Get = %v, want the refreshed snippet once", got)
+	}
+	if !b.Put("k2", snip("s1", "k2"), time.Minute) {
+		t.Fatal("the snippet under a second key not new")
+	}
+	c.now = 200 * time.Second
+	if !b.Put("k", snip("s1", "k"), time.Minute) {
+		t.Fatal("a put after its entry expired not new")
+	}
+	if got := b.Get("k"); len(got) != 1 {
+		t.Fatalf("Get = %v after re-put, want one entry", got)
+	}
+}

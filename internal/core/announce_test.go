@@ -12,10 +12,12 @@ import (
 	"time"
 
 	"planetp/internal/bloom"
+	"planetp/internal/broker"
 	"planetp/internal/chash"
 	"planetp/internal/directory"
 	"planetp/internal/gossip"
 	"planetp/internal/text"
+	"planetp/internal/transport"
 )
 
 // quietCommunity builds n peers that all know each other and are never
@@ -481,5 +483,38 @@ func TestBrokerWatchIgnoresEmptyAndRepeated(t *testing.T) {
 				t.Fatalf("watcher notified %d times, want %d (one registration: one per key at the broker)", notifies, want)
 			}
 		})
+	}
+}
+
+// TestRepeatedBrokerPutNotifiesOnce: a broker sent the same snippet for a
+// key twice — a retried batch — holds it once and notifies its watcher
+// once.
+func TestRepeatedBrokerPutNotifiesOnce(t *testing.T) {
+	peers := quietCommunity(t, 3, 1.0)
+	pub, brk, watcher := peers[0], peers[1], peers[2]
+	brk.addWatcher([]string{"osprey"}, watcher.id)
+	var mu sync.Mutex
+	notifies := 0
+	brk.tp.FateHook = func(to directory.PeerID) (error, bool, time.Duration, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if to == watcher.id {
+			notifies++
+		}
+		return nil, false, 0, false
+	}
+	sn := broker.Snippet{ID: "osprey-doc", Owner: int32(pub.id), XML: "<doc>osprey</doc>", Keys: []string{"osprey"}}
+	for i := 0; i < 2; i++ {
+		if err := pub.tp.BrokerPutBatch(brk.id, []transport.KeyedSnippet{{Snippet: sn, Keys: sn.Keys}}, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := brk.broker.Get("osprey"); len(got) != 1 {
+		t.Fatalf("broker holds %d copies of the snippet, want 1", len(got))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if notifies != 1 {
+		t.Fatalf("watcher notified %d times for one snippet put twice, want 1", notifies)
 	}
 }

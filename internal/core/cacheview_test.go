@@ -139,6 +139,57 @@ func TestSearchProbesEachPeerOnce(t *testing.T) {
 	}
 }
 
+// TestSearchReportsFilterIndex: a search over peers whose filters are
+// dense enough builds the filter cache's position-major base, and
+// /debug/metrics shows it — its rows (a superseded one stays, masked,
+// until the next rebuild) and bytes, the rebuild and its duration, the
+// rows the delta answered once a peer moves to a new version, and a
+// resident gauge that covers both tiers.
+func TestSearchReportsFilterIndex(t *testing.T) {
+	const n = 8
+	p, err := NewPeer(Config{ID: 0, Capacity: 64, Gossip: fastGossip()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	stub, err := NewPeer(Config{ID: 1, Capacity: 64, Gossip: fastGossip()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stub.Stop()
+	upsert := func(id directory.PeerID, seq uint32) {
+		terms := []string{"alpha", "bravo"}
+		for i := 0; i < 800; i++ {
+			terms = append(terms, fmt.Sprintf("t%d-%d-%d", id, seq, i))
+		}
+		pay := cachePayload(terms...)
+		p.dir.Upsert(directory.Record{
+			ID: id, Ver: directory.Version{Epoch: 1, Seq: seq}, Addr: stub.Addr(),
+			Payload: pay, PayloadSize: int32(len(pay)),
+		})
+	}
+	for id := directory.PeerID(1); id <= n; id++ {
+		upsert(id, 1)
+	}
+	p.Search("alpha bravo", 5)
+	upsert(3, 2)
+	p.Search("alpha bravo", 5)
+	s := p.reg.Snapshot()
+	if got := s.Gauges["filtercache_index_rows"]; got != n {
+		t.Errorf("filtercache_index_rows = %d, want %d", got, n)
+	}
+	if s.Get("filtercache_index_rebuilds_total") != 1 || s.Histograms["filtercache_rebuild_us"].Count != 1 {
+		t.Errorf("rebuilds %d, rebuild_us count %d, want 1 each", s.Get("filtercache_index_rebuilds_total"), s.Histograms["filtercache_rebuild_us"].Count)
+	}
+	if got := s.Get("filtercache_delta_rows_total"); got != 1 {
+		t.Errorf("filtercache_delta_rows_total = %d, want 1 (the superseded peer)", got)
+	}
+	bytes, resident := s.Gauges["filtercache_index_bytes"], s.Gauges["core_filter_cache_resident_bytes"]
+	if bytes <= 0 || resident <= bytes || resident != p.view.cache.ResidentBytes() {
+		t.Errorf("index %d B, resident gauge %d B, cache %d B: want resident = index + delta", bytes, resident, p.view.cache.ResidentBytes())
+	}
+}
+
 // TestSweepMatchesPerPeerProbes: the view's one sweep answers, row for
 // row and cell for cell, what a Contains per (peer, term) answers
 // — across version bumps, Invalidate, a budget so small that the sweep

@@ -193,11 +193,14 @@ func (p *Peer) brokerPublish(sns []broker.Snippet, discard time.Duration) {
 }
 
 // putLocalSnippet stores one key of a snippet in the local broker and
-// fires remote watches. A registration whose watcher the directory no
+// fires remote watches, unless the broker already held it there (a repeat
+// only refreshes the entry). A registration whose watcher the directory no
 // longer lists as on-line is dropped rather than notified: a departed
 // watcher would otherwise be sent, and struck for, every matching put.
 func (p *Peer) putLocalSnippet(sn broker.Snippet, key string, discard time.Duration) {
-	p.broker.Put(key, sn, discard)
+	if !p.broker.Put(key, sn, discard) {
+		return
+	}
 	p.mu.Lock()
 	var fire []remoteWatch
 	kept := p.watchers[:0]

@@ -391,6 +391,28 @@ func TestCorruptPayloadDecodedOncePerVersion(t *testing.T) {
 // filters of 1000 words from a 200 000-word vocabulary, all resident, each
 // swept with a 3-term query by two goroutines at once.
 func BenchmarkSweep1023(b *testing.B) {
+	const peers = 1023
+	ids, vers, payloads, queries := rankWide()
+	c := New(newFakeSource(), Config{})
+	c.Sweep(ids, vers, payloads, queries[0], make([]bool, peers*3)) // warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < b.N; i += 2 {
+				c.Sweep(ids, vers, payloads, queries[i%len(queries)], make([]bool, peers*3))
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// rankWide is rank_wide's directory: 1023 paper-geometry filters of 1000
+// words from a 200 000-word vocabulary, and 64 3-term queries.
+func rankWide() ([]directory.PeerID, []directory.Version, [][]byte, [][]bloom.Digest) {
 	const peers, words, vocab = 1023, 1000, 200000
 	rng := rand.New(rand.NewSource(1))
 	word := func() string { return fmt.Sprintf("w%06d", rng.Intn(vocab)) }
@@ -408,21 +430,7 @@ func BenchmarkSweep1023(b *testing.B) {
 	for i := range queries {
 		queries[i] = bloom.MakeDigests([]string{word(), word(), word()})
 	}
-	c := New(newFakeSource(), Config{})
-	c.Sweep(ids, vers, payloads, queries[0], make([]bool, peers*3)) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < b.N; i += 2 {
-				c.Sweep(ids, vers, payloads, queries[i%len(queries)], make([]bool, peers*3))
-			}
-		}(g)
-	}
-	wg.Wait()
+	return ids, vers, payloads, queries
 }
 
 // TestCacheConcurrentChurn exercises probes against version bumps, drops,

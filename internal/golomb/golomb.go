@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // ErrCorrupt is returned when a decoder runs off the end of its input or
@@ -297,6 +298,12 @@ func EncodeGaps(positions []uint64, m uint64) ([]byte, error) {
 // validated against the input length before any allocation, so a hostile
 // count cannot force a huge buffer.
 func DecodeGaps(buf []byte, m uint64, count int) ([]uint64, error) {
+	return AppendGaps([]uint64{}, buf, m, count)
+}
+
+// AppendGaps is DecodeGaps appending to dst, so a caller decoding many
+// payloads can reuse one buffer.
+func AppendGaps(dst []uint64, buf []byte, m uint64, count int) ([]uint64, error) {
 	if count < 0 {
 		return nil, ErrCorrupt
 	}
@@ -306,7 +313,7 @@ func DecodeGaps(buf []byte, m uint64, count int) ([]uint64, error) {
 		return nil, ErrCorrupt
 	}
 	d := NewDecoder(buf, m)
-	out := make([]uint64, 0, count)
+	out := slices.Grow(dst, count)
 	next := uint64(0) // smallest position the next value may take
 	overflowed := false
 	for i := 0; i < count; i++ {

@@ -154,10 +154,7 @@ func DirectoryScale(sc Scenario, spec ScaleSpec) ScalePoint {
 	pt.BytesPerPeer = float64(pt.DirectoryBytes) / float64(n-1)
 
 	// --- decompressed baseline (sampled: constant per peer) ---
-	sample := n - 1
-	if sample > 10000 {
-		sample = 10000
-	}
+	sample := min(n-1, 1000)
 	baseBefore := heapAlloc()
 	filters := make([]*bloom.Filter, 0, sample)
 	for id := 1; id <= sample; id++ {

@@ -1,6 +1,13 @@
 package gossipsim
 
-import "testing"
+import (
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+
+	"planetp/internal/filtercache"
+)
 
 // TestDirectoryScaleSmall runs the memory experiment at a small size: the
 // compressed-resident replica must weigh in far under the decompressed
@@ -45,5 +52,32 @@ func TestDirectoryScaleSkipsConvergence(t *testing.T) {
 	}
 	if pt.DirectoryBytes <= 0 {
 		t.Fatal("memory measurement missing")
+	}
+}
+
+// TestDirectoryScaleBudget is the directory memory guard: a 10 000-peer
+// compressed-resident replica stays under the checked-in bytes/peer budget
+// (scripts/directory_budget; a regression to decompressed-resident filters,
+// ~56 KB/peer, fails it), its filter cache under the default budget, and a
+// warm sweep of the community beats the cold one.
+func TestDirectoryScaleBudget(t *testing.T) {
+	raw, err := os.ReadFile("../../scripts/directory_budget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget, err := strconv.ParseFloat(strings.TrimSpace(string(raw)), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := DirectoryScale(LAN, ScaleSpec{N: 10000, Seed: 1})
+	t.Logf("%.0f B/peer, cold %.0f ns, warm %.0f ns a peer, cache %d B", pt.BytesPerPeer, pt.ColdProbeNS, pt.WarmProbeNS, pt.CacheResidentBytes)
+	if pt.BytesPerPeer <= 0 || pt.BytesPerPeer > budget {
+		t.Errorf("directory %.1f B/peer, budget %.0f", pt.BytesPerPeer, budget)
+	}
+	if pt.CacheResidentBytes <= 0 || pt.CacheResidentBytes > filtercache.DefaultBudget {
+		t.Errorf("filter cache resident %d B, budget %d", pt.CacheResidentBytes, filtercache.DefaultBudget)
+	}
+	if pt.WarmProbeNS >= pt.ColdProbeNS {
+		t.Errorf("warm sweep %.0f ns a peer, not below the cold %.0f", pt.WarmProbeNS, pt.ColdProbeNS)
 	}
 }

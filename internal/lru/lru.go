@@ -96,6 +96,20 @@ func (c *Cache[K, S, V]) Put(key K, stamp S, value V, cost int64) (evicted int, 
 	return evicted, c.cost
 }
 
+// SetBudget changes the budget, then evicts least-recently-used entries
+// until the total cost fits. It returns how many entries it removed and the
+// total cost it leaves.
+func (c *Cache[K, S, V]) SetBudget(budget int64) (evicted int, total int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.budget = budget
+	for c.cost > c.budget && c.ll.Len() > 0 {
+		c.remove(c.ll.Back())
+		evicted++
+	}
+	return evicted, c.cost
+}
+
 // Delete drops key's entry, reporting whether there was one and the
 // total cost it leaves.
 func (c *Cache[K, S, V]) Delete(key K) (ok bool, total int64) {

@@ -75,6 +75,29 @@ func TestJustPutEntrySurvivesSmallerBudget(t *testing.T) {
 	}
 }
 
+// TestSetBudgetEvictsToFit: shrinking the budget evicts least recently
+// used entries until the rest fit, and a later Put is bounded by the new
+// budget; growing it back evicts nothing.
+func TestSetBudgetEvictsToFit(t *testing.T) {
+	c := New[string, int, int](12)
+	c.Put("a", 0, 1, 4)
+	c.Put("b", 0, 2, 4)
+	c.Put("c", 0, 3, 4)
+	c.Get("a", 0) // b is now least recently used, then c
+	if n, total := c.SetBudget(5); n != 2 || total != 4 {
+		t.Fatalf("SetBudget(5) evicted %d and left %d, want 2 and 4", n, total)
+	}
+	if _, ok, _ := c.Get("a", 0); !ok {
+		t.Fatal("the most recently used entry was evicted")
+	}
+	if n, total := c.Put("d", 0, 4, 4); n != 1 || total != 4 {
+		t.Fatalf("Put under the new budget evicted %d and left %d, want 1 and 4", n, total)
+	}
+	if n, _ := c.SetBudget(100); n != 0 {
+		t.Fatalf("growing the budget evicted %d", n)
+	}
+}
+
 // TestGetAllIsGetPerKey: the batch lookup returns what one Get per key
 // would — values at the held stamp, misses left alone, stale entries
 // dropped and counted — and refreshes recency the same way.

@@ -278,11 +278,11 @@ go test -run '^$' -bench 'BenchmarkLocalQueryRanked$|BenchmarkLocalQueryRankedTi
 go test -run '^$' -bench 'BenchmarkIndexAddBatch$' -benchtime 50x ./internal/index/ >/dev/null
 
 # A query sweeps every filter in one pass (DESIGN §4c, §4i): one directory
-# read, one cache lock, a Compact probed in one bucket. The sweep equals a
-# probe per (peer, digest) while Upsert/MarkOffline race it, the bucketed
-# layout equals the bitset at every edge, and a corrupt payload costs one
-# decode per version (already part of the suite above; rerun by name, the
-# sweep repeated).
+# read, the base index looked up by the digests' positions, the delta's
+# Compacts probed in one bucket. The sweep equals a probe per (peer, digest)
+# while Upsert/MarkOffline race it, the bucketed layout equals the bitset at
+# every edge, and a corrupt payload costs one decode per version (already
+# part of the suite above; rerun by name, the sweep repeated).
 echo "== one sweep per query (sweep = per-peer probes, buckets = bitset, one decode per corrupt version)"
 go test -race -count=5 -run 'TestSweepMatchesPerPeerProbes' ./internal/core/
 go test -race -run 'TestCompactBucketsMatchFilter' ./internal/bloom/
@@ -345,16 +345,6 @@ echo "== replication smoke (4 nodes -replicas 3 -data, kill a holder, kill the o
 replication_smoke "$tmp"/planetp-replication-smoke
 echo "   replication smoke OK"
 
-# Directory memory budget guard: one 10k-peer compressed-resident replica
-# must stay under the checked-in bytes/peer budget (scripts/directory_budget).
-# Memory-only (-converge-max 0), so it runs in seconds; a regression that
-# reverts to decompressed-resident filters (~56 KB/peer) fails loudly.
-echo "== directory memory budget guard (10k peers, $(cat scripts/directory_budget) B/peer)"
-go run ./cmd/gossipsim -exp directory-scale -sizes 10000 -seed 1 \
-	-converge-max 0 -max-bytes-per-peer "$(cat scripts/directory_budget)" \
-	>/dev/null
-echo "   directory budget OK"
-
 # Simulated ledgers: the churn-storm and replication reports are exact per
 # seed, so a regenerated report that is not byte-identical to the
 # checked-in one is a protocol or model change — regenerate the file in
@@ -381,6 +371,7 @@ go test -run='^$' -fuzz=FuzzDecompress -fuzztime="$FUZZTIME" ./internal/bloom/
 go test -run='^$' -fuzz=FuzzCompactMatchesFilter -fuzztime="$FUZZTIME" ./internal/bloom/
 go test -run='^$' -fuzz=FuzzDecodeDiff -fuzztime="$FUZZTIME" ./internal/bloom/
 go test -run='^$' -fuzz=FuzzCompressRoundTrip -fuzztime="$FUZZTIME" ./internal/bloom/
+go test -run='^$' -fuzz=FuzzIndexedSweepMatchesFilter -fuzztime="$FUZZTIME" ./internal/filtercache/
 go test -run='^$' -fuzz=FuzzEnvelopeDecode -fuzztime="$FUZZTIME" ./internal/transport/
 go test -run='^$' -fuzz=FuzzPeerExchangeDecode -fuzztime="$FUZZTIME" ./internal/transport/
 go test -run='^$' -fuzz=FuzzWALRecord -fuzztime="$FUZZTIME" ./internal/store/
