@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,6 +34,16 @@ var golden = []struct{ name, args string }{
 	{"replication", "-exp replication -n 16 -rep-docs 160 -ks 1,3 -seed 7"},
 }
 
+// reports pins the simulated ledgers checked in at the repository root:
+// each one's -json report, byte for byte. A change that moves a number
+// regenerates the file with its args plus -json, e.g.
+//
+//	go run ./cmd/gossipsim -exp churn-storm -n 32 -seed 7 -json BENCH_churn.json
+var reports = []struct{ file, args string }{
+	{"BENCH_churn.json", "-exp churn-storm -n 32 -seed 7"},
+	{"BENCH_replication.json", "-exp replication -n 32 -seed 7"},
+}
+
 func TestGolden(t *testing.T) {
 	for _, g := range golden {
 		t.Run(g.name, func(t *testing.T) {
@@ -47,6 +58,26 @@ func TestGolden(t *testing.T) {
 			}
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Errorf("gossipsim %s differs from testdata/%s.csv:\n%s", g.args, g.name, firstDiff(got.String(), string(want)))
+			}
+		})
+	}
+	for _, r := range reports {
+		t.Run(r.file, func(t *testing.T) {
+			t.Parallel()
+			want, err := os.ReadFile(filepath.Join("..", "..", r.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), r.file)
+			if err := run(append(strings.Fields(r.args), "-json", path), io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("gossipsim %s -json differs from %s:\n%s", r.args, r.file, firstDiff(string(got), string(want)))
 			}
 		})
 	}

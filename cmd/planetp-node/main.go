@@ -38,10 +38,11 @@
 //	                  shedding with 429 (default 256)
 //	-drain-timeout D  how long SIGTERM waits for in-flight API requests
 //	                  (default 10s)
-//	-filter-cache N   byte budget for decoded peer Bloom filters in the
-//	                  query engine's probe cache, each held in the
-//	                  smaller of its two forms (0 = 64 MiB default,
-//	                  negative = minimal working set)
+//	-filter-cache N   byte budget for the query engine's decoded peer
+//	                  Bloom filters: the position-major base index plus
+//	                  the delta of recently probed filters it does not
+//	                  cover (0 = 64 MiB default, negative = no base and a
+//	                  minimal delta)
 //	-replicas K       replicate hot documents to K peers total (owner +
 //	                  K-1 ring successors); 0 or 1 disables replication
 //	-hoard-budget N   byte budget for hoarded replicas (0 = 64 MiB
@@ -59,7 +60,7 @@
 //	get <peer> <key>      fetch a document body
 //	proxy <k> <query>     delegate a ranked search to a fast peer
 //	peers                 show the directory
-//	stats                 gossip statistics
+//	stats                 gossip counters from the metrics registry
 //	metrics               dump the metrics registry as JSON
 //	quit
 //
@@ -103,7 +104,7 @@ func main() {
 	headless := flag.Bool("headless", false, "no interactive shell; serve until SIGINT/SIGTERM")
 	maxInflight := flag.Int("max-inflight", 256, "concurrent API requests admitted before shedding with 429")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "SIGTERM wait for in-flight API requests")
-	filterCache := flag.Int64("filter-cache", 0, "byte budget for decoded peer Bloom filters in the query engine's probe cache, least recently probed evicted first (0 = 64 MiB default, negative = minimal working set)")
+	filterCache := flag.Int64("filter-cache", 0, "byte budget for the query engine's decoded peer Bloom filters: the position-major base index plus the delta of recently probed filters, least recently probed evicted first (0 = 64 MiB default, negative = no base and a minimal delta)")
 	replicas := flag.Int("replicas", 0, "replicate hot documents to this many peers total (0 or 1 = off)")
 	hoardBudget := flag.Int64("hoard-budget", 0, "byte budget for hoarded replicas (0 = 64 MiB default)")
 	flag.Parse()
@@ -323,10 +324,11 @@ func main() {
 				fmt.Printf("  %3d  v%-8s %-7s %s\n", pid, e.Ver, status, rec.Addr)
 			}
 		case "stats":
-			st := peer.Node().Stats()
+			s := peer.Metrics().Snapshot()
 			fmt.Printf("rounds=%d rumors=%d ae=%d pulls=%d news=%d interval=%v\n",
-				st.Rounds, st.RumorsSent, st.AERequests, st.PullsSent,
-				st.NewsLearned, peer.Node().Interval())
+				s.Get("gossip_rounds_total"), s.Get("gossip_rumors_sent_total"),
+				s.Get("gossip_ae_requests_total"), s.Get("gossip_pulls_sent_total"),
+				s.Get("gossip_news_learned_total"), peer.Node().Interval())
 		case "metrics":
 			if err := peer.Metrics().WriteJSON(os.Stdout); err != nil {
 				fmt.Println("error:", err)

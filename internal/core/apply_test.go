@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"planetp/internal/bloom"
 	"planetp/internal/doc"
@@ -55,7 +54,7 @@ func TestRecoveredEqualsLive(t *testing.T) {
 		p, err := NewPeer(Config{
 			ID: 0, Capacity: 8, Gossip: fastGossip(),
 			DataDir: "data", Store: store.Options{FS: fs, CompactBytes: 1024},
-			Replicas: 3, HoardHalfLife: 10 * time.Minute, BrokerTopFrac: 0.5,
+			Replicas: 3, BrokerTopFrac: 0.5,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +147,7 @@ func mustPublish(t *testing.T, p *Peer, xml string) {
 // the test fills itself from the documents its own model says survive.
 func TestCompactMatchesReferenceFilter(t *testing.T) {
 	xmls, keys, _ := applyCorpus(24)
-	p, err := NewPeer(Config{ID: 0, Capacity: 2, Gossip: fastGossip(), Replicas: 3, HoardHalfLife: 10 * time.Minute})
+	p, err := NewPeer(Config{ID: 0, Capacity: 2, Gossip: fastGossip(), Replicas: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,40 +6,24 @@ import (
 	"time"
 )
 
-// BootstrapConfig tunes JoinSeeds' rotation through a seed list. Zero
-// fields take defaults sized for a cluster whose seeds may still be
-// starting up: 8 passes with backoff doubling from 250 ms and capped at
-// 5 s waits ≈ 18 s worst case — more forgiving than the old single-seed
-// loop's hard 10 s deadline, and it gives up only when every seed has
-// failed on every pass.
+// The seed rotation is sized for a cluster whose seeds may still be
+// starting up: seedPasses full rotations, with a backoff after each failed
+// pass that doubles from seedBackoff and is capped at seedBackoffMax —
+// ≈ 18 s worst case. It gives up only when every seed has failed on every
+// pass.
+const (
+	seedPasses     = 8
+	seedBackoff    = 250 * time.Millisecond
+	seedBackoffMax = 5 * time.Second
+)
+
+// BootstrapConfig names the seeds for JoinSeeds' rotation.
 type BootstrapConfig struct {
 	// Seeds are the candidate member addresses, tried in order within
 	// each pass.
 	Seeds []string
-	// Passes is how many full rotations through the list to attempt
-	// before giving up (default 8).
-	Passes int
-	// Base is the delay after the first full failed pass; it doubles
-	// each pass, capped at Max (defaults 250 ms and 5 s).
-	Base, Max time.Duration
 	// sleep replaces time.Sleep in tests.
 	sleep func(time.Duration)
-}
-
-func (c BootstrapConfig) withDefaults() BootstrapConfig {
-	if c.Passes <= 0 {
-		c.Passes = 8
-	}
-	if c.Base <= 0 {
-		c.Base = 250 * time.Millisecond
-	}
-	if c.Max <= 0 {
-		c.Max = 5 * time.Second
-	}
-	if c.sleep == nil {
-		c.sleep = time.Sleep
-	}
-	return c
 }
 
 // JoinSeeds bootstraps into an existing community via any of the given
@@ -55,19 +39,19 @@ func (p *Peer) JoinSeeds(cfg BootstrapConfig) error {
 // Within one pass every seed is tried back to back — a dead seed must not
 // delay a live one behind it — and only a fully failed pass sleeps.
 func rotateSeeds(cfg BootstrapConfig, try func(addr string) error) error {
-	cfg = cfg.withDefaults()
 	if len(cfg.Seeds) == 0 {
 		return errors.New("core: no seed addresses")
 	}
+	sleep := cfg.sleep
+	if sleep == nil {
+		sleep = time.Sleep
+	}
 	var lastErr error
-	delay := cfg.Base
-	for pass := 0; pass < cfg.Passes; pass++ {
+	delay := seedBackoff
+	for pass := 0; pass < seedPasses; pass++ {
 		if pass > 0 {
-			cfg.sleep(delay)
-			delay *= 2
-			if delay > cfg.Max {
-				delay = cfg.Max
-			}
+			sleep(delay)
+			delay = min(2*delay, seedBackoffMax)
 		}
 		for _, addr := range cfg.Seeds {
 			if err := try(addr); err != nil {
@@ -78,5 +62,5 @@ func rotateSeeds(cfg BootstrapConfig, try func(addr string) error) error {
 		}
 	}
 	return fmt.Errorf("core: all %d seeds exhausted after %d passes: %w",
-		len(cfg.Seeds), cfg.Passes, lastErr)
+		len(cfg.Seeds), seedPasses, lastErr)
 }

@@ -10,16 +10,13 @@ import (
 
 // TestRotateSeedsOrderAndBackoff: within a pass every seed is tried back
 // to back (a dead seed must not delay a live one), only a fully failed
-// pass sleeps, and the sleep doubles from Base up to the Max cap.
+// pass sleeps, and the sleep doubles from seedBackoff.
 func TestRotateSeedsOrderAndBackoff(t *testing.T) {
 	var tried []string
 	var slept []time.Duration
 	cfg := BootstrapConfig{
-		Seeds:  []string{"a", "b", "c"},
-		Passes: 5,
-		Base:   100 * time.Millisecond,
-		Max:    400 * time.Millisecond,
-		sleep:  func(d time.Duration) { slept = append(slept, d) },
+		Seeds: []string{"a", "b", "c"},
+		sleep: func(d time.Duration) { slept = append(slept, d) },
 	}
 	err := rotateSeeds(cfg, func(addr string) error {
 		tried = append(tried, addr)
@@ -36,26 +33,25 @@ func TestRotateSeedsOrderAndBackoff(t *testing.T) {
 	if strings.Join(tried, ",") != strings.Join(want, ",") {
 		t.Errorf("tried %v, want %v", tried, want)
 	}
-	if len(slept) != 2 || slept[0] != 100*time.Millisecond || slept[1] != 200*time.Millisecond {
-		t.Errorf("slept %v, want [100ms 200ms]", slept)
+	if len(slept) != 2 || slept[0] != seedBackoff || slept[1] != 2*seedBackoff {
+		t.Errorf("slept %v, want [%v %v]", slept, seedBackoff, 2*seedBackoff)
 	}
 }
 
+// TestRotateSeedsBackoffCap: seedPasses failed passes sleep between them,
+// doubling up to the seedBackoffMax cap, then give up.
 func TestRotateSeedsBackoffCap(t *testing.T) {
 	var slept []time.Duration
 	cfg := BootstrapConfig{
-		Seeds:  []string{"a"},
-		Passes: 6,
-		Base:   100 * time.Millisecond,
-		Max:    300 * time.Millisecond,
-		sleep:  func(d time.Duration) { slept = append(slept, d) },
+		Seeds: []string{"a"},
+		sleep: func(d time.Duration) { slept = append(slept, d) },
 	}
 	boom := errors.New("down")
 	err := rotateSeeds(cfg, func(string) error { return boom })
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("want exhaustion error wrapping the last failure, got %v", err)
 	}
-	want := []time.Duration{100, 200, 300, 300, 300}
+	want := []time.Duration{250, 500, 1000, 2000, 4000, 5000, 5000}
 	for i := range want {
 		want[i] *= time.Millisecond
 	}

@@ -98,7 +98,7 @@ func (p *Peer) recoverFrom(rec store.Recovery) error {
 	}
 	var run []string // the publish records since the last record of another kind
 	if rec.Snapshot != nil {
-		snap, err := DecodeSnapshotLimit(rec.Snapshot, p.cfg.Store.MaxSnapshotBytes)
+		snap, err := DecodeSnapshot(rec.Snapshot)
 		if err != nil {
 			return fmt.Errorf("core: recovered snapshot: %w", err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -223,6 +224,32 @@ func TestDurableConcurrentPublishSurvivesCompaction(t *testing.T) {
 	}
 }
 
+// TestOversizedPublishRefused: a document whose WAL record would exceed the
+// store's record bound — recovery would read it as a torn tail and drop it
+// with every record after it — fails to publish, and the next publish
+// survives an ungraceful restart.
+func TestOversizedPublishRefused(t *testing.T) {
+	mem := store.NewMemFS()
+	p := durablePeer(t, mem, store.Options{})
+	big := `<d>oversized osprey<!--` + strings.Repeat("x", 17<<20) + `--></d>`
+	if _, err := p.Publish(big); !errors.Is(err, store.ErrRecordTooLarge) {
+		t.Fatalf("17 MiB publish: err = %v, want store.ErrRecordTooLarge", err)
+	}
+	if _, err := p.Publish(`<d>published after the refusal</d>`); err != nil {
+		t.Fatal(err)
+	}
+	p.tp.Close() // ungraceful: recovery replays the WAL verbatim
+
+	q := durablePeer(t, mem, store.Options{})
+	defer q.Stop()
+	if rec := q.Recovery(); q.LocalDocs() != 1 || rec.TruncatedRecords != 0 {
+		t.Fatalf("recovered %d docs with %d truncated records, want 1 and none", q.LocalDocs(), rec.TruncatedRecords)
+	}
+	if docs, _ := q.Search("refusal", 4); len(docs) != 1 {
+		t.Fatalf("the publish after the refusal found %d times after restart, want 1", len(docs))
+	}
+}
+
 // Regression: WAL order must match in-memory apply order. Concurrent
 // Publish/Remove of the same documents must never be logged in the
 // opposite order they were applied (which would resurrect removed
@@ -273,17 +300,6 @@ func TestDurablePublishRemoveOrderSurvivesRestart(t *testing.T) {
 	defer q.Stop()
 	if gotIDs := q.store.IDs(); !reflect.DeepEqual(gotIDs, wantIDs) {
 		t.Fatalf("replayed doc set diverged from pre-crash state:\n got %v\nwant %v", gotIDs, wantIDs)
-	}
-}
-
-func TestOversizedSnapshotRejected(t *testing.T) {
-	big := make([]byte, 4096)
-	if _, err := DecodeSnapshotLimit(big, 1024); err == nil {
-		t.Fatal("oversized snapshot accepted")
-	}
-	if _, err := DecodeSnapshotLimit(nil, 0); err == nil {
-		// nil decodes as garbage — must error, not panic.
-		t.Fatal("empty snapshot accepted")
 	}
 }
 
@@ -414,7 +430,7 @@ func TestParentDataDirRecovers(t *testing.T) {
 	}
 	p, err := NewPeer(Config{
 		ID: 0, Capacity: 8, Gossip: fastGossip(),
-		DataDir: dir, Replicas: 3, HoardHalfLife: 10 * time.Minute,
+		DataDir: dir, Replicas: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -91,12 +91,14 @@ type Config struct {
 	// transport, broker, search). Nil gets a fresh registry, so
 	// Peer.Metrics() is always usable.
 	Metrics *metrics.Registry
-	// FilterCacheBudget bounds the resident bytes of decoded peer Bloom
-	// filters held by the query engine's probe cache (per recently probed
-	// peer, the smaller of a set-bit-position array and the plain bitset;
-	// least recently probed evicted first). 0 takes the 64 MiB default;
-	// negative keeps only a minimal single-probe working set (for
-	// memory-starved deployments). See metrics core_filter_cache_*.
+	// FilterCacheBudget bounds the resident bytes of the query engine's
+	// decoded peer Bloom filters, both tiers together: the position-major
+	// base index over the admitted peers' filters, and the delta of
+	// recently probed filters the base does not cover (each the smaller of
+	// a set-bit-position array and the plain bitset, least recently probed
+	// evicted first). 0 takes the 64 MiB default; negative keeps no base
+	// and only a minimal single-probe delta (for memory-starved
+	// deployments). See metrics core_filter_cache_* and filtercache_*.
 	FilterCacheBudget int64
 	// Replicas is the replication factor k for hot documents: the
 	// community-wide copy target, origin included (the hottest document
@@ -107,12 +109,6 @@ type Config struct {
 	// replica bodies (default 64 MiB). Adoption past the budget evicts
 	// the least popular replicas first.
 	HoardBudget int64
-	// HoardInterval paces the hoarding loop (push hot docs, pull hot
-	// docs, GC cooled replicas). 0 defaults to twice the gossip interval.
-	HoardInterval time.Duration
-	// HoardHalfLife is the popularity decay half-life (default 10
-	// minutes; tests shrink it).
-	HoardHalfLife time.Duration
 }
 
 // Peer is a live PlanetP community member.
@@ -254,8 +250,7 @@ func NewPeer(cfg Config) (*Peer, error) {
 	// signal), built before recovery applies replica records to it and
 	// before the transport serves an inbound ReplicaPut.
 	p.rep = replica.NewManager(replica.Config{
-		Factor: cfg.Replicas, Budget: cfg.HoardBudget, HalfLife: cfg.HoardHalfLife,
-		Now: tp.Now, Metrics: cfg.Metrics,
+		Factor: cfg.Replicas, Budget: cfg.HoardBudget, Now: tp.Now, Metrics: cfg.Metrics,
 	})
 	if p.st != nil {
 		if err := p.recoverFrom(durableRec); err != nil {
@@ -281,7 +276,8 @@ func (p *Peer) Addr() string { return p.tp.Addr() }
 // Directory exposes the peer's directory replica (read-mostly).
 func (p *Peer) Directory() *directory.Directory { return p.dir }
 
-// Node exposes the gossip engine (stats, interval).
+// Node exposes the gossip engine (interval, self record); its counters are
+// the gossip_* names in Metrics().
 func (p *Peer) Node() *gossip.Node { return p.node }
 
 // Metrics returns the peer's metrics registry (never nil): one snapshot

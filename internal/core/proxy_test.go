@@ -95,7 +95,7 @@ func TestSearchViaSelfFallsBackToLocal(t *testing.T) {
 func TestSearchViaDeadProxyErrors(t *testing.T) {
 	peers := mixedCommunity(t, 3)
 	peers[2].Stop()
-	// Each failure is a strike; SuspicionThreshold (2) of them in a row mark
+	// Each failure is a strike; two of them in a row mark
 	// the proxy off-line.
 	for i := 0; i < 2; i++ {
 		if _, err := peers[0].SearchVia(2, "anything", 3); err == nil {

@@ -17,7 +17,7 @@ import (
 
 // TestOneVerdictOnReachability holds DESIGN §4d's invariant from core's
 // side: core only reports contact outcomes, and gossip.Node marks a peer
-// off-line after SuspicionThreshold (2) consecutive failed contacts, with
+// off-line after two consecutive failed contacts, with
 // nothing heard from it in between. One lost reply leaves the peer on-line
 // and the broker ring as it was; an answer of any kind — a RemoteError, a
 // definitive miss — is a contact.
@@ -106,7 +106,7 @@ func TestOneVerdictOnReachability(t *testing.T) {
 			t.Fatalf("%s: broker ring changed under an on-line verdict", s.what)
 		}
 	}
-	if got := p.node.Stats().Suspected; got != 2 {
+	if got := p.reg.Snapshot().Get("gossip_peers_suspected_total"); got != 2 {
 		t.Fatalf("Suspected = %d, want 2", got)
 	}
 

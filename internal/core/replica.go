@@ -201,17 +201,13 @@ func (p *Peer) broadcastPurge(key string) {
 
 // --- hoarding loop ---
 
-// hoardLoop drives the replication maintenance cycle: push own hot
-// documents to their placement, pull hot documents this peer is
-// ring-responsible for, and garbage-collect cooled or superseded
-// replicas.
+// hoardLoop drives the replication maintenance cycle, every two gossip
+// intervals as of the loop's start: push own hot documents to their
+// placement, pull hot documents this peer is ring-responsible for, and
+// garbage-collect cooled or superseded replicas.
 func (p *Peer) hoardLoop() {
 	defer close(p.hoardDone)
-	iv := p.cfg.HoardInterval
-	if iv <= 0 {
-		iv = 2 * p.node.Interval()
-	}
-	ticker := time.NewTicker(iv)
+	ticker := time.NewTicker(2 * p.node.Interval())
 	defer ticker.Stop()
 	for {
 		select {

@@ -24,11 +24,9 @@ func replicatingCommunity(t *testing.T, n, k int) []*Peer {
 	for i := 0; i < n; i++ {
 		p, err := NewPeer(Config{
 			ID: directory.PeerID(i), Capacity: n,
-			Gossip:        fastGossip(),
-			Seed:          int64(i + 1),
-			Replicas:      k,
-			HoardInterval: 30 * time.Millisecond,
-			HoardHalfLife: 10 * time.Minute, // no decay within the test
+			Gossip:   fastGossip(),
+			Seed:     int64(i + 1),
+			Replicas: k,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -206,8 +204,7 @@ func durableReplicaPeer(t *testing.T, fs store.FS, opts store.Options) *Peer {
 	p, err := NewPeer(Config{
 		ID: 0, Capacity: 8, Gossip: fastGossip(),
 		DataDir: "data", Store: opts,
-		Replicas:      3,
-		HoardHalfLife: 10 * time.Minute,
+		Replicas: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

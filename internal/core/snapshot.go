@@ -27,25 +27,9 @@ type Snapshot struct {
 	Tombs    map[string]uint32
 }
 
-// MaxSnapshotBytes is the default DecodeSnapshot input bound. Snapshots
-// come from disk; a corrupt length must fail fast instead of ballooning
-// memory during decode.
-const MaxSnapshotBytes = 256 << 20
-
-// DecodeSnapshot parses a Snapshot, bounding input at MaxSnapshotBytes.
+// DecodeSnapshot parses a Snapshot payload as store.Open recovered it;
+// the store already refused a payload over its snapshot bound.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
-	return DecodeSnapshotLimit(data, MaxSnapshotBytes)
-}
-
-// DecodeSnapshotLimit parses a Snapshot, rejecting inputs over limit
-// bytes (limit <= 0 means MaxSnapshotBytes).
-func DecodeSnapshotLimit(data []byte, limit int64) (Snapshot, error) {
-	if limit <= 0 {
-		limit = MaxSnapshotBytes
-	}
-	if int64(len(data)) > limit {
-		return Snapshot{}, fmt.Errorf("core: snapshot: %d bytes exceeds the %d-byte limit", len(data), limit)
-	}
 	var snap Snapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
 		return Snapshot{}, fmt.Errorf("core: snapshot: %w", err)

@@ -377,7 +377,7 @@ func (h *handler) HandleGetDoc(key string) (string, bool) {
 // serves its first fetch.
 func (h *handler) HandleReplicaPut(key, xml string, origin directory.PeerID, epoch uint32) {
 	p := (*Peer)(h)
-	p.adoptReplica(replica.Entry{Key: key, Origin: int32(origin), Epoch: epoch, XML: xml}, p.rep.HotScore())
+	p.adoptReplica(replica.Entry{Key: key, Origin: int32(origin), Epoch: epoch, XML: xml}, replica.HotScore)
 }
 
 // HandleReplicaPurge implements transport.Handler: the origin removed

@@ -16,13 +16,19 @@ func colRec(id PeerID, epoch, seq uint32) Record {
 }
 
 // TestSummaryRangeMatchesSummary: chunked summaries stitched together must
-// equal the full vector, for every chunk size including non-divisors.
+// equal the full vector of known versions, for every chunk size including
+// non-divisors.
 func TestSummaryRangeMatchesSummary(t *testing.T) {
 	d := New(0, 37)
 	for id := PeerID(0); id < 37; id += 3 {
 		d.Upsert(rec(id, 1, uint32(id)))
 	}
-	full := d.Summary()
+	full := make([]Version, d.Capacity())
+	for id := range full {
+		if _, ok := d.Get(PeerID(id)); ok {
+			full[id] = d.VersionOf(PeerID(id))
+		}
+	}
 	for _, limit := range []int{1, 4, 7, 36, 37, 100} {
 		var stitched []Version
 		from := PeerID(0)
@@ -40,7 +46,7 @@ func TestSummaryRangeMatchesSummary(t *testing.T) {
 			from = next
 		}
 		if !reflect.DeepEqual(stitched, full) {
-			t.Fatalf("limit %d: stitched chunks differ from Summary()", limit)
+			t.Fatalf("limit %d: stitched chunks differ from the full vector", limit)
 		}
 		if knownTotal != d.NumKnown() {
 			t.Fatalf("limit %d: known total %d, want %d", limit, knownTotal, d.NumKnown())
@@ -55,8 +61,8 @@ func TestSummaryRangeMatchesSummary(t *testing.T) {
 	}
 }
 
-// TestMissingRangeMatchesMissing: chunked Missing over the same data must
-// find exactly the ids full Missing finds.
+// TestMissingRangeMatchesMissing: MissingRange over summary chunks must
+// find exactly the ids it finds over the whole summary.
 func TestMissingRangeMatchesMissing(t *testing.T) {
 	local := New(0, 20)
 	remote := New(1, 20)
@@ -69,7 +75,7 @@ func TestMissingRangeMatchesMissing(t *testing.T) {
 			local.Upsert(rec(id, 2, 9)) // newer locally
 		}
 	}
-	full := local.Missing(remote.Summary())
+	full := local.MissingRange(summary(remote), 0)
 	var chunked []NeedEntry
 	from := PeerID(0)
 	for {
@@ -83,7 +89,7 @@ func TestMissingRangeMatchesMissing(t *testing.T) {
 	if !reflect.DeepEqual(full, chunked) {
 		t.Fatalf("chunked missing %v != full missing %v", chunked, full)
 	}
-	if local.MissingRange(remote.Summary(), -1) != nil {
+	if local.MissingRange(summary(remote), -1) != nil {
 		t.Fatal("negative base must yield nothing")
 	}
 }

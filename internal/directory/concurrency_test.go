@@ -32,9 +32,8 @@ func TestConcurrentUpsertAndReads(t *testing.T) {
 					d.VersionOf(id)
 					d.Digest()
 				case 4:
-					d.Summary()
 					d.PickOnline(rng, nil)
-					d.Missing(d.Summary())
+					d.MissingRange(summary(d), 0)
 				}
 			}
 		}(g)

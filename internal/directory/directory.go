@@ -159,9 +159,6 @@ type Directory struct {
 	// IPF/rank caches key on it. Atomic so readers skip the lock.
 	gen atomic.Uint64
 
-	// cached summary, shared immutably; nil when stale.
-	summaryCache []Version
-
 	// onEvict, when set, is called (outside the lock) with the ids whose
 	// records were superseded or dropped, so downstream caches holding
 	// decoded state for the old version can release it.
@@ -322,7 +319,6 @@ func (d *Directory) upsertLocked(rec Record) (accepted, superseded bool) {
 			m.payload = rec.Payload
 		}
 	}
-	d.summaryCache = nil
 	d.gen.Add(1)
 	return true, superseded
 }
@@ -449,7 +445,6 @@ func (d *Directory) DropDead(tDead time.Duration, now time.Duration) []PeerID {
 		// notifications (and everything downstream, e.g. the simulator's
 		// OnDrop hooks) stay deterministic.
 		sort.Slice(dropped, func(i, j int) bool { return dropped[i] < dropped[j] })
-		d.summaryCache = nil
 		d.gen.Add(1)
 	}
 	cb := d.onEvict
@@ -491,32 +486,13 @@ func (d *Directory) NumOnline() int {
 	return d.nOnline
 }
 
-// Summary returns the dense version vector (index = PeerID; zero Version =
-// unknown). The returned slice is shared and immutable: callers must not
-// modify it. Successive calls between mutations return the same slice, so
-// converged anti-entropy costs no allocation.
-func (d *Directory) Summary() []Version {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.summaryCache == nil {
-		s := make([]Version, len(d.vers))
-		for id := range d.vers {
-			if d.flags[id]&flagKnown != 0 {
-				s[id] = d.vers[id]
-			}
-		}
-		d.summaryCache = s
-	}
-	return d.summaryCache
-}
-
 // SummaryRange returns the version-vector chunk covering ids
 // [from, from+limit): chunk[i] is the version of peer from+i (zero =
 // unknown). next is the cursor for the following chunk, or None when this
 // chunk reaches the end of the id space. known counts the non-zero
 // versions in the chunk (wire accounting charges per known record). The
-// chunk is freshly allocated and bounded by limit — this is the streaming
-// anti-entropy path, which never materializes the full vector.
+// chunk is freshly allocated and bounded by limit; SummaryRange(0,
+// Capacity()) is the whole dense version vector.
 func (d *Directory) SummaryRange(from PeerID, limit int) (chunk []Version, next PeerID, known int) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -545,22 +521,16 @@ func (d *Directory) SummaryRange(from PeerID, limit int) (chunk []Version, next 
 	return chunk, PeerID(end), known
 }
 
-// Missing compares the local state against a remote summary and returns
-// the ids (paired with the local version, for diff-aware pulls) for which
-// the remote side has strictly newer information.
+// NeedEntry names a record to pull, paired with the local version (for
+// diff-aware pulls).
 type NeedEntry struct {
 	ID   PeerID
 	Have Version // zero if entirely unknown locally
 }
 
-// Missing returns what to pull from a peer whose summary is remote.
-func (d *Directory) Missing(remote []Version) []NeedEntry {
-	return d.MissingRange(remote, 0)
-}
-
-// MissingRange is Missing for a summary chunk whose index 0 corresponds
-// to peer id base (streaming anti-entropy compares one bounded chunk at a
-// time).
+// MissingRange compares the local state against a remote summary chunk
+// whose index 0 corresponds to peer id base, and returns the ids for which
+// the remote side has strictly newer information.
 func (d *Directory) MissingRange(remote []Version, base PeerID) []NeedEntry {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

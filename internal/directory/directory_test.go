@@ -151,27 +151,28 @@ func TestDropDead(t *testing.T) {
 	}
 }
 
-func TestSummaryCachingAndMissing(t *testing.T) {
+// summary is d's whole dense version vector.
+func summary(d *Directory) []Version {
+	s, _, _ := d.SummaryRange(0, d.Capacity())
+	return s
+}
+
+func TestSummaryAndMissing(t *testing.T) {
 	d := New(0, 6)
 	d.Upsert(rec(0, 1, 0))
 	d.Upsert(rec(2, 3, 1))
-	s1 := d.Summary()
-	s2 := d.Summary()
-	if &s1[0] != &s2[0] {
-		t.Fatal("summary should be cached between mutations")
-	}
+	s1 := summary(d)
 	if !s1[1].IsZero() || s1[2] != (Version{3, 1}) {
 		t.Fatalf("summary = %v", s1)
 	}
 	d.Upsert(rec(4, 1, 0))
-	s3 := d.Summary()
-	if s3[4].IsZero() {
-		t.Fatal("cache not invalidated")
+	if s3 := summary(d); s3[4].IsZero() {
+		t.Fatal("summary misses the latest upsert")
 	}
 
 	other := New(1, 6)
 	other.Upsert(rec(2, 3, 0)) // older than d's
-	need := other.Missing(d.Summary())
+	need := other.MissingRange(summary(d), 0)
 	// other needs: 0 (unknown), 2 (older), 4 (unknown)
 	if len(need) != 3 {
 		t.Fatalf("need = %v", need)
@@ -180,7 +181,7 @@ func TestSummaryCachingAndMissing(t *testing.T) {
 		t.Fatalf("need[1] = %+v", need[1])
 	}
 	// d needs nothing from other.
-	if n := d.Missing(other.Summary()); len(n) != 0 {
+	if n := d.MissingRange(summary(other), 0); len(n) != 0 {
 		t.Fatalf("d should need nothing, got %v", n)
 	}
 }
@@ -329,7 +330,7 @@ func TestQuickDigestConvergence(t *testing.T) {
 		if a.Digest() != b.Digest() {
 			return false
 		}
-		sa, sb := a.Summary(), b.Summary()
+		sa, sb := summary(a), summary(b)
 		for i := range sa {
 			if sa[i] != sb[i] {
 				return false
@@ -390,12 +391,12 @@ func TestTombstoneSkipsMissing(t *testing.T) {
 	holder := New(2, 8)
 	holder.Upsert(rec(2, 1, 0)) // holder's own record
 	holder.Upsert(rec(1, 2, 7))
-	if need := d.Missing(holder.Summary()); len(need) != 1 || need[0].ID != 2 {
+	if need := d.MissingRange(summary(holder), 0); len(need) != 1 || need[0].ID != 2 {
 		t.Fatalf("need = %v, want only the holder's own record", need)
 	}
 	// A rejoined incarnation in the summary is wanted again.
 	holder.Upsert(rec(1, 3, 0))
-	need := d.Missing(holder.Summary())
+	need := d.MissingRange(summary(holder), 0)
 	found := false
 	for _, nd := range need {
 		if nd.ID == 1 {

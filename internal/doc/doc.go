@@ -51,8 +51,9 @@ type Document struct {
 	Links []Link
 }
 
-// Resolver fetches the content of a linked external file. PFS installs a
-// filesystem-backed resolver; tests install fakes. Returning an error marks
+// Resolver fetches the content of a linked external file. A peer uses the
+// one its configuration names (core.Config.Resolver; nil indexes each
+// document's own text only); tests install fakes. Returning an error marks
 // the link unresolvable — the document still indexes its own text.
 type Resolver interface {
 	Resolve(url string) (string, error)

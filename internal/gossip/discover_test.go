@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"planetp/internal/directory"
+	"planetp/internal/metrics"
 )
 
 // exchEnv is a fakeEnv whose transport also answers peer-exchange pulls,
@@ -34,6 +35,8 @@ func newExchNode(t *testing.T, cfg Config, sample []directory.Record) (*Node, *e
 	f := newFakeNet(1)
 	env := &exchEnv{fakeEnv: &fakeEnv{net: f, id: 0}, sample: sample}
 	rec := directory.Record{ID: 0, Class: directory.Fast, DiffSize: 100, PayloadSize: 1000}
+	cfg.Metrics = metrics.NewRegistry()
+	f.regs[0] = cfg.Metrics
 	n := NewNode(rec, directory.New(0, 16), cfg, env)
 	f.nodes[0] = n
 	// The joiner starts knowing exactly one member, like a node booted
@@ -59,14 +62,14 @@ func TestDiscoverPullsUntilMin(t *testing.T) {
 	if env.calls != 1 {
 		t.Fatalf("exchange calls = %d, want 1", env.calls)
 	}
-	if env.maxes[0] != 16 {
-		t.Errorf("requested sample size %d, want the ExchangeMax default 16", env.maxes[0])
+	if env.maxes[0] != exchangeMax {
+		t.Errorf("requested sample size %d, want %d", env.maxes[0], exchangeMax)
 	}
 	if got := n.Directory().NumOnline(); got != 5 {
 		t.Fatalf("NumOnline = %d after discovery, want 5", got)
 	}
-	if s := n.Stats(); s.Exchanges != 1 || s.ExchangeRecs != 3 {
-		t.Errorf("stats = %+v, want 1 exchange / 3 records", s)
+	if ex, recs := env.net.count(0, "gossip_exchanges_total"), env.net.count(0, "gossip_exchange_records_total"); ex != 1 || recs != 3 {
+		t.Errorf("%d exchanges / %d records, want 1 / 3", ex, recs)
 	}
 	// At the threshold the discovery loop goes quiet.
 	n.Tick()
@@ -94,8 +97,8 @@ func TestDiscoverNeedsCapableEnv(t *testing.T) {
 	n := f.addNode(0, 8, Config{DiscoverMin: 5})
 	n.Directory().Upsert(directory.Record{ID: 1, Ver: directory.Version{Epoch: 1}})
 	n.Tick()
-	if s := n.Stats(); s.Exchanges != 0 {
-		t.Fatalf("stats = %+v, want no exchanges", s)
+	if got := f.count(0, "gossip_exchanges_total"); got != 0 {
+		t.Fatalf("%d exchanges, want none", got)
 	}
 }
 

@@ -105,10 +105,9 @@ type Message struct {
 	// charged as a full summary regardless — the real protocol always
 	// ships it.
 	Identical bool
-	// Summary is a dense version vector (MsgAESummary): either the whole
-	// directory (index = PeerID) or, when streaming, one bounded chunk
-	// whose index 0 corresponds to peer SummaryFrom. Shared read-only
-	// slice for full summaries; receivers must not modify it.
+	// Summary is a dense version vector (MsgAESummary): one chunk of the
+	// id space whose index 0 corresponds to peer SummaryFrom — the whole
+	// directory (index = PeerID) in the AE-only baseline's pushes.
 	Summary []directory.Version
 	// NumKnown is the number of known entries the summary (or chunk)
 	// covers (wire accounting).
@@ -211,6 +210,42 @@ const (
 	ModeAEOnly
 )
 
+// The protocol's fixed parameters (Section 3 and Table 2 of the paper).
+const (
+	// gossiplessThreshold identical-directory contacts trigger one
+	// slow-down step.
+	gossiplessThreshold = 2
+	// aeEvery makes every aeEvery-th round an anti-entropy round.
+	aeEvery = 10
+	// rumorTTL stops spreading a rumor after this many consecutive
+	// already-knew contacts (Demers' n; the paper leaves it unnamed).
+	rumorTTL = 3
+	// suspicionThreshold is how many consecutive failed contacts with a
+	// peer — this node's sends and the RPCs other layers report through
+	// Node.NoteFailure — mark it off-line, so one transient failure is
+	// forgiven. Any success, or hearing from the peer, resets its streak.
+	suspicionThreshold = 2
+	// probeEvery makes every probeEvery-th round additionally probe one
+	// random peer currently believed off-line with an anti-entropy
+	// request. A live peer answers, flipping the local opinion back
+	// on-line — the recovery path for suspected peers and healed
+	// partitions.
+	probeEvery = 8
+	// exchangeMax bounds how many records one discovery pull requests.
+	exchangeMax = 16
+	// slowPeerProb is the probability a fast peer rumors to a slow one.
+	slowPeerProb = 0.01
+)
+
+// summaryChunk bounds how many peer ids one anti-entropy summary reply
+// covers. Requested summaries stream in chunks: the responder answers
+// [Cursor, Cursor+summaryChunk) of the id space and the requester issues
+// continuation requests, so neither side ever materializes a full
+// []Version per exchange at 100k-peer scale. The AE-only baseline's
+// unsolicited pushes carry the whole id space — that cost is the point of
+// the baseline. A variable so a test can shrink the chunks.
+var summaryChunk = 4096
+
 // Config parameterizes a Node. Zero fields are replaced by defaults from
 // the paper (Section 3 and Table 2).
 type Config struct {
@@ -220,35 +255,13 @@ type Config struct {
 	MaxInterval time.Duration
 	// SlowdownStep is the slow-down constant (5 s).
 	SlowdownStep time.Duration
-	// GossiplessThreshold is how many identical-directory contacts
-	// trigger one slow-down step (2).
-	GossiplessThreshold int
-	// AEEvery makes every AEEvery-th round an anti-entropy round (10).
-	AEEvery int
-	// RumorTTL stops spreading a rumor after this many consecutive
-	// already-knew contacts (Demers' n; the paper leaves it unnamed —
-	// default 3).
-	RumorTTL int
 	// PiggybackCount is m, the number of recently retired rumor ids
-	// piggybacked on rumor acks (default 10). Zero disables the partial
-	// anti-entropy (the LAN-NPA ablation of Figure 4a) — use -1 for
-	// "default".
+	// piggybacked on rumor acks (0 takes the default 10). Negative
+	// disables the partial anti-entropy (the LAN-NPA ablation of
+	// Figure 4a).
 	PiggybackCount int
 	// TDead drops peers continuously off-line this long (0 = never).
 	TDead time.Duration
-	// SuspicionThreshold is how many consecutive failed contacts with a
-	// peer — this node's sends and the RPCs other layers report through
-	// Node.NoteFailure — are needed before it is marked off-line (default
-	// 2, so one transient failure is forgiven). -1 restores the original
-	// one-strike behavior. Any success, or hearing from the peer, resets
-	// its streak.
-	SuspicionThreshold int
-	// ProbeEvery makes every ProbeEvery-th round additionally probe one
-	// random peer currently believed off-line with an anti-entropy
-	// request (default 8; -1 disables). A live peer answers, flipping
-	// the local opinion back on-line — the recovery path for suspected
-	// peers and healed partitions.
-	ProbeEvery int
 	// DiscoverMin, when positive, enables bootstrap discovery: while the
 	// directory believes fewer than DiscoverMin peers (including self)
 	// are on-line, every round additionally pulls a bounded random
@@ -258,9 +271,6 @@ type Config struct {
 	// disables discovery; established members whose directory already
 	// meets the minimum pay nothing.
 	DiscoverMin int
-	// ExchangeMax bounds how many records one discovery pull requests
-	// (default 16).
-	ExchangeMax int
 	// OnDrop, if non-nil, is invoked (outside the node's lock) after
 	// DropDead garbage-collects records, with the dropped ids and the
 	// collection time. Experiment harnesses use it to audit the T_Dead
@@ -272,22 +282,10 @@ type Config struct {
 	// one multi-minute transfer (the paper's proposed accommodation for
 	// modem users joining large communities).
 	MaxPullBatch int
-	// SummaryChunk bounds how many peer ids one anti-entropy summary
-	// reply covers (default 4096). Requested summaries stream in chunks:
-	// the responder answers [Cursor, Cursor+SummaryChunk) of the id
-	// space and the requester issues continuation requests, so neither
-	// side ever materializes a full []Version per exchange at 100k-peer
-	// scale. Negative disables chunking (one full-summary reply). The
-	// AE-only baseline's unsolicited pushes always carry the full
-	// summary — that cost is the point of the baseline.
-	SummaryChunk int
 	// Mode selects the protocol variant.
 	Mode Mode
 	// BandwidthAware enables the two-class target selection.
 	BandwidthAware bool
-	// SlowPeerProb is the probability a fast peer rumors to a slow one
-	// (0.01).
-	SlowPeerProb float64
 	// Sizes are the wire-accounting constants.
 	Sizes Sizes
 	// OnNews, if non-nil, is invoked (outside the node's lock) for
@@ -313,34 +311,10 @@ func (c Config) WithDefaults() Config {
 	if c.SlowdownStep == 0 {
 		c.SlowdownStep = 5 * time.Second
 	}
-	if c.GossiplessThreshold == 0 {
-		c.GossiplessThreshold = 2
-	}
-	if c.AEEvery == 0 {
-		c.AEEvery = 10
-	}
-	if c.RumorTTL == 0 {
-		c.RumorTTL = 3
-	}
-	if c.PiggybackCount == 0 {
-		c.PiggybackCount = 10
-	}
-	if c.SuspicionThreshold == 0 {
-		c.SuspicionThreshold = 2
-	}
-	if c.ProbeEvery == 0 {
-		c.ProbeEvery = 8
-	}
-	if c.ExchangeMax == 0 {
-		c.ExchangeMax = 16
-	}
-	if c.SummaryChunk == 0 {
-		c.SummaryChunk = 4096
-	}
 	// Negative stays negative: the explicit "disabled" marker (LAN-NPA)
 	// must survive repeated normalization.
-	if c.SlowPeerProb == 0 {
-		c.SlowPeerProb = 0.01
+	if c.PiggybackCount == 0 {
+		c.PiggybackCount = 10
 	}
 	if c.Sizes == (Sizes{}) {
 		c.Sizes = DefaultSizes()

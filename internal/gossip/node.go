@@ -51,35 +51,13 @@ type failStreak struct {
 type rumorState struct {
 	ver directory.Version
 	// consecKnown counts consecutive *distinct* contacts that already
-	// knew the rumor; at RumorTTL the rumor retires. Repeated acks from
+	// knew the rumor; at rumorTTL the rumor retires. Repeated acks from
 	// the same peer count once — Demers' rule is "contacts n peers in a
 	// row", and a joiner that only knows its bootstrap contact yet must
 	// not retire its own join announcement against it.
 	consecKnown int
 	lastAcker   directory.PeerID
 	anyAck      bool
-}
-
-// Stats counts a node's protocol activity.
-type Stats struct {
-	Rounds       int
-	RumorsSent   int
-	AcksSent     int
-	AERequests   int
-	AESummaries  int
-	PullsSent    int
-	RecordsSent  int
-	NewsLearned  int // records accepted as fresh
-	Retired      int
-	FailedSends  int // failed contacts: this node's sends and the RPCs other layers report (NoteFailure)
-	ProbesSent   int // recovery probes to suspected-off-line peers
-	Suspected    int // peers marked off-line after reaching the threshold
-	Gossipless   int // identical-directory contacts observed
-	IntervalUps  int // adaptive slow-downs applied
-	IntervalDrop int // resets to base interval
-	Exchanges    int // bootstrap-discovery peer-exchange pulls issued
-	ExchangeRecs int // records accepted as news from those pulls
-	Dropped      int // records garbage-collected by DropDead
 }
 
 // nodeMetrics holds the node's registry instruments, resolved once at
@@ -157,7 +135,7 @@ type Node struct {
 
 	// sendFails holds each peer's streak of consecutive failed contacts,
 	// from this node's sends and from any other layer's RPCs (NoteFailure);
-	// reaching Config.SuspicionThreshold marks the peer off-line. Any
+	// reaching suspicionThreshold marks the peer off-line. Any
 	// successful contact with — or message from — the peer clears its
 	// streak, so a single transient failure does not exile a live peer.
 	sendFails map[directory.PeerID]failStreak
@@ -166,8 +144,7 @@ type Node struct {
 	// (see SetSelfPayload); n.self and the own directory row carry none.
 	selfPayload func() []byte
 
-	stats Stats
-	m     nodeMetrics
+	m nodeMetrics
 }
 
 // NewNode creates a gossip node for the peer described by self. The
@@ -192,7 +169,7 @@ func NewNode(self directory.Record, dir *directory.Directory, cfg Config, env En
 		// own announcement (Section 7.2's join model), which also
 		// ensures its first rumor pushes have real targets to pick
 		// from.
-		rounds: cfg.AEEvery - 1,
+		rounds: aeEvery - 1,
 		m:      newNodeMetrics(cfg.Metrics),
 	}
 	dir.Upsert(self)
@@ -212,13 +189,6 @@ func (n *Node) Interval() time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.interval
-}
-
-// Stats returns a snapshot of protocol counters.
-func (n *Node) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
 }
 
 // SelfRecord returns the node's current own record.
@@ -324,7 +294,6 @@ func (n *Node) activateLocked(id RumorID) {
 // piggybacking.
 func (n *Node) retireLocked(peer directory.PeerID, ver directory.Version) {
 	delete(n.active, peer)
-	n.stats.Retired++
 	n.m.retired.Inc()
 	if n.cfg.PiggybackCount <= 0 {
 		return
@@ -353,7 +322,6 @@ func (n *Node) resetIntervalLocked() {
 	n.gossipless = 0
 	if n.interval != n.cfg.BaseInterval {
 		n.interval = n.cfg.BaseInterval
-		n.stats.IntervalDrop++
 		n.env.IntervalChanged(n.interval)
 	}
 }
@@ -361,10 +329,9 @@ func (n *Node) resetIntervalLocked() {
 // gossiplessContactLocked records an identical-directory contact and
 // applies the adaptive slow-down when the threshold is reached.
 func (n *Node) gossiplessContactLocked() {
-	n.stats.Gossipless++
 	n.m.gossipless.Inc()
 	n.gossipless++
-	if n.gossipless < n.cfg.GossiplessThreshold {
+	if n.gossipless < gossiplessThreshold {
 		return
 	}
 	n.gossipless = 0
@@ -373,7 +340,6 @@ func (n *Node) gossiplessContactLocked() {
 		if n.interval > n.cfg.MaxInterval {
 			n.interval = n.cfg.MaxInterval
 		}
-		n.stats.IntervalUps++
 		n.env.IntervalChanged(n.interval)
 	}
 }
@@ -397,7 +363,7 @@ func (n *Node) chooseTarget(doAE bool) (directory.PeerID, bool) {
 		if doAE {
 			// Fast anti-entropy always targets fast peers.
 			id, ok = n.dir.PickOnline(rng, classIs(directory.Fast))
-		} else if rng.Float64() < n.cfg.SlowPeerProb {
+		} else if rng.Float64() < slowPeerProb {
 			id, ok = n.dir.PickOnline(rng, classIs(directory.Slow))
 		} else {
 			id, ok = n.dir.PickOnline(rng, classIs(directory.Fast))
@@ -427,24 +393,18 @@ func (n *Node) chooseTarget(doAE bool) (directory.PeerID, bool) {
 func (n *Node) Tick() {
 	n.mu.Lock()
 	n.rounds++
-	n.stats.Rounds++
 	n.m.rounds.Inc()
 	var dropped []directory.PeerID
 	if n.cfg.TDead > 0 && n.rounds%16 == 0 {
 		dropped = n.dir.DropDead(n.cfg.TDead, n.env.Now())
-		if len(dropped) > 0 {
-			n.stats.Dropped += len(dropped)
-			n.m.dropped.Add(int64(len(dropped)))
-		}
+		n.m.dropped.Add(int64(len(dropped)))
 	}
-	doAE := n.cfg.Mode == ModeAEOnly ||
-		len(n.active) == 0 ||
-		(n.cfg.AEEvery > 0 && n.rounds%n.cfg.AEEvery == 0)
+	doAE := n.cfg.Mode == ModeAEOnly || len(n.active) == 0 || n.rounds%aeEvery == 0
 	target, ok := n.chooseTarget(doAE)
 	if !ok {
 		// No reachable target — possibly everyone is suspected off-line
 		// (a partition in force). Probing is the only way back.
-		probe := n.cfg.ProbeEvery > 0 && n.rounds%n.cfg.ProbeEvery == 0
+		probe := n.rounds%probeEvery == 0
 		n.mu.Unlock()
 		n.notifyDrops(dropped)
 		if probe {
@@ -456,22 +416,15 @@ func (n *Node) Tick() {
 	var msg *Message
 	clearFresh := false
 	if n.cfg.Mode == ModeAEOnly {
-		// Push anti-entropy baseline: ship our summary unsolicited.
-		msg = &Message{
-			Type: MsgAESummary, From: n.id,
-			Digest:   n.dir.Digest(),
-			Summary:  n.dir.Summary(),
-			NumKnown: n.dir.NumKnown(),
-		}
-		n.stats.AESummaries++
+		// Push anti-entropy baseline: ship our whole summary unsolicited.
+		msg = &Message{Type: MsgAESummary, From: n.id, Digest: n.dir.Digest()}
+		msg.Summary, _, msg.NumKnown = n.dir.SummaryRange(0, n.dir.Capacity())
 		n.m.aeSummaries.Inc()
 	} else if doAE {
 		msg = &Message{Type: MsgAERequest, From: n.id, Digest: n.dir.Digest()}
-		n.stats.AERequests++
 		n.m.aeRequests.Inc()
 	} else {
 		msg = &Message{Type: MsgRumor, From: n.id, Updates: n.activeUpdatesLocked()}
-		n.stats.RumorsSent++
 		n.m.rumorsSent.Inc()
 		var diffBytes int64
 		for i := range msg.Updates {
@@ -489,7 +442,7 @@ func (n *Node) Tick() {
 			clearFresh = true
 		}
 	}
-	probe := n.cfg.ProbeEvery > 0 && n.rounds%n.cfg.ProbeEvery == 0
+	probe := n.rounds%probeEvery == 0
 	n.mu.Unlock()
 	n.notifyDrops(dropped)
 	n.stampSelf(msg.Updates)
@@ -533,11 +486,8 @@ func (n *Node) discover() {
 	if !ok {
 		return
 	}
-	n.mu.Lock()
-	n.stats.Exchanges++
-	n.mu.Unlock()
 	n.m.exchanges.Inc()
-	recs, err := ex.ExchangePeers(target, n.cfg.ExchangeMax)
+	recs, err := ex.ExchangePeers(target, exchangeMax)
 	if err != nil {
 		n.NoteFailure(target)
 		return
@@ -550,12 +500,7 @@ func (n *Node) discover() {
 			accepted++
 		}
 	}
-	if accepted > 0 {
-		n.mu.Lock()
-		n.stats.ExchangeRecs += accepted
-		n.mu.Unlock()
-		n.m.exchangeRec.Add(int64(accepted))
-	}
+	n.m.exchangeRec.Add(int64(accepted))
 }
 
 // probeOffline attempts to recontact one peer currently believed
@@ -569,9 +514,6 @@ func (n *Node) probeOffline() {
 	if !ok {
 		return
 	}
-	n.mu.Lock()
-	n.stats.ProbesSent++
-	n.mu.Unlock()
 	n.m.probesSent.Inc()
 	// A failed probe carries no new suspicion — the peer is already
 	// off-line — so this bypasses sendOrSuspect.
@@ -610,9 +552,8 @@ func (n *Node) applyRecord(rec directory.Record, viaRumor bool) bool {
 	if !n.dir.Upsert(rec) {
 		return false
 	}
-	n.mu.Lock()
-	n.stats.NewsLearned++
 	n.m.newsLearned.Inc()
+	n.mu.Lock()
 	if viaRumor && n.cfg.Mode == ModeRumor {
 		n.activateLocked(RumorID{Peer: rec.ID, Ver: rec.Ver})
 	}
@@ -666,7 +607,6 @@ func (n *Node) receiveRumor(from directory.PeerID, m *Message) {
 		Acked: acked, Known: known,
 		Recent: append([]RumorID(nil), n.retired...),
 	}
-	n.stats.AcksSent++
 	n.m.acksSent.Inc()
 	n.mu.Unlock()
 	n.sendOrSuspect(from, ack)
@@ -687,7 +627,7 @@ func (n *Node) receiveAck(from directory.PeerID, m *Message) {
 			st.anyAck = true
 			st.lastAcker = from
 			st.consecKnown++
-			if st.consecKnown >= n.cfg.RumorTTL {
+			if st.consecKnown >= rumorTTL {
 				n.retireLocked(id.Peer, id.Ver)
 			}
 		} else {
@@ -708,11 +648,10 @@ func (n *Node) receiveAck(from directory.PeerID, m *Message) {
 	if len(need) > 0 {
 		n.mu.Lock()
 		ok := n.tryStartPullLocked()
+		n.mu.Unlock()
 		if ok {
-			n.stats.PullsSent++
 			n.m.pullsSent.Inc()
 		}
-		n.mu.Unlock()
 		if ok && !n.sendOrSuspect(from, &Message{Type: MsgPull, From: n.id, Need: need}) {
 			// The pull never left; release the gate so the next
 			// opportunity can re-issue it instead of waiting out the
@@ -742,9 +681,6 @@ func (n *Node) receivePull(from directory.PeerID, m *Message) {
 	if len(ups) == 0 {
 		return
 	}
-	n.mu.Lock()
-	n.stats.RecordsSent += len(ups)
-	n.mu.Unlock()
 	n.m.recordsSent.Add(int64(len(ups)))
 	n.stampSelf(ups)
 	n.sendOrSuspect(from, &Message{Type: MsgRecords, From: n.id, Updates: ups, AsDiff: asDiff})
@@ -764,22 +700,13 @@ func (n *Node) receiveAERequest(from directory.PeerID, m *Message) {
 		// difference and must run to the end of the id space.
 		reply.Identical = true
 		reply.NumKnown = n.dir.NumKnown()
-	case n.cfg.SummaryChunk > 0:
+	default:
 		// Streaming: answer one bounded chunk of the id space and tell
 		// the requester where to continue. Neither side materializes the
 		// full version vector.
-		chunk, next, known := n.dir.SummaryRange(cursor, n.cfg.SummaryChunk)
-		reply.Summary = chunk
-		reply.SummaryFrom = cursor
-		reply.Next = next // directory.None (<= 0) when complete
-		reply.NumKnown = known
-	default:
-		reply.Summary = n.dir.Summary()
-		reply.NumKnown = n.dir.NumKnown()
+		reply.Summary, reply.Next, reply.NumKnown = n.dir.SummaryRange(cursor, summaryChunk)
+		reply.SummaryFrom = cursor // Next is directory.None (<= 0) when complete
 	}
-	n.mu.Lock()
-	n.stats.AESummaries++
-	n.mu.Unlock()
 	n.m.aeSummaries.Inc()
 	n.sendOrSuspect(from, reply)
 }
@@ -807,9 +734,6 @@ func (n *Node) receiveAESummary(from directory.PeerID, m *Message) {
 		// Streaming continuation: ask for the next chunk before pulling
 		// this one's records, so the stream advances even while a pull
 		// is in flight.
-		n.mu.Lock()
-		n.stats.AERequests++
-		n.mu.Unlock()
 		n.m.aeRequests.Inc()
 		n.sendOrSuspect(from, &Message{
 			Type: MsgAERequest, From: n.id,
@@ -823,16 +747,15 @@ func (n *Node) receiveAESummary(from directory.PeerID, m *Message) {
 	}
 	if n.cfg.MaxPullBatch > 0 && len(need) > n.cfg.MaxPullBatch {
 		// Acquire the directory in pieces: the rest comes on later
-		// exchanges (Missing is deterministic, so batches progress).
+		// exchanges (MissingRange is deterministic, so batches progress).
 		need = need[:n.cfg.MaxPullBatch]
 	}
 	n.mu.Lock()
 	ok := n.tryStartPullLocked()
+	n.mu.Unlock()
 	if ok {
-		n.stats.PullsSent++
 		n.m.pullsSent.Inc()
 	}
-	n.mu.Unlock()
 	if ok && !n.sendOrSuspect(from, &Message{Type: MsgPull, From: n.id, Need: need}) {
 		n.mu.Lock()
 		n.pullInFlight = false
@@ -853,26 +776,20 @@ func (n *Node) sendOrSuspect(to directory.PeerID, m *Message) bool {
 
 // NoteFailure records one failed contact with peer to — a send of this
 // node's, or an RPC some other layer addressed to it — and is the only place
-// a peer is marked off-line: at SuspicionThreshold consecutive failures, with
+// a peer is marked off-line: at suspicionThreshold consecutive failures, with
 // no contact in between. The off-line mark is a local opinion (Section 3);
 // probeOffline and any message from the peer revise it.
 func (n *Node) NoteFailure(to directory.PeerID) {
-	thr := n.cfg.SuspicionThreshold
-	if thr < 1 {
-		thr = 1
-	}
 	rec, _ := n.dir.Get(to)
 	n.mu.Lock()
-	n.stats.FailedSends++
 	st := n.sendFails[to]
 	if st.addr != rec.Addr {
 		st = failStreak{addr: rec.Addr}
 	}
 	st.fails++
-	mark := st.fails >= thr
+	mark := st.fails >= suspicionThreshold
 	if mark {
 		delete(n.sendFails, to)
-		n.stats.Suspected++
 	} else {
 		n.sendFails[to] = st
 	}

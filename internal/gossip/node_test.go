@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"planetp/internal/directory"
+	"planetp/internal/metrics"
 )
 
 // fakeNet is a synchronous in-memory message fabric for unit-testing Node
@@ -22,6 +23,7 @@ type fakeNet struct {
 	rng      *rand.Rand
 	sent     []sentMsg
 	drop     func(to directory.PeerID, m *Message) bool
+	regs     map[directory.PeerID]*metrics.Registry
 }
 
 type sentMsg struct {
@@ -35,6 +37,7 @@ func newFakeNet(seed int64) *fakeNet {
 		offline:  make(map[directory.PeerID]bool),
 		failNext: make(map[directory.PeerID]int),
 		rng:      rand.New(rand.NewSource(seed)),
+		regs:     make(map[directory.PeerID]*metrics.Registry),
 	}
 }
 
@@ -69,9 +72,26 @@ func (e *fakeEnv) Send(to directory.PeerID, m *Message) error {
 func (f *fakeNet) addNode(id directory.PeerID, capacity int, cfg Config) *Node {
 	rec := directory.Record{ID: id, Class: directory.Fast, DiffSize: 100, PayloadSize: 1000}
 	dir := directory.New(id, capacity)
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
+	}
+	f.regs[id] = cfg.Metrics
 	n := NewNode(rec, dir, cfg, &fakeEnv{net: f, id: id})
 	f.nodes[id] = n
 	return n
+}
+
+// count reads one of node id's gossip_* counters.
+func (f *fakeNet) count(id directory.PeerID, name string) int64 {
+	return f.regs[id].Snapshot().Get(name)
+}
+
+// summaryOf is n's whole directory as one unsolicited anti-entropy summary.
+func summaryOf(n *Node) *Message {
+	d := n.Directory()
+	m := &Message{Type: MsgAESummary, From: n.ID(), Digest: d.Digest()}
+	m.Summary, _, m.NumKnown = d.SummaryRange(0, d.Capacity())
+	return m
 }
 
 // connect makes every node know every other's record and quiesces.
@@ -136,8 +156,8 @@ func TestRumorPropagatesAndAcks(t *testing.T) {
 	if a.ActiveRumors() != 0 {
 		t.Fatalf("rumor did not retire after 3 distinct known-acks: %d active", a.ActiveRumors())
 	}
-	if a.Stats().Retired != 1 {
-		t.Fatalf("Retired = %d, want 1", a.Stats().Retired)
+	if got := f.count(0, "gossip_rumors_retired_total"); got != 1 {
+		t.Fatalf("retired %d rumors, want 1", got)
 	}
 }
 
@@ -169,12 +189,7 @@ func TestAntiEntropyCuresResidual(t *testing.T) {
 	}
 	// c runs an anti-entropy round against b: request -> summary -> pull
 	// -> records, all synchronous in fakeNet.
-	c.Receive(1, &Message{
-		Type: MsgAESummary, From: 1,
-		Digest:   b.Directory().Digest(),
-		Summary:  b.Directory().Summary(),
-		NumKnown: b.Directory().NumKnown(),
-	})
+	c.Receive(1, summaryOf(b))
 	if got := c.Directory().VersionOf(0); got.Seq != 1 {
 		t.Fatalf("anti-entropy did not cure residual: c's view = %v", got)
 	}
@@ -201,7 +216,7 @@ func TestPartialAntiEntropyPull(t *testing.T) {
 	if got := a.Directory().VersionOf(2); got != rec.Ver {
 		t.Fatalf("partial anti-entropy failed: a's view of 2 = %v, want %v", got, rec.Ver)
 	}
-	if a.Stats().PullsSent == 0 {
+	if f.count(0, "gossip_pulls_sent_total") == 0 {
 		t.Fatal("no pull was sent")
 	}
 }
@@ -279,11 +294,11 @@ func TestOfflineDetectionOnSendFailure(t *testing.T) {
 	if e.Online {
 		t.Fatalf("two failed sends should mark peer offline: %+v", e)
 	}
-	if a.Stats().FailedSends != 2 {
-		t.Fatalf("FailedSends = %d", a.Stats().FailedSends)
+	if got := f.count(0, "gossip_failed_sends_total"); got != 2 {
+		t.Fatalf("failed sends = %d", got)
 	}
-	if a.Stats().Suspected != 1 {
-		t.Fatalf("Suspected = %d", a.Stats().Suspected)
+	if got := f.count(0, "gossip_peers_suspected_total"); got != 1 {
+		t.Fatalf("suspected = %d", got)
 	}
 	// Hearing from the peer again flips it back.
 	f.offline[1] = false
@@ -291,19 +306,6 @@ func TestOfflineDetectionOnSendFailure(t *testing.T) {
 	e, _ = a.Directory().Entry(1)
 	if !e.Online {
 		t.Fatal("receive should mark peer online")
-	}
-}
-
-func TestOneStrikeModeRestoresOldBehavior(t *testing.T) {
-	f := newFakeNet(8)
-	a := f.addNode(0, 4, Config{SuspicionThreshold: -1})
-	f.addNode(1, 4, Config{SuspicionThreshold: -1})
-	f.connect()
-	f.offline[1] = true
-	a.Publish(10, 100)
-	a.Tick()
-	if e, _ := a.Directory().Entry(1); e.Online {
-		t.Fatalf("SuspicionThreshold -1 should mark offline on first failure: %+v", e)
 	}
 }
 
@@ -354,8 +356,8 @@ func TestSuccessResetsSuspicionStreak(t *testing.T) {
 	if e, _ := a.Directory().Entry(1); !e.Online {
 		t.Fatal("non-consecutive failures must not mark peer offline")
 	}
-	if a.Stats().FailedSends != 2 {
-		t.Fatalf("FailedSends = %d, want 2", a.Stats().FailedSends)
+	if got := f.count(0, "gossip_failed_sends_total"); got != 2 {
+		t.Fatalf("failed sends = %d, want 2", got)
 	}
 }
 
@@ -375,17 +377,17 @@ func TestFailedPullReleasesInFlightGate(t *testing.T) {
 
 	// a hears b's summary, tries to pull, but the send fails.
 	f.failNext[1] = 1
-	a.Receive(1, &Message{Type: MsgAESummary, From: 1, Digest: b.Directory().Digest(), Summary: b.Directory().Summary(), NumKnown: b.Directory().NumKnown()})
-	if got := a.Stats().PullsSent; got != 1 {
-		t.Fatalf("PullsSent = %d, want 1", got)
+	a.Receive(1, summaryOf(b))
+	if got := f.count(0, "gossip_pulls_sent_total"); got != 1 {
+		t.Fatalf("pulls sent = %d, want 1", got)
 	}
 	if a.Directory().VersionOf(2) == rec.Ver {
 		t.Fatal("pull should have failed")
 	}
 	// A second summary must be able to pull immediately (gate released).
-	a.Receive(1, &Message{Type: MsgAESummary, From: 1, Digest: b.Directory().Digest(), Summary: b.Directory().Summary(), NumKnown: b.Directory().NumKnown()})
-	if got := a.Stats().PullsSent; got != 2 {
-		t.Fatalf("PullsSent = %d, want 2 (gate not released)", got)
+	a.Receive(1, summaryOf(b))
+	if got := f.count(0, "gossip_pulls_sent_total"); got != 2 {
+		t.Fatalf("pulls sent = %d, want 2 (gate not released)", got)
 	}
 	if got := a.Directory().VersionOf(2); got != rec.Ver {
 		t.Fatalf("record not pulled after retry: %v", got)
@@ -397,8 +399,8 @@ func TestFailedPullReleasesInFlightGate(t *testing.T) {
 // it and the answer flips it back on-line.
 func TestProbeRecoversOfflinePeer(t *testing.T) {
 	f := newFakeNet(14)
-	a := f.addNode(0, 4, Config{ProbeEvery: 4})
-	f.addNode(1, 4, Config{ProbeEvery: 4})
+	a := f.addNode(0, 4, Config{})
+	f.addNode(1, 4, Config{})
 	f.connect()
 
 	a.Publish(10, 100)
@@ -408,15 +410,15 @@ func TestProbeRecoversOfflinePeer(t *testing.T) {
 	if e, _ := a.Directory().Entry(1); e.Online {
 		t.Fatal("setup: peer should be suspected offline")
 	}
-	// Peer comes back. Ticks continue; every 4th round probes it.
+	// Peer comes back. Ticks continue; the 8th round probes it.
 	f.offline[1] = false
-	for i := 0; i < 8; i++ {
+	for i := 0; i < probeEvery-2; i++ {
 		a.Tick()
 	}
 	if e, _ := a.Directory().Entry(1); !e.Online {
 		t.Fatal("probe should have rediscovered the live peer")
 	}
-	if a.Stats().ProbesSent == 0 {
+	if f.count(0, "gossip_probes_sent_total") == 0 {
 		t.Fatal("no probes were sent")
 	}
 }
@@ -448,10 +450,10 @@ func TestAEOnlyModeNeverRumors(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		a.Tick()
 	}
-	if a.Stats().RumorsSent != 0 {
-		t.Fatalf("AE-only node sent %d rumors", a.Stats().RumorsSent)
+	if got := f.count(0, "gossip_rumors_sent_total"); got != 0 {
+		t.Fatalf("AE-only node sent %d rumors", got)
 	}
-	if a.Stats().AESummaries == 0 {
+	if f.count(0, "gossip_ae_summaries_total") == 0 {
 		t.Fatal("AE-only node sent no summaries")
 	}
 	// The push-AE still propagates the update (b pulls from a).
@@ -475,13 +477,14 @@ func TestSelfRecordImmuneToGossip(t *testing.T) {
 
 func TestTDeadDropsLongOfflinePeers(t *testing.T) {
 	f := newFakeNet(12)
-	cfg := Config{TDead: time.Hour, SuspicionThreshold: -1}
+	cfg := Config{TDead: time.Hour}
 	a := f.addNode(0, 8, cfg)
 	f.addNode(1, 8, cfg)
 	f.connect()
-	// Peer 1 goes silent; a discovers it via a failed send.
+	// Peer 1 goes silent; a discovers it via two failed sends.
 	f.offline[1] = true
 	a.Publish(10, 100)
+	a.Tick()
 	a.Tick()
 	if e, _ := a.Directory().Entry(1); e.Online {
 		t.Fatal("not marked offline")
@@ -547,8 +550,7 @@ func TestWireSizes(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
 	if c.BaseInterval != 30*time.Second || c.MaxInterval != 60*time.Second ||
-		c.SlowdownStep != 5*time.Second || c.GossiplessThreshold != 2 ||
-		c.AEEvery != 10 || c.RumorTTL != 3 || c.PiggybackCount != 10 {
+		c.SlowdownStep != 5*time.Second || c.PiggybackCount != 10 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	if c.Sizes != DefaultSizes() {
@@ -585,14 +587,14 @@ func mustGet(t *testing.T, n *Node, id directory.PeerID) directory.Record {
 // through untouched, and the source runs with the node's mutex free.
 func TestSelfPayloadStampedWhenItLeaves(t *testing.T) {
 	f := newFakeNet(18)
-	a := f.addNode(0, 4, Config{AEEvery: 1000})
-	b := f.addNode(1, 4, Config{AEEvery: 1000})
+	a := f.addNode(0, 4, Config{})
+	b := f.addNode(1, 4, Config{})
 	f.connect()
 
 	filter, calls := []byte("v1"), 0
 	a.SetSelfPayload(func() []byte {
 		calls++
-		a.Stats() // takes the node's mutex: deadlocks if the caller holds it
+		a.Interval() // takes the node's mutex: deadlocks if the caller holds it
 		return filter
 	})
 	// A third peer's record travels in a's rumors too, with a payload of

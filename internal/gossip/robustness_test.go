@@ -21,17 +21,9 @@ func TestMaxPullBatchChunks(t *testing.T) {
 	limited := f.addNode(1, 64, Config{MaxPullBatch: 10})
 	limited.Directory().Upsert(full.SelfRecord())
 
-	summary := func() *Message {
-		return &Message{
-			Type: MsgAESummary, From: 0,
-			Digest:   full.Directory().Digest(),
-			Summary:  full.Directory().Summary(),
-			NumKnown: full.Directory().NumKnown(),
-		}
-	}
 	// One exchange: at most 10 new records (plus the ones it had).
 	before := limited.Directory().NumKnown()
-	limited.Receive(0, summary())
+	limited.Receive(0, summaryOf(full))
 	after := limited.Directory().NumKnown()
 	if after-before > 10 {
 		t.Fatalf("single exchange pulled %d records, cap is 10", after-before)
@@ -43,7 +35,7 @@ func TestMaxPullBatchChunks(t *testing.T) {
 	// which full does not).
 	want := full.Directory().NumKnown() + 1
 	for i := 0; i < 10 && limited.Directory().NumKnown() < want; i++ {
-		limited.Receive(0, summary())
+		limited.Receive(0, summaryOf(full))
 	}
 	if got := limited.Directory().NumKnown(); got != want {
 		t.Fatalf("chunked pulls never converged: %d vs %d", got, want)

@@ -7,12 +7,16 @@ import (
 )
 
 // streamSetup builds two nodes in a 20-id space where b knows 18 synthetic
-// members and a knows only b — the worst case for summary exchange.
-func streamSetup(t *testing.T, cfg Config) (*fakeNet, *Node, *Node) {
+// members and a knows only b — the worst case for summary exchange — and
+// shrinks the summary chunk to 4 ids for the test.
+func streamSetup(t *testing.T) (*fakeNet, *Node, *Node) {
 	t.Helper()
+	old := summaryChunk
+	summaryChunk = 4
+	t.Cleanup(func() { summaryChunk = old })
 	f := newFakeNet(5)
-	a := f.addNode(0, 20, cfg)
-	b := f.addNode(1, 20, cfg)
+	a := f.addNode(0, 20, Config{})
+	b := f.addNode(1, 20, Config{})
 	for id := directory.PeerID(2); id < 20; id++ {
 		b.Directory().Upsert(directory.Record{
 			ID: id, Ver: directory.Version{Epoch: 1, Seq: uint32(id)},
@@ -30,7 +34,7 @@ func streamSetup(t *testing.T, cfg Config) (*fakeNet, *Node, *Node) {
 // exchange streams the whole 20-id space through continuation cursors and
 // the requester ends up with every record.
 func TestStreamingAEConverges(t *testing.T) {
-	f, a, b := streamSetup(t, Config{SummaryChunk: 4})
+	f, a, b := streamSetup(t)
 	a.Tick() // AE round (no active rumors after Quiesce)
 
 	if got, want := a.Directory().NumKnown(), 20; got != want {
@@ -73,7 +77,7 @@ func TestStreamingAEConverges(t *testing.T) {
 // TestStreamingAEIdenticalFastPath: converged directories still settle the
 // exchange with one Identical reply — the stream never starts.
 func TestStreamingAEIdenticalFastPath(t *testing.T) {
-	f, a, b := streamSetup(t, Config{SummaryChunk: 4})
+	f, a, b := streamSetup(t)
 	a.Tick()
 	before := len(f.sent)
 	b.Receive(0, &Message{Type: MsgAERequest, From: 0, Digest: a.Directory().Digest()})
@@ -109,23 +113,5 @@ func TestStreamingAEWireAccounting(t *testing.T) {
 	cont := &Message{Type: MsgAERequest, Cursor: 12}
 	if got, want := cont.WireSize(s), s.Header+8+4; got != want {
 		t.Fatalf("continuation wire = %d, want %d", got, want)
-	}
-}
-
-// TestStreamingAEDisabled: a negative SummaryChunk restores the one-shot
-// full-summary exchange.
-func TestStreamingAEDisabled(t *testing.T) {
-	f, a, b := streamSetup(t, Config{SummaryChunk: -1})
-	a.Tick()
-	if a.Directory().Digest() != b.Directory().Digest() {
-		t.Fatal("digests differ after unchunked exchange")
-	}
-	for _, s := range f.sent {
-		if s.msg.Type == MsgAESummary && s.msg.Next > 0 {
-			t.Fatal("chunked reply sent despite SummaryChunk < 0")
-		}
-		if s.msg.Type == MsgAERequest && s.msg.Cursor > 0 {
-			t.Fatal("continuation sent despite SummaryChunk < 0")
-		}
 	}
 }

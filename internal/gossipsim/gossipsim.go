@@ -41,9 +41,6 @@ type Scenario struct {
 	// Piggyback overrides the partial-anti-entropy count (0 = default
 	// 10, -1 = disabled).
 	Piggyback int
-	// PullBatch caps anti-entropy pulls (0 = unlimited): the paper's
-	// proposed accommodation for slow peers joining large communities.
-	PullBatch int
 	// TDead enables directory garbage collection: records continuously
 	// off-line this long are dropped (0 = never).
 	TDead time.Duration
@@ -87,7 +84,6 @@ func (sc Scenario) config() gossip.Config {
 		Mode:           sc.Mode,
 		BandwidthAware: sc.BandwidthAware,
 		PiggybackCount: sc.Piggyback,
-		MaxPullBatch:   sc.PullBatch,
 		TDead:          sc.TDead,
 		DiscoverMin:    sc.DiscoverMin,
 		Metrics:        sc.Metrics,

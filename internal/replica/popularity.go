@@ -15,22 +15,20 @@ import (
 //
 // Popularity is NOT thread-safe; the owning Manager serializes access.
 type Popularity struct {
-	halfLife time.Duration
 	counters map[string]*popCounter
 }
+
+// halfLife is the popularity decay half-life.
+const halfLife = 10 * time.Minute
 
 type popCounter struct {
 	mass float64
 	last time.Duration
 }
 
-// NewPopularity returns a tracker with the given half-life (0 takes the
-// 10-minute default).
-func NewPopularity(halfLife time.Duration) *Popularity {
-	if halfLife <= 0 {
-		halfLife = 10 * time.Minute
-	}
-	return &Popularity{halfLife: halfLife, counters: make(map[string]*popCounter)}
+// NewPopularity returns an empty tracker.
+func NewPopularity() *Popularity {
+	return &Popularity{counters: make(map[string]*popCounter)}
 }
 
 // decayTo folds the elapsed decay into the counter.
@@ -38,7 +36,7 @@ func (p *Popularity) decayTo(c *popCounter, now time.Duration) {
 	if now <= c.last {
 		return
 	}
-	dt := float64(now-c.last) / float64(p.halfLife)
+	dt := float64(now-c.last) / float64(halfLife)
 	c.mass *= math.Exp2(-dt)
 	c.last = now
 }

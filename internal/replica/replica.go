@@ -71,6 +71,10 @@ type HotDoc struct {
 	Score  float64
 }
 
+// HotScore is the decayed-popularity threshold for the first replica, and
+// twice the score below which a held replica is released (hysteresis).
+const HotScore = 2.0
+
 // Config tunes a Manager.
 type Config struct {
 	// Factor is the replication factor k: the community-wide copy target
@@ -79,11 +83,6 @@ type Config struct {
 	Factor int
 	// Budget bounds resident replica-body bytes (default 64 MiB).
 	Budget int64
-	// HotScore is the decayed-popularity threshold for the first replica
-	// (default 2).
-	HotScore float64
-	// HalfLife is the popularity decay half-life (default 10 minutes).
-	HalfLife time.Duration
 	// Now is the clock (required; core passes the transport's monotonic
 	// clock, tests a fake).
 	Now func() time.Duration
@@ -94,9 +93,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Budget <= 0 {
 		c.Budget = 64 << 20
-	}
-	if c.HotScore <= 0 {
-		c.HotScore = 2
 	}
 	if c.Now == nil {
 		c.Now = func() time.Duration { return 0 }
@@ -144,7 +140,7 @@ func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
 		cfg:     cfg,
-		pop:     NewPopularity(cfg.HalfLife),
+		pop:     NewPopularity(),
 		entries: make(map[string]Entry),
 		tombs:   make(map[string]uint32),
 	}
@@ -158,9 +154,6 @@ func NewManager(cfg Config) *Manager {
 
 // Factor returns the configured replication factor.
 func (m *Manager) Factor() int { return m.cfg.Factor }
-
-// HotScore returns the replication popularity threshold.
-func (m *Manager) HotScore() float64 { return m.cfg.HotScore }
 
 // --- popularity ---
 
@@ -195,7 +188,7 @@ func (m *Manager) HotKeys() ([]string, []float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.cfg.Now()
-	keys := m.pop.Above(m.cfg.HotScore, now)
+	keys := m.pop.Above(HotScore, now)
 	scores := make([]float64, len(keys))
 	for i, k := range keys {
 		scores[i] = m.pop.Score(k, now)
@@ -209,20 +202,15 @@ func (m *Manager) HotKeys() ([]string, []float64) {
 // computation of the Jacobs/Harwood scheme, with the budget enforced at
 // adoption time).
 func (m *Manager) TargetReplicas(score float64) int {
-	if m.cfg.Factor <= 1 || score < m.cfg.HotScore {
+	if m.cfg.Factor <= 1 || score < HotScore {
 		return 0
 	}
-	t := int(score / m.cfg.HotScore)
+	t := int(score / HotScore)
 	if max := m.cfg.Factor - 1; t > max {
 		t = max
 	}
 	return t
 }
-
-// ReleaseScore is the GC threshold: a held replica whose popularity
-// decays below this (half the adoption threshold — hysteresis) is
-// dropped.
-func (m *Manager) ReleaseScore() float64 { return m.cfg.HotScore / 2 }
 
 // --- replica set ---
 
@@ -396,7 +384,7 @@ func (m *Manager) ReleaseCandidates() []Entry {
 	now := m.cfg.Now()
 	var out []Entry
 	for _, e := range m.entriesLocked() {
-		if m.pop.Score(e.Key, now) < m.cfg.HotScore/2 {
+		if m.pop.Score(e.Key, now) < HotScore/2 {
 			out = append(out, e)
 		}
 	}

@@ -14,7 +14,7 @@ func (c *fakeClock) now() time.Duration { return c.t }
 
 func newTestManager(t *testing.T, clk *fakeClock, mutate func(*Config)) *Manager {
 	t.Helper()
-	cfg := Config{Factor: 3, Budget: 1 << 20, HotScore: 2, HalfLife: time.Minute, Now: clk.now}
+	cfg := Config{Factor: 3, Budget: 1 << 20, Now: clk.now}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -56,21 +56,21 @@ func purge(t *testing.T, m *Manager, key string, epoch uint32, tomb bool) bool {
 
 func TestPopularityDecayDeterministic(t *testing.T) {
 	clk := &fakeClock{}
-	p := NewPopularity(time.Minute)
+	p := NewPopularity()
 	p.Hit("a", 0)
 	p.Hit("a", 0)
 	if s := p.Score("a", 0); s != 2 {
 		t.Fatalf("score after 2 hits = %v", s)
 	}
 	// One half-life halves the mass.
-	if s := p.Score("a", time.Minute); s < 0.99 || s > 1.01 {
+	if s := p.Score("a", halfLife); s < 0.99 || s > 1.01 {
 		t.Fatalf("score after one half-life = %v", s)
 	}
 	// Two managers fed the same schedule agree exactly.
-	q := NewPopularity(time.Minute)
+	q := NewPopularity()
 	q.Hit("a", 0)
 	q.Hit("a", 0)
-	if p.Score("a", 5*time.Minute) != q.Score("a", 5*time.Minute) {
+	if p.Score("a", 5*halfLife) != q.Score("a", 5*halfLife) {
 		t.Fatal("identical schedules diverged")
 	}
 	_ = clk
@@ -177,7 +177,7 @@ func TestBudgetEvictsLeastPopular(t *testing.T) {
 
 func TestReleaseCandidatesByDecay(t *testing.T) {
 	clk := &fakeClock{}
-	m := newTestManager(t, clk, func(c *Config) { c.HalfLife = time.Minute })
+	m := newTestManager(t, clk, nil)
 	if _, err := put(t, m, Entry{Key: "a", Origin: 1, Epoch: 1, XML: "x"}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestReleaseCandidatesByDecay(t *testing.T) {
 	}
 	// After two half-lives the seed score of 2 decays to 0.5 < the
 	// release threshold (HotScore/2 = 1).
-	clk.t = 2 * time.Minute
+	clk.t = 2 * halfLife
 	rc := m.ReleaseCandidates()
 	if len(rc) != 1 || rc[0].Key != "a" {
 		t.Fatalf("ReleaseCandidates = %+v", rc)

@@ -17,7 +17,7 @@ import (
 type SearchRequest struct {
 	// Query is the raw query string (plain words or tag:word).
 	Query string `json:"query"`
-	// K is the number of documents wanted (default Config.DefaultK, at
+	// K is the number of documents wanted (default defaultK, at
 	// most maxK).
 	K int `json:"k,omitempty"`
 	// NoCache bypasses the result cache for this request.
@@ -171,7 +171,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if k <= 0 {
-		k = s.cfg.DefaultK
+		k = defaultK
 	}
 	gen := s.peer.Directory().Generation()
 	key := searchCacheKey(terms, k)
@@ -243,10 +243,10 @@ func (s *Server) handlePublishBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if len(req.XMLs) > s.cfg.MaxBatch {
+	if len(req.XMLs) > maxBatch {
 		s.errors.Inc()
 		writeError(w, http.StatusRequestEntityTooLarge,
-			"batch of "+strconv.Itoa(len(req.XMLs))+" exceeds the "+strconv.Itoa(s.cfg.MaxBatch)+"-document limit")
+			"batch of "+strconv.Itoa(len(req.XMLs))+" exceeds the "+strconv.Itoa(maxBatch)+"-document limit")
 		return
 	}
 	docs, err := s.peer.PublishBatch(req.XMLs)

@@ -19,18 +19,14 @@ import (
 // map lookup plus one Write, with no risk of a handler mutating a shared
 // result slice.
 //
-// Entries are LRU-evicted beyond cap. A nil *resultCache is a disabled
-// cache: get always misses, put drops.
+// Entries are LRU-evicted beyond cacheEntries.
 type resultCache struct {
 	lru *lru.Cache[string, uint64, []byte]
 }
 
-// newResultCache returns a cache of at most cap responses (nil if cap <= 0).
-func newResultCache(cap int) *resultCache {
-	if cap <= 0 {
-		return nil
-	}
-	return &resultCache{lru: lru.New[string, uint64, []byte](int64(cap))}
+// newResultCache returns an empty cache.
+func newResultCache() *resultCache {
+	return &resultCache{lru: lru.New[string, uint64, []byte](cacheEntries)}
 }
 
 // searchCacheKey canonicalizes one search request: the term sequence
@@ -49,9 +45,6 @@ func searchCacheKey(terms []string, k int) string {
 
 // get returns the cached body for key at generation gen, if fresh.
 func (c *resultCache) get(gen uint64, key string) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
 	body, ok, _ := c.lru.Get(key, gen)
 	return body, ok
 }
@@ -60,7 +53,5 @@ func (c *resultCache) get(gen uint64, key string) ([]byte, bool) {
 // search ran: if a publish landed meanwhile, every later get carries a
 // newer generation and cannot return this possibly-stale response.
 func (c *resultCache) put(gen uint64, key string, body []byte) {
-	if c != nil {
-		c.lru.Put(key, gen, body, 1)
-	}
+	c.lru.Put(key, gen, body, 1)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -10,12 +11,15 @@ import (
 	"planetp/internal/directory"
 )
 
-// TestResultCacheLRUAndGeneration: unit behaviour — LRU eviction at cap,
-// miss on generation advance, stale put never returned.
+// TestResultCacheLRUAndGeneration: unit behaviour — LRU eviction at
+// cacheEntries, miss on generation advance, stale put never returned.
 func TestResultCacheLRUAndGeneration(t *testing.T) {
-	c := newResultCache(2)
+	c := newResultCache()
 	c.put(1, "a", []byte("A"))
 	c.put(1, "b", []byte("B"))
+	for i := 2; i < cacheEntries; i++ {
+		c.put(1, strconv.Itoa(i), nil)
+	}
 	if _, ok := c.get(1, "a"); !ok {
 		t.Fatal("a missing after put")
 	}
@@ -44,13 +48,6 @@ func TestResultCacheLRUAndGeneration(t *testing.T) {
 	c.put(1, "old", []byte("stale"))
 	if _, ok := c.get(2, "old"); ok {
 		t.Fatal("stale-generation put was stored")
-	}
-
-	// cap<=0 disables caching entirely.
-	d := newResultCache(0)
-	d.put(1, "x", []byte("X"))
-	if _, ok := d.get(1, "x"); ok {
-		t.Fatal("disabled cache returned a hit")
 	}
 }
 

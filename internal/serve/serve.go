@@ -41,12 +41,26 @@ import (
 	"context"
 	"net"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"planetp/internal/core"
 	"planetp/internal/metrics"
+)
+
+// The serving tier's fixed bounds.
+const (
+	// retryAfter is the Retry-After hint, in seconds, sent with 429
+	// responses.
+	retryAfter = "1"
+	// cacheEntries bounds the search result cache.
+	cacheEntries = 1024
+	// defaultK is the top-k used by searches that do not specify one.
+	defaultK = 10
+	// maxBatch bounds documents per publish-batch request.
+	maxBatch = 1024
+	// maxBodyBytes bounds request bodies.
+	maxBodyBytes = 8 << 20
 )
 
 // Config tunes the serving tier. The zero value takes the defaults noted
@@ -55,43 +69,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted requests across all /v1
 	// routes; beyond it requests are shed with 429 (default 256).
 	MaxInFlight int
-	// RetryAfter is the hint sent with 429 responses (default 1s;
-	// rounded up to whole seconds for the header).
-	RetryAfter time.Duration
-	// CacheEntries bounds the search result cache (default 1024;
-	// negative disables caching).
-	CacheEntries int
-	// DefaultK is the top-k used by searches that do not specify one
-	// (default 10).
-	DefaultK int
-	// MaxBatch bounds documents per publish-batch request (default
-	// 1024).
-	MaxBatch int
-	// MaxBodyBytes bounds request bodies (default 8 MiB).
-	MaxBodyBytes int64
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 256
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 1024
-	}
-	if c.DefaultK <= 0 {
-		c.DefaultK = 10
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	return c
 }
 
 // serveLatencyBounds are the microsecond buckets for per-route
@@ -105,7 +82,6 @@ var serveLatencyBounds = []int64{
 // Server serves the HTTP API for one peer.
 type Server struct {
 	peer  *core.Peer
-	cfg   Config
 	reg   *metrics.Registry
 	cache *resultCache
 
@@ -131,13 +107,14 @@ type Server struct {
 
 // New builds a server over peer. Metrics go to the peer's registry.
 func New(peer *core.Peer, cfg Config) *Server {
-	cfg = cfg.withDefaults()
+	if cfg.MaxInFlight <= 0 {
+		cfg.MaxInFlight = 256
+	}
 	reg := peer.Metrics()
 	s := &Server{
 		peer:        peer,
-		cfg:         cfg,
 		reg:         reg,
-		cache:       newResultCache(cfg.CacheEntries),
+		cache:       newResultCache(),
 		slots:       make(chan struct{}, cfg.MaxInFlight),
 		inflight:    reg.Gauge("serve_inflight_requests"),
 		shed:        reg.Counter("serve_shed_total"),
@@ -207,7 +184,6 @@ func (s *Server) InFlight() int { return len(s.slots) }
 func (s *Server) admit(route string, h http.HandlerFunc) http.HandlerFunc {
 	routeReqs := s.reg.Counter("serve_" + route + "_requests_total")
 	hist := s.reg.Histogram("serve_"+route+"_latency_us", serveLatencyBounds)
-	retryAfter := strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second))
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Inc()
 		routeReqs.Inc()
@@ -231,7 +207,7 @@ func (s *Server) admit(route string, h http.HandlerFunc) http.HandlerFunc {
 		if s.testHook != nil {
 			s.testHook(route)
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		start := time.Now()
 		h(w, r)
 		hist.Observe(time.Since(start).Microseconds())

@@ -150,7 +150,7 @@ func TestPublishBatchAndPeers(t *testing.T) {
 // a 500 or a hang.
 func TestBadRequests(t *testing.T) {
 	p := newTestPeer(t, 0)
-	_, ts := newTestServer(t, p, Config{MaxBatch: 2})
+	_, ts := newTestServer(t, p, Config{})
 
 	resp, err := http.Post(ts.URL+"/v1/search", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
@@ -170,7 +170,10 @@ func TestBadRequests(t *testing.T) {
 	if r := postJSON(t, ts.URL+"/v1/publish-batch", PublishBatchRequest{}); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch status = %d, want 400", r.StatusCode)
 	}
-	over := PublishBatchRequest{XMLs: []string{"<a>x</a>", "<b>y</b>", "<c>z</c>"}}
+	over := PublishBatchRequest{XMLs: make([]string, maxBatch+1)}
+	for i := range over.XMLs {
+		over.XMLs[i] = "<a>x</a>"
+	}
 	if r := postJSON(t, ts.URL+"/v1/publish-batch", over); r.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch status = %d, want 413", r.StatusCode)
 	}
@@ -215,7 +218,7 @@ func TestAdmissionControlShedsWith429(t *testing.T) {
 	}
 
 	const slots = 4
-	s := New(p, Config{MaxInFlight: slots, RetryAfter: 2 * time.Second})
+	s := New(p, Config{MaxInFlight: slots})
 	// Park every admitted request on a gate while holding its slot.
 	gate := make(chan struct{})
 	entered := make(chan string, slots*2)

@@ -6,6 +6,7 @@ import (
 
 	"planetp/internal/directory"
 	"planetp/internal/gossip"
+	"planetp/internal/metrics"
 )
 
 // bigMsg builds a message that takes the given seconds to cross a modem
@@ -61,27 +62,30 @@ func TestSendBacklogDefersTick(t *testing.T) {
 	params := DefaultParams()
 	params.SendBacklog = 5 * time.Second
 	params.RecvBacklog = 0
-	s := New(2, gossip.Config{}, params, 1)
+	reg := metrics.NewRegistry()
+	s := New(2, gossip.Config{Metrics: reg}, params, 1)
 	a := s.AddPeer(Modem, 0, 0)
 	b := s.AddPeer(LAN, 0, 0)
-	_ = b
 	s.Run(time.Second)
 
-	// Saturate a's uplink for ~60 modem-seconds.
+	// Saturate a's uplink for ~60 modem-seconds, then take b off-line, so
+	// every gossip round the registry counts from here on is a's.
 	if err := a.Send(b.ID, bigMsg(60, b.ID)); err != nil {
 		t.Fatal(err)
 	}
-	roundsBefore := a.Node.Stats().Rounds
+	b.GoOffline()
+	rounds := func() int64 { return reg.Snapshot().Get("gossip_rounds_total") }
+	roundsBefore := rounds()
 	// Over the next 30 s, a's gossip rounds must be deferred (its link
 	// is hopelessly backlogged).
 	s.Run(s.Now() + 30*time.Second)
-	roundsDuring := a.Node.Stats().Rounds - roundsBefore
+	roundsDuring := rounds() - roundsBefore
 	if roundsDuring > 1 {
 		t.Fatalf("backlogged peer ran %d gossip rounds; expected deferral", roundsDuring)
 	}
 	// Once drained, rounds resume.
 	s.Run(s.Now() + 3*time.Minute)
-	if a.Node.Stats().Rounds == roundsBefore {
+	if rounds() == roundsBefore {
 		t.Fatal("rounds never resumed after drain")
 	}
 }

@@ -23,8 +23,7 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // hostile length prefix
 	f.Add(append(encodeRecord(Op{Kind: OpPublish, Data: "torn", LSN: 5}), 0xde, 0xad))
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		const maxRecord = 1 << 20
-		op, n, err := decodeRecord(buf, maxRecord)
+		op, n, err := decodeRecord(buf)
 		if err != nil {
 			return
 		}
@@ -34,15 +33,15 @@ func FuzzWALRecord(f *testing.F) {
 		if opKindNames[op.Kind] == "" {
 			t.Fatalf("accepted unknown kind %d", op.Kind)
 		}
-		if len(op.Data) > maxRecord {
-			t.Fatalf("accepted %d-byte payload past the %d limit", len(op.Data), maxRecord)
+		if recordPayloadLen(op) > maxRecordBytes {
+			t.Fatalf("accepted %d-byte payload past the %d limit", recordPayloadLen(op), maxRecordBytes)
 		}
 		// Round-trip: re-encoding what decoded must reproduce the bytes.
 		if got := encodeRecord(op); !bytes.Equal(got, buf[:n]) {
 			t.Fatalf("re-encode differs:\n got %x\nwant %x", got, buf[:n])
 		}
 		// The scanner must agree with the single-record decoder.
-		ops, validEnd, _ := scanWAL(buf, maxRecord, 0)
+		ops, validEnd, _ := scanWAL(buf, 0)
 		if op.LSN > 0 && (len(ops) == 0 || ops[0] != op) {
 			t.Fatalf("scanWAL disagrees with decodeRecord: %v vs %v", ops, op)
 		}

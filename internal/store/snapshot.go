@@ -60,14 +60,18 @@ func snapshotHeader(hdr Header, payload []byte) []byte {
 // deleted).
 var errBadSnapshot = errors.New("store: corrupt snapshot file")
 
+// maxSnapshotBytes bounds a snapshot payload read at recovery; a larger
+// length is treated as corruption.
+const maxSnapshotBytes = 256 << 20
+
 // decodeSnapshot validates a snapshot file image and returns its header
 // and payload.
-func decodeSnapshot(buf []byte, maxPayload int64) (Header, []byte, error) {
+func decodeSnapshot(buf []byte) (Header, []byte, error) {
 	if len(buf) < snapHeaderSize || string(buf[0:4]) != string(snapMagic) {
 		return Header{}, nil, errBadSnapshot
 	}
 	length := binary.LittleEndian.Uint64(buf[20:28])
-	if length > uint64(maxPayload) || uint64(len(buf)-snapHeaderSize) < length {
+	if length > maxSnapshotBytes || uint64(len(buf)-snapHeaderSize) < length {
 		return Header{}, nil, errBadSnapshot
 	}
 	payload := buf[snapHeaderSize : snapHeaderSize+int(length)]

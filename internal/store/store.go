@@ -33,12 +33,6 @@ type Options struct {
 	// into a fresh snapshot (default 1 MiB; requires a snapshot source).
 	// Past it the log folds when it outgrows the installed snapshot.
 	CompactBytes int64
-	// MaxRecordBytes bounds a WAL record's payload (default 16 MiB);
-	// larger length prefixes are treated as corruption.
-	MaxRecordBytes int
-	// MaxSnapshotBytes bounds a snapshot payload read at recovery
-	// (default 256 MiB); anything larger is treated as corruption.
-	MaxSnapshotBytes int64
 	// Metrics receives the store_* counters (nil = none).
 	Metrics *metrics.Registry
 }
@@ -49,12 +43,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CompactBytes <= 0 {
 		o.CompactBytes = 1 << 20
-	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = 16 << 20
-	}
-	if o.MaxSnapshotBytes <= 0 {
-		o.MaxSnapshotBytes = 256 << 20
 	}
 	return o
 }
@@ -91,6 +79,10 @@ type Recovery struct {
 
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
+
+// ErrRecordTooLarge refuses an operation whose record would exceed
+// maxRecordBytes: recovery reads such a length prefix as a torn tail.
+var ErrRecordTooLarge = errors.New("store: record exceeds the WAL record bound")
 
 // SnapshotData is what a snapshot source captures: the serialized full
 // state, the gossip version it reflects, and the LSN of the last WAL
@@ -204,7 +196,7 @@ func (s *Store) recoverSnapshot(rec *Recovery) error {
 		if err != nil {
 			return fmt.Errorf("store: reading %s: %w", name, err)
 		}
-		hdr, payload, derr := decodeSnapshot(data, s.opts.MaxSnapshotBytes)
+		hdr, payload, derr := decodeSnapshot(data)
 		if derr != nil {
 			q, qerr := s.quarantine(name)
 			if qerr != nil {
@@ -263,7 +255,7 @@ func (s *Store) recoverWAL(rec *Recovery) error {
 	default:
 		haveWAL = true
 		var dropped int
-		ops, validEnd, dropped = scanWAL(data[len(walMagic):], s.opts.MaxRecordBytes, 0)
+		ops, validEnd, dropped = scanWAL(data[len(walMagic):], 0)
 		if dropped > 0 {
 			rec.TruncatedRecords++
 			rec.TruncatedBytes += int64(dropped)
@@ -307,7 +299,7 @@ func (s *Store) scanPrevWAL() []Op {
 	if err != nil || len(data) < len(walMagic) || string(data[:len(walMagic)]) != string(walMagic) {
 		return nil
 	}
-	ops, _, _ := scanWAL(data[len(walMagic):], s.opts.MaxRecordBytes, 0)
+	ops, _, _ := scanWAL(data[len(walMagic):], 0)
 	return ops
 }
 
@@ -411,11 +403,18 @@ func (s *Store) Append(op Op) (uint64, error) {
 // the LSN of the last record. An error means the records are not durably
 // committed; AppendBatch never has side effects beyond the log, so callers
 // can treat a failure as "operation did not happen" (a torn batch tail is
-// truncated at recovery like any torn record). An empty batch is a no-op
-// returning (0, nil). Compaction is a separate step — see MaybeCompact.
+// truncated at recovery like any torn record). A batch holding a record
+// recovery could not read back is refused whole (ErrRecordTooLarge). An
+// empty batch is a no-op returning (0, nil). Compaction is a separate step
+// — see MaybeCompact.
 func (s *Store) AppendBatch(ops []Op) (uint64, error) {
 	if len(ops) == 0 {
 		return 0, nil
+	}
+	for i := range ops {
+		if n := recordPayloadLen(ops[i]); n > maxRecordBytes {
+			return 0, fmt.Errorf("%w: %s record of %d bytes, bound %d", ErrRecordTooLarge, opKindNames[ops[i].Kind], n, maxRecordBytes)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -626,7 +625,7 @@ func (s *Store) walSuffixAfter(foldLSN uint64) ([]byte, error) {
 	body := data[len(walMagic):]
 	off := 0
 	for off < len(body) {
-		op, n, err := decodeRecord(body[off:], s.opts.MaxRecordBytes)
+		op, n, err := decodeRecord(body[off:])
 		if err != nil {
 			break // we wrote these records; a tear here ends the file
 		}

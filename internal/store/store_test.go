@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"strings"
@@ -293,6 +294,31 @@ func TestOversizedRecordIsCorruption(t *testing.T) {
 	}
 }
 
+// TestAppendRejectsOversizedRecord: a record recovery would read as a torn
+// tail is refused before anything is written, so no acknowledged record —
+// neither it nor any after it — is lost at the next recovery.
+func TestAppendRejectsOversizedRecord(t *testing.T) {
+	mem := NewMemFS()
+	st, _ := openMem(t, mem, Options{})
+	if _, err := st.Append(Op{Kind: OpPublish, Data: "before", Epoch: 1, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	big := Op{Kind: OpPublish, Data: strings.Repeat("x", maxRecordBytes), Epoch: 1, Seq: 2}
+	if _, err := st.AppendBatch([]Op{{Kind: OpRemove, Data: "k", Epoch: 1, Seq: 2}, big}); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("oversized batch: err = %v, want ErrRecordTooLarge", err)
+	}
+	if _, err := st.Append(Op{Kind: OpPublish, Data: "after", Epoch: 1, Seq: 3}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2, rec := openMem(t, mem, Options{})
+	defer st2.Close()
+	if len(rec.Ops) != 2 || rec.Ops[0].Data != "before" || rec.Ops[1].Data != "after" || rec.TruncatedRecords != 0 {
+		t.Fatalf("recovered %v with %d truncations, want [before after] and none", rec.Ops, rec.TruncatedRecords)
+	}
+}
+
 func TestClosedStoreRejectsAppends(t *testing.T) {
 	mem := NewMemFS()
 	st, _ := openMem(t, mem, Options{})
@@ -364,7 +390,7 @@ func TestSaveSnapshotFoldBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr, payload, err := decodeSnapshot(data, 1<<20); err != nil || string(payload) != "AB" || hdr.LSN != 2 {
+	if hdr, payload, err := decodeSnapshot(data); err != nil || string(payload) != "AB" || hdr.LSN != 2 {
 		t.Fatalf("stale snapshot displaced the newer one: hdr=%+v payload=%q err=%v", hdr, payload, err)
 	}
 }

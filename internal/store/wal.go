@@ -31,6 +31,10 @@ var walMagic = []byte("PPW1")
 // walRecordOverhead is the framing + fixed payload header size.
 const walRecordOverhead = 4 + 4 + 1 + 8 + 4 + 4
 
+// maxRecordBytes bounds a record's payload. Recovery treats a larger
+// length prefix as corruption, so AppendBatch refuses to write one.
+const maxRecordBytes = 16 << 20
+
 // castagnoli is the CRC32C table (same polynomial storage systems use).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -70,10 +74,14 @@ func encodeRecord(op Op) []byte {
 	return encodeRecordInto(nil, op)
 }
 
+// recordPayloadLen is the payload length of op's record: the fixed
+// header plus the data.
+func recordPayloadLen(op Op) int { return 1 + 8 + 4 + 4 + len(op.Data) }
+
 // encodeRecordInto appends op's encoded record to dst (batch appends
 // build one contiguous buffer for a single write call).
 func encodeRecordInto(dst []byte, op Op) []byte {
-	payloadLen := 1 + 8 + 4 + 4 + len(op.Data)
+	payloadLen := recordPayloadLen(op)
 	start := len(dst)
 	dst = append(dst, make([]byte, 8+payloadLen)...)
 	buf := dst[start:]
@@ -95,12 +103,12 @@ var errBadRecord = errors.New("store: torn or corrupt WAL record")
 // decodeRecord parses the record at the head of buf. It returns the op
 // and the total bytes consumed, or errBadRecord if the head is not a
 // complete, checksummed, well-formed record.
-func decodeRecord(buf []byte, maxRecord int) (Op, int, error) {
+func decodeRecord(buf []byte) (Op, int, error) {
 	if len(buf) < 8 {
 		return Op{}, 0, errBadRecord
 	}
 	payloadLen := int(binary.LittleEndian.Uint32(buf[0:4]))
-	if payloadLen < 17 || payloadLen > maxRecord || payloadLen > len(buf)-8 {
+	if payloadLen < 17 || payloadLen > maxRecordBytes || payloadLen > len(buf)-8 {
 		return Op{}, 0, errBadRecord
 	}
 	payload := buf[8 : 8+payloadLen]
@@ -124,10 +132,10 @@ func decodeRecord(buf []byte, maxRecord int) (Op, int, error) {
 // prefix, the byte offset where the valid prefix ends (relative to the
 // start of data), and how many trailing bytes were dropped. lastLSN
 // seeds the monotonicity check (0 for a fresh file).
-func scanWAL(data []byte, maxRecord int, lastLSN uint64) (ops []Op, validEnd int, droppedBytes int) {
+func scanWAL(data []byte, lastLSN uint64) (ops []Op, validEnd int, droppedBytes int) {
 	off := 0
 	for off < len(data) {
-		op, n, err := decodeRecord(data[off:], maxRecord)
+		op, n, err := decodeRecord(data[off:])
 		if err != nil || op.LSN <= lastLSN {
 			break
 		}

@@ -8,13 +8,13 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"planetp/internal/broker"
 	"planetp/internal/directory"
 	"planetp/internal/gossip"
+	"planetp/internal/metrics"
 	"planetp/internal/replica"
 	"planetp/internal/search"
 )
@@ -123,15 +123,16 @@ func TestFrameRoundTripEveryKind(t *testing.T) {
 }
 
 // rawSession dials tb and returns the conn plus a wait for the server to
-// end the session, reporting how long that took.
+// end the session, reporting how long that took since before the dial (the
+// server may arm its idle deadline before Dial returns).
 func rawSession(t *testing.T, tb *Transport) (net.Conn, func() time.Duration) {
 	t.Helper()
+	start := time.Now()
 	conn, err := net.Dial("tcp", tb.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	start := time.Now()
 	return conn, func() time.Duration {
 		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 		if n, err := conn.Read(make([]byte, 1)); err == nil || n > 0 {
@@ -152,12 +153,16 @@ func header(n uint32, kind Kind) []byte {
 // a count bigger than the frame fails before it sizes anything.
 func TestOversizedFrameBounded(t *testing.T) {
 	ta, _, _, _ := pair(t)
-	tb, err := NewDeferred(1, "", newHandler(1), nil, 3, nil)
+	reg := metrics.NewRegistry()
+	tb, err := NewDeferred(1, "", newHandler(1), nil, 3, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tb.Close)
 	tb.serveIdleTimeout = 300 * time.Millisecond
+	// A session that ends on a frame it could not decode charges its bytes
+	// to the unknown kind.
+	unread := func() int64 { return reg.Snapshot().Get("transport_rx_bytes_unknown") }
 	tb.StartAccepting()
 	allocated := func(f func()) uint64 {
 		var m0, m1 runtime.MemStats
@@ -169,15 +174,15 @@ func TestOversizedFrameBounded(t *testing.T) {
 
 	// Maximum + 1: the session closes on the header alone.
 	conn, ended := rawSession(t, tb)
-	before := atomic.LoadInt64(&tb.BytesRecv)
+	before := unread()
 	if _, err := conn.Write(header(maxFrameBody+1, KindGossip)); err != nil {
 		t.Fatal(err)
 	}
 	if d := ended(); d >= tb.serveIdleTimeout {
 		t.Fatalf("oversized header held the session %v", d)
 	}
-	waitFor(t, "session byte count", func() bool { return atomic.LoadInt64(&tb.BytesRecv) > before })
-	if got := atomic.LoadInt64(&tb.BytesRecv) - before; got != frameHeader {
+	waitFor(t, "session byte count", func() bool { return unread() > before })
+	if got := unread() - before; got != frameHeader {
 		t.Fatalf("server read %d bytes of an oversized frame, want the %d-byte header alone", got, frameHeader)
 	}
 

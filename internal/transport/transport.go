@@ -24,7 +24,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"planetp/internal/broker"
@@ -103,7 +102,8 @@ const (
 )
 
 // String implements fmt.Stringer; the names also suffix the per-kind
-// byte counters (transport_tx_bytes_<kind>).
+// byte counters (transport_tx_bytes_<kind>), where numKinds, "unknown",
+// takes the bytes of frames whose kind was never decoded.
 func (k Kind) String() string {
 	switch k {
 	case KindGossip:
@@ -297,9 +297,6 @@ type Transport struct {
 	// for pooled streams, where most sends never dial (see
 	// faultnet.Plan.SendFate). Set before use; not synchronized.
 	FateHook FateHook
-	// BytesSent/BytesRecv count real encoded bytes (approximate:
-	// counted at the net.Conn boundary). Read with atomic.LoadInt64.
-	BytesSent, BytesRecv int64
 
 	m tpMetrics
 }
@@ -324,8 +321,8 @@ type tpMetrics struct {
 	poolReaped    *metrics.Counter
 	poolIdleConns *metrics.Gauge
 
-	txBytes [numKinds]*metrics.Counter
-	rxBytes [numKinds]*metrics.Counter
+	txBytes [numKinds + 1]*metrics.Counter
+	rxBytes [numKinds + 1]*metrics.Counter
 }
 
 func newTpMetrics(r *metrics.Registry) tpMetrics {
@@ -344,7 +341,7 @@ func newTpMetrics(r *metrics.Registry) tpMetrics {
 		poolReaped:    r.Counter("transport_pool_reaped_total"),
 		poolIdleConns: r.Gauge("transport_pool_idle_conns"),
 	}
-	for k := Kind(0); k < numKinds; k++ {
+	for k := Kind(0); k <= numKinds; k++ {
 		m.txBytes[k] = r.Counter("transport_tx_bytes_" + k.String())
 		m.rxBytes[k] = r.Counter("transport_rx_bytes_" + k.String())
 	}
@@ -390,16 +387,14 @@ func (c *countingConn) take() (sent, recv int64) {
 	return sent, recv
 }
 
-// account charges one exchange's byte delta to the transport totals and
-// the per-kind counters. kind is the request kind; responses (and acks)
-// are charged to the same kind — the exchange that caused them.
+// account charges one exchange's byte delta to the per-kind counters
+// (measured at the net.Conn boundary). kind is the request kind; responses
+// (and acks) are charged to the same kind — the exchange that caused them.
+// Kinds past the known ones are charged to "unknown".
 func (t *Transport) account(kind Kind, sent, recv int64) {
-	atomic.AddInt64(&t.BytesSent, sent)
-	atomic.AddInt64(&t.BytesRecv, recv)
-	if kind < numKinds {
-		t.m.txBytes[kind].Add(sent)
-		t.m.rxBytes[kind].Add(recv)
-	}
+	kind = min(kind, numKinds)
+	t.m.txBytes[kind].Add(sent)
+	t.m.rxBytes[kind].Add(recv)
 }
 
 // New starts listening on listenAddr ("" or "127.0.0.1:0" for an
@@ -878,11 +873,9 @@ func (t *Transport) serve(conn net.Conn) {
 		var env Envelope
 		if err := fc.readFrame(&env); err != nil {
 			// End of session — client gone, idle expiry, or garbage.
-			// Stray bytes still land in the totals (kind unknown, so
-			// no per-kind charge).
+			// Stray bytes are charged to "unknown".
 			sent, recv := cc.take()
-			atomic.AddInt64(&t.BytesSent, sent)
-			atomic.AddInt64(&t.BytesRecv, recv)
+			t.account(numKinds, sent, recv)
 			return
 		}
 		_ = conn.SetDeadline(time.Now().Add(t.serveTimeout))

@@ -9,6 +9,7 @@ import (
 
 	"planetp/internal/directory"
 	"planetp/internal/gossip"
+	"planetp/internal/metrics"
 )
 
 // The outcomes a reachability script is written in.
@@ -76,12 +77,16 @@ func TestVerdictSameOnSimAndLoopback(t *testing.T) {
 	const wantFailed, wantSuspected = 8, 2
 
 	const self, peer = directory.PeerID(0), directory.PeerID(1)
-	// Probes and discovery off: every send is a Tick's, to the one peer.
-	cfg := gossip.Config{ProbeEvery: -1}
+	// Discovery is off, so every send is a Tick's, to the one peer. The
+	// script's twelve ticks are the node's rounds 10-21; the one probe
+	// round among them, round 16, is step 9, whose failed send has just
+	// marked the peer off-line. The probe's send fails too, and a failed
+	// probe adds no strike, so it moves no verdict.
 	selfRec := directory.Record{ID: self, Ver: directory.Version{Epoch: 1}}
 	fromPeer := &gossip.Message{Type: gossip.MsgRumorAck, From: peer}
 
-	run := func(node *gossip.Node, setFail func(bool), deliver func()) (online []bool, st gossip.Stats) {
+	type counts struct{ failed, suspected int64 }
+	run := func(node *gossip.Node, reg *metrics.Registry, setFail func(bool), deliver func()) (online []bool, c counts) {
 		for _, s := range script {
 			switch s.outcome {
 			case inbound:
@@ -93,15 +98,17 @@ func TestVerdictSameOnSimAndLoopback(t *testing.T) {
 			e, _ := node.Directory().Entry(peer)
 			online = append(online, e.Online)
 		}
-		return online, node.Stats()
+		s := reg.Snapshot()
+		return online, counts{s.Get("gossip_failed_sends_total"), s.Get("gossip_peers_suspected_total")}
 	}
 
 	// Simulated: no transport.
 	env := &scriptEnv{rng: rand.New(rand.NewSource(1))}
 	simDir := directory.New(self, 2)
-	simNode := gossip.NewNode(selfRec, simDir, cfg, env)
+	simReg := metrics.NewRegistry()
+	simNode := gossip.NewNode(selfRec, simDir, gossip.Config{Metrics: simReg}, env)
 	simDir.Upsert(directory.Record{ID: peer, Ver: directory.Version{Epoch: 1}})
-	simOnline, simStats := run(simNode,
+	simOnline, simCounts := run(simNode, simReg,
 		func(fail bool) { env.fail = fail },
 		func() { simNode.Receive(peer, fromPeer) })
 
@@ -123,7 +130,8 @@ func TestVerdictSameOnSimAndLoopback(t *testing.T) {
 	}
 	t.Cleanup(tb.Close)
 	selfRec.Addr = ta.Addr()
-	ha.node = gossip.NewNode(selfRec, liveDir, cfg, ta)
+	liveReg := metrics.NewRegistry()
+	ha.node = gossip.NewNode(selfRec, liveDir, gossip.Config{Metrics: liveReg}, ta)
 	liveDir.Upsert(directory.Record{ID: peer, Ver: directory.Version{Epoch: 1}, Addr: tb.Addr()})
 	ta.StartAccepting()
 	var fail bool
@@ -133,7 +141,7 @@ func TestVerdictSameOnSimAndLoopback(t *testing.T) {
 		}
 		return nil, false, 0, false
 	}
-	liveOnline, liveStats := run(ha.node,
+	liveOnline, liveCounts := run(ha.node, liveReg,
 		func(f bool) { fail = f },
 		func() {
 			if err := tb.Send(self, fromPeer); err != nil {
@@ -153,11 +161,11 @@ func TestVerdictSameOnSimAndLoopback(t *testing.T) {
 	}
 	for _, r := range []struct {
 		name string
-		st   gossip.Stats
-	}{{"simulated", simStats}, {"loopback", liveStats}} {
-		if r.st.FailedSends != wantFailed || r.st.Suspected != wantSuspected {
-			t.Errorf("%s: FailedSends = %d, Suspected = %d, want %d and %d",
-				r.name, r.st.FailedSends, r.st.Suspected, wantFailed, wantSuspected)
+		c    counts
+	}{{"simulated", simCounts}, {"loopback", liveCounts}} {
+		if r.c.failed != wantFailed || r.c.suspected != wantSuspected {
+			t.Errorf("%s: failed sends = %d, suspected = %d, want %d and %d",
+				r.name, r.c.failed, r.c.suspected, wantFailed, wantSuspected)
 		}
 	}
 }

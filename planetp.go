@@ -65,12 +65,11 @@ const (
 )
 
 // GossipConfig tunes the gossiping protocol (zero values take the
-// paper's defaults: 30 s base interval, 60 s max, anti-entropy every 10th
-// round, 10 piggybacked rumor ids).
+// paper's defaults: 30 s base interval, 60 s max, 10 piggybacked rumor
+// ids; anti-entropy every 10th round and the rest of Table 2 are fixed).
 type GossipConfig = gossip.Config
 
-// BootstrapConfig tunes Peer.JoinSeeds: the seed list and the rotation's
-// pass count and backoff bounds (zero fields take defaults).
+// BootstrapConfig names the seeds Peer.JoinSeeds rotates through.
 type BootstrapConfig = core.BootstrapConfig
 
 // Document is a parsed published XML document.
@@ -140,8 +139,8 @@ func Terms(s string) []string { return core.Terms(s) }
 // list and the shedding/caching contracts.
 type Server = serve.Server
 
-// ServeConfig tunes the serving tier (in-flight limit, Retry-After
-// hint, cache size, body/batch bounds). The zero value takes defaults.
+// ServeConfig tunes the serving tier's in-flight limit. The zero value
+// takes the default.
 type ServeConfig = serve.Config
 
 // ErrNoTerms reports a published document with no indexable terms.

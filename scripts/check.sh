@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the repo's pre-merge gate: vet, build, and race-enabled
-# tests for every package, the live-cluster smokes, the exact simulated
-# ledgers and a fuzz smoke. Run from anywhere inside the repo.
+# tests for every package, repeats of the concurrent ones, the
+# live-cluster smokes and a fuzz smoke. Run from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -245,82 +245,30 @@ go test -race ./...
 echo "== benchmark module (cd bench && go vet ./... && go test ./...)"
 (cd bench && go vet ./... && go test ./...)
 
-# Deleted mechanisms stay deleted and single decisions stay single
-# (DESIGN §4c, §4d, §4f, §4i, §4k): TestNothingDormant in the root package,
-# part of the suite above, reads the source tree. Rerun by name: the one
-# reachability verdict from core's side and on simnet vs loopback TCP, the
-# one fsync racing a snapshot, and a search sized by its results, not by the
-# k a request names.
-echo "== one reachability verdict, nothing dormant"
-go test -race -run 'TestNothingDormant' .
-go test -race -run 'TestOneVerdictOnReachability' ./internal/core/
-go test -race -run 'TestVerdictSameOnSimAndLoopback' ./internal/transport/
+# The suite above runs every test once, TestNothingDormant (deleted
+# mechanisms stay deleted, DESIGN §4c, §4d, §4f, §4i, §4k) and the
+# simulated ledgers (cmd/gossipsim's TestGolden holds BENCH_churn.json and
+# BENCH_replication.json byte for byte) among them. What follows repeats
+# the concurrent ones, because one pass of a race is one interleaving: the
+# one fsync racing a snapshot, ranked queries racing publishes and removes
+# off the peer mutex (§4f), the filter sweep racing Upsert/MarkOffline
+# (§4c, §4i), and sends building the own payload beside publishes, which
+# must cover the version they leave with.
+echo "== concurrent contracts, repeated"
 go test -race -count=10 -run 'TestSnapshotRacesAppends' ./internal/store/
-go test -race -run 'TestRankedHugeK' ./internal/search/
-go test -race -run 'TestSearchRejectsHugeK' ./internal/serve/
-
-# Ranked queries return each peer's k best (DESIGN §4c): the per-peer cut
-# equals the full-list sweep, the top-k is a function of the document set and
-# not of arrival order, and a peer whose reply goes back to every match fails
-# the size guard. The walk that answers them reads the index under its own
-# lock and nothing else (§4f): its kernel equals the full-list reference, it
-# does not wait for a publish's fsync, every key it names was fetchable when
-# it was seen, and it races publishes and removes cleanly (already part of
-# the suite above; rerun by name, the concurrent one repeated).
-echo "== ranked-query contract (per-peer cut = full-list sweep, reply-size guard, walk off the peer mutex)"
-go test -race -run 'TestInsertTopK|TestRankedTopKFetcherEquivalence|TestScorerMatchesScoreDoc' ./internal/search/
-go test -race -run 'TestMergeMatchesDocumentScan|TestIDsNeverReusedAndRemovedReadEmpty' ./internal/index/
-go test -race -run 'TestLocalTopKEqualsCutOfFullList|TestTopKKernelMatchesReference|TestRankedQueryNotBlockedByPublish|TestQueryNamesOnlyFetchableDocuments|TestClusterSearchEqualsFullListReference|TestRankedQueryReplyBounded' ./internal/core/
 go test -race -count=10 -run 'TestConcurrentQueriesPublishesRemoves' ./internal/core/
-go test -race -run 'TestRankHeaderOnTheWire|TestHostileRankHeader' ./internal/transport/
-# The kernel's benchmarks, once each, so they keep compiling and running.
-go test -run '^$' -bench 'BenchmarkLocalQueryRanked$|BenchmarkLocalQueryRankedTies$' -benchtime 50x ./internal/core/ >/dev/null
-go test -run '^$' -bench 'BenchmarkIndexAddBatch$' -benchtime 50x ./internal/index/ >/dev/null
-
-# A query sweeps every filter in one pass (DESIGN §4c, §4i): one directory
-# read, the base index looked up by the digests' positions, the delta's
-# Compacts probed in one bucket. The sweep equals a probe per (peer, digest)
-# while Upsert/MarkOffline race it, the bucketed layout equals the bitset at
-# every edge, and a corrupt payload costs one decode per version (already
-# part of the suite above; rerun by name, the sweep repeated).
-echo "== one sweep per query (sweep = per-peer probes, buckets = bitset, one decode per corrupt version)"
 go test -race -count=5 -run 'TestSweepMatchesPerPeerProbes' ./internal/core/
-go test -race -run 'TestCompactBucketsMatchFilter' ./internal/bloom/
-go test -race -run 'TestCorruptPayloadDecodedOncePerVersion|TestCacheCorruptPayload' ./internal/filtercache/
-go test -run '^$' -bench 'BenchmarkSweep1023$' -benchtime 50x ./internal/filtercache/ >/dev/null
-go test -run '^$' -bench 'BenchmarkCompactProbe$' -benchtime 50x ./internal/bloom/ >/dev/null
-
-# The wire is hand-written frames (DESIGN §4k): every kind round-trips
-# exactly, and a hostile frame costs what its peer sent, not what its header
-# or counts claim (already part of the suite above; rerun by name). The two
-# RPC benchmarks run once each, so they keep compiling and running.
-echo "== frame codec (round trip of every kind, oversized frames bounded)"
-go test -race -run 'TestFrameRoundTripEveryKind|TestOversizedFrameBounded' ./internal/transport/
-go test -run '^$' -bench 'BenchmarkQueryRPC$|BenchmarkGossipRecordsRPC$' -benchtime 50x ./internal/transport/ >/dev/null
-
-# Crash-recovery smoke: enumerate every disk crash point in the durable
-# store's append/fsync/rename pipeline plus the full peer crash/restart
-# cycle (already part of the suite above; rerun by name so a regression
-# here is called out explicitly).
-echo "== crash-recovery smoke"
-go test -race -run 'CrashPoint|Durable|Snapshot|RestartUnderFaults|ReplicaStoreCrash|ReplicaOps|ReplicaConversion|ReplayRestores|RecoveredEqualsLive' \
-	./internal/store/ ./internal/core/ ./internal/replica/ ./internal/gossipsim/
-
-# Publish/announce concurrency: writers racing on one peer while sends
-# build the own payload beside them; the payload that leaves must cover
-# the version it leaves with (already part of the suite above; rerun by
-# name, repeated, because one pass of a race is one interleaving).
-echo "== publish/announce concurrency (payload covers version)"
 go test -race -count=10 -run 'TestConcurrentPublishPayloadCoversVersion' ./internal/core/
 
-# Churn-storm acceptance suite: flash crowd, mass departure under loss,
-# partition-heal rejoin, T_Dead regressions, discovery and peer-exchange
-# units (already part of the suite above; rerun by name so a regression
-# here is called out explicitly).
-echo "== churn-storm acceptance suite"
-go test -race -run 'Storm|TDead|Tombstone|Discover|PeerExchange|Sanitize|RotateSeeds|Replication|LiveReplication|HoardPull' \
-	./internal/gossipsim/ ./internal/gossip/ ./internal/transport/ \
-	./internal/core/ ./internal/directory/
+# The hot paths' benchmarks, once each, so they keep compiling and running:
+# the ranked top-k kernel, batch indexing, the filter sweep and Compact
+# probe, and the frame codec's RPCs.
+echo "== benchmarks compile and run (50x each)"
+go test -run '^$' -bench 'BenchmarkLocalQueryRanked$|BenchmarkLocalQueryRankedTies$' -benchtime 50x ./internal/core/ >/dev/null
+go test -run '^$' -bench 'BenchmarkIndexAddBatch$' -benchtime 50x ./internal/index/ >/dev/null
+go test -run '^$' -bench 'BenchmarkSweep1023$' -benchtime 50x ./internal/filtercache/ >/dev/null
+go test -run '^$' -bench 'BenchmarkCompactProbe$' -benchtime 50x ./internal/bloom/ >/dev/null
+go test -run '^$' -bench 'BenchmarkQueryRPC$|BenchmarkGossipRecordsRPC$' -benchtime 50x ./internal/transport/ >/dev/null
 
 # Serving-tier smoke: boot a real 2-node cluster and drive it for ~2s —
 # proves the node binary, the HTTP API, and the load generator still work
@@ -344,16 +292,6 @@ echo "   assembly smoke OK"
 echo "== replication smoke (4 nodes -replicas 3 -data, kill a holder, kill the origin)"
 replication_smoke "$tmp"/planetp-replication-smoke
 echo "   replication smoke OK"
-
-# Simulated ledgers: the churn-storm and replication reports are exact per
-# seed, so a regenerated report that is not byte-identical to the
-# checked-in one is a protocol or model change — regenerate the file in
-# the same commit, on purpose.
-echo "== simulated ledgers (BENCH_churn.json, BENCH_replication.json reproduce byte for byte)"
-go run ./cmd/gossipsim -exp churn-storm -n 32 -seed 7 -json "$tmp/planetp-churn.json" >/dev/null
-cmp "$tmp/planetp-churn.json" BENCH_churn.json
-go run ./cmd/gossipsim -exp replication -n 32 -seed 7 -json "$tmp/planetp-replication.json" >/dev/null
-cmp "$tmp/planetp-replication.json" BENCH_replication.json
 
 # Benchmark determinism pass: two interleaved sets of the one workload
 # whose numbers are simulated; the program fails if they do not repeat.
@@ -380,8 +318,8 @@ go test -run='^$' -fuzz=FuzzWALRecord -fuzztime="$FUZZTIME" ./internal/store/
 # quote, then the packages the last simplification touched.
 lines() { find "$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
 echo "== non-test lines, internal/ + cmd/: $(lines internal cmd)"
-for pkg in internal/broker internal/chash internal/search internal/filtercache \
-	internal/bloom internal/ir internal/core cmd/searchsim; do
+for pkg in internal/gossip internal/directory internal/serve internal/replica \
+	internal/store internal/transport internal/core internal/gossipsim; do
 	echo "   $pkg: $(lines "$pkg")"
 done
 
