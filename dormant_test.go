@@ -24,10 +24,15 @@ import (
 // the seed rotation's passes and backoff, gossipsim's pull batch), the
 // gossip node's shadow Stats, the transport's byte totals beside its
 // per-kind counters, the directory's full summary with its cache and
-// Missing wrapper, and core's second snapshot bound. One of them named
-// again in non-test Go is a second path coming back.
+// Missing wrapper, and core's second snapshot bound; the paths no caller
+// ran (the transport's dial hook with faultnet's dialer and its synthetic
+// conns, the fault delay window's fields, search's merged view and naive
+// stop, core's options-taking search, the index calls only tests made, the
+// address-dialed peer exchange, gossipsim's size sweep and CDF mean). One
+// of them named again in non-test Go is a second path coming back.
 // The names are literal substrings, each specific enough not to match a
-// living name (simnet.Peer.BytesSent, Directory.SummaryRange, seedPasses).
+// living name (simnet.Peer.BytesSent, Directory.SummaryRange, seedPasses,
+// net.Dialer, Peer.SearchAll, Index.SearchAny, OnlinePayloads).
 var dormant = []string{
 	"IPFCache", "VersionedView", "SyncEvery", "syncDone", "Options.Concurrency", "StopWindow", "keyOf", "RowView",
 	"digestRows", "DigestView", "probesDigests", "ProbeDigests", "ContainsAllDigests", "GroupSize", "StopIterations",
@@ -38,6 +43,10 @@ var dormant = []string{
 	"Passes int", "Passes:", "cfg.Passes", "Base, Max", "sc.PullBatch", "\tPullBatch ", " PullBatch:", "{PullBatch:",
 	"node.Stats()", "Node.Stats()", "Node().Stats()", "*Node) Stats()", "gossip.Stats", "&t.BytesSent", "&t.BytesRecv",
 	"BytesSent, BytesRecv", "summaryCache", ".Summary()", ") Summary()", ".Missing(", ") Missing(", "DecodeSnapshotLimit",
+	"DialHook", ") Dialer(", "DialFunc", "blackholeConn", "delayConn", "DelayMin", "DelayMax", "NoAdaptiveStop",
+	"SearchWith", "CollectionFreq", "PeerExchangeAddr", "PropagationSweep", "CDF) Mean(",
+	"Index) AddDocument(", "Index) AddTermFreqs(", "Index) Lookup(", "Index) NumDocs(", "Index) NumTerms(",
+	"Index) DocFreq(", "Index) Docs(", "Index) SearchAll(", "Index) DocTerms(", "Index) Stats(", "index.Stats",
 }
 
 // source is one parsed non-test Go file of the module proper.

@@ -565,14 +565,7 @@ func Terms(query string) []string { return text.ParseQuery(query) }
 
 // Search runs the ranked TFxIPF search (Section 5.2) for a raw query.
 func (p *Peer) Search(query string, k int) ([]search.ScoredDoc, search.Stats) {
-	return p.SearchWith(query, search.Options{K: k})
-}
-
-// SearchWith runs a ranked search with caller-tuned options (k, the naive
-// stop rule); the peer's metrics registry is filled in.
-func (p *Peer) SearchWith(query string, opt search.Options) ([]search.ScoredDoc, search.Stats) {
-	opt.Metrics = p.reg
-	return search.Ranked(p.view, fetcher{p}, Terms(query), opt)
+	return search.Ranked(p.view, fetcher{p}, Terms(query), search.Options{K: k, Metrics: p.reg})
 }
 
 // SearchVia delegates a ranked search to a better-connected peer, which

@@ -83,13 +83,13 @@ func TestClusterSearchEqualsFullListReference(t *testing.T) {
 	}
 	p := peers[0]
 	waitFor(t, 15*time.Second, "every peer's filter at peer 0", func() bool {
-		_, st := p.SearchWith("worda", search.Options{K: 1})
+		_, st := p.Search("worda", 1)
 		return st.PeersRanked == 3
 	})
 	for _, query := range []string{"worda", "wordb wordc", "wordd worde wordf wordd", "wordz worda"} {
 		for _, opt := range []search.Options{{K: 1}, {K: 5}, {K: 10}, {K: 50}} {
 			wantDocs, wantSt := search.Ranked(p.view, fullListFetcher{p}, Terms(query), opt)
-			gotDocs, gotSt := p.SearchWith(query, opt)
+			gotDocs, gotSt := p.Search(query, opt.K)
 			if !reflect.DeepEqual(gotDocs, wantDocs) || len(gotDocs) != opt.K {
 				t.Fatalf("%q %+v: search returns\n%v\nfull-list reference\n%v", query, opt, gotDocs, wantDocs)
 			}

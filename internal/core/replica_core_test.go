@@ -539,8 +539,8 @@ func TestDocKeyMapsStayInverse(t *testing.T) {
 	check := func(step string, wantKeys ...string) {
 		t.Helper()
 		p.mu.Lock()
-		if len(p.docOf) != len(wantKeys) || p.index.NumDocs() != len(wantKeys) {
-			t.Errorf("%s: docOf has %d entries, the index %d documents, want %d each", step, len(p.docOf), p.index.NumDocs(), len(wantKeys))
+		if docs := shapeOf(p.index).docs; len(p.docOf) != len(wantKeys) || docs != len(wantKeys) {
+			t.Errorf("%s: docOf has %d entries, the index %d documents, want %d each", step, len(p.docOf), docs, len(wantKeys))
 		}
 		p.index.Merge([]string{"falcon"}, false, func(r *index.Row) {
 			if id, ok := p.docOf[r.Key()]; !ok || id != r.ID {

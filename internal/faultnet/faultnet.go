@@ -12,13 +12,16 @@
 // bit-for-bit reproducible; ScheduleHash fingerprints it so tests can
 // assert exactly that.
 //
-// The same Plan serves both stacks: internal/simnet consults Fate inside
-// its virtual-time Send, and internal/transport mounts the Plan as a
-// net.Conn-level dial shim (see Dialer in conn.go). Injected faults are
-// instrumented through internal/metrics (faultnet_* counters).
+// The same Plan serves both stacks, through one seam each:
+// internal/simnet consults Fate inside its virtual-time Send, and
+// internal/transport consults SendFate once per send attempt (its
+// FateHook). Injected faults are instrumented through internal/metrics
+// (faultnet_* counters).
 package faultnet
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -70,17 +73,13 @@ type Config struct {
 	// sent (the sender sees success; nothing arrives).
 	Drop float64
 	// Dup is the probability a message is delivered twice, the copy
-	// arriving DelayMin..DelayMax after the original.
+	// arriving delayMin..delayMax after the original.
 	Dup float64
 	// Delay is the probability a message is held back an extra
-	// DelayMin..DelayMax before delivery. Because only some messages
+	// delayMin..delayMax before delivery. Because only some messages
 	// are delayed, later traffic overtakes them — this is also the
 	// reordering knob.
 	Delay float64
-	// DelayMin and DelayMax bound the injected extra latency (both for
-	// Delay and for a duplicate's offset). Zero values default to
-	// 100 ms .. 2 s.
-	DelayMin, DelayMax time.Duration
 	// DialFail is the probability a connection attempt fails outright
 	// (the sender sees an error, as from a refused or timed-out dial).
 	DialFail float64
@@ -94,16 +93,9 @@ type Config struct {
 	Partitions []Partition
 }
 
-// withDefaults fills the delay window.
-func (c Config) withDefaults() Config {
-	if c.DelayMin == 0 && c.DelayMax == 0 {
-		c.DelayMin, c.DelayMax = 100*time.Millisecond, 2*time.Second
-	}
-	if c.DelayMax < c.DelayMin {
-		c.DelayMax = c.DelayMin
-	}
-	return c
-}
+// delayMin and delayMax bound the injected extra latency, both for Delay
+// and for a duplicate's offset.
+const delayMin, delayMax = 100 * time.Millisecond, 2 * time.Second
 
 // Fate is the Plan's verdict for one message.
 type Fate struct {
@@ -174,7 +166,7 @@ type planMetrics struct {
 // fault counters (faultnet_* names).
 func New(cfg Config, reg *metrics.Registry) *Plan {
 	return &Plan{
-		cfg: cfg.withDefaults(),
+		cfg: cfg,
 		seq: make(map[uint64]uint64),
 		m: planMetrics{
 			drops:       reg.Counter("faultnet_drops_total"),
@@ -208,13 +200,9 @@ func (p *Plan) roll(salt uint64, pair, seq uint64) float64 {
 	return float64(h>>11) / float64(uint64(1)<<53)
 }
 
-// amount maps a draw into the configured delay window.
+// amount maps a draw into the delay window.
 func (p *Plan) amount(salt uint64, pair, seq uint64) time.Duration {
-	span := p.cfg.DelayMax - p.cfg.DelayMin
-	if span <= 0 {
-		return p.cfg.DelayMin
-	}
-	return p.cfg.DelayMin + time.Duration(p.roll(salt, pair, seq)*float64(span))
+	return delayMin + time.Duration(p.roll(salt, pair, seq)*float64(delayMax-delayMin))
 }
 
 // foldLocked mixes one injected fault into the schedule fingerprint.
@@ -302,6 +290,35 @@ func (p *Plan) Fate(now time.Duration, from, to directory.PeerID) Fate {
 		p.m.connKills.Inc()
 	}
 	return f
+}
+
+// ErrInjected marks transport-level failures manufactured by a Plan, so
+// tests and callers can tell injected faults from real network errors.
+var ErrInjected = errors.New("faultnet: injected fault")
+
+// SendFate adapts the Plan to transport.Transport's FateHook seam: one
+// verdict per send attempt, independent of whether the attempt dials a
+// fresh connection or reuses a pooled one. clock supplies the driver time
+// partitions are scripted against (typically time-since-start).
+//
+// The returned values map onto the transport's fate semantics: err fails
+// the attempt outright (dial failures, partitions — counted as dial
+// failures and fed to suppression exactly as a refused dial would be);
+// drop loses the message after a "successful" send; delay stalls the
+// attempt before transmission; kill tears the connection carrying the
+// message mid-exchange. Duplication has no live counterpart: each
+// envelope is framed exactly once onto a stream.
+func (p *Plan) SendFate(self directory.PeerID, clock func() time.Duration) func(to directory.PeerID) (err error, drop bool, delay time.Duration, kill bool) {
+	return func(to directory.PeerID) (error, bool, time.Duration, bool) {
+		f := p.Fate(clock(), self, to)
+		switch {
+		case f.Partitioned:
+			return fmt.Errorf("%w: partitioned from peer %d", ErrInjected, to), false, 0, false
+		case f.DialFail:
+			return fmt.Errorf("%w: dial to peer %d failed", ErrInjected, to), false, 0, false
+		}
+		return nil, f.Drop, f.Delay, f.ConnKill
+	}
 }
 
 // ScheduleHash fingerprints every fault injected so far. Two runs with

@@ -3,7 +3,6 @@ package faultnet
 import (
 	"errors"
 	"math"
-	"net"
 	"testing"
 	"time"
 
@@ -95,14 +94,22 @@ func TestRatesApproximateConfig(t *testing.T) {
 	check("dup", c.Dups, 0.10*0.95)
 }
 
+// Every injected delay and duplicate offset falls in the 100 ms .. 2 s
+// window, and the draws spread across it.
 func TestDelayWithinBounds(t *testing.T) {
-	cfg := Config{Seed: 9, Delay: 1.0, DelayMin: 50 * time.Millisecond, DelayMax: 300 * time.Millisecond}
-	p := New(cfg, nil)
+	p := New(Config{Seed: 9, Delay: 1.0, Dup: 1.0}, nil)
+	lo, hi := delayMax, delayMin
 	for i := 0; i < 1000; i++ {
 		f := p.Fate(0, 0, 1)
-		if f.Delay < cfg.DelayMin || f.Delay > cfg.DelayMax {
-			t.Fatalf("delay %v outside [%v, %v]", f.Delay, cfg.DelayMin, cfg.DelayMax)
+		for _, d := range []time.Duration{f.Delay, f.DupDelay} {
+			if d < 100*time.Millisecond || d > 2*time.Second {
+				t.Fatalf("delay %v outside [100ms, 2s]", d)
+			}
+			lo, hi = min(lo, d), max(hi, d)
 		}
+	}
+	if lo > 200*time.Millisecond || hi < 1900*time.Millisecond {
+		t.Fatalf("1000 draws span only [%v, %v]", lo, hi)
 	}
 }
 
@@ -148,37 +155,6 @@ func TestMetricsWired(t *testing.T) {
 	if got := reg.Snapshot().Get("faultnet_drops_total"); got != 1 {
 		t.Fatalf("faultnet_drops_total = %d, want 1", got)
 	}
-}
-
-func TestDialerInjectsFaults(t *testing.T) {
-	clock := func() time.Duration { return 0 }
-	base := func(_ directory.PeerID, _ string, _ time.Duration) (net.Conn, error) {
-		t.Fatal("base dialer must not be reached for injected failures")
-		return nil, nil
-	}
-	// Dial failures surface ErrInjected without touching the network.
-	p := New(Config{Seed: 1, DialFail: 1.0}, nil)
-	if _, err := p.Dialer(0, clock, base)(1, "x", time.Second); !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	// Partition blocks likewise.
-	p = New(Config{Partitions: []Partition{{At: 0, Heal: 0, Side: SplitHalves(2)}}}, nil)
-	if _, err := p.Dialer(0, clock, base)(1, "x", time.Second); !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	// Drop yields a working blackhole: writes succeed, reads fail.
-	p = New(Config{Seed: 1, Drop: 1.0}, nil)
-	conn, err := p.Dialer(0, clock, base)(1, "x", time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := conn.Write([]byte("hello")); n != 5 || err != nil {
-		t.Fatalf("blackhole write = %d, %v", n, err)
-	}
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("blackhole read should fail")
-	}
-	conn.Close()
 }
 
 func TestCleanPlanPassesThrough(t *testing.T) {
@@ -231,6 +207,11 @@ func TestSendFateMapsFates(t *testing.T) {
 	hook := p.SendFate(1, func() time.Duration { return 0 })
 	if err, _, _, _ := hook(2); !errors.Is(err, ErrInjected) {
 		t.Fatalf("dial-fail fate should map to ErrInjected, got %v", err)
+	}
+	p = New(Config{Partitions: []Partition{{At: 0, Heal: 0, Side: SplitHalves(4)}}}, nil)
+	hook = p.SendFate(1, func() time.Duration { return 0 })
+	if err, _, _, _ := hook(2); !errors.Is(err, ErrInjected) {
+		t.Fatalf("partitioned fate should map to ErrInjected, got %v", err)
 	}
 	p = New(Config{Seed: 3, ConnKill: 1}, nil)
 	hook = p.SendFate(1, func() time.Duration { return 0 })

@@ -778,9 +778,14 @@ func (n *Node) sendOrSuspect(to directory.PeerID, m *Message) bool {
 // node's, or an RPC some other layer addressed to it — and is the only place
 // a peer is marked off-line: at suspicionThreshold consecutive failures, with
 // no contact in between. The off-line mark is a local opinion (Section 3);
-// probeOffline and any message from the peer revise it.
+// probeOffline and any message from the peer revise it. A peer the
+// directory does not know has no streak to keep, and its failure is not
+// counted.
 func (n *Node) NoteFailure(to directory.PeerID) {
-	rec, _ := n.dir.Get(to)
+	rec, known := n.dir.Get(to)
+	if !known {
+		return
+	}
 	n.mu.Lock()
 	st := n.sendFails[to]
 	if st.addr != rec.Addr {

@@ -361,6 +361,33 @@ func TestSuccessResetsSuspicionStreak(t *testing.T) {
 	}
 }
 
+// A failure reported against a peer the directory does not know (an id
+// out of range, or one never heard of) keeps no streak and counts nothing:
+// ids arrive from outside, and each would otherwise hold an entry forever.
+func TestNoteFailureIgnoresUnknownPeers(t *testing.T) {
+	f := newFakeNet(14)
+	a := f.addNode(0, 4, Config{})
+	f.addNode(1, 4, Config{})
+	f.connect()
+	for _, id := range []directory.PeerID{2, 3, 4, 1 << 20, -1} {
+		a.NoteFailure(id)
+	}
+	a.mu.Lock()
+	streaks := len(a.sendFails)
+	a.mu.Unlock()
+	if streaks != 0 {
+		t.Fatalf("%d failure streaks kept for unknown peers, want 0", streaks)
+	}
+	if got := f.count(0, "gossip_failed_sends_total"); got != 0 {
+		t.Fatalf("failed sends = %d, want 0", got)
+	}
+	// A known peer still takes its strikes.
+	a.NoteFailure(1)
+	if got := f.count(0, "gossip_failed_sends_total"); got != 1 {
+		t.Fatalf("failed sends = %d after a strike on a known peer, want 1", got)
+	}
+}
+
 // A failed pull send must release the pull-in-flight gate so the next
 // opportunity can re-issue it, instead of silently dropping the pull and
 // stalling partial anti-entropy for 20 base intervals.

@@ -271,15 +271,6 @@ func Propagation(sc Scenario, n int, seed int64) PropagationPoint {
 	return PropagationPoint{Scenario: sc.Name, N: n, Time: elapsed, Bytes: r.bytes(), PerPeerBW: perPeer}
 }
 
-// PropagationSweep runs Propagation over several community sizes.
-func PropagationSweep(sc Scenario, sizes []int, seed int64) []PropagationPoint {
-	out := make([]PropagationPoint, 0, len(sizes))
-	for _, n := range sizes {
-		out = append(out, Propagation(sc, n, seed+int64(n)))
-	}
-	return out
-}
-
 // JoinResult is one x-value of Figure 3: m peers joining a stable
 // community of nBase peers, each sharing 20000 keys.
 type JoinResult struct {
@@ -352,18 +343,6 @@ func (c CDF) Percentile(p float64) time.Duration {
 		idx = len(c.Times) - 1
 	}
 	return c.Times[idx]
-}
-
-// Mean returns the mean of converged times.
-func (c CDF) Mean() time.Duration {
-	if len(c.Times) == 0 {
-		return -1
-	}
-	var sum time.Duration
-	for _, t := range c.Times {
-		sum += t
-	}
-	return sum / time.Duration(len(c.Times))
 }
 
 // String renders the key percentiles.

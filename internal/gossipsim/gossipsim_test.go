@@ -44,10 +44,17 @@ func TestAntiEntropyBaselineCostsMore(t *testing.T) {
 	}
 }
 
+// Figure 2's sweep (cmd/gossipsim -exp fig2) runs Propagation once per
+// size at seed+n: each point reports its own size and repeats exactly.
 func TestPropagationSweep(t *testing.T) {
-	pts := PropagationSweep(LAN, []int{30, 60}, 4)
-	if len(pts) != 2 || pts[0].N != 30 || pts[1].N != 60 {
-		t.Fatalf("sweep = %+v", pts)
+	for _, n := range []int{30, 60} {
+		p := Propagation(LAN, n, 4+int64(n))
+		if p.N != n || p.Time <= 0 {
+			t.Fatalf("n=%d: point %+v", n, p)
+		}
+		if again := Propagation(LAN, n, 4+int64(n)); again != p {
+			t.Fatalf("n=%d: rerun %+v, first run %+v", n, again, p)
+		}
 	}
 }
 
@@ -76,9 +83,6 @@ func TestArrivalCDF(t *testing.T) {
 	}
 	if cdf.Percentile(50) <= 0 || cdf.Percentile(100) < cdf.Percentile(50) {
 		t.Fatalf("percentiles inconsistent: %v", cdf)
-	}
-	if cdf.Mean() <= 0 {
-		t.Fatalf("mean = %v", cdf.Mean())
 	}
 }
 
@@ -142,7 +146,7 @@ func TestChurnFastOnlyCondition(t *testing.T) {
 
 func TestCDFPercentileEdges(t *testing.T) {
 	empty := CDF{}
-	if empty.Percentile(50) != -1 || empty.Mean() != -1 {
+	if empty.Percentile(50) != -1 {
 		t.Fatal("empty CDF should report -1")
 	}
 	c := CDF{Times: []time.Duration{1, 2, 3, 4}}

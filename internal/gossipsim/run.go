@@ -14,9 +14,6 @@ type FaultSpec struct {
 	// Drop, Dup, Delay are per-message fault probabilities (see
 	// faultnet.Config).
 	Drop, Dup, Delay float64
-	// DelayMin and DelayMax bound injected extra latency (defaults
-	// 100 ms .. 2 s).
-	DelayMin, DelayMax time.Duration
 	// Partition, when set, splits the id space into two halves from
 	// PartitionAt to HealAt (both relative to the settled community's
 	// start). HealAt <= PartitionAt never heals within the run.
@@ -109,7 +106,6 @@ func (r *run) inject(f FaultSpec) {
 	}
 	r.plan = faultnet.New(faultnet.Config{
 		Seed: f.Seed, Drop: f.Drop, Dup: f.Dup, Delay: f.Delay,
-		DelayMin: f.DelayMin, DelayMax: f.DelayMax,
 		Partitions: parts,
 	}, r.sc.Metrics)
 	r.s.SetFaults(r.plan)

@@ -2,19 +2,13 @@
 // over its local data store (Section 2). The index maps terms to postings
 // (document id, term frequency) and tracks the per-document statistics the
 // vector-space ranker needs: |D| (the number of terms in each document) and
-// f_{D,t} (occurrences of t in D).
-//
-// The same structure, instantiated once over the whole collection, is the
-// "optimistic" global index the paper's TFxIDF baseline assumes every peer
-// has (Section 7.3).
+// f_{D,t} (occurrences of t in D). Callers tokenize: the index takes
+// term-frequency maps.
 package index
 
 import (
-	"fmt"
 	"sort"
 	"sync"
-
-	"planetp/internal/text"
 )
 
 // DocID identifies a document within one index. Ids are handed out in
@@ -32,7 +26,6 @@ type Posting struct {
 // termEntry is all the index keeps for one term, behind one map entry.
 type termEntry struct {
 	list []Posting // sorted by Doc
-	freq int       // f_t: collection frequency
 }
 
 // Index is a thread-safe inverted index. The zero value is not usable;
@@ -44,25 +37,11 @@ type Index struct {
 	docLen []uint32 // |D|: total term occurrences
 	keys   []string // the caller's name for the document ("" if it gave none)
 	live   []bool
-	nDocs  int // live documents
 }
 
 // New returns an empty index.
 func New() *Index {
 	return &Index{terms: make(map[string]*termEntry)}
-}
-
-// AddDocument runs the text pipeline over content, assigns a fresh DocID,
-// and indexes the resulting terms.
-func (ix *Index) AddDocument(content string) DocID {
-	return ix.AddTermFreqs(text.TermFreqs(content))
-}
-
-// AddTermFreqs indexes a pre-computed term-frequency map under a fresh
-// DocID. It is the entry point for callers that tokenize themselves (the
-// synthetic collection generator, for instance).
-func (ix *Index) AddTermFreqs(freqs map[string]int) DocID {
-	return ix.AddKeyedBatch(nil, []map[string]int{freqs})[0]
 }
 
 // AddTermFreqsBatch indexes several pre-computed term-frequency maps
@@ -104,13 +83,11 @@ func (ix *Index) insertLocked(key string, freqs map[string]int) DocID {
 			ix.terms[term] = e
 		}
 		e.list = append(e.list, Posting{Doc: id, Freq: uint32(f)})
-		e.freq += f
 		total += f
 	}
 	ix.docLen = append(ix.docLen, uint32(total))
 	ix.keys = append(ix.keys, key)
 	ix.live = append(ix.live, true)
-	ix.nDocs++
 	return id
 }
 
@@ -134,10 +111,8 @@ func (ix *Index) RemoveDocument(id DocID) bool {
 		return false
 	}
 	ix.live[id], ix.docLen[id], ix.keys[id] = false, 0, ""
-	ix.nDocs--
 	for term, e := range ix.terms {
 		if i, ok := find(e.list, id); ok {
-			e.freq -= int(e.list[i].Freq)
 			e.list = append(e.list[:i], e.list[i+1:]...)
 			if len(e.list) == 0 {
 				delete(ix.terms, term)
@@ -145,14 +120,6 @@ func (ix *Index) RemoveDocument(id DocID) bool {
 		}
 	}
 	return true
-}
-
-// Lookup returns the postings for term (nil if absent). The returned slice
-// must not be modified.
-func (ix *Index) Lookup(term string) []Posting {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.listLocked(term)
 }
 
 // listLocked returns term's posting list, nil if absent. Caller holds ix.mu.
@@ -185,38 +152,6 @@ func (ix *Index) DocLen(id DocID) int {
 	return int(ix.docLen[id])
 }
 
-// NumDocs returns N, the number of documents indexed.
-func (ix *Index) NumDocs() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.nDocs
-}
-
-// NumTerms returns the vocabulary size.
-func (ix *Index) NumTerms() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.terms)
-}
-
-// DocFreq returns the number of documents containing term.
-func (ix *Index) DocFreq(term string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.listLocked(term))
-}
-
-// CollectionFreq returns f_t, the total occurrences of term across the
-// collection (the statistic the paper's IDF formula uses).
-func (ix *Index) CollectionFreq(term string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if e := ix.terms[term]; e != nil {
-		return e.freq
-	}
-	return 0
-}
-
 // Terms returns the sorted vocabulary. The slice is freshly allocated.
 func (ix *Index) Terms() []string {
 	ix.mu.RLock()
@@ -226,19 +161,6 @@ func (ix *Index) Terms() []string {
 		out = append(out, t)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Docs returns the sorted document ids.
-func (ix *Index) Docs() []DocID {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]DocID, 0, ix.nDocs)
-	for id, live := range ix.live {
-		if live {
-			out = append(out, DocID(id))
-		}
-	}
 	return out
 }
 
@@ -326,62 +248,10 @@ func (ix *Index) Merge(terms []string, all bool, visit func(*Row)) {
 	}
 }
 
-// SearchAll returns the ids of documents containing every query term
-// (conjunctive/exhaustive semantics, Section 5.1), in ascending order.
-func (ix *Index) SearchAll(terms []string) []DocID {
-	return ix.search(terms, true)
-}
-
 // SearchAny returns ids of documents containing at least one query term,
 // in ascending order.
 func (ix *Index) SearchAny(terms []string) []DocID {
-	return ix.search(terms, false)
-}
-
-func (ix *Index) search(terms []string, all bool) []DocID {
 	var out []DocID
-	ix.Merge(terms, all, func(r *Row) { out = append(out, r.ID) })
+	ix.Merge(terms, false, func(r *Row) { out = append(out, r.ID) })
 	return out
-}
-
-// DocTerms returns the sorted distinct terms of document id (empty if the
-// document is unknown). It scans the vocabulary, so it is meant for
-// infrequent operations such as unpublishing.
-func (ix *Index) DocTerms(id DocID) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if !ix.isLive(id) {
-		return nil
-	}
-	var out []string
-	for term, e := range ix.terms {
-		if _, ok := find(e.list, id); ok {
-			out = append(out, term)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Stats summarizes an index for logging and the Table 3 report.
-type Stats struct {
-	Docs     int
-	Terms    int
-	Postings int
-}
-
-// Stats returns collection statistics.
-func (ix *Index) Stats() Stats {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	n := 0
-	for _, e := range ix.terms {
-		n += len(e.list)
-	}
-	return Stats{Docs: ix.nDocs, Terms: len(ix.terms), Postings: n}
-}
-
-// String implements fmt.Stringer.
-func (s Stats) String() string {
-	return fmt.Sprintf("docs=%d terms=%d postings=%d", s.Docs, s.Terms, s.Postings)
 }

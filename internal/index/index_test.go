@@ -9,14 +9,51 @@ import (
 	"testing/quick"
 )
 
+// add indexes one document.
+func add(ix *Index, freqs map[string]int) DocID {
+	return ix.AddTermFreqsBatch([]map[string]int{freqs})[0]
+}
+
+// lookup is term's posting list, read off a one-term walk.
+func lookup(ix *Index, term string) []Posting {
+	var out []Posting
+	ix.Merge([]string{term}, false, func(r *Row) { out = append(out, Posting{Doc: r.ID, Freq: r.Freqs[0]}) })
+	return out
+}
+
+// searchAll is the conjunctive walk's documents.
+func searchAll(ix *Index, terms []string) []DocID {
+	var out []DocID
+	ix.Merge(terms, true, func(r *Row) { out = append(out, r.ID) })
+	return out
+}
+
+// shape counts what the index holds: the documents with a posting, the
+// vocabulary and the postings.
+type shape struct{ docs, terms, postings int }
+
+func shapeOf(ix *Index) shape {
+	vocab := ix.Terms()
+	s := shape{terms: len(vocab)}
+	ix.Merge(vocab, false, func(r *Row) {
+		s.docs++
+		for _, f := range r.Freqs {
+			if f > 0 {
+				s.postings++
+			}
+		}
+	})
+	return s
+}
+
 func TestAddAndLookup(t *testing.T) {
 	ix := New()
-	d1 := ix.AddDocument("gossip protocols replicate directories")
-	d2 := ix.AddDocument("gossip spreads rumors")
+	d1 := add(ix, map[string]int{"gossip": 1, "protocol": 1, "replic": 1, "directori": 1})
+	d2 := add(ix, map[string]int{"gossip": 1, "spread": 1, "rumor": 1})
 	if d1 == d2 {
 		t.Fatal("doc ids must be distinct")
 	}
-	post := ix.Lookup("gossip")
+	post := lookup(ix, "gossip")
 	if len(post) != 2 {
 		t.Fatalf("gossip postings = %v, want 2 entries", post)
 	}
@@ -27,7 +64,7 @@ func TestAddAndLookup(t *testing.T) {
 
 func TestTermFrequencies(t *testing.T) {
 	ix := New()
-	d := ix.AddTermFreqs(map[string]int{"alpha": 3, "beta": 1})
+	d := add(ix, map[string]int{"alpha": 3, "beta": 1})
 	if got := ix.Freq(d, "alpha"); got != 3 {
 		t.Errorf("Freq(alpha) = %d, want 3", got)
 	}
@@ -37,70 +74,66 @@ func TestTermFrequencies(t *testing.T) {
 	if got := ix.DocLen(d); got != 4 {
 		t.Errorf("DocLen = %d, want 4", got)
 	}
-	if got := ix.CollectionFreq("alpha"); got != 3 {
-		t.Errorf("CollectionFreq(alpha) = %d, want 3", got)
-	}
 }
 
 func TestZeroAndNegativeFreqsIgnored(t *testing.T) {
 	ix := New()
-	d := ix.AddTermFreqs(map[string]int{"ok": 1, "zero": 0, "neg": -5})
+	d := add(ix, map[string]int{"ok": 1, "zero": 0, "neg": -5})
 	if ix.Freq(d, "zero") != 0 || ix.Freq(d, "neg") != 0 {
 		t.Fatal("zero/negative freqs should be ignored")
 	}
-	if ix.NumTerms() != 1 {
-		t.Fatalf("NumTerms = %d, want 1", ix.NumTerms())
+	if got := ix.Terms(); !reflect.DeepEqual(got, []string{"ok"}) {
+		t.Fatalf("Terms = %v, want [ok]", got)
 	}
 }
 
 func TestRemoveDocument(t *testing.T) {
 	ix := New()
-	d1 := ix.AddTermFreqs(map[string]int{"shared": 1, "only1": 2})
-	d2 := ix.AddTermFreqs(map[string]int{"shared": 4})
+	d1 := add(ix, map[string]int{"shared": 1, "only1": 2})
+	d2 := add(ix, map[string]int{"shared": 4})
 	if !ix.RemoveDocument(d1) {
 		t.Fatal("remove existing doc failed")
 	}
 	if ix.RemoveDocument(d1) {
 		t.Fatal("double remove should report false")
 	}
-	if ix.DocFreq("only1") != 0 {
-		t.Error("only1 should be gone")
+	if got := lookup(ix, "only1"); got != nil {
+		t.Errorf("only1 postings = %v, want none", got)
 	}
-	if ix.DocFreq("shared") != 1 {
-		t.Errorf("shared DocFreq = %d, want 1", ix.DocFreq("shared"))
+	if got := lookup(ix, "shared"); !reflect.DeepEqual(got, []Posting{{Doc: d2, Freq: 4}}) {
+		t.Errorf("shared postings = %v, want only doc %d's", got, d2)
 	}
-	if ix.CollectionFreq("shared") != 4 {
-		t.Errorf("shared CollectionFreq = %d, want 4", ix.CollectionFreq("shared"))
+	if got := ix.Terms(); !reflect.DeepEqual(got, []string{"shared"}) {
+		t.Errorf("Terms = %v, want [shared]", got)
 	}
-	if ix.NumDocs() != 1 || ix.DocLen(d2) != 4 {
+	if ix.DocLen(d2) != 4 {
 		t.Error("surviving doc corrupted")
 	}
 }
 
 func TestSearchAll(t *testing.T) {
 	ix := New()
-	d1 := ix.AddTermFreqs(map[string]int{"bloom": 1, "filter": 1})
-	d2 := ix.AddTermFreqs(map[string]int{"bloom": 1})
-	d3 := ix.AddTermFreqs(map[string]int{"filter": 1, "bloom": 2, "gossip": 1})
-	got := ix.SearchAll([]string{"bloom", "filter"})
+	d1 := add(ix, map[string]int{"bloom": 1, "filter": 1})
+	add(ix, map[string]int{"bloom": 1})
+	d3 := add(ix, map[string]int{"filter": 1, "bloom": 2, "gossip": 1})
+	got := searchAll(ix, []string{"bloom", "filter"})
 	want := []DocID{d1, d3}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SearchAll = %v, want %v", got, want)
+		t.Fatalf("conjunctive walk = %v, want %v", got, want)
 	}
-	if got := ix.SearchAll([]string{"bloom", "missing"}); got != nil {
+	if got := searchAll(ix, []string{"bloom", "missing"}); got != nil {
 		t.Fatalf("conjunction with absent term = %v, want nil", got)
 	}
-	if got := ix.SearchAll(nil); got != nil {
+	if got := searchAll(ix, nil); got != nil {
 		t.Fatalf("empty query = %v, want nil", got)
 	}
-	_ = d2
 }
 
 func TestSearchAny(t *testing.T) {
 	ix := New()
-	d1 := ix.AddTermFreqs(map[string]int{"bloom": 1})
-	d2 := ix.AddTermFreqs(map[string]int{"gossip": 1})
-	ix.AddTermFreqs(map[string]int{"other": 1})
+	d1 := add(ix, map[string]int{"bloom": 1})
+	d2 := add(ix, map[string]int{"gossip": 1})
+	add(ix, map[string]int{"other": 1})
 	got := ix.SearchAny([]string{"bloom", "gossip"})
 	want := []DocID{d1, d2}
 	if !reflect.DeepEqual(got, want) {
@@ -110,27 +143,25 @@ func TestSearchAny(t *testing.T) {
 
 func TestTermsSortedAndDocs(t *testing.T) {
 	ix := New()
-	ix.AddTermFreqs(map[string]int{"zeta": 1, "alpha": 1, "mid": 1})
+	d := add(ix, map[string]int{"zeta": 1, "alpha": 1, "mid": 1})
 	terms := ix.Terms()
 	want := []string{"alpha", "mid", "zeta"}
 	if !reflect.DeepEqual(terms, want) {
 		t.Fatalf("Terms = %v, want %v", terms, want)
 	}
-	if len(ix.Docs()) != 1 {
-		t.Fatalf("Docs = %v", ix.Docs())
+	if got := ix.SearchAny(terms); !reflect.DeepEqual(got, []DocID{d}) {
+		t.Fatalf("documents = %v, want [%d]", got, d)
 	}
 }
 
+// The collection's statistics, as the walk reports them: documents, terms
+// and postings.
 func TestStats(t *testing.T) {
 	ix := New()
-	ix.AddTermFreqs(map[string]int{"a": 1, "b": 1})
-	ix.AddTermFreqs(map[string]int{"b": 2, "c": 3})
-	s := ix.Stats()
-	if s.Docs != 2 || s.Terms != 3 || s.Postings != 4 {
-		t.Fatalf("Stats = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String()")
+	add(ix, map[string]int{"a": 1, "b": 1})
+	add(ix, map[string]int{"b": 2, "c": 3})
+	if s := shapeOf(ix); s != (shape{docs: 2, terms: 3, postings: 4}) {
+		t.Fatalf("shape = %+v", s)
 	}
 }
 
@@ -142,15 +173,15 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				ix.AddTermFreqs(map[string]int{fmt.Sprintf("t%d", i%10): 1})
-				ix.Lookup(fmt.Sprintf("t%d", i%10))
-				ix.Stats()
+				add(ix, map[string]int{fmt.Sprintf("t%d", i%10): 1})
+				lookup(ix, fmt.Sprintf("t%d", i%10))
+				ix.Terms()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if ix.NumDocs() != 800 {
-		t.Fatalf("NumDocs = %d, want 800", ix.NumDocs())
+	if s := shapeOf(ix); s.docs != 800 {
+		t.Fatalf("%d documents, want 800", s.docs)
 	}
 }
 
@@ -169,7 +200,7 @@ func TestQuickInvariants(t *testing.T) {
 			for _, b := range raw {
 				freqs[fmt.Sprintf("term%d", b%30)]++
 			}
-			specs = append(specs, docSpec{ix.AddTermFreqs(freqs), freqs})
+			specs = append(specs, docSpec{add(ix, freqs), freqs})
 		}
 		for _, s := range specs {
 			total := 0
@@ -190,7 +221,7 @@ func TestQuickInvariants(t *testing.T) {
 	}
 }
 
-// Property: SearchAll results always contain every query term.
+// Property: a conjunctive walk's documents always contain every query term.
 func TestQuickSearchAllSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ix := New()
@@ -199,14 +230,14 @@ func TestQuickSearchAllSound(t *testing.T) {
 		for j := 0; j < 5+rng.Intn(10); j++ {
 			freqs[fmt.Sprintf("w%d", rng.Intn(50))]++
 		}
-		ix.AddTermFreqs(freqs)
+		add(ix, freqs)
 	}
 	for trial := 0; trial < 100; trial++ {
 		q := []string{
 			fmt.Sprintf("w%d", rng.Intn(50)),
 			fmt.Sprintf("w%d", rng.Intn(50)),
 		}
-		for _, d := range ix.SearchAll(q) {
+		for _, d := range searchAll(ix, q) {
 			for _, term := range q {
 				if ix.Freq(d, term) == 0 {
 					t.Fatalf("doc %d missing term %q", d, term)
@@ -245,7 +276,7 @@ func TestMergeMatchesDocumentScan(t *testing.T) {
 		}
 		for _, all := range []bool{false, true} {
 			var want []row
-			for _, id := range ix.Docs() {
+			for _, id := range ix.SearchAny([]string{"head"}) { // every live document
 				r, n := row{id, make([]int, len(terms)), ix.DocLen(id)}, 0
 				for i, term := range terms {
 					if r.freqs[i] = ix.Freq(id, term); r.freqs[i] > 0 {
@@ -283,7 +314,7 @@ func BenchmarkAddTermFreqs1000Keys(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ix := New()
-		ix.AddTermFreqs(freqs)
+		add(ix, freqs)
 	}
 }
 
@@ -314,6 +345,7 @@ func BenchmarkIndexAddBatch(b *testing.B) {
 	}
 }
 
+// A one-term walk over 5000 documents: the node's lookup of one query term.
 func BenchmarkLookup(b *testing.B) {
 	ix := New()
 	rng := rand.New(rand.NewSource(5))
@@ -322,17 +354,22 @@ func BenchmarkLookup(b *testing.B) {
 		for j := 0; j < 20; j++ {
 			freqs[fmt.Sprintf("w%d", rng.Intn(2000))]++
 		}
-		ix.AddTermFreqs(freqs)
+		add(ix, freqs)
 	}
+	terms := make([][]string, 2000)
+	for i := range terms {
+		terms[i] = []string{fmt.Sprintf("w%d", i)}
+	}
+	n := 0
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ix.Lookup(fmt.Sprintf("w%d", i%2000))
+		ix.Merge(terms[i%2000], false, func(r *Row) { n += r.DocLen })
 	}
 }
 
-// AddTermFreqsBatch must behave exactly like a sequence of AddTermFreqs
-// calls: same ids, same statistics.
+// AddTermFreqsBatch must behave exactly like a sequence of one-document
+// batches: same ids, same statistics.
 func TestAddTermFreqsBatch(t *testing.T) {
 	batch := []map[string]int{
 		{"gossip": 2, "peer": 1},
@@ -342,19 +379,19 @@ func TestAddTermFreqsBatch(t *testing.T) {
 	seq := New()
 	var wantIDs []DocID
 	for _, f := range batch {
-		wantIDs = append(wantIDs, seq.AddTermFreqs(f))
+		wantIDs = append(wantIDs, add(seq, f))
 	}
 	got := New()
 	ids := got.AddTermFreqsBatch(batch)
 	if !reflect.DeepEqual(ids, wantIDs) {
 		t.Fatalf("batch ids %v, want %v", ids, wantIDs)
 	}
-	if got.Stats() != seq.Stats() {
-		t.Fatalf("batch stats %v, want %v", got.Stats(), seq.Stats())
+	if shapeOf(got) != shapeOf(seq) {
+		t.Fatalf("batch shape %+v, want %+v", shapeOf(got), shapeOf(seq))
 	}
 	for _, term := range []string{"gossip", "peer", "bloom", "filter"} {
-		if !reflect.DeepEqual(got.Lookup(term), seq.Lookup(term)) {
-			t.Fatalf("postings for %q diverge: %v vs %v", term, got.Lookup(term), seq.Lookup(term))
+		if !reflect.DeepEqual(lookup(got, term), lookup(seq, term)) {
+			t.Fatalf("postings for %q diverge: %v vs %v", term, lookup(got, term), lookup(seq, term))
 		}
 	}
 	for _, id := range ids {
@@ -384,24 +421,20 @@ func TestIDsNeverReusedAndRemovedReadEmpty(t *testing.T) {
 	if ix.RemoveDocument(ids[2]) || ix.RemoveDocument(99) {
 		t.Fatal("removed a document twice, or one never added")
 	}
-	next := ix.AddTermFreqs(map[string]int{"shared": 5})
+	next := add(ix, map[string]int{"shared": 5})
 	if next != ids[2]+1 {
 		t.Fatalf("id after removes = %d, want %d: ids are never reused", next, ids[2]+1)
 	}
 	for _, id := range []DocID{ids[1], ids[2], 99} {
-		if ix.DocLen(id) != 0 || ix.Freq(id, "shared") != 0 || ix.DocTerms(id) != nil {
-			t.Errorf("id %d: DocLen %d Freq %d DocTerms %v, want an absent document",
-				id, ix.DocLen(id), ix.Freq(id, "shared"), ix.DocTerms(id))
+		if ix.DocLen(id) != 0 || ix.Freq(id, "shared") != 0 || ix.Freq(id, "c") != 0 {
+			t.Errorf("id %d: DocLen %d Freq %d, want an absent document", id, ix.DocLen(id), ix.Freq(id, "shared"))
 		}
 	}
-	if got, want := ix.Docs(), []DocID{ids[0], next}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Docs() = %v, want %v", got, want)
+	if got, want := ix.SearchAny(ix.Terms()), []DocID{ids[0], next}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("documents = %v, want %v", got, want)
 	}
-	if got, want := ix.Stats(), (Stats{Docs: 2, Terms: 2, Postings: 3}); got != want || ix.NumDocs() != 2 {
-		t.Fatalf("Stats() = %v, NumDocs() = %d, want %v", got, ix.NumDocs(), want)
-	}
-	if got := ix.CollectionFreq("shared"); got != 7 {
-		t.Fatalf("CollectionFreq(shared) = %d after removes, want 7", got)
+	if got, want := shapeOf(ix), (shape{docs: 2, terms: 2, postings: 3}); got != want {
+		t.Fatalf("shape = %+v, want %+v", got, want)
 	}
 	var keys []string
 	ix.Merge([]string{"shared"}, false, func(r *Row) { keys = append(keys, r.Key()) })

@@ -473,10 +473,6 @@ func (st Stats) record(reg *metrics.Registry, queryKind string) {
 type Options struct {
 	// K is the number of documents the user wants.
 	K int
-	// NoAdaptiveStop disables the heuristic entirely: contact peers
-	// until k documents are retrieved (the naive rule the paper says
-	// performs terribly).
-	NoAdaptiveStop bool
 	// Metrics, if non-nil, receives per-query counters (search_*
 	// names). Nil disables instrumentation.
 	Metrics *metrics.Registry
@@ -588,12 +584,6 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 					contributed = true
 				}
 			}
-		}
-		if opt.NoAdaptiveStop {
-			if len(top) >= opt.K {
-				break
-			}
-			continue
 		}
 		// The adaptive rule only arms once an initial k documents are
 		// in hand (Section 5.2).

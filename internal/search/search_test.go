@@ -262,17 +262,6 @@ func TestRankedSearchEdgeCases(t *testing.T) {
 	}
 }
 
-func TestNoAdaptiveStopNaiveRule(t *testing.T) {
-	f := buildRankedCommunity()
-	docs, st := Ranked(f, f, []string{"gossip"}, Options{K: 5, NoAdaptiveStop: true})
-	if len(docs) != 5 {
-		t.Fatalf("naive rule should stop at k docs: %d", len(docs))
-	}
-	if st.StoppedEarly {
-		t.Fatal("naive rule must not report adaptive stop")
-	}
-}
-
 func TestExhaustiveSearch(t *testing.T) {
 	f := newFake()
 	f.addDoc(0, "both", map[string]int{"x": 1, "y": 1})

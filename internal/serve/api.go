@@ -279,7 +279,8 @@ func (s *Server) writePublishError(w http.ResponseWriter, err error) {
 // the document, ranked by directory liveness with failover — so the
 // fetch succeeds as long as ANY replica is up; 404 means no live holder
 // at all. With ?peer=N the fetch goes to exactly that peer (debugging
-// and tests pin a holder).
+// and tests pin a holder); an N that is no peer id is 400, a peer the
+// directory does not know 404.
 func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var (
@@ -288,13 +289,20 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 		err    error
 	)
 	if pv := r.URL.Query().Get("peer"); pv != "" {
-		n, aerr := strconv.Atoi(pv)
-		if aerr != nil {
+		n, perr := strconv.ParseInt(pv, 10, 32)
+		if perr != nil {
 			s.errors.Inc()
 			writeError(w, http.StatusBadRequest, "bad peer id: "+pv)
 			return
 		}
 		holder = directory.PeerID(n)
+		if _, known := s.peer.Directory().Entry(holder); !known {
+			// No RPC to a peer the directory does not know, and no strike
+			// against it.
+			s.errors.Inc()
+			writeError(w, http.StatusNotFound, "unknown peer: "+pv)
+			return
+		}
 		xml, err = s.peer.FetchDocument(holder, id)
 	} else {
 		xml, holder, err = s.peer.ResolveDocument(id)

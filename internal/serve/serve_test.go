@@ -115,6 +115,43 @@ func TestPublishSearchFetchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDocPinnedPeerValidated: ?peer=N names a peer id, an int32. One out
+// of range is refused, not wrapped onto another peer; one the directory
+// does not know answers 404 without an RPC and without a strike against it.
+func TestDocPinnedPeerValidated(t *testing.T) {
+	p := newTestPeer(t, 0)
+	_, ts := newTestServer(t, p, Config{})
+	d, err := p.Publish(`<doc>pinned holder</doc>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(query string) int {
+		t.Helper()
+		r, err := http.Get(ts.URL + "/v1/doc/" + d.ID + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		return r.StatusCode
+	}
+	if code := get("?peer=0"); code != http.StatusOK {
+		t.Fatalf("?peer=0 (self) status = %d, want 200", code)
+	}
+	for _, pv := range []string{"4294967296", "2147483648", "x"} {
+		if code := get("?peer=" + pv); code != http.StatusBadRequest {
+			t.Fatalf("?peer=%s status = %d, want 400", pv, code)
+		}
+	}
+	for _, pv := range []string{"5", "-1", "2147483647"} {
+		if code := get("?peer=" + pv); code != http.StatusNotFound {
+			t.Fatalf("?peer=%s status = %d, want 404", pv, code)
+		}
+	}
+	if got := p.Metrics().Counter("gossip_failed_sends_total").Value(); got != 0 {
+		t.Fatalf("gossip_failed_sends_total = %d after fetches from unknown peers, want 0", got)
+	}
+}
+
 // TestPublishBatchAndPeers: a batch ingests atomically; /v1/peers shows
 // the directory.
 func TestPublishBatchAndPeers(t *testing.T) {

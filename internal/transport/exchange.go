@@ -76,16 +76,6 @@ func (t *Transport) PeerExchange(to directory.PeerID, max int) ([]directory.Reco
 	return SanitizePeerSample(resp.Records, max), nil
 }
 
-// PeerExchangeAddr is like PeerExchange but dials a raw address
-// (bootstrap, before the seed is in the directory).
-func (t *Transport) PeerExchangeAddr(addr string, max int) ([]directory.Record, error) {
-	resp, err := t.callAddr(addr, &Envelope{Kind: KindPeerExchange, K: max})
-	if err != nil {
-		return nil, err
-	}
-	return SanitizePeerSample(resp.Records, max), nil
-}
-
 // ExchangePeers implements gossip.PeerExchanger, making the transport a
 // discovery-capable Env: a gossip.Node configured with DiscoverMin pulls
 // membership samples through this method.

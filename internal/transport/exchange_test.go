@@ -12,9 +12,9 @@ func exRec(id directory.PeerID, addr string) directory.Record {
 }
 
 // TestPeerExchangeRoundTrip: the RPC carries the served sample across the
-// wire, both by peer id and by raw address (the bootstrap path).
+// wire, cut to the size asked for.
 func TestPeerExchangeRoundTrip(t *testing.T) {
-	ta, _, tb, hb := pair(t)
+	ta, _, _, hb := pair(t)
 	hb.mu.Lock()
 	hb.sample = []directory.Record{exRec(1, "127.0.0.1:9001"), exRec(2, "127.0.0.1:9002")}
 	hb.mu.Unlock()
@@ -26,12 +26,12 @@ func TestPeerExchangeRoundTrip(t *testing.T) {
 	if len(recs) != 2 || recs[0].ID != 1 || recs[1].ID != 2 {
 		t.Fatalf("recs = %+v", recs)
 	}
-	recs, err = ta.PeerExchangeAddr(tb.Addr(), 1)
+	recs, err = ta.PeerExchange(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 {
-		t.Fatalf("addr exchange recs = %+v, want the server-side clamp to 1", recs)
+		t.Fatalf("exchange recs = %+v, want the server-side clamp to 1", recs)
 	}
 }
 

@@ -1,0 +1,98 @@
+package transport
+
+import (
+	"errors"
+	"net"
+	"sync"
+	"time"
+)
+
+// killMode selects how a killableConn dies.
+type killMode int
+
+const (
+	// killWrite tears the next write mid-stream: the first tornBytes
+	// bytes reach the wire, the rest never do, and the write errors. The
+	// request provably never decodes on the far side.
+	killWrite killMode = iota
+	// killRead lets writes through but fails every read after the next
+	// write completes — the request was delivered, the response never
+	// arrives. Reads before that write (a pool's checkout-time staleness
+	// probe) still hit the real connection, so the conn looks healthy
+	// until the request is committed.
+	killRead
+)
+
+// errKilled is what a killed connection's reads and writes return.
+var errKilled = errors.New("connection killed")
+
+// killableConn wraps a live connection so tests can kill it
+// deterministically mid-RPC — the conn-level fate a pooled transport must
+// survive. kill arms the failure; the mode decides whether the request
+// write tears or the response read fails. In both modes the conn behaves
+// normally until the armed exchange actually commits a write, so a pool's
+// checkout-time validation sees a healthy conn and the failure lands
+// mid-RPC, where the interesting recovery paths live. Safe for concurrent
+// use.
+type killableConn struct {
+	net.Conn
+	mu       sync.Mutex
+	armed    bool
+	readDead bool
+	mode     killMode
+	torn     int
+}
+
+// kill arms the connection to fail. For killWrite, tornBytes of the next
+// write still reach the wire (0 = nothing does) before the error; for
+// killRead, tornBytes is ignored.
+func (c *killableConn) kill(mode killMode, tornBytes int) {
+	c.mu.Lock()
+	c.armed, c.mode, c.torn = true, mode, tornBytes
+	c.mu.Unlock()
+}
+
+func (c *killableConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	armed, mode, torn := c.armed, c.mode, c.torn
+	if armed {
+		// The armed exchange is committing its request: reads are dead
+		// from here on, whichever mode.
+		c.readDead = true
+	}
+	c.mu.Unlock()
+	if !armed || mode != killWrite {
+		return c.Conn.Write(p)
+	}
+	n := 0
+	if torn > 0 && torn < len(p) {
+		n, _ = c.Conn.Write(p[:torn])
+	}
+	return n, errKilled
+}
+
+func (c *killableConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	dead := c.readDead
+	c.mu.Unlock()
+	if dead {
+		return 0, errKilled
+	}
+	return c.Conn.Read(p)
+}
+
+// killableDial dials real TCP and wraps every conn in a killableConn,
+// recording them so a test can tear a specific one mid-stream.
+func killableDial(conns *[]*killableConn, mu *sync.Mutex) func(string, time.Duration) (net.Conn, error) {
+	return func(addr string, timeout time.Duration) (net.Conn, error) {
+		c, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		kc := &killableConn{Conn: c}
+		mu.Lock()
+		*conns = append(*conns, kc)
+		mu.Unlock()
+		return kc, nil
+	}
+}

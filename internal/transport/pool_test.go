@@ -123,7 +123,7 @@ func TestOnewaySlowerThanDialBudgetSucceeds(t *testing.T) {
 	ta, _, _, hb := pairReg(t)
 	ta.dialTimeout = 50 * time.Millisecond
 	ta.rpcTimeout = 5 * time.Second
-	ta.DialHook = func(_ directory.PeerID, addr string, timeout time.Duration) (net.Conn, error) {
+	ta.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 		c, err := net.DialTimeout("tcp", addr, timeout)
 		if err != nil {
 			return nil, err
@@ -145,7 +145,7 @@ func TestOnewaySlowerThanDialBudgetSucceeds(t *testing.T) {
 func TestOnewayBoundByRPCTimeout(t *testing.T) {
 	ta, _, _, _ := pairReg(t)
 	ta.rpcTimeout = 60 * time.Millisecond
-	ta.DialHook = func(_ directory.PeerID, addr string, timeout time.Duration) (net.Conn, error) {
+	ta.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 		c, err := net.DialTimeout("tcp", addr, timeout)
 		if err != nil {
 			return nil, err
@@ -244,36 +244,20 @@ func TestInvalidatePeerDropsPooledConns(t *testing.T) {
 	}
 }
 
-// killableHook dials real TCP and wraps every conn in a KillableConn,
-// recording them so the test can tear a specific one mid-stream.
-func killableHook(conns *[]*faultnet.KillableConn, mu *sync.Mutex) DialHook {
-	return func(_ directory.PeerID, addr string, timeout time.Duration) (net.Conn, error) {
-		c, err := net.DialTimeout("tcp", addr, timeout)
-		if err != nil {
-			return nil, err
-		}
-		kc := &faultnet.KillableConn{Conn: c}
-		mu.Lock()
-		*conns = append(*conns, kc)
-		mu.Unlock()
-		return kc, nil
-	}
-}
-
 // A pooled conn torn mid-request-write: the envelope provably never
 // decoded at the server, so exactly one transparent re-dial delivers it —
 // no error to the caller, no double delivery.
 func TestTornWriteOnewayTransparentRedial(t *testing.T) {
 	ta, reg, _, hb := pairReg(t)
 	var mu sync.Mutex
-	var conns []*faultnet.KillableConn
-	ta.DialHook = killableHook(&conns, &mu)
+	var conns []*killableConn
+	ta.dial = killableDial(&conns, &mu)
 
 	if err := ta.BrokerPut(1, "k1", broker.Snippet{ID: "s1"}, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	conns[0].Kill(faultnet.KillWrite, 3)
+	conns[0].kill(killWrite, 3)
 	mu.Unlock()
 	if err := ta.BrokerPut(1, "k2", broker.Snippet{ID: "s2"}, time.Minute); err != nil {
 		t.Fatalf("torn write not recovered: %v", err)
@@ -300,14 +284,14 @@ func TestTornWriteOnewayTransparentRedial(t *testing.T) {
 func TestTornReadCallTransparentRedial(t *testing.T) {
 	ta, reg, _, _ := pairReg(t)
 	var mu sync.Mutex
-	var conns []*faultnet.KillableConn
-	ta.DialHook = killableHook(&conns, &mu)
+	var conns []*killableConn
+	ta.dial = killableDial(&conns, &mu)
 
 	if _, err := ta.Query(1, []string{"x"}, false); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	conns[0].Kill(faultnet.KillRead, 0)
+	conns[0].kill(killRead, 0)
 	mu.Unlock()
 	docs, err := ta.Query(1, []string{"x"}, false)
 	if err != nil || len(docs) != 1 {
@@ -326,14 +310,14 @@ func TestTornReadCallTransparentRedial(t *testing.T) {
 func TestTornReadOnewayNotRedialed(t *testing.T) {
 	ta, reg, _, hb := pairReg(t)
 	var mu sync.Mutex
-	var conns []*faultnet.KillableConn
-	ta.DialHook = killableHook(&conns, &mu)
+	var conns []*killableConn
+	ta.dial = killableDial(&conns, &mu)
 
 	if err := ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest, Digest: 1}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	conns[0].Kill(faultnet.KillRead, 0)
+	conns[0].kill(killRead, 0)
 	mu.Unlock()
 	if err := ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest, Digest: 2}); err == nil {
 		t.Fatal("ack-less oneway should surface an error")

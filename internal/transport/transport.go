@@ -267,8 +267,8 @@ type Transport struct {
 
 	pool *connPool
 
-	// Deadlines and pool bounds, set once in NewDeferred; fields only so
-	// in-package tests can shorten them.
+	// Deadlines, pool bounds and the dialer, set once in NewDeferred;
+	// fields only so in-package tests can shorten or wrap them.
 	//
 	// dialTimeout bounds connection attempts; rpcTimeout a whole
 	// request/response exchange (encode, server work, decode) once the
@@ -287,11 +287,9 @@ type Transport struct {
 	// before the reaper closes it.
 	poolConns, poolMaxIdle int
 	poolIdle               time.Duration
+	// dial opens a TCP connection to addr within timeout.
+	dial func(addr string, timeout time.Duration) (net.Conn, error)
 
-	// DialHook, when non-nil, replaces TCP dialing for peer-addressed
-	// sends (fault injection; see internal/faultnet). Set before use;
-	// not synchronized.
-	DialHook DialHook
 	// FateHook, when non-nil, is consulted once per peer-addressed send
 	// attempt, before the pool is touched — the per-message fault seam
 	// for pooled streams, where most sends never dial (see
@@ -440,7 +438,10 @@ func NewDeferred(id directory.PeerID, listenAddr string, handler Handler, resolv
 		poolConns:   4,
 		poolMaxIdle: 128,
 		poolIdle:    time.Minute,
-		m:           newTpMetrics(reg),
+		dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		},
+		m: newTpMetrics(reg),
 	}
 	t.ranker, _ = handler.(RankingHandler)
 	t.pool = newConnPool(t)
@@ -521,12 +522,6 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return e.Msg }
 
-// DialHook overrides connection establishment for peer-addressed sends —
-// the seam internal/faultnet mounts to inject dial failures, partitions,
-// black holes, and delays under the real framed TCP stack. addr is the
-// resolved address; a nil hook dials TCP directly.
-type DialHook func(to directory.PeerID, addr string, timeout time.Duration) (net.Conn, error)
-
 // FateHook decides one send attempt's injected fate (see
 // faultnet.Plan.SendFate): err fails the attempt outright (counted like a
 // refused dial); drop loses the message after an apparently clean send;
@@ -534,27 +529,10 @@ type DialHook func(to directory.PeerID, addr string, timeout time.Duration) (net
 // exchange.
 type FateHook func(to directory.PeerID) (err error, drop bool, delay time.Duration, kill bool)
 
-// dialPeer connects to a resolved peer address, through DialHook when one
-// is mounted.
-func (t *Transport) dialPeer(to directory.PeerID, addr string) (net.Conn, error) {
-	if t.DialHook != nil {
-		t.m.dials.Inc()
-		conn, err := t.DialHook(to, addr, t.dialTimeout)
-		if err != nil {
-			t.m.dialFailures.Inc()
-			t.countTimeout(err)
-			return nil, err
-		}
-		return conn, nil
-	}
-	return t.dialAddr(addr)
-}
-
-// dialAddr connects to a raw address, counting the attempt and its
-// outcome.
+// dialAddr connects to an address, counting the attempt and its outcome.
 func (t *Transport) dialAddr(addr string) (net.Conn, error) {
 	t.m.dials.Inc()
-	conn, err := net.DialTimeout("tcp", addr, t.dialTimeout)
+	conn, err := t.dial(addr, t.dialTimeout)
 	if err != nil {
 		t.m.dialFailures.Inc()
 		t.countTimeout(err)
@@ -578,7 +556,7 @@ func (t *Transport) call(to directory.PeerID, env *Envelope) (*Envelope, error) 
 // peer is in the directory). Conns pool under the raw address like any
 // other.
 func (t *Transport) callAddr(addr string, env *Envelope) (*Envelope, error) {
-	return t.exchangePooled(addr, func() (net.Conn, error) { return t.dialAddr(addr) }, env, false, false)
+	return t.exchangePooled(addr, env, false, false)
 }
 
 // roundTrip is one peer-addressed send attempt: resolve, consult the
@@ -614,7 +592,7 @@ func (t *Transport) roundTrip(to directory.PeerID, env *Envelope, oneway bool) (
 		kill = k
 	}
 	t.pool.noteAddr(to, addr)
-	return t.exchangePooled(addr, func() (net.Conn, error) { return t.dialPeer(to, addr) }, env, oneway, kill)
+	return t.exchangePooled(addr, env, oneway, kill)
 }
 
 // exchangePooled runs one framed RPC against addr over a pooled conn,
@@ -623,10 +601,10 @@ func (t *Transport) roundTrip(to directory.PeerID, env *Envelope, oneway bool) (
 // pconn.undelivered) — transparently re-dialed once; all other failures
 // surface to the caller. kill injects a
 // conn death just before the exchange (faultnet's ConnKill fate).
-func (t *Transport) exchangePooled(addr string, dial func() (net.Conn, error), env *Envelope, oneway, kill bool) (*Envelope, error) {
+func (t *Transport) exchangePooled(addr string, env *Envelope, oneway, kill bool) (*Envelope, error) {
 	pc, reused := t.pool.get(addr), true
 	if pc == nil {
-		conn, err := dial()
+		conn, err := t.dialAddr(addr)
 		if err != nil {
 			return nil, err
 		}
@@ -654,7 +632,7 @@ func (t *Transport) exchangePooled(addr string, dial func() (net.Conn, error), e
 	// request cannot have taken effect: re-dial once, invisibly to the
 	// caller.
 	t.m.poolRedials.Inc()
-	conn, derr := dial()
+	conn, derr := t.dialAddr(addr)
 	if derr != nil {
 		return nil, derr
 	}

@@ -298,28 +298,31 @@ echo "   replication smoke OK"
 echo "== benchmark determinism (bench/run.sh -workload gossip_sim -repeat 2)"
 bash bench/run.sh -workload gossip_sim -repeat 2 >/dev/null
 
-# Fuzz smoke: run every fuzz target briefly. Go allows only one -fuzz
-# pattern per invocation, so iterate target by target; -run='^$' skips
-# the unit tests already covered above.
+# Fuzz smoke: run every fuzz target briefly. The targets are listed per
+# package (`go test -list`), so a new one is fuzzed without editing this
+# file. Go allows only one -fuzz pattern per invocation, so iterate target
+# by target; -run='^$' skips the unit tests already covered above.
 FUZZTIME="${FUZZTIME:-5s}"
 echo "== fuzz smoke (${FUZZTIME} per target)"
-go test -run='^$' -fuzz=FuzzDecodeGaps -fuzztime="$FUZZTIME" ./internal/golomb/
-go test -run='^$' -fuzz=FuzzGapsRoundTrip -fuzztime="$FUZZTIME" ./internal/golomb/
-go test -run='^$' -fuzz=FuzzDecompress -fuzztime="$FUZZTIME" ./internal/bloom/
-go test -run='^$' -fuzz=FuzzCompactMatchesFilter -fuzztime="$FUZZTIME" ./internal/bloom/
-go test -run='^$' -fuzz=FuzzDecodeDiff -fuzztime="$FUZZTIME" ./internal/bloom/
-go test -run='^$' -fuzz=FuzzCompressRoundTrip -fuzztime="$FUZZTIME" ./internal/bloom/
-go test -run='^$' -fuzz=FuzzIndexedSweepMatchesFilter -fuzztime="$FUZZTIME" ./internal/filtercache/
-go test -run='^$' -fuzz=FuzzEnvelopeDecode -fuzztime="$FUZZTIME" ./internal/transport/
-go test -run='^$' -fuzz=FuzzPeerExchangeDecode -fuzztime="$FUZZTIME" ./internal/transport/
-go test -run='^$' -fuzz=FuzzWALRecord -fuzztime="$FUZZTIME" ./internal/store/
+go test -list '^Fuzz' ./... |
+	awk '/^Fuzz/ { t = t " " $1 } /^ok / { if (t != "") print $2 t; t = "" }' >"$tmp/planetp-fuzz-targets"
+fuzzed=0
+while read -r pkg targets; do
+	for f in $targets; do
+		go test -run='^$' -fuzz="^$f\$" -fuzztime="$FUZZTIME" "$pkg" </dev/null
+		fuzzed=$((fuzzed + 1))
+	done
+done <"$tmp/planetp-fuzz-targets"
+rm -f "$tmp/planetp-fuzz-targets"
+[ "$fuzzed" -gt 0 ] || { echo "no fuzz targets found" >&2; exit 1; }
+echo "   $fuzzed fuzz targets ran"
 
 # Size: the internal/ + cmd/ non-test line count ROADMAP and CHANGES.md
 # quote, then the packages the last simplification touched.
 lines() { find "$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
 echo "== non-test lines, internal/ + cmd/: $(lines internal cmd)"
-for pkg in internal/gossip internal/directory internal/serve internal/replica \
-	internal/store internal/transport internal/core internal/gossipsim; do
+for pkg in internal/faultnet internal/transport internal/search \
+	internal/index internal/core internal/gossipsim; do
 	echo "   $pkg: $(lines "$pkg")"
 done
 
