@@ -47,6 +47,7 @@ var dormant = []string{
 	"SearchWith", "CollectionFreq", "PeerExchangeAddr", "PropagationSweep", "CDF) Mean(",
 	"Index) AddDocument(", "Index) AddTermFreqs(", "Index) Lookup(", "Index) NumDocs(", "Index) NumTerms(",
 	"Index) DocFreq(", "Index) Docs(", "Index) SearchAll(", "Index) DocTerms(", "Index) Stats(", "index.Stats",
+	"MergedView", "NewMergedView",
 }
 
 // source is one parsed non-test Go file of the module proper.

@@ -130,6 +130,7 @@ type Peer struct {
 	view        *dirView
 	userRng     *rand.Rand
 	reg         *metrics.Registry
+	topk        *topkMemo // ranked answers, resumed by a repeated query
 	stopCh      chan struct{}
 	loopDone    chan struct{}
 	started     bool
@@ -178,6 +179,7 @@ func NewPeer(cfg Config) (*Peer, error) {
 		docOf:     make(map[string]index.DocID),
 		summary:   bloom.NewSummary(bloom.Default()),
 		reg:       cfg.Metrics,
+		topk:      newTopkMemo(cfg.Metrics),
 		stopCh:    make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		hoardDone: make(chan struct{}),
@@ -695,19 +697,4 @@ func (p *Peer) localQuery(terms []string, all bool) []search.DocResult {
 		out = append(out, search.DocResult{Peer: p.id, Key: r.Key(), TermFreqs: tf, DocLen: r.DocLen})
 	})
 	return out
-}
-
-// localTopK answers a ranked query (DESIGN §4c): equation 2 is scored
-// inside the index walk, search.TopK keeps the rq.K best under
-// search.InsertTopK's order, and only the survivors become DocResults. A
-// document's key is read only once its score may enter the list.
-func (p *Peer) localTopK(terms []string, rq search.RankQuery) []search.DocResult {
-	sc := rq.Scorer(terms)
-	top := sc.TopK(rq.K)
-	p.index.Merge(sc.Terms, false, func(r *index.Row) {
-		if score := sc.Score(r.Freqs, r.DocLen); top.Admits(score) {
-			top.Insert(score, r.Key(), r.Freqs, r.DocLen)
-		}
-	})
-	return top.Results(p.id)
 }

@@ -169,27 +169,27 @@ var benchDocs []search.DocResult
 
 func BenchmarkLocalQueryRanked(b *testing.B) {
 	p := localQueryPeer(b)
-	rq := search.RankQuery{K: 10, N: 4, Nt: []int{4, 1}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchDocs = p.localTopK([]string{"head", "rare"}, rq)
+		// A distinct N makes every query new to the memo: each walks cold.
+		benchDocs = p.localTopK([]string{"head", "rare"}, search.RankQuery{K: 10, N: 4 + i, Nt: []int{4, 1}})
 	}
 }
 
 // A mixed_rw peer at the end of the window: 4000 documents of equal length,
 // both query words in every one once, so every score ties and keys decide.
+// Every query is new to the memo (distinct N), so each walks all 4000.
 func BenchmarkLocalQueryRankedTies(b *testing.B) {
 	docs := make([]string, 4000)
 	for i := range docs {
 		docs[i] = fmt.Sprintf("<doc>head common filler%d</doc>", i)
 	}
 	p := benchPeer(b, docs)
-	rq := search.RankQuery{K: 10, N: 4, Nt: []int{4, 4}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchDocs = p.localTopK([]string{"head", "common"}, rq)
+		benchDocs = p.localTopK([]string{"head", "common"}, search.RankQuery{K: 10, N: 4 + i, Nt: []int{4, 4}})
 	}
 }
 

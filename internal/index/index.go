@@ -37,6 +37,9 @@ type Index struct {
 	docLen []uint32 // |D|: total term occurrences
 	keys   []string // the caller's name for the document ("" if it gave none)
 	live   []bool
+	// removals counts RemoveDocument's deletions: the one change that can
+	// alter what a walk over ids below len(docLen) sees (MergeFrom).
+	removals uint64
 }
 
 // New returns an empty index.
@@ -111,6 +114,7 @@ func (ix *Index) RemoveDocument(id DocID) bool {
 		return false
 	}
 	ix.live[id], ix.docLen[id], ix.keys[id] = false, 0, ""
+	ix.removals++
 	for term, e := range ix.terms {
 		if i, ok := find(e.list, id); ok {
 			e.list = append(e.list[:i], e.list[i+1:]...)
@@ -187,11 +191,52 @@ func (ix *Index) Merge(terms []string, all bool, visit func(*Row)) {
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	lists, pos := make([][]Posting, len(terms)), make([]int, len(terms))
+	ix.mergeLocked(ix.listsLocked(terms), all, 0, visit)
+}
+
+// MergeFrom is Merge(terms, false, visit) for a walk that may resume an
+// earlier one. Under the walk's one read lock it first calls start with
+// the total length of terms' posting lists and the index's removal count;
+// visit then sees only the documents at or above the id start returns.
+// MergeFrom returns the id the index hands out next and the removal count,
+// read under the same lock.
+//
+// Ids ascend and are never reused, and a live document's postings never
+// change, so while the removal count stays put, the documents below next
+// are the ones this walk saw: a walk resumed at (next, removals) and one
+// that started at 0 see the same documents in the same order. start and
+// visit must not call back into the index.
+func (ix *Index) MergeFrom(terms []string, start func(postings int, removals uint64) DocID, visit func(*Row)) (next DocID, removals uint64) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	lists, postings := ix.listsLocked(terms), 0
+	for _, l := range lists {
+		postings += len(l)
+	}
+	ix.mergeLocked(lists, false, start(postings, ix.removals), visit)
+	return DocID(len(ix.docLen)), ix.removals
+}
+
+// listsLocked returns the posting lists of terms. Caller holds ix.mu.
+func (ix *Index) listsLocked(terms []string) [][]Posting {
+	lists := make([][]Posting, len(terms))
 	for i, t := range terms {
 		lists[i] = ix.listLocked(t)
 	}
-	row := Row{Freqs: make([]uint32, len(terms)), ix: ix}
+	return lists
+}
+
+// mergeLocked is the one merge loop of Merge and MergeFrom, over the
+// documents at or above from; lists is not empty when all is set. Caller
+// holds ix.mu.
+func (ix *Index) mergeLocked(lists [][]Posting, all bool, from DocID, visit func(*Row)) {
+	pos := make([]int, len(lists))
+	if from > 0 {
+		for i, l := range lists {
+			pos[i], _ = find(l, from)
+		}
+	}
+	row := Row{Freqs: make([]uint32, len(lists)), ix: ix}
 	freqs, docLen := row.Freqs, ix.docLen
 	const spent = 1 << 32 // a spent list's head: above every DocID
 	for !all {

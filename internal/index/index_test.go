@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -440,5 +441,45 @@ func TestIDsNeverReusedAndRemovedReadEmpty(t *testing.T) {
 	ix.Merge([]string{"shared"}, false, func(r *Row) { keys = append(keys, r.Key()) })
 	if want := []string{"a", ""}; !reflect.DeepEqual(keys, want) {
 		t.Fatalf("walk names %q, want %q", keys, want)
+	}
+}
+
+// TestMergeFromResumes: MergeFrom hands start the lists' total length and
+// the removal count, visits exactly the ids at or above what start returns
+// in Merge's order, and reports the next id and the count it read; only a
+// removal moves the count.
+func TestMergeFromResumes(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ix := New()
+	for d := 0; d < 200; d++ {
+		add(ix, map[string]int{fmt.Sprintf("w%d", rng.Intn(4)): 1 + rng.Intn(3), "head": 1})
+	}
+	ix.RemoveDocument(5)
+	ix.RemoveDocument(5) // not live: not counted
+	ix.RemoveDocument(77)
+	terms := []string{"absent", "head", "w1"}
+	var all []DocID
+	ix.Merge(terms, false, func(r *Row) { all = append(all, r.ID) })
+	for _, from := range []DocID{0, 1, 5, 6, 100, 199, 200, 1000} {
+		var got []DocID
+		next, removals := ix.MergeFrom(terms, func(postings int, removals uint64) DocID {
+			if want := len(lookup(ix, "head")) + len(lookup(ix, "w1")); postings != want || removals != 2 {
+				t.Fatalf("start sees %d postings and %d removals, want %d and 2", postings, removals, want)
+			}
+			return from
+		}, func(r *Row) { got = append(got, r.ID) })
+		i, _ := slices.BinarySearch(all, from)
+		if want := all[i:]; !slices.Equal(got, want) {
+			t.Fatalf("from %d: visited %v, want %v", from, got, want)
+		}
+		if next != 200 || removals != 2 {
+			t.Fatalf("from %d: next %d removals %d, want 200 and 2", from, next, removals)
+		}
+	}
+	add(ix, map[string]int{"head": 1})
+	if next, removals := ix.MergeFrom(nil, func(int, uint64) DocID { return 0 }, func(*Row) {
+		t.Fatal("a query without terms matched")
+	}); next != 201 || removals != 2 {
+		t.Fatalf("after an add: next %d removals %d, want 201 and 2", next, removals)
 	}
 }

@@ -1,11 +1,12 @@
 // Package lru is the stamped, cost-bounded LRU under the query path's
-// two caches (filtercache, serve's result cache).
+// three caches (filtercache, serve's result cache, core's ranked-answer
+// memo).
 //
 // An entry carries the stamp it was computed at — a record version, a
-// directory generation — and a lookup names the stamp the caller holds
-// now. Any other stamp is a miss that drops the entry, so a value stored
-// late (its compute raced the change) can never be returned: staleness is
-// decided per lookup, not by flushing.
+// directory generation, an index's removal count — and a lookup names the
+// stamp the caller holds now. Any other stamp is a miss that drops the
+// entry, so a value stored late (its compute raced the change) can never be
+// returned: staleness is decided per lookup, not by flushing.
 package lru
 
 import (

@@ -11,6 +11,7 @@
 package search
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"sort"
@@ -230,6 +231,27 @@ func (rq RankQuery) Scorer(terms []string) *Scorer {
 	return sc
 }
 
+// Key identifies the walk TopK(k) makes: two scorers whose keys for k are
+// equal give every document the same score and keep the same k best. It is
+// built from the resolved columns — each term with its weight's bits — so
+// header entries beyond the query's terms add nothing to it.
+func (sc *Scorer) Key(k int) string {
+	var key strings.Builder
+	var num [binary.MaxVarintLen64]byte
+	size := binary.MaxVarintLen64
+	for _, t := range sc.Terms {
+		size += binary.MaxVarintLen64 + len(t) + 8
+	}
+	key.Grow(size)
+	key.Write(binary.AppendVarint(num[:0], int64(k)))
+	for i, t := range sc.Terms {
+		key.Write(binary.AppendUvarint(num[:0], uint64(len(t))))
+		key.WriteString(t)
+		key.Write(binary.LittleEndian.AppendUint64(num[:0], math.Float64bits(sc.weights[i])))
+	}
+	return key.String()
+}
+
 // Score scores a document from its frequencies of Terms, column for
 // column (an index walk's row).
 func (sc *Scorer) Score(freqs []uint32, docLen int) float64 {
@@ -278,6 +300,15 @@ func (d walkDoc) rank() (float64, string) { return d.score, d.key }
 func (sc *Scorer) TopK(k int) *TopK {
 	room := min(max(k, 0), 16)
 	return &TopK{sc: sc, k: k, top: make([]walkDoc, 0, room), freqs: make([]uint32, 0, room*len(sc.Terms))}
+}
+
+// Len returns how many documents the list keeps.
+func (a *TopK) Len() int { return len(a.top) }
+
+// Clone returns a copy of the list that takes further Inserts without
+// changing a: a walk resumed from a kept list extends its clone.
+func (a *TopK) Clone() *TopK {
+	return &TopK{sc: a.sc, k: a.k, top: slices.Clone(a.top), freqs: slices.Clone(a.freqs)}
 }
 
 // Admits reports whether a document scoring score may enter the list:

@@ -215,26 +215,20 @@ func sweepQueries() map[string][]string {
 }
 
 // sweepViews wraps one filter set in every view shape the engine probes
-// through, MergedView over each included.
+// through.
 func sweepViews(base *plainFilters) map[string]FilterView {
-	views := make(map[string]FilterView)
-	for name, v := range map[string]FilterView{
+	return map[string]FilterView{
 		"sweep":  sweepFilters{digestFilters{base}},
 		"digest": digestFilters{base},
 		"plain":  base,
-	} {
-		views[name] = v
-		views["merged3/"+name] = NewMergedView(v, 3)
-		views["merged1/"+name] = NewMergedView(v, 1)
 	}
-	return views
 }
 
 // TestSweepMatchesTwoPassReference: the one-sweep engine returns, float
 // for float, what the two term-major passes it replaced return — IPF map,
 // peer ranking, exhaustive candidate set — for every view capability,
-// MergedView over each, peers without filters, absent and duplicate
-// terms, 1 and 20 terms, and an empty community.
+// peers without filters, absent and duplicate terms, 1 and 20 terms, and
+// an empty community.
 func TestSweepMatchesTwoPassReference(t *testing.T) {
 	communities := map[string]*plainFilters{
 		"50 peers":            seededFilters(1, 50, 0),

@@ -251,20 +251,21 @@ echo "== benchmark module (cd bench && go vet ./... && go test ./...)"
 # BENCH_replication.json byte for byte) among them. What follows repeats
 # the concurrent ones, because one pass of a race is one interleaving: the
 # one fsync racing a snapshot, ranked queries racing publishes and removes
-# off the peer mutex (§4f), the filter sweep racing Upsert/MarkOffline
+# off the peer mutex (§4f) and resuming one memoized walk beside them (§4c),
+# the filter sweep racing Upsert/MarkOffline
 # (§4c, §4i), and sends building the own payload beside publishes, which
 # must cover the version they leave with.
 echo "== concurrent contracts, repeated"
 go test -race -count=10 -run 'TestSnapshotRacesAppends' ./internal/store/
-go test -race -count=10 -run 'TestConcurrentQueriesPublishesRemoves' ./internal/core/
+go test -race -count=10 -run 'TestConcurrentQueriesPublishesRemoves|TestTopKMemoConcurrentExtenders' ./internal/core/
 go test -race -count=5 -run 'TestSweepMatchesPerPeerProbes' ./internal/core/
 go test -race -count=10 -run 'TestConcurrentPublishPayloadCoversVersion' ./internal/core/
 
 # The hot paths' benchmarks, once each, so they keep compiling and running:
-# the ranked top-k kernel, batch indexing, the filter sweep and Compact
-# probe, and the frame codec's RPCs.
+# the ranked top-k kernel, cold and resumed from the memo, batch indexing,
+# the filter sweep and Compact probe, and the frame codec's RPCs.
 echo "== benchmarks compile and run (50x each)"
-go test -run '^$' -bench 'BenchmarkLocalQueryRanked$|BenchmarkLocalQueryRankedTies$' -benchtime 50x ./internal/core/ >/dev/null
+go test -run '^$' -bench 'BenchmarkLocalQueryRanked$|BenchmarkLocalQueryRankedTies$|BenchmarkLocalQueryRankedAppend$' -benchtime 50x ./internal/core/ >/dev/null
 go test -run '^$' -bench 'BenchmarkIndexAddBatch$' -benchtime 50x ./internal/index/ >/dev/null
 go test -run '^$' -bench 'BenchmarkSweep1023$' -benchtime 50x ./internal/filtercache/ >/dev/null
 go test -run '^$' -bench 'BenchmarkCompactProbe$' -benchtime 50x ./internal/bloom/ >/dev/null
