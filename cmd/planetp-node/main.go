@@ -18,8 +18,10 @@
 //	-capacity N       community id-space size (default 64)
 //	-listen ADDR      HTTP API address; serves POST /v1/search,
 //	                  POST /v1/publish, POST /v1/publish-batch,
-//	                  GET /v1/doc/{id}, GET /v1/peers, GET /healthz, and
-//	                  GET /debug/metrics on one mux ("" = no API)
+//	                  GET /v1/doc/{id}, GET /v1/peers, GET /healthz,
+//	                  GET /debug/metrics, and GET /debug/pprof/ (index,
+//	                  profile, heap, goroutine, trace) on one mux
+//	                  ("" = no API)
 //	-gossip ADDR      gossip transport address ("" = ephemeral loopback)
 //	-seeds ADDRS      comma-separated gossip addresses of existing members;
 //	                  tried in rotation with capped exponential backoff
@@ -92,7 +94,7 @@ import (
 func main() {
 	id := flag.Int("id", 0, "peer id (unique, < capacity)")
 	capacity := flag.Int("capacity", 64, "community id-space size")
-	listen := flag.String("listen", "127.0.0.1:0", "HTTP API address serving /v1/* and /debug/metrics (\"\" = no API)")
+	listen := flag.String("listen", "127.0.0.1:0", "HTTP API address serving /v1/*, /healthz, /debug/metrics and /debug/pprof/ (\"\" = no API)")
 	gossipAddr := flag.String("gossip", "127.0.0.1:0", "gossip transport listen address")
 	seeds := flag.String("seeds", "", "comma-separated gossip addresses of existing members to bootstrap from")
 	minPeers := flag.Int("min-peers", 0, "pull peer-exchange samples until the directory sees this many members on-line (0 = gossip only)")
@@ -174,8 +176,8 @@ func main() {
 	peer.Start()
 	fmt.Printf("%s gossiping on %s (id %d)\n", peer.Name(), peer.Addr(), peer.ID())
 
-	// The serving tier: one mux carries the /v1 API, /healthz, and
-	// /debug/metrics.
+	// The serving tier: one mux carries the /v1 API, /healthz,
+	// /debug/metrics and /debug/pprof/.
 	var server *planetp.Server
 	if *listen != "" {
 		server = planetp.NewServer(peer, planetp.ServeConfig{MaxInFlight: *maxInflight})
@@ -184,7 +186,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("api on http://%s/v1 (metrics at /debug/metrics)\n", ln.Addr())
+		fmt.Printf("api on http://%s/v1 (metrics at /debug/metrics, profiles at /debug/pprof/)\n", ln.Addr())
 		go func() {
 			if err := server.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "api server:", err)

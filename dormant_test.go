@@ -28,8 +28,11 @@ import (
 // ran (the transport's dial hook with faultnet's dialer and its synthetic
 // conns, the fault delay window's fields, search's merged view and naive
 // stop, core's options-taking search, the index calls only tests made, the
-// address-dialed peer exchange, gossipsim's size sweep and CDF mean). One
-// of them named again in non-test Go is a second path coming back.
+// address-dialed peer exchange, gossipsim's size sweep and CDF mean), and
+// the ranked reply's frequency maps (search's sorting ScoreDoc, TopK's
+// map-building Results, the TopDocs cut, the codec's per-frame term
+// dictionary). One of them named again in non-test Go is a second path
+// coming back.
 // The names are literal substrings, each specific enough not to match a
 // living name (simnet.Peer.BytesSent, Directory.SummaryRange, seedPasses,
 // net.Dialer, Peer.SearchAll, Index.SearchAny, OnlinePayloads).
@@ -48,6 +51,7 @@ var dormant = []string{
 	"Index) AddDocument(", "Index) AddTermFreqs(", "Index) Lookup(", "Index) NumDocs(", "Index) NumTerms(",
 	"Index) DocFreq(", "Index) Docs(", "Index) SearchAll(", "Index) DocTerms(", "Index) Stats(", "index.Stats",
 	"MergedView", "NewMergedView",
+	"ScoreDoc(d DocResult", "TopK) Results(", "TopDocs(", "codec) termFreqs(", "codec) term(",
 }
 
 // source is one parsed non-test Go file of the module proper.

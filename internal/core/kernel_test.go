@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,11 +19,72 @@ import (
 	"planetp/internal/store"
 )
 
+// refColumns are a ranked answer's columns: the distinct terms the header
+// weighs, sorted.
+func refColumns(terms []string, rq search.RankQuery) []string {
+	cols := slices.Clone(terms[:min(len(terms), len(rq.Nt))])
+	slices.Sort(cols)
+	return slices.Compact(cols)
+}
+
+// refIPF is equation 1 for each term the header weighs; a repeated term
+// weighs what its first occurrence does.
+func refIPF(terms []string, rq search.RankQuery) map[string]float64 {
+	ipf := map[string]float64{}
+	for i := min(len(terms), len(rq.Nt)) - 1; i >= 0; i-- {
+		ipf[terms[i]] = 0
+		if rq.N > 0 && rq.Nt[i] > 0 {
+			ipf[terms[i]] = math.Log(1 + float64(rq.N)/float64(rq.Nt[i]))
+		}
+	}
+	return ipf
+}
+
+// refScore is equation 2 over a row, straight from the formula and summed
+// in column order: the bits the kernel's table and column walk must give.
+func refScore(cols []string, freqs []uint32, docLen int, ipf map[string]float64) float64 {
+	sum := 0.0
+	for i, t := range cols {
+		if f := freqs[i]; f > 0 {
+			sum += float64((1 + math.Log(float64(f))) * ipf[t])
+		}
+	}
+	if docLen <= 0 {
+		return 0
+	}
+	return sum / math.Sqrt(float64(docLen))
+}
+
+// refTopK is the reference ranked answer: every document of the full list
+// as a row, scored by refScore, sorted by (score descending, key
+// ascending), cut to k.
+func refTopK(full []search.DocResult, terms []string, rq search.RankQuery) []search.Hit {
+	cols, ipf := refColumns(terms, rq), refIPF(terms, rq)
+	hits := make([]search.Hit, len(full))
+	scores := map[string]float64{}
+	for i, d := range full {
+		freqs := make([]uint32, len(cols))
+		for j, t := range cols {
+			freqs[j] = uint32(d.TermFreqs[t])
+		}
+		hits[i] = search.Hit{Key: d.Key, DocLen: d.DocLen, Freqs: freqs}
+		scores[d.Key] = refScore(cols, freqs, d.DocLen, ipf)
+	}
+	sort.Slice(hits, func(i, j int) bool {
+		if a, b := scores[hits[i].Key], scores[hits[j].Key]; a != b {
+			return a > b
+		}
+		return hits[i].Key < hits[j].Key
+	})
+	return hits[:min(len(hits), max(rq.K, 0))]
+}
+
 // TestTopKKernelMatchesReference: the index walk's kernel (table weights,
 // threshold before key, survivors alone materialised) answers what cutting
-// the full list with search.TopDocs answers — on a corpus of varied lengths
-// and frequencies and on the bench's shape, where every score ties and keys
-// decide; with repeated and absent terms, every k, before and after removes.
+// the full list by the reference formula answers — on a corpus of varied
+// lengths and frequencies and on the bench's shape, where every score ties
+// and keys decide; with repeated and absent terms, every k, before and
+// after removes.
 func TestTopKKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tied := make([]string, 300)
@@ -62,19 +125,17 @@ func TestTopKKernelMatchesReference(t *testing.T) {
 				full := p.localQuery(terms, false)
 				for _, k := range []int{1, 3, 10, 50, len(full) + 5} {
 					rq := search.RankQuery{K: k, N: 8, Nt: nt}
-					got, want := p.localTopK(terms, rq), search.TopDocs(full, terms, rq)
+					got, want := p.localTopK(terms, rq), refTopK(full, terms, rq)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s, %s, terms %v k %d: walk answers\n%v\nfull list cut to k is\n%v", name, phase, terms, k, got, want)
 					}
-					// The kernel's order is the reference formula's: rank by
-					// rank the same score bits, never rising.
-					ipf := map[string]float64{}
-					for i := len(terms) - 1; i >= 0; i-- {
-						ipf[terms[i]] = math.Log(1 + float64(rq.N)/float64(nt[i]))
-					}
+					// The kernel's score is the reference formula's, bit for
+					// bit, and its order never rises.
+					cols, ipf := refColumns(terms, rq), refIPF(terms, rq)
+					sc := rq.Scorer(terms)
 					for i := range got {
-						g, w := search.ScoreDoc(got[i], ipf), search.ScoreDoc(want[i], ipf)
-						if math.Float64bits(g) != math.Float64bits(w) || i > 0 && g > search.ScoreDoc(got[i-1], ipf) {
+						g, w := sc.Score(got[i].Freqs, got[i].DocLen), refScore(cols, want[i].Freqs, want[i].DocLen, ipf)
+						if math.Float64bits(g) != math.Float64bits(w) || i > 0 && g > sc.Score(got[i-1].Freqs, got[i-1].DocLen) {
 							t.Fatalf("%s, %s, terms %v k %d rank %d: score %v, reference %v", name, phase, terms, k, i, g, w)
 						}
 					}
@@ -301,7 +362,13 @@ func TestConcurrentQueriesPublishesRemoves(t *testing.T) {
 				default:
 				}
 				ranked := h.HandleRankedQuery([]string{"falcon", "heron"}, rq)
-				for _, d := range append(ranked, h.HandleQuery([]string{"heron", "falcon"}, true)...) {
+				for _, d := range ranked { // columns falcon, heron
+					if d.Key == "" || d.DocLen < 3 || !slices.Equal(d.Freqs, []uint32{1, 1}) {
+						t.Errorf("torn ranked answer: %+v", d)
+						return
+					}
+				}
+				for _, d := range h.HandleQuery([]string{"heron", "falcon"}, true) {
 					if d.Key == "" || d.DocLen < 3 || d.TermFreqs["falcon"] != 1 || d.TermFreqs["heron"] != 1 {
 						t.Errorf("torn answer: %+v", d)
 						return

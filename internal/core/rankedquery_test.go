@@ -44,7 +44,7 @@ func TestLocalTopKEqualsCutOfFullList(t *testing.T) {
 		rq := search.RankQuery{K: []int{1, 5, 10, 50, 1000}[rng.Intn(5)], N: 8, Nt: nt}
 		got := p.localTopK(terms, rq)
 		full := p.localQuery(terms, false)
-		if want := search.TopDocs(full, terms, rq); !reflect.DeepEqual(got, want) {
+		if want := refTopK(full, terms, rq); !reflect.DeepEqual(got, want) {
 			t.Fatalf("terms %v %+v: walk answers\n%v\nfull list cut to k is\n%v", terms, rq, got, want)
 		}
 		if len(got) < len(full) {
@@ -165,7 +165,10 @@ func localQueryPeer(b *testing.B) *Peer {
 	return benchPeer(b, docs)
 }
 
-var benchDocs []search.DocResult
+var (
+	benchHits []search.Hit
+	benchDocs []search.DocResult
+)
 
 func BenchmarkLocalQueryRanked(b *testing.B) {
 	p := localQueryPeer(b)
@@ -173,7 +176,7 @@ func BenchmarkLocalQueryRanked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A distinct N makes every query new to the memo: each walks cold.
-		benchDocs = p.localTopK([]string{"head", "rare"}, search.RankQuery{K: 10, N: 4 + i, Nt: []int{4, 1}})
+		benchHits = p.localTopK([]string{"head", "rare"}, search.RankQuery{K: 10, N: 4 + i, Nt: []int{4, 1}})
 	}
 }
 
@@ -189,7 +192,7 @@ func BenchmarkLocalQueryRankedTies(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchDocs = p.localTopK([]string{"head", "common"}, search.RankQuery{K: 10, N: 4 + i, Nt: []int{4, 4}})
+		benchHits = p.localTopK([]string{"head", "common"}, search.RankQuery{K: 10, N: 4 + i, Nt: []int{4, 4}})
 	}
 }
 

@@ -54,14 +54,14 @@ func newTopkMemo(reg *metrics.Registry) *topkMemo {
 
 // localTopK answers a ranked query (DESIGN §4c): equation 2 is scored
 // inside the index walk, search.TopK keeps the rq.K best under
-// search.InsertTopK's order, and only the survivors become DocResults. A
+// search.InsertTopK's order, and the survivors' rows are the answer. A
 // document's key is read only once its score may enter the list.
 //
 // A query long enough to admit resumes the walk the memo kept for it, if
 // no document was removed since: the index only appends, so the kept list
 // extended over the ids at or above its end is the list a walk from the
 // first id would keep.
-func (p *Peer) localTopK(terms []string, rq search.RankQuery) []search.DocResult {
+func (p *Peer) localTopK(terms []string, rq search.RankQuery) []search.Hit {
 	sc := rq.Scorer(terms)
 	var (
 		top  search.TopK // by value: off the memo, the list header stays on the stack
@@ -91,5 +91,5 @@ func (p *Peer) localTopK(terms []string, rq search.RankQuery) []search.DocResult
 	if cost := int64(top.Len() + 1); key != "" && end != from && cost <= topkMemoMaxCost {
 		p.topk.lru.Put(key, removals, walked{top, end}, cost)
 	}
-	return top.Results(p.id)
+	return top.Hits()
 }

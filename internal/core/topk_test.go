@@ -18,7 +18,7 @@ import (
 
 // walkTopK is a ranked answer from a fresh index.Merge walk, the memo
 // bypassed: the reference the memo's answers are held to.
-func walkTopK(p *Peer, terms []string, rq search.RankQuery) []search.DocResult {
+func walkTopK(p *Peer, terms []string, rq search.RankQuery) []search.Hit {
 	sc := rq.Scorer(terms)
 	top := sc.TopK(rq.K)
 	p.index.Merge(sc.Terms, false, func(r *index.Row) {
@@ -26,7 +26,7 @@ func walkTopK(p *Peer, terms []string, rq search.RankQuery) []search.DocResult {
 			top.Insert(score, r.Key(), r.Freqs, r.DocLen)
 		}
 	})
-	return top.Results(p.id)
+	return top.Hits()
 }
 
 // memoDoc is a document of 2 to 10 words drawn from five, so every word's
@@ -230,8 +230,8 @@ func TestTopKMemoConcurrentExtenders(t *testing.T) {
 					t.Errorf("%d ranked documents, k = %d", len(got), rq.K)
 					return
 				}
-				for _, d := range got {
-					if gone[d.Key] || d.TermFreqs["falcon"] != 1 || d.TermFreqs["heron"] != 1 {
+				for _, d := range got { // columns falcon, heron
+					if gone[d.Key] || !slices.Equal(d.Freqs, []uint32{1, 1}) {
 						t.Errorf("answer names %+v (removed before the query: %v)", d, gone[d.Key])
 						return
 					}
@@ -304,8 +304,8 @@ func TestTopKMemoSkipAllocs(t *testing.T) {
 	terms := []string{"petrel", "gannet"}
 	// The bounds are the walk's own: the scorer, the posting lists, the
 	// cursors, the row, the list's two arrays, and the answer — its slice
-	// and one map per document kept.
-	for k, bound := range map[int]float64{1: 13, 10: 31} {
+	// and the one array its rows share, whatever k is.
+	for k, bound := range map[int]float64{1: 13, 10: 13} {
 		rq := search.RankQuery{K: k, N: 4, Nt: []int{2, 3}}
 		if n := testing.AllocsPerRun(100, func() { p.localTopK(terms, rq) }); n > bound {
 			t.Errorf("k = %d: %v allocations, want at most %v", k, n, bound)
@@ -338,6 +338,6 @@ func BenchmarkLocalQueryRankedAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		benchDocs = p.localTopK([]string{"head", "common"}, rq)
+		benchHits = p.localTopK([]string{"head", "common"}, rq)
 	}
 }

@@ -106,7 +106,7 @@ func (f fetcher) QueryPeerAll(id directory.PeerID, terms []string) ([]search.Doc
 
 // QueryPeerTopK implements search.TopKFetcher: the peer that holds the
 // documents — this one included — scores them and answers with its best.
-func (f fetcher) QueryPeerTopK(id directory.PeerID, terms []string, rq search.RankQuery) ([]search.DocResult, error) {
+func (f fetcher) QueryPeerTopK(id directory.PeerID, terms []string, rq search.RankQuery) ([]search.Hit, error) {
 	if id == f.p.id {
 		return f.p.localTopK(terms, rq), nil
 	}
@@ -318,7 +318,7 @@ func (h *handler) HandleQuery(terms []string, all bool) []search.DocResult {
 }
 
 // HandleRankedQuery implements transport.RankingHandler.
-func (h *handler) HandleRankedQuery(terms []string, rq search.RankQuery) []search.DocResult {
+func (h *handler) HandleRankedQuery(terms []string, rq search.RankQuery) []search.Hit {
 	return (*Peer)(h).localTopK(terms, rq)
 }
 

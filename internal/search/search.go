@@ -192,18 +192,45 @@ type RankQuery struct {
 	Nt []int // Nt[i]: peers whose filter has terms[i]
 }
 
+// Hit is one document of a peer's answer as its index walk holds it: the
+// key, |D|, and f_{D,t} for each of the answer's columns in order — a
+// ranked answer's are its Scorer's Terms. It names no peer: every
+// document of an answer belongs to the peer that answered.
+type Hit struct {
+	Key    string
+	DocLen int
+	Freqs  []uint32
+}
+
+// Rows reads docs' frequency maps as rows in cols, sharing one array: the
+// rows the peer's index walk would have scored. A term a map lacks is 0,
+// and a count no row holds is clamped.
+func Rows(docs []DocResult, cols []string) []Hit {
+	out := make([]Hit, len(docs))
+	freqs := make([]uint32, len(docs)*len(cols))
+	for i, d := range docs {
+		row := freqs[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+		for j, t := range cols {
+			row[j] = uint32(min(max(int64(d.TermFreqs[t]), 0), math.MaxUint32))
+		}
+		out[i] = Hit{Key: d.Key, DocLen: d.DocLen, Freqs: row}
+	}
+	return out
+}
+
 // TopKFetcher is an optional Fetcher extension: the peer scores its own
 // documents by equation 2 and returns only its rq.K best under the total
-// order (score descending, key ascending). The global top k is a subset of
-// the union of the peers' top k's and the stop rule reads only scores, so
-// Ranked returns what it would from full lists.
+// order (score descending, key ascending), as rows in the columns of
+// rq.Scorer(terms). The global top k is a subset of the union of the
+// peers' top k's and the stop rule reads only scores, so Ranked returns
+// what it would from full lists.
 type TopKFetcher interface {
-	QueryPeerTopK(id directory.PeerID, terms []string, rq RankQuery) ([]DocResult, error)
+	QueryPeerTopK(id directory.PeerID, terms []string, rq RankQuery) ([]Hit, error)
 }
 
 // Scorer is a ranked query's scoring kernel: equation 2 with the query's
 // weights resolved once, so scoring a document is a table read, a multiply
-// and an add per term — bit for bit what ScoreDoc computes.
+// and an add per term, summed in sorted term order.
 type Scorer struct {
 	// Terms are the query's distinct terms in sorted order: equation 2's
 	// summation order, and the columns of the rows Score takes.
@@ -253,7 +280,13 @@ func (sc *Scorer) Key(k int) string {
 }
 
 // Score scores a document from its frequencies of Terms, column for
-// column (an index walk's row).
+// column (an index walk's row): equation 2 with IPF substituted for IDF,
+//
+//	Sim(Q,D) = Σ_{t∈Q} w_{D,t} × IPF_t / sqrt(|D|),  w_{D,t} = 1+log(f_{D,t})
+//
+// summed in Terms order. Float addition is not associative, so one fixed
+// order keeps the last ulp of a score — and thus the top-k cut — the same
+// at every peer and in every run.
 func (sc *Scorer) Score(freqs []uint32, docLen int) float64 {
 	sum := 0.0
 	freqs = freqs[:len(sc.weights)]
@@ -263,21 +296,10 @@ func (sc *Scorer) Score(freqs []uint32, docLen int) float64 {
 	return normalize(sum, docLen)
 }
 
-// ScoreDoc scores a document a peer returned. Terms outside the query
-// weigh nothing, so this is ScoreDoc under the query's IPF without the
-// per-document sort.
-func (sc *Scorer) ScoreDoc(d DocResult) float64 {
-	sum := 0.0
-	for i, t := range sc.Terms {
-		sum = addTerm(sum, d.TermFreqs[t], sc.weights[i])
-	}
-	return normalize(sum, d.DocLen)
-}
-
 // TopK keeps the k best documents of an index walk under InsertTopK's
 // order. The walk scores every match and asks Admits before it reads the
 // document's key; nothing is built for a document until it enters the
-// list, and only Results builds DocResults.
+// list.
 type TopK struct {
 	sc    *Scorer
 	k     int
@@ -285,7 +307,7 @@ type TopK struct {
 	freqs []uint32 // rows of len(sc.Terms); walkDoc.row indexes them
 }
 
-// walkDoc is a TopK entry: what Results needs to build the DocResult.
+// walkDoc is a TopK entry: what Hits needs to build the Hit.
 type walkDoc struct {
 	score  float64
 	key    string
@@ -336,33 +358,17 @@ func (a *TopK) Insert(score float64, key string, freqs []uint32, docLen int) {
 	insertTopK(&a.top, walkDoc{score: score, key: key, docLen: docLen, row: row}, a.k)
 }
 
-// Results returns the kept documents, best first, as peer's answer.
-func (a *TopK) Results(peer directory.PeerID) []DocResult {
+// Hits returns the kept documents, best first. Their rows are copied
+// into one array of the answer's own, in rank order: a kept list may be a
+// memoized walk that other queries resume.
+func (a *TopK) Hits() []Hit {
 	nt := len(a.sc.Terms)
-	out := make([]DocResult, len(a.top))
+	out := make([]Hit, len(a.top))
+	freqs := make([]uint32, len(a.top)*nt)
 	for i, d := range a.top {
-		tf := make(map[string]int, nt)
-		for j, f := range a.freqs[d.row*nt:][:nt] {
-			if f > 0 {
-				tf[a.sc.Terms[j]] = int(f)
-			}
-		}
-		out[i] = DocResult{Peer: peer, Key: d.key, TermFreqs: tf, DocLen: d.docLen}
-	}
-	return out
-}
-
-// TopDocs cuts a peer's full answer to the rq.K best: what a peer that
-// ranks computes inside its index walk, for one that does not.
-func TopDocs(docs []DocResult, terms []string, rq RankQuery) []DocResult {
-	sc := rq.Scorer(terms)
-	var top []ScoredDoc
-	for _, d := range docs {
-		InsertTopK(&top, ScoredDoc{DocResult: d, Score: sc.ScoreDoc(d)}, rq.K)
-	}
-	out := make([]DocResult, len(top))
-	for i, sd := range top {
-		out[i] = sd.DocResult
+		row := freqs[i*nt : (i+1)*nt : (i+1)*nt]
+		copy(row, a.freqs[d.row*nt:][:nt])
+		out[i] = Hit{Key: d.key, DocLen: d.docLen, Freqs: row}
 	}
 	return out
 }
@@ -390,26 +396,6 @@ func RankPeers(view FilterView, terms []string, ipf map[string]float64) []PeerRa
 	q := newQuery(view, terms)
 	peers, hits := q.sweep()
 	return q.rank(peers, hits, ipf)
-}
-
-// ScoreDoc computes equation 2 with IPF substituted for IDF:
-//
-//	Sim(Q,D) = Σ_{t∈Q} w_{D,t} × IPF_t / sqrt(|D|),  w_{D,t} = 1+log(f_{D,t})
-//
-// Summation runs in sorted term order: float addition is not associative,
-// and ranging the map directly would make the last ulp of a score — and
-// thus occasionally the top-k cut — vary run to run.
-func ScoreDoc(d DocResult, ipf map[string]float64) float64 {
-	terms := make([]string, 0, len(d.TermFreqs))
-	for t := range d.TermFreqs {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	sum := 0.0
-	for _, t := range terms {
-		sum = addTerm(sum, d.TermFreqs[t], ipf[t])
-	}
-	return normalize(sum, d.DocLen)
 }
 
 // addTerm adds one term's w_{D,t} × IPF_t to equation 2's sum. The
@@ -535,26 +521,25 @@ func newContactor(fetch Fetcher, terms []string, all bool, opt Options) contacto
 	return c
 }
 
-// one contacts a single peer.
-func (c *contactor) one(id directory.PeerID) ([]DocResult, error) {
+// one contacts a single peer: for a ranked search whose peers cut, its
+// rq.K best as rows; else every match (all: of every term) as maps.
+func (c *contactor) one(id directory.PeerID) (docs []DocResult, hits []Hit, err error) {
 	var start time.Time
 	if c.hist != nil {
 		start = time.Now()
 	}
-	var docs []DocResult
-	var err error
 	switch {
 	case c.all:
 		docs, err = c.fetch.QueryPeerAll(id, c.terms)
 	case c.topk != nil:
-		docs, err = c.topk.QueryPeerTopK(id, c.terms, c.rq)
+		hits, err = c.topk.QueryPeerTopK(id, c.terms, c.rq)
 	default:
 		docs, err = c.fetch.QueryPeer(id, c.terms)
 	}
 	if c.hist != nil {
 		c.hist.Observe(time.Since(start).Microseconds())
 	}
-	return docs, err
+	return docs, hits, err
 }
 
 // rankEntry is what one sweep yields for a query: the per-term N_t, the
@@ -593,24 +578,33 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 	contact := newContactor(fetch, terms, false, opt)
 	contact.topk, _ = fetch.(TopKFetcher)
 	contact.rq = RankQuery{K: opt.K, N: r.peers, Nt: r.nt}
-	// Replies are scored with the weights every contacted peer scores with.
+	// Replies are scored with the kernel, and the weights, every contacted
+	// peer scores with.
 	sc := contact.rq.Scorer(terms)
-	var top []ScoredDoc // the K best so far, under InsertTopK's order
-	// Sized by what comes back, never by K: K arrives from outside.
+	// The K best so far, under InsertTopK's order. Sized by what comes
+	// back, never by K beyond a first few: K arrives from outside.
+	top := make([]ScoredDoc, 0, min(opt.K, 16))
 	seen := make(map[string]bool)
 	noContrib := 0
 
 	for _, pr := range ranked {
 		st.PeersContacted++
 		contributed := false
-		if docs, err := contact.one(pr.Peer); err == nil {
-			st.DocsRetrieved += len(docs)
-			for _, d := range docs {
-				if seen[d.Key] {
+		docs, hits, err := contact.one(pr.Peer)
+		if contact.topk == nil {
+			hits = Rows(docs, sc.Terms)
+		}
+		// A reply is scored in the columns it was asked for; one whose rows
+		// are any other width is a failed contact, left unread. Its
+		// documents are the contacted peer's.
+		if err == nil && rowsFit(hits, len(sc.Terms)) {
+			st.DocsRetrieved += len(hits)
+			for _, h := range hits {
+				if seen[h.Key] {
 					continue
 				}
-				seen[d.Key] = true
-				sd := ScoredDoc{DocResult: d, Score: sc.ScoreDoc(d)}
+				seen[h.Key] = true
+				sd := ScoredDoc{DocResult: DocResult{Peer: pr.Peer, Key: h.Key, DocLen: h.DocLen}, Score: sc.Score(h.Freqs, h.DocLen)}
 				if InsertTopK(&top, sd, opt.K) {
 					contributed = true
 				}
@@ -632,6 +626,16 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 	}
 	st.record(opt.Metrics, "ranked")
 	return top, st
+}
+
+// rowsFit reports whether every row of hits has width columns.
+func rowsFit(hits []Hit, width int) bool {
+	for _, h := range hits {
+		if len(h.Freqs) != width {
+			return false
+		}
+	}
+	return true
 }
 
 // InsertTopK inserts sd into top, which is kept sorted under the total
@@ -703,7 +707,7 @@ func Exhaustive(view FilterView, fetch Fetcher, terms []string, opt Options) ([]
 	seen := make(map[string]bool, 2*len(candidates))
 	for _, id := range candidates {
 		st.PeersContacted++
-		docs, err := contact.one(id)
+		docs, _, err := contact.one(id)
 		if err != nil {
 			continue
 		}

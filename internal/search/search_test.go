@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"planetp/internal/directory"
@@ -143,6 +144,22 @@ func TestRankPeers(t *testing.T) {
 	if ranks[1].Peer != 1 || ranks[2].Peer != 2 {
 		t.Fatalf("tie break by id: %v", ranks)
 	}
+}
+
+// ScoreDoc is the reference for equation 2 with IPF substituted for IDF,
+// on a frequency map: the per-document sort puts the summation in sorted
+// term order, the order Scorer.Score sums its columns in.
+func ScoreDoc(d DocResult, ipf map[string]float64) float64 {
+	terms := make([]string, 0, len(d.TermFreqs))
+	for t := range d.TermFreqs {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
+	sum := 0.0
+	for _, t := range terms {
+		sum = addTerm(sum, d.TermFreqs[t], ipf[t])
+	}
+	return normalize(sum, d.DocLen)
 }
 
 func TestScoreDoc(t *testing.T) {

@@ -66,14 +66,14 @@ func TestInsertTopKPermutationInvariant(t *testing.T) {
 	}
 }
 
-// topKFake answers ranked queries with each peer's rq.K best, cut from the
-// full list the embedded fetcher returns.
+// topKFake answers ranked queries with each peer's rq.K best, cut by an
+// index walk's TopK from the full list the embedded fetcher returns.
 type topKFake struct {
 	*fakeCommunity
 	t *testing.T
 }
 
-func (f topKFake) QueryPeerTopK(id directory.PeerID, terms []string, rq RankQuery) ([]DocResult, error) {
+func (f topKFake) QueryPeerTopK(id directory.PeerID, terms []string, rq RankQuery) ([]Hit, error) {
 	docs, err := f.QueryPeer(id, terms)
 	if want := IPF(f, terms); err == nil {
 		for i, term := range terms {
@@ -82,7 +82,14 @@ func (f topKFake) QueryPeerTopK(id directory.PeerID, terms []string, rq RankQuer
 			}
 		}
 	}
-	return TopDocs(docs, terms, rq), err
+	sc := rq.Scorer(terms)
+	top := sc.TopK(rq.K)
+	for _, h := range Rows(docs, sc.Terms) {
+		if score := sc.Score(h.Freqs, h.DocLen); top.Admits(score) {
+			top.Insert(score, h.Key, h.Freqs, h.DocLen)
+		}
+	}
+	return top.Hits(), err
 }
 
 // randomReplicated builds a community whose documents are drawn from a
@@ -138,10 +145,11 @@ func TestRankedTopKFetcherEquivalence(t *testing.T) {
 	}
 }
 
-// A walk's row, and the reply built from it, score as ScoreDoc scores the
-// DocResult, bit for bit, on duplicated and unsorted query terms and on
-// frequencies either side of the logarithm table's end; TopDocs keeps the
-// best under that score.
+// A walk's row scores as ScoreDoc scores the document's map, and so does
+// the row Rows reads off a plain fetcher's map, bit for bit, on duplicated
+// and unsorted query terms and on frequencies either side of the logarithm
+// table's end; TopK keeps the best under that score, and its Hits are the
+// kept rows in rank order, an answer no later use of the list changes.
 func TestScorerMatchesScoreDoc(t *testing.T) {
 	terms := []string{"gamma", "alpha", "gamma", "beta"}
 	rq := RankQuery{K: 7, N: 37, Nt: []int{3, 11, 3, 29}}
@@ -154,7 +162,8 @@ func TestScorerMatchesScoreDoc(t *testing.T) {
 		t.Fatalf("walk order %v, want %v", sc.Terms, want)
 	}
 	rng := rand.New(rand.NewSource(5))
-	var docs []DocResult
+	top := sc.TopK(rq.K)
+	rows := map[string]Hit{}
 	var want []ScoredDoc
 	for i := 0; i < 200; i++ {
 		d := DocResult{Key: fmt.Sprint(i), TermFreqs: map[string]int{}, DocLen: rng.Intn(90)}
@@ -169,16 +178,19 @@ func TestScorerMatchesScoreDoc(t *testing.T) {
 			}
 		}
 		if i%7 == 0 {
-			d.TermFreqs["delta"] = 3 // a reply may name terms the query does not
+			d.TermFreqs["delta"] = 3 // a plain fetcher's map may name terms the query does not
 		}
 		ref := ScoreDoc(d, ipf)
 		if got := sc.Score(freqs, d.DocLen); got != ref {
 			t.Fatalf("doc %v: walk score %v, ScoreDoc %v", d, got, ref)
 		}
-		if got := sc.ScoreDoc(d); got != ref {
-			t.Fatalf("doc %v: reply score %v, ScoreDoc %v", d, got, ref)
+		if got := sc.Score(Rows([]DocResult{d}, sc.Terms)[0].Freqs, d.DocLen); got != ref {
+			t.Fatalf("doc %v: map score %v, ScoreDoc %v", d, got, ref)
 		}
-		docs = append(docs, d)
+		if top.Admits(ref) {
+			top.Insert(ref, d.Key, freqs, d.DocLen)
+		}
+		rows[d.Key] = Hit{Key: d.Key, DocLen: d.DocLen, Freqs: freqs}
 		InsertTopK(&want, ScoredDoc{DocResult: d, Score: ref}, rq.K)
 	}
 	for f := 1; f < 2*len(tfWeights); f++ {
@@ -186,14 +198,20 @@ func TestScorerMatchesScoreDoc(t *testing.T) {
 			t.Fatalf("w(f=%d) = %v, want %v", f, got, want)
 		}
 	}
-	got := TopDocs(docs, terms, rq)
-	if len(got) != rq.K {
-		t.Fatalf("TopDocs kept %d, want %d", len(got), rq.K)
+	wantHits := make([]Hit, len(want))
+	for i, sd := range want {
+		wantHits[i] = rows[sd.Key]
 	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want[i].DocResult) {
-			t.Fatalf("rank %d: TopDocs has %v, want %v", i, got[i], want[i].DocResult)
-		}
+	got := top.Hits()
+	if len(got) != rq.K || !reflect.DeepEqual(got, wantHits) {
+		t.Fatalf("TopK keeps\n%v\nwant\n%v", got, wantHits)
+	}
+	// The answer is the list's copy: changing it, or the list taking more
+	// documents, changes neither the other nor a later answer.
+	clear(got[0].Freqs)
+	top.Insert(math.MaxFloat64, "best", []uint32{1, 1, 1}, 1)
+	if again := top.Hits(); !reflect.DeepEqual(again[1:], wantHits[:rq.K-1]) || got[1].Key != wantHits[1].Key {
+		t.Fatalf("a later answer\n%v\nis not the list's rows\n%v", again, wantHits)
 	}
 }
 

@@ -10,6 +10,8 @@
 //	GET  /v1/peers          the directory replica
 //	GET  /healthz           liveness + drain status (never sheds)
 //	GET  /debug/metrics     the metrics registry as JSON
+//	GET  /debug/pprof/      net/http/pprof: the index, profile (CPU),
+//	                        heap, goroutine and trace
 //
 // The tier is built to degrade loudly instead of collapsing:
 //
@@ -41,6 +43,7 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync/atomic"
 	"time"
 
@@ -126,8 +129,8 @@ func New(peer *core.Peer, cfg Config) *Server {
 	return s
 }
 
-// Handler returns the full route mux (the /v1 API, /healthz, and
-// /debug/metrics), ready to mount on any listener.
+// Handler returns the full route mux (the /v1 API, /healthz,
+// /debug/metrics and /debug/pprof/), ready to mount on any listener.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/search", s.admit("search", s.handleSearch))
@@ -135,14 +138,21 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/publish-batch", s.admit("publish_batch", s.handlePublishBatch))
 	mux.HandleFunc("GET /v1/doc/{id}", s.admit("doc", s.handleDoc))
 	mux.HandleFunc("GET /v1/peers", s.admit("peers", s.handlePeers))
-	// Liveness and metrics bypass admission: they must answer exactly
-	// when the node is saturated or draining — that is what they are
-	// for.
+	// Liveness, metrics and profiles bypass admission: they must answer
+	// exactly when the node is saturated or draining — that is what they
+	// are for.
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		s.reg.WriteJSON(w)
 	})
+	// The profiles are registered here, not through net/http/pprof's
+	// DefaultServeMux, which nothing serves.
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	mux.Handle("GET /debug/pprof/heap", pprof.Handler("heap"))
+	mux.Handle("GET /debug/pprof/goroutine", pprof.Handler("goroutine"))
 	return mux
 }
 

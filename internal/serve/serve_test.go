@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -317,6 +318,45 @@ func TestAdmissionControlShedsWith429(t *testing.T) {
 	waitForCond(t, 2*time.Second, "in-flight gauge to drain", func() bool {
 		return s.reg.Gauge("serve_inflight_requests").Value() == 0 && s.InFlight() == 0
 	})
+}
+
+// TestPprofBypassesAdmission: the profile index and a heap profile
+// answer 200 even while every slot is held.
+func TestPprofBypassesAdmission(t *testing.T) {
+	p := newTestPeer(t, 0)
+	s := New(p, Config{MaxInFlight: 1})
+	gate := make(chan struct{})
+	entered := make(chan string, 1)
+	s.testHook = func(route string) {
+		entered <- route
+		<-gate
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.Get(ts.URL + "/v1/peers")
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Fatalf("%s while saturated: status %d, %d bytes, %v", path, resp.StatusCode, len(body), err)
+		}
+	}
+	close(gate)
+	<-done
 }
 
 // TestHealthzBypassesAdmission: /healthz answers 200 even while every

@@ -131,6 +131,9 @@ func appendFrame(b []byte, env *Envelope) ([]byte, error) {
 	} else {
 		c.body(env)
 	}
+	if c.err != nil {
+		return b[:start], c.err
+	}
 	n := len(c.buf) - start - frameHeader
 	if n > maxFrameBody {
 		return c.buf[:start], errFrameSize
@@ -165,8 +168,7 @@ func decodeBody(kind Kind, flags byte, body []byte, env *Envelope) error {
 type codec struct {
 	buf    []byte
 	decode bool
-	err    error    // decoding's first error; buf is nil after it
-	terms  []string // the TermFreqs keys the frame has named so far
+	err    error // the first error; buf is nil after it
 }
 
 // body walks the fields env's kind carries. An unknown kind carries none,
@@ -215,7 +217,7 @@ func (c *codec) body(env *Envelope) {
 		num(c, &env.Origin)
 		num(c, &env.Epoch)
 	case KindQueryResp:
-		seq(c, &env.Docs, 4, c.doc)
+		c.hits(&env.Hits)
 	case KindSnippets:
 		seq(c, &env.Snips, 4, c.snippet)
 	case KindDoc:
@@ -224,8 +226,10 @@ func (c *codec) body(env *Envelope) {
 	case KindRecordResp:
 		opt(c, &env.Record, c.record)
 	case KindProxyResp:
-		seq(c, &env.Scored, 12, func(s *search.ScoredDoc) {
-			c.doc(&s.DocResult)
+		seq(c, &env.Scored, 11, func(s *search.ScoredDoc) {
+			num(c, &s.Peer)
+			c.str(&s.Key)
+			num(c, &s.DocLen)
 			c.f64(&s.Score)
 		})
 	case KindPeers:
@@ -300,56 +304,57 @@ func (c *codec) snippet(s *broker.Snippet) {
 	seq(c, &s.Keys, 1, c.str)
 }
 
-func (c *codec) doc(d *search.DocResult) {
-	num(c, &d.Peer)
-	c.str(&d.Key)
-	c.termFreqs(&d.TermFreqs)
-	num(c, &d.DocLen)
-}
-
-// termFreqs walks one document's frequencies as (term, count) pairs.
-func (c *codec) termFreqs(m *map[string]int) {
-	n := c.length(len(*m), 2)
-	if !c.decode {
-		for t, f := range *m {
-			c.term(&t)
-			num(c, &f)
-		}
+// hits walks a query reply's rows: the column count, then each
+// document's key, |D| and one frequency a column. Every row has the first
+// one's width. Decoded rows share one array (nil rows when there are no
+// columns), and decoded keys are cut from one copy of the rows' bytes: a
+// reply's keys cost one allocation, not one each.
+func (c *codec) hits(hs *[]search.Hit) {
+	var cols uint64
+	if len(*hs) > 0 {
+		cols = uint64(len((*hs)[0].Freqs))
+	}
+	c.uvarint(&cols)
+	if c.decode && cols > uint64(len(c.buf)) {
+		c.fail()
 		return
 	}
-	if n > 0 {
-		*m = make(map[string]int, n)
+	n := c.length(len(*hs), 2+int(cols))
+	var freqs []uint32
+	var rows string
+	if c.decode {
+		*hs = nil
+		if n > 0 {
+			*hs, rows = make([]search.Hit, n), string(c.buf)
+		}
+		if n > 0 && cols > 0 {
+			freqs = make([]uint32, n*int(cols))
+		}
 	}
-	for range n {
-		var t string
-		var f int
-		c.term(&t)
-		num(c, &f)
-		(*m)[t] = f
-	}
-}
-
-// term walks a TermFreqs key: 0 and the string the first time a frame
-// names it, 1 + its index among the frame's earlier terms after that. A
-// reply names a query's few terms in every document; this way each
-// crosses the wire, and is allocated, once a frame.
-func (c *codec) term(t *string) {
-	if c.terms == nil {
-		c.terms = make([]string, 0, 8)
-	}
-	var i int
-	if !c.decode {
-		i = slices.Index(c.terms, *t) + 1
-	}
-	num(c, &i)
-	switch {
-	case i == 0:
-		c.str(t)
-		c.terms = append(c.terms, *t)
-	case i < 0 || i > len(c.terms):
-		c.fail()
-	case c.decode:
-		*t = c.terms[i-1]
+	for i := range *hs {
+		h := &(*hs)[i]
+		if !c.decode {
+			c.str(&h.Key)
+		} else if k := c.length(0, 1); c.take(k) != nil {
+			at := len(rows) - len(c.buf) - k
+			h.Key = rows[at : at+k]
+		}
+		num(c, &h.DocLen)
+		if c.decode {
+			h.Freqs = freqs[i*int(cols) : (i+1)*int(cols) : (i+1)*int(cols)]
+		} else if len(h.Freqs) != int(cols) {
+			c.fail()
+			return
+		}
+		for j, f := range h.Freqs {
+			x := uint64(f)
+			c.uvarint(&x)
+			if x > math.MaxUint32 {
+				c.fail()
+			} else if c.decode {
+				h.Freqs[j] = uint32(x)
+			}
+		}
 	}
 }
 

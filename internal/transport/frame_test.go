@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,10 +32,14 @@ func everyKindFrames() []Envelope {
 		{ID: 1 << 30, Ver: v(1<<32-1, 1<<32-1), Payload: []byte{0}},
 	}
 	sn := broker.Snippet{ID: "sn-1", Owner: -1, XML: "<doc>x</doc>", Keys: []string{"alpha", "beta"}}
-	docs := []search.DocResult{
-		{Peer: 2, Key: "k1", TermFreqs: map[string]int{"alpha": 3, "beta": 1}, DocLen: 40},
-		{Peer: 2, Key: "k2", TermFreqs: map[string]int{"gamma": 1 << 40}, DocLen: 1},
-		{Key: "k3", DocLen: -2},
+	hits := []search.Hit{
+		{Key: "k1", DocLen: 40, Freqs: []uint32{3, 1, 0}},
+		{Key: "k2", DocLen: 1, Freqs: []uint32{0, 1<<32 - 1, 200}},
+		{Key: "k3", DocLen: -2, Freqs: []uint32{0, 0, 0}},
+	}
+	scored := []search.ScoredDoc{
+		{DocResult: search.DocResult{Peer: 2, Key: "k1", DocLen: 40}, Score: 1.25},
+		{DocResult: search.DocResult{Peer: -1, Key: "k3", DocLen: -2}, Score: -0.5},
 	}
 	rid := []gossip.RumorID{{Peer: 4, Ver: v(1, 2)}, {Peer: -1, Ver: v(0, 9)}}
 	g := func(m gossip.Message) Envelope { return Envelope{Kind: KindGossip, From: 7, Gossip: &m} }
@@ -55,11 +60,12 @@ func everyKindFrames() []Envelope {
 		{Kind: KindGetDoc, Key: "k1"},
 		{Kind: KindRecord},
 		{Kind: KindProxySearch, Terms: []string{"alpha"}, K: 20},
-		{Kind: KindQueryResp, Docs: docs},
+		{Kind: KindQueryResp, Hits: hits},
+		{Kind: KindQueryResp, Hits: []search.Hit{{Key: "no columns", DocLen: 3}}},
 		{Kind: KindSnippets, Snips: []broker.Snippet{sn, {ID: "s2", Owner: 9}}},
 		{Kind: KindDoc, XML: "<doc>body</doc>", Found: true},
 		{Kind: KindRecordResp, Record: &recs[0]},
-		{Kind: KindProxyResp, Scored: []search.ScoredDoc{{DocResult: docs[0], Score: 1.25}, {DocResult: docs[2], Score: -0.5}}},
+		{Kind: KindProxyResp, Scored: scored},
 		{Kind: KindPeerExchange, K: MaxExchangeRecords},
 		{Kind: KindPeers, Records: recs[:2]},
 		{Kind: KindReplicaPut, Key: "k1", XML: "<doc/>", Origin: 3, Epoch: 1<<32 - 1},
@@ -68,6 +74,22 @@ func everyKindFrames() []Envelope {
 		{Kind: KindHotList, Hot: []replica.HotDoc{{Key: "a", Origin: 7, Epoch: 1, Score: 3.5}, {Key: "b", Origin: -2, Score: 0}}},
 		{Kind: KindAck},
 		{Kind: KindDoc, Err: "unknown kind"},
+	}
+}
+
+// hostileReplies are query replies no peer of this code sends, each a
+// whole frame: a row count, or a column count, past the bytes left, and a
+// frequency that does not fit a row.
+func hostileReplies() map[string][]byte {
+	frame := func(body ...[]byte) []byte {
+		b := slices.Concat(body...)
+		return append(header(uint32(len(b)), KindQueryResp), b...)
+	}
+	uv := func(x uint64) []byte { return binary.AppendUvarint(nil, x) }
+	return map[string][]byte{
+		"rows 2^40":    frame(uv(1), uv(1<<40), []byte{1, 'k', 2, 1}),
+		"columns 1000": frame(uv(1000), uv(1), []byte{1, 'k', 2}, bytes.Repeat([]byte{1}, 20)),
+		"freq 2^33":    frame(uv(1), uv(1), []byte{1, 'k', 2}, uv(1<<33)),
 	}
 }
 
@@ -226,6 +248,80 @@ func TestOversizedFrameBounded(t *testing.T) {
 	if _, err := ta.FetchRecord(tb.Addr()); err != nil {
 		t.Fatalf("server wedged by hostile frames: %v", err)
 	}
+}
+
+// A query reply claiming more rows or columns than its bytes hold, or a
+// frequency a row cannot hold, fails to decode, though the same frame with
+// an honest count decodes, and rows of unequal width fail to encode; a
+// client answered with a 2^40-row claim loses the call, not memory.
+func TestHostileRowsBounded(t *testing.T) {
+	for name, b := range hostileReplies() {
+		if _, err := decodeFrame(b); err == nil {
+			t.Fatalf("%s: decoded", name)
+		}
+	}
+	uneven := []search.Hit{{Key: "a", Freqs: []uint32{1}}, {Key: "b"}}
+	if _, err := appendFrame(nil, &Envelope{Kind: KindQueryResp, Hits: uneven}); err == nil {
+		t.Fatal("rows of unequal width encoded")
+	}
+	honest := append(header(6, KindQueryResp), 1, 1, 1, 'k', 2, 1)
+	if env, err := decodeFrame(honest); err != nil || !reflect.DeepEqual(env.Hits, []search.Hit{{Key: "k", DocLen: 1, Freqs: []uint32{1}}}) {
+		t.Fatalf("honest reply: %+v, %v", env.Hits, err)
+	}
+	cl := answering(t, hostileReplies()["rows 2^40"])
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	hits, err := cl.QueryRanked(1, []string{"alpha"}, search.RankQuery{K: 10, N: 1, Nt: []int{1}})
+	runtime.ReadMemStats(&m1)
+	if err == nil {
+		t.Fatalf("a 2^40-row claim answered %d rows", len(hits))
+	}
+	if a := m1.TotalAlloc - m0.TotalAlloc; a >= 1<<20 {
+		t.Fatalf("a 2^40-row claim cost the client %d bytes", a)
+	}
+}
+
+// answering starts a listener that answers every frame with reply, and a
+// client that resolves peer 1 to it.
+func answering(t *testing.T, reply []byte) *Transport {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				f := newFrameConn(conn)
+				var env Envelope
+				for f.readFrame(&env) == nil {
+					if _, err := conn.Write(reply); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	cl, err := New(0, "", newHandler(0), func(directory.PeerID) (string, bool) { return ln.Addr().String(), true }, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return cl
 }
 
 // A frame from another format or a later version fails on its header; an

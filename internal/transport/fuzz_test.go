@@ -27,6 +27,10 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	for _, rq := range hostileRankQueries {
 		addFrame(f, &Envelope{Kind: KindQuery, Terms: []string{"a", "b"}, K: rq.K, N: rq.N, Nt: rq.Nt})
 	}
+	for _, b := range hostileReplies() {
+		f.Add(b)
+	}
+	fallback := &Transport{handler: twoDocs{newHandler(1)}}
 	f.Add([]byte{})
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00})
@@ -44,13 +48,24 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(again, env) {
 			t.Fatalf("re-encoded envelope decodes to %+v, %v; want %+v", again, err, env)
 		}
-		// Whatever rank header it carries, cutting an answer by it neither
-		// panics nor grows the answer.
-		docs := []search.DocResult{{Key: "a", TermFreqs: map[string]int{"a": 2}, DocLen: 3}, {Key: "b", DocLen: 1}}
-		if got := search.TopDocs(docs, env.Terms, search.RankQuery{K: env.K, N: env.N, Nt: env.Nt}); len(got) > len(docs) {
-			t.Fatalf("rank header %d/%d/%v grew the answer to %d", env.K, env.N, env.Nt, len(got))
+		// Whatever terms and rank header it carries, a handler that does
+		// not rank is answered through the fall-back without a panic, with
+		// no more documents than it matched, in rows a reply encodes.
+		hits := fallback.answerQuery(&env)
+		if len(hits) > 2 {
+			t.Fatalf("rank header %d/%d/%v grew the answer to %d", env.K, env.N, env.Nt, len(hits))
+		}
+		if _, err := appendFrame(nil, &Envelope{Kind: KindQueryResp, Hits: hits}); err != nil {
+			t.Fatalf("the fall-back's answer to %d/%d/%v does not encode: %v", env.K, env.N, env.Nt, err)
 		}
 	})
+}
+
+// twoDocs matches two documents, whatever the query.
+type twoDocs struct{ *recordingHandler }
+
+func (twoDocs) HandleQuery([]string, bool) []search.DocResult {
+	return []search.DocResult{{Key: "a", TermFreqs: map[string]int{"a": 2}, DocLen: 3}, {Key: "b", DocLen: 1}}
 }
 
 // FuzzPeerExchangeDecode feeds arbitrary bytes through the peer-exchange

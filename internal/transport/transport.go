@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -165,7 +166,7 @@ type Envelope struct {
 	Terms   []string
 	All     bool
 	K       int
-	Docs    []search.DocResult
+	Hits    []search.Hit
 	Scored  []search.ScoredDoc
 	Snippet *broker.Snippet
 	Snips   []broker.Snippet
@@ -234,9 +235,10 @@ type Handler interface {
 }
 
 // RankingHandler is the optional Handler extension that answers a ranked
-// query with the peer's rq.K best documents, scored where they are held.
+// query with the peer's rq.K best documents, scored where they are held:
+// rows in the columns of rq.Scorer(terms).
 type RankingHandler interface {
-	HandleRankedQuery(terms []string, rq search.RankQuery) []search.DocResult
+	HandleRankedQuery(terms []string, rq search.RankQuery) []search.Hit
 }
 
 // Resolver maps peer ids to dialable addresses (the directory's Addr
@@ -690,23 +692,46 @@ func (t *Transport) exchangeOn(pc *pconn, env *Envelope, oneway bool) (*Envelope
 }
 
 // Query runs a search RPC against a peer: every document matching any of
-// terms, or all of them.
+// terms, or all of them, each with the frequencies of the terms it holds.
+// The peer's documents are its own, so each names to as its holder.
 func (t *Transport) Query(to directory.PeerID, terms []string, all bool) ([]search.DocResult, error) {
-	return t.query(to, &Envelope{Kind: KindQuery, Terms: terms, All: all})
+	hits, err := t.query(to, &Envelope{Kind: KindQuery, Terms: terms, All: all})
+	if err != nil || len(hits) == 0 {
+		return nil, err
+	}
+	cols := columns(terms)
+	docs := make([]search.DocResult, len(hits))
+	for i, h := range hits {
+		if len(h.Freqs) != len(cols) {
+			return nil, fmt.Errorf("transport: peer %d answered %d terms with rows of %d: %w", to, len(cols), len(h.Freqs), errFrame)
+		}
+		var tf map[string]int
+		for j, f := range h.Freqs {
+			if f > 0 {
+				if tf == nil {
+					tf = make(map[string]int, len(cols))
+				}
+				tf[cols[j]] = int(f)
+			}
+		}
+		docs[i] = search.DocResult{Peer: to, Key: h.Key, TermFreqs: tf, DocLen: h.DocLen}
+	}
+	return docs, nil
 }
 
 // QueryRanked asks a peer for its rq.K best documents for terms under
-// equation 2; the frame carries rq as its rank header.
-func (t *Transport) QueryRanked(to directory.PeerID, terms []string, rq search.RankQuery) ([]search.DocResult, error) {
+// equation 2; the frame carries rq as its rank header. The rows are in the
+// columns of rq.Scorer(terms), if the peer answered as asked.
+func (t *Transport) QueryRanked(to directory.PeerID, terms []string, rq search.RankQuery) ([]search.Hit, error) {
 	return t.query(to, &Envelope{Kind: KindQuery, Terms: terms, K: rq.K, N: rq.N, Nt: rq.Nt})
 }
 
-func (t *Transport) query(to directory.PeerID, env *Envelope) ([]search.DocResult, error) {
+func (t *Transport) query(to directory.PeerID, env *Envelope) ([]search.Hit, error) {
 	resp, err := t.call(to, env)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Docs, nil
+	return resp.Hits, nil
 }
 
 // BrokerPut stores a snippet under key at the owning peer's broker: a
@@ -881,7 +906,7 @@ func (t *Transport) dispatch(env *Envelope) Envelope {
 		}
 		return ack
 	case KindQuery:
-		return Envelope{Kind: KindQueryResp, Docs: t.answerQuery(env)}
+		return Envelope{Kind: KindQueryResp, Hits: t.answerQuery(env)}
 	case KindBrokerPut:
 		for _, put := range env.Puts {
 			for _, key := range put.Keys {
@@ -923,20 +948,38 @@ func (t *Transport) dispatch(env *Envelope) Envelope {
 }
 
 // answerQuery runs a KindQuery: the full list for a frame without a rank
-// header (conjunctive queries, older searchers), else the handler's K best.
-func (t *Transport) answerQuery(env *Envelope) []search.DocResult {
+// header (conjunctive queries, the bench's replay), else the handler's K
+// best. Either way the answer is rows: a full list's in the columns of
+// every term the frame names, a ranked one's in those its header weighs.
+func (t *Transport) answerQuery(env *Envelope) []search.Hit {
 	if env.All || env.K <= 0 {
-		return t.handler.HandleQuery(env.Terms, env.All)
+		return search.Rows(t.handler.HandleQuery(env.Terms, env.All), columns(env.Terms))
 	}
 	rq := search.RankQuery{K: env.K, N: env.N, Nt: env.Nt}
 	if t.ranker != nil {
 		return t.ranker.HandleRankedQuery(env.Terms, rq)
 	}
 	// Fall-back for a Handler that does not rank (the bench's stubs):
-	// delete with the bench's pin on Handler, ROADMAP 1(a).
+	// delete with the bench's pin on Handler, ROADMAP 1(a). An answer of
+	// at most K needs no scores.
 	docs := t.handler.HandleQuery(env.Terms, false)
-	if len(docs) > rq.K {
-		docs = search.TopDocs(docs, env.Terms, rq)
+	if len(docs) <= rq.K {
+		return search.Rows(docs, columns(env.Terms[:min(len(env.Terms), len(env.Nt))]))
 	}
-	return docs
+	sc := rq.Scorer(env.Terms)
+	top := sc.TopK(rq.K)
+	for _, h := range search.Rows(docs, sc.Terms) {
+		if score := sc.Score(h.Freqs, h.DocLen); top.Admits(score) {
+			top.Insert(score, h.Key, h.Freqs, h.DocLen)
+		}
+	}
+	return top.Hits()
+}
+
+// columns are a query reply's columns for terms: the distinct terms,
+// sorted, as search.RankQuery.Scorer orders them.
+func columns(terms []string) []string {
+	cols := slices.Clone(terms)
+	slices.Sort(cols)
+	return slices.Compact(cols)
 }
