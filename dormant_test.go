@@ -31,8 +31,9 @@ import (
 // address-dialed peer exchange, gossipsim's size sweep and CDF mean), and
 // the ranked reply's frequency maps (search's sorting ScoreDoc, TopK's
 // map-building Results, the TopDocs cut, the codec's per-frame term
-// dictionary). One of them named again in non-test Go is a second path
-// coming back.
+// dictionary), and the own-record-only payload stamp with its compress on
+// every send (the chain's per-target payload source replaced it). One of
+// them named again in non-test Go is a second path coming back.
 // The names are literal substrings, each specific enough not to match a
 // living name (simnet.Peer.BytesSent, Directory.SummaryRange, seedPasses,
 // net.Dialer, Peer.SearchAll, Index.SearchAny, OnlinePayloads).
@@ -52,6 +53,7 @@ var dormant = []string{
 	"Index) DocFreq(", "Index) Docs(", "Index) SearchAll(", "Index) DocTerms(", "Index) Stats(", "index.Stats",
 	"MergedView", "NewMergedView",
 	"ScoreDoc(d DocResult", "TopK) Results(", "TopDocs(", "codec) termFreqs(", "codec) term(",
+	"SetSelfPayload", "stampSelf", "gossip_self_payload_builds_total",
 }
 
 // source is one parsed non-test Go file of the module proper.

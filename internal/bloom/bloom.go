@@ -438,20 +438,30 @@ func decodeWireHeader(buf []byte) (wireHeader, []byte, error) {
 // The forms cost the same near one set bit in 20. A header that does not
 // parse reports false; both decoders reject it.
 func CompactSmaller(buf []byte) bool {
-	hdr, _, err := decodeWireHeader(buf)
+	hdr, err := header(buf)
 	return err == nil && compactBytes(hdr.nbits, hdr.nset) <= hdr.nbits/8
 }
 
 // Header reads a Compress encoding's geometry and set-bit count off its
-// header alone; ok is false where every decoder refuses the header.
+// header alone; ok is false where every decoder refuses the header. For a
+// chain the count is an upper bound (chainHeader).
 func Header(buf []byte) (nbits, nhash, nset uint64, ok bool) {
-	hdr, _, err := decodeWireHeader(buf)
+	hdr, err := header(buf)
 	return hdr.nbits, hdr.nhash, hdr.nset, err == nil
 }
 
-// DecodePositions decodes a Compress encoding's set-bit positions, ascending
-// and below its nbits, into dst's storage. It accepts and rejects exactly
-// what Decompress does.
+// header is decodeWireHeader for either encoding, without the payload.
+func header(buf []byte) (wireHeader, error) {
+	if IsChain(buf) {
+		return chainHeader(buf)
+	}
+	hdr, _, err := decodeWireHeader(buf)
+	return hdr, err
+}
+
+// DecodePositions decodes a Compress or chain encoding's set-bit positions,
+// ascending and below its nbits, into dst's storage. It accepts and rejects
+// exactly what Decompress does.
 func DecodePositions(dst []uint64, buf []byte) ([]uint64, error) {
 	_, positions, err := decodePositions(dst[:0], buf)
 	return positions, err
@@ -460,8 +470,15 @@ func DecodePositions(dst []uint64, buf []byte) ([]uint64, error) {
 // decodePositions is the validation every decoder shares: the header, the
 // Golomb gaps, and the last position below nbits. Positions are decoded
 // before any filter is allocated, so a corrupt header cannot cost a large
-// allocation for garbage payload.
+// allocation for garbage payload. A chain decodes as the union of its parts.
 func decodePositions(dst []uint64, buf []byte) (wireHeader, []uint64, error) {
+	if IsChain(buf) {
+		c, err := ParseChain(buf)
+		if err != nil {
+			return wireHeader{}, nil, err
+		}
+		return decodeChainPositions(dst, c)
+	}
 	hdr, rest, err := decodeWireHeader(buf)
 	if err != nil {
 		return hdr, nil, err
@@ -477,7 +494,8 @@ func decodePositions(dst []uint64, buf []byte) (wireHeader, []uint64, error) {
 	return hdr, positions, nil
 }
 
-// Decompress reconstructs a filter from its Compress encoding.
+// Decompress reconstructs a filter from its Compress encoding, or from a
+// based chain (the union of its parts).
 func Decompress(buf []byte) (*Filter, error) {
 	hdr, positions, err := decodePositions(nil, buf)
 	if err != nil {
@@ -510,26 +528,5 @@ func EncodeDiff(positions []uint64, totalBits int) ([]byte, error) {
 
 // DecodeDiff reverses EncodeDiff.
 func DecodeDiff(buf []byte) ([]uint64, error) {
-	if len(buf) < 1 || buf[0] != wireVersion {
-		return nil, ErrCorrupt
-	}
-	rest := buf[1:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, ErrCorrupt
-	}
-	rest = rest[n:]
-	m, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, ErrCorrupt
-	}
-	rest = rest[n:]
-	if count > maxWireBits || m == 0 || m > maxWireM {
-		return nil, ErrCorrupt
-	}
-	positions, err := golomb.DecodeGaps(rest, m, int(count))
-	if err != nil {
-		return nil, fmt.Errorf("bloom: %w", err)
-	}
-	return positions, nil
+	return appendDiff([]uint64{}, buf)
 }

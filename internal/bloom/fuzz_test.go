@@ -2,6 +2,7 @@ package bloom
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -18,6 +19,11 @@ func addWireSeeds(f *testing.F) {
 	// Version byte then hostile varints (huge nbits / m / nset).
 	f.Add([]byte{wireVersion, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{wireVersion, 0x00, 0x01, 0x00, 0x00, 0x00})
+	// Chains: a based one with segments, and the hostile ones.
+	f.Add(newHistory(rand.New(rand.NewSource(3)), 5, 0).chainAt(4).Encode())
+	for _, b := range hostileChains(f) {
+		f.Add(b)
+	}
 }
 
 // FuzzDecompress feeds arbitrary bytes to the filter decoder: it must

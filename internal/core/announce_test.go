@@ -51,19 +51,26 @@ func quietCommunity(t *testing.T, n int, brokerFrac float64) []*Peer {
 	return peers
 }
 
+// selfPayload is the own record's full payload: the own chain, encoded.
+func (p *Peer) selfPayload() []byte { return p.ownChain().Encode() }
+
 func payloadBuilds(p *Peer) int64 {
-	return p.reg.Snapshot().Counters["gossip_self_payload_builds_total"]
+	return p.reg.Snapshot().Counters["gossip_chain_folds_total"]
 }
 
 // TestSelfPayloadBuiltWhenRecordLeaves: the compression a publish used to
-// pay for is paid by the send that needs it. Publishes build nothing; the
-// next rumor builds once; a rumor with no new bits since reuses that; a
-// pull for the own record after one more publish builds once more; and the
-// readers of SelfRecord().Ver build nothing.
+// pay for is paid only when the own chain folds, which happens when a
+// record leaves and the segments have outgrown the base. Publishes build
+// nothing; the next rumor folds the hundred segments once and, to a target
+// whose holdings are unknown, carries the full filter; the same rumor again,
+// to a target that acked it, folds nothing and carries no segment; a pull
+// after one more publish is answered with that one segment, still without a
+// fold; and the readers of SelfRecord().Ver build nothing.
 func TestSelfPayloadBuiltWhenRecordLeaves(t *testing.T) {
 	peers := quietCommunity(t, 2, 0)
 	p, q := peers[0], peers[1]
 	base := payloadBuilds(p) // the bootstrap record quietCommunity handed out
+	sent := func(kind string) int64 { return p.reg.Snapshot().Get("gossip_" + kind + "_payloads_sent_total") }
 
 	for i := 0; i < 100; i++ {
 		mustPublish(t, p, fmt.Sprintf(`<doc>lazy payload term%d</doc>`, i))
@@ -76,13 +83,16 @@ func TestSelfPayloadBuiltWhenRecordLeaves(t *testing.T) {
 	}
 
 	rumorsSent := func() int64 { return p.reg.Snapshot().Get("gossip_rumors_sent_total") }
-	rumors := rumorsSent()
+	rumors, fulls := rumorsSent(), sent("full")
 	p.node.Tick()
 	if rumorsSent() != rumors+1 {
 		t.Fatal("tick did not push a rumor")
 	}
 	if got := payloadBuilds(p) - base; got != 1 {
 		t.Fatalf("first rumor after the publishes built %d payloads, want 1", got)
+	}
+	if sent("full") != fulls+1 {
+		t.Fatal("the first rumor to a target of unknown holdings did not carry the full filter")
 	}
 	payload, ver, ok := q.dir.Payload(p.id)
 	if !ok || ver.Seq != 100 {
@@ -95,6 +105,7 @@ func TestSelfPayloadBuiltWhenRecordLeaves(t *testing.T) {
 		t.Fatal("rumored payload misses the last publish")
 	}
 
+	diffs := sent("diff")
 	p.node.Tick()
 	if rumorsSent() != rumors+2 {
 		t.Fatal("second tick did not push a rumor")
@@ -102,11 +113,17 @@ func TestSelfPayloadBuiltWhenRecordLeaves(t *testing.T) {
 	if got := payloadBuilds(p) - base; got != 1 {
 		t.Fatalf("a rumor with no new bits rebuilt the payload (%d builds)", got)
 	}
+	if sent("diff") != diffs+1 {
+		t.Fatal("the rumor to a target that acked it did not carry a diff")
+	}
 
 	mustPublish(t, p, `<doc>one more after the rumor</doc>`)
 	p.node.Receive(q.id, &gossip.Message{Type: gossip.MsgPull, From: q.id, Need: []directory.NeedEntry{{ID: p.id, Have: ver}}})
-	if got := payloadBuilds(p) - base; got != 2 {
-		t.Fatalf("pull for the own record after a publish: %d builds in all, want 2", got)
+	if got := payloadBuilds(p) - base; got != 1 {
+		t.Fatalf("pull for the own record after a publish: %d builds in all, want 1", got)
+	}
+	if sent("diff") != diffs+2 {
+		t.Fatal("the pull was not answered with the one new segment")
 	}
 	if _, ver, _ := q.dir.Payload(p.id); ver.Seq != 101 || !q.view.Contains(p.id, "rumor") {
 		t.Fatalf("pulled record: version %v, or its payload misses the publish", ver)

@@ -21,8 +21,8 @@ import (
 // pool outside the peer mutex, the WAL commits all records with one
 // append and one fsync, the index is locked once, a single filter diff
 // and version are announced for the batch, and each remote broker gets
-// one frame. The compressed filter is not built here:
-// the gossip node asks for it (Peer.selfPayload) when the record leaves.
+// one frame. The batch's filter diff becomes one segment of the own chain
+// (Peer.announce); no filter is compressed here.
 
 // ErrNoTerms is the single-document Publish failure — the input yields
 // no indexable terms after parsing and stemming; batches wrap it with
@@ -131,10 +131,11 @@ func (p *Peer) analyzeBatch(xmls []string) ([]analyzed, error) {
 //	plan     — under p.mu, decide which records the call amounts to
 //	log      — append them to the WAL (logBatch; write-ahead)
 //	apply    — make them in memory: the apply*Locked functions below
-//	announce — flush the summary's diff (under p.mu) and hand the node the
-//	           new version (after releasing it: p.mu is never held while
-//	           taking the node's mutex), then the side effects of a live
-//	           write (broker puts, purge broadcast, metrics, WAL fold)
+//	announce — flush the summary's diff (under p.mu) into a segment of the
+//	           own chain and hand the node the new version (after releasing
+//	           it: p.mu is never held while taking the node's mutex), then
+//	           the side effects of a live write (broker puts, purge
+//	           broadcast, metrics, WAL fold)
 //
 // Recovery runs apply alone, on the records the log already holds, and
 // announces once at its end. The apply functions are therefore the only
@@ -269,20 +270,7 @@ func (p *Peer) unindexLocked(key string) {
 // gossipPending folds the filter inserts made since the last flush into
 // one gossiped version; with none pending (an epoch refresh, a recovery
 // that restored nothing) it announces nothing.
-func (p *Peer) gossipPending() error {
-	p.mu.Lock()
-	if p.summary.Pending() == 0 {
-		p.mu.Unlock()
-		return nil
-	}
-	diff, _, err := p.summary.Flush()
-	p.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	p.node.Publish(len(diff), 0)
-	return nil
-}
+func (p *Peer) gossipPending() error { return p.announce(false) }
 
 // PublishBatch publishes many XML documents as one atomic ingest step:
 // all are analyzed in parallel, committed to the WAL as a single batch
@@ -331,13 +319,10 @@ func (p *Peer) PublishBatch(xmls []string) ([]*doc.Document, error) {
 		return nil, fmt.Errorf("core: batch publish not committed to WAL: %w", err)
 	}
 	converted := p.applyPublishLocked(fresh)
-	diff, _, err := p.summary.Flush()
 	p.mu.Unlock()
-	if err != nil {
+	if err := p.announce(true); err != nil {
 		return nil, err
 	}
-
-	p.node.Publish(len(diff), 0)
 	p.maybeCompact()
 	if converted > 0 {
 		p.reg.Counter("replica_purges_total").Add(int64(converted))

@@ -137,6 +137,14 @@ type Peer struct {
 	closed      bool
 	brokerSwept time.Duration // transport clock at sweepBroker's last sweep; only the gossip loop touches it
 
+	// The gossiped filter as a chain (chain.go): announceMu orders each
+	// announce's flush, segment and version bump, and a Compact's restart;
+	// own is the segment log; held is what each target holds.
+	announceMu sync.Mutex
+	own        ownLog
+	held       heldTable
+	cm         chainMetrics
+
 	// Durable state (nil/zero unless Config.DataDir is set).
 	st       *store.Store
 	recovery RecoverySummary
@@ -180,6 +188,7 @@ func NewPeer(cfg Config) (*Peer, error) {
 		summary:   bloom.NewSummary(bloom.Default()),
 		reg:       cfg.Metrics,
 		topk:      newTopkMemo(cfg.Metrics),
+		cm:        newChainMetrics(cfg.Metrics),
 		stopCh:    make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		hoardDone: make(chan struct{}),
@@ -247,7 +256,8 @@ func NewPeer(cfg Config) (*Peer, error) {
 		Ver: directory.Version{Epoch: epoch},
 	}
 	p.node = gossip.NewNode(self, p.dir, gcfg, tp)
-	p.node.SetSelfPayload(p.selfPayload)
+	p.own.restart(self.Ver, p.summary.Filter().Compress())
+	p.node.SetPayloads(p.stampPayloads)
 	// Every peer has a replica manager (it also carries the popularity
 	// signal), built before recovery applies replica records to it and
 	// before the transport serves an inbound ReplicaPut.
@@ -524,36 +534,26 @@ func (p *Peer) rebuildFilterLocked() *bloom.Filter {
 // dropping every stale bit left behind by Remove, and gossips the fresh
 // filter (a new version superseding the bloated one). It reports how many
 // bits were cleaned.
+//
+// A compacted filter cannot be expressed as an additive diff: the own
+// chain restarts with the fresh filter as its base, at the new version, so
+// a holder behind it is sent the full filter. Only the copy of the filter's
+// words is made under p.mu; the Golomb coding runs outside it.
 func (p *Peer) Compact() int {
+	p.announceMu.Lock()
+	defer p.announceMu.Unlock()
 	p.mu.Lock()
 	fresh := p.rebuildFilterLocked()
 	cleaned := p.summary.Filter().SetBits() - fresh.SetBits()
 	p.summary.Reset(fresh)
+	snap := fresh.Clone()
 	p.mu.Unlock()
-	// A compacted filter cannot be expressed as an additive diff — the
-	// rumor carries the full replacement, so that is the diff's size.
-	p.node.Publish(len(p.selfPayload()), 0)
+	base := snap.Compress()
+	ver := p.node.SelfRecord().Ver
+	ver.Seq++
+	p.own.restart(ver, base)
+	p.node.Publish(len(base), 0)
 	return cleaned
-}
-
-// selfPayload is the gossip node's payload source (Node.SetSelfPayload):
-// the filter as it is now, compressed, cached in the summary until the next
-// bit flips. Only the copy of the filter's words is made under p.mu; the
-// Golomb coding runs outside it, and the node calls this holding no lock of
-// its own — p.mu is never held while taking the node's mutex, nor the reverse.
-func (p *Peer) selfPayload() []byte {
-	p.mu.Lock()
-	payload, snap, gen := p.summary.Snapshot()
-	p.mu.Unlock()
-	if payload != nil {
-		return payload
-	}
-	payload = snap.Compress()
-	p.reg.Counter("gossip_self_payload_builds_total").Inc()
-	p.mu.Lock()
-	p.summary.SetPayload(payload, gen)
-	p.mu.Unlock()
-	return payload
 }
 
 // LocalDocs returns the number of locally published documents.

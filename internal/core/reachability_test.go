@@ -164,3 +164,14 @@ func TestBrokerSweptWithoutGet(t *testing.T) {
 		t.Fatalf("Len = %d after the second sweep, want 0", got)
 	}
 }
+
+// TestContactedSuccessAllocatesNothing: reporting a successful RPC, the
+// outcome of nearly every one, costs no allocation; the error target
+// errors.As needs is declared only on the error path.
+func TestContactedSuccessAllocatesNothing(t *testing.T) {
+	peers := quietCommunity(t, 2, 0)
+	p := peers[0]
+	if n := testing.AllocsPerRun(100, func() { _ = p.contacted(1, nil) }); n != 0 {
+		t.Fatalf("contacted(id, nil) allocates %v times, want 0", n)
+	}
+}

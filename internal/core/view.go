@@ -129,13 +129,19 @@ func (f fetcher) query(id directory.PeerID, terms []string, all bool) ([]search.
 // streak; anything else is one strike. Every peer-addressed RPC this package
 // makes goes through it.
 func (p *Peer) contacted(id directory.PeerID, err error) error {
-	var remote *transport.RemoteError
-	if err == nil || errors.As(err, &remote) || errors.Is(err, transport.ErrDocNotFound) {
+	if err == nil || answered(err) {
 		p.node.NoteContact(id)
 	} else {
 		p.node.NoteFailure(id)
 	}
 	return err
+}
+
+// answered reports whether err is the peer's own refusal: it answered. The
+// target errors.As needs escapes, so it is declared only on an error path.
+func answered(err error) bool {
+	var remote *transport.RemoteError
+	return errors.As(err, &remote) || errors.Is(err, transport.ErrDocNotFound)
 }
 
 // --- brokerage routing ---
@@ -309,7 +315,10 @@ var (
 
 // HandleGossip implements transport.Handler.
 func (h *handler) HandleGossip(from directory.PeerID, m *gossip.Message) {
-	(*Peer)(h).node.Receive(from, m)
+	p := (*Peer)(h)
+	p.held.learn(from, m)
+	p.resolveIncoming(from, m)
+	p.node.Receive(from, m)
 }
 
 // HandleQuery implements transport.Handler.

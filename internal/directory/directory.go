@@ -80,15 +80,22 @@ type Record struct {
 	// Addr is the peer's contact address (live mode; empty in
 	// simulation).
 	Addr string
-	// PayloadSize is the wire size in bytes of the peer's full
-	// compressed Bloom filter. In live mode it equals len(Payload).
+	// PayloadSize is the size in bytes of the peer's Bloom filter as
+	// charged or carried: the simulator's full compressed filter; in live
+	// mode len(Payload) — on a stored record the full chain, on a copy
+	// crossing the wire what that copy carries.
 	PayloadSize int32
 	// DiffSize is the wire size of the most recent Bloom-filter diff
 	// (the rumor payload); the simulator charges this for rumor pushes.
 	DiffSize int32
-	// Payload is the full compressed Bloom filter (live mode only). A
-	// peer's own row in its own directory carries none: the gossip node
-	// stamps it on each copy that leaves (gossip.Node.SetSelfPayload).
+	// Payload is the peer's Bloom filter as a bloom.Chain (live mode
+	// only): stored, a base and the diff segments since, which every
+	// bloom decoder reads as one filter; on a copy crossing the wire, only
+	// what its target lacks — the segments past the version it holds, or
+	// the full chain. The gossip node's payload source fills it on each
+	// copy that leaves (gossip.Node.SetPayloads), and a receiver resolves
+	// it against what it stores before upserting. A peer's own row in its
+	// own directory carries none.
 	Payload []byte
 }
 
@@ -346,7 +353,8 @@ func (d *Directory) getLocked(id PeerID) (Record, bool) {
 	return rec, true
 }
 
-// Payload returns the compressed Bloom-filter payload and version for id.
+// Payload returns the Bloom-filter payload (a chain, or a bare Compress
+// encoding installed whole) and version for id.
 // ok is false when the peer is unknown or carries no payload. This is the
 // filtercache.Source access path: unlike Get it does not compose a Record.
 func (d *Directory) Payload(id PeerID) ([]byte, Version, bool) {

@@ -43,7 +43,9 @@ func newWorld(seed int64, n int) *world {
 	return w
 }
 
-// payload draws one peer's compressed filter.
+// payload draws one peer's compressed filter: a Compress encoding, or a
+// third of the time a chain as gossip delivers it — a base holding the
+// first keys, then up to three diff segments holding the rest.
 func (w *world) payload() []byte {
 	nbits, nhash := 1024, 2
 	switch r := w.rng.Intn(20); {
@@ -55,14 +57,45 @@ func (w *world) payload() []byte {
 		nbits, nhash = 2048, 3
 	}
 	f := bloom.New(nbits, nhash)
+	chain := w.rng.Intn(3) == 0
+	var c bloom.Chain
+	var track []uint64
 	for k := 40 + w.rng.Intn(120); k > 0; k-- {
-		f.Insert(fmt.Sprintf("w%d", w.rng.Intn(worldVocab)))
+		key := fmt.Sprintf("w%d", w.rng.Intn(worldVocab))
+		if !chain {
+			f.Insert(key)
+			continue
+		}
+		if c.Base == nil && k <= 40 {
+			c = bloom.Chain{Epoch: 1, From: 1, Base: f.Compress()}
+		}
+		if c.Base == nil {
+			f.Insert(key)
+			continue
+		}
+		if track = f.InsertTrack(key, track); k%16 == 1 {
+			c.Segs = append(c.Segs, bloom.Segment{To: c.End() + 1, Diff: encodeDiff(track, nbits)})
+			track = track[:0]
+		}
 	}
 	p := f.Compress()
+	if chain {
+		p = c.Encode()
+	}
 	if w.rng.Intn(20) == 0 {
 		return p[:len(p)-1]
 	}
 	return p
+}
+
+func encodeDiff(positions []uint64, nbits int) []byte {
+	positions = slices.Clone(positions)
+	slices.Sort(positions)
+	b, err := bloom.EncodeDiff(positions, nbits)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // mutate applies one churn event named by op to peer i: a new version

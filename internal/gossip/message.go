@@ -76,14 +76,16 @@ type Message struct {
 	Type MsgType
 	From directory.PeerID
 
-	// Updates carries records for MsgRumor and MsgRecords. A live node's
-	// own record among them has its Payload and PayloadSize stamped from
-	// the node's payload source as the message leaves (Node.stampSelf).
+	// Updates carries records for MsgRumor and MsgRecords. On a live node
+	// every record among them has its Payload and PayloadSize stamped for
+	// the target by the node's payload source as the message leaves
+	// (Node.SetPayloads): a chain of the diffs the target lacks, or the
+	// full filter.
 	Updates []directory.Record
 	// AsDiff marks, per update in MsgRecords, whether the responder
-	// could satisfy the pull with a Bloom-filter diff (affects only
-	// wire-size accounting in simulation; live mode always sends full
-	// payloads — stampSelf is the one place to change that).
+	// could satisfy the pull with a Bloom-filter diff. It affects only
+	// the simulator's wire accounting; a live node's payload source
+	// decides per record and target.
 	AsDiff []bool
 
 	// Acked and Known echo the rumor ids received and whether each was

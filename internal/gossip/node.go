@@ -140,9 +140,9 @@ type Node struct {
 	// streak, so a single transient failure does not exile a live peer.
 	sendFails map[directory.PeerID]failStreak
 
-	// selfPayload, when set, is where the own record's Payload comes from
-	// (see SetSelfPayload); n.self and the own directory row carry none.
-	selfPayload func() []byte
+	// payloads, when set, fills the Payload of every record about to leave
+	// (see SetPayloads); n.self and the own directory row carry none.
+	payloads func(to directory.PeerID, recs []directory.Record)
 
 	m nodeMetrics
 }
@@ -198,31 +198,32 @@ func (n *Node) SelfRecord() directory.Record {
 	return n.self
 }
 
-// SetSelfPayload makes src the source of the own record's compressed Bloom
-// filter: every copy of the own record about to cross the wire — in a
-// rumor, in the answer to a pull, in OutgoingSelf — is stamped with src()
-// and its length at that moment, so the filter is compressed per send that
-// needs it, not per Publish, and the payload always covers the version it
-// travels with. src is called with the node's mutex not held. Set it before
-// the node is driven; the simulator sets none and charges Publish's sizes.
-func (n *Node) SetSelfPayload(src func() []byte) { n.selfPayload = src }
+// SetPayloads makes fill the source of every outgoing record's Bloom-filter
+// payload: each batch of records about to cross the wire to peer to — a
+// rumor, the answer to a pull, OutgoingSelf (to is directory.None there) —
+// is handed to fill, own and relayed records alike, which sets each one's
+// Payload and PayloadSize for that target. What a target already holds
+// decides what it is sent, and the own record's payload is built when it
+// leaves, so it always covers the version it travels with. fill is called
+// with the node's mutex not held. Set it before the node is driven; the
+// simulator sets none and charges Publish's sizes.
+func (n *Node) SetPayloads(fill func(to directory.PeerID, recs []directory.Record)) {
+	n.payloads = fill
+}
 
-// stampSelf fills the own record among recs from the payload source.
-func (n *Node) stampSelf(recs []directory.Record) {
-	for i := range recs {
-		if n.selfPayload == nil || recs[i].ID != n.id {
-			continue
-		}
-		recs[i].Payload = n.selfPayload()
-		recs[i].PayloadSize = int32(len(recs[i].Payload))
+// stamp fills the payloads of recs, bound for to.
+func (n *Node) stamp(to directory.PeerID, recs []directory.Record) {
+	if n.payloads != nil && len(recs) > 0 {
+		n.payloads(to, recs)
 	}
 }
 
 // OutgoingSelf returns the own record as it leaves the node: SelfRecord
-// plus the payload (the bootstrap reply).
+// plus the payload for a target whose holdings are unknown (the bootstrap
+// reply).
 func (n *Node) OutgoingSelf() directory.Record {
 	recs := []directory.Record{n.SelfRecord()}
-	n.stampSelf(recs)
+	n.stamp(directory.None, recs)
 	return recs[0]
 }
 
@@ -237,7 +238,8 @@ func (n *Node) ActiveRumors() int {
 // bumped, sizes updated, and the new record becomes an active rumor.
 // diffSize is the wire size of the filter diff (the rumor payload);
 // payloadSize the full compressed filter — what the simulator charges;
-// a live node passes 0 and lets stampSelf size the record as it leaves.
+// a live node passes 0: its payload source sizes each record as it leaves
+// (SetPayloads), and what it carries depends on what the target holds.
 func (n *Node) Publish(diffSize, payloadSize int) directory.Record {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -445,7 +447,7 @@ func (n *Node) Tick() {
 	probe := n.rounds%probeEvery == 0
 	n.mu.Unlock()
 	n.notifyDrops(dropped)
-	n.stampSelf(msg.Updates)
+	n.stamp(target, msg.Updates)
 
 	if n.sendOrSuspect(target, msg) && clearFresh {
 		n.mu.Lock()
@@ -673,7 +675,8 @@ func (n *Node) receivePull(from directory.PeerID, m *Message) {
 		}
 		// A requester exactly one Seq behind (same Epoch) can be served
 		// with the last diff; anyone further behind needs the full
-		// filter. Affects wire accounting only.
+		// filter. Affects the simulator's wire accounting only: a live
+		// node's payload source decides what each record carries.
 		diffOK := ne.Have.Epoch == rec.Ver.Epoch && ne.Have.Seq+1 == rec.Ver.Seq
 		ups = append(ups, rec)
 		asDiff = append(asDiff, diffOK)
@@ -682,7 +685,7 @@ func (n *Node) receivePull(from directory.PeerID, m *Message) {
 		return
 	}
 	n.m.recordsSent.Add(int64(len(ups)))
-	n.stampSelf(ups)
+	n.stamp(from, ups)
 	n.sendOrSuspect(from, &Message{Type: MsgRecords, From: n.id, Updates: ups, AsDiff: asDiff})
 }
 

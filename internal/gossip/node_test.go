@@ -3,6 +3,7 @@ package gossip
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -608,10 +609,12 @@ func mustGet(t *testing.T, n *Node, id directory.PeerID) directory.Record {
 // TestSelfPayloadStampedWhenItLeaves: with a payload source set, the own
 // record carries no payload inside the node — SelfRecord and the own
 // directory row stay bare, and reading them never calls the source — and
-// every copy that crosses the wire (a rumor that includes self, the answer
-// to a pull for self, OutgoingSelf) carries the source's bytes as of that
-// moment with PayloadSize equal to their length. Other peers' records pass
-// through untouched, and the source runs with the node's mutex free.
+// every batch that crosses the wire (a rumor that includes self, the answer
+// to a pull for self, OutgoingSelf) is handed to the source with its
+// target, so the own record carries the source's bytes as of that moment
+// with PayloadSize equal to their length. Relayed records go through the
+// same source (here it leaves them as they are), and the source runs with
+// the node's mutex free.
 func TestSelfPayloadStampedWhenItLeaves(t *testing.T) {
 	f := newFakeNet(18)
 	a := f.addNode(0, 4, Config{})
@@ -619,10 +622,17 @@ func TestSelfPayloadStampedWhenItLeaves(t *testing.T) {
 	f.connect()
 
 	filter, calls := []byte("v1"), 0
-	a.SetSelfPayload(func() []byte {
+	var targets []directory.PeerID
+	a.SetPayloads(func(to directory.PeerID, recs []directory.Record) {
 		calls++
+		targets = append(targets, to)
 		a.Interval() // takes the node's mutex: deadlocks if the caller holds it
-		return filter
+		for i := range recs {
+			if recs[i].ID == 0 {
+				recs[i].Payload = filter
+				recs[i].PayloadSize = int32(len(filter))
+			}
+		}
 	})
 	// A third peer's record travels in a's rumors too, with a payload of
 	// its own (off-line here, so a's rumor goes to b).
@@ -683,6 +693,9 @@ func TestSelfPayloadStampedWhenItLeaves(t *testing.T) {
 	checkLeaving("bootstrap reply", []directory.Record{a.OutgoingSelf()}, "v2-longer")
 	if calls != before+1 {
 		t.Fatalf("OutgoingSelf called the source %d times", calls-before)
+	}
+	if want := []directory.PeerID{1, 1, directory.None}; !reflect.DeepEqual(targets, want) {
+		t.Fatalf("source called for targets %v, want %v", targets, want)
 	}
 
 	// No source (the simulator): records leave exactly as Publish sized them.

@@ -21,7 +21,9 @@
 package metrics
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -296,6 +298,46 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
+}
+
+// WritePrometheus writes the snapshot in the Prometheus text exposition
+// format 0.0.4, instruments sorted by name. Counters and gauges appear as
+// they are; a histogram appears as its cumulative buckets, name_bucket with
+// an le label (+Inf last), then name_sum and name_count.
+func (s Snapshot) WritePrometheus(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	for _, name := range sortedKeys(s.Counters) {
+		fmt.Fprintf(bw, "# TYPE %s counter\n%s %d\n", name, name, s.Counters[name])
+	}
+	for _, name := range sortedKeys(s.Gauges) {
+		fmt.Fprintf(bw, "# TYPE %s gauge\n%s %d\n", name, name, s.Gauges[name])
+	}
+	for _, name := range sortedKeys(s.Histograms) {
+		h := s.Histograms[name]
+		fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
+		var cum int64
+		for i, c := range h.Counts {
+			cum += c
+			le := "+Inf"
+			if i < len(h.Bounds) {
+				le = fmt.Sprint(h.Bounds[i])
+			}
+			fmt.Fprintf(bw, "%s_bucket{le=%q} %d\n", name, le, cum)
+		}
+		// The buckets were loaded one by one; the count is their total so
+		// the +Inf bucket and _count agree.
+		fmt.Fprintf(bw, "%s_sum %d\n%s_count %d\n", name, h.Sum, name, cum)
+	}
+	return bw.Flush()
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Names returns the sorted counter names in the snapshot (for summary

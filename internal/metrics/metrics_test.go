@@ -3,6 +3,9 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -173,5 +176,58 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i & 0xFFFF))
+	}
+}
+
+// parsePrometheus reads text format 0.0.4 back: each sample's value by its
+// name (labels included, as written), and each instrument's declared type.
+func parsePrometheus(t *testing.T, text string) (samples map[string]int64, types map[string]string) {
+	t.Helper()
+	samples, types = map[string]int64{}, map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			types[name] = typ
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseInt(line[i+1:], 10, 64)
+		if i < 0 || err != nil {
+			t.Fatalf("unparsable sample line %q", line)
+		}
+		samples[line[:i]] = v
+	}
+	return samples, types
+}
+
+// TestWritePrometheusRoundTrips: the text rendering parses back to exactly
+// the snapshot: every counter and gauge as it is, every histogram as
+// cumulative buckets ending in +Inf, with _sum and _count.
+func TestWritePrometheusRoundTrips(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a_total").Add(7)
+	r.Counter("b_total")
+	r.Gauge("depth").Set(-3)
+	h := r.Histogram("lat_us", []int64{10, 100})
+	for _, v := range []int64{5, 50, 50, 500} {
+		h.Observe(v)
+	}
+	snap := r.Snapshot()
+	var b strings.Builder
+	if err := snap.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples, types := parsePrometheus(t, b.String())
+	want := map[string]int64{
+		"a_total": 7, "b_total": 0, "depth": -3,
+		`lat_us_bucket{le="10"}`: 1, `lat_us_bucket{le="100"}`: 3, `lat_us_bucket{le="+Inf"}`: 4,
+		"lat_us_sum": 605, "lat_us_count": 4,
+	}
+	if !reflect.DeepEqual(samples, want) {
+		t.Fatalf("parsed %v, want %v", samples, want)
+	}
+	wantTypes := map[string]string{"a_total": "counter", "b_total": "counter", "depth": "gauge", "lat_us": "histogram"}
+	if !reflect.DeepEqual(types, wantTypes) {
+		t.Fatalf("types %v, want %v", types, wantTypes)
 	}
 }

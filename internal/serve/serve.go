@@ -9,7 +9,8 @@
 //	GET  /v1/doc/{id}       fetch a document body (local or remote owner)
 //	GET  /v1/peers          the directory replica
 //	GET  /healthz           liveness + drain status (never sheds)
-//	GET  /debug/metrics     the metrics registry as JSON
+//	GET  /debug/metrics     the metrics registry as JSON; with
+//	                        ?format=prometheus, as Prometheus text 0.0.4
 //	GET  /debug/pprof/      net/http/pprof: the index, profile (CPU),
 //	                        heap, goroutine and trace
 //
@@ -130,7 +131,8 @@ func New(peer *core.Peer, cfg Config) *Server {
 }
 
 // Handler returns the full route mux (the /v1 API, /healthz,
-// /debug/metrics and /debug/pprof/), ready to mount on any listener.
+// /debug/metrics — JSON, or Prometheus text with ?format=prometheus — and
+// /debug/pprof/), ready to mount on any listener.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/search", s.admit("search", s.handleSearch))
@@ -143,6 +145,11 @@ func (s *Server) Handler() http.Handler {
 	// are for.
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/metrics", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("format") == "prometheus" {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+			s.reg.Snapshot().WritePrometheus(w)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		s.reg.WriteJSON(w)
 	})

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"planetp/internal/core"
 	"planetp/internal/directory"
 	"planetp/internal/gossip"
+	"planetp/internal/metrics"
 )
 
 // fastGossip shrinks protocol timers so live tests converge in
@@ -561,4 +563,90 @@ func waitForCond(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestPrometheusMetricsBypassAdmission: /debug/metrics?format=prometheus
+// answers while every slot is held, as text format 0.0.4 that parses back
+// to the JSON snapshot taken just after it: the same instruments, each
+// counter and histogram count no larger than the later snapshot's.
+func TestPrometheusMetricsBypassAdmission(t *testing.T) {
+	p := newTestPeer(t, 0)
+	s := New(p, Config{MaxInFlight: 1})
+	gate := make(chan struct{})
+	entered := make(chan string, 1)
+	s.testHook = func(route string) {
+		entered <- route
+		<-gate
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.Get(ts.URL + "/v1/peers"); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+	defer func() { close(gate); <-done }()
+
+	resp, err := http.Get(ts.URL + "/debug/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain; version=0.0.4") {
+		t.Fatalf("prometheus text while saturated: status %d, type %q, %v", resp.StatusCode, resp.Header.Get("Content-Type"), err)
+	}
+	resp, err = http.Get(ts.URL + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap metrics.Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	samples, types := map[string]int64{}, map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			types[name] = typ
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseInt(line[i+1:], 10, 64)
+		if i < 0 || err != nil {
+			t.Fatalf("unparsable sample line %q", line)
+		}
+		samples[line[:i]] = v
+	}
+	// Instruments a background round registers after the text was taken
+	// may be missing from it; everything the text holds is in the JSON.
+	if len(types) == 0 {
+		t.Fatal("the text holds no instrument")
+	}
+	for name, typ := range types {
+		switch typ {
+		case "counter":
+			if v, ok := snap.Counters[name]; !ok || samples[name] > v {
+				t.Errorf("counter %s: text %d, JSON later %d (%v)", name, samples[name], v, ok)
+			}
+		case "gauge":
+			if _, ok := snap.Gauges[name]; !ok {
+				t.Errorf("gauge %s missing from the JSON", name)
+			}
+		case "histogram":
+			h, ok := snap.Histograms[name]
+			got := samples[name+"_count"]
+			if !ok || got > h.Count || samples[name+`_bucket{le="+Inf"}`] != got {
+				t.Errorf("histogram %s: text count %d, +Inf bucket %d, JSON later %d", name, got, samples[name+`_bucket{le="+Inf"}`], h.Count)
+			}
+		default:
+			t.Errorf("%s has type %q", name, typ)
+		}
+	}
 }

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"planetp/internal/bloom"
 	"planetp/internal/directory"
+	"planetp/internal/gossip"
 	"planetp/internal/search"
 )
 
@@ -30,6 +32,12 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	for _, b := range hostileReplies() {
 		f.Add(b)
 	}
+	for _, payload := range hostileChainPayloads(f) {
+		addFrame(f, &Envelope{Kind: KindGossip, From: 2, Gossip: &gossip.Message{
+			Type: gossip.MsgRumor, From: 2,
+			Updates: []directory.Record{{ID: 2, Ver: directory.Version{Epoch: 1, Seq: 3}, Payload: payload}},
+		}})
+	}
 	fallback := &Transport{handler: twoDocs{newHandler(1)}}
 	f.Add([]byte{})
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
@@ -48,6 +56,15 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(again, env) {
 			t.Fatalf("re-encoded envelope decodes to %+v, %v; want %+v", again, err, env)
 		}
+		// A record's payload is a peer's word about its filter: whatever
+		// chain it claims, reading it errs or decodes, never panics.
+		if env.Gossip != nil {
+			for _, rec := range env.Gossip.Updates {
+				if _, err := bloom.ParseChain(rec.Payload); err == nil {
+					_, _ = bloom.Decompress(rec.Payload)
+				}
+			}
+		}
 		// Whatever terms and rank header it carries, a handler that does
 		// not rank is answered through the fall-back without a panic, with
 		// no more documents than it matched, in rows a reply encodes.
@@ -59,6 +76,27 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			t.Fatalf("the fall-back's answer to %d/%d/%v does not encode: %v", env.K, env.N, env.Nt, err)
 		}
 	})
+}
+
+// hostileChainPayloads are record payloads claiming to be Bloom-filter
+// chains: one whose segment count runs past the bytes left, and one whose
+// segment holds a position at or past the filter's nbits.
+func hostileChainPayloads(tb testing.TB) [][]byte {
+	base := bloom.New(1024, 2)
+	base.Insert("alpha")
+	past, err := bloom.EncodeDiff([]uint64{1024 + 7}, 1024)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	countPast := bloom.Chain{Epoch: 1, From: 2, Base: base.Compress()}.Encode()
+	countPast[len(countPast)-1] = 0x7f // 127 segments, no bytes left
+	posPast := bloom.Chain{Epoch: 1, From: 2, Base: base.Compress(), Segs: []bloom.Segment{{To: 3, Diff: past}}}.Encode()
+	for _, b := range [][]byte{countPast, posPast} {
+		if _, err := bloom.Decompress(b); err == nil {
+			tb.Fatal("a hostile chain decodes")
+		}
+	}
+	return [][]byte{countPast, posPast}
 }
 
 // twoDocs matches two documents, whatever the query.

@@ -8,10 +8,11 @@
 // per-address (poolConns), across all addresses (poolMaxIdle, oldest-idle
 // evicted first), and by idle age (poolIdle, swept by a timer-driven reaper).
 //
-// A checkout re-validates the conn with a zero-cost staleness probe: a
-// read with an already-expired deadline. A healthy idle conn has nothing
-// buffered, so the read returns a timeout; a conn the far side closed
-// (server restart, idle reap on their end) returns EOF or buffered bytes
+// A checkout re-validates the conn with a staleness probe: one non-blocking
+// peek of the socket, recvfrom(MSG_PEEK|MSG_DONTWAIT) (probe_unix.go), one
+// syscall and no allocation a checkout. A healthy idle conn has nothing to
+// read, so the peek returns EAGAIN; a conn the far side closed (server
+// restart, idle reap on their end) returns EOF or buffered bytes
 // immediately and is discarded before it can eat an RPC.
 package transport
 
@@ -32,6 +33,7 @@ type pconn struct {
 	cc   *countingConn
 	frameConn
 	addr string
+	peek *stalePeek
 
 	idleSince time.Time
 
@@ -44,7 +46,7 @@ type pconn struct {
 
 func newPconn(conn net.Conn, addr string) *pconn {
 	cc := &countingConn{Conn: conn}
-	return &pconn{conn: conn, cc: cc, frameConn: newFrameConn(cc), addr: addr}
+	return &pconn{conn: conn, cc: cc, frameConn: newFrameConn(cc), addr: addr, peek: newStalePeek(conn)}
 }
 
 // beginExchange resets the delivery marks for a fresh RPC.
@@ -71,10 +73,10 @@ func (pc *pconn) undelivered(oneway bool) bool {
 }
 
 // stale probes an idle conn for death with a non-blocking socket peek
-// (see connStale in probe_unix.go); bytes already buffered past the last
+// (see stalePeek in probe_unix.go); bytes already buffered past the last
 // reply mean the stream desynced. A dead conn discarded here never costs
 // an RPC; one that slips through is absorbed by the transparent re-dial.
-func (pc *pconn) stale() bool { return pc.br.Buffered() > 0 || connStale(pc.conn) }
+func (pc *pconn) stale() bool { return pc.br.Buffered() > 0 || pc.peek.check() }
 
 // connPool keeps idle pconns keyed by dial address. lastAddr remembers
 // which address each peer's conns were pooled against, so a directory

@@ -4,7 +4,11 @@ package transport
 
 import "net"
 
-// connStale: without a non-blocking raw-fd peek, staleness cannot be
+// stalePeek: without a non-blocking raw-fd peek, staleness cannot be
 // checked cheaply at checkout; assume fresh and let the transparent
 // re-dial absorb dead conns mid-RPC.
-func connStale(net.Conn) bool { return false }
+type stalePeek struct{}
+
+func newStalePeek(net.Conn) *stalePeek { return nil }
+
+func (*stalePeek) check() bool { return false }

@@ -86,12 +86,13 @@ func BenchmarkGossipRecordsRPC(b *testing.B) {
 }
 
 // TestQueryRPCAllocs bounds BenchmarkQueryRPC's leg, both ends together:
-// 17 allocations measured, 50 when each document came back as a map. The
-// bound leaves a quarter for runtime noise; one allocation a document
-// more, such as a key each, exceeds it.
+// 13 allocations measured (17 while a pooled checkout's staleness peek
+// allocated, 50 when each document came back as a map). The bound leaves a
+// quarter for runtime noise; one allocation a document more, such as a key
+// each, exceeds it.
 func TestQueryRPCAllocs(t *testing.T) {
 	cl, terms, rq := queryRPC(t)
-	if n := testing.AllocsPerRun(200, func() { _, _ = cl.QueryRanked(1, terms, rq) }); n > 21 {
-		t.Fatalf("a ranked query leg allocates %v times, want at most 21", n)
+	if n := testing.AllocsPerRun(200, func() { _, _ = cl.QueryRanked(1, terms, rq) }); n > 16 {
+		t.Fatalf("a ranked query leg allocates %v times, want at most 16", n)
 	}
 }
