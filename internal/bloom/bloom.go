@@ -497,6 +497,13 @@ func decodePositions(dst []uint64, buf []byte) (wireHeader, []uint64, error) {
 // Decompress reconstructs a filter from its Compress encoding, or from a
 // based chain (the union of its parts).
 func Decompress(buf []byte) (*Filter, error) {
+	if IsChain(buf) {
+		c, err := ParseChain(buf)
+		if err != nil {
+			return nil, err
+		}
+		return decodeChain(c)
+	}
 	hdr, positions, err := decodePositions(nil, buf)
 	if err != nil {
 		return nil, err

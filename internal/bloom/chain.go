@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"planetp/internal/golomb"
@@ -283,67 +284,55 @@ func (c Chain) Fold(keep int) (Chain, error) {
 	return Chain{Epoch: c.Epoch, From: c.Segs[i-1].To, Base: f.Compress(), Segs: slices.Clip(c.Segs[i:])}, nil
 }
 
-// decodeChain decodes a based chain into the filter it stands for.
+// decodeChain decodes a based chain into the filter it stands for: the
+// base's positions, validated before the bitset is allocated, then every
+// segment's ORed in, each position checked against the base's nbits. The
+// union needs no sort: the bitset orders it.
 func decodeChain(c Chain) (*Filter, error) {
-	hdr, positions, err := decodeChainPositions(nil, c)
+	if c.Base == nil {
+		return nil, ErrCorrupt
+	}
+	hdr, positions, err := decodePositions(nil, c.Base)
 	if err != nil {
 		return nil, err
 	}
 	f := New(int(hdr.nbits), int(hdr.nhash))
 	f.nkeys = hdr.nkeys
-	if _, err := f.ApplyDiff(positions); err != nil {
-		return nil, err
+	for i := 0; ; i++ {
+		if _, err := f.ApplyDiff(positions); err != nil {
+			return nil, err
+		}
+		if i == len(c.Segs) {
+			return f, nil
+		}
+		if positions, err = appendDiff(positions[:0], c.Segs[i].Diff); err != nil {
+			return nil, err
+		}
 	}
-	return f, nil
 }
 
-// decodeChainPositions is decodePositions for a chain: the base's positions
-// and every segment's, merged ascending without repeats into dst's storage.
-// A baseless chain does not decode. Every position is checked against the
-// base's nbits before the merge grows dst.
+// decodeChainPositions is decodePositions for a chain: the union of its
+// parts' positions, ascending, in dst's storage.
 func decodeChainPositions(dst []uint64, c Chain) (wireHeader, []uint64, error) {
-	if c.Base == nil {
-		return wireHeader{}, nil, ErrCorrupt
+	if len(c.Segs) == 0 {
+		if c.Base == nil {
+			return wireHeader{}, nil, ErrCorrupt
+		}
+		return decodePositions(dst, c.Base)
 	}
-	hdr, base, err := decodePositions(dst, c.Base)
-	if err != nil || len(c.Segs) == 0 {
-		return hdr, base, err
+	f, err := decodeChain(c)
+	if err != nil {
+		return wireHeader{}, nil, err
 	}
-	var add []uint64
-	for _, s := range c.Segs {
-		if add, err = appendDiff(add, s.Diff); err != nil {
-			return hdr, nil, err
+	hdr := wireHeader{nbits: f.nbits, nhash: uint64(f.nhash), nkeys: f.nkeys, nset: f.setcnt}
+	dst = slices.Grow(dst[:0], int(f.setcnt))
+	for w, word := range f.bits {
+		for word != 0 {
+			dst = append(dst, uint64(w*64+bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
 	}
-	slices.Sort(add)
-	add = slices.Compact(add)
-	if n := len(add); n > 0 && add[n-1] >= hdr.nbits {
-		return hdr, nil, ErrCorrupt
-	}
-	// Merge from the back into base's grown storage; a position in both
-	// is written once, leaving a gap that the final copy closes.
-	i, j := len(base)-1, len(add)-1
-	base = slices.Grow(base, len(add))[:len(base)+len(add)]
-	k := len(base) - 1
-	for j >= 0 {
-		switch {
-		case i >= 0 && base[i] > add[j]:
-			base[k] = base[i]
-			i--
-		case i >= 0 && base[i] == add[j]:
-			base[k] = add[j]
-			i--
-			j--
-		default:
-			base[k] = add[j]
-			j--
-		}
-		k--
-	}
-	n := copy(base[i+1:], base[k+1:])
-	base = base[:i+1+n]
-	hdr.nset = uint64(len(base))
-	return hdr, base, nil
+	return hdr, dst, nil
 }
 
 // diffHeader parses an EncodeDiff header: the position count, bounded by

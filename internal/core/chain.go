@@ -9,7 +9,7 @@ import (
 	"planetp/internal/metrics"
 )
 
-// Gossiped filters as chains (DESIGN §4f, §4i, §4k). A record's payload is
+// Gossiped filters as chains (DESIGN §4e, §4i, §4k). A record's payload is
 // a bloom.Chain: a full filter, the base, and diff segments each tagged with
 // the Seq it brings the filter to. The origin keeps its own chain as a
 // segment log (ownLog); every node sends each target only the segments past
@@ -246,11 +246,13 @@ func (p *Peer) stampPayloads(to directory.PeerID, recs []directory.Record) {
 }
 
 // resolveIncoming turns every chain in a rumor or pull reply into the full
-// chain the directory stores, before the gossip node sees the message: a
-// based chain replaces what is held; a baseless one is appended to it when
-// it applies (DESIGN §4f). A record whose chain cannot apply is stripped —
-// neither applied nor acked, so the sender never records a version this
-// peer lacks — and pulled from the sender with Have set to what is held.
+// chain the directory stores, before the gossip node sees the message
+// (bloom.Chain.Apply, DESIGN §4i): the segments past what is held are
+// appended to it when the chain applies there, and a based chain the
+// holder is behind replaces it. A record whose chain cannot apply is
+// stripped — neither applied nor acked, so the sender never records a
+// version this peer lacks — and pulled from the sender with Have set to
+// what is held.
 func (p *Peer) resolveIncoming(from directory.PeerID, m *gossip.Message) {
 	if m.Type != gossip.MsgRumor && m.Type != gossip.MsgRecords {
 		return
