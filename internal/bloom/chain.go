@@ -229,7 +229,8 @@ func (c Chain) Apply(next Chain) (Chain, error) {
 // Since returns the baseless chain that brings a holder at Seq seq (at or
 // past c.From, of c's epoch) to c's End: the segments past seq, merged into
 // one segment. Its From is the To of the last segment at or before seq.
-// Merging costs O(positions) in the merged segments, never O(filter).
+// Merging sorts the merged segments' positions: O(p log p) in their
+// count p, never O(filter).
 func (c Chain) Since(seq uint32) (Chain, error) {
 	out := Chain{Epoch: c.Epoch, From: c.From}
 	i := 0

@@ -63,7 +63,8 @@ func (l *ownLog) append(ver directory.Version, diff []byte) {
 // before the version is visible, so every copy of the own record leaves
 // with a chain that covers its version. force announces even with nothing
 // pending: a publish whose bits an earlier announce already carried still
-// gets its version.
+// gets its version. Without force, nothing pending (an epoch refresh, a
+// recovery that restored nothing) announces nothing.
 func (p *Peer) announce(force bool) error {
 	p.announceMu.Lock()
 	defer p.announceMu.Unlock()

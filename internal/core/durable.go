@@ -141,7 +141,7 @@ func (p *Peer) recoverFrom(rec store.Recovery) error {
 	// announces an exact one — no marker for a document it does not hold.
 	if shrunk {
 		p.Compact()
-	} else if err := p.gossipPending(); err != nil {
+	} else if err := p.announce(false); err != nil {
 		return err
 	}
 	summary.DocsRestored, summary.ReplicasRestored = p.LocalDocs(), p.ReplicaDocs()

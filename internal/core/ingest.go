@@ -267,11 +267,6 @@ func (p *Peer) unindexLocked(key string) {
 	delete(p.docOf, key)
 }
 
-// gossipPending folds the filter inserts made since the last flush into
-// one gossiped version; with none pending (an epoch refresh, a recovery
-// that restored nothing) it announces nothing.
-func (p *Peer) gossipPending() error { return p.announce(false) }
-
 // PublishBatch publishes many XML documents as one atomic ingest step:
 // all are analyzed in parallel, committed to the WAL as a single batch
 // (write-ahead — a failed commit leaves the peer completely unchanged),

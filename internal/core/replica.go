@@ -80,7 +80,7 @@ func (p *Peer) adoptReplica(e replica.Entry, seed float64) {
 	if err == nil && len(ops) > 0 {
 		p.reg.Counter("replica_adopts_total").Inc()
 		p.reg.Counter("replica_evictions_total").Add(int64(len(ops) - 1))
-		err = p.gossipPending()
+		err = p.announce(false)
 	}
 	if err != nil {
 		p.reg.Counter("replica_adopt_errors_total").Inc()
