@@ -205,13 +205,18 @@ func ParseChain(buf []byte) (Chain, error) {
 // appended — a based next too, so a holder keeps its own base and the
 // segments it can serve to peers behind it. Otherwise a based next replaces
 // c, and a baseless one returns ErrChainGap: the holder needs the full
-// filter. The result aliases both.
+// filter. Every segment taken from next is decoded and its positions checked
+// against the base's nbits (checkSegs), so a stored chain always decodes. The
+// result aliases both.
 func (c Chain) Apply(next Chain) (Chain, error) {
 	if c.Base == nil || next.Epoch != c.Epoch || next.From > c.End() {
-		if next.Base != nil {
-			return next, nil
+		if next.Base == nil {
+			return Chain{}, ErrChainGap
 		}
-		return Chain{}, ErrChainGap
+		if err := checkSegs(next.Base, next.Segs); err != nil {
+			return Chain{}, err
+		}
+		return next, nil
 	}
 	end := c.End()
 	i := 0
@@ -221,9 +226,37 @@ func (c Chain) Apply(next Chain) (Chain, error) {
 	if i == len(next.Segs) {
 		return c, nil
 	}
+	if err := checkSegs(c.Base, next.Segs[i:]); err != nil {
+		return Chain{}, err
+	}
 	out := c
 	out.Segs = append(slices.Clip(c.Segs), next.Segs[i:]...)
 	return out, nil
+}
+
+// checkSegs decodes segs and checks every position against the nbits of
+// base, a Compress encoding. ParseChain reads only the segments' headers; a
+// segment past nbits stored unchecked would fail every later decode of the
+// chain it joined.
+func checkSegs(base []byte, segs []Segment) error {
+	if len(segs) == 0 {
+		return nil
+	}
+	hdr, _, err := decodeWireHeader(base)
+	if err != nil {
+		return err
+	}
+	var pos []uint64
+	for _, s := range segs {
+		if pos, err = appendDiff(pos[:0], s.Diff); err != nil {
+			return err
+		}
+		// A diff's positions ascend: the last is the largest.
+		if n := len(pos); n > 0 && pos[n-1] >= hdr.nbits {
+			return ErrCorrupt
+		}
+	}
+	return nil
 }
 
 // Since returns the baseless chain that brings a holder at Seq seq (at or

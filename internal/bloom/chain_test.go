@@ -217,6 +217,31 @@ func TestHostileChainsRejected(t *testing.T) {
 	}
 }
 
+// TestApplyRefusesPositionPastNbits: ParseChain reads only a segment's
+// header, so Apply decodes every segment it takes and refuses one with a
+// position at or past nbits, whether it would append it to the held chain
+// or replace that chain; what is held stays as it was.
+func TestApplyRefusesPositionPastNbits(t *testing.T) {
+	pc, err := ParseChain(hostileChains(t)["position past nbits"])
+	if err != nil {
+		t.Fatalf("ParseChain refused what it only reads the header of: %v", err)
+	}
+	held := Chain{Epoch: pc.Epoch, From: pc.From, Base: pc.Base}
+	if _, err := held.Apply(pc); err == nil {
+		t.Error("a based chain at the held base appended the segment")
+	}
+	if _, err := held.Apply(Chain{Epoch: pc.Epoch, From: pc.From, Segs: pc.Segs}); err == nil {
+		t.Error("a baseless chain appended the segment")
+	}
+	other := Chain{Epoch: pc.Epoch + 1, Base: pc.Base}
+	if _, err := other.Apply(pc); err == nil {
+		t.Error("a based chain of another epoch replaced the held one")
+	}
+	if _, err := Decompress(held.Encode()); err != nil {
+		t.Fatalf("the held chain no longer decodes: %v", err)
+	}
+}
+
 // TestChainDecodersAgree: a based chain reads as the union of its parts in
 // every decoder, and Header's count bounds the real one.
 func TestChainDecodersAgree(t *testing.T) {

@@ -135,7 +135,7 @@ func TestRecoveredEqualsLive(t *testing.T) {
 	}
 }
 
-func mustPublish(t *testing.T, p *Peer, xml string) {
+func mustPublish(t testing.TB, p *Peer, xml string) {
 	t.Helper()
 	if _, err := p.Publish(xml); err != nil {
 		t.Fatal(err)

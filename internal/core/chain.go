@@ -124,11 +124,16 @@ func foldDue(c bloom.Chain) bool { return c.SegBytes() >= len(c.Base) }
 // still sent segments, not the full filter.
 func foldChain(c bloom.Chain) (bloom.Chain, error) { return c.Fold(len(c.Base) / 2) }
 
-// heldMax bounds the held-version table (DESIGN §4k): an anti-entropy
-// summary chunk (4096 ids) and the records of a few rounds of rumors fit
-// four times over, at ≈ 40 B an entry ≈ 650 KB. A full table is cleared; a
-// forgotten entry costs one target the segments since a chain's base.
-const heldMax = 1 << 14
+// heldMax bounds the held-version table (DESIGN §4k). A sender needs entry
+// (T, P) when it next sends P's record to target T, and learns it when T
+// last spoke to it; with random targets a pair speaks about every N/2
+// rounds. Between two such contacts a node takes in, per round, the ids of
+// one push and one ack (2A for A active rumors) and a tenth of an
+// anti-entropy summary (N/aeEvery). The newest half of the table must hold
+// N/2·(2A + N/10) entries: ≈ 60 k at N = 1024 and A = 8, so 2^17. At
+// ≈ 40 B an entry that is ≈ 5 MB at its worst, reached only when every
+// pair of a thousand members churns; a 4-member community holds 16.
+const heldMax = 1 << 17
 
 // heldKey names one record as one target holds it.
 type heldKey struct{ to, peer directory.PeerID }
@@ -136,59 +141,85 @@ type heldKey struct{ to, peer directory.PeerID }
 // heldTable is the version of each record each target is known to hold,
 // learned from what the targets themselves said: the ids their rumor acks
 // echo, the Have of their pulls, their anti-entropy summaries, and the
-// records they send.
+// records they send. It keeps two generations: when the newer holds
+// heldMax/2 entries, the older is dropped (counted in evicted) and the newer
+// takes its place, so the most recently learned half always stays. A
+// dropped entry costs one target at most one rejected gamble (stampPayloads).
 type heldTable struct {
-	mu sync.Mutex
-	m  map[heldKey]directory.Version
+	mu       sync.Mutex
+	cur, old map[heldKey]heldVer
+	evicted  *metrics.Counter
 }
 
-func (h *heldTable) get(to, peer directory.PeerID) (directory.Version, bool) {
+// heldVer is one entry: the version, and whether the target named it as
+// what it holds when it pulled (exact), not as something it has seen (a
+// lower bound: it may have moved on since).
+type heldVer struct {
+	ver   directory.Version
+	exact bool
+}
+
+func (h *heldTable) get(to, peer directory.PeerID) (heldVer, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	v, ok := h.m[heldKey{to, peer}]
+	return h.getLocked(heldKey{to, peer})
+}
+
+func (h *heldTable) getLocked(k heldKey) (heldVer, bool) {
+	if v, ok := h.cur[k]; ok {
+		return v, true
+	}
+	v, ok := h.old[k]
 	return v, ok
 }
 
-// putLocked records v; raise keeps a higher version already recorded.
-func (h *heldTable) putLocked(to, peer directory.PeerID, v directory.Version, raise bool) {
+// putLocked records v. An exact v (a pull's Have) replaces what is
+// recorded: a peer that lost state pulls from below what it acked. Any other
+// only raises it.
+func (h *heldTable) putLocked(to, peer directory.PeerID, v directory.Version, exact bool) {
 	k := heldKey{to, peer}
-	old, ok := h.m[k]
-	if raise && ok && !old.Less(v) {
+	if old, ok := h.getLocked(k); !exact && ok && !old.ver.Less(v) {
 		return
 	}
-	if !ok && len(h.m) >= heldMax {
-		clear(h.m)
+	if h.cur == nil {
+		h.cur = make(map[heldKey]heldVer)
 	}
-	if h.m == nil {
-		h.m = make(map[heldKey]directory.Version)
+	if _, ok := h.cur[k]; !ok && len(h.cur) >= heldMax/2 {
+		h.evicted.Add(int64(len(h.old)))
+		clear(h.old)
+		h.cur, h.old = h.old, h.cur
+		if h.cur == nil {
+			h.cur = make(map[heldKey]heldVer)
+		}
 	}
-	h.m[k] = v
+	delete(h.old, k)
+	h.cur[k] = heldVer{ver: v, exact: exact}
 }
 
-// learn records what from says it holds. A pull's Have is exact (a peer
-// that lost state pulls from below what it acked); acks, summaries and the
-// records from sends (a peer sends only what it holds) only raise.
+// learn records what from says it holds: a pull's Have exactly; the ids of
+// its acks and summaries, and the records it sends (a peer sends only what it
+// holds), as lower bounds.
 func (h *heldTable) learn(from directory.PeerID, m *gossip.Message) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	switch m.Type {
 	case gossip.MsgRumor, gossip.MsgRecords:
 		for i := range m.Updates {
-			h.putLocked(from, m.Updates[i].ID, m.Updates[i].Ver, true)
+			h.putLocked(from, m.Updates[i].ID, m.Updates[i].Ver, false)
 		}
 	case gossip.MsgRumorAck:
 		for _, id := range m.Acked {
-			h.putLocked(from, id.Peer, id.Ver, true)
+			h.putLocked(from, id.Peer, id.Ver, false)
 		}
 	case gossip.MsgPull:
 		for _, ne := range m.Need {
-			h.putLocked(from, ne.ID, ne.Have, false)
+			h.putLocked(from, ne.ID, ne.Have, true)
 		}
 	case gossip.MsgAESummary:
 		base := max(m.SummaryFrom, 0)
 		for i, v := range m.Summary {
 			if !v.IsZero() {
-				h.putLocked(from, base+directory.PeerID(i), v, true)
+				h.putLocked(from, base+directory.PeerID(i), v, false)
 			}
 		}
 	}
@@ -208,38 +239,61 @@ func storedChain(payload []byte, ver directory.Version) (bloom.Chain, bool) {
 	return c, err == nil && c.Base != nil
 }
 
+// covers reports whether chain c brings its filter to version v: the
+// payload a record travels with must cover the record's version.
+func covers(c bloom.Chain, v directory.Version) bool {
+	return c.Epoch == v.Epoch && c.End() >= v.Seq
+}
+
 // stampPayloads is the gossip node's payload source (Node.SetPayloads):
-// each record bound for to carries, of its chain, what to lacks. A target
-// known to hold a version the chain covers gets the segments past it merged
-// into one; anyone else — behind the base, at another epoch, not known to
-// hold anything, or the bootstrap reply with no target at all — the full
-// chain. (Gambling on a target whose holdings are unknown does not pay: one
-// that knows nothing of the record, or of the sender, cannot pull what it
-// could not apply, and the sender would repeat the gamble every round.)
+// each record bound for to carries, of its chain, what to lacks. The gain
+// rests on one property: what the target holds is known, or well guessed,
+// when the record is sent. So:
+//
+//   - a target known to hold a version the chain covers gets the segments
+//     past it, merged into one (bloom.Chain.Since);
+//   - a target whose holdings are unknown, or known only as a lower bound
+//     behind the chain's base, gets the segments since the base as they are
+//     stored (no merge): a member has most likely moved on since it last
+//     said what it holds. One that has not rejects them and pulls, and its
+//     pull's Have is exact;
+//   - a target whose exact Have is behind the base, the bootstrap reply with
+//     no target at all, or a chain with no segments: the full chain.
 func (p *Peer) stampPayloads(to directory.PeerID, recs []directory.Record) {
 	for i := range recs {
 		rec := &recs[i]
 		var c bloom.Chain
 		if rec.ID == p.id {
 			c = p.ownChain()
-		} else if sc, ok := storedChain(rec.Payload, rec.Ver); ok {
+		} else if sc, ok := storedChain(rec.Payload, rec.Ver); ok && covers(sc, rec.Ver) {
 			c = sc
 		} else {
+			// A version learned with no payload (peer discovery samples
+			// carry none) is relayed with none: a chain that falls short
+			// of it would only be rejected.
+			rec.Payload = nil
 			continue
 		}
-		full := true
-		if held, ok := p.held.get(to, rec.ID); ok && held.Epoch == c.Epoch && held.Seq >= c.From {
-			if since, err := c.Since(held.Seq); err == nil {
-				rec.Payload, full = since.Encode(), false
+		held, known := p.held.get(to, rec.ID)
+		diff := true
+		switch {
+		case known && held.ver.Epoch == c.Epoch && held.ver.Seq >= c.From:
+			since, err := c.Since(held.ver.Seq)
+			if diff = err == nil; diff {
+				rec.Payload = since.Encode()
 			}
+		case to != directory.None && len(c.Segs) > 0 && !held.exact:
+			rec.Payload = bloom.Chain{Epoch: c.Epoch, From: c.From, Segs: c.Segs}.Encode()
+		default:
+			diff = false
 		}
-		if full {
+		if diff {
+			p.cm.diff.Inc()
+		} else {
 			if rec.ID == p.id {
 				rec.Payload = c.Encode()
 			} // a relayed record's stored encoding is already its full chain
 			p.cm.full.Inc()
-		} else {
-			p.cm.diff.Inc()
 		}
 		rec.PayloadSize = int32(len(rec.Payload))
 		p.cm.bytes.Add(int64(len(rec.Payload)))
@@ -253,7 +307,7 @@ func (p *Peer) stampPayloads(to directory.PeerID, recs []directory.Record) {
 // holder is behind replaces it. A record whose chain cannot apply is
 // stripped — neither applied nor acked, so the sender never records a
 // version this peer lacks — and pulled from the sender with Have set to
-// what is held.
+// what is held, unless a pull is already in flight.
 func (p *Peer) resolveIncoming(from directory.PeerID, m *gossip.Message) {
 	if m.Type != gossip.MsgRumor && m.Type != gossip.MsgRecords {
 		return
@@ -279,7 +333,9 @@ func (p *Peer) resolveIncoming(from directory.PeerID, m *gossip.Message) {
 		m.AsDiff = m.AsDiff[:kept]
 	}
 	p.cm.rejects.Add(int64(len(need)))
-	_ = p.contacted(from, p.tp.Send(from, &gossip.Message{Type: gossip.MsgPull, From: p.id, Need: need}))
+	// Through the node's pull gate: a reply that is rejected again arrives
+	// while its own pull is still in flight, so it cannot start another.
+	p.node.Pull(from, need)
 }
 
 // resolve rewrites rec's chain to the full chain to store. When it cannot
@@ -305,8 +361,7 @@ func (p *Peer) resolve(rec *directory.Record) (directory.Version, bool) {
 		return have, false
 	}
 	out, err := held.Apply(in)
-	// The payload must cover the version it travels with.
-	if err != nil || out.Epoch != rec.Ver.Epoch || out.End() < rec.Ver.Seq {
+	if err != nil || !covers(out, rec.Ver) {
 		return have, false
 	}
 	if foldDue(out) {

@@ -189,6 +189,7 @@ func NewPeer(cfg Config) (*Peer, error) {
 		reg:       cfg.Metrics,
 		topk:      newTopkMemo(cfg.Metrics),
 		cm:        newChainMetrics(cfg.Metrics),
+		held:      heldTable{evicted: cfg.Metrics.Counter("gossip_held_evictions_total")},
 		stopCh:    make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		hoardDone: make(chan struct{}),

@@ -23,7 +23,7 @@ func fastGossip() gossip.Config {
 
 // community spins up n live peers on loopback TCP, all bootstrapped via
 // peer 0.
-func community(t *testing.T, n int, brokerFrac float64) []*Peer {
+func community(t testing.TB, n int, brokerFrac float64) []*Peer {
 	t.Helper()
 	peers := make([]*Peer, n)
 	for i := 0; i < n; i++ {

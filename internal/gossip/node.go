@@ -648,20 +648,7 @@ func (n *Node) receiveAck(from directory.PeerID, m *Message) {
 		}
 	}
 	if len(need) > 0 {
-		n.mu.Lock()
-		ok := n.tryStartPullLocked()
-		n.mu.Unlock()
-		if ok {
-			n.m.pullsSent.Inc()
-		}
-		if ok && !n.sendOrSuspect(from, &Message{Type: MsgPull, From: n.id, Need: need}) {
-			// The pull never left; release the gate so the next
-			// opportunity can re-issue it instead of waiting out the
-			// in-flight timeout.
-			n.mu.Lock()
-			n.pullInFlight = false
-			n.mu.Unlock()
-		}
+		n.Pull(from, need)
 	}
 }
 
@@ -753,17 +740,29 @@ func (n *Node) receiveAESummary(from directory.PeerID, m *Message) {
 		// exchanges (MissingRange is deterministic, so batches progress).
 		need = need[:n.cfg.MaxPullBatch]
 	}
+	n.Pull(from, need)
+}
+
+// Pull asks to for the records in need, through the node's one pull gate:
+// no pull leaves while another is in flight, and a reply (MsgRecords) opens
+// the gate again. It reports whether the pull was sent.
+func (n *Node) Pull(to directory.PeerID, need []directory.NeedEntry) bool {
 	n.mu.Lock()
 	ok := n.tryStartPullLocked()
 	n.mu.Unlock()
-	if ok {
-		n.m.pullsSent.Inc()
+	if !ok {
+		return false
 	}
-	if ok && !n.sendOrSuspect(from, &Message{Type: MsgPull, From: n.id, Need: need}) {
+	n.m.pullsSent.Inc()
+	if !n.sendOrSuspect(to, &Message{Type: MsgPull, From: n.id, Need: need}) {
+		// The pull never left; release the gate so the next opportunity
+		// can re-issue it instead of waiting out the in-flight timeout.
 		n.mu.Lock()
 		n.pullInFlight = false
 		n.mu.Unlock()
+		return false
 	}
+	return true
 }
 
 // sendOrSuspect sends m, reporting success; the outcome feeds the target's
