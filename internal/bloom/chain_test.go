@@ -192,8 +192,8 @@ func hostileChains(t testing.TB) map[string][]byte {
 	}
 }
 
-// TestHostileChainsRejected: every decoder refuses each hostile chain, and
-// the count checks refuse before anything is allocated.
+// TestHostileChainsRejected: every decoder and Apply refuse each hostile
+// chain, and the count checks refuse before anything is allocated.
 func TestHostileChainsRejected(t *testing.T) {
 	for name, b := range hostileChains(t) {
 		if _, err := Decompress(b); err == nil {
@@ -208,37 +208,22 @@ func TestHostileChainsRejected(t *testing.T) {
 		if _, _, _, ok := Header(b); ok && name != "position past nbits" {
 			t.Errorf("%s: Header accepted it", name)
 		}
+		// ParseChain reads only a segment's header, so Apply decodes what
+		// it takes: appended to a held chain, or replacing one of another
+		// epoch.
+		if pc, err := ParseChain(b); err == nil {
+			for _, held := range []Chain{{Epoch: pc.Epoch, From: pc.From, Base: pc.Base}, {Epoch: pc.Epoch + 1, Base: pc.Base}} {
+				if _, err := held.Apply(pc); err == nil {
+					t.Errorf("%s: Apply at epoch %d accepted it", name, held.Epoch)
+				}
+			}
+		}
 	}
 	for _, name := range []string{"segment count past the bytes", "huge segment count"} {
 		b := hostileChains(t)[name]
 		if allocs := testing.AllocsPerRun(10, func() { _, _ = ParseChain(b) }); allocs != 0 {
 			t.Errorf("%s: ParseChain allocated %.0f times before refusing", name, allocs)
 		}
-	}
-}
-
-// TestApplyRefusesPositionPastNbits: ParseChain reads only a segment's
-// header, so Apply decodes every segment it takes and refuses one with a
-// position at or past nbits, whether it would append it to the held chain
-// or replace that chain; what is held stays as it was.
-func TestApplyRefusesPositionPastNbits(t *testing.T) {
-	pc, err := ParseChain(hostileChains(t)["position past nbits"])
-	if err != nil {
-		t.Fatalf("ParseChain refused what it only reads the header of: %v", err)
-	}
-	held := Chain{Epoch: pc.Epoch, From: pc.From, Base: pc.Base}
-	if _, err := held.Apply(pc); err == nil {
-		t.Error("a based chain at the held base appended the segment")
-	}
-	if _, err := held.Apply(Chain{Epoch: pc.Epoch, From: pc.From, Segs: pc.Segs}); err == nil {
-		t.Error("a baseless chain appended the segment")
-	}
-	other := Chain{Epoch: pc.Epoch + 1, Base: pc.Base}
-	if _, err := other.Apply(pc); err == nil {
-		t.Error("a based chain of another epoch replaced the held one")
-	}
-	if _, err := Decompress(held.Encode()); err != nil {
-		t.Fatalf("the held chain no longer decodes: %v", err)
 	}
 }
 

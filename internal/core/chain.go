@@ -132,7 +132,7 @@ func foldChain(c bloom.Chain) (bloom.Chain, error) { return c.Fold(len(c.Base) /
 // anti-entropy summary (N/aeEvery). The newest half of the table must hold
 // N/2·(2A + N/10) entries: ≈ 60 k at N = 1024 and A = 8, so 2^17. At
 // ≈ 40 B an entry that is ≈ 5 MB at its worst, reached only when every
-// pair of a thousand members churns; a 4-member community holds 16.
+// pair of a thousand members churns; a 4-member community holds at most 16.
 const heldMax = 1 << 17
 
 // heldKey names one record as one target holds it.
@@ -144,7 +144,7 @@ type heldKey struct{ to, peer directory.PeerID }
 // records they send. It keeps two generations: when the newer holds
 // heldMax/2 entries, the older is dropped (counted in evicted) and the newer
 // takes its place, so the most recently learned half always stays. A
-// dropped entry costs one target at most one rejected gamble (stampPayloads).
+// dropped entry costs one target at most one rejected guess (stampPayloads).
 type heldTable struct {
 	mu       sync.Mutex
 	cur, old map[heldKey]heldVer

@@ -745,13 +745,13 @@ func (n *Node) receiveAESummary(from directory.PeerID, m *Message) {
 
 // Pull asks to for the records in need, through the node's one pull gate:
 // no pull leaves while another is in flight, and a reply (MsgRecords) opens
-// the gate again. It reports whether the pull was sent.
-func (n *Node) Pull(to directory.PeerID, need []directory.NeedEntry) bool {
+// the gate again.
+func (n *Node) Pull(to directory.PeerID, need []directory.NeedEntry) {
 	n.mu.Lock()
 	ok := n.tryStartPullLocked()
 	n.mu.Unlock()
 	if !ok {
-		return false
+		return
 	}
 	n.m.pullsSent.Inc()
 	if !n.sendOrSuspect(to, &Message{Type: MsgPull, From: n.id, Need: need}) {
@@ -760,9 +760,7 @@ func (n *Node) Pull(to directory.PeerID, need []directory.NeedEntry) bool {
 		n.mu.Lock()
 		n.pullInFlight = false
 		n.mu.Unlock()
-		return false
 	}
-	return true
 }
 
 // sendOrSuspect sends m, reporting success; the outcome feeds the target's
