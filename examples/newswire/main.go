@@ -4,6 +4,8 @@
 // terms go straight to the consistent-hashing brokers with a short
 // discard time — subscribers are notified moments after publication,
 // long before Bloom-filter gossip would have diffused the new content.
+// A snippet is a link: the story's id and the peer that holds it, which a
+// subscriber asks for the body (Peer.FetchDocument).
 package main
 
 import (

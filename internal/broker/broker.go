@@ -1,9 +1,10 @@
 // Package broker implements PlanetP's information brokerage service
 // (Section 4): an optional, best-effort publish/locate layer used to make
 // brand-new content findable before Bloom-filter gossip catches up.
-// Information is published as an XML snippet with a set of associated keys
-// and a discard time; the network of brokers partitions the key space with
-// consistent hashing; snippets are discarded when their time expires. The
+// Information is published as a snippet — a link to a document: its id
+// and owner — with a set of associated keys and a discard time; the
+// network of brokers partitions the key space with consistent hashing;
+// snippets are discarded when their time expires. The
 // service makes no durability guarantee — if a broker leaves abruptly, its
 // snippets are lost (the paper's explicit design point).
 //
@@ -20,14 +21,15 @@ import (
 	"planetp/internal/metrics"
 )
 
-// Snippet is a published unit: an XML fragment advertised under keys.
+// Snippet is a published unit: a link to a document, advertised under
+// keys. A consumer that wants the body fetches it from Owner by ID.
 type Snippet struct {
-	// ID identifies the snippet (typically the content hash of XML).
+	// ID identifies the document (its content hash).
 	ID string
-	// Owner is the publishing peer (so a consumer can fetch the full
-	// document from its holder).
+	// Owner is the publishing peer, which serves the body.
 	Owner int32
-	// XML is the published fragment.
+	// XML is an optional body. The node never sets it, and a broker
+	// stores and serves whatever a put carried.
 	XML string
 	// Keys are the terms the snippet is advertised under.
 	Keys []string

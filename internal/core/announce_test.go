@@ -16,6 +16,7 @@ import (
 	"planetp/internal/chash"
 	"planetp/internal/directory"
 	"planetp/internal/gossip"
+	"planetp/internal/search"
 	"planetp/internal/text"
 	"planetp/internal/transport"
 )
@@ -208,7 +209,8 @@ func brokerCorpus(n int) []string {
 }
 
 // brokerContents is what every broker of a community holds, drained:
-// broker → key → the snippets filed there, as sorted "id owner keys" lines.
+// broker → key → the snippets filed there, as sorted "id owner keys
+// body-length" lines.
 func brokerContents(peers []*Peer) map[directory.PeerID]map[string][]string {
 	out := make(map[directory.PeerID]map[string][]string)
 	for _, p := range peers {
@@ -229,8 +231,9 @@ func brokerContents(peers []*Peer) map[directory.PeerID]map[string][]string {
 
 // perKeyContents is the reference routing rule — one put per key to the
 // key's ring successor, the whole of what the one-RPC-per-key publish did —
-// applied to xmls published at p, in brokerContents' form. skip names a
-// broker whose puts are lost (None for none).
+// applied to xmls published at p, in brokerContents' form. Each snippet is
+// a link, so its body length is 0. skip names a broker whose puts are lost
+// (None for none).
 func perKeyContents(p *Peer, xmls []string, skip directory.PeerID) map[directory.PeerID]map[string][]string {
 	ring := p.brokerRing()
 	out := make(map[directory.PeerID]map[string][]string)
@@ -246,7 +249,7 @@ func perKeyContents(p *Peer, xmls []string, skip directory.PeerID) map[directory
 			if out[owner] == nil {
 				out[owner] = make(map[string][]string)
 			}
-			out[owner][key] = append(out[owner][key], fmt.Sprint(ad.doc.ID, int32(p.id), keys, len(xml)))
+			out[owner][key] = append(out[owner][key], fmt.Sprint(ad.doc.ID, int32(p.id), keys, 0))
 		}
 	}
 	for _, byKey := range out {
@@ -259,7 +262,7 @@ func perKeyContents(p *Peer, xmls []string, skip directory.PeerID) map[directory
 
 // TestBrokerPublishMatchesPerKeyRouting: Publish (a batch of one) and
 // PublishBatch leave every broker holding exactly what one put per key
-// would have.
+// would have: a link to each document, with no body.
 func TestBrokerPublishMatchesPerKeyRouting(t *testing.T) {
 	xmls := brokerCorpus(24)
 	for name, publish := range map[string]func(p *Peer){
@@ -290,7 +293,7 @@ func TestBrokerPublishMatchesPerKeyRouting(t *testing.T) {
 
 // TestBrokerSnippetCrossesWireOncePerBroker: a snippet with several keys at
 // one remote broker is sent there once, not once per key, and BrokerGet
-// returns it under each of them.
+// returns it under each of them — as a link, with no body.
 func TestBrokerSnippetCrossesWireOncePerBroker(t *testing.T) {
 	peers := quietCommunity(t, 2, 1.0)
 	p, q := peers[0], peers[1]
@@ -308,17 +311,122 @@ func TestBrokerSnippetCrossesWireOncePerBroker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One put per key carried the body once per key.
-	perKey := int64(len(remote) * len(xml))
-	if got := sent() - before; got < int64(len(xml)) || got >= 2*int64(len(xml)) {
-		t.Fatalf("%d keys at one broker cost %d bytes on the wire for a %d-byte body (per-key puts: over %d)",
-			len(remote), got, len(xml), perKey)
-	}
+	got := sent() - before
+	var sn broker.Snippet
 	for _, key := range remote {
 		sns, err := p.tp.BrokerGet(q.id, key)
-		if err != nil || len(sns) != 1 || sns[0].ID != d.ID || sns[0].XML != xml {
-			t.Fatalf("BrokerGet(%q) = %d snippets, err %v", key, len(sns), err)
+		if err != nil || len(sns) != 1 || sns[0].ID != d.ID || sns[0].Owner != int32(p.id) || sns[0].XML != "" {
+			t.Fatalf("BrokerGet(%q) = %+v, err %v; want one link to %s", key, sns, err, d.ID)
 		}
+		sn = sns[0]
+	}
+	// The frame holds the snippet (its id and keys) and the keys it is
+	// filed under there; a second copy of the snippet, which one put per
+	// key would add, costs at least the snippet again.
+	snippet := len(sn.ID)
+	for _, k := range sn.Keys {
+		snippet += len(k)
+	}
+	once := snippet
+	for _, k := range remote {
+		once += len(k)
+	}
+	if got < int64(once) || got >= int64(once+snippet) {
+		t.Fatalf("%d keys at one broker cost %d bytes on the wire; one copy of the snippet is %d, each more copy %d",
+			len(remote), got, once, snippet)
+	}
+}
+
+// TestBrokerPutBytesIndependentOfBody: a put carries a link, so what a
+// publish sends a remote broker does not grow with the document. A document
+// under 100 bytes and one over 12 kilobytes, filed under the same keys,
+// cost the same put bytes, up to the varints of their frames.
+func TestBrokerPutBytesIndependentOfBody(t *testing.T) {
+	peers := quietCommunity(t, 2, 1.0)
+	p, q := peers[0], peers[1]
+	words := "osprey falcon kestrel harrier merlin goshawk buzzard condor heron egret "
+	small := `<doc>` + words + `</doc>`
+	large := `<doc>` + strings.Repeat(words, 168) + `</doc>`
+	if len(small) > 100 || len(large) < 12000 {
+		t.Fatalf("documents of %d and %d bytes; the test needs ≤ 100 and ≥ 12 000", len(small), len(large))
+	}
+	remote := perKeyContents(p, []string{small}, directory.None)[q.id]
+	if len(remote) == 0 {
+		t.Fatal("no key of the document maps to the remote broker; the test needs one")
+	}
+	sent := func() int64 { return p.reg.Snapshot().Counters["transport_tx_bytes_broker_put"] }
+	var cost [2]int64
+	for i, xml := range []string{small, large} {
+		before := sent()
+		mustPublish(t, p, xml)
+		cost[i] = sent() - before
+	}
+	if cost[0] == 0 || cost[1]-cost[0] > 16 || cost[0]-cost[1] > 16 {
+		t.Fatalf("broker puts cost %d bytes for a %d-byte document and %d for a %d-byte one; want equal within 16",
+			cost[0], len(small), cost[1], len(large))
+	}
+}
+
+// TestBrokerNotifyFetchesBodyFromOwner: a subscriber notified through a
+// remote broker learns the document's id and owner, and fetching the body
+// from that owner returns what was published.
+func TestBrokerNotifyFetchesBodyFromOwner(t *testing.T) {
+	peers := quietCommunity(t, 3, 1.0)
+	pub, brk, sub := peers[0], peers[1], peers[2]
+	xml := `<doc><title>sighting</title>osprey falcon kestrel harrier merlin goshawk buzzard condor heron egret</doc>`
+	var watched string
+	for key := range perKeyContents(pub, []string{xml}, directory.None)[brk.id] {
+		if watched == "" || key < watched {
+			watched = key
+		}
+	}
+	if watched == "" {
+		t.Fatal("peer 1 brokers none of the document's keys; the test needs one")
+	}
+	got := make(chan search.DocResult, 16)
+	cancel := sub.PostPersistentQuery(watched, func(res search.DocResult) { got <- res })
+	defer cancel()
+	d, err := pub.Publish(xml)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case res := <-got:
+		if res.Key != d.ID || res.Peer != pub.id {
+			t.Fatalf("notified of %s at peer %d, want %s at %d", res.Key, res.Peer, d.ID, pub.id)
+		}
+		body, err := sub.FetchDocument(res.Peer, res.Key)
+		if err != nil || body != xml {
+			t.Fatalf("FetchDocument(%d, %s) = %q, %v; want the published body", res.Peer, res.Key, body, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no notification reached the subscriber")
+	}
+}
+
+// TestBrokerServesBodyCarryingPut: a put whose snippet carries a body —
+// what a node that files whole documents sends — still decodes, is stored
+// with its body, is served by BrokerGet, and is found by SearchAll.
+func TestBrokerServesBodyCarryingPut(t *testing.T) {
+	peers := quietCommunity(t, 3, 1.0)
+	pub, brk, searcher := peers[0], peers[1], peers[2]
+	var key string
+	for i := 0; key == ""; i++ {
+		if _, owner, _ := pub.brokerRing().Successor(chash.Hash(fmt.Sprint("osprey", i))); owner == brk.id {
+			key = fmt.Sprint("osprey", i)
+		}
+	}
+	sn := broker.Snippet{ID: "osprey-doc", Owner: int32(pub.id), XML: "<doc>" + key + " sighting</doc>", Keys: []string{key}}
+	if err := pub.tp.BrokerPutBatch(brk.id, []transport.KeyedSnippet{{Snippet: sn, Keys: sn.Keys}}, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	sns, err := searcher.tp.BrokerGet(brk.id, key)
+	if err != nil || len(sns) != 1 || !reflect.DeepEqual(sns[0], sn) {
+		t.Fatalf("BrokerGet(%q) = %+v, %v; want the stored snippet %+v", key, sns, err, sn)
+	}
+	docs := searcher.SearchAll(key)
+	if len(docs) != 1 || docs[0].Key != sn.ID || docs[0].Peer != pub.id {
+		t.Fatalf("SearchAll(%q) = %+v; want the brokered snippet", key, docs)
 	}
 }
 

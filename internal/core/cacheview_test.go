@@ -320,6 +320,68 @@ func TestSweepMatchesPerPeerProbes(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSweepFollowsDirectoryGeneration: the view reads the directory's
+// on-line columns once per generation. Sweeps over an unchanged directory
+// share one read, and a sweep after an Upsert, an off-line and on-line
+// flip, or a DropDead sees the change, row for row and cell for cell.
+func TestSweepFollowsDirectoryGeneration(t *testing.T) {
+	p, err := NewPeer(Config{ID: 0, Capacity: 16, Gossip: fastGossip()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	mustPublish(t, p, `<d>alpha self</d>`)
+	vocab := []string{"alpha", "bravo", "charlie", "self"}
+	ds := bloom.MakeDigests(vocab)
+	upsert := func(id directory.PeerID, seq uint32, terms ...string) {
+		pay := cachePayload(terms...)
+		p.dir.Upsert(directory.Record{ID: id, Ver: directory.Version{Epoch: 1, Seq: seq}, Payload: pay, PayloadSize: int32(len(pay))})
+	}
+	upsert(1, 1, "alpha")
+	upsert(2, 1, "bravo")
+	upsert(3, 1, "charlie")
+
+	check := func(when string) []directory.PeerID {
+		t.Helper()
+		peers, hits := p.view.Sweep(ds)
+		if want := p.dir.OnlineIDs(); !slices.Equal(peers, want) {
+			t.Fatalf("%s: Sweep peers %v, want the on-line ids %v", when, peers, want)
+		}
+		for r, id := range peers {
+			for i, term := range vocab {
+				if got, want := hits[r*len(ds)+i], p.view.Contains(id, term); got != want {
+					t.Fatalf("%s: peer %d %q: sweep %v, Contains %v", when, id, term, got, want)
+				}
+			}
+		}
+		return peers
+	}
+	first := check("initial")
+	if again := check("repeat"); &again[0] != &first[0] {
+		t.Fatal("a sweep over an unchanged directory read its columns again")
+	}
+	upsert(4, 1, "alpha", "bravo")
+	upsert(1, 2, "charlie")
+	if peers := check("after upserts"); !slices.Contains(peers, 4) {
+		t.Fatal("the new peer is missing")
+	}
+	p.dir.MarkOffline(2, time.Second)
+	if peers := check("after an off-line flip"); slices.Contains(peers, 2) {
+		t.Fatal("the off-line peer is still swept")
+	}
+	p.dir.MarkOnline(2)
+	if peers := check("after an on-line flip"); !slices.Contains(peers, 2) {
+		t.Fatal("the peer back on-line is missing")
+	}
+	p.dir.MarkOffline(3, time.Second)
+	if dropped := p.dir.DropDead(time.Second, time.Minute); !slices.Equal(dropped, []directory.PeerID{3}) {
+		t.Fatalf("DropDead = %v, want [3]", dropped)
+	}
+	if peers := check("after DropDead"); slices.Contains(peers, 3) {
+		t.Fatal("the dropped peer is still swept")
+	}
+}
+
 // TestViewCacheConcurrentChurn races the query fast path (IPF ranking +
 // single and batched digest probes through the filter cache) against
 // directory churn: version bumps, off-line flips, and T_Dead drops. Run

@@ -328,10 +328,12 @@ func (p *Peer) PublishBatch(xmls []string) ([]*doc.Document, error) {
 		if discard <= 0 {
 			discard = 10 * time.Minute
 		}
+		// A brokered snippet is a link: every consumer fetches the body
+		// from Owner, so shipping it to each broker buys nothing.
 		sns := make([]broker.Snippet, len(fresh))
 		for i, ad := range fresh {
 			keys := topTerms(ad.freqs, p.cfg.BrokerTopFrac)
-			sns[i] = broker.Snippet{ID: ad.doc.ID, Owner: int32(p.id), XML: ad.doc.Raw, Keys: keys}
+			sns[i] = broker.Snippet{ID: ad.doc.ID, Owner: int32(p.id), Keys: keys}
 		}
 		p.brokerPublish(sns, discard)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"planetp/internal/bloom"
@@ -27,6 +28,7 @@ import (
 type dirView struct {
 	p     *Peer
 	cache *filtercache.Cache
+	snap  atomic.Pointer[sweepCols]
 }
 
 // dirSource feeds the filter cache from the directory's compressed
@@ -54,41 +56,50 @@ func (v *dirView) Contains(id directory.PeerID, term string) bool {
 	return v.cache.ContainsDigest(id, d)
 }
 
-// sweepCols are a sweep's version and payload columns, recycled through
-// sweepPool: only the ids and the hit matrix leave with the result, and a
-// thousand-peer sweep would otherwise allocate 32 KB a query.
+// sweepCols is one directory generation's on-line columns, shared
+// read-only by every sweep until the generation moves: a directory that
+// does not change is read once, not once a query.
 type sweepCols struct {
+	gen      uint64
+	ids      []directory.PeerID
 	vers     []directory.Version
-	payloads [][]byte
+	payloads [][]byte // the self row nil: its filter lives in the summary
+	self     int      // the self row's index, or -1
 }
 
-var sweepPool = sync.Pool{New: func() any { return new(sweepCols) }}
+// cols returns the columns of the directory's current generation,
+// reading them again only when the generation has moved.
+func (v *dirView) cols() *sweepCols {
+	c := v.snap.Load()
+	if c != nil && c.gen == v.p.dir.Generation() {
+		return c
+	}
+	gen, ids, vers, payloads := v.p.dir.OnlinePayloads()
+	c = &sweepCols{gen: gen, ids: ids, vers: vers, payloads: payloads, self: slices.Index(ids, v.p.id)}
+	if c.self >= 0 {
+		payloads[c.self] = nil // not shared yet
+	}
+	v.snap.Store(c)
+	return c
+}
 
 // Sweep implements search.SweepView: the on-line peers, versions and
-// payloads come from one directory read, every remote row from one cache
-// sweep, and the self row — its filter lives in the summary, not the
-// directory — from one p.mu hold (DESIGN §4f).
+// payloads come from one directory read per generation, every remote row
+// from one cache sweep, and the self row — its filter lives in the
+// summary, not the directory — from one p.mu hold (DESIGN §4f).
 func (v *dirView) Sweep(ds []bloom.Digest) ([]directory.PeerID, []bool) {
-	cols := sweepPool.Get().(*sweepCols)
-	ids, vers, payloads := v.p.dir.OnlinePayloads(nil, cols.vers[:0], cols.payloads[:0])
-	self := slices.Index(ids, v.p.id)
-	if self >= 0 {
-		payloads[self] = nil
-	}
-	hits := make([]bool, len(ids)*len(ds))
-	v.cache.Sweep(ids, vers, payloads, ds, hits)
-	clear(payloads) // a pooled column must not keep superseded filters alive
-	cols.vers, cols.payloads = vers, payloads
-	sweepPool.Put(cols)
-	if self >= 0 {
+	c := v.cols()
+	hits := make([]bool, len(c.ids)*len(ds))
+	v.cache.Sweep(c.ids, c.vers, c.payloads, ds, hits)
+	if c.self >= 0 {
 		v.p.mu.Lock()
 		defer v.p.mu.Unlock()
 		f := v.p.summary.Filter()
 		for i, d := range ds {
-			hits[self*len(ds)+i] = f.ContainsDigest(d)
+			hits[c.self*len(ds)+i] = f.ContainsDigest(d)
 		}
 	}
-	return ids, hits
+	return c.ids, hits
 }
 
 // fetcher adapts the transport to search.Fetcher.

@@ -22,7 +22,6 @@ package directory
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -646,16 +645,17 @@ func (d *Directory) OnlineIDs() []PeerID {
 	return out
 }
 
-// OnlinePayloads appends to ids, vers and payloads what OnlineIDs returns
-// with each id's record version and compressed Bloom filter (nil when it
-// carries none), all read under one lock hold: a query's sweep reads its N
-// and every filter from the same state.
-func (d *Directory) OnlinePayloads(ids []PeerID, vers []Version, payloads [][]byte) ([]PeerID, []Version, [][]byte) {
+// OnlinePayloads returns what OnlineIDs returns with each id's record
+// version and compressed Bloom filter (nil when it carries none), and the
+// generation they were read at, all under one lock hold: a query's sweep
+// reads its N and every filter from the same state, and a snapshot of the
+// columns is never labelled newer than its contents.
+func (d *Directory) OnlinePayloads() (gen uint64, ids []PeerID, vers []Version, payloads [][]byte) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	ids = slices.Grow(ids, d.nOnline)
-	vers = slices.Grow(vers, d.nOnline)
-	payloads = slices.Grow(payloads, d.nOnline)
+	ids = make([]PeerID, 0, d.nOnline)
+	vers = make([]Version, 0, d.nOnline)
+	payloads = make([][]byte, 0, d.nOnline)
 	for id := range d.flags {
 		if d.flags[id]&(flagKnown|flagOnline) == flagKnown|flagOnline {
 			var payload []byte
@@ -667,7 +667,7 @@ func (d *Directory) OnlinePayloads(ids []PeerID, vers []Version, payloads [][]by
 			payloads = append(payloads, payload)
 		}
 	}
-	return ids, vers, payloads
+	return d.gen.Load(), ids, vers, payloads
 }
 
 // SampleOnline returns a uniformly random sample of at most max

@@ -287,7 +287,10 @@ func TestOnlinePayloadsIsOnePerPeerRead(t *testing.T) {
 	d.Upsert(Record{ID: 5, Ver: Version{Epoch: 2, Seq: 1}, Payload: []byte{5}})
 	d.Upsert(Record{ID: 6, Ver: Version{Epoch: 1, Seq: 1}, Payload: []byte{6}})
 	d.MarkOffline(6, 0)
-	ids, vers, payloads := d.OnlinePayloads(nil, nil, nil)
+	gen, ids, vers, payloads := d.OnlinePayloads()
+	if gen != d.Generation() {
+		t.Fatalf("OnlinePayloads read at generation %d, the directory is at %d", gen, d.Generation())
+	}
 	want := d.OnlineIDs()
 	if len(ids) != len(want) || len(vers) != len(ids) || len(payloads) != len(ids) {
 		t.Fatalf("OnlinePayloads = %v, %v, %v; OnlineIDs = %v", ids, vers, payloads, want)

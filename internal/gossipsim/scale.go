@@ -190,7 +190,7 @@ func DirectoryScale(sc Scenario, spec ScaleSpec) ScalePoint {
 	// cache at once.
 	sweep := func() time.Duration {
 		start := time.Now()
-		ids, vers, payloads := d.OnlinePayloads(nil, nil, nil)
+		_, ids, vers, payloads := d.OnlinePayloads()
 		cache.Sweep(ids, vers, payloads, digests, make([]bool, len(ids)*len(digests)))
 		return time.Since(start)
 	}

@@ -42,7 +42,8 @@ type SweepView interface {
 	FilterView
 	// Sweep returns the searchable peers and a len(peers) x len(ds) hit
 	// matrix: hits[p*len(ds)+i] reports whether peers[p]'s filter may
-	// contain the key ds[i] summarizes.
+	// contain the key ds[i] summarizes. peers may be shared with other
+	// sweeps; the caller only reads it.
 	Sweep(ds []bloom.Digest) (peers []directory.PeerID, hits []bool)
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's pre-merge gate: vet, build, and race-enabled
 # tests for every package, repeats of the concurrent ones, the
-# live-cluster smokes and a fuzz smoke. Run from anywhere inside the repo.
+# live-cluster smokes, the benchmark's workloads at a short window and a
+# fuzz smoke. Run from anywhere inside the repo.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -298,6 +299,17 @@ echo "   replication smoke OK"
 # whose numbers are simulated; the program fails if they do not repeat.
 echo "== benchmark determinism (bench/run.sh -workload gossip_sim -repeat 2)"
 bash bench/run.sh -workload gossip_sim -repeat 2 >/dev/null
+
+# The benchmark's own command over every workload, with a short window: a
+# failed op, a failed durability check or a node that does not stop fails
+# the run, which the smoke scale of bench's TestSmoke does not reach.
+echo "== full benchmark, every workload (bench/run.sh -seconds 1)"
+bash bench/run.sh -seconds 1 >"$tmp/planetp-bench.out" || {
+	cat "$tmp/planetp-bench.out"
+	echo "bench/run.sh exited non-zero" >&2
+	exit 1
+}
+rm -f "$tmp/planetp-bench.out"
 
 # Fuzz smoke: run every fuzz target briefly. The targets are listed per
 # package (`go test -list`), so a new one is fuzzed without editing this
