@@ -307,7 +307,10 @@ func (p *Peer) stampPayloads(to directory.PeerID, recs []directory.Record) {
 // holder is behind replaces it. A record whose chain cannot apply is
 // stripped — neither applied nor acked, so the sender never records a
 // version this peer lacks — and pulled from the sender with Have set to
-// what is held, unless a pull is already in flight.
+// what is held, unless a pull is already in flight. A sender this peer has
+// no record of can be reached only at the address its own stripped record
+// gives (a joiner that published before its first rumor sends the segments
+// since its base), so that address is kept for the pull and the replies.
 func (p *Peer) resolveIncoming(from directory.PeerID, m *gossip.Message) {
 	if m.Type != gossip.MsgRumor && m.Type != gossip.MsgRecords {
 		return
@@ -316,7 +319,11 @@ func (p *Peer) resolveIncoming(from directory.PeerID, m *gossip.Message) {
 	kept := 0
 	for i := range m.Updates {
 		if have, ok := p.resolve(&m.Updates[i]); !ok {
-			need = append(need, directory.NeedEntry{ID: m.Updates[i].ID, Have: have})
+			rec := &m.Updates[i]
+			need = append(need, directory.NeedEntry{ID: rec.ID, Have: have})
+			if rec.ID == from && rec.Addr != "" && from >= 0 && int(from) < p.dir.Capacity() {
+				p.strays.Store(from, rec.Addr)
+			}
 			continue
 		}
 		m.Updates[kept] = m.Updates[i]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"planetp/internal/bloom"
 	"planetp/internal/directory"
@@ -338,5 +339,44 @@ func TestUnknownHoldingsGetSegmentsSinceBase(t *testing.T) {
 		if ver != p.node.SelfRecord().Ver || !got.Equal(ownFilter(p)) {
 			t.Fatalf("peer %d holds %v, not p's filter at %v", c.to.id, ver, p.node.SelfRecord().Ver)
 		}
+	}
+}
+
+// TestJoinerPublishingBeforeItsFirstRumorIsAdmitted: a joiner that publishes
+// before its first gossip round rumors its own record to a seed that has
+// never heard of it, with the segments since its base. The seed cannot
+// apply them and pulls the full chain from the sender — which it can reach
+// only through the address the rejected record carried — and then holds
+// the joiner's record and filter.
+func TestJoinerPublishingBeforeItsFirstRumorIsAdmitted(t *testing.T) {
+	var peers []*Peer
+	for i := 0; i < 2; i++ {
+		p, err := NewPeer(Config{ID: directory.PeerID(i), Capacity: 2, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Stop)
+		peers = append(peers, p)
+	}
+	seed, joiner := peers[0], peers[1]
+	joiner.dir.Upsert(seed.node.OutgoingSelf()) // what Join fetches
+	joiner.node.Quiesce()                       // its next tick pushes rumors
+	mustPublish(t, joiner, manyWords("early", 400))
+	joiner.ownChain() // a record leaving folds the chain
+	mustPublish(t, joiner, `<doc>published before the first round</doc>`)
+	if c := joiner.ownChain(); c.From == 0 || len(c.Segs) != 1 {
+		t.Fatalf("the joiner's chain runs from %d with %d segments; the test needs a base and one segment", c.From, len(c.Segs))
+	}
+	joiner.node.Tick()
+	if seed.reg.Snapshot().Get("gossip_diff_rejects_total") == 0 {
+		t.Fatal("the seed applied the joiner's first rumor; the test needs it rejected")
+	}
+	want := joiner.node.SelfRecord().Ver
+	deadline := time.Now().Add(5 * time.Second)
+	for seed.dir.VersionOf(joiner.id) != want || !seed.view.Contains(joiner.id, "round") {
+		if time.Now().After(deadline) {
+			t.Fatalf("the seed holds the joiner at %v, want %v with its filter", seed.dir.VersionOf(joiner.id), want)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

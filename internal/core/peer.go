@@ -139,10 +139,14 @@ type Peer struct {
 
 	// The gossiped filter as a chain (chain.go): announceMu orders each
 	// announce's flush, segment and version bump, and a Compact's restart;
-	// own is the segment log; held is what each target holds.
+	// own is the segment log; held is what each target holds; strays
+	// holds the addresses senders gave in their own records that did not
+	// apply here, dialled only where the directory has none
+	// (resolveIncoming).
 	announceMu sync.Mutex
 	own        ownLog
 	held       heldTable
+	strays     sync.Map // directory.PeerID -> string
 	cm         chainMetrics
 
 	// Durable state (nil/zero unless Config.DataDir is set).
@@ -396,13 +400,17 @@ func (p *Peer) Join(seedAddr string) error {
 	return nil
 }
 
-// resolveAddr maps a peer id to its gossiped address.
+// resolveAddr maps a peer id to its gossiped address, or else to the
+// address its own rejected record gave.
 func (p *Peer) resolveAddr(id directory.PeerID) (string, bool) {
-	rec, ok := p.dir.Get(id)
-	if !ok || rec.Addr == "" {
+	if rec, ok := p.dir.Get(id); ok && rec.Addr != "" {
+		return rec.Addr, true
+	}
+	addr, ok := p.strays.Load(id)
+	if !ok {
 		return "", false
 	}
-	return rec.Addr, true
+	return addr.(string), true
 }
 
 // onNews reacts to fresh gossip: persistent queries re-evaluate against
