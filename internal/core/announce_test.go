@@ -320,17 +320,15 @@ func TestBrokerSnippetCrossesWireOncePerBroker(t *testing.T) {
 		}
 		sn = sns[0]
 	}
-	// The frame holds the snippet (its id and keys) and the keys it is
-	// filed under there; a second copy of the snippet, which one put per
-	// key would add, costs at least the snippet again.
-	snippet := len(sn.ID)
+	// The frame holds the snippet (its id, which crosses as the 16 bytes
+	// its 32 hex characters spell, and its keys) and one index byte for
+	// each key it is filed under there; a second copy of the snippet,
+	// which one put per key would add, costs at least the snippet again.
+	snippet := len(sn.ID) / 2
 	for _, k := range sn.Keys {
 		snippet += len(k)
 	}
-	once := snippet
-	for _, k := range remote {
-		once += len(k)
-	}
+	once := snippet + len(remote)
 	if got < int64(once) || got >= int64(once+snippet) {
 		t.Fatalf("%d keys at one broker cost %d bytes on the wire; one copy of the snippet is %d, each more copy %d",
 			len(remote), got, once, snippet)

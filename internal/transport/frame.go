@@ -2,13 +2,18 @@
 //
 //	[body length u32 big-endian][kind u8][flags u8][body]
 //
-// Flag bit 0 marks an error reply, whose body is Err alone; the other bits
-// must be zero, so a stream in another format fails on its first frame.
-// Each kind's body holds exactly the fields its sender sets and its
-// receiver reads (codec.body). Integers are zigzag varints, lengths plain
-// varints; strings and byte slices are length-prefixed; the gossip digest and
+// Flag bit 1 marks this format and is set on every frame; bit 0 marks an
+// error reply, whose body is Err alone. A frame without the mark, or with
+// any other bit set, is malformed, so a stream in another format fails on
+// its first frame rather than decoding a body it would misalign. Each
+// kind's body holds exactly the fields its sender sets and its receiver
+// reads (codec.body). Integers are zigzag varints, lengths plain varints;
+// strings and byte slices are length-prefixed; the gossip digest and
 // floats take 8 fixed bytes; an optional pointer is a presence byte, then
-// the value.
+// the value. A field naming a document is a key (codec.key): an id in
+// lowercase hex, as doc.HashID spells one, travels as its bytes. A broker
+// put names the keys it files a snippet under by their indexes into the
+// snippet's own keys (codec.filed).
 //
 // Decoding trusts nothing: a header claiming more than maxFrameBody ends
 // the stream before its body is read, the body buffer grows only as bytes
@@ -19,10 +24,12 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
 	"slices"
+	"strings"
 
 	"planetp/internal/broker"
 	"planetp/internal/directory"
@@ -35,6 +42,8 @@ const (
 	frameHeader = 6
 	// flagErr marks an error reply.
 	flagErr = 1 << 0
+	// flagFormat marks every frame of this format.
+	flagFormat = 1 << 1
 	// maxFrameBody bounds a frame's body. It sits above the largest frame
 	// the protocol sends: live anti-entropy pulls are unbatched, and a pull
 	// of every record of a 1024-peer community, each carrying the paper's
@@ -74,15 +83,15 @@ func (f *frameConn) writeFrame(env *Envelope) error {
 }
 
 // readFrame reads the next frame into env, which it overwrites. A header
-// claiming more than maxFrameBody or setting a reserved flag is an error
-// before any of its body is read.
+// claiming more than maxFrameBody, lacking the format mark or setting a
+// reserved flag is an error before any of its body is read.
 func (f *frameConn) readFrame(env *Envelope) error {
 	hdr, err := f.br.Peek(frameHeader)
 	if err != nil {
 		return err
 	}
 	size, kind, flags := binary.BigEndian.Uint32(hdr), Kind(hdr[4]), hdr[5]
-	if size > maxFrameBody || flags&^flagErr != 0 {
+	if size > maxFrameBody || flags&^flagErr != flagFormat {
 		return errFrame
 	}
 	_, _ = f.br.Discard(frameHeader) // peeked: cannot fail
@@ -121,12 +130,12 @@ func keep(buf []byte) []byte {
 // appendFrame appends env's frame to b.
 func appendFrame(b []byte, env *Envelope) ([]byte, error) {
 	start := len(b)
-	var flags byte
+	flags := byte(flagFormat)
 	if env.Err != "" {
-		flags = flagErr
+		flags |= flagErr
 	}
 	c := codec{buf: append(b, 0, 0, 0, 0, byte(env.Kind), flags)}
-	if flags != 0 {
+	if flags&flagErr != 0 {
 		c.str(&env.Err)
 	} else {
 		c.body(env)
@@ -193,10 +202,12 @@ func (c *codec) body(env *Envelope) {
 		num(c, &env.Discard)
 		seq(c, &env.Puts, 5, func(p *KeyedSnippet) {
 			c.snippet(&p.Snippet)
-			seq(c, &p.Keys, 1, c.str)
+			seq(c, &p.Keys, 1, func(k *string) { c.filed(k, p.Snippet.Keys) })
 		})
-	case KindBrokerGet, KindGetDoc:
+	case KindBrokerGet:
 		c.str(&env.Key)
+	case KindGetDoc:
+		c.key(&env.Key)
 	case KindBrokerWatch:
 		num(c, &env.From)
 		seq(c, &env.Terms, 1, c.str)
@@ -208,12 +219,12 @@ func (c *codec) body(env *Envelope) {
 	case KindPeerExchange, KindHotDocs:
 		num(c, &env.K)
 	case KindReplicaPut:
-		c.str(&env.Key)
+		c.key(&env.Key)
 		c.str(&env.XML)
 		num(c, &env.Origin)
 		num(c, &env.Epoch)
 	case KindReplicaPurge:
-		c.str(&env.Key)
+		c.key(&env.Key)
 		num(c, &env.Origin)
 		num(c, &env.Epoch)
 	case KindQueryResp:
@@ -228,7 +239,7 @@ func (c *codec) body(env *Envelope) {
 	case KindProxyResp:
 		seq(c, &env.Scored, 11, func(s *search.ScoredDoc) {
 			num(c, &s.Peer)
-			c.str(&s.Key)
+			c.key(&s.Key)
 			num(c, &s.DocLen)
 			c.f64(&s.Score)
 		})
@@ -236,7 +247,7 @@ func (c *codec) body(env *Envelope) {
 		seq(c, &env.Records, 8, c.record)
 	case KindHotList:
 		seq(c, &env.Hot, 11, func(h *replica.HotDoc) {
-			c.str(&h.Key)
+			c.key(&h.Key)
 			num(c, &h.Origin)
 			num(c, &h.Epoch)
 			c.f64(&h.Score)
@@ -298,7 +309,7 @@ func (c *codec) rumorID(id *gossip.RumorID) {
 }
 
 func (c *codec) snippet(s *broker.Snippet) {
-	c.str(&s.ID)
+	c.key(&s.ID)
 	num(c, &s.Owner)
 	c.str(&s.XML)
 	seq(c, &s.Keys, 1, c.str)
@@ -307,8 +318,8 @@ func (c *codec) snippet(s *broker.Snippet) {
 // hits walks a query reply's rows: the column count, then each
 // document's key, |D| and one frequency a column. Every row has the first
 // one's width. Decoded rows share one array (nil rows when there are no
-// columns), and decoded keys are cut from one copy of the rows' bytes: a
-// reply's keys cost one allocation, not one each.
+// columns), and decoded keys are cut from one string, spelled out from the
+// rows' key bytes: a reply's keys cost one allocation, not one each.
 func (c *codec) hits(hs *[]search.Hit) {
 	var cols uint64
 	if len(*hs) > 0 {
@@ -321,11 +332,12 @@ func (c *codec) hits(hs *[]search.Hit) {
 	}
 	n := c.length(len(*hs), 2+int(cols))
 	var freqs []uint32
-	var rows string
+	var keys strings.Builder
 	if c.decode {
 		*hs = nil
 		if n > 0 {
-			*hs, rows = make([]search.Hit, n), string(c.buf)
+			*hs = make([]search.Hit, n)
+			keys.Grow(c.spelledKeys(n, int(cols)))
 		}
 		if n > 0 && cols > 0 {
 			freqs = make([]uint32, n*int(cols))
@@ -334,10 +346,12 @@ func (c *codec) hits(hs *[]search.Hit) {
 	for i := range *hs {
 		h := &(*hs)[i]
 		if !c.decode {
-			c.str(&h.Key)
-		} else if k := c.length(0, 1); c.take(k) != nil {
-			at := len(rows) - len(c.buf) - k
-			h.Key = rows[at : at+k]
+			c.key(&h.Key)
+		} else {
+			at := keys.Len()
+			raw, packed := c.keyBytes()
+			spell(&keys, raw, packed)
+			h.Key = keys.String()[at:]
 		}
 		num(c, &h.DocLen)
 		if c.decode {
@@ -356,6 +370,128 @@ func (c *codec) hits(hs *[]search.Hit) {
 			}
 		}
 	}
+}
+
+// spelledKeys reads ahead, on a copy of c, how many bytes the keys of the
+// next n rows of cols frequencies spell out to.
+func (c codec) spelledKeys(n, cols int) int {
+	total := 0
+	for range n {
+		total += spelled(c.keyBytes())
+		// Skip |D| and the frequencies: 1+cols varints, each ending at
+		// its first byte below 0x80.
+		for ends := 0; ends <= cols && len(c.buf) > 0; c.buf = c.buf[1:] {
+			if c.buf[0] < 0x80 {
+				ends++
+			}
+		}
+	}
+	return total
+}
+
+// key walks a string naming a document. One of even, non-zero length in
+// lowercase hex, as doc.HashID spells an id, travels packed: a length
+// prefix uvarint(len/2<<1 | 1), then the bytes it spells. Any other
+// string travels as uvarint(len<<1), then its own bytes. A decoded packed
+// key is spelled back in lowercase hex, so every key round-trips exactly.
+func (c *codec) key(v *string) {
+	if !c.decode {
+		c.putKey(*v)
+		return
+	}
+	raw, packed := c.keyBytes()
+	var sb strings.Builder
+	sb.Grow(spelled(raw, packed))
+	spell(&sb, raw, packed)
+	*v = sb.String()
+}
+
+// putKey appends s as a key, hex-decoding a packed one straight into buf.
+func (c *codec) putKey(s string) {
+	if len(s) > 0 && len(s)%2 == 0 {
+		if b, ok := appendUnhex(binary.AppendUvarint(c.buf, uint64(len(s)/2)<<1|1), s); ok {
+			c.buf = b
+			return
+		}
+	}
+	c.buf = binary.AppendUvarint(c.buf, uint64(len(s))<<1)
+	c.buf = append(c.buf, s...)
+}
+
+// appendUnhex appends to b the bytes that s, of even length, spells in
+// lowercase hex; it reports false at the first byte of s that is no such
+// digit.
+func appendUnhex(b []byte, s string) ([]byte, bool) {
+	for i := 0; i < len(s); i += 2 {
+		hi, lo := unhex[s[i]], unhex[s[i+1]]
+		if hi|lo > 0xf {
+			return b, false
+		}
+		b = append(b, hi<<4|lo)
+	}
+	return b, true
+}
+
+// unhex maps each lowercase hex digit to its value, every other byte to
+// 0xff.
+var unhex = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
+	}
+	for i, d := range "0123456789abcdef" {
+		t[d] = byte(i)
+	}
+	return t
+}()
+
+// keyBytes consumes a key's prefix and wire bytes, reporting whether they
+// are packed.
+func (c *codec) keyBytes() (raw []byte, packed bool) {
+	var x uint64
+	c.uvarint(&x)
+	if x>>1 > uint64(len(c.buf)) {
+		c.fail()
+		return nil, false
+	}
+	return c.take(int(x >> 1)), x&1 == 1
+}
+
+// spelled is the length of the string a key's wire bytes stand for.
+func spelled(raw []byte, packed bool) int {
+	if packed {
+		return 2 * len(raw)
+	}
+	return len(raw)
+}
+
+// spell writes a key's wire bytes to sb as the string they stand for.
+func spell(sb *strings.Builder, raw []byte, packed bool) {
+	if !packed {
+		sb.Write(raw)
+		return
+	}
+	var chunk [64]byte // spelled on the stack, whatever the key's length
+	for len(raw) > 0 {
+		n := hex.Encode(chunk[:], raw[:min(len(raw), len(chunk)/2)])
+		sb.Write(chunk[:n])
+		raw = raw[n/2:]
+	}
+}
+
+// filed walks a key a broker files a snippet under as its index into the
+// snippet's keys. Encoding fails a key that is not among them; a decoded
+// key shares the snippet's string.
+func (c *codec) filed(k *string, keys []string) {
+	var i uint64
+	if !c.decode {
+		i = uint64(slices.Index(keys, *k)) // -1 wraps past every index
+	}
+	c.uvarint(&i)
+	if i >= uint64(len(keys)) {
+		c.fail()
+		return
+	}
+	*k = keys[i]
 }
 
 // seq walks a slice: its length, then each element. min is the fewest

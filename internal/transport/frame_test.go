@@ -4,16 +4,20 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"planetp/internal/broker"
 	"planetp/internal/directory"
+	"planetp/internal/doc"
 	"planetp/internal/gossip"
 	"planetp/internal/metrics"
 	"planetp/internal/replica"
@@ -22,7 +26,8 @@ import (
 
 // everyKindFrames holds one envelope per Kind with every field that kind
 // carries populated, one KindGossip envelope per MsgType, and an error
-// reply.
+// reply. Fields naming documents hold ids as doc.HashID spells them, and
+// each kind carrying several also holds a key that is not hex.
 func everyKindFrames() []Envelope {
 	v := func(e, s uint32) directory.Version { return directory.Version{Epoch: e, Seq: s} }
 	recs := []directory.Record{
@@ -31,14 +36,15 @@ func everyKindFrames() []Envelope {
 		{ID: 0, Ver: v(1, 0), Addr: "h:1"},
 		{ID: 1 << 30, Ver: v(1<<32-1, 1<<32-1), Payload: []byte{0}},
 	}
-	sn := broker.Snippet{ID: "sn-1", Owner: -1, XML: "<doc>x</doc>", Keys: []string{"alpha", "beta"}}
+	id1, id2 := doc.HashID("<doc>one</doc>"), doc.HashID("<doc>two</doc>")
+	sn := broker.Snippet{ID: id1, Owner: -1, XML: "<doc>x</doc>", Keys: []string{"alpha", "beta", "gamma"}}
 	hits := []search.Hit{
-		{Key: "k1", DocLen: 40, Freqs: []uint32{3, 1, 0}},
+		{Key: id1, DocLen: 40, Freqs: []uint32{3, 1, 0}},
 		{Key: "k2", DocLen: 1, Freqs: []uint32{0, 1<<32 - 1, 200}},
-		{Key: "k3", DocLen: -2, Freqs: []uint32{0, 0, 0}},
+		{Key: id2, DocLen: -2, Freqs: []uint32{0, 0, 0}},
 	}
 	scored := []search.ScoredDoc{
-		{DocResult: search.DocResult{Peer: 2, Key: "k1", DocLen: 40}, Score: 1.25},
+		{DocResult: search.DocResult{Peer: 2, Key: id1, DocLen: 40}, Score: 1.25},
 		{DocResult: search.DocResult{Peer: -1, Key: "k3", DocLen: -2}, Score: -0.5},
 	}
 	rid := []gossip.RumorID{{Peer: 4, Ver: v(1, 2)}, {Peer: -1, Ver: v(0, 9)}}
@@ -53,11 +59,11 @@ func everyKindFrames() []Envelope {
 			Summary: []directory.Version{v(1, 1), {}, v(3, 0)}, NumKnown: 2, SummaryFrom: 4096, Next: -1}),
 		{Kind: KindGossip, From: 5},
 		{Kind: KindQuery, Terms: []string{"alpha", "beta", "gamma"}, All: true, K: 10, N: 1024, Nt: []int{3, 1 << 40, -1}},
-		{Kind: KindBrokerPut, Discard: 10 * time.Minute, Puts: []KeyedSnippet{{Snippet: sn, Keys: []string{"alpha"}}, {Snippet: broker.Snippet{ID: "s2"}}}},
+		{Kind: KindBrokerPut, Discard: 10 * time.Minute, Puts: []KeyedSnippet{{Snippet: sn, Keys: []string{"gamma", "alpha"}}, {Snippet: broker.Snippet{ID: "s2"}}}},
 		{Kind: KindBrokerGet, Key: "alpha"},
 		{Kind: KindBrokerWatch, From: 6, Terms: []string{"alpha", "beta"}},
 		{Kind: KindNotify, Snippet: &sn},
-		{Kind: KindGetDoc, Key: "k1"},
+		{Kind: KindGetDoc, Key: id1},
 		{Kind: KindRecord},
 		{Kind: KindProxySearch, Terms: []string{"alpha"}, K: 20},
 		{Kind: KindQueryResp, Hits: hits},
@@ -68,10 +74,10 @@ func everyKindFrames() []Envelope {
 		{Kind: KindProxyResp, Scored: scored},
 		{Kind: KindPeerExchange, K: MaxExchangeRecords},
 		{Kind: KindPeers, Records: recs[:2]},
-		{Kind: KindReplicaPut, Key: "k1", XML: "<doc/>", Origin: 3, Epoch: 1<<32 - 1},
-		{Kind: KindReplicaPurge, Key: "k1", Origin: 3, Epoch: 4},
+		{Kind: KindReplicaPut, Key: id1, XML: "<doc/>", Origin: 3, Epoch: 1<<32 - 1},
+		{Kind: KindReplicaPurge, Key: id2, Origin: 3, Epoch: 4},
 		{Kind: KindHotDocs, K: 8},
-		{Kind: KindHotList, Hot: []replica.HotDoc{{Key: "a", Origin: 7, Epoch: 1, Score: 3.5}, {Key: "b", Origin: -2, Score: 0}}},
+		{Kind: KindHotList, Hot: []replica.HotDoc{{Key: id1, Origin: 7, Epoch: 1, Score: 3.5}, {Key: "b", Origin: -2, Score: 0}}},
 		{Kind: KindAck},
 		{Kind: KindDoc, Err: "unknown kind"},
 	}
@@ -87,9 +93,9 @@ func hostileReplies() map[string][]byte {
 	}
 	uv := func(x uint64) []byte { return binary.AppendUvarint(nil, x) }
 	return map[string][]byte{
-		"rows 2^40":    frame(uv(1), uv(1<<40), []byte{1, 'k', 2, 1}),
-		"columns 1000": frame(uv(1000), uv(1), []byte{1, 'k', 2}, bytes.Repeat([]byte{1}, 20)),
-		"freq 2^33":    frame(uv(1), uv(1), []byte{1, 'k', 2}, uv(1<<33)),
+		"rows 2^40":    frame(uv(1), uv(1<<40), []byte{2, 'k', 2, 1}),
+		"columns 1000": frame(uv(1000), uv(1), []byte{2, 'k', 2}, bytes.Repeat([]byte{1}, 20)),
+		"freq 2^33":    frame(uv(1), uv(1), []byte{2, 'k', 2}, uv(1<<33)),
 	}
 }
 
@@ -166,7 +172,7 @@ func rawSession(t *testing.T, tb *Transport) (net.Conn, func() time.Duration) {
 
 // header builds a frame header claiming n body bytes.
 func header(n uint32, kind Kind) []byte {
-	return append(binary.BigEndian.AppendUint32(nil, n), byte(kind), 0)
+	return append(binary.BigEndian.AppendUint32(nil, n), byte(kind), flagFormat)
 }
 
 // A hostile peer's frame costs its victim what the peer sent, not what
@@ -264,7 +270,7 @@ func TestHostileRowsBounded(t *testing.T) {
 	if _, err := appendFrame(nil, &Envelope{Kind: KindQueryResp, Hits: uneven}); err == nil {
 		t.Fatal("rows of unequal width encoded")
 	}
-	honest := append(header(6, KindQueryResp), 1, 1, 1, 'k', 2, 1)
+	honest := append(header(6, KindQueryResp), 1, 1, 2, 'k', 2, 1)
 	if env, err := decodeFrame(honest); err != nil || !reflect.DeepEqual(env.Hits, []search.Hit{{Key: "k", DocLen: 1, Freqs: []uint32{1}}}) {
 		t.Fatalf("honest reply: %+v, %v", env.Hits, err)
 	}
@@ -327,10 +333,13 @@ func answering(t *testing.T, reply []byte) *Transport {
 // A frame from another format or a later version fails on its header; an
 // unknown kind's body is skipped.
 func TestFrameHeaderRejects(t *testing.T) {
-	if _, err := decodeFrame(append(header(0, KindAck)[:5], 2)); err == nil {
+	if _, err := decodeFrame(append(header(0, KindAck)[:5], flagFormat|1<<2)); err == nil {
 		t.Fatal("reserved flag bit accepted")
 	}
-	if _, err := decodeFrame(append(header(0, KindDoc)[:5], flagErr)); err == nil {
+	if _, err := decodeFrame(append(header(0, KindAck)[:5], 0)); err == nil {
+		t.Fatal("frame without the format mark accepted")
+	}
+	if _, err := decodeFrame(append(header(0, KindDoc)[:5], flagFormat|flagErr)); err == nil {
 		t.Fatal("error reply without a message accepted")
 	}
 	b := append(header(3, numKinds+7), 1, 2, 3)
@@ -342,5 +351,105 @@ func TestFrameHeaderRejects(t *testing.T) {
 	}
 	if err := f.readFrame(&env); err != nil || env.Kind != KindAck {
 		t.Fatalf("frame after a skipped body: %+v, %v", env, err)
+	}
+}
+
+// A document id in lowercase hex crosses the wire as its bytes: ten rows
+// keyed by doc.HashID ids cost exactly 16 bytes a row less than the same
+// rows keyed by 32 characters that are not lowercase hex.
+func TestHashIDKeysTravelPacked(t *testing.T) {
+	rows := func(spell func(string) string) []byte {
+		hits := make([]search.Hit, 10)
+		for i := range hits {
+			hits[i] = search.Hit{Key: spell(doc.HashID(fmt.Sprint(i))), DocLen: 80 + i, Freqs: []uint32{2, uint32(i)}}
+		}
+		b, err := appendFrame(nil, &Envelope{Kind: KindQueryResp, Hits: hits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env, err := decodeFrame(b); err != nil || !reflect.DeepEqual(env.Hits, hits) {
+			t.Fatalf("rows round trip: %v", err)
+		}
+		return b
+	}
+	packed, plain := rows(func(id string) string { return id }), rows(strings.ToUpper)
+	if d := len(plain) - len(packed); d != 160 {
+		t.Fatalf("10 hex-id rows are %d bytes, the same rows keyed by non-hex strings %d: %d less, want 160",
+			len(packed), len(plain), d)
+	}
+}
+
+// parentAccepts is the header rule of the format before keys were packed:
+// any flag but the error bit fails the frame.
+func parentAccepts(flags byte) bool { return flags&^1 == 0 }
+
+// Nodes of the format that spelled ids in hex and nodes of this one fail
+// each other's first frame instead of misreading it: a hex key of the old
+// format would otherwise read as a 16-byte packed key and shift every
+// field after it. Both directions are checked on a ranked reply and a
+// broker put built by hand in the old layout, and on every frame this
+// format sends.
+func TestOldFormatFramesRejected(t *testing.T) {
+	id := doc.HashID("<doc>one</doc>")
+	str := func(s string) []byte { return append(binary.AppendUvarint(nil, uint64(len(s))), s...) }
+	old := func(kind Kind, body ...[]byte) []byte {
+		b := slices.Concat(body...)
+		return append(append(binary.BigEndian.AppendUint32(nil, uint32(len(b))), byte(kind), 0), b...)
+	}
+	oldFrames := map[string][]byte{
+		// One column; one row: key, |D| 40 (zigzag 80), frequency 3.
+		"query_resp": old(KindQueryResp, []byte{1, 1}, str(id), []byte{80, 3}),
+		// Discard 0; one put: the snippet (id, owner 1, no body, keys alpha
+		// and beta), then its filed key beta by name.
+		"broker_put": old(KindBrokerPut, []byte{0, 1}, str(id), []byte{2}, str(""),
+			[]byte{2}, str("alpha"), str("beta"), []byte{1}, str("beta")),
+	}
+	for name, b := range oldFrames {
+		if !parentAccepts(b[5]) {
+			t.Fatalf("%s: the hand-built frame breaks the old header rule", name)
+		}
+		if env, err := decodeFrame(b); err == nil {
+			t.Fatalf("%s in the old format decoded: %+v", name, env)
+		}
+	}
+	for _, env := range everyKindFrames() {
+		b, err := appendFrame(nil, &env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parentAccepts(b[5]) {
+			t.Fatalf("%v: flags %#x pass the old header rule", env.Kind, b[5])
+		}
+	}
+}
+
+// A broker put names each filed key by its index into the snippet's keys:
+// a decoded filed key is the snippet's own string, an index past them
+// fails the frame, and a key outside them fails to encode.
+func TestFiledKeysAreIndexes(t *testing.T) {
+	sn := broker.Snippet{ID: doc.HashID("x"), Keys: []string{"alpha", "beta", "gamma"}}
+	env := Envelope{Kind: KindBrokerPut, Puts: []KeyedSnippet{{Snippet: sn, Keys: []string{"gamma", "alpha"}}}}
+	b, err := appendFrame(nil, &env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail := b[len(b)-3:]; !bytes.Equal(tail, []byte{2, 2, 0}) {
+		t.Fatalf("filed keys encode as %v, want count 2 then indexes 2 and 0", tail)
+	}
+	got, err := decodeFrame(b)
+	if err != nil || !reflect.DeepEqual(got, env) {
+		t.Fatalf("put round trip: %+v, %v", got, err)
+	}
+	put := got.Puts[0]
+	if unsafe.StringData(put.Keys[0]) != unsafe.StringData(put.Snippet.Keys[2]) {
+		t.Fatal("a decoded filed key is a copy, not the snippet's string")
+	}
+	b[len(b)-1] = 3
+	if _, err := decodeFrame(b); err == nil {
+		t.Fatal("a filed-key index past the snippet's keys decoded")
+	}
+	env.Puts[0].Keys = []string{"delta"}
+	if _, err := appendFrame(nil, &env); err == nil {
+		t.Fatal("a put filed under a key outside its snippet's keys encoded")
 	}
 }

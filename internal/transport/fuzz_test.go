@@ -1,11 +1,14 @@
 package transport
 
 import (
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"planetp/internal/bloom"
 	"planetp/internal/directory"
+	"planetp/internal/doc"
 	"planetp/internal/gossip"
 	"planetp/internal/search"
 )
@@ -146,6 +149,40 @@ func FuzzPeerExchangeDecode(f *testing.F) {
 					t.Fatalf("negative sizes survived sanitizing: %+v", rec)
 				}
 			}
+		}
+	})
+}
+
+// FuzzKeyRoundTrip: any string walks as a key and back to itself,
+// consuming exactly what it wrote, and travels packed — half its length
+// in bytes, under an odd length prefix — exactly when it is non-empty, of
+// even length and lowercase hex.
+func FuzzKeyRoundTrip(f *testing.F) {
+	for _, s := range []string{"", "a", "ab", "AB", "0f", "abc", "g0", "stub-17", doc.HashID("<doc/>"),
+		strings.ToUpper(doc.HashID("<doc/>")), strings.Repeat("f", 300)} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		enc := codec{}
+		enc.key(&s)
+		prefix, n := binary.Uvarint(enc.buf)
+		packed := prefix&1 == 1
+		want := s != "" && len(s)%2 == 0 && strings.Trim(s, "0123456789abcdef") == ""
+		if packed != want {
+			t.Fatalf("%q: packed %v, want %v", s, packed, want)
+		}
+		size := len(s)
+		if packed {
+			size /= 2
+		}
+		if int(prefix>>1) != size || len(enc.buf) != n+size {
+			t.Fatalf("%q: %d bytes under prefix %d, want %d key bytes", s, len(enc.buf), prefix, size)
+		}
+		dec := codec{buf: enc.buf, decode: true}
+		var got string
+		dec.key(&got)
+		if dec.err != nil || len(dec.buf) != 0 || got != s {
+			t.Fatalf("%q decodes to %q (%d bytes left, %v)", s, got, len(dec.buf), dec.err)
 		}
 	})
 }

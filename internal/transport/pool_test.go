@@ -83,7 +83,7 @@ func TestByteAccountingAccurateUnderReuse(t *testing.T) {
 	if _, err := ta.Query(1, []string{"x"}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := ta.BrokerPut(1, "k", broker.Snippet{ID: "s1"}, time.Minute); err != nil {
+	if err := ta.BrokerPut(1, "k", broker.Snippet{ID: "s1", Keys: []string{"k"}}, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ta.GetDoc(1, "missing"); !errors.Is(err, ErrDocNotFound) {
@@ -253,13 +253,13 @@ func TestTornWriteOnewayTransparentRedial(t *testing.T) {
 	var conns []*killableConn
 	ta.dial = killableDial(&conns, &mu)
 
-	if err := ta.BrokerPut(1, "k1", broker.Snippet{ID: "s1"}, time.Minute); err != nil {
+	if err := ta.BrokerPut(1, "k1", broker.Snippet{ID: "s1", Keys: []string{"k1"}}, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	conns[0].kill(killWrite, 3)
 	mu.Unlock()
-	if err := ta.BrokerPut(1, "k2", broker.Snippet{ID: "s2"}, time.Minute); err != nil {
+	if err := ta.BrokerPut(1, "k2", broker.Snippet{ID: "s2", Keys: []string{"k2"}}, time.Minute); err != nil {
 		t.Fatalf("torn write not recovered: %v", err)
 	}
 	waitFor(t, "both puts delivered once", func() bool {

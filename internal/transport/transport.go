@@ -193,6 +193,8 @@ type Envelope struct {
 
 // KeyedSnippet is one snippet of a KindBrokerPut frame with the keys the
 // receiving broker files it under — those of the snippet's keys it owns.
+// Each of Keys must be one of Snippet.Keys: the frame names it by its
+// index there.
 type KeyedSnippet struct {
 	Snippet broker.Snippet
 	Keys    []string
@@ -735,13 +737,16 @@ func (t *Transport) query(to directory.PeerID, env *Envelope) ([]search.Hit, err
 }
 
 // BrokerPut stores a snippet under key at the owning peer's broker: a
-// BrokerPutBatch of one.
+// BrokerPutBatch of one. key must be one of sn.Keys, or the put fails to
+// encode.
 func (t *Transport) BrokerPut(to directory.PeerID, key string, sn broker.Snippet, discard time.Duration) error {
 	return t.BrokerPutBatch(to, []KeyedSnippet{{Snippet: sn, Keys: []string{key}}}, discard)
 }
 
 // BrokerPutBatch stores every snippet of puts, under each of its keys, at
-// one peer's broker in a single frame.
+// one peer's broker in a single frame. A put filing a snippet under a key
+// that is not among the snippet's own Keys fails to encode, and nothing is
+// sent.
 func (t *Transport) BrokerPutBatch(to directory.PeerID, puts []KeyedSnippet, discard time.Duration) error {
 	return t.oneway(to, &Envelope{Kind: KindBrokerPut, Puts: puts, Discard: discard})
 }

@@ -234,10 +234,15 @@ func TestBrokerRPCs(t *testing.T) {
 	// A batch is one frame, fanned into one HandleBrokerPut per key before
 	// the ack that ends the call.
 	if err := ta.BrokerPutBatch(1, []KeyedSnippet{
-		{Snippet: broker.Snippet{ID: "s2"}, Keys: []string{"k1", "k2"}},
-		{Snippet: broker.Snippet{ID: "s3"}, Keys: []string{"k2"}},
+		{Snippet: broker.Snippet{ID: "s2", Keys: []string{"k0", "k1", "k2"}}, Keys: []string{"k1", "k2"}},
+		{Snippet: broker.Snippet{ID: "s3", Keys: []string{"k2"}}, Keys: []string{"k2"}},
 	}, time.Minute); err != nil {
 		t.Fatal(err)
+	}
+	// A put names its keys by their place in the snippet's own, so one
+	// filed under any other key does not encode and nothing is sent.
+	if err := ta.BrokerPut(1, "k9", broker.Snippet{ID: "s4", Keys: []string{"k1"}}, time.Minute); err == nil {
+		t.Fatal("a put filed under a key outside its snippet's keys was sent")
 	}
 	hb.mu.Lock()
 	got := fmt.Sprint(hb.puts[1:])

@@ -309,6 +309,17 @@ bash bench/run.sh -seconds 1 >"$tmp/planetp-bench.out" || {
 	echo "bench/run.sh exited non-zero" >&2
 	exit 1
 }
+# Of its numbers one holds still at this window: search_fanout publishes
+# nothing, so its wire bytes per op are HTTP, query frames and a quiet
+# directory's gossip. With ids crossing as their bytes (DESIGN §4k) it
+# reads 1 335-1 342 B on a 2-CPU host; the ceiling is 3 % above that.
+wire_ceiling=1380
+wire="$(awk '$1 == "search_fanout" && $2 == "wire_bytes_per_op" { print $3; exit }' "$tmp/planetp-bench.out")"
+awk -v w="${wire:-0}" -v max="$wire_ceiling" 'BEGIN { exit !(w > 0 && w <= max) }' || {
+	echo "search_fanout wire_bytes_per_op ${wire:-missing} B exceeds its ceiling of $wire_ceiling B" >&2
+	exit 1
+}
+echo "   search_fanout wire_bytes_per_op $wire B (ceiling $wire_ceiling B)"
 rm -f "$tmp/planetp-bench.out"
 
 # Fuzz smoke: run every fuzz target briefly. The targets are listed per
