@@ -31,9 +31,12 @@ import (
 // address-dialed peer exchange, gossipsim's size sweep and CDF mean), and
 // the ranked reply's frequency maps (search's sorting ScoreDoc, TopK's
 // map-building Results, the TopDocs cut, the codec's per-frame term
-// dictionary), and the own-record-only payload stamp with its compress on
-// every send (the chain's per-target payload source replaced it). One of
-// them named again in non-test Go is a second path coming back.
+// dictionary), the own-record-only payload stamp with its compress on
+// every send (the chain's per-target payload source replaced it), the Bloom
+// summary's payload cache, the filter-cache source adapters around the
+// directory, and the directory-driven pool flush with the pool's per-peer
+// address memory (only the socket retires a pooled conn). One of them named
+// again in non-test Go is a second path coming back.
 // The names are literal substrings, each specific enough not to match a
 // living name (simnet.Peer.BytesSent, Directory.SummaryRange, seedPasses,
 // net.Dialer, Peer.SearchAll, Index.SearchAny, OnlinePayloads).
@@ -54,6 +57,8 @@ var dormant = []string{
 	"MergedView", "NewMergedView",
 	"ScoreDoc(d DocResult", "TopK) Results(", "TopDocs(", "codec) termFreqs(", "codec) term(",
 	"SetSelfPayload", "stampSelf", "gossip_self_payload_builds_total",
+	"SetPayload(", "Summary) Snapshot(", "summary.Snapshot(", "dirSource", "payloadSource",
+	"InvalidatePeer", "noteAddr", "lastAddr",
 }
 
 // source is one parsed non-test Go file of the module proper.

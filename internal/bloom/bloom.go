@@ -43,7 +43,6 @@ type Filter struct {
 	nbits  uint64
 	nhash  uint32
 	nkeys  uint64 // number of Insert calls that set at least one new bit pattern
-	ngen   uint64 // total Insert calls (including duplicates)
 	setcnt uint64 // number of set bits, maintained incrementally
 }
 
@@ -179,7 +178,6 @@ func (f *Filter) Insert(key string) bool {
 			changed = true
 		}
 	}
-	f.ngen++
 	if changed {
 		f.nkeys++
 	}
@@ -256,7 +254,7 @@ func (f *Filter) Clone() *Filter {
 	c := &Filter{
 		bits:  make([]uint64, len(f.bits)),
 		nbits: f.nbits, nhash: f.nhash,
-		nkeys: f.nkeys, ngen: f.ngen, setcnt: f.setcnt,
+		nkeys: f.nkeys, setcnt: f.setcnt,
 	}
 	copy(c.bits, f.bits)
 	return c
@@ -289,7 +287,6 @@ func (f *Filter) Merge(other *Filter) error {
 	}
 	f.setcnt = set
 	f.nkeys += other.nkeys // upper bound; duplicates cannot be distinguished
-	f.ngen += other.ngen
 	return nil
 }
 

@@ -16,7 +16,6 @@ func (f *Filter) InsertTrack(key string, track []uint64) []uint64 {
 			track = append(track, p)
 		}
 	}
-	f.ngen++
 	if len(track) > n {
 		f.nkeys++
 	}
@@ -25,14 +24,10 @@ func (f *Filter) InsertTrack(key string, track []uint64) []uint64 {
 
 // Summary maintains a filter's gossip summarization incrementally. It
 // replaces the clone-and-rediff pattern (snapshot the filter after every
-// publish, recompute the full O(filter) diff and compressed payload on
-// the next) with bookkeeping proportional to what actually changed:
-//
-//   - the bit positions newly set since the last Flush — exactly the
-//     diff PlanetP gossips — accumulate as inserts happen;
-//   - the compressed payload is built only when asked for (Snapshot,
-//     SetPayload) and cached until the next bit flips, so a run of
-//     publishes between two gossip sends costs one compression.
+// publish, recompute the full O(filter) diff on the next) with bookkeeping
+// proportional to what actually changed: the bit positions newly set since
+// the last Flush — exactly the diff PlanetP gossips — accumulate as inserts
+// happen.
 //
 // A Summary owns its filter's mutations: insert through it (or Reset it
 // after rebuilding the filter wholesale) or the tracked diff diverges
@@ -41,8 +36,6 @@ func (f *Filter) InsertTrack(key string, track []uint64) []uint64 {
 type Summary struct {
 	f       *Filter
 	pending []uint64 // positions set since the last Flush (unsorted, unique)
-	payload []byte   // cached f.Compress(); nil when stale
-	gen     uint64   // advances whenever payload goes stale
 }
 
 // NewSummary wraps f, which must not be mutated except through the
@@ -58,11 +51,7 @@ func (s *Summary) Filter() *Filter { return s.f }
 func (s *Summary) Insert(key string) bool {
 	n := len(s.pending)
 	s.pending = s.f.InsertTrack(key, s.pending)
-	if len(s.pending) > n {
-		s.payload, s.gen = nil, s.gen+1
-		return true
-	}
-	return false
+	return len(s.pending) > n
 }
 
 // Pending returns the number of bit positions set since the last Flush.
@@ -70,8 +59,8 @@ func (s *Summary) Pending() int { return len(s.pending) }
 
 // Flush encodes the diff of everything inserted since the last Flush and
 // clears the pending set. The diff is identical to Filter.Diff against a
-// clone taken at the last Flush. It compresses nothing: payload is the
-// cached compressed filter while that is current (shared, read-only), else nil.
+// clone taken at the last Flush. It compresses nothing, and its payload is
+// always nil.
 func (s *Summary) Flush() (diff, payload []byte, err error) {
 	slices.Sort(s.pending)
 	diff, err = EncodeDiff(s.pending, s.f.NumBits())
@@ -79,35 +68,14 @@ func (s *Summary) Flush() (diff, payload []byte, err error) {
 		return nil, nil, err
 	}
 	s.pending = s.pending[:0]
-	return diff, s.payload, nil
-}
-
-// Snapshot starts a payload build outside the lock guarding the summary:
-// it returns the cached payload if no bit has flipped since it was built,
-// else nil and a copy of the filter for the caller to Compress once the
-// lock is released, and offer back through SetPayload with gen.
-func (s *Summary) Snapshot() (payload []byte, f *Filter, gen uint64) {
-	if s.payload != nil {
-		return s.payload, nil, s.gen
-	}
-	return nil, s.f.Clone(), s.gen
-}
-
-// SetPayload caches payload, the compression of the Snapshot copy taken at
-// gen, unless the filter has changed since. The slice is shared with the
-// cache from here on and must not be modified.
-func (s *Summary) SetPayload(payload []byte, gen uint64) {
-	if gen == s.gen {
-		s.payload = payload
-	}
+	return diff, nil, nil
 }
 
 // Reset replaces the underlying filter wholesale — the compaction path,
 // where the owner rebuilds the filter from what it still holds and the
 // full payload gossips as a replacement rather than a diff. The pending
-// set and payload cache start fresh.
+// set starts fresh.
 func (s *Summary) Reset(f *Filter) {
 	s.f = f
 	s.pending = s.pending[:0]
-	s.payload, s.gen = nil, s.gen+1
 }

@@ -7,6 +7,7 @@ import (
 	"planetp/internal/directory"
 	"planetp/internal/gossip"
 	"planetp/internal/metrics"
+	"planetp/internal/transport"
 )
 
 // Gossiped filters as chains (DESIGN §4e, §4i, §4k). A record's payload is
@@ -310,7 +311,9 @@ func (p *Peer) stampPayloads(to directory.PeerID, recs []directory.Record) {
 // what is held, unless a pull is already in flight. A sender this peer has
 // no record of can be reached only at the address its own stripped record
 // gives (a joiner that published before its first rumor sends the segments
-// since its base), so that address is kept for the pull and the replies.
+// since its base), so that address, if no longer than peer exchange
+// allows, is kept for the pull and the replies until the directory admits
+// the sender.
 func (p *Peer) resolveIncoming(from directory.PeerID, m *gossip.Message) {
 	if m.Type != gossip.MsgRumor && m.Type != gossip.MsgRecords {
 		return
@@ -321,24 +324,19 @@ func (p *Peer) resolveIncoming(from directory.PeerID, m *gossip.Message) {
 		if have, ok := p.resolve(&m.Updates[i]); !ok {
 			rec := &m.Updates[i]
 			need = append(need, directory.NeedEntry{ID: rec.ID, Have: have})
-			if rec.ID == from && rec.Addr != "" && from >= 0 && int(from) < p.dir.Capacity() {
+			if rec.ID == from && rec.Addr != "" && len(rec.Addr) <= transport.MaxAddrLen &&
+				from >= 0 && int(from) < p.dir.Capacity() {
 				p.strays.Store(from, rec.Addr)
 			}
 			continue
 		}
 		m.Updates[kept] = m.Updates[i]
-		if kept < len(m.AsDiff) && i < len(m.AsDiff) {
-			m.AsDiff[kept] = m.AsDiff[i]
-		}
 		kept++
 	}
 	if len(need) == 0 {
 		return
 	}
 	m.Updates = m.Updates[:kept]
-	if len(m.AsDiff) > kept {
-		m.AsDiff = m.AsDiff[:kept]
-	}
 	p.cm.rejects.Add(int64(len(need)))
 	// Through the node's pull gate: a reply that is rejected again arrives
 	// while its own pull is still in flight, so it cannot start another.

@@ -379,4 +379,28 @@ func TestJoinerPublishingBeforeItsFirstRumorIsAdmitted(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	waitFor(t, 5*time.Second, "the admitted joiner's stray address dropped", func() bool {
+		_, stray := seed.strays.Load(joiner.id)
+		return !stray
+	})
+}
+
+// TestStrayAddressBounded: a rejected record's address is kept for the pull
+// only if it is no longer than peer exchange allows.
+func TestStrayAddressBounded(t *testing.T) {
+	p, err := NewPeer(Config{ID: 0, Capacity: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Stop)
+	ver := directory.Version{Epoch: 1, Seq: 3}
+	rec := directory.Record{ID: 1, Ver: ver, Addr: strings.Repeat("a", 1<<20),
+		Payload: bloom.Chain{Epoch: ver.Epoch, From: 2}.Encode()} // baseless: applies to nothing held
+	p.resolveIncoming(1, &gossip.Message{Type: gossip.MsgRumor, From: 1, Updates: []directory.Record{rec}})
+	if p.reg.Snapshot().Get("gossip_diff_rejects_total") != 1 {
+		t.Fatal("the record applied; the test needs it rejected")
+	}
+	if _, stray := p.strays.Load(directory.PeerID(1)); stray {
+		t.Fatal("a 1 MiB address was kept as a stray")
+	}
 }

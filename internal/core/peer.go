@@ -142,7 +142,7 @@ type Peer struct {
 	// own is the segment log; held is what each target holds; strays
 	// holds the addresses senders gave in their own records that did not
 	// apply here, dialled only where the directory has none
-	// (resolveIncoming).
+	// (resolveIncoming), until the directory admits the sender (onNews).
 	announceMu sync.Mutex
 	own        ownLog
 	held       heldTable
@@ -198,23 +198,18 @@ func NewPeer(cfg Config) (*Peer, error) {
 		loopDone:  make(chan struct{}),
 		hoardDone: make(chan struct{}),
 	}
-	p.view = &dirView{p: p, cache: filtercache.New(dirSource{p.dir}, filtercache.Config{
+	p.view = &dirView{p: p, cache: filtercache.New(p.dir, filtercache.Config{
 		Budget:  cfg.FilterCacheBudget,
 		Metrics: cfg.Metrics,
 	})}
 	// Churned-out and superseded peers must release their cached filter
 	// bytes immediately — without this hook they stayed resident until
-	// the next probe of the same id (dropped peers: forever).
+	// the next probe of the same id (dropped peers: forever). A superseded
+	// record leaves the peer's pooled conns alone: every publish supersedes
+	// one, and only the socket retires a conn (DESIGN §4k).
 	p.dir.SetOnEvict(func(ids []directory.PeerID) {
 		for _, id := range ids {
 			p.view.cache.Invalidate(id)
-			// An evicted or superseded record means the peer's old
-			// address (or incarnation) is gone: pooled conns to it
-			// must not carry another RPC. p.tp is nil only during
-			// construction, before any eviction can fire.
-			if tp := p.tp; tp != nil {
-				tp.InvalidatePeer(id)
-			}
 		}
 	})
 	p.registry = search.NewRegistry(p.view, fetcher{p})
@@ -414,9 +409,11 @@ func (p *Peer) resolveAddr(id directory.PeerID) (string, bool) {
 }
 
 // onNews reacts to fresh gossip: persistent queries re-evaluate against
-// the peer whose filter changed.
+// the peer whose filter changed, and the directory, which now holds the
+// peer, gives its address from here on.
 func (p *Peer) onNews(rec directory.Record) {
 	p.registry.NotifyFilter(rec.ID)
+	p.strays.Delete(rec.ID)
 }
 
 // Publish shares an XML document with the community: it is stored

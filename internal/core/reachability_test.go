@@ -175,3 +175,27 @@ func TestContactedSuccessAllocatesNothing(t *testing.T) {
 		t.Fatalf("contacted(id, nil) allocates %v times, want 0", n)
 	}
 }
+
+// TestEncodeErrorIsNoContact: a request that fails to encode never left, so
+// reporting it neither strikes the peer nor clears the strike it has.
+func TestEncodeErrorIsNoContact(t *testing.T) {
+	peers := quietCommunity(t, 2, 0)
+	p, target := peers[0], peers[1].id
+	err := p.tp.BrokerPut(target, "k9", broker.Snippet{ID: "s", Keys: []string{"k1"}}, time.Minute)
+	if !errors.Is(err, transport.ErrEncode) {
+		t.Fatalf("err = %v, want transport.ErrEncode", err)
+	}
+	online := func() bool { e, _ := p.dir.Entry(target); return e.Online }
+	p.node.NoteFailure(target)
+	_ = p.contacted(target, err)
+	if !online() {
+		t.Fatal("an encode error struck the peer: two strikes marked it off-line")
+	}
+	p.node.NoteFailure(target)
+	if online() {
+		t.Fatal("an encode error cleared the peer's strike: a second failure left it on-line")
+	}
+	if got := p.reg.Snapshot().Get("gossip_failed_sends_total"); got != 2 {
+		t.Fatalf("gossip_failed_sends_total = %d, want the 2 failures noted", got)
+	}
+}

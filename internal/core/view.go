@@ -31,14 +31,6 @@ type dirView struct {
 	snap  atomic.Pointer[sweepCols]
 }
 
-// dirSource feeds the filter cache from the directory's compressed
-// payload column.
-type dirSource struct{ dir *directory.Directory }
-
-func (s dirSource) Payload(id directory.PeerID) ([]byte, directory.Version, bool) {
-	return s.dir.Payload(id)
-}
-
 // Peers implements search.FilterView.
 func (v *dirView) Peers() []directory.PeerID {
 	return v.p.dir.OnlineIDs()
@@ -137,12 +129,16 @@ func (f fetcher) query(id directory.PeerID, terms []string, all bool) ([]search.
 // gossip node, which alone decides whether the peer is off-line (DESIGN
 // §4d), and returns err. A reply — an application-level refusal or a
 // definitive miss included — is a contact and clears the peer's failure
-// streak; anything else is one strike. Every peer-addressed RPC this package
+// streak; a request that failed to encode never left and is neither;
+// anything else is one strike. Every peer-addressed RPC this package
 // makes goes through it.
 func (p *Peer) contacted(id directory.PeerID, err error) error {
-	if err == nil || answered(err) {
+	switch {
+	case err == nil || answered(err):
 		p.node.NoteContact(id)
-	} else {
+	case errors.Is(err, transport.ErrEncode):
+		// Nothing was sent: the peer was neither reached nor missed.
+	default:
 		p.node.NoteFailure(id)
 	}
 	return err

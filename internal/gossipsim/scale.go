@@ -83,13 +83,6 @@ type ScalePoint struct {
 	BuildS float64 `json:"build_s"`
 }
 
-// payloadSource adapts a Directory to filtercache.Source.
-type payloadSource struct{ d *directory.Directory }
-
-func (s payloadSource) Payload(id directory.PeerID) ([]byte, directory.Version, bool) {
-	return s.d.Payload(id)
-}
-
 // heapAlloc returns post-GC live heap bytes. Two collections settle
 // finalizer-reachable garbage so deltas measure retained state, not
 // allocation traffic.
@@ -181,7 +174,7 @@ func DirectoryScale(sc Scenario, spec ScaleSpec) ScalePoint {
 	}
 
 	// --- query fan-out, cold then warm ---
-	cache := filtercache.New(payloadSource{d}, filtercache.Config{Budget: spec.CacheBudget})
+	cache := filtercache.New(d, filtercache.Config{Budget: spec.CacheBudget})
 	digests := make([]bloom.Digest, spec.QueryTerms)
 	for t := range digests {
 		digests[t] = bloom.MakeDigest(fmt.Sprintf("w000-%05d", t))

@@ -17,9 +17,10 @@ import (
 // peer-exchange reply, whatever the request asked for.
 const MaxExchangeRecords = 64
 
-// maxExchangeAddr bounds the Addr field of an exchanged record; a dialable
-// host:port is far shorter, so anything bigger is garbage or an attack.
-const maxExchangeAddr = 256
+// MaxAddrLen bounds a peer address taken from another peer (an exchanged
+// record's Addr field); a dialable host:port is far shorter, so anything
+// bigger is garbage or an attack.
+const MaxAddrLen = 256
 
 // clampExchange normalizes a requested sample size into [1,
 // MaxExchangeRecords]. Applied server-side before touching the directory,
@@ -51,7 +52,7 @@ func SanitizePeerSample(recs []directory.Record, max int) []directory.Record {
 		if rec.ID < 0 || rec.Ver.IsZero() {
 			continue
 		}
-		if rec.Addr == "" || len(rec.Addr) > maxExchangeAddr {
+		if rec.Addr == "" || len(rec.Addr) > MaxAddrLen {
 			continue
 		}
 		if rec.PayloadSize < 0 || rec.DiffSize < 0 {

@@ -72,9 +72,9 @@ func TestSanitizePeerSample(t *testing.T) {
 	withPayload.Payload = []byte{1, 2, 3}
 	bad := []directory.Record{
 		{ID: -1, Ver: directory.Version{Epoch: 1}, Addr: "x:1"}, // negative id
-		{ID: 5, Addr: "x:1"},                             // zero version
-		{ID: 6, Ver: directory.Version{Epoch: 1}},        // no address
-		exRec(7, strings.Repeat("a", maxExchangeAddr+1)), // oversized address
+		{ID: 5, Addr: "x:1"},                        // zero version
+		{ID: 6, Ver: directory.Version{Epoch: 1}},   // no address
+		exRec(7, strings.Repeat("a", MaxAddrLen+1)), // oversized address
 		{ID: 8, Ver: directory.Version{Epoch: 1}, Addr: "x:1", PayloadSize: -1},
 		{ID: 9, Ver: directory.Version{Epoch: 1}, Addr: "x:1", DiffSize: -9},
 	}

@@ -26,10 +26,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"planetp/internal/broker"
 	"planetp/internal/directory"
@@ -49,37 +51,61 @@ const (
 	// of every record of a 1024-peer community, each carrying the paper's
 	// 50 KB filter at its worst compressed size (≈ 53 KB), is ≈ 54 MB.
 	maxFrameBody = 64 << 20
-	// keepBuf is the largest read or write buffer a stream keeps between
-	// frames, so one big pull does not pin its buffer on an idle conn.
+	// keepBuf is the largest buffer a stream keeps between frames, or
+	// frameBufs keeps for the next one, so one big pull does not pin its
+	// buffer.
 	keepBuf = 64 << 10
 )
 
+// ErrEncode reports a frame this side cannot encode: a put filing a snippet
+// under a key outside its own, rows of unequal width, a body past the size
+// bound. Nothing was sent, so the peer was neither reached nor missed.
+var ErrEncode = errors.New("transport: frame fails to encode")
+
 var (
 	errFrame     = errors.New("transport: malformed frame")
-	errFrameSize = errors.New("transport: frame body exceeds the size bound")
+	errFrameSize = fmt.Errorf("%w: its body exceeds the size bound", ErrEncode)
 )
 
 // frameConn is one end of a framed stream: a buffered reader, a reused
-// buffer each incoming body is read into, and one each outgoing frame is
-// encoded into, then written from in one Write.
+// buffer each incoming body is read into, and the writer frames go out on.
 type frameConn struct {
-	w          io.Writer
-	br         *bufio.Reader
-	rbuf, wbuf []byte
+	w    io.Writer
+	br   *bufio.Reader
+	rbuf []byte
 }
 
 func newFrameConn(rw io.ReadWriter) frameConn {
 	return frameConn{w: rw, br: bufio.NewReader(rw)}
 }
 
-// writeFrame encodes env and writes it.
+// writeFrame encodes env and writes it in one Write.
 func (f *frameConn) writeFrame(env *Envelope) error {
-	b, err := appendFrame(f.wbuf[:0], env)
+	b, err := encodeFrame(env)
 	if err == nil {
-		_, err = f.w.Write(b)
+		_, err = f.w.Write(*b)
 	}
-	f.wbuf = keep(b)
+	freeFrame(b)
 	return err
+}
+
+// frameBufs recycles the buffers frames are encoded into, so no stream
+// holds a write buffer between its frames.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeFrame encodes env into a buffer from frameBufs; hand the buffer
+// back with freeFrame, whatever the error.
+func encodeFrame(env *Envelope) (*[]byte, error) {
+	b := frameBufs.Get().(*[]byte)
+	var err error
+	*b, err = appendFrame((*b)[:0], env)
+	return b, err
+}
+
+// freeFrame returns an encodeFrame buffer to frameBufs.
+func freeFrame(b *[]byte) {
+	*b = keep(*b)
+	frameBufs.Put(b)
 }
 
 // readFrame reads the next frame into env, which it overwrites. A header
@@ -522,10 +548,14 @@ func opt[T any](c *codec, p **T, walk func(*T)) {
 	walk(*p)
 }
 
-// fail records a decoding error; every later read fails too.
+// fail records the walk's first error, a malformed frame when decoding and
+// ErrEncode when encoding; every later read fails too.
 func (c *codec) fail() {
 	if c.err == nil {
 		c.err = errFrame
+		if !c.decode {
+			c.err = ErrEncode
+		}
 	}
 	c.buf = nil
 }

@@ -139,7 +139,7 @@ func FuzzPeerExchangeDecode(f *testing.F) {
 				if rec.ID < 0 || rec.Ver.IsZero() {
 					t.Fatalf("invalid record survived sanitizing: %+v", rec)
 				}
-				if rec.Addr == "" || len(rec.Addr) > maxExchangeAddr {
+				if rec.Addr == "" || len(rec.Addr) > MaxAddrLen {
 					t.Fatalf("bad address survived sanitizing: %q", rec.Addr)
 				}
 				if rec.Payload != nil {

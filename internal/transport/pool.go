@@ -20,12 +20,10 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"planetp/internal/directory"
 )
 
 // pconn is one pooled connection: the conn, its byte counter, and its
-// frame buffers. The mark fields record how far the current exchange
+// frame reader. The mark fields record how far the current exchange
 // progressed, which decides whether a failed RPC can be transparently
 // re-dialed without risking double delivery.
 type pconn struct {
@@ -78,73 +76,38 @@ func (pc *pconn) undelivered(oneway bool) bool {
 // an RPC; one that slips through is absorbed by the transparent re-dial.
 func (pc *pconn) stale() bool { return pc.br.Buffered() > 0 || pc.peek.check() }
 
-// connPool keeps idle pconns keyed by dial address. lastAddr remembers
-// which address each peer's conns were pooled against, so a directory
-// address change (rejoin on a new port, incarnation bump) invalidates the
-// now-orphaned conns instead of leaving them to fail an RPC first.
+// connPool keeps idle pconns keyed by dial address. A peer that moves is
+// dialed at its new address, so conns pooled against the old one never
+// carry another request; the socket alone retires a conn (the staleness
+// probe, a failed exchange, the caps and the reaper).
 type connPool struct {
 	t *Transport
 
 	// mu is the pool's own lock (not Transport.mu: put runs inside the
 	// RPC path and must not contend with accept/close bookkeeping).
-	mu       sync.Mutex
-	idle     map[string][]*pconn // per addr, oldest first
-	total    int
-	lastAddr map[directory.PeerID]string
-	reapOn   bool
-	reaper   *time.Timer
-	closed   bool
+	mu     sync.Mutex
+	idle   map[string][]*pconn // per addr, oldest first
+	total  int
+	reapOn bool
+	reaper *time.Timer
+	closed bool
 }
 
 func newConnPool(t *Transport) *connPool {
-	return &connPool{
-		t:        t,
-		idle:     make(map[string][]*pconn),
-		lastAddr: make(map[directory.PeerID]string),
-	}
+	return &connPool{t: t, idle: make(map[string][]*pconn)}
 }
 
-// noteAddr records that to resolves to addr, discarding conns pooled
-// against a previous address for the same peer.
-func (p *connPool) noteAddr(to directory.PeerID, addr string) {
+// retire closes every idle conn pooled to addr, one of which just failed
+// under an exchange: a peer that restarted without a FIN (a host crash)
+// then costs one failed exchange, not one per pooled conn.
+func (p *connPool) retire(addr string) {
 	p.mu.Lock()
-	prev, ok := p.lastAddr[to]
-	p.lastAddr[to] = addr
-	if !ok || prev == addr {
-		p.mu.Unlock()
-		return
-	}
-	orphans := p.idle[prev]
-	delete(p.idle, prev)
-	p.total -= len(orphans)
+	dead := p.idle[addr]
+	delete(p.idle, addr)
+	p.total -= len(dead)
 	p.t.m.poolIdleConns.Set(int64(p.total))
 	p.mu.Unlock()
-	for _, pc := range orphans {
-		pc.conn.Close()
-		p.t.m.poolStale.Inc()
-	}
-}
-
-// InvalidatePeer drops every pooled conn for a peer. Core calls this when
-// the directory supersedes or evicts the peer's record (incarnation bump,
-// address change, declared dead): the pooled streams point at a previous
-// life of the peer and must not carry another RPC.
-func (t *Transport) InvalidatePeer(id directory.PeerID) {
-	p := t.pool
-	p.mu.Lock()
-	addr, ok := p.lastAddr[id]
-	if ok {
-		delete(p.lastAddr, id)
-	}
-	var orphans []*pconn
-	if ok {
-		orphans = p.idle[addr]
-		delete(p.idle, addr)
-		p.total -= len(orphans)
-		p.t.m.poolIdleConns.Set(int64(p.total))
-	}
-	p.mu.Unlock()
-	for _, pc := range orphans {
+	for _, pc := range dead {
 		pc.conn.Close()
 		p.t.m.poolStale.Inc()
 	}

@@ -157,9 +157,9 @@ func TestOnewayBoundByRPCTimeout(t *testing.T) {
 	}
 }
 
-// A rejoining peer comes back on a new port: conns pooled against the old
-// address must be dropped at the resolver switch, and the next RPC must
-// dial the new one.
+// A rejoining peer comes back on a new port: conns pool by address, so the
+// one pooled against the old address never carries another request, and
+// the next RPC dials the new one.
 func TestAddressChangeInvalidatesPooledConns(t *testing.T) {
 	ha, hb, hc := newHandler(0), newHandler(1), newHandler(1)
 	reg := metrics.NewRegistry()
@@ -210,37 +210,11 @@ func TestAddressChangeInvalidatesPooledConns(t *testing.T) {
 		return len(hc.gossips) == 1
 	})
 	snap := reg.Snapshot()
-	if got := snap.Get("transport_pool_stale_total"); got != 1 {
-		t.Fatalf("stale = %d, want 1 (old-address conn dropped)", got)
-	}
 	if got := snap.Get("transport_dials_total"); got != 2 {
 		t.Fatalf("dials = %d, want 2 (one per address)", got)
 	}
 	if got := snap.Get("transport_pool_reuse_total"); got != 0 {
 		t.Fatalf("reuse = %d, want 0 (the old conn must not be reused)", got)
-	}
-}
-
-// InvalidatePeer is the directory-eviction hook (incarnation bump,
-// declared dead): pooled conns for the peer vanish immediately.
-func TestInvalidatePeerDropsPooledConns(t *testing.T) {
-	ta, reg, _, _ := pairReg(t)
-	if _, err := ta.Query(1, []string{"x"}, false); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Snapshot().Gauges["transport_pool_idle_conns"]; got != 1 {
-		t.Fatalf("idle = %d before invalidation, want 1", got)
-	}
-	ta.InvalidatePeer(1)
-	snap := reg.Snapshot()
-	if got := snap.Gauges["transport_pool_idle_conns"]; got != 0 {
-		t.Fatalf("idle = %d after invalidation, want 0", got)
-	}
-	if _, err := ta.Query(1, []string{"x"}, false); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Snapshot().Get("transport_dials_total"); got != 2 {
-		t.Fatalf("dials = %d, want 2 (fresh dial after invalidation)", got)
 	}
 }
 
@@ -330,6 +304,53 @@ func TestTornReadOnewayNotRedialed(t *testing.T) {
 	})
 	if got := reg.Snapshot().Get("transport_pool_redials_total"); got != 0 {
 		t.Fatalf("redials = %d, want 0 (possible double delivery)", got)
+	}
+}
+
+// A peer that restarted without a FIN (a host crash) leaves every conn
+// pooled to it dead but quiet, so the staleness probe passes them. The
+// first to fail under an exchange retires its siblings: the restart costs
+// one failed oneway, and the next send dials fresh and succeeds.
+func TestRestartWithoutFINCostsOneExchange(t *testing.T) {
+	ta, reg, tb, hb := pairReg(t)
+	var mu sync.Mutex
+	var conns []*killableConn
+	ta.dial = killableDial(&conns, &mu)
+	for range 2 {
+		conn, err := ta.dialAddr(tb.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ta.pool.put(newPconn(conn, tb.Addr()))
+	}
+	mu.Lock()
+	for _, c := range conns {
+		c.kill(killRead, 0)
+	}
+	mu.Unlock()
+	send := func(digest uint64) error {
+		return ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest, Digest: digest})
+	}
+	if err := send(1); err == nil {
+		t.Fatal("a oneway whose ack never came back succeeded")
+	}
+	if err := send(2); err != nil {
+		t.Fatalf("the send after the failed one: %v", err)
+	}
+	waitFor(t, "both gossips delivered", func() bool {
+		hb.mu.Lock()
+		defer hb.mu.Unlock()
+		return len(hb.gossips) == 2
+	})
+	snap := reg.Snapshot()
+	if got := snap.Get("transport_pool_stale_total"); got != 1 {
+		t.Fatalf("stale = %d, want 1 (the sibling retired)", got)
+	}
+	if got := snap.Get("transport_dials_total"); got != 3 {
+		t.Fatalf("dials = %d, want 3 (two pooled, one fresh)", got)
+	}
+	if got := snap.Get("transport_pool_redials_total"); got != 0 {
+		t.Fatalf("redials = %d, want 0", got)
 	}
 }
 

@@ -595,63 +595,57 @@ func (t *Transport) roundTrip(to directory.PeerID, env *Envelope, oneway bool) (
 		}
 		kill = k
 	}
-	t.pool.noteAddr(to, addr)
 	return t.exchangePooled(addr, env, oneway, kill)
 }
 
 // exchangePooled runs one framed RPC against addr over a pooled conn,
-// dialing on a pool miss. A reused conn that fails under the RPC is
-// closed and — only when delivery provably did not happen (see
-// pconn.undelivered) — transparently re-dialed once; all other failures
-// surface to the caller. kill injects a
-// conn death just before the exchange (faultnet's ConnKill fate).
+// dialing on a pool miss. The request is encoded before any conn is taken,
+// so one that fails to encode (ErrEncode) touches none. A conn that fails
+// under the exchange is closed with every idle conn pooled beside it
+// (connPool.retire); a reused one is transparently re-dialed once, only
+// when delivery provably did not happen (see pconn.undelivered), with the
+// same request bytes. All other failures surface to the caller. kill
+// injects a conn death just before the exchange (faultnet's ConnKill fate).
 func (t *Transport) exchangePooled(addr string, env *Envelope, oneway, kill bool) (*Envelope, error) {
-	pc, reused := t.pool.get(addr), true
-	if pc == nil {
-		conn, err := t.dialAddr(addr)
-		if err != nil {
-			return nil, err
-		}
-		t.m.poolMisses.Inc()
-		pc, reused = newPconn(conn, addr), false
-	}
-	if kill {
-		pc.conn.Close()
-	}
-	resp, err := t.exchangeOn(pc, env, oneway)
-	if err == nil {
-		t.pool.put(pc)
-		return resp, nil
-	}
-	if isRemote(err) {
-		// The peer answered; the stream is intact and reusable.
-		t.pool.put(pc)
-		return nil, err
-	}
-	pc.conn.Close()
-	if !reused || !pc.undelivered(oneway) {
-		return nil, err
-	}
-	// The conn was healthy when pooled but dead under this RPC, and the
-	// request cannot have taken effect: re-dial once, invisibly to the
-	// caller.
-	t.m.poolRedials.Inc()
-	conn, derr := t.dialAddr(addr)
-	if derr != nil {
-		return nil, derr
-	}
-	pc = newPconn(conn, addr)
-	resp, err = t.exchangeOn(pc, env, oneway)
+	req, err := encodeFrame(env)
+	defer freeFrame(req)
 	if err != nil {
-		if isRemote(err) {
-			t.pool.put(pc)
-		} else {
+		return nil, err
+	}
+	pc := t.pool.get(addr)
+	for attempt := 0; ; attempt++ {
+		reused := pc != nil
+		if !reused {
+			conn, err := t.dialAddr(addr)
+			if err != nil {
+				return nil, err
+			}
+			if attempt == 0 {
+				t.m.poolMisses.Inc()
+			}
+			pc = newPconn(conn, addr)
+		}
+		if kill && attempt == 0 {
 			pc.conn.Close()
 		}
-		return nil, err
+		resp, err := t.exchangeOn(pc, env.Kind, *req, oneway)
+		if err == nil || isRemote(err) {
+			// A reply, or the peer's own refusal: the stream is intact
+			// and reusable.
+			t.pool.put(pc)
+			return resp, err
+		}
+		pc.conn.Close()
+		t.pool.retire(addr)
+		if !reused || !pc.undelivered(oneway) {
+			return nil, err
+		}
+		// The conn was healthy when pooled but dead under this RPC, and
+		// the request cannot have taken effect: re-dial once, invisibly
+		// to the caller.
+		t.m.poolRedials.Inc()
+		pc = nil
 	}
-	t.pool.put(pc)
-	return resp, nil
 }
 
 // isRemote reports whether err is the peer answering with an application
@@ -662,18 +656,19 @@ func isRemote(err error) bool {
 }
 
 // exchangeOn runs one request/response frame on a pooled conn: arm the
-// per-exchange deadline, write the request, read the reply (an ack,
-// for oneways). Byte deltas and latency are recorded per exchange.
-func (t *Transport) exchangeOn(pc *pconn, env *Envelope, oneway bool) (*Envelope, error) {
+// per-exchange deadline, write the encoded request, read the reply (an
+// ack, for oneways). Byte deltas, charged to the request's kind, and
+// latency are recorded per exchange.
+func (t *Transport) exchangeOn(pc *pconn, kind Kind, req []byte, oneway bool) (*Envelope, error) {
 	start := time.Now()
 	pc.beginExchange()
 	defer func() {
 		sent, recv := pc.cc.take()
-		t.account(env.Kind, sent, recv)
+		t.account(kind, sent, recv)
 		t.m.rpcLatencyUS.Observe(time.Since(start).Microseconds())
 	}()
 	_ = pc.conn.SetDeadline(time.Now().Add(t.rpcTimeout))
-	if err := pc.writeFrame(env); err != nil {
+	if _, err := pc.w.Write(req); err != nil {
 		t.countTimeout(err)
 		return nil, err
 	}

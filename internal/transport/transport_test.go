@@ -272,6 +272,40 @@ func TestBrokerRPCs(t *testing.T) {
 	})
 }
 
+// A put filed under a key outside its snippet's keys fails to encode before
+// any conn is taken: on a warm pool it returns ErrEncode and checks out,
+// dials, re-dials and retires nothing, and the warm conn carries the next
+// put.
+func TestBrokerPutEncodeErrorTouchesNoConn(t *testing.T) {
+	ta, reg, _, _ := pairReg(t)
+	put := func(key string) error {
+		return ta.BrokerPut(1, key, broker.Snippet{ID: "s1", Keys: []string{"k1"}}, time.Minute)
+	}
+	if err := put("k1"); err != nil {
+		t.Fatal(err)
+	}
+	counters := []string{"transport_pool_reuse_total", "transport_pool_redials_total", "transport_dials_total", "transport_pool_stale_total"}
+	before := reg.Snapshot()
+	if err := put("k9"); !errors.Is(err, ErrEncode) {
+		t.Fatalf("err = %v, want ErrEncode", err)
+	}
+	after := reg.Snapshot()
+	for _, name := range counters {
+		if d := after.Get(name) - before.Get(name); d != 0 {
+			t.Errorf("%s moved by %d", name, d)
+		}
+	}
+	if got := after.Gauges["transport_pool_idle_conns"]; got != 1 {
+		t.Fatalf("idle = %d, want the warm conn still pooled", got)
+	}
+	if err := put("k1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Get("transport_pool_reuse_total") - after.Get("transport_pool_reuse_total"); got != 1 {
+		t.Fatalf("reuse moved by %d, want 1", got)
+	}
+}
+
 func TestProxySearchRPC(t *testing.T) {
 	ta, _, _, _ := pair(t)
 	docs, err := ta.ProxySearch(1, []string{"gossip"}, 7)
