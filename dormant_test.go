@@ -34,9 +34,13 @@ import (
 // dictionary), the own-record-only payload stamp with its compress on
 // every send (the chain's per-target payload source replaced it), the Bloom
 // summary's payload cache, the filter-cache source adapters around the
-// directory, and the directory-driven pool flush with the pool's per-peer
-// address memory (only the socket retires a pooled conn). One of them named
-// again in non-test Go is a second path coming back.
+// directory, the directory-driven pool flush with the pool's per-peer
+// address memory (only the socket retires a pooled conn), the pool's
+// checkout-time socket peek and the oneway write mark (one re-dial rule
+// serves every request kind), and the exported methods nothing called
+// (the Bloom filter's fill-based false-positive estimate, the in-memory
+// file system's listing, the popularity counter's forget). One of them
+// named again in non-test Go is a second path coming back.
 // The names are literal substrings, each specific enough not to match a
 // living name (simnet.Peer.BytesSent, Directory.SummaryRange, seedPasses,
 // net.Dialer, Peer.SearchAll, Index.SearchAny, OnlinePayloads).
@@ -59,6 +63,7 @@ var dormant = []string{
 	"SetSelfPayload", "stampSelf", "gossip_self_payload_builds_total",
 	"SetPayload(", "Summary) Snapshot(", "summary.Snapshot(", "dirSource", "payloadSource",
 	"InvalidatePeer", "noteAddr", "lastAddr",
+	"stalePeek", "MSG_PEEK", "wroteReq", "Filter) FalsePositiveRate(", "MemFS) Files(", "Popularity) Forget(",
 }
 
 // source is one parsed non-test Go file of the module proper.

@@ -226,12 +226,6 @@ func (f *Filter) FillRatio() float64 {
 	return float64(f.setcnt) / float64(f.nbits)
 }
 
-// FalsePositiveRate estimates the probability that a random absent key
-// tests positive, (fill)^k.
-func (f *Filter) FalsePositiveRate() float64 {
-	return math.Pow(f.FillRatio(), float64(f.nhash))
-}
-
 // EstimateCardinality estimates how many distinct keys produced the current
 // fill using the standard inversion n ≈ -(m/k) ln(1 - X/m).
 func (f *Filter) EstimateCardinality() int {

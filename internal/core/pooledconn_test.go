@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"planetp/internal/chash"
 	"planetp/internal/directory"
 )
 
@@ -39,5 +41,37 @@ func TestSupersededRecordKeepsPooledConn(t *testing.T) {
 		if got := dials() - before; got != 0 {
 			t.Fatalf("%s: the RPC after the supersede dialed %d times, want 0", bump.name, got)
 		}
+	}
+}
+
+// A peer stopped behind a warm pooled conn: the oneway's exchange on that
+// conn fails, its one re-dial is refused, and the peer takes exactly one
+// strike for the send — it stays on-line until a second.
+func TestStoppedPeerBehindWarmConnTakesOneStrike(t *testing.T) {
+	peers := quietCommunity(t, 2, 0)
+	p, target := peers[0], peers[1].id
+	var key string
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("key%d", i)
+		if _, owner, _ := p.brokerRing().Successor(chash.Hash(k)); owner == target {
+			key = k
+		}
+	}
+	p.brokerWatch([]string{key})
+	peers[1].Stop()
+	snap := func(name string) int64 { return p.Metrics().Snapshot().Get(name) }
+	before := snap("transport_dials_total")
+	p.brokerWatch([]string{key})
+	if got := snap("gossip_failed_sends_total"); got != 1 {
+		t.Fatalf("failed sends = %d, want 1 strike", got)
+	}
+	if e, _ := p.dir.Entry(target); !e.Online {
+		t.Fatal("one failed send marked the peer off-line")
+	}
+	if got := snap("transport_pool_redials_total"); got != 1 {
+		t.Fatalf("redials = %d, want 1", got)
+	}
+	if got := snap("transport_dials_total") - before; got != 1 {
+		t.Fatalf("dials = %d, want the 1 refused re-dial", got)
 	}
 }

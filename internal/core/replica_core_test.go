@@ -212,6 +212,42 @@ func durableReplicaPeer(t *testing.T, fs store.FS, opts store.Options) *Peer {
 	return p
 }
 
+// TestRepeatedPurgeLogsNothing: a purge repeated for a replica already
+// dropped and certified dead — what a re-sent oneway delivers — appends no
+// WAL record and costs no fsync, whether the replica was held or the purge
+// arrived before any adoption.
+func TestRepeatedPurgeLogsNothing(t *testing.T) {
+	p := durableReplicaPeer(t, store.NewMemFS(), store.Options{})
+	t.Cleanup(p.Stop)
+	e := testReplicaEntries()[0]
+	p.adoptReplica(e, 5)
+	if !p.rep.Has(e.Key) {
+		t.Fatal("replica not adopted")
+	}
+	fsyncs := func() int64 { return p.reg.Snapshot().Get("store_fsyncs_total") }
+	for _, key := range []string{e.Key, "never-held-doc"} {
+		p.purgeReplica(key, 2, true)
+		if p.rep.Has(key) || !p.rep.Tombstoned(key, 2) {
+			t.Fatalf("%s: the first purge did not drop and certify it", key)
+		}
+		lsn, synced := p.st.LastLSN(), fsyncs()
+		for _, epoch := range []uint32{2, 1} {
+			p.purgeReplica(key, epoch, true)
+			if got := p.st.LastLSN(); got != lsn {
+				t.Fatalf("%s: a repeated purge at epoch %d moved the WAL from LSN %d to %d", key, epoch, lsn, got)
+			}
+			if got := fsyncs(); got != synced {
+				t.Fatalf("%s: a repeated purge at epoch %d cost %d fsyncs", key, epoch, got-synced)
+			}
+		}
+		// A purge at a newer epoch raises the certificate: that is news.
+		p.purgeReplica(key, 3, true)
+		if got := p.st.LastLSN(); got != lsn+1 || !p.rep.Tombstoned(key, 3) {
+			t.Fatalf("%s: a purge at a newer epoch logged to LSN %d (from %d), certified %v", key, got, lsn, p.rep.Tombstoned(key, 3))
+		}
+	}
+}
+
 // testReplicaEntries is the deterministic adoption workload for the
 // crash suite.
 func testReplicaEntries() []replica.Entry {

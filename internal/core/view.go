@@ -355,17 +355,9 @@ func (h *handler) HandleBrokerWatch(keys []string, watcher directory.PeerID) {
 
 // HandleNotify implements transport.Handler: a watched snippet arrived.
 func (h *handler) HandleNotify(sn broker.Snippet) {
-	p := (*Peer)(h)
 	// Offer the snippet to all persistent queries; frequencies of 1 per
 	// advertised key (brokers store keys, not counts).
-	freqs := make(map[string]int, len(sn.Keys))
-	for _, k := range sn.Keys {
-		freqs[k] = 1
-	}
-	p.registry.NotifyDoc(search.DocResult{
-		Peer: directory.PeerID(sn.Owner), Key: sn.ID,
-		TermFreqs: freqs, DocLen: len(sn.Keys),
-	})
+	(*Peer)(h).registry.NotifyDoc(snippetResult(sn, sn.Keys))
 }
 
 // HandleProxySearch implements transport.Handler: run the full ranked

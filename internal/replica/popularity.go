@@ -77,9 +77,6 @@ func (p *Popularity) Score(key string, now time.Duration) float64 {
 	return c.mass
 }
 
-// Forget drops key's counter.
-func (p *Popularity) Forget(key string) { delete(p.counters, key) }
-
 // Above returns the keys whose decayed score at now is at least min,
 // sorted by descending score (ties broken by key for determinism).
 func (p *Popularity) Above(min float64, now time.Duration) []string {

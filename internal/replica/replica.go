@@ -268,7 +268,7 @@ func (m *Manager) Accepts(key string, epoch uint32) bool {
 }
 
 func (m *Manager) acceptsLocked(key string, epoch uint32) bool {
-	if te, dead := m.tombs[key]; dead && epoch <= te {
+	if m.tombstonedLocked(key, epoch) {
 		return false
 	}
 	held, ok := m.entries[key]
@@ -321,12 +321,15 @@ func (m *Manager) PlanPut(e Entry) ([]store.Op, error) {
 // PlanDrop returns the record that releases key and, with tomb, certifies
 // it dead at the origin's epoch even if it is not held (a purge can arrive
 // before the adoption it forbids). It returns no record when there is
-// nothing to log: the key is not held and no tombstone is asked for.
+// nothing to log: the key is not held and either no tombstone is asked for
+// or one at or above epoch already exists (a repeated purge).
 func (m *Manager) PlanDrop(key string, epoch uint32, tomb bool) ([]store.Op, error) {
 	if err := checkKey(key); err != nil {
 		return nil, err
 	}
-	if !tomb && !m.Has(key) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, held := m.entries[key]; !held && (!tomb || m.tombstonedLocked(key, epoch)) {
 		return nil, nil
 	}
 	return []store.Op{DropOp(key, epoch, tomb)}, nil
@@ -396,6 +399,10 @@ func (m *Manager) ReleaseCandidates() []Entry {
 func (m *Manager) Tombstoned(key string, epoch uint32) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.tombstonedLocked(key, epoch)
+}
+
+func (m *Manager) tombstonedLocked(key string, epoch uint32) bool {
 	te, ok := m.tombs[key]
 	return ok && epoch <= te
 }

@@ -136,17 +136,6 @@ func (m *MemFS) Crash(seed int64) {
 	}
 }
 
-// Files lists the current file names (for quarantine assertions in tests).
-func (m *MemFS) Files() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.files))
-	for name := range m.files {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Write implements File.
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.fs.mu.Lock()

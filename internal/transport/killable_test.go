@@ -17,10 +17,12 @@ const (
 	killWrite killMode = iota
 	// killRead lets writes through but fails every read after the next
 	// write completes — the request was delivered, the response never
-	// arrives. Reads before that write (a pool's checkout-time staleness
-	// probe) still hit the real connection, so the conn looks healthy
-	// until the request is committed.
+	// arrives.
 	killRead
+	// killMute swallows the next write and every one after it, reporting
+	// success: the far side never sees the request, so it never answers,
+	// and the exchange waits on the real connection until its deadline.
+	killMute
 )
 
 // errKilled is what a killed connection's reads and writes return.
@@ -29,11 +31,10 @@ var errKilled = errors.New("connection killed")
 // killableConn wraps a live connection so tests can kill it
 // deterministically mid-RPC — the conn-level fate a pooled transport must
 // survive. kill arms the failure; the mode decides whether the request
-// write tears or the response read fails. In both modes the conn behaves
-// normally until the armed exchange actually commits a write, so a pool's
-// checkout-time validation sees a healthy conn and the failure lands
-// mid-RPC, where the interesting recovery paths live. Safe for concurrent
-// use.
+// write tears, the response read fails or the peer goes silent. In every
+// mode the conn behaves normally until the armed exchange commits a write,
+// so the failure lands mid-RPC, where the recovery paths live. Safe for
+// concurrent use.
 type killableConn struct {
 	net.Conn
 	mu       sync.Mutex
@@ -44,8 +45,8 @@ type killableConn struct {
 }
 
 // kill arms the connection to fail. For killWrite, tornBytes of the next
-// write still reach the wire (0 = nothing does) before the error; for
-// killRead, tornBytes is ignored.
+// write still reach the wire (0 = nothing does) before the error; the
+// other modes ignore it.
 func (c *killableConn) kill(mode killMode, tornBytes int) {
 	c.mu.Lock()
 	c.armed, c.mode, c.torn = true, mode, tornBytes
@@ -55,14 +56,17 @@ func (c *killableConn) kill(mode killMode, tornBytes int) {
 func (c *killableConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	armed, mode, torn := c.armed, c.mode, c.torn
-	if armed {
+	if armed && mode != killMute {
 		// The armed exchange is committing its request: reads are dead
-		// from here on, whichever mode.
+		// from here on.
 		c.readDead = true
 	}
 	c.mu.Unlock()
-	if !armed || mode != killWrite {
+	switch {
+	case !armed || mode == killRead:
 		return c.Conn.Write(p)
+	case mode == killMute:
+		return len(p), nil
 	}
 	n := 0
 	if torn > 0 && torn < len(p) {

@@ -8,12 +8,11 @@
 // per-address (poolConns), across all addresses (poolMaxIdle, oldest-idle
 // evicted first), and by idle age (poolIdle, swept by a timer-driven reaper).
 //
-// A checkout re-validates the conn with a staleness probe: one non-blocking
-// peek of the socket, recvfrom(MSG_PEEK|MSG_DONTWAIT) (probe_unix.go), one
-// syscall and no allocation a checkout. A healthy idle conn has nothing to
-// read, so the peek returns EAGAIN; a conn the far side closed (server
-// restart, idle reap on their end) returns EOF or buffered bytes
-// immediately and is discarded before it can eat an RPC.
+// A checkout does not probe the socket. A conn the far side closed or lost
+// (a restart, an idle reap on their end, a host crash) fails under its next
+// exchange before any reply byte arrives, and the exchange is re-sent once
+// on a fresh dial (Transport.exchangePooled): one rule for every request
+// kind, safe because every kind is idempotent at its receiver.
 package transport
 
 import (
@@ -23,63 +22,35 @@ import (
 )
 
 // pconn is one pooled connection: the conn, its byte counter, and its
-// frame reader. The mark fields record how far the current exchange
-// progressed, which decides whether a failed RPC can be transparently
-// re-dialed without risking double delivery.
+// frame reader. recvMark is the byte count read before the current
+// exchange, so gotRespByte can tell whether any reply byte arrived — which
+// decides whether a failed exchange may be re-sent.
 type pconn struct {
 	conn net.Conn
 	cc   *countingConn
 	frameConn
 	addr string
-	peek *stalePeek
 
 	idleSince time.Time
-
-	// wroteReq: the current exchange's request was fully written to
-	// the stream. recvMark: bytes read before the current exchange, so
-	// gotRespByte can tell whether any response byte arrived.
-	wroteReq bool
-	recvMark int64
+	recvMark  int64
 }
 
 func newPconn(conn net.Conn, addr string) *pconn {
 	cc := &countingConn{Conn: conn}
-	return &pconn{conn: conn, cc: cc, frameConn: newFrameConn(cc), addr: addr, peek: newStalePeek(conn)}
+	return &pconn{conn: conn, cc: cc, frameConn: newFrameConn(cc), addr: addr}
 }
 
-// beginExchange resets the delivery marks for a fresh RPC.
-func (pc *pconn) beginExchange() {
-	pc.wroteReq = false
-	pc.recvMark = pc.cc.recv
-}
+// beginExchange marks the start of a fresh exchange.
+func (pc *pconn) beginExchange() { pc.recvMark = pc.cc.recv }
 
-// gotRespByte reports whether any response byte arrived for the current
+// gotRespByte reports whether any reply byte arrived for the current
 // exchange.
 func (pc *pconn) gotRespByte() bool { return pc.cc.recv > pc.recvMark }
 
-// undelivered reports whether the current exchange's request provably
-// never took effect at the peer, making one transparent re-dial safe. For
-// oneways that means the request write itself failed — a torn request
-// never decodes server-side, so it was not delivered. For calls it means
-// zero response bytes arrived; the request may have executed, but every
-// call kind is an idempotent read, so re-asking is harmless.
-func (pc *pconn) undelivered(oneway bool) bool {
-	if oneway {
-		return !pc.wroteReq
-	}
-	return !pc.gotRespByte()
-}
-
-// stale probes an idle conn for death with a non-blocking socket peek
-// (see stalePeek in probe_unix.go); bytes already buffered past the last
-// reply mean the stream desynced. A dead conn discarded here never costs
-// an RPC; one that slips through is absorbed by the transparent re-dial.
-func (pc *pconn) stale() bool { return pc.br.Buffered() > 0 || pc.peek.check() }
-
 // connPool keeps idle pconns keyed by dial address. A peer that moves is
 // dialed at its new address, so conns pooled against the old one never
-// carry another request; the socket alone retires a conn (the staleness
-// probe, a failed exchange, the caps and the reaper).
+// carry another request; the socket alone retires a conn (a failed
+// exchange, the caps and the reaper).
 type connPool struct {
 	t *Transport
 
@@ -113,8 +84,9 @@ func (p *connPool) retire(addr string) {
 	}
 }
 
-// get checks out an idle conn for addr, newest first, discarding stale
-// ones. Returns nil on a pool miss.
+// get checks out an idle conn for addr, newest first, discarding any with
+// bytes buffered past its last reply (a desynced stream). Returns nil on a
+// pool miss.
 func (p *connPool) get(addr string) *pconn {
 	for {
 		p.mu.Lock()
@@ -132,7 +104,7 @@ func (p *connPool) get(addr string) *pconn {
 		p.total--
 		p.t.m.poolIdleConns.Set(int64(p.total))
 		p.mu.Unlock()
-		if pc.stale() {
+		if pc.br.Buffered() > 0 {
 			pc.conn.Close()
 			p.t.m.poolStale.Inc()
 			continue

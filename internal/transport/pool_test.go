@@ -277,11 +277,11 @@ func TestTornReadCallTransparentRedial(t *testing.T) {
 	}
 }
 
-// A oneway whose request went out but whose ack never came back must NOT
-// be transparently retried — the envelope may have been delivered, and a
-// blind resend would double-deliver. The failure surfaces to the caller
-// instead.
-func TestTornReadOnewayNotRedialed(t *testing.T) {
+// A oneway whose request went out but whose ack never came back is re-sent
+// once on a fresh dial, like any exchange that failed before a reply byte:
+// the server handles it twice, which every oneway kind tolerates, and the
+// caller sees no error.
+func TestTornReadOnewayTransparentRedial(t *testing.T) {
 	ta, reg, _, hb := pairReg(t)
 	var mu sync.Mutex
 	var conns []*killableConn
@@ -293,24 +293,148 @@ func TestTornReadOnewayNotRedialed(t *testing.T) {
 	mu.Lock()
 	conns[0].kill(killRead, 0)
 	mu.Unlock()
-	if err := ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest, Digest: 2}); err == nil {
-		t.Fatal("ack-less oneway should surface an error")
+	if err := ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest, Digest: 2}); err != nil {
+		t.Fatalf("ack-less oneway not recovered: %v", err)
 	}
-	// The envelope itself did reach the server — exactly once.
-	waitFor(t, "both gossips delivered", func() bool {
+	waitFor(t, "the second gossip delivered twice", func() bool {
 		hb.mu.Lock()
 		defer hb.mu.Unlock()
-		return len(hb.gossips) == 2
+		return len(hb.gossips) == 3
 	})
-	if got := reg.Snapshot().Get("transport_pool_redials_total"); got != 0 {
-		t.Fatalf("redials = %d, want 0 (possible double delivery)", got)
+	hb.mu.Lock()
+	d := []uint64{hb.gossips[0].Digest, hb.gossips[1].Digest, hb.gossips[2].Digest}
+	hb.mu.Unlock()
+	if d[0] != 1 || d[1] != 2 || d[2] != 2 {
+		t.Fatalf("delivered digests = %v, want [1 2 2]", d)
+	}
+	if got := reg.Snapshot().Get("transport_pool_redials_total"); got != 1 {
+		t.Fatalf("redials = %d, want exactly 1", got)
+	}
+}
+
+// A server that handles a oneway and then drops the conn before acking:
+// the exchange failed before any reply byte, so it is re-sent on a fresh
+// dial and the caller sees no error.
+func TestLostAckOnewayRedialed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	var mu sync.Mutex
+	var handled []string
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				fc := newFrameConn(conn)
+				for {
+					var env Envelope
+					if err := fc.readFrame(&env); err != nil {
+						return
+					}
+					mu.Lock()
+					handled = append(handled, env.Puts[0].Snippet.ID)
+					n := len(handled)
+					mu.Unlock()
+					if n == 2 {
+						return // handled, but the ack is lost with the conn
+					}
+					if err := fc.writeFrame(&Envelope{Kind: KindAck}); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	reg := metrics.NewRegistry()
+	ta, err := New(0, "", newHandler(0), func(directory.PeerID) (string, bool) { return ln.Addr().String(), true }, 1, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ta.Close)
+
+	for _, id := range []string{"s1", "s2"} {
+		if err := ta.BrokerPut(1, "k", broker.Snippet{ID: id, Keys: []string{"k"}}, time.Minute); err != nil {
+			t.Fatalf("put %s: %v", id, err)
+		}
+	}
+	mu.Lock()
+	got := append([]string(nil), handled...)
+	mu.Unlock()
+	if len(got) != 3 || got[0] != "s1" || got[1] != "s2" || got[2] != "s2" {
+		t.Fatalf("handled = %v, want [s1 s2 s2]", got)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Get("transport_pool_redials_total"); got != 1 {
+		t.Fatalf("redials = %d, want 1", got)
+	}
+	if got := snap.Get("transport_dials_total"); got != 2 {
+		t.Fatalf("dials = %d, want 2", got)
+	}
+}
+
+// An exchange on a reused conn that runs into its deadline is not re-sent,
+// whatever its kind: the peer is slow or gone, not restarted, and a re-sent
+// exchange could keep the caller waiting twice the deadline.
+func TestDeadlineOnReusedConnNotRedialed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		send func(*Transport) error
+	}{
+		{"call", func(ta *Transport) error { _, err := ta.Query(1, []string{"x"}, false); return err }},
+		{"oneway", func(ta *Transport) error { return ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ta, reg, _, _ := pairReg(t)
+			var mu sync.Mutex
+			var conns []*killableConn
+			ta.dial = killableDial(&conns, &mu)
+			if err := tc.send(ta); err != nil {
+				t.Fatal(err)
+			}
+			ta.rpcTimeout = 100 * time.Millisecond
+			mu.Lock()
+			conns[0].kill(killMute, 0)
+			mu.Unlock()
+			start := time.Now()
+			err := tc.send(ta)
+			if !isTimeout(err) {
+				t.Fatalf("err = %v, want the deadline's timeout", err)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("the failed exchange took %v", d)
+			}
+			snap := reg.Snapshot()
+			if got := snap.Get("transport_pool_redials_total"); got != 0 {
+				t.Fatalf("redials = %d, want 0", got)
+			}
+			if got := snap.Get("transport_dials_total"); got != 1 {
+				t.Fatalf("dials = %d, want 1 (nothing re-dialed)", got)
+			}
+			if got := snap.Get("transport_timeouts_total"); got != 1 {
+				t.Fatalf("timeouts = %d, want 1", got)
+			}
+			if err := tc.send(ta); err != nil {
+				t.Fatalf("the exchange after the timeout: %v", err)
+			}
+		})
 	}
 }
 
 // A peer that restarted without a FIN (a host crash) leaves every conn
-// pooled to it dead but quiet, so the staleness probe passes them. The
-// first to fail under an exchange retires its siblings: the restart costs
-// one failed oneway, and the next send dials fresh and succeeds.
+// pooled to it dead but quiet. The first to fail under an exchange retires
+// its siblings, and the exchange is re-sent on one fresh dial: the restart
+// costs one failed exchange, which the caller never sees.
 func TestRestartWithoutFINCostsOneExchange(t *testing.T) {
 	ta, reg, tb, hb := pairReg(t)
 	var mu sync.Mutex
@@ -331,16 +455,16 @@ func TestRestartWithoutFINCostsOneExchange(t *testing.T) {
 	send := func(digest uint64) error {
 		return ta.Send(1, &gossip.Message{Type: gossip.MsgAERequest, Digest: digest})
 	}
-	if err := send(1); err == nil {
-		t.Fatal("a oneway whose ack never came back succeeded")
+	if err := send(1); err != nil {
+		t.Fatalf("the send on the dead conn: %v", err)
 	}
 	if err := send(2); err != nil {
-		t.Fatalf("the send after the failed one: %v", err)
+		t.Fatalf("the send after it: %v", err)
 	}
-	waitFor(t, "both gossips delivered", func() bool {
+	waitFor(t, "the gossips delivered", func() bool {
 		hb.mu.Lock()
 		defer hb.mu.Unlock()
-		return len(hb.gossips) == 2
+		return len(hb.gossips) == 3 // the first twice: its ack was lost
 	})
 	snap := reg.Snapshot()
 	if got := snap.Get("transport_pool_stale_total"); got != 1 {
@@ -349,15 +473,15 @@ func TestRestartWithoutFINCostsOneExchange(t *testing.T) {
 	if got := snap.Get("transport_dials_total"); got != 3 {
 		t.Fatalf("dials = %d, want 3 (two pooled, one fresh)", got)
 	}
-	if got := snap.Get("transport_pool_redials_total"); got != 0 {
-		t.Fatalf("redials = %d, want 0", got)
+	if got := snap.Get("transport_pool_redials_total"); got != 1 {
+		t.Fatalf("redials = %d, want 1", got)
 	}
 }
 
-// A server restart FINs every pooled conn; the checkout-time staleness
-// probe discards them before they can eat an RPC, so the next call just
-// dials fresh — no redial.
-func TestServerRestartCaughtByStalenessProbe(t *testing.T) {
+// A server restart FINs every pooled conn. The next call on one fails
+// before any reply byte and is re-sent on a fresh dial to the new server:
+// the caller sees no error.
+func TestServerRestartCaughtByRedial(t *testing.T) {
 	ha, hb, hb2 := newHandler(0), newHandler(1), newHandler(1)
 	reg := metrics.NewRegistry()
 	var ta, tb *Transport
@@ -396,11 +520,11 @@ func TestServerRestartCaughtByStalenessProbe(t *testing.T) {
 		t.Fatalf("query after server restart: %v", err)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Get("transport_pool_stale_total"); got != 1 {
-		t.Fatalf("stale = %d, want 1 (probe should catch the dead conn)", got)
+	if got := snap.Get("transport_pool_redials_total"); got != 1 {
+		t.Fatalf("redials = %d, want 1 (the dead conn's exchange re-sent)", got)
 	}
-	if got := snap.Get("transport_pool_redials_total"); got != 0 {
-		t.Fatalf("redials = %d, want 0 (probe should fire before the RPC)", got)
+	if got := snap.Get("transport_pool_stale_total"); got != 0 {
+		t.Fatalf("stale = %d, want 0 (no sibling was pooled)", got)
 	}
 }
 

@@ -9,9 +9,8 @@
 // frame.go for the codec), bounded by a per-exchange deadline. The client
 // side pools idle connections per peer address (see pool.go), so sustained
 // gossip and query fan-out amortize the dial round-trip across thousands
-// of exchanges; a reused conn that proves dead under an RPC is
-// transparently re-dialed once, but only when delivery provably did not
-// happen.
+// of exchanges; an exchange whose reused conn proves dead under it is
+// re-sent once on a fresh dial (see exchangePooled).
 //
 // The transport holds no opinion on whether a peer is reachable: one send
 // is one attempt, and its error goes to the caller. gossip.Node turns
@@ -38,23 +37,32 @@ import (
 // Kind tags an envelope; it is the frame's kind byte.
 type Kind uint8
 
-// Envelope kinds.
+// Envelope kinds. Every request kind is idempotent at its receiver: the
+// transport delivers at least once, re-sending a request whose reused conn
+// died under it before any reply byte arrived (exchangePooled), so a
+// request the peer already handled may arrive again. The call kinds are
+// reads; each oneway kind's note says why a repeat changes nothing.
 const (
-	// KindGossip carries a one-way gossip message.
+	// KindGossip carries a one-way gossip message. Idempotent: a record
+	// not newer than the held one is refused, and a repeated ack does not
+	// advance a rumor's retirement.
 	KindGossip Kind = iota
 	// KindQuery asks the target to run a local query; KindQueryResp
 	// answers.
 	KindQuery
 	// KindBrokerPut stores snippets at the target's broker: Puts, each
-	// snippet once with the keys to file it under.
+	// snippet once with the keys to file it under. Idempotent: a repeated
+	// put refreshes the snippet in place and notifies no watcher again.
 	KindBrokerPut
 	// KindBrokerGet fetches snippets for a key; answered by
 	// KindSnippets.
 	KindBrokerGet
 	// KindBrokerWatch registers a persistent-query watch at the
 	// target's broker; matches come back as KindNotify one-ways.
+	// Idempotent: an exact repeat of a held watch is not kept.
 	KindBrokerWatch
-	// KindNotify delivers a matched snippet to a watcher.
+	// KindNotify delivers a matched snippet to a watcher. Idempotent: a
+	// persistent query fires once per document key.
 	KindNotify
 	// KindGetDoc fetches a document body by key; answered by KindDoc.
 	KindGetDoc
@@ -82,10 +90,12 @@ const (
 
 	// KindReplicaPut pushes a replica of a hot document to a
 	// ring-responsible peer (one-way, best effort — the hoarding loop
-	// repairs what a lost push misses).
+	// repairs what a lost push misses). Idempotent: an offer not newer
+	// than the held copy is refused.
 	KindReplicaPut
 	// KindReplicaPurge tells a replica holder the origin removed (or
-	// superseded) a document (one-way).
+	// superseded) a document (one-way). Idempotent: a repeat finds the
+	// replica gone and the death certificate held, and logs nothing.
 	KindReplicaPurge
 	// KindHotDocs asks a peer for its hottest served documents (the
 	// hoard exchange); answered by KindHotList.
@@ -201,7 +211,9 @@ type KeyedSnippet struct {
 }
 
 // Handler is the application side of the transport (implemented by
-// core.Peer).
+// core.Peer). Every method must be idempotent: the transport may deliver a
+// request twice (see the Kind constants), and handling the repeat must
+// change nothing the first delivery did not.
 type Handler interface {
 	// HandleGossip delivers a gossip message.
 	HandleGossip(from directory.PeerID, m *gossip.Message)
@@ -281,8 +293,9 @@ type Transport struct {
 	// serveTimeout bounds one inbound request on the server side, so a
 	// client that connects and stalls cannot pin a handler goroutine
 	// forever; serveIdleTimeout how long an inbound session may sit
-	// between requests before the server hangs up (the client pool's
-	// staleness probe absorbs the hangup without losing an RPC).
+	// between requests before the server hangs up (the client's next
+	// exchange on that conn fails with no reply byte and is re-sent on a
+	// fresh dial).
 	serveTimeout, serveIdleTimeout time.Duration
 	// poolConns caps the idle connections retained per peer address
 	// (checkout prefers the most recently used); poolMaxIdle caps them
@@ -312,9 +325,10 @@ type tpMetrics struct {
 	rpcLatencyUS *metrics.Histogram
 
 	// Pool instrumentation: reuse/misses give the connection-reuse
-	// ratio; stale counts conns discarded at checkout or invalidation;
-	// redials counts transparent re-dials after a reused conn died
-	// mid-RPC; evicted/reaped count cap- and idle-driven closes.
+	// ratio; stale counts idle conns retired beside one that failed under
+	// an exchange (and any found desynced at checkout); redials counts
+	// exchanges re-sent on a fresh dial after their reused conn died;
+	// evicted/reaped count cap- and idle-driven closes.
 	poolReuse     *metrics.Counter
 	poolMisses    *metrics.Counter
 	poolStale     *metrics.Counter
@@ -350,11 +364,16 @@ func newTpMetrics(r *metrics.Registry) tpMetrics {
 	return m
 }
 
+// isTimeout reports whether err is a deadline expiry.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
 // countTimeout records err in the timeout counter when it is a deadline
 // expiry.
 func (t *Transport) countTimeout(err error) {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
+	if isTimeout(err) {
 		t.m.timeouts.Inc()
 	}
 }
@@ -602,10 +621,14 @@ func (t *Transport) roundTrip(to directory.PeerID, env *Envelope, oneway bool) (
 // dialing on a pool miss. The request is encoded before any conn is taken,
 // so one that fails to encode (ErrEncode) touches none. A conn that fails
 // under the exchange is closed with every idle conn pooled beside it
-// (connPool.retire); a reused one is transparently re-dialed once, only
-// when delivery provably did not happen (see pconn.undelivered), with the
-// same request bytes. All other failures surface to the caller. kill
-// injects a conn death just before the exchange (faultnet's ConnKill fate).
+// (connPool.retire). One rule, whatever the kind, decides a re-dial: an
+// exchange on a reused conn that failed before any reply byte arrived, and
+// not by its deadline expiring, is re-sent once with the same request
+// bytes on a fresh dial. The request may have been handled already; every
+// kind is idempotent at its receiver (see Kind), so the repeat is
+// harmless. A timed-out exchange is not re-sent, so no caller waits twice
+// the deadline. All other failures surface to the caller. kill injects a
+// conn death just before the exchange (faultnet's ConnKill fate).
 func (t *Transport) exchangePooled(addr string, env *Envelope, oneway, kill bool) (*Envelope, error) {
 	req, err := encodeFrame(env)
 	defer freeFrame(req)
@@ -637,12 +660,9 @@ func (t *Transport) exchangePooled(addr string, env *Envelope, oneway, kill bool
 		}
 		pc.conn.Close()
 		t.pool.retire(addr)
-		if !reused || !pc.undelivered(oneway) {
+		if !reused || pc.gotRespByte() || isTimeout(err) {
 			return nil, err
 		}
-		// The conn was healthy when pooled but dead under this RPC, and
-		// the request cannot have taken effect: re-dial once, invisibly
-		// to the caller.
 		t.m.poolRedials.Inc()
 		pc = nil
 	}
@@ -672,7 +692,6 @@ func (t *Transport) exchangeOn(pc *pconn, kind Kind, req []byte, oneway bool) (*
 		t.countTimeout(err)
 		return nil, err
 	}
-	pc.wroteReq = true
 	var resp Envelope
 	if err := pc.readFrame(&resp); err != nil {
 		t.countTimeout(err)

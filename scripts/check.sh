@@ -256,13 +256,14 @@ echo "== benchmark module (cd bench && go vet ./... && go test ./...)"
 # the filter sweep racing Upsert/MarkOffline
 # (§4c, §4i), sends building the own payload beside publishes, which
 # must cover the version they leave with, and the pooled transport's
-# recovery paths (pool, torn conns, restarts, encode failures; §4k).
+# recovery paths (pool, torn conns, restarts, encode failures, re-dials;
+# §4k).
 echo "== concurrent contracts, repeated"
 go test -race -count=10 -run 'TestSnapshotRacesAppends' ./internal/store/
 go test -race -count=10 -run 'TestConcurrentQueriesPublishesRemoves|TestTopKMemoConcurrentExtenders' ./internal/core/
 go test -race -count=5 -run 'TestSweepMatchesPerPeerProbes' ./internal/core/
 go test -race -count=10 -run 'TestConcurrentPublishPayloadCoversVersion' ./internal/core/
-go test -race -count=5 -run 'Pool|Torn|Restart|Encode' ./internal/transport/
+go test -race -count=5 -run 'Pool|Torn|Restart|Encode|Redial' ./internal/transport/
 
 # The hot paths' benchmarks, once each, so they keep compiling and running:
 # the ranked top-k kernel, cold and resumed from the memo, batch indexing,
