@@ -39,8 +39,11 @@ import (
 // checkout-time socket peek and the oneway write mark (one re-dial rule
 // serves every request kind), and the exported methods nothing called
 // (the Bloom filter's fill-based false-positive estimate, the in-memory
-// file system's listing, the popularity counter's forget). One of them
-// named again in non-test Go is a second path coming back.
+// file system's listing, the popularity counter's forget), the hoard pull
+// with its RPC and the replica manager's offer check (every holder pushes),
+// and the gossip node's diff-size counter with its simulator-only size
+// field (simnet charges the default sizes). One of them named again in
+// non-test Go is a second path coming back.
 // The names are literal substrings, each specific enough not to match a
 // living name (simnet.Peer.BytesSent, Directory.SummaryRange, seedPasses,
 // net.Dialer, Peer.SearchAll, Index.SearchAny, OnlinePayloads).
@@ -64,6 +67,8 @@ var dormant = []string{
 	"SetPayload(", "Summary) Snapshot(", "summary.Snapshot(", "dirSource", "payloadSource",
 	"InvalidatePeer", "noteAddr", "lastAddr",
 	"stalePeek", "MSG_PEEK", "wroteReq", "Filter) FalsePositiveRate(", "MemFS) Files(", "Popularity) Forget(",
+	"pullHotDocs", "HandleHotDocs", "KindHotDocs", "KindHotList", "hoardPullMax", "Manager) Accepts(",
+	"gossip_diff_bytes_sent_total", "Sizes Sizes",
 }
 
 // source is one parsed non-test Go file of the module proper.

@@ -120,13 +120,16 @@ func TestRankedQueryReplyBounded(t *testing.T) {
 		_, st := peers[0].Search("ubiquitous", 10)
 		return st.PeersContacted == 1
 	})
-	tx := peers[1].Metrics().Counter("transport_tx_bytes_query")
+	// Peer 1 answers the query: its reply is charged to what it served,
+	// once the reply is written.
+	tx := peers[1].Metrics().Counter("transport_tx_bytes_served_query")
 	before := tx.Value()
 	got, st := peers[0].Search("ubiquitous", 10)
 	if len(got) != 10 || st.PeersContacted != 1 || st.DocsRetrieved != 10 {
 		t.Fatalf("%d hits, stats %+v; want 10 hits, 10 documents from 1 peer", len(got), st)
 	}
-	if sent := tx.Value() - before; sent <= 0 || sent >= 4096 {
+	waitFor(t, 5*time.Second, "the reply's accounting", func() bool { return tx.Value() > before })
+	if sent := tx.Value() - before; sent >= 4096 {
 		t.Fatalf("peer 1 sent %d bytes for a k=10 query, want under 4096", sent)
 	}
 	// Headers no searcher of this code sends reach the index walk and cost

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"planetp/internal/chash"
@@ -22,7 +21,7 @@ import (
 //   - Placement rides the brokerage ring: the replica holders of a
 //     document are the first target ring successors of Hash(key),
 //     excluding the origin. Every converged peer computes the same set
-//     locally, so pushes and pulls agree without coordination.
+//     locally, so every holder's pushes agree without coordination.
 //
 //   - Announcement rides the Bloom path: an adopted replica's terms AND
 //     a per-document marker term ("doc#<key>") are inserted into the
@@ -40,9 +39,6 @@ import (
 const docMarkerPrefix = "doc#"
 
 func docMarker(key string) string { return docMarkerPrefix + key }
-
-// hoardPullMax bounds one hoard pull's advertisement size.
-const hoardPullMax = 32
 
 // ReplicaDocs returns the number of locally held replicas.
 func (p *Peer) ReplicaDocs() int { return p.rep.Len() }
@@ -157,31 +153,6 @@ func (p *Peer) ResolveDocument(key string) (string, directory.PeerID, error) {
 	return "", 0, fmt.Errorf("%w: %s", doc.ErrNotFound, key)
 }
 
-// hotDocs serves a hoard pull: the hottest locally held documents (own
-// or replica) with their origin coordinates and scores.
-func (p *Peer) hotDocs(max int) []replica.HotDoc {
-	if max <= 0 {
-		return nil
-	}
-	keys, scores := p.rep.HotKeys()
-	selfEpoch := p.node.SelfRecord().Ver.Epoch
-	out := make([]replica.HotDoc, 0, max)
-	for i, k := range keys {
-		if len(out) == max {
-			break
-		}
-		e, own, ok := p.holding(k)
-		if !ok {
-			continue
-		}
-		if own {
-			e.Epoch = selfEpoch
-		}
-		out = append(out, replica.HotDoc{Key: k, Origin: e.Origin, Epoch: e.Epoch, Score: scores[i]})
-	}
-	return out
-}
-
 // broadcastPurge pushes death certificates for a removed document to its
 // replica placement (best effort; the hoard GC's epoch-supersession
 // check catches holders the push misses).
@@ -202,9 +173,8 @@ func (p *Peer) broadcastPurge(key string) {
 // --- hoarding loop ---
 
 // hoardLoop drives the replication maintenance cycle, every two gossip
-// intervals as of the loop's start: push own hot documents to their
-// placement, pull hot documents this peer is ring-responsible for, and
-// garbage-collect cooled or superseded replicas.
+// intervals as of the loop's start: push hot held documents to their
+// placement, then garbage-collect cooled or superseded replicas.
 func (p *Peer) hoardLoop() {
 	defer close(p.hoardDone)
 	ticker := time.NewTicker(2 * p.node.Interval())
@@ -222,13 +192,17 @@ func (p *Peer) hoardLoop() {
 // hoardTick runs one maintenance cycle.
 func (p *Peer) hoardTick() {
 	p.pushHotDocs()
-	p.pullHotDocs()
 	p.gcReplicas()
 }
 
-// pushHotDocs replicates this peer's own hot documents to ring
-// successors that do not yet announce them. The push carries the body —
-// the origin is up now; by the time it is not, the copies exist.
+// pushHotDocs is the one repair rule, run by every holder of a hot
+// document, origin or replica: the holder's own popularity score sets the
+// target, its own on-line view sets the ring, and each placement member
+// whose gossiped filter does not announce the document gets a copy. So a
+// placement the ring moved, or an origin gone or cooled while its replicas
+// serve the fetches, is repaired by whichever holder the fetches warm.
+// The push carries the body and the origin's coordinates: the held
+// replica's, or this peer at its current epoch for an own document.
 func (p *Peer) pushHotDocs() {
 	keys, scores := p.rep.HotKeys()
 	if len(keys) == 0 {
@@ -237,56 +211,23 @@ func (p *Peer) pushHotDocs() {
 	ring := p.brokerRing()
 	selfEpoch := p.node.SelfRecord().Ver.Epoch
 	for i, key := range keys {
-		d, own, _ := p.holding(key)
-		if !own {
-			continue // only the origin pushes
-		}
+		d, own, ok := p.holding(key)
 		target := p.rep.TargetReplicas(scores[i])
-		if target == 0 {
+		if !ok || target == 0 {
 			continue
 		}
+		if own {
+			d.Epoch = selfEpoch
+		}
+		origin := directory.PeerID(d.Origin)
 		marker := docMarker(key)
-		for _, succ := range chash.ReplicaHolders(ring, key, p.id, target) {
+		for _, succ := range chash.ReplicaHolders(ring, key, origin, target) {
 			if succ == p.id || p.view.Contains(succ, marker) {
 				continue
 			}
 			// Best effort: the next cycle repairs what a lost push misses.
-			_ = p.contacted(succ, p.tp.ReplicaPut(succ, key, d.XML, p.id, selfEpoch))
+			_ = p.contacted(succ, p.tp.ReplicaPut(succ, key, d.XML, origin, d.Epoch))
 		}
-	}
-}
-
-// pullHotDocs asks one random on-line peer for its hot documents and
-// adopts those this peer is ring-responsible for (the hoarding pull:
-// popularity spreads through exchanges even when the origin never pushed
-// here, e.g. after ring churn reassigned the placement).
-func (p *Peer) pullHotDocs() {
-	p.mu.Lock()
-	q, ok := p.dir.PickOnline(p.userRandLocked(), func(id directory.PeerID, e directory.Entry) bool {
-		return id != p.id
-	})
-	p.mu.Unlock()
-	if !ok {
-		return
-	}
-	hot, err := p.tp.HotDocs(q, hoardPullMax)
-	if p.contacted(q, err) != nil || len(hot) == 0 {
-		return
-	}
-	ring := p.brokerRing()
-	for _, h := range hot {
-		origin := directory.PeerID(h.Origin)
-		_, own, _ := p.holding(h.Key)
-		target := p.rep.TargetReplicas(h.Score)
-		if origin == p.id || own || target == 0 || !p.rep.Accepts(h.Key, h.Epoch) ||
-			!slices.Contains(chash.ReplicaHolders(ring, h.Key, origin, target), p.id) {
-			continue // not wanted here, or not this peer's to hold
-		}
-		xml, err := p.FetchDocument(q, h.Key)
-		if err != nil {
-			continue // the advertiser lost it or churned; next cycle
-		}
-		p.adoptReplica(replica.Entry{Key: h.Key, Origin: h.Origin, Epoch: h.Epoch, XML: xml}, h.Score)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"planetp/internal/chash"
 	"planetp/internal/directory"
 	"planetp/internal/doc"
 	"planetp/internal/index"
@@ -116,12 +117,11 @@ func TestLiveReplicationServesHitsAfterOwnerDeparts(t *testing.T) {
 	})
 }
 
-// TestHoardPullAdoptsRingResponsibleDocs exercises the pull path: a
-// peer that never received a push adopts a hot document advertised by a
-// holder once it is ring-responsible for it.
-func TestHoardPullAdoptsRingResponsibleDocs(t *testing.T) {
+// TestHoardPushPlacesEveryRingResponsiblePeer: every ring-responsible
+// peer of a hot document ends up holding a searchable replica.
+func TestHoardPushPlacesEveryRingResponsiblePeer(t *testing.T) {
 	peers := replicatingCommunity(t, 3, 3)
-	d, err := peers[0].Publish(`<paper>hoarded kestrel spreads by pulling</paper>`)
+	d, err := peers[0].Publish(`<paper>hoarded kestrel spreads by pushing</paper>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestHoardPullAdoptsRingResponsibleDocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// With k=3 and 3 peers, every non-origin peer is in the placement;
-	// push or pull, both must end up holding it.
+	// With k=3 and 3 peers, every non-origin peer is in the placement,
+	// so both must end up holding it.
 	waitFor(t, 15*time.Second, "both peers hold replicas", func() bool {
 		return replicaHolderCount(peers, 0, d.ID) == 2
 	})
@@ -147,6 +147,52 @@ func TestHoardPullAdoptsRingResponsibleDocs(t *testing.T) {
 		if !found {
 			t.Fatalf("peer %d holds replica but does not serve it in search", p.ID())
 		}
+	}
+}
+
+// TestReplicaHolderPushesWhenOriginGone: with the origin stopped, the
+// replica holder whose served fetches raise its own target pushes the
+// document to the next ring successor, which adopts it.
+func TestReplicaHolderPushesWhenOriginGone(t *testing.T) {
+	peers := replicatingCommunity(t, 4, 3)
+	origin := peers[0]
+	d, err := origin.Publish(`<paper>orphaned plover finds a new home</paper>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placement := chash.ReplicaHolders(origin.brokerRing(), d.ID, origin.ID(), 2)
+	holder, next := peers[placement[0]], peers[placement[1]]
+	var reader *Peer
+	for _, p := range peers[1:] {
+		if p != holder && p != next {
+			reader = p
+		}
+	}
+	fetch := func(from directory.PeerID, times int) {
+		for i := 0; i < times; i++ {
+			if _, err := reader.FetchDocument(from, d.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Score 3 at the origin: a target of one replica, the holder's.
+	fetch(origin.ID(), 3)
+	waitFor(t, 15*time.Second, "the first replica", func() bool { return holder.rep.Has(d.ID) })
+	if next.rep.Has(d.ID) {
+		t.Fatal("the second successor got a copy under a target of one")
+	}
+	origin.Stop()
+	pushed := func() int64 { return holder.reg.Snapshot().Get("transport_tx_bytes_replica_put") }
+	before := pushed()
+	// The adoption seeded the holder at HotScore; three served fetches
+	// raise it to 5, a target of two replicas: the holder and next.
+	fetch(holder.ID(), 3)
+	waitFor(t, 15*time.Second, "the second successor adopts", func() bool { return next.rep.Has(d.ID) })
+	if got := pushed() - before; got <= 0 {
+		t.Fatalf("the holder sent %d replica_put bytes after the origin stopped; the copy did not come by its push", got)
+	}
+	if e, _ := next.rep.Get(d.ID); directory.PeerID(e.Origin) != origin.ID() {
+		t.Fatalf("the pushed copy names origin %d, want %d", e.Origin, origin.ID())
 	}
 }
 

@@ -379,10 +379,10 @@ func (h *handler) HandleGetDoc(key string) (string, bool) {
 	return xml, err == nil
 }
 
-// HandleReplicaPut implements transport.Handler: the origin (or a
-// hoarding peer) pushed a hot document here for safekeeping. The seed
-// score is the adoption threshold — hot enough to survive until it
-// serves its first fetch.
+// HandleReplicaPut implements transport.Handler: a holder of a hot
+// document (its origin or a replica holder) pushed it here for
+// safekeeping. The seed score is the adoption threshold — hot enough to
+// survive until it serves its first fetch.
 func (h *handler) HandleReplicaPut(key, xml string, origin directory.PeerID, epoch uint32) {
 	p := (*Peer)(h)
 	p.adoptReplica(replica.Entry{Key: key, Origin: int32(origin), Epoch: epoch, XML: xml}, replica.HotScore)
@@ -393,12 +393,6 @@ func (h *handler) HandleReplicaPut(key, xml string, origin directory.PeerID, epo
 // certificate so no later exchange resurrects it.
 func (h *handler) HandleReplicaPurge(key string, origin directory.PeerID, epoch uint32) {
 	(*Peer)(h).purgeReplica(key, epoch, true)
-}
-
-// HandleHotDocs implements transport.Handler: serve this peer's hottest
-// held documents for a hoarding pull.
-func (h *handler) HandleHotDocs(max int) []replica.HotDoc {
-	return (*Peer)(h).hotDocs(max)
 }
 
 // HandlePeerExchange implements transport.Handler: serve a bounded random

@@ -288,8 +288,6 @@ type Config struct {
 	Mode Mode
 	// BandwidthAware enables the two-class target selection.
 	BandwidthAware bool
-	// Sizes are the wire-accounting constants.
-	Sizes Sizes
 	// OnNews, if non-nil, is invoked (outside the node's lock) for
 	// every record accepted as fresh — the hook applications use to
 	// re-evaluate persistent queries when a new Bloom filter arrives
@@ -317,9 +315,6 @@ func (c Config) WithDefaults() Config {
 	// must survive repeated normalization.
 	if c.PiggybackCount == 0 {
 		c.PiggybackCount = 10
-	}
-	if c.Sizes == (Sizes{}) {
-		c.Sizes = DefaultSizes()
 	}
 	return c
 }

@@ -77,7 +77,6 @@ type nodeMetrics struct {
 	probesSent  *metrics.Counter
 	suspected   *metrics.Counter
 	gossipless  *metrics.Counter
-	diffBytes   *metrics.Counter
 	exchanges   *metrics.Counter
 	exchangeRec *metrics.Counter
 	dropped     *metrics.Counter
@@ -98,7 +97,6 @@ func newNodeMetrics(r *metrics.Registry) nodeMetrics {
 		probesSent:  r.Counter("gossip_probes_sent_total"),
 		suspected:   r.Counter("gossip_peers_suspected_total"),
 		gossipless:  r.Counter("gossip_gossipless_contacts_total"),
-		diffBytes:   r.Counter("gossip_diff_bytes_sent_total"),
 		exchanges:   r.Counter("gossip_exchanges_total"),
 		exchangeRec: r.Counter("gossip_exchange_records_total"),
 		dropped:     r.Counter("gossip_records_dropped_total"),
@@ -428,11 +426,6 @@ func (n *Node) Tick() {
 	} else {
 		msg = &Message{Type: MsgRumor, From: n.id, Updates: n.activeUpdatesLocked()}
 		n.m.rumorsSent.Inc()
-		var diffBytes int64
-		for i := range msg.Updates {
-			diffBytes += int64(msg.Updates[i].DiffSize)
-		}
-		n.m.diffBytes.Add(diffBytes)
 		// The source of a rumor keeps aiming its initial push at a fast
 		// peer until one is actually reached (Section 7.2); without
 		// bandwidth awareness any push satisfies it. The flag clears

@@ -581,9 +581,6 @@ func TestConfigDefaults(t *testing.T) {
 		c.SlowdownStep != 5*time.Second || c.PiggybackCount != 10 {
 		t.Fatalf("defaults = %+v", c)
 	}
-	if c.Sizes != DefaultSizes() {
-		t.Fatalf("sizes = %+v", c.Sizes)
-	}
 }
 
 func TestMsgTypeString(t *testing.T) {

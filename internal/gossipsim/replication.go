@@ -7,6 +7,7 @@ import (
 
 	"planetp/internal/chash"
 	"planetp/internal/directory"
+	"planetp/internal/replica"
 	"planetp/internal/simnet"
 )
 
@@ -27,13 +28,13 @@ import (
 //     successors of chash.Hash(key) on the brokerage ring, skipping the
 //     owner.
 //     extra(r) scales with popularity — the full k-1 through the hot
-//     ranks, decaying toward zero with the Zipf tail — exactly the
-//     TargetReplicas = score/HotScore shape of internal/replica.
-//   - Hoarding repair runs once per gossip interval: every live holder
-//     recomputes the desired replica set on the ring of ITS OWN
-//     directory's on-line view and pushes missing copies. A push lands
-//     only if the target is truly on-line and reachable (partition
-//     sides), so repair speed is gated by how fast the gossiped
+//     ranks, decaying toward zero with the Zipf tail — and is computed
+//     by the live peer's own target function, replica.Target.
+//   - Hoarding repair runs once per gossip interval, by core's rule:
+//     every live holder recomputes the desired replica set on the ring
+//     of ITS OWN directory's on-line view and pushes missing copies. A
+//     push lands only if the target is truly on-line and reachable
+//     (partition sides), so repair speed is gated by how fast the gossiped
 //     directory detects the storm — the coupling the experiment exists
 //     to measure. Message drops slow that detection (they fault the
 //     gossip layer); the model's own fetch/push RPCs retry within an
@@ -126,24 +127,17 @@ func newReplicaModel(n, docs, k int) *replicaModel {
 		all[i] = directory.PeerID(i)
 	}
 	ring := chash.PeerRing(all)
-	// extra(r) follows internal/replica's TargetReplicas shape: the
-	// decile-boundary rank still earns the full k-1 extras, and the Zipf
-	// tail decays below it (score ∝ weight, HotScore = the boundary
-	// weight divided by k-1).
+	// extra(r) is replica.Target of a score proportional to weight, scaled
+	// so the decile-boundary rank scores k-1 times the hot score and still
+	// earns the full k-1 extras; the Zipf tail decays below it. Scaling by
+	// the hot score (2) and Target's dividing by it are exact.
 	boundary := 1.0 / float64(m.hotDocs)
 	for i := 0; i < docs; i++ {
 		m.keys[i] = fmt.Sprintf("doc-%05d", i)
 		m.owners[i] = directory.PeerID(i % n)
 		m.weights[i] = 1.0 / float64(i+1)
 		m.wSum += m.weights[i]
-		if k > 1 {
-			score := m.weights[i] / boundary * float64(k-1)
-			e := int(score)
-			if e > k-1 {
-				e = k - 1
-			}
-			m.extra[i] = e
-		}
+		m.extra[i] = replica.Target(m.weights[i]/boundary*float64(k-1)*replica.HotScore, k)
 		m.holders[i] = map[directory.PeerID]bool{m.owners[i]: true}
 		for _, h := range chash.ReplicaHolders(ring, m.keys[i], m.owners[i], m.extra[i]) {
 			m.holders[i][h] = true

@@ -31,7 +31,7 @@
 //     so anti-entropy gossip cannot resurrect removed content.
 //
 // The Manager holds the local replica set and policy; internal/core owns
-// the wiring (ring placement, hoard pulls, Bloom announcement, serving).
+// the wiring (ring placement, hoard pushes, Bloom announcement, serving).
 package replica
 
 import (
@@ -62,8 +62,9 @@ type Entry struct {
 	XML string
 }
 
-// HotDoc advertises one hot document in a hoard exchange: enough for a
-// ring-responsible peer to decide whether to pull a copy.
+// HotDoc was a hoard pull's advertisement of one hot document. No peer
+// sends it since every holder pushes; it stays only because the bench
+// module's stub Handler still returns it (ROADMAP 1(a)).
 type HotDoc struct {
 	Key    string
 	Origin int32
@@ -196,20 +197,22 @@ func (m *Manager) HotKeys() ([]string, []float64) {
 	return keys, scores
 }
 
-// TargetReplicas computes the replication target for a popularity score:
-// the number of replicas wanted beyond the origin, growing with
-// popularity and capped at factor-1 (the popularity × excess-capacity
-// computation of the Jacobs/Harwood scheme, with the budget enforced at
-// adoption time).
+// TargetReplicas is Target at the configured factor.
 func (m *Manager) TargetReplicas(score float64) int {
-	if m.cfg.Factor <= 1 || score < HotScore {
+	return Target(score, m.cfg.Factor)
+}
+
+// Target computes the replication target for a popularity score under
+// replication factor k: the number of replicas wanted beyond the origin,
+// growing with popularity and capped at k-1 (the popularity ×
+// excess-capacity computation of the Jacobs/Harwood scheme, with the
+// budget enforced at adoption time). The live peer and gossipsim's
+// replication model both call it.
+func Target(score float64, k int) int {
+	if k <= 1 || score < HotScore {
 		return 0
 	}
-	t := int(score / HotScore)
-	if max := m.cfg.Factor - 1; t > max {
-		t = max
-	}
-	return t
+	return min(int(score/HotScore), k-1)
 }
 
 // --- replica set ---
@@ -258,15 +261,9 @@ func (m *Manager) entriesLocked() []Entry {
 	return out
 }
 
-// Accepts reports whether an offered replica would be adopted: not
+// acceptsLocked reports whether an offered replica would be adopted: not
 // already held (at that epoch or newer) and not tombstoned at or above
 // the offered epoch.
-func (m *Manager) Accepts(key string, epoch uint32) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.acceptsLocked(key, epoch)
-}
-
 func (m *Manager) acceptsLocked(key string, epoch uint32) bool {
 	if m.tombstonedLocked(key, epoch) {
 		return false
@@ -278,7 +275,7 @@ func (m *Manager) acceptsLocked(key string, epoch uint32) bool {
 // PlanPut returns the records that adopt e, for the caller to log as one
 // write-ahead batch and then Apply in order: a drop per replica the
 // budget evicts (least popular first, ties by key, never e itself), then
-// the put. It returns no records when Accepts would be false, and
+// the put. It returns no records when acceptsLocked is false, and
 // ErrOverBudget when e cannot fit whatever is evicted.
 func (m *Manager) PlanPut(e Entry) ([]store.Op, error) {
 	if err := checkKey(e.Key); err != nil {
@@ -337,12 +334,12 @@ func (m *Manager) PlanDrop(key string, epoch uint32, tomb bool) ([]store.Op, err
 
 // Apply makes the change one replica record describes — a record just
 // logged, or one replayed at recovery — and returns the entry it names
-// and whether the held set changed: a put inserted it (a put that Accepts
-// would refuse is skipped), a drop removed it. A drop with the tombstone
-// flag also records the origin epoch as a death certificate: the content
-// must never be re-adopted at that epoch or below, not by a hoard pull,
-// not by a replayed announcement, and — the certificate being part of the
-// logged record — not after a restart.
+// and whether the held set changed: a put inserted it (a put that
+// acceptsLocked would refuse is skipped), a drop removed it. A drop with
+// the tombstone flag also records the origin epoch as a death certificate:
+// the content must never be re-adopted at that epoch or below, not by a
+// holder's push, not by a replayed announcement, and — the certificate
+// being part of the logged record — not after a restart.
 func (m *Manager) Apply(op store.Op) (Entry, bool, error) {
 	switch op.Kind {
 	case store.OpReplicaPut:

@@ -179,7 +179,7 @@ func newSimMetrics(r *metrics.Registry) simMetrics {
 // with AddPeer. If cfg.Metrics is set, the simulator publishes its wire
 // accounting (simnet_* names) to the same registry the nodes use.
 func New(capacity int, cfg gossip.Config, params Params, seed int64) *Sim {
-	cfg = cfg.WithDefaults() // the sim charges WireSize with these Sizes
+	cfg = cfg.WithDefaults()
 	return &Sim{
 		rng:      rand.New(rand.NewSource(seed)),
 		seed:     seed,
@@ -493,7 +493,7 @@ func (p *Peer) Send(to directory.PeerID, m *gossip.Message) error {
 			return errOffline{to}
 		}
 	}
-	size := m.WireSize(s.cfg.Sizes)
+	size := m.WireSize(gossip.DefaultSizes())
 	s.accountBytes(p, size)
 	target.BytesRecv += int64(size)
 
@@ -563,7 +563,7 @@ func (p *Peer) ExchangePeers(to directory.PeerID, max int) ([]directory.Record, 
 			return nil, errOffline{to}
 		}
 	}
-	sz := s.cfg.Sizes
+	sz := gossip.DefaultSizes()
 	s.accountBytes(p, sz.Header+sz.BFSummary)
 	target.BytesRecv += int64(sz.Header + sz.BFSummary)
 	recs := target.Node.Directory().SampleOnline(target.rng, max)

@@ -36,7 +36,6 @@ import (
 	"planetp/internal/broker"
 	"planetp/internal/directory"
 	"planetp/internal/gossip"
-	"planetp/internal/replica"
 	"planetp/internal/search"
 )
 
@@ -242,7 +241,7 @@ func (c *codec) body(env *Envelope) {
 	case KindProxySearch:
 		seq(c, &env.Terms, 1, c.str)
 		num(c, &env.K)
-	case KindPeerExchange, KindHotDocs:
+	case KindPeerExchange:
 		num(c, &env.K)
 	case KindReplicaPut:
 		c.key(&env.Key)
@@ -271,13 +270,6 @@ func (c *codec) body(env *Envelope) {
 		})
 	case KindPeers:
 		seq(c, &env.Records, 8, c.record)
-	case KindHotList:
-		seq(c, &env.Hot, 11, func(h *replica.HotDoc) {
-			c.key(&h.Key)
-			num(c, &h.Origin)
-			num(c, &h.Epoch)
-			c.f64(&h.Score)
-		})
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"planetp/internal/doc"
 	"planetp/internal/gossip"
 	"planetp/internal/metrics"
-	"planetp/internal/replica"
 	"planetp/internal/search"
 )
 
@@ -76,8 +75,6 @@ func everyKindFrames() []Envelope {
 		{Kind: KindPeers, Records: recs[:2]},
 		{Kind: KindReplicaPut, Key: id1, XML: "<doc/>", Origin: 3, Epoch: 1<<32 - 1},
 		{Kind: KindReplicaPurge, Key: id2, Origin: 3, Epoch: 4},
-		{Kind: KindHotDocs, K: 8},
-		{Kind: KindHotList, Hot: []replica.HotDoc{{Key: id1, Origin: 7, Epoch: 1, Score: 3.5}, {Key: "b", Origin: -2, Score: 0}}},
 		{Kind: KindAck},
 		{Kind: KindDoc, Err: "unknown kind"},
 	}
@@ -144,7 +141,7 @@ func TestFrameRoundTripEveryKind(t *testing.T) {
 		}
 	}
 	for k := Kind(0); k < numKinds; k++ {
-		if !seen[k] {
+		if !seen[k] && k.String() != "unknown" { // reserved bytes carry no kind
 			t.Fatalf("no round-trip row for kind %v", k)
 		}
 	}

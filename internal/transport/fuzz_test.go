@@ -22,12 +22,22 @@ func addFrame(f *testing.F, env *Envelope) {
 	f.Add(b)
 }
 
+// retiredFrames are the previous protocol's hoard pull and its reply (kind
+// bytes 18 and 19, now reserved), as a node of that protocol writes them.
+var retiredFrames = [][]byte{
+	[]byte("\x00\x00\x00\x01\x12\x02\x10"), // hot_docs, K = 8
+	[]byte("\x00\x00\x00\x1c\x13\x02\x01!\xc9C\x03\xeb;\x9c\xfd\xc0}K^\xf3\xf2\x00o\xfd\x0e\x02\x00\x00\x00\x00\x00\x00\f@"), // hot_list
+}
+
 // FuzzEnvelopeDecode feeds arbitrary bytes to the frame decoder — exactly
 // what a hostile peer can put on a transport connection. It must error or
 // decode, never panic (the server's serve loop has no recover).
 func FuzzEnvelopeDecode(f *testing.F) {
 	for _, env := range everyKindFrames() {
 		addFrame(f, &env)
+	}
+	for _, b := range retiredFrames {
+		f.Add(b)
 	}
 	for _, rq := range hostileRankQueries {
 		addFrame(f, &Envelope{Kind: KindQuery, Terms: []string{"a", "b"}, K: rq.K, N: rq.N, Nt: rq.Nt})

@@ -18,29 +18,8 @@ import (
 // asserting pool behavior through its counters.
 func pairReg(t *testing.T) (*Transport, *metrics.Registry, *Transport, *recordingHandler) {
 	t.Helper()
-	ha, hb := newHandler(0), newHandler(1)
 	reg := metrics.NewRegistry()
-	var ta, tb *Transport
-	resolve := func(id directory.PeerID) (string, bool) {
-		switch id {
-		case 0:
-			return ta.Addr(), true
-		case 1:
-			return tb.Addr(), true
-		}
-		return "", false
-	}
-	var err error
-	ta, err = New(0, "", ha, resolve, 1, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ta.Close)
-	tb, err = New(1, "", hb, resolve, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tb.Close)
+	ta, _, tb, hb := pairWith(t, reg, nil)
 	return ta, reg, tb, hb
 }
 

@@ -30,7 +30,6 @@ import (
 	"planetp/internal/directory"
 	"planetp/internal/gossip"
 	"planetp/internal/metrics"
-	"planetp/internal/replica"
 	"planetp/internal/search"
 )
 
@@ -97,10 +96,11 @@ const (
 	// superseded) a document (one-way). Idempotent: a repeat finds the
 	// replica gone and the death certificate held, and logs nothing.
 	KindReplicaPurge
-	// KindHotDocs asks a peer for its hottest served documents (the
-	// hoard exchange); answered by KindHotList.
-	KindHotDocs
-	KindHotList
+	// Bytes 18 and 19 are reserved: they were the hoard pull's request
+	// and reply, retired when every holder came to push. A request of a
+	// node that still sends one gets the "unknown kind" error reply.
+	_
+	_
 
 	// KindAck is the server's receipt for a one-way envelope. On a
 	// pooled stream a sender cannot tell a delivered oneway from one
@@ -113,8 +113,10 @@ const (
 )
 
 // String implements fmt.Stringer; the names also suffix the per-kind
-// byte counters (transport_tx_bytes_<kind>), where numKinds, "unknown",
-// takes the bytes of frames whose kind was never decoded.
+// byte counters: transport_{tx,rx}_bytes_<kind> for the exchanges a peer
+// starts, transport_{tx,rx}_bytes_served_<kind> for those it answers. A
+// kind byte this code does not know is "unknown"; so are the bytes of a
+// frame whose kind was never decoded (plain, not served).
 func (k Kind) String() string {
 	switch k {
 	case KindGossip:
@@ -153,10 +155,6 @@ func (k Kind) String() string {
 		return "replica_put"
 	case KindReplicaPurge:
 		return "replica_purge"
-	case KindHotDocs:
-		return "hot_docs"
-	case KindHotList:
-		return "hot_list"
 	case KindAck:
 		return "ack"
 	}
@@ -188,10 +186,9 @@ type Envelope struct {
 	Records []directory.Record
 	Err     string
 	// Origin/Epoch identify the publishing incarnation of a pushed or
-	// purged replica; Hot carries a hoard exchange's advertisement.
+	// purged replica.
 	Origin directory.PeerID
 	Epoch  uint32
-	Hot    []replica.HotDoc
 	// Puts is a KindBrokerPut's content (Discard applies to all of it).
 	Puts []KeyedSnippet
 	// N and Nt, with K, are a ranked KindQuery's rank header
@@ -241,9 +238,6 @@ type Handler interface {
 	// HandleReplicaPurge tells this peer the origin removed (or
 	// superseded) a document it may hold a replica of.
 	HandleReplicaPurge(key string, origin directory.PeerID, epoch uint32)
-	// HandleHotDocs returns up to max of this peer's hottest served
-	// documents (the hoard exchange).
-	HandleHotDocs(max int) []replica.HotDoc
 	// SelfRecord returns the peer's current record (bootstrap).
 	SelfRecord() directory.Record
 }
@@ -337,8 +331,35 @@ type tpMetrics struct {
 	poolReaped    *metrics.Counter
 	poolIdleConns *metrics.Gauge
 
-	txBytes [numKinds + 1]*metrics.Counter
-	rxBytes [numKinds + 1]*metrics.Counter
+	// initiated counts the exchanges this peer starts, by request kind;
+	// served those it answers, so a reply (an ack included) it writes is
+	// never charged as a request of that kind sent.
+	initiated, served byteCounters
+}
+
+// byteCounters are the per-kind byte counters of one side of exchanges,
+// the starting or the answering one, indexed by request kind; numKinds is
+// "unknown".
+type byteCounters struct {
+	tx, rx [numKinds + 1]*metrics.Counter
+}
+
+func newByteCounters(r *metrics.Registry, infix string) byteCounters {
+	var b byteCounters
+	for k := Kind(0); k <= numKinds; k++ {
+		b.tx[k] = r.Counter("transport_tx_bytes_" + infix + k.String())
+		b.rx[k] = r.Counter("transport_rx_bytes_" + infix + k.String())
+	}
+	return b
+}
+
+// add charges one exchange's byte delta (measured at the net.Conn
+// boundary) to its request kind; kinds past the known ones are charged to
+// "unknown".
+func (b *byteCounters) add(kind Kind, sent, recv int64) {
+	kind = min(kind, numKinds)
+	b.tx[kind].Add(sent)
+	b.rx[kind].Add(recv)
 }
 
 func newTpMetrics(r *metrics.Registry) tpMetrics {
@@ -356,10 +377,9 @@ func newTpMetrics(r *metrics.Registry) tpMetrics {
 		poolEvicted:   r.Counter("transport_pool_evicted_total"),
 		poolReaped:    r.Counter("transport_pool_reaped_total"),
 		poolIdleConns: r.Gauge("transport_pool_idle_conns"),
-	}
-	for k := Kind(0); k <= numKinds; k++ {
-		m.txBytes[k] = r.Counter("transport_tx_bytes_" + k.String())
-		m.rxBytes[k] = r.Counter("transport_rx_bytes_" + k.String())
+
+		initiated: newByteCounters(r, ""),
+		served:    newByteCounters(r, "served_"),
 	}
 	return m
 }
@@ -406,16 +426,6 @@ func (c *countingConn) take() (sent, recv int64) {
 	sent, recv = c.sent-c.takenSent, c.recv-c.takenRecv
 	c.takenSent, c.takenRecv = c.sent, c.recv
 	return sent, recv
-}
-
-// account charges one exchange's byte delta to the per-kind counters
-// (measured at the net.Conn boundary). kind is the request kind; responses
-// (and acks) are charged to the same kind — the exchange that caused them.
-// Kinds past the known ones are charged to "unknown".
-func (t *Transport) account(kind Kind, sent, recv int64) {
-	kind = min(kind, numKinds)
-	t.m.txBytes[kind].Add(sent)
-	t.m.rxBytes[kind].Add(recv)
 }
 
 // New starts listening on listenAddr ("" or "127.0.0.1:0" for an
@@ -684,7 +694,7 @@ func (t *Transport) exchangeOn(pc *pconn, kind Kind, req []byte, oneway bool) (*
 	pc.beginExchange()
 	defer func() {
 		sent, recv := pc.cc.take()
-		t.account(kind, sent, recv)
+		t.m.initiated.add(kind, sent, recv)
 		t.m.rpcLatencyUS.Observe(time.Since(start).Microseconds())
 	}()
 	_ = pc.conn.SetDeadline(time.Now().Add(t.rpcTimeout))
@@ -817,16 +827,6 @@ func (t *Transport) ReplicaPurge(to directory.PeerID, key string, origin directo
 	return t.oneway(to, &Envelope{Kind: KindReplicaPurge, Key: key, Origin: origin, Epoch: epoch})
 }
 
-// HotDocs asks a peer for its hottest documents (hoarding pull): key,
-// origin, epoch and current popularity score of up to max docs.
-func (t *Transport) HotDocs(to directory.PeerID, max int) ([]replica.HotDoc, error) {
-	resp, err := t.call(to, &Envelope{Kind: KindHotDocs, K: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Hot, nil
-}
-
 // ProxySearch asks a better-connected peer to run the whole ranked
 // search and return the top-k results.
 func (t *Transport) ProxySearch(to directory.PeerID, terms []string, k int) ([]search.ScoredDoc, error) {
@@ -895,16 +895,17 @@ func (t *Transport) serve(conn net.Conn) {
 		var env Envelope
 		if err := fc.readFrame(&env); err != nil {
 			// End of session — client gone, idle expiry, or garbage.
-			// Stray bytes are charged to "unknown".
+			// Stray bytes, part of no exchange, are charged to the
+			// plain "unknown" counters.
 			sent, recv := cc.take()
-			t.account(numKinds, sent, recv)
+			t.m.initiated.add(numKinds, sent, recv)
 			return
 		}
 		_ = conn.SetDeadline(time.Now().Add(t.serveTimeout))
 		resp := t.dispatch(&env)
 		err := fc.writeFrame(&resp)
 		sent, recv := cc.take()
-		t.account(env.Kind, sent, recv)
+		t.m.served.add(env.Kind, sent, recv)
 		if err != nil {
 			t.countTimeout(err)
 			return
@@ -959,8 +960,6 @@ func (t *Transport) dispatch(env *Envelope) Envelope {
 	case KindReplicaPurge:
 		t.handler.HandleReplicaPurge(env.Key, env.Origin, env.Epoch)
 		return ack
-	case KindHotDocs:
-		return Envelope{Kind: KindHotList, Hot: t.handler.HandleHotDocs(clampExchange(env.K))}
 	default:
 		return Envelope{Kind: env.Kind, Err: "unknown kind"}
 	}

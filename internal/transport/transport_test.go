@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"planetp/internal/directory"
 	"planetp/internal/gossip"
 	"planetp/internal/metrics"
-	"planetp/internal/replica"
 	"planetp/internal/search"
 )
 
@@ -28,7 +28,6 @@ type recordingHandler struct {
 	sample  []directory.Record // served by HandlePeerExchange
 	reps    []string           // "key@origin:epoch" adopted via HandleReplicaPut
 	purges  []string           // same encoding, via HandleReplicaPurge
-	hot     []replica.HotDoc   // served by HandleHotDocs
 }
 
 func newHandler(id directory.PeerID) *recordingHandler {
@@ -111,19 +110,16 @@ func (h *recordingHandler) HandleReplicaPurge(key string, origin directory.PeerI
 	h.purges = append(h.purges, fmt.Sprintf("%s@%d:%d", key, origin, epoch))
 }
 
-func (h *recordingHandler) HandleHotDocs(max int) []replica.HotDoc {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.hot) > max {
-		return h.hot[:max]
-	}
-	return h.hot
-}
-
 func (h *recordingHandler) SelfRecord() directory.Record { return h.self }
 
 // pair builds two connected transports.
 func pair(t *testing.T) (*Transport, *recordingHandler, *Transport, *recordingHandler) {
+	t.Helper()
+	return pairWith(t, nil, nil)
+}
+
+// pairWith is pair with the given metrics registries (nil for none).
+func pairWith(t *testing.T, ra, rb *metrics.Registry) (*Transport, *recordingHandler, *Transport, *recordingHandler) {
 	t.Helper()
 	ha, hb := newHandler(0), newHandler(1)
 	var ta, tb *Transport
@@ -137,12 +133,12 @@ func pair(t *testing.T) (*Transport, *recordingHandler, *Transport, *recordingHa
 		return "", false
 	}
 	var err error
-	ta, err = New(0, "", ha, resolve, 1, nil)
+	ta, err = New(0, "", ha, resolve, 1, ra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(ta.Close)
-	tb, err = New(1, "", hb, resolve, 2, nil)
+	tb, err = New(1, "", hb, resolve, 2, rb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,17 +349,9 @@ func TestReplicaRPCs(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	hb.mu.Lock()
+	defer hb.mu.Unlock()
 	if hb.reps[0] != "k1@7:3" || hb.purges[0] != "k1@7:4" {
 		t.Fatalf("reps=%v purges=%v", hb.reps, hb.purges)
-	}
-	hb.hot = []replica.HotDoc{{Key: "a", Origin: 7, Epoch: 1, Score: 3.5}, {Key: "b", Origin: 8, Epoch: 2, Score: 1}}
-	hb.mu.Unlock()
-	hot, err := ta.HotDocs(1, 8)
-	if err != nil || len(hot) != 2 || hot[0].Key != "a" || hot[0].Score != 3.5 {
-		t.Fatalf("HotDocs = %+v, %v", hot, err)
-	}
-	if hot, _ := ta.HotDocs(1, 1); len(hot) != 1 {
-		t.Fatalf("max not honored: %+v", hot)
 	}
 }
 
@@ -479,6 +467,88 @@ func TestRPCCountsBytesAndLatency(t *testing.T) {
 	hs, ok := snap.Histograms["transport_rpc_latency_us"]
 	if !ok || hs.Count != 1 {
 		t.Fatalf("transport_rpc_latency_us = %+v, want one observation", hs)
+	}
+}
+
+// frameLen is the wire size of env's frame.
+func frameLen(t *testing.T, env *Envelope) int64 {
+	t.Helper()
+	b, err := appendFrame(nil, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(b))
+}
+
+// byteTotal sums every counter whose name has prefix.
+func byteTotal(reg *metrics.Registry, prefix string) int64 {
+	var n int64
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, prefix) {
+			n += v
+		}
+	}
+	return n
+}
+
+// TestByteCountersKeepDirectionsApart: a peer charges the exchanges it
+// answers to its served counters and those it starts to the plain ones,
+// so a receiver's transport_tx_bytes_notify counts no ack; and each side's
+// totals over all tx and all rx counters are the frames that crossed.
+func TestByteCountersKeepDirectionsApart(t *testing.T) {
+	ra, rb := metrics.NewRegistry(), metrics.NewRegistry()
+	ta, _, tb, _ := pairWith(t, ra, rb)
+	sn := broker.Snippet{ID: "s1", Owner: 0, XML: "<doc/>", Keys: []string{"k"}}
+	for range 2 {
+		if err := ta.Notify(1, sn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ack, notify := frameLen(t, &Envelope{Kind: KindAck}), frameLen(t, &Envelope{Kind: KindNotify, Snippet: &sn})
+	// The server accounts an exchange after writing its reply.
+	waitFor(t, "the served notifies' accounting", func() bool {
+		snap := rb.Snapshot()
+		return snap.Get("transport_tx_bytes_served_notify") == 2*ack &&
+			snap.Get("transport_rx_bytes_served_notify") == 2*notify
+	})
+	for _, c := range []struct {
+		peer string
+		reg  *metrics.Registry
+		name string
+		want int64
+	}{
+		{"receiver", rb, "transport_tx_bytes_notify", 0},
+		{"receiver", rb, "transport_rx_bytes_notify", 0},
+		{"sender", ra, "transport_tx_bytes_notify", 2 * notify},
+		{"sender", ra, "transport_rx_bytes_notify", 2 * ack},
+		{"sender", ra, "transport_tx_bytes_served_notify", 0},
+	} {
+		if got := c.reg.Snapshot().Get(c.name); got != c.want {
+			t.Errorf("%s's %s = %d, want %d", c.peer, c.name, got, c.want)
+		}
+	}
+
+	// One query and one oneway: what one side sends, the other receives.
+	txA, rxA, txB, rxB := byteTotal(ra, "transport_tx_bytes_"), byteTotal(ra, "transport_rx_bytes_"),
+		byteTotal(rb, "transport_tx_bytes_"), byteTotal(rb, "transport_rx_bytes_")
+	query := Envelope{Kind: KindQuery, Terms: []string{"x"}}
+	put := Envelope{Kind: KindBrokerPut, Discard: time.Minute, Puts: []KeyedSnippet{{Snippet: sn, Keys: []string{"k"}}}}
+	reply := tb.dispatch(&query)
+	if _, err := ta.Query(1, query.Terms, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := ta.BrokerPut(1, "k", sn, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	sent, answered := frameLen(t, &query)+frameLen(t, &put), frameLen(t, &reply)+ack
+	waitFor(t, "the served exchanges' accounting", func() bool {
+		return byteTotal(rb, "transport_tx_bytes_")-txB == answered && byteTotal(rb, "transport_rx_bytes_")-rxB == sent
+	})
+	if got := byteTotal(ra, "transport_tx_bytes_") - txA; got != sent {
+		t.Errorf("client tx total = %d bytes, want %d", got, sent)
+	}
+	if got := byteTotal(ra, "transport_rx_bytes_") - rxA; got != answered {
+		t.Errorf("client rx total = %d bytes, want %d", got, answered)
 	}
 }
 
