@@ -6,7 +6,7 @@
 // directory generation, an index's removal count — and a lookup names the
 // stamp the caller holds now. Any other stamp is a miss that drops the
 // entry, so a value stored late (its compute raced the change) can never be
-// returned: staleness is decided per lookup, not by flushing.
+// returned as a hit: staleness is decided per lookup, not by flushing.
 package lru
 
 import (
@@ -37,7 +37,9 @@ func New[K, S comparable, V any](budget int64) *Cache[K, S, V] {
 }
 
 // Get returns the value put under key at stamp. An entry with any other
-// stamp is dropped, which dropped reports (to callers counting evictions).
+// stamp is dropped, which dropped reports (to callers counting evictions);
+// its value is still returned, with ok false, for a caller that repairs a
+// stale value rather than computing it anew.
 func (c *Cache[K, S, V]) Get(key K, stamp S) (value V, ok, dropped bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -45,12 +47,13 @@ func (c *Cache[K, S, V]) Get(key K, stamp S) (value V, ok, dropped bool) {
 	if el == nil {
 		return value, false, false
 	}
-	if e := el.Value.(*entry[K, S, V]); e.stamp == stamp {
+	e := el.Value.(*entry[K, S, V])
+	if e.stamp == stamp {
 		c.ll.MoveToFront(el)
 		return e.value, true, false
 	}
 	c.remove(el)
-	return value, false, true
+	return e.value, false, true
 }
 
 // GetAll is Get for every keys[i] at stamps[i] under one lock hold: it

@@ -12,8 +12,10 @@ func TestStampMismatchIsMissAndDrop(t *testing.T) {
 	if v, ok, dropped := c.Get("a", 1); !ok || dropped || v != "A1" {
 		t.Fatalf("Get at the put stamp = %q, %v, %v", v, ok, dropped)
 	}
-	if v, ok, dropped := c.Get("a", 2); ok || !dropped || v != "" {
-		t.Fatalf("Get at another stamp = %q, %v, %v; want a miss that drops", v, ok, dropped)
+	// The miss hands back the value it dropped, for a caller that repairs
+	// it; ok stays false, so a caller that reads only hits is unchanged.
+	if v, ok, dropped := c.Get("a", 2); ok || !dropped || v != "A1" {
+		t.Fatalf("Get at another stamp = %q, %v, %v; want a miss that drops and returns A1", v, ok, dropped)
 	}
 	if c.Len() != 0 || c.Cost() != 0 {
 		t.Fatalf("stale entry still resident: len %d cost %d", c.Len(), c.Cost())

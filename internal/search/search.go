@@ -229,6 +229,17 @@ type TopKFetcher interface {
 	QueryPeerTopK(id directory.PeerID, terms []string, rq RankQuery) ([]Hit, error)
 }
 
+// PriorFetcher is an optional TopKFetcher extension for a search that
+// repeats an earlier one: Prior returns the rows peer id answered the
+// earlier search with, when they still answer rq, and Ranked then merges
+// them without asking the peer. A reused answer counts as a contacted
+// peer but is not a fetch: it is counted in search_answers_reused_total,
+// not timed in search_fetch_latency_us.
+type PriorFetcher interface {
+	TopKFetcher
+	Prior(id directory.PeerID, rq RankQuery) ([]Hit, bool)
+}
+
 // Scorer is a ranked query's scoring kernel: equation 2 with the query's
 // weights resolved once, so scoring a document is a table read, a multiply
 // and an add per term, summed in sorted term order.
@@ -456,7 +467,8 @@ func StopP(n, k int) int {
 type Stats struct {
 	// PeersRanked is the number of candidate peers (non-zero rank).
 	PeersRanked int
-	// PeersContacted is how many peers were actually queried.
+	// PeersContacted is how many peers' answers entered the merge: the
+	// peers asked, and those whose answer a PriorFetcher reused.
 	PeersContacted int
 	// DocsRetrieved counts documents received from the contacted peers:
 	// at most K from each peer that cuts its answer (TopKFetcher), every
@@ -511,6 +523,10 @@ type contactor struct {
 	topk  TopKFetcher // non-nil: a ranked search whose peers cut to rq.K
 	rq    RankQuery
 	hist  *metrics.Histogram
+	// prior is non-nil for a ranked search that may reuse earlier answers;
+	// reused counts the answers it took.
+	prior  PriorFetcher
+	reused *metrics.Counter
 }
 
 // newContactor resolves opt's fetch policy once.
@@ -523,8 +539,15 @@ func newContactor(fetch Fetcher, terms []string, all bool, opt Options) contacto
 }
 
 // one contacts a single peer: for a ranked search whose peers cut, its
-// rq.K best as rows; else every match (all: of every term) as maps.
+// rq.K best as rows, taken from the prior when it still stands; else every
+// match (all: of every term) as maps.
 func (c *contactor) one(id directory.PeerID) (docs []DocResult, hits []Hit, err error) {
+	if c.prior != nil {
+		if hits, ok := c.prior.Prior(id, c.rq); ok {
+			c.reused.Inc()
+			return nil, hits, nil
+		}
+	}
 	var start time.Time
 	if c.hist != nil {
 		start = time.Now()
@@ -578,6 +601,9 @@ func Ranked(view FilterView, fetch Fetcher, terms []string, opt Options) ([]Scor
 
 	contact := newContactor(fetch, terms, false, opt)
 	contact.topk, _ = fetch.(TopKFetcher)
+	if pf, ok := fetch.(PriorFetcher); ok {
+		contact.prior, contact.reused = pf, opt.Metrics.Counter("search_answers_reused_total")
+	}
 	contact.rq = RankQuery{K: opt.K, N: r.peers, Nt: r.nt}
 	// Replies are scored with the kernel, and the weights, every contacted
 	// peer scores with.

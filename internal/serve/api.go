@@ -9,6 +9,7 @@ import (
 	"planetp/internal/core"
 	"planetp/internal/directory"
 	"planetp/internal/doc"
+	"planetp/internal/search"
 )
 
 // --- wire types ---
@@ -152,7 +153,9 @@ const maxK = 10000
 // handleSearch serves POST /v1/search through the generation-stamped
 // result cache. The generation is read BEFORE the search runs: if a
 // publish lands mid-search and moves it, put() drops the entry rather
-// than caching a response that may straddle two views.
+// than caching a response that may straddle two views. A stale entry is
+// repaired from the answers it kept (see resultCache); its response is
+// still a miss.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req SearchRequest
 	if !s.decode(w, r, &req) {
@@ -175,17 +178,32 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	gen := s.peer.Directory().Generation()
 	key := searchCacheKey(terms, k)
+	var (
+		e     cached
+		stale bool
+	)
 	if !req.NoCache {
-		if body, ok := s.cache.get(gen, key); ok {
+		var fresh bool
+		if e, fresh, stale = s.cache.get(gen, key); fresh {
 			s.cacheHits.Inc()
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("X-Planetp-Cache", "hit")
-			w.Write(body)
+			w.Write(e.body)
 			return
 		}
 		s.cacheMisses.Inc()
 	}
-	docs, st := s.peer.Search(req.Query, k)
+	var (
+		docs    []search.ScoredDoc
+		st      search.Stats
+		answers *core.Answers
+	)
+	if stale {
+		s.cacheRepairs.Inc()
+		docs, st, answers = s.peer.SearchAgain(req.Query, k, e.answers)
+	} else {
+		docs, st = s.peer.Search(req.Query, k)
+	}
 	resp := SearchResponse{
 		Hits: make([]SearchHit, len(docs)),
 		Stats: SearchStats{
@@ -208,7 +226,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	body = append(body, '\n')
 	verdict := "bypass"
 	if !req.NoCache {
-		s.cache.put(gen, key, body)
+		s.cache.put(gen, key, cached{body: body, answers: answers})
 		verdict = "miss"
 	}
 	w.Header().Set("Content-Type", "application/json")

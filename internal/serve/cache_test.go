@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -9,44 +10,45 @@ import (
 
 	"planetp/internal/core"
 	"planetp/internal/directory"
+	"planetp/internal/metrics"
 )
 
 // TestResultCacheLRUAndGeneration: unit behaviour — LRU eviction at
 // cacheEntries, miss on generation advance, stale put never returned.
 func TestResultCacheLRUAndGeneration(t *testing.T) {
 	c := newResultCache()
-	c.put(1, "a", []byte("A"))
-	c.put(1, "b", []byte("B"))
+	c.put(1, "a", cached{body: []byte("A")})
+	c.put(1, "b", cached{body: []byte("B")})
 	for i := 2; i < cacheEntries; i++ {
-		c.put(1, strconv.Itoa(i), nil)
+		c.put(1, strconv.Itoa(i), cached{})
 	}
-	if _, ok := c.get(1, "a"); !ok {
+	if _, ok, _ := c.get(1, "a"); !ok {
 		t.Fatal("a missing after put")
 	}
 	// a is now most-recent; inserting c evicts b.
-	c.put(1, "c", []byte("C"))
-	if _, ok := c.get(1, "b"); ok {
+	c.put(1, "c", cached{body: []byte("C")})
+	if _, ok, _ := c.get(1, "b"); ok {
 		t.Fatal("b survived past the cap; LRU should have evicted it")
 	}
-	if _, ok := c.get(1, "a"); !ok {
+	if _, ok, _ := c.get(1, "a"); !ok {
 		t.Fatal("a evicted although most recently used")
 	}
 
 	// After a generation advance no older entry is ever returned — not at
 	// the new generation, and (once seen stale) not at the old one either.
 	for _, key := range []string{"a", "c"} {
-		if _, ok := c.get(2, key); ok {
+		if _, ok, _ := c.get(2, key); ok {
 			t.Fatalf("%s: hit across a generation advance", key)
 		}
-		if _, ok := c.get(1, key); ok {
+		if _, ok, _ := c.get(1, key); ok {
 			t.Fatalf("%s: stale entry survived the lookup that found it stale", key)
 		}
 	}
 
 	// A put stamped with a superseded generation must be dropped: the
 	// search it caches ran against a view that has already changed.
-	c.put(1, "old", []byte("stale"))
-	if _, ok := c.get(2, "old"); ok {
+	c.put(1, "old", cached{body: []byte("stale")})
+	if _, ok, _ := c.get(2, "old"); ok {
 		t.Fatal("stale-generation put was stored")
 	}
 }
@@ -245,5 +247,97 @@ func TestUnknownSearchFieldsIgnored(t *testing.T) {
 	}
 	if got := cacheHeader(t, search(`{"query":"legacy","k":1,`+legacy+`}`)); got != "hit" {
 		t.Fatalf("legacy-field search = %q, want hit on the plain request's entry", got)
+	}
+}
+
+// quietPair builds two peers that know each other and are never started:
+// no gossip runs, so the directory generation moves only when the test
+// moves it. Peer 1 holds two documents with "repair".
+func quietPair(t *testing.T) (p0, p1 *core.Peer) {
+	t.Helper()
+	peers := make([]*core.Peer, 2)
+	for i := range peers {
+		p, err := core.NewPeer(core.Config{ID: directory.PeerID(i), Capacity: 2, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Stop)
+		peers[i] = p
+	}
+	if _, err := peers[1].PublishBatch([]string{"<doc>repair one</doc>", "<doc>repair repair two</doc>"}); err != nil {
+		t.Fatal(err)
+	}
+	peers[0].Directory().Upsert(peers[1].Node().OutgoingSelf())
+	peers[1].Directory().Upsert(peers[0].Node().OutgoingSelf())
+	return peers[0], peers[1]
+}
+
+// A query's first sighting keeps only its body; its second, a stale entry,
+// is repaired and keeps the answers; its third reuses the remote peer's
+// answer, whose record did not move. Each is a miss, and both counters
+// read the repairs and the reuse over HTTP, as JSON and as Prometheus text.
+func TestStaleEntryRepairedFromKeptAnswers(t *testing.T) {
+	p, _ := quietPair(t)
+	s, ts := newTestServer(t, p, Config{})
+	q := SearchRequest{Query: "repair", K: 10}
+	key := searchCacheKey(core.Terms(q.Query), q.K)
+	ask := func(round int) {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/search", q)
+		if got := resp.Header.Get("X-Planetp-Cache"); got != "miss" {
+			t.Fatalf("search %d = %q, want miss", round, got)
+		}
+		if res := decodeBody[SearchResponse](t, resp); len(res.Hits) != 2 || res.Stats.PeersContacted != 1 {
+			t.Fatalf("search %d: %+v, want peer 1's 2 documents", round, res)
+		}
+	}
+	entry := func() cached {
+		t.Helper()
+		e, fresh, _ := s.cache.get(p.Directory().Generation(), key)
+		if !fresh {
+			t.Fatal("no fresh entry after a search")
+		}
+		return e
+	}
+	publish := func() {
+		t.Helper()
+		if _, err := p.Publish("<doc>unrelated " + strconv.Itoa(int(p.Directory().Generation())) + "</doc>"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ask(1)
+	if e := entry(); e.answers != nil {
+		t.Fatal("a first-sighting search kept its answers")
+	}
+	publish()
+	ask(2)
+	if e := entry(); e.answers == nil {
+		t.Fatal("a repaired entry kept no answers")
+	}
+	publish()
+	ask(3)
+
+	resp, err := http.Get(ts.URL + "/debug/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := decodeBody[metrics.Snapshot](t, resp)
+	if r, u := snap.Counters["serve_cache_repairs_total"], snap.Counters["search_answers_reused_total"]; r != 2 || u != 1 {
+		t.Fatalf("JSON: serve_cache_repairs_total %d, search_answers_reused_total %d; want 2 and 1", r, u)
+	}
+	resp, err = http.Get(ts.URL + "/debug/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"\nserve_cache_repairs_total 2\n", "\nsearch_answers_reused_total 1\n"} {
+		if !strings.Contains(string(text), line) {
+			t.Fatalf("Prometheus text lacks %q", strings.TrimSpace(line))
+		}
 	}
 }

@@ -23,11 +23,13 @@
 //     and every request receives a response.
 //
 //   - Result caching. Search responses are memoized keyed on (query
-//     terms, options) and stamped with directory.Generation(), exactly
-//     like the query engine's IPF cache: any publish, membership change,
-//     or on/off-line flip moves the generation, and a lookup at the new
-//     generation misses every older entry, so a hit can never serve
-//     results staler than the node's own view.
+//     terms, k) and stamped with directory.Generation(), which any
+//     publish, membership change or on/off-line flip moves; a hit is
+//     served only at the generation its search ran at. A stale entry of a
+//     query seen before is repaired, not recomputed: a remote peer's
+//     answer stands while this directory holds the same record version
+//     for it, so only the peers whose record moved are asked again
+//     (resultCache states the contract and the admission rule).
 //
 //   - Graceful drain. Shutdown stops accepting new requests (everything
 //     new gets 503, /healthz flips to draining), waits for in-flight
@@ -96,12 +98,13 @@ type Server struct {
 	httpSrv  *http.Server
 
 	// Instruments are resolved once; handlers do atomic adds only.
-	inflight    *metrics.Gauge
-	shed        *metrics.Counter
-	requests    *metrics.Counter
-	errors      *metrics.Counter
-	cacheHits   *metrics.Counter
-	cacheMisses *metrics.Counter
+	inflight     *metrics.Gauge
+	shed         *metrics.Counter
+	requests     *metrics.Counter
+	errors       *metrics.Counter
+	cacheHits    *metrics.Counter
+	cacheMisses  *metrics.Counter
+	cacheRepairs *metrics.Counter
 
 	// testHook, when set, runs inside every admitted request while its
 	// slot is held — a seam for saturating the pool deterministically
@@ -116,16 +119,17 @@ func New(peer *core.Peer, cfg Config) *Server {
 	}
 	reg := peer.Metrics()
 	s := &Server{
-		peer:        peer,
-		reg:         reg,
-		cache:       newResultCache(),
-		slots:       make(chan struct{}, cfg.MaxInFlight),
-		inflight:    reg.Gauge("serve_inflight_requests"),
-		shed:        reg.Counter("serve_shed_total"),
-		requests:    reg.Counter("serve_requests_total"),
-		errors:      reg.Counter("serve_errors_total"),
-		cacheHits:   reg.Counter("serve_cache_hits_total"),
-		cacheMisses: reg.Counter("serve_cache_misses_total"),
+		peer:         peer,
+		reg:          reg,
+		cache:        newResultCache(),
+		slots:        make(chan struct{}, cfg.MaxInFlight),
+		inflight:     reg.Gauge("serve_inflight_requests"),
+		shed:         reg.Counter("serve_shed_total"),
+		requests:     reg.Counter("serve_requests_total"),
+		errors:       reg.Counter("serve_errors_total"),
+		cacheHits:    reg.Counter("serve_cache_hits_total"),
+		cacheMisses:  reg.Counter("serve_cache_misses_total"),
+		cacheRepairs: reg.Counter("serve_cache_repairs_total"),
 	}
 	return s
 }

@@ -234,6 +234,11 @@ replication_smoke() {
 echo "== go vet ./..."
 go vet ./...
 
+# The paired runner (scripts/pairs.sh) is run by hand and takes minutes;
+# its syntax is checked on every run.
+echo "== bash -n scripts/pairs.sh"
+bash -n scripts/pairs.sh
+
 echo "== go build ./..."
 go build ./...
 
