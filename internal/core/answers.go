@@ -22,7 +22,6 @@ const answersMaxRows = topkMemoMaxCost
 // the same query under the same weights is the one kept here (DESIGN §4c).
 // Answers are never changed once returned; their rows are shared read-only.
 type Answers struct {
-	terms []string
 	rq    search.RankQuery
 	peers []answer
 	cost  int
@@ -44,20 +43,17 @@ func (a *Answers) add(rq search.RankQuery, ans answer) {
 }
 
 // SearchAgain is Search for a query this peer has searched before. prior is
-// what an earlier SearchAgain of the query returned, or nil. A remote
-// peer's answer is taken from prior, without asking the peer, while the
-// directory holds the record version it was given at and the search sends
-// the same k, N and N_t; every other peer is asked, and the self peer is
-// always walked. The result is the one Search returns while each peer's
-// answer is fixed by its record version. It also returns the answers it
-// merged, for the next repeat, or nil if they exceed answersMaxRows.
+// what an earlier SearchAgain of the same query and k returned, or nil; it
+// is not checked against them. A remote peer's answer is taken from prior,
+// without asking the peer, while the directory holds the record version it
+// was given at and the search sends the same N and N_t; every other peer
+// is asked, and the self peer is always walked. The result is the one
+// Search returns while each peer's answer is fixed by its record version.
+// It also returns the answers it merged, for the next repeat, or nil if
+// they exceed answersMaxRows.
 func (p *Peer) SearchAgain(query string, k int, prior *Answers) ([]search.ScoredDoc, search.Stats, *Answers) {
-	terms := Terms(query)
-	f := &priorFetcher{fetcher: fetcher{p}, next: &Answers{terms: terms}}
-	if prior != nil && slices.Equal(prior.terms, terms) {
-		f.prior = prior
-	}
-	docs, st := search.Ranked(p.view, f, terms, search.Options{K: k, Metrics: p.reg})
+	f := &priorFetcher{fetcher: fetcher{p}, prior: prior, next: &Answers{}}
+	docs, st := search.Ranked(p.view, f, Terms(query), search.Options{K: k, Metrics: p.reg})
 	if f.next.cost > answersMaxRows {
 		return docs, st, nil
 	}
@@ -76,7 +72,7 @@ type priorFetcher struct {
 // gossip node hears of it neither as a reply nor as a failure.
 func (f *priorFetcher) Prior(id directory.PeerID, rq search.RankQuery) ([]search.Hit, bool) {
 	a := f.prior
-	if a == nil || id == f.p.id || a.rq.K != rq.K || a.rq.N != rq.N || !slices.Equal(a.rq.Nt, rq.Nt) {
+	if a == nil || id == f.p.id || a.rq.N != rq.N || !slices.Equal(a.rq.Nt, rq.Nt) {
 		return nil, false
 	}
 	i := slices.IndexFunc(a.peers, func(ans answer) bool { return ans.id == id })

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"planetp/internal/replica"
 	"planetp/internal/search"
 )
 
@@ -70,6 +71,58 @@ func TestSearchAgainEqualsSearch(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatal("no answer was ever reused: the test compared nothing")
+	}
+}
+
+// Dropping a document moves its holder's version like adding one does: a
+// removal, a released replica and a purged replica each reach a repeated
+// search once the new version reaches the searcher, which then asks the
+// holder again and returns what a fresh search returns.
+func TestSearchAgainSeesDrops(t *testing.T) {
+	peers := alphaCommunity(t)
+	p, holder := peers[0], peers[2]
+	held := []replica.Entry{
+		{Key: "held-released", Origin: 3, Epoch: 1, XML: "<doc>alpha alpha alpha released</doc>"},
+		{Key: "held-purged", Origin: 3, Epoch: 1, XML: "<doc>alpha alpha alpha purged</doc>"},
+	}
+	for _, e := range held {
+		holder.adoptReplica(e, 5)
+	}
+	removed, err := peers[1].Publish("<doc>alpha alpha alpha removed</doc>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncDirectories(peers)
+	first, _, prior := p.SearchAgain("alpha", 10, nil)
+	keys := map[string]bool{}
+	for _, d := range first {
+		keys[d.Key] = true
+	}
+	if !keys[removed.ID] || !keys[held[0].Key] || !keys[held[1].Key] {
+		t.Fatalf("first search %v lacks a document the test drops", first)
+	}
+	for _, drop := range []struct {
+		what string
+		key  string
+		do   func()
+	}{
+		{"removed", removed.ID, func() { peers[1].Remove(removed.ID) }},
+		{"released", held[0].Key, func() { holder.purgeReplica(held[0].Key, 1, false) }},
+		{"purged", held[1].Key, func() { holder.purgeReplica(held[1].Key, 1, true) }},
+	} {
+		drop.do()
+		syncDirectories(peers)
+		got, gotSt, next := p.SearchAgain("alpha", 10, prior)
+		want, wantSt := p.Search("alpha", 10)
+		if !reflect.DeepEqual(got, want) || gotSt != wantSt {
+			t.Fatalf("%s: with prior\n%v %+v\nwithout\n%v %+v", drop.what, got, gotSt, want, wantSt)
+		}
+		for _, d := range got {
+			if d.Key == drop.key {
+				t.Fatalf("%s: the repeat still returns %s", drop.what, d.Key)
+			}
+		}
+		prior = next
 	}
 }
 

@@ -481,10 +481,12 @@ func topTerms(freqs map[string]int, frac float64) []string {
 	return out
 }
 
-// Remove unpublishes a document: the local store and index forget it.
-// The gossiped Bloom filter is not shrunk immediately (plain filters
-// cannot delete); stale bits persist — costing only false positives —
-// until Compact rebuilds the filter (StaleFraction says how many).
+// Remove unpublishes a document: the local store and index forget it,
+// and a new version is announced, as for every change to what this peer
+// answers (paper §3). The gossiped Bloom filter is not shrunk immediately
+// (plain filters cannot delete); stale bits persist — costing only false
+// positives — until Compact rebuilds the filter (StaleFraction says how
+// many).
 func (p *Peer) Remove(docID string) bool {
 	ver := p.selfVer()
 	p.mu.Lock()
@@ -501,6 +503,9 @@ func (p *Peer) Remove(docID string) bool {
 		p.reg.Counter("store_wal_append_errors_total").Inc()
 		return false
 	}
+	// The removal is durable and applied: a failed announce leaves it
+	// standing, and the next announce carries it.
+	_ = p.announce(true)
 	p.maybeCompact()
 	// Push death certificates to the replica placement so live holders
 	// purge (and tombstone) the content instead of serving it forever.

@@ -86,7 +86,9 @@ func (p *Peer) adoptReplica(e replica.Entry, seed float64) {
 
 // purgeReplica drops a held replica (and, with tomb, records the death
 // certificate even if the replica is not held — a purge can arrive
-// before the adoption it forbids).
+// before the adoption it forbids). Dropping a held replica changes what
+// this peer answers, so it announces a new version (paper §3): a searcher
+// reuses a peer's earlier answer only while its version stands.
 func (p *Peer) purgeReplica(key string, epoch uint32, tomb bool) {
 	ver := p.selfVer()
 	p.mu.Lock()
@@ -96,11 +98,12 @@ func (p *Peer) purgeReplica(key string, epoch uint32, tomb bool) {
 		err = p.commitLocked(ops, ver)
 	}
 	p.mu.Unlock()
-	switch {
-	case err != nil:
-		p.reg.Counter("replica_purge_errors_total").Inc()
-	case held:
+	if err == nil && held {
 		p.reg.Counter("replica_purges_total").Inc()
+		err = p.announce(true)
+	}
+	if err != nil {
+		p.reg.Counter("replica_purge_errors_total").Inc()
 	}
 	p.maybeCompact()
 }

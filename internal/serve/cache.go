@@ -23,12 +23,13 @@ import (
 // and is put back with its new body and answers (core.SearchAgain). So a
 // remote peer's write reaches a cached answer when its new version reaches
 // this directory, not before, even after this node's own publish. A
-// removal announces no version until the peer compacts or publishes
-// (core.Peer.Remove), so a remote removal waits for that version.
+// drop is a new version too: a removal and a replica release or purge
+// each announce one.
 //
 // Admission is by repetition: a query seen for the first time keeps only
 // its body, and its answers are kept from its second sighting on, when a
-// stale entry exists. Queries that do not repeat run no new code.
+// stale entry exists: a query that is not repeated after the generation
+// moved never searches with a prior and keeps no answers.
 //
 // A body is stored marshaled: a hit is one map lookup plus one Write, with
 // no risk of a handler mutating a shared result slice. Entries are
