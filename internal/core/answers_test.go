@@ -28,7 +28,9 @@ func counter(p *Peer, name string) int64 { return p.reg.Counter(name).Value() }
 
 // A search repeated with the answers of its last run returns exactly what a
 // fresh search returns — hits, scores, order and stats — across rounds in
-// which peers publish and their new versions reach every directory.
+// which peers publish, remove documents and drop held replicas, and their
+// new versions reach every directory: a drop moves a version as a publish
+// does.
 func TestSearchAgainEqualsSearch(t *testing.T) {
 	peers := quietCommunity(t, 4, 0)
 	rng := rand.New(rand.NewSource(51))
@@ -38,14 +40,44 @@ func TestSearchAgainEqualsSearch(t *testing.T) {
 		query    string
 		k        int
 	}
+	// Peer 1 holds two replicas that rank high for the queries; it releases
+	// one in round 2 and purges the other in round 4. From round 1 on, peer
+	// 2 removes the oldest document it still holds every round.
+	held := []replica.Entry{
+		{Key: "held-released", Origin: 3, Epoch: 1, XML: "<doc>worda worda wordb wordc</doc>"},
+		{Key: "held-purged", Origin: 3, Epoch: 1, XML: "<doc>wordd worde wordf wordd</doc>"},
+	}
+	for _, e := range held {
+		peers[1].adoptReplica(e, 5)
+	}
+	drops := map[int]func(){
+		2: func() { peers[1].purgeReplica(held[0].Key, 1, false) },
+		4: func() { peers[1].purgeReplica(held[1].Key, 1, true) },
+	}
+	var removable []string
 	priors := map[key]*Answers{}
 	for round := 0; round < 6; round++ {
 		for i, p := range peers {
 			if round == 0 || rng.Intn(2) == 0 {
-				if _, err := p.PublishBatch(vocabDocs(rng, 1+rng.Intn(12), 8, fmt.Sprint(round, "r", i))); err != nil {
+				docs, err := p.PublishBatch(vocabDocs(rng, 1+rng.Intn(12), 8, fmt.Sprint(round, "r", i)))
+				if err != nil {
 					t.Fatal(err)
 				}
+				if i == 2 {
+					for _, d := range docs {
+						removable = append(removable, d.ID)
+					}
+				}
 			}
+		}
+		if round > 0 {
+			if !peers[2].Remove(removable[0]) {
+				t.Fatalf("round %d: remove %s failed", round, removable[0])
+			}
+			removable = removable[1:]
+		}
+		if drop := drops[round]; drop != nil {
+			drop()
 		}
 		syncDirectories(peers)
 		for s, p := range peers {
@@ -71,58 +103,6 @@ func TestSearchAgainEqualsSearch(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatal("no answer was ever reused: the test compared nothing")
-	}
-}
-
-// Dropping a document moves its holder's version like adding one does: a
-// removal, a released replica and a purged replica each reach a repeated
-// search once the new version reaches the searcher, which then asks the
-// holder again and returns what a fresh search returns.
-func TestSearchAgainSeesDrops(t *testing.T) {
-	peers := alphaCommunity(t)
-	p, holder := peers[0], peers[2]
-	held := []replica.Entry{
-		{Key: "held-released", Origin: 3, Epoch: 1, XML: "<doc>alpha alpha alpha released</doc>"},
-		{Key: "held-purged", Origin: 3, Epoch: 1, XML: "<doc>alpha alpha alpha purged</doc>"},
-	}
-	for _, e := range held {
-		holder.adoptReplica(e, 5)
-	}
-	removed, err := peers[1].Publish("<doc>alpha alpha alpha removed</doc>")
-	if err != nil {
-		t.Fatal(err)
-	}
-	syncDirectories(peers)
-	first, _, prior := p.SearchAgain("alpha", 10, nil)
-	keys := map[string]bool{}
-	for _, d := range first {
-		keys[d.Key] = true
-	}
-	if !keys[removed.ID] || !keys[held[0].Key] || !keys[held[1].Key] {
-		t.Fatalf("first search %v lacks a document the test drops", first)
-	}
-	for _, drop := range []struct {
-		what string
-		key  string
-		do   func()
-	}{
-		{"removed", removed.ID, func() { peers[1].Remove(removed.ID) }},
-		{"released", held[0].Key, func() { holder.purgeReplica(held[0].Key, 1, false) }},
-		{"purged", held[1].Key, func() { holder.purgeReplica(held[1].Key, 1, true) }},
-	} {
-		drop.do()
-		syncDirectories(peers)
-		got, gotSt, next := p.SearchAgain("alpha", 10, prior)
-		want, wantSt := p.Search("alpha", 10)
-		if !reflect.DeepEqual(got, want) || gotSt != wantSt {
-			t.Fatalf("%s: with prior\n%v %+v\nwithout\n%v %+v", drop.what, got, gotSt, want, wantSt)
-		}
-		for _, d := range got {
-			if d.Key == drop.key {
-				t.Fatalf("%s: the repeat still returns %s", drop.what, d.Key)
-			}
-		}
-		prior = next
 	}
 }
 
